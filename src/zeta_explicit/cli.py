@@ -12,8 +12,7 @@ Conventions shared by every subcommand:
     neither set the embedded 100-ordinate table is used
   * --T/--K pick the truncation (at most one; default: every pair)
   * json output is a single object; identical invocations are
-    byte-identical (all computation is deterministic serial reduction;
-    --deterministic pins the contract explicitly)
+    byte-identical (zero sums accumulate exactly in integers)
   * exit status: 0 success, 1 domain error (bad abscissa, pole hit,
     disagreeing routes), 2 usage, I/O, or parse error
 """
@@ -54,7 +53,6 @@ class RunConfig:
     T: Optional[float]
     K: Optional[int]
     fmt: str                  # human | json | csv
-    deterministic: bool
     inexact: bool
     digits: int
 
@@ -117,9 +115,8 @@ def _make_spec(cfg: RunConfig, table: ZeroTable) -> SumSpec:
     if cfg.T is not None and cfg.K is not None:
         raise _InputError("give at most one of --T and --K")
     if cfg.T is not None:
-        return SumSpec(T=cfg.T, deterministic=cfg.deterministic)
-    return SumSpec(K=cfg.K if cfg.K is not None else len(table.gammas),
-                   deterministic=cfg.deterministic)
+        return SumSpec(T=cfg.T)
+    return SumSpec(K=cfg.K if cfg.K is not None else len(table.gammas))
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -288,14 +285,9 @@ def _cmd_sum(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
     spec = _make_spec(cfg, table)
     payload = {"command": "sum", "term": args.term,
                "pairs": len(spec.select(table)), "zeros": table.source}
-    if args.term == "inv-rho":
-        value, tail = sum_inv_rho(table, spec, ctx)
-        payload["value"] = value.str_digits(cfg.digits)
-        payload["tail"] = tail.str_digits(10)
-        with ctx.workprec():
-            payload["corrected"] = ctx.real(value.val + tail.val).str_digits(cfg.digits)
-    elif args.term == "inv-rho-sq":
-        value, tail = sum_inv_rho_sq(table, spec, ctx)
+    if args.term in ("inv-rho", "inv-rho-sq"):
+        named = sum_inv_rho if args.term == "inv-rho" else sum_inv_rho_sq
+        value, tail = named(table, spec, ctx)
         payload["value"] = value.str_digits(cfg.digits)
         payload["tail"] = tail.str_digits(10)
         with ctx.workprec():
@@ -393,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                         const="json", help="emit one json object")
     common.add_argument("--csv", dest="fmt", action="store_const",
                         const="csv", help="emit csv")
-    common.add_argument("--deterministic", action="store_true",
-                        help="pin the deterministic accumulation contract")
     common.add_argument("--inexact", action="store_true",
                         help="accept decimal abscissas (dyadic conversion; "
                              "prime-power branches disabled by nudge)")
@@ -479,8 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     cfg = RunConfig(bits=args.bits, zeros_path=args.zeros, label=args.label,
                     T=args.T, K=args.K, fmt=args.fmt or "human",
-                    deterministic=args.deterministic, inexact=args.inexact,
-                    digits=args.digits)
+                    inexact=args.inexact, digits=args.digits)
     try:
         ctx = PrecisionContext(bits=cfg.bits)
         payload = _HANDLERS[args.command](args, cfg, ctx)

@@ -19,9 +19,7 @@ Identity inventory (all verified against zero sums through verify_identity):
 
 The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u) is evaluated through a
 roots-of-unity closed form DERIVED AND VALIDATED against the defining
-series (see f_u_closed); a superficially similar assembly that fails the
-series oracle is retained as f_u_closed_uncorrected so the regression is
-pinned by tests.
+series (see f_u_closed).
 
 Two corrections relative to the classical displays these formulas come
 from, both forced by requiring residuals against zero sums to vanish as
@@ -55,14 +53,12 @@ from .mpcore import (
     hurwitz_zeta_ds,
 )
 from .zeros import (
-    S_sum,
     SumSpec,
     ZeroTable,
-    cosine_sum,
-    sum_pf_kernel,
-    sum_xrho_over_rho,
-    sum_xrho_shifted,
+    cosine_term,
     tail_estimate,
+    xrho_term,
+    zero_sum,
 )
 
 _GUARD = 32
@@ -100,27 +96,6 @@ def zeta_log_deriv(s: Rational, ctx: PrecisionContext) -> HReal:
         num, _ = hurwitz_zeta_ds(s, 1, ctx)
         den, _ = hurwitz_zeta(s, 1, ctx)
         return ctx.real(num.val / den.val)
-
-
-def zeta_log_deriv_dirichlet(s: float, N: int = 100_000) -> tuple[float, float]:
-    """(zeta'/zeta)(s) for real s > 1 by the prime-power Dirichlet series
-    -Sum_{n<=N} Lambda(n) n^(-s), at double precision.
-
-    Returns (value, tail_estimate); the tail estimate integrates
-    log(t) t^(-s) over (N, inf) with a safety factor 2.  Independent of
-    every Euler-Maclaurin code path, so it serves as an oracle.
-    """
-    if s <= 1:
-        raise ValueError("Dirichlet-series route requires s > 1")
-    t = shared_table(N)
-    acc = 0.0
-    for n in range(2, N + 1):
-        p = t.entries[n]
-        if p:
-            acc += math.log(p) * float(n) ** (-s)
-    tail = 2 * (math.log(N) / ((s - 1) * N ** (s - 1))
-                + 1 / ((s - 1) ** 2 * N ** (s - 1)))
-    return -acc, tail
 
 
 def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
@@ -274,32 +249,6 @@ def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HComplex:
         return HComplex(value, ctx)
 
 
-def f_u_closed_uncorrected(u: Rational, z, ctx: PrecisionContext) -> HComplex:
-    """The same roots-of-unity assembly with a z^(+p/q) prefactor and no
-    boundary-term subtraction.  This variant looks plausible but does
-    NOT equal the defining series (e.g. at u = 1/2, z = 1/4 it returns
-    w log((1+w)/(1-w)) instead of (1/w) log((1+w)/(1-w)) - 2); it is
-    kept only so the test suite can pin the discrepancy."""
-    u = Fraction(u)
-    p, q = u.numerator, u.denominator
-    if not (0 <= p < q):
-        raise ValueError("uncorrected variant only defined for 0 <= u < 1")
-    with ctx.workprec(_GUARD):
-        zv = z.val if isinstance(z, (HComplex, HReal)) else mpc(z)
-        if abs(zv) >= 1:
-            raise ValueError("requires |z| < 1")
-        if abs(zv) == 0:
-            return ctx.complex(0)
-        w = mpmath.exp(mpmath.log(zv) / q) if zv.imag != 0 or zv.real < 0 \
-            else mpc(mpmath.root(zv.real, q))
-        acc = mpc(0)
-        for m in range(q):
-            zq_m = mpmath.expjpi(mpf(2 * m) / q)
-            zq_neg_pm = mpmath.expjpi(mpf(-2 * p * m) / q)
-            acc += zq_neg_pm * mpmath.log(1 - zq_m * w)
-        return HComplex(-acc * w ** p, ctx)
-
-
 # ----------------------------------------------------------------------
 # Plain-zeta right-hand sides (x > 1, x < 1, cosine pairing, S)
 # ----------------------------------------------------------------------
@@ -372,20 +321,6 @@ def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
              - rx * mpmath.log((xv + 1) / (xv - 1)) / 2
              + 1 / rx)
     return ctx.real(v)
-
-
-def cosine_rhs_regrouped(x: Rational, ctx: PrecisionContext) -> HReal:
-    """The same predicted cosine sum assembled the other way, as
-    f_rhs_gt1(x)/sqrt(x) + sqrt(x) f_rhs_lt1(1/x); agreement with
-    cosine_rhs to working precision is a regrouping invariant."""
-    x = Fraction(x)
-    if x <= 1:
-        raise ValueError(f"cosine_rhs requires x > 1, got {x}")
-    a = f_rhs_gt1(x, ctx)
-    b = f_rhs_lt1(1 / x, ctx)
-    with ctx.workprec(_GUARD):
-        rx = mpmath.sqrt(ctx.mpf(x))
-        return ctx.real(a.val / rx + rx * b.val)
 
 
 def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
@@ -966,12 +901,6 @@ class EvalReport:
         return d
 
 
-def _half_spec(spec: SumSpec, table: ZeroTable) -> SumSpec:
-    n = len(spec.select(table))
-    return SumSpec(K=max(1, n // 2), ordering=spec.ordering,
-                   deterministic=spec.deterministic)
-
-
 def verify_identity(identity: str, x: Rational, table: ZeroTable,
                     spec: SumSpec, ctx: PrecisionContext, *,
                     pf: Optional[RationalFunctionPF] = None,
@@ -982,8 +911,9 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
 
     The (F'/F) term is placed on the LHS with the zero sum wherever the
     identity carries one.  Conditionally convergent identities get a
-    trend record (residual at half truncation vs full); the absolutely
-    convergent S identity gets the genuine tail bound.
+    trend record (residual at half truncation vs full, from one pass over
+    the zeros); the absolutely convergent S identity gets the genuine
+    tail bound.  The closed form and the F'/F term are evaluated once.
     """
     x = Fraction(x)
     if identity not in IDENTITY_IDS:
@@ -992,92 +922,67 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
         raise ValueError(f"table label {table.label!r} does not match "
                          f"descriptor {F.label!r}")
 
-    tail: Optional[HReal] = None
-    trend: Optional[dict] = None
-
-    def lhs_rhs(sub: SumSpec) -> tuple[HReal, HReal, int]:
-        if identity == "von-mangoldt":
-            lhs = sum_xrho_over_rho(x, table, sub, ctx)
-            rhs = f_rhs_gt1(x, ctx)
-        elif identity == "ingham":
-            lhs = sum_xrho_over_rho(x, table, sub, ctx)
-            rhs = f_rhs_lt1(x, ctx)
-        elif identity == "cosine":
-            lhs = cosine_sum(x, table, sub, ctx)
-            rhs = cosine_rhs(x, ctx)
-        elif identity == "s":
-            value, _ = S_sum(x, table, sub, ctx)
-            lhs = value
-            with ctx.workprec(_GUARD):
-                rhs = ctx.real(S_rhs_gt1(x, ctx).val
-                               + mpmath.euler * ctx.mpf(x)
-                               - mpmath.log(2 * mpmath.pi))
-        elif identity == "general-gt1":
-            if pf is None:
-                raise ValueError("general-gt1 requires pf")
-            zs = sum_pf_kernel(x, pf.roots, pf.residues, table, sub, ctx)
-            with ctx.workprec(_GUARD):
-                extra = mpf(0)
-                for lam, a in zip(pf.residues, pf.roots):
-                    extra += ctx.mpf(lam) * zeta_log_deriv(a, ctx).val * ctx.mpf(x) ** ctx.mpf(a)
-                lhs = ctx.real(zs.val + extra)
-            rhs = general_rhs_gt1(x, pf, ctx)
-        elif identity == "general-lt1":
-            if pf is None:
-                raise ValueError("general-lt1 requires pf")
-            zs = sum_pf_kernel(x, pf.roots, pf.residues, table, sub, ctx)
-            with ctx.workprec(_GUARD):
-                extra = mpf(0)
-                for lam, a in zip(pf.residues, pf.roots):
-                    extra += ctx.mpf(lam) * zeta_log_deriv(1 - Fraction(a), ctx).val \
-                        * ctx.mpf(x) ** ctx.mpf(a)
-                lhs = ctx.real(zs.val - extra)
-            rhs = general_rhs_lt1(x, pf, ctx)
-        elif identity == "selberg-gt1":
-            if F is None or alpha is None:
-                raise ValueError("selberg-gt1 requires F and alpha")
+    # term: the zero-sum kernel; extra: the F'/F term added to it.
+    extra: Optional[mpf] = None
+    if identity in ("von-mangoldt", "ingham"):
+        term = xrho_term(x, (0,), (1,))
+        rhs = (f_rhs_gt1 if identity == "von-mangoldt" else f_rhs_lt1)(x, ctx)
+    elif identity == "cosine":
+        term = cosine_term(x)
+        rhs = cosine_rhs(x, ctx)
+    elif identity == "s":
+        term = xrho_term(x, (0, 1), (1, -1))
+        with ctx.workprec(_GUARD):
+            rhs = ctx.real(S_rhs_gt1(x, ctx).val
+                           + mpmath.euler * ctx.mpf(x)
+                           - mpmath.log(2 * mpmath.pi))
+    elif identity in ("general-gt1", "general-lt1"):
+        if pf is None:
+            raise ValueError(f"{identity} requires pf")
+        term = xrho_term(x, pf.roots, pf.residues)
+        gt1 = identity == "general-gt1"
+        rhs = (general_rhs_gt1 if gt1 else general_rhs_lt1)(x, pf, ctx)
+        with ctx.workprec(_GUARD):
+            extra = mpf(0)
+            for lam, a in zip(pf.residues, pf.roots):
+                s = a if gt1 else 1 - Fraction(a)
+                extra += ctx.mpf(lam) * zeta_log_deriv(s, ctx).val * ctx.mpf(x) ** ctx.mpf(a)
+            extra = extra if gt1 else -extra
+    else:  # selberg-gt1, selberg-lt1
+        if F is None or alpha is None:
+            raise ValueError(f"{identity} requires F and alpha")
+        gt1 = identity == "selberg-gt1"
+        if not gt1 and (alpha == "zero" or Fraction(alpha) == 0):
+            term = xrho_term(x, (0,), (1,))
+            rhs = ctx.real(selberg_rhs_lt1(x, 0, F, ctx).val.real)
+        else:
             if F.log_deriv is None:
                 raise ValueError("descriptor lacks a log-derivative provider")
             a = Fraction(alpha)
-            zs = sum_xrho_shifted(x, a, table, sub, ctx)
+            term = xrho_term(x, (a,), (1,))
+            rhs_fn = selberg_rhs_gt1 if gt1 else selberg_rhs_lt1
+            rhs = ctx.real(rhs_fn(x, a, F, ctx).val.real)
             with ctx.workprec(_GUARD):
-                lhs = ctx.real(zs.val + ctx.mpf(x) ** ctx.mpf(a) * F.log_deriv(a, ctx))
-            rhs = ctx.real(selberg_rhs_gt1(x, a, F, ctx).val.real)
-        else:  # selberg-lt1
-            if F is None or alpha is None:
-                raise ValueError("selberg-lt1 requires F and alpha")
-            at_zero = alpha == "zero" or Fraction(alpha) == 0
-            if at_zero:
-                lhs = sum_xrho_over_rho(x, table, sub, ctx)
-                rhs = ctx.real(selberg_rhs_lt1(x, 0, F, ctx).val.real)
-            else:
-                if F.log_deriv is None:
-                    raise ValueError("descriptor lacks a log-derivative provider")
-                a = Fraction(alpha)
-                zs = sum_xrho_shifted(x, a, table, sub, ctx)
-                with ctx.workprec(_GUARD):
-                    lhs = ctx.real(zs.val - ctx.mpf(x) ** ctx.mpf(a)
-                                   * F.log_deriv(1 - a, ctx))
-                rhs = ctx.real(selberg_rhs_lt1(x, a, F, ctx).val.real)
-        n = len(sub.select(table))
-        return lhs, rhs, n
+                extra = ctx.mpf(x) ** ctx.mpf(a) * F.log_deriv(a if gt1 else 1 - a, ctx)
+                extra = extra if gt1 else -extra
 
-    lhs, rhs, terms = lhs_rhs(spec)
-    with ctx.workprec(_GUARD):
-        residual = ctx.real(lhs.val - rhs.val)
-
-    if identity == "s":
-        idx = spec.select(table)
-        T = float(table.gammas[idx[-1]])
-        tail = tail_estimate(T, 2, float(Fraction(x)), ctx)
-    else:
-        half = _half_spec(spec, table)
-        lhs_h, rhs_h, terms_h = lhs_rhs(half)
+    def residual_at(zs: HReal) -> tuple[HReal, HReal]:
         with ctx.workprec(_GUARD):
-            residual_half = ctx.real(lhs_h.val - rhs_h.val)
+            lhs = zs if extra is None else ctx.real(zs.val + extra)
+            return lhs, ctx.real(lhs.val - rhs.val)
+
+    count = len(spec.select(table))
+    half = max(1, count // 2)
+    (zs_half, zs), terms = zero_sum(table, spec, term, ctx, cuts=(half, count))
+    lhs, residual = residual_at(zs)
+    tail: Optional[HReal] = None
+    trend: Optional[dict] = None
+    if identity == "s":
+        tail = tail_estimate(float(table.gammas[terms - 1]), 2, float(x), ctx)
+    else:
         trend = {
-            "pairs_half": terms_h,
-            "residual_half": residual_half,
+            "pairs_half": half,
+            "residual_half": residual_at(zs_half)[1],
             "pairs_full": terms,
             "residual_full": residual,
         }

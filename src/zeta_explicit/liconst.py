@@ -57,7 +57,7 @@ from .mpcore import (
     zeta_int,
 )
 from .zeros import (SumSpec, ZeroTable, _density_integral, _selected_height,
-                    sum_inv_rho, sum_inv_rho_sq, zero_sum)
+                    inv_abs_sq_term, inv_rho_poly_term, xrho_term, zero_sum)
 
 _GUARD = 32
 
@@ -385,15 +385,15 @@ def lambda_direct(n: int, table: ZeroTable, spec: SumSpec,
     n^2 * Integral_T t^(-2) dN(t): an omitted critical-line pair
     contributes 2 Re[n/rho - C(n,2)/rho^2 + ...] where the first term
     gives n/gamma^2 and the second +n(n-1)/gamma^2 (Re(1/rho^2) is
-    negative), totalling n^2/gamma^2 up to O(n^3/gamma^4)."""
+    negative), totalling n^2/gamma^2 up to O(n^3/gamma^4).
+
+    The summand is the polynomial Sum_k (-1)^(k+1) C(n, k) rho^(-k);
+    at n = 1 it is 1/rho, bit-identical to sum_inv_rho."""
     if n < 1:
         raise ValueError(f"lambda_n needs n >= 1, got {n}")
     ctx = ctx or PrecisionContext()
-
-    def term(rho):
-        return 1 - (1 - 1 / rho) ** n
-
-    value, _ = zero_sum(table, spec, term, ctx)
+    coeffs = [0] + [(-1) ** (k + 1) * math.comb(n, k) for k in range(1, n + 1)]
+    value, _ = zero_sum(table, spec, inv_rho_poly_term(coeffs), ctx)
     with ctx.workprec(_GUARD):
         T = _selected_height(table, spec)
         tail = n * n * _density_integral(T, mpf(2))
@@ -443,16 +443,17 @@ def rh_statistic(table: ZeroTable, spec: SumSpec,
     2 + gamma - log 4pi; within_tolerance uses the tail correction
     itself as the allowance unless an explicit tolerance is given."""
     ctx = ctx or PrecisionContext()
-    value, tail = sum_inv_rho_sq(table, spec, ctx)
-    inv_rho, _ = sum_inv_rho(table, spec, ctx)
+    (value, inv_rho), pairs = zero_sum(
+        table, spec, (inv_abs_sq_term(), xrho_term(1, (0,), (1,))), ctx)
     with ctx.workprec(_GUARD):
+        tail = ctx.real(2 * _density_integral(_selected_height(table, spec), mpf(2)))
         target = 2 + ctx.euler_gamma - ctx.log_4pi
         corrected = value.val + tail.val
         disc = corrected - target
         allowance = ctx.mpf(tolerance) if tolerance is not None else tail.val
         within = bool(abs(disc) <= allowance)
         return RHStatReport(
-            pairs=len(spec.select(table)),
+            pairs=pairs,
             sum_value=value,
             tail=tail,
             corrected=ctx.real(corrected),

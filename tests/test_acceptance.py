@@ -32,7 +32,6 @@ from zeta_explicit.explicit import (
     descriptor_zeta,
     f_rhs_gt1,
     f_u_closed,
-    f_u_closed_uncorrected,
     f_u_series,
     general_rhs_gt1,
     general_rhs_lt1,
@@ -48,6 +47,7 @@ from zeta_explicit.liconst import (
     rh_statistic,
 )
 from zeta_explicit.zeros import SumSpec, sum_inv_rho
+from explicit_oracles import f_u_closed_uncorrected
 
 F = Fraction
 

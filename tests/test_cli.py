@@ -199,3 +199,16 @@ def test_zeros_flag_overrides_env(capsys, monkeypatch, tmp_path):
                        "--zeros", str(good), "--json")
     assert code == EXIT_OK
     assert json.loads(out)["pairs"] == 1
+
+
+def test_rh_check_offline_csv_adds_reflections(capsys, tmp_path):
+    path = tmp_path / "offline.csv"
+    path.write_text("beta,gamma\n0.75,7\n")
+    code, out, _ = run(capsys, "rh-check", "--zeros", str(path), "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    # rho = 3/4 + 7i and its reflection 1/4 + 7i, each pair 2/|rho|^2.
+    assert float(payload["sum_inv_rho_sq"]) == pytest.approx(
+        2 / 49.5625 + 2 / 49.0625, rel=1e-15)
+    assert float(payload["doubled_inv_rho"]) == pytest.approx(
+        2 * (1.5 / 49.5625 + 0.5 / 49.0625), rel=1e-15)

@@ -17,7 +17,6 @@ from zeta_explicit.explicit import (
     L_weighted,
     S_rhs_gt1,
     cosine_rhs,
-    cosine_rhs_regrouped,
     descriptor_dirichlet,
     descriptor_zeta,
     dirichlet_L,
@@ -25,7 +24,6 @@ from zeta_explicit.explicit import (
     f_rhs_gt1,
     f_rhs_lt1,
     f_u_closed,
-    f_u_closed_uncorrected,
     f_u_series,
     general_rhs_gt1,
     general_rhs_lt1,
@@ -35,9 +33,10 @@ from zeta_explicit.explicit import (
     selberg_rhs_lt1,
     verify_identity,
     zeta_log_deriv,
-    zeta_log_deriv_dirichlet,
 )
 from zeta_explicit.mpcore import HComplex, PrecisionContext
+from explicit_oracles import (cosine_rhs_regrouped, f_u_closed_uncorrected,
+                              zeta_log_deriv_dirichlet)
 from zeta_explicit.zeros import SumSpec
 
 F = Fraction
@@ -344,6 +343,21 @@ def test_verify_identity_report_shape(ctx, fixture100):
     d = rep.to_dict()
     assert set(d) >= {"identity", "x", "terms_used", "lhs", "rhs",
                       "residual", "precision_bits", "trend"}
+
+
+@pytest.mark.parametrize("identity,x,kw", [
+    ("von-mangoldt", F(21, 2), {}),
+    ("ingham", F(1, 10), {}),
+    ("cosine", F(4), {}),
+    ("general-lt1", F(2, 5), {"pf": partial_fractions([F(1)], [F(1, 2)])}),
+    ("selberg-gt1", F(4), {"alpha": F(1, 2), "F": descriptor_zeta()}),
+])
+@pytest.mark.parametrize("K", (99, 100))
+def test_verify_identity_half_trend_is_a_prefix(ctx, fixture100, identity, x, kw, K):
+    full = verify_identity(identity, x, fixture100, SumSpec(K=K), ctx, **kw)
+    half = verify_identity(identity, x, fixture100, SumSpec(K=K // 2), ctx, **kw)
+    assert full.trend["pairs_half"] == K // 2
+    assert full.trend["residual_half"].val == half.residual.val
 
 
 def test_verify_identity_s_tail_is_genuine(ctx, fixture100):
