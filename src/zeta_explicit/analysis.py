@@ -17,12 +17,12 @@ other; records are merged in ascending-bracket order.
 The quadratic-field block works with chi = chi_{-d} mod D for
 squarefree d (class_data supplies D, h, w, chi):
 
-  L(1, chi)  by averaging s = 1 +- h (h = 2^-24), which cancels the
-             simple poles of the Hurwitz terms and all odd Taylor
-             orders, leaving O(h^2); a double-precision digamma route
-             -(1/q) Sum chi(a) psi(a/q) serves bulk class-number scans.
-  L'(1, chi) by central differences at two dyadic steps with a
-             consistency check and Richardson extrapolation.
+  L(1, chi), L'(1, chi)
+             both from one dirichlet_L(1, ...) call: the character sum
+             of the shifted Stieltjes constants gamma_0(a/D),
+             gamma_1(a/D), exact to working precision; a double-precision
+             digamma route -(1/q) Sum chi(a) psi(a/q) serves bulk
+             class-number scans.
   exp(L'/L(1, chi) - gamma) against
              2 pi Prod_{a=1}^{D} Gamma(a/D)^(-chi(a) w / (2h)).
 """
@@ -215,10 +215,8 @@ def L_one_chi(d: int, ctx: Optional[PrecisionContext] = None, *,
               fast: bool = False) -> HReal:
     """L(1, chi_{-d}) for squarefree d.
 
-    Default: average of L(1 + h) and L(1 - h) at h = 2^-24 through the
-    Hurwitz-zeta combination; the character sum cancels the poles and
-    the averaging cancels odd orders, leaving an O(h^2) error.  With
-    fast=True, the double-precision digamma form
+    Default: dirichlet_L at s = 1, through the shifted Stieltjes
+    constants.  With fast=True, the double-precision digamma form
     -(1/q) Sum_a chi(a) psi(a/q), accurate to ~1e-15 and cheap enough
     for a full squarefree sweep.
     """
@@ -233,40 +231,15 @@ def L_one_chi(d: int, ctx: Optional[PrecisionContext] = None, *,
                 if c:
                     acc -= c * mpmath.digamma(mpf(a) / q)
             return ctx.real(acc / q)
-    h = Fraction(1, 2 ** 24)
-    with ctx.workprec(_GUARD):
-        Lp, _ = dirichlet_L(1 + h, q, chi, ctx)
-        Lm, _ = dirichlet_L(1 - h, q, chi, ctx)
-        return ctx.real((Lp + Lm) / 2)
+    return ctx.real(dirichlet_L(1, q, chi, ctx)[0])
 
 
-def L_prime_one_chi(d: int, ctx: Optional[PrecisionContext] = None, *,
-                    step_exps: tuple[int, int] = (20, 24),
-                    agree_tol: float = 1e-8) -> HReal:
-    """L'(1, chi_{-d}) by central differences at steps 2^-e for the two
-    exponents in step_exps.
-
-    Each quotient is L'(1) + c h^2 + O(h^4); the pair must agree within
-    agree_tol (ArithmeticError otherwise) and the h^2 term is removed
-    by Richardson extrapolation.
-    """
+def L_prime_one_chi(d: int, ctx: Optional[PrecisionContext] = None) -> HReal:
+    """L'(1, chi_{-d}) from dirichlet_L at s = 1, through the shifted
+    Stieltjes constants."""
     ctx = ctx or PrecisionContext()
     data = class_data(d, ctx)
-    q, chi = data.D, data.chi
-    diffs = []
-    with ctx.workprec(_GUARD):
-        for e in step_exps:
-            h = Fraction(1, 2 ** e)
-            Lp, _ = dirichlet_L(1 + h, q, chi, ctx)
-            Lm, _ = dirichlet_L(1 - h, q, chi, ctx)
-            diffs.append((Lp - Lm) * 2 ** (e - 1))
-        d1, d2 = diffs
-        if abs(d1 - d2) > agree_tol:
-            raise ArithmeticError(
-                f"difference quotients disagree by {mpmath.nstr(abs(d1 - d2), 3)}"
-                f" > {agree_tol}; steps 2^-{step_exps[0]}, 2^-{step_exps[1]}")
-        r = mpf(4) ** (step_exps[1] - step_exps[0])  # (h1/h2)^2
-        return ctx.real((r * d2 - d1) / (r - 1))
+    return ctx.real(dirichlet_L(1, data.D, data.chi, ctx)[1])
 
 
 @dataclass(frozen=True)
@@ -341,18 +314,17 @@ class ChowlaSelbergReport:
 def chowla_selberg_check(d: int, ctx: Optional[PrecisionContext] = None
                          ) -> ChowlaSelbergReport:
     """exp(L'/L(1, chi_{-d}) - gamma) against the Gamma product, with
-    the relative discrepancy |lhs/rhs - 1| (differentiation error from
-    L' propagates into lhs; rhs is good to working precision)."""
+    the relative discrepancy |lhs/rhs - 1|; L(1) and L'(1) come from one
+    dirichlet_L call and both sides are good to working precision."""
     ctx = ctx or PrecisionContext()
     data = class_data(d, ctx)
-    L1 = L_one_chi(d, ctx)
-    Ld = L_prime_one_chi(d, ctx)
+    L1, Ld = dirichlet_L(1, data.D, data.chi, ctx)
     rhs = chowla_selberg_rhs(d, ctx)
     with ctx.workprec(_GUARD):
-        lhs = mpmath.exp(Ld.val / L1.val - ctx.euler_gamma)
+        lhs = mpmath.exp(Ld / L1 - ctx.euler_gamma)
         rel = abs(lhs / rhs.val - 1)
     return ChowlaSelbergReport(d=d, D=data.D, h=data.h, w=data.w,
-                               L_one=L1, L_prime_one=Ld,
+                               L_one=ctx.real(L1), L_prime_one=ctx.real(Ld),
                                lhs=ctx.real(lhs), rhs=rhs,
                                rel_err=ctx.real(rel))
 

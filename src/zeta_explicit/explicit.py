@@ -49,8 +49,7 @@ from .mpcore import (
     HComplex,
     HReal,
     PrecisionContext,
-    hurwitz_zeta,
-    hurwitz_zeta_ds,
+    em_log_moments,
 )
 from .zeros import (
     SumSpec,
@@ -76,10 +75,10 @@ def zeta_log_deriv(s: Rational, ctx: PrecisionContext) -> HReal:
     Special values with classical closed forms are hard-wired:
       s = 0   -> log 2pi
       s = 1/2 -> gamma/2 + pi/4 + (3/2) log 2 + (1/2) log pi
-    Elsewhere the value is the ratio of the Euler-Maclaurin evaluations
-    of zeta'(s) and zeta(s); the test suite cross-checks the hard-wired
-    values against the ratio route and, for s > 1, against the
-    prime-power Dirichlet series.
+    Elsewhere the value is -Z_1/Z_0 from one Euler-Maclaurin pass
+    (em_log_moments at a = 1); the test suite cross-checks the hard-wired
+    values against that route and, for s > 1, against the prime-power
+    Dirichlet series.
     """
     s = Fraction(s)
     if s == 1:
@@ -93,58 +92,41 @@ def zeta_log_deriv(s: Rational, ctx: PrecisionContext) -> HReal:
             v = (mpmath.euler / 2 + mpmath.pi / 4
                  + 3 * mpmath.log(2) / 2 + mpmath.log(mpmath.pi) / 2)
             return ctx.real(v)
-        num, _ = hurwitz_zeta_ds(s, 1, ctx)
-        den, _ = hurwitz_zeta(s, 1, ctx)
-        return ctx.real(num.val / den.val)
+        (z0, _), (z1, _) = em_log_moments(s, 1, 1, ctx)
+        return ctx.real(-z1.val / z0.val)
 
 
 def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
                 ctx: PrecisionContext) -> tuple[mpf, mpf]:
     """(L(s, chi), L'(s, chi)) for a real character table chi mod q,
-    via L(s) = q^(-s) Sum_{a=1}^{q} chi(a) zeta(s, a/q).
+    from one Euler-Maclaurin pass per residue (em_log_moments, N = 1):
 
-    At s = 1 the individual Hurwitz terms have poles that cancel in the
-    character sum (Sum chi(a) = 0); the regular parts are the shifted
-    Stieltjes constants, giving the pole-free route
+        L(s)  = q^(-s) Sum_{a=1}^{q} chi(a) Z_0(s, a/q)
+        L'(s) = -log(q) L(s) - q^(-s) Sum_{a=1}^{q} chi(a) Z_1(s, a/q).
 
-        L(1)  = (1/q) Sum_a chi(a) gamma_0(a/q)
-        L'(1) = -log(q) L(1) - (1/q) Sum_a chi(a) gamma_1(a/q).
+    At s = 1 the Z_n are the shifted Stieltjes constants gamma_n(a/q);
+    their poles cancel in the character sum (Sum chi(a) = 0), so the
+    same formulas hold there for non-principal chi.
     """
     s = Fraction(s)
-    if s == 1:
-        if sum(chi[a % q] for a in range(1, q + 1)) != 0:
-            raise ValueError("L(1) route requires a non-principal character")
-        from .liconst import stieltjes_shifted
-        with ctx.workprec(_GUARD):
-            L = mpf(0)
-            G1 = mpf(0)
-            for a in range(1, q + 1):
-                c = chi[a % q]
-                if c == 0:
-                    continue
-                g0, _ = stieltjes_shifted(0, Fraction(a, q), ctx)
-                g1, _ = stieltjes_shifted(1, Fraction(a, q), ctx)
-                L += c * g0.val
-                G1 += c * g1.val
-            value = L / q
-            deriv = -mpmath.log(q) * value - G1 / q
-            return value, deriv
+    if s == 1 and sum(chi[a % q] for a in range(1, q + 1)) != 0:
+        raise ValueError("L(1) route requires a non-principal character")
+    # The character sums cancel (by a factor of about 170 for L'(1) at
+    # q = 7), so the Z_n are taken to the guard bits of the sums.
+    wide = PrecisionContext(ctx.bits + _GUARD)
     with ctx.workprec(_GUARD):
-        L = mpf(0)
-        Lp = mpf(0)
+        S0 = mpf(0)
+        S1 = mpf(0)
         for a in range(1, q + 1):
             c = chi[a % q]
             if c == 0:
                 continue
-            frac_a = Fraction(a, q)
-            z, _ = hurwitz_zeta(s, frac_a, ctx)
-            zd, _ = hurwitz_zeta_ds(s, frac_a, ctx)
-            L += c * z.val
-            Lp += c * zd.val
+            (z0, _), (z1, _) = em_log_moments(s, Fraction(a, q), 1, wide)
+            S0 += c * z0.val
+            S1 += c * z1.val
         qs = ctx.mpf(q) ** (-ctx.mpf(s))
-        logq = mpmath.log(q)
-        value = qs * L
-        deriv = -logq * value + qs * Lp
+        value = qs * S0
+        deriv = -mpmath.log(q) * value - qs * S1
         return value, deriv
 
 

@@ -24,18 +24,11 @@ closed forms that do not satisfy their own Laurent definition; the
 division is taken as ground truth and the discrepancy is documented
 rather than reproduced.
 
-gamma_n(a) is evaluated by Euler-Maclaurin with an explicit certified
-remainder: with f(t) = log^n(t)/t, R = m + a,
-
-  gamma_n(a) = Sum_{k=0}^{m-1} f(k+a) - log^(n+1)(R)/(n+1) + f(R)/2
-               - Sum_{j=1}^{K} B_2j/(2j)! f^(2j-1)(R) + remainder,
-
-  |remainder| <= 2 zeta(2K)/(2pi)^(2K) * Integral_R^inf |f^(2K)(t)| dt,
-
-the derivatives via f^(j)(t) = P_j(log t)/t^(1+j), P_0 = L^n,
-P_{j+1} = P_j' - (1+j) P_j (integer-coefficient polynomials), and the
-remainder integral in closed form through
-Integral_L^inf u^i e^(-cu) du = e^(-cL) Sum_j (i!/(i-j)!) L^(i-j)/c^(j+1).
+gamma_n(a) are the s = 1 values of mpcore.em_log_moments, the one
+Euler-Maclaurin core shared with zeta(s, a) and its s-derivatives: one
+pass returns gamma_0(a)..gamma_N(a), each with a certified bound
+(Euler-Maclaurin remainder, rounding slop, final rounding), with the
+shift count M and Bernoulli count K chosen from the precision.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf
@@ -52,7 +45,7 @@ from .mpcore import (
     FormalSeries,
     HReal,
     PrecisionContext,
-    bernoulli,
+    em_log_moments,
     series_ops,
     zeta_int,
 )
@@ -62,71 +55,17 @@ from .zeros import (SumSpec, ZeroTable, _density_integral, _selected_height,
 _GUARD = 32
 
 MAX_ORDER = 30          # highest gamma_n order served
-_DEFAULT_M = 10_000     # Euler-Maclaurin base points
-_DEFAULT_K = 5          # Bernoulli terms through B_10
-
-# log(k+a) tables keyed (m, a, storage_prec); values reusable by any
-# order n at equal or lower working precision.
-_LOG_CACHE: dict = {}
-_LOG_CACHE_LIMIT = 24
 
 
-def _deriv_polys(n: int, count: int) -> list[list[int]]:
-    """P_0..P_count for f(t) = log^n(t)/t: f^(j)(t) = P_j(log t)/t^(1+j),
-    P_0 = L^n, P_{j+1} = P_j' - (1+j) P_j; exact integer coefficients."""
-    p = [0] * n + [1]
-    out = [p]
-    for j in range(count):
-        dp = [(i + 1) * c for i, c in enumerate(p[1:])] + [0]
-        p = [d - (1 + j) * c for d, c in zip(dp, p)]
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        out.append(p)
-    return out
-
-
-def _poly_eval(coeffs: Sequence[int], L: mpf) -> mpf:
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * L + c
-    return acc
-
-
-def _tail_integral(coeffs: Sequence[int], L: mpf, c: int) -> mpf:
-    """Integral_L^inf |P|(u) e^(-cu) du with |P| the absolute-coefficient
-    polynomial, via Integral_L^inf u^i e^(-cu) du in closed form."""
-    acc = mpf(0)
-    expL = mpmath.exp(-c * L)
-    for i, ci in enumerate(coeffs):
-        if ci == 0:
-            continue
-        inner = mpf(0)
-        fall = 1  # i!/(i-j)!
-        for j in range(i + 1):
-            inner += fall * L ** (i - j) / mpf(c) ** (j + 1)
-            fall *= i - j
-        acc += abs(ci) * expL * inner
-    return acc
-
-
-def _logs_for(m: int, a: Fraction, prec: int) -> list[mpf]:
-    key = (m, a, prec)
-    hit = _LOG_CACHE.get(key)
-    if hit is not None:
-        return hit
-    with mpmath.workprec(prec):
-        av = mpmath.mpf(a.numerator) / a.denominator
-        logs = [mpmath.log(k + av) for k in range(m)]
-    if len(_LOG_CACHE) >= _LOG_CACHE_LIMIT:
-        _LOG_CACHE.pop(next(iter(_LOG_CACHE)))
-    _LOG_CACHE[key] = logs
-    return logs
+def _check_eps(bound: HReal, eps: Optional[float]) -> None:
+    if eps is not None and bound.val > eps:
+        raise ArithmeticError(
+            f"certified bound {mpmath.nstr(bound.val, 5)} exceeds target {eps}; "
+            f"raise the working precision")
 
 
 def stieltjes_shifted(n: int, a: Union[Fraction, int], ctx: PrecisionContext,
-                      eps: Optional[float] = None, *,
-                      m: int = _DEFAULT_M, K: int = _DEFAULT_K
-                      ) -> tuple[HReal, HReal]:
+                      eps: Optional[float] = None) -> tuple[HReal, HReal]:
     """gamma_n(a) for 0 <= n <= 30 and rational a > 0, with a certified
     error bound (Euler-Maclaurin remainder plus rounding slop).
 
@@ -139,61 +78,18 @@ def stieltjes_shifted(n: int, a: Union[Fraction, int], ctx: PrecisionContext,
     a = Fraction(a)
     if a <= 0:
         raise ValueError(f"shift a must be positive, got {a}")
-    if m < 10 or K < 1 or K > 15:
-        raise ValueError("need m >= 10 and 1 <= K <= 15")
-
-    # The partial sum grows like log^(n+1)(m)/(n+1) while the limit is
-    # O(1); cancellation costs about 3.4 bits per order at m = 10^4.
-    extra = 2 * _GUARD + math.ceil(3.4 * (n + 1))
-    store_prec = ctx.bits + 2 * _GUARD + math.ceil(3.4 * (MAX_ORDER + 1))
-    logs = _logs_for(m, a, store_prec)
-
-    polys = _deriv_polys(n, 2 * K)
-    with ctx.workprec(extra):
-        av = ctx.mpf(a)
-        acc = mpf(0)
-        comp = mpf(0)
-        tally = mpf(0)
-        for k in range(m):
-            t = k + av
-            term = (logs[k] ** n if n else mpf(1)) / t
-            tally += abs(term)
-            y = term - comp
-            s = acc + y
-            comp = (s - acc) - y
-            acc = s
-        R = m + av
-        LR = mpmath.log(R)
-        integral_term = LR ** (n + 1) / (n + 1)
-        value = acc - integral_term
-        value += _poly_eval(polys[0], LR) / (2 * R)
-        for j in range(1, K + 1):
-            b2j = bernoulli(2 * j)
-            coef = mpf(b2j.numerator) / b2j.denominator / math.factorial(2 * j)
-            value -= coef * _poly_eval(polys[2 * j - 1], LR) / R ** (2 * j)
-
-        zk = zeta_int(2 * K, ctx).val
-        remainder = 2 * zk / (2 * mpmath.pi) ** (2 * K) \
-            * _tail_integral(polys[2 * K], LR, 2 * K)
-        slop = (m + 8 * K + 16) * mpf(2) ** (-(ctx.bits + extra)) \
-            * (tally + abs(integral_term) + 1)
-        bound = remainder + slop + mpf(2) ** (1 - ctx.bits) * (abs(value) + 1)
-
-    if eps is not None and bound > eps:
-        raise ArithmeticError(
-            f"certified bound {mpmath.nstr(bound, 5)} exceeds target {eps}; "
-            f"raise m or the working precision")
-    return ctx.real(value), ctx.real(bound)
+    value, bound = em_log_moments(1, a, n, ctx)[n]
+    _check_eps(bound, eps)
+    return value, bound
 
 
 def stieltjes(n: int, eps: Optional[float] = None,
-              ctx: Optional[PrecisionContext] = None, *,
-              m: int = _DEFAULT_M, K: int = _DEFAULT_K) -> tuple[HReal, HReal]:
+              ctx: Optional[PrecisionContext] = None) -> tuple[HReal, HReal]:
     """gamma_n with certified error <= eps (when given), by
     Euler-Maclaurin acceleration of the defining limit
     Sum_{k<=m} log^n(k)/k - log^(n+1)(m)/(n+1)."""
     ctx = ctx or PrecisionContext()
-    return stieltjes_shifted(n, Fraction(1), ctx, eps, m=m, K=K)
+    return stieltjes_shifted(n, Fraction(1), ctx, eps)
 
 
 # ----------------------------------------------------------------------
@@ -354,15 +250,15 @@ def coffey_decomposition(n: int, table: StieltjesTable,
 
 
 def build_stieltjes_table(N: int, ctx: Optional[PrecisionContext] = None,
-                          eps: Optional[float] = None, *,
-                          m: int = _DEFAULT_M, K: int = _DEFAULT_K
-                          ) -> StieltjesTable:
-    """Assemble gammas (through N+1), etas (through N), lambdas and the
-    Coffey split (through N) in one pass."""
-    if N < 1:
-        raise ValueError(f"table order must be >= 1, got {N}")
+                          eps: Optional[float] = None) -> StieltjesTable:
+    """Assemble gammas (through N+1, from one Euler-Maclaurin pass), etas
+    (through N), lambdas and the Coffey split (through N)."""
+    if not 1 <= N < MAX_ORDER:
+        raise ValueError(f"table order must be in [1, {MAX_ORDER - 1}], got {N}")
     ctx = ctx or PrecisionContext()
-    gammas = tuple(stieltjes(k, eps, ctx, m=m, K=K) for k in range(N + 2))
+    gammas = em_log_moments(1, 1, N + 1, ctx)
+    for _, bound in gammas:
+        _check_eps(bound, eps)
     etas = eta_from_gamma(gammas, ctx)[:N + 1]
     partial = StieltjesTable(order=N, gammas=gammas, etas=etas,
                              lambdas=(), S1=(), S2=())

@@ -8,17 +8,24 @@ pipelines) consumes the types and functions defined here:
   FormalSeries       truncated Laurent series at s = 1 with an optional
                      simple-pole coefficient, Sum c_n (s-1)^n + p/(s-1)
   gamma_fn(x)        Gamma(x) for real x > 0 via Stirling + argument raising
-  hurwitz_zeta(s,a)  zeta(s, a) = Sum_{n>=0} (n+a)^(-s), continued via
-                     Euler-Maclaurin, with an explicit remainder bound
+  em_log_moments     the one Euler-Maclaurin core: Sum log^n(k+a) (k+a)^(-s)
+                     for n = 0..N in one pass, continued in s, regularized
+                     at s = 1 (the Stieltjes constants gamma_n(a)), each
+                     value with a certified bound
+  hurwitz_zeta(s,a)  zeta(s, a) = Z_0 of that core; hurwitz_zeta_ds = -Z_1
   zeta_int(j)        zeta(j) for integer j >= 2 via accelerated alternating
-                     series (independent of hurwitz_zeta)
+                     series (independent of the Euler-Maclaurin core)
   series_ops         add / mul / div on FormalSeries
 
 Numeric backend: mpmath mpf/mpc supplies correctly rounded base arithmetic
 (round-to-nearest, error <= 2^-bits relative per elementary operation, well
-inside the 2^(8-bits) contract).  Gamma and Hurwitz zeta are implemented
-here from Bernoulli-number expansions with computable error terms; the
-mpmath equivalents are used only as independent oracles in the test suite.
+inside the 2^(8-bits) contract) and the elementary functions (exp, log,
+cos, sin).  Gamma, Hurwitz zeta and the Stieltjes constants are
+implemented here from Bernoulli-number expansions with computable error
+terms.  Two production paths call mpmath special functions directly:
+analysis.chowla_selberg_rhs (mpmath.loggamma) and the double-precision
+class-number route L_one_chi(fast=True) (mpmath.digamma); elsewhere the
+mpmath special functions serve only as oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import mpmath
@@ -71,11 +77,7 @@ class PrecisionContext:
         """Convert to a raw mpf at this context's precision (exact for
         int/Fraction inputs up to one rounding)."""
         with self.workprec():
-            if isinstance(x, HReal):
-                return x.val
-            if isinstance(x, Fraction):
-                return mpf(x.numerator) / mpf(x.denominator)
-            return mpf(x)
+            return _to_mpf(x)
 
     def real(self, x: Scalar) -> "HReal":
         return HReal(self.mpf(x), self)
@@ -105,6 +107,15 @@ class PrecisionContext:
     def log_4pi(self) -> mpf:
         with self.workprec(_GUARD):
             return mpmath.log(4 * mpmath.pi)
+
+
+def _to_mpf(x: Scalar) -> mpf:
+    """x as an mpf at the current mpmath precision (at most one rounding)."""
+    if isinstance(x, HReal):
+        return x.val
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / mpf(x.denominator)
+    return mpf(x)
 
 
 def _check_finite(v) -> None:
@@ -165,10 +176,12 @@ class HReal:
             return self._wrap(self.val ** self._coerce(other))
 
     def __neg__(self) -> "HReal":
-        return HReal(-self.val, self.ctx)
+        with self.ctx.workprec():
+            return HReal(-self.val, self.ctx)
 
     def __abs__(self) -> "HReal":
-        return HReal(abs(self.val), self.ctx)
+        with self.ctx.workprec():
+            return HReal(abs(self.val), self.ctx)
 
     # -- elementary functions -------------------------------------------
     def log(self) -> "HReal":
@@ -269,7 +282,8 @@ class HComplex:
             return self._wrap(self.val / self._coerce(other))
 
     def __neg__(self) -> "HComplex":
-        return HComplex(-self.val, self.ctx)
+        with self.ctx.workprec():
+            return HComplex(-self.val, self.ctx)
 
     def __abs__(self) -> HReal:
         with self.ctx.workprec():
@@ -280,27 +294,25 @@ class HComplex:
 
 
 # ----------------------------------------------------------------------
-# Bernoulli numbers (exact rationals, cached)
+# Bernoulli numbers (exact rationals, one table grown on demand)
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bernoulli_list(n: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_n as exact Fractions via the defining recurrence
-    Sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1."""
-    b = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * b[j]
-        b.append(-acc / (m + 1))
-    return tuple(b)
+_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention), by the defining
+    recurrence Sum_{j=0}^{m} C(m+1, j) B_j = 0; odd B_j vanish for j >= 3."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    return _bernoulli_list(n)[n]
+    b = _BERNOULLI
+    for m in range(len(b), n + 1):
+        if m % 2:
+            b.append(Fraction(0))
+            continue
+        acc = (m + 1) * b[1] + sum(math.comb(m + 1, j) * b[j] for j in range(0, m, 2))
+        b.append(-acc / (m + 1))
+    return b[n]
 
 
 # ----------------------------------------------------------------------
@@ -355,152 +367,189 @@ def gamma_fn(x: Scalar, ctx: PrecisionContext) -> HReal:
 
 
 # ----------------------------------------------------------------------
-# Hurwitz zeta via Euler-Maclaurin with explicit remainder bound
+# Euler-Maclaurin core: zeta(s, a), its s-derivatives and gamma_n(a)
 # ----------------------------------------------------------------------
 
-_EM_K = 10  # Bernoulli numbers through B_20 in the correction sum
+_EM_M_MAX = 1 << 20  # refuse, before any summation, plans needing more shifts
 
 
-def _poch_and_deriv(s: mpf, m: int) -> tuple[mpf, mpf]:
-    """Rising factorial s(s+1)...(s+m-1) and its s-derivative.
-
-    The derivative is assembled as Sum_j prod_{i != j} (s+i) so arguments
-    where some factor vanishes stay well defined.
-    """
-    factors = [s + i for i in range(m)]
-    poch = mpf(1)
-    for f in factors:
-        poch *= f
-    # prefix[j] = prod_{i<j}, suffix[j] = prod_{i>j}
-    prefix = [mpf(1)] * (m + 1)
-    for j in range(m):
-        prefix[j + 1] = prefix[j] * factors[j]
-    suffix = [mpf(1)] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        suffix[j] = suffix[j + 1] * factors[j]
-    dpoch = mpf(0)
-    for j in range(m):
-        dpoch += prefix[j] * suffix[j + 1]
-    return poch, dpoch
+def _deriv_polys(s, n: int, count: int) -> list[list]:
+    """P_0..P_count for f(t) = log^n(t) t^(-s): f^(j)(t) = P_j(log t) t^(-s-j),
+    P_0 = L^n, P_{j+1} = P_j' - (s+j) P_j (coefficients from degree 0 up)."""
+    p = [0] * n + [1]
+    out = [p]
+    for j in range(count):
+        p = [(i + 1) * d - (s + j) * c for i, (c, d) in enumerate(zip(p, p[1:] + [0]))]
+        out.append(p)
+    return out
 
 
-def _em_choose_M(s: float, a: float, bits: int) -> int:
-    """Smallest power-of-two shift count M whose Euler-Maclaurin remainder
-    bound (first omitted term, valid for real s > -(2K+1)) meets the
-    target 2^-(bits+16) relative to the leading scale."""
-    b = bernoulli(2 * _EM_K + 2)
-    log_coeff = math.log(abs(b.numerator) / b.denominator) - math.lgamma(2 * _EM_K + 3)
-    scale = max(0.0, -s * math.log(a))  # log of a^(-s), the leading term size
-    target_log = -(bits + 16) * math.log(2) + scale
-    M = 8
-    while M < 1 << 24:
-        poch_log = 0.0
-        ok = True
-        for i in range(2 * _EM_K + 1):
-            f = abs(s + i)
-            if f == 0:
-                ok = False
-                break
-            poch_log += math.log(f)
-        if not ok:
-            M *= 2
+def _poly_eval(coeffs: Sequence, L):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * L + c
+    return acc
+
+
+def _tail_integral(coeffs: Sequence, L: mpf, c: mpf) -> mpf:
+    """Integral_L^inf |P|(u) e^(-cu) du for c > 0, with |P| the
+    absolute-coefficient polynomial, through
+    Integral_L^inf u^i e^(-cu) du = e^(-cL) Sum_j (i!/(i-j)!) L^(i-j)/c^(j+1)."""
+    acc = mpf(0)
+    for i, ci in enumerate(coeffs):
+        if ci == 0:
             continue
-        bound_log = log_coeff + poch_log + (-s - 2 * _EM_K - 1) * math.log(M + a)
-        if bound_log < target_log:
-            return M
-        M *= 2
-    raise ArithmeticError("Euler-Maclaurin shift count exceeded budget")
+        inner = mpf(0)
+        fall = 1  # i!/(i-j)!
+        for j in range(i + 1):
+            inner += fall * L ** (i - j) / c ** (j + 1)
+            fall *= i - j
+        acc += abs(ci) * inner
+    return acc * mpmath.exp(-c * L)
+
+
+def _em_plan(s: float, a: float, N: int, bits: int) -> tuple[int, int]:
+    """Shift count M and Bernoulli count K for em_log_moments.
+
+    Near R = M + a = 2K each Bernoulli term gains about 2 log2(2 pi e) =
+    8.2 bits, so K = (bits + 20)/8, raised if needed so that s + 2K > 1
+    (the remainder integral converges).  M is then the least shift whose
+    remainder bound for order N, estimated in floats from a
+    coefficient-wise majorant r of |P_2K|/(2K)!, meets 2^-(bits+20).
+    """
+    K = max(math.ceil((bits + 20) / 8), math.floor((1 - s) / 2) + 1)
+    r = [0.0] * N + [1.0]
+    for j in range(2 * K):
+        r = [((i + 1) * d + abs(s + j) * c) / (j + 1)
+             for i, (c, d) in enumerate(zip(r, r[1:] + [0.0]))]
+    if not any(r):
+        return 1, K  # f is a polynomial of degree < 2K: the sum is exact
+    c = s + 2 * K - 1
+    base = 1 + math.log(2.5) - 2 * K * math.log(2 * math.pi) \
+        + math.lgamma(2 * K + 1) - math.log(c)
+    target = -(bits + 20) * math.log(2)
+
+    def above_target(M: int) -> bool:
+        L = math.log(M + a)
+        return base + math.log(_poly_eval(r, L)) - c * L > target
+
+    lo, hi = 0, 1
+    while above_target(hi):
+        lo, hi = hi, 2 * hi
+        if hi > _EM_M_MAX:
+            raise ArithmeticError(
+                f"Euler-Maclaurin shift count for s = {s:g} at {bits} bits "
+                f"exceeds {_EM_M_MAX}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above_target(mid) else (lo, mid)
+    return hi, K
+
+
+def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
+                   ) -> tuple[tuple[HReal, HReal], ...]:
+    """(value, certified bound) of Z_n(s, a) = Sum_{k>=0} log^n(k+a) (k+a)^(-s)
+    = (-1)^n d^n/ds^n zeta(s, a) for n = 0..N, real s, a > 0.  At s = 1
+    the values are the regularized constants
+    gamma_n(a) = lim_R [Sum_{k+a<=R} log^n(k+a)/(k+a) - log^(n+1)(R)/(n+1)].
+
+    One Euler-Maclaurin pass with f(t) = log^n(t) t^(-s), R = M + a and
+    (M, K) from _em_plan:
+
+      Z_n = Sum_{k<M} f(k+a) + I_n + f(R)/2
+            - Sum_{j=1}^{K} B_2j/(2j)! P_{2j-1}(log R) R^(1-s-2j) + remainder,
+
+      I_n = R^(1-s) Sum_{j<=n} (n!/(n-j)!) log^(n-j)(R) / (s-1)^(j+1)
+            (the continued Integral_R^inf f; -log^(n+1)(R)/(n+1) at s = 1),
+
+      |remainder| <= 2 zeta(2K)/(2 pi)^(2K) Integral_R^inf |f^(2K)(t)| dt,
+
+    the integral in closed form (_tail_integral) and zeta(2K) <= 1 +
+    2^-2K (2K+1)/(2K-1).  The bound adds the rounding slop of the pass at
+    its working precision and 2^(1-bits) (|value| + 1) for the rounding
+    to the context.
+    """
+    sf, af = float(s), float(a)
+    if not af > 0:
+        raise ValueError(f"Euler-Maclaurin shift must be positive, got {a}")
+    M, K = _em_plan(sf, af, N, ctx.bits)
+    lmax = max(2.0, math.log(M + af), abs(math.log(af)))  # bounds |log t| on [a, R]
+    # bits that cancel between the partial sum and I_n
+    extra = _GUARD + math.ceil(max(0.0, 1 - sf) * math.log2(M + af)
+                               + N * math.log2(lmax) + math.log2(M))
+    out = []
+    with ctx.workprec(extra):
+        sv, av = _to_mpf(s), _to_mpf(a)
+        integer_s = sv == int(sv)
+        sums = [mpf(0)] * (N + 1)
+        mass = mpf(0)  # Sum_{k<M} (k+a)^(-s)
+        for k in range(M):
+            t = k + av
+            lt = mpmath.log(t)
+            w = t ** -sv if integer_s else mpmath.exp(-sv * lt)
+            mass += w
+            for n in range(N + 1):
+                sums[n] += w
+                w *= lt
+        R = M + av
+        L = mpmath.log(R)
+        wR = R ** -sv
+        coefs = []
+        for j in range(1, K + 1):
+            b = bernoulli(2 * j)
+            coefs.append(mpf(b.numerator) / (b.denominator * math.factorial(2 * j)))
+        zeta2K = 1 + mpf(2 * K + 1) / ((2 * K - 1) * mpf(4) ** K)
+        rem_scale = 2 * zeta2K / (2 * mpmath.pi) ** (2 * K)
+        for n in range(N + 1):
+            P = _deriv_polys(sv, n, 2 * K)
+            if sv == 1:
+                I = -L ** (n + 1) / (n + 1)
+            else:
+                I, fall = mpf(0), 1
+                for j in range(n + 1):
+                    I += fall * L ** (n - j) / (sv - 1) ** (j + 1)
+                    fall *= n - j
+                I *= R * wR
+            value = sums[n] + I + L ** n * wR / 2
+            corr = mpf(0)  # Sum of |correction terms|
+            Rpow = wR / R
+            for j in range(1, K + 1):
+                term = coefs[j - 1] * _poly_eval(P[2 * j - 1], L) * Rpow
+                value -= term
+                corr += abs(term)
+                Rpow /= R * R
+            rem = rem_scale * _tail_integral(P[2 * K], L, sv + 2 * K - 1)
+            slop = (M + 2 * K + 16) * (n + 4 + abs(sv) * lmax) \
+                * mpf(2) ** -(ctx.bits + extra) * (lmax ** n * mass + abs(I) + corr + 1)
+            bound = rem + slop + mpf(2) ** (1 - ctx.bits) * (abs(value) + 1)
+            out.append((ctx.real(value), ctx.real(bound)))
+    return tuple(out)
+
+
+def _hurwitz_domain(s: Scalar, a: Scalar, ctx: PrecisionContext, name: str) -> None:
+    if ctx.mpf(s) == 1:
+        raise ValueError(f"{name} has a pole at s = 1")
+    if not 0 < ctx.mpf(a) <= 1:
+        raise ValueError(f"{name} requires a in (0, 1], got {a}")
 
 
 def hurwitz_zeta(s: Scalar, a: Scalar, ctx: PrecisionContext) -> tuple[HReal, HReal]:
     """zeta(s, a) = Sum_{n>=0} (n+a)^(-s), continued, for real s != 1,
-    a in (0, 1].  Returns (value, remainder_bound).
-
-    Euler-Maclaurin with K = 10 correction terms (Bernoulli through B_20):
-
-      zeta(s,a) = Sum_{n<M} (n+a)^(-s) + (M+a)^(1-s)/(s-1) + (M+a)^(-s)/2
-                + Sum_{k=1}^{K} B_2k/(2k)! (s)_{2k-1} (M+a)^(-s-2k+1) + R
-
-    with |R| <= |B_{2K+2}/(2K+2)! (s)_{2K+1} (M+a)^(-s-2K-1)| for real
-    s > -(2K+1).  M is chosen adaptively so the bound meets the context
-    precision; the achieved bound is returned alongside the value.
-    """
-    with ctx.workprec(_GUARD):
-        sv = ctx.mpf(s)
-        av = ctx.mpf(a)
-        if sv == 1:
-            raise ValueError("hurwitz_zeta has a pole at s = 1")
-        if not (0 < av <= 1):
-            raise ValueError(f"hurwitz_zeta requires a in (0, 1], got {av}")
-        if sv <= -(2 * _EM_K - 1):
-            raise ValueError(
-                f"Euler-Maclaurin with K={_EM_K} only continues to s > {-(2 * _EM_K - 1)}"
-            )
-        M = _em_choose_M(float(sv), float(av), ctx.bits)
-        acc = mpf(0)
-        for n in range(M):
-            acc += (n + av) ** (-sv)
-        w = M + av
-        acc += w ** (1 - sv) / (sv - 1)
-        acc += w ** (-sv) / 2
-        wpow = w ** (-sv - 1)  # w^(-s-2k+1) at k=1
-        w2 = w * w
-        for k in range(1, _EM_K + 1):
-            b2k = bernoulli(2 * k)
-            coeff = mpf(b2k.numerator) / (b2k.denominator * mpf(math.factorial(2 * k)))
-            poch, _ = _poch_and_deriv(sv, 2 * k - 1)
-            acc += coeff * poch * wpow
-            wpow /= w2
-        b_next = bernoulli(2 * _EM_K + 2)
-        coeff = mpf(b_next.numerator) / (b_next.denominator * mpf(math.factorial(2 * _EM_K + 2)))
-        poch, _ = _poch_and_deriv(sv, 2 * _EM_K + 1)
-        bound = abs(coeff * poch * w ** (-sv - 2 * _EM_K - 1))
-    return ctx.real(acc), ctx.real(bound)
+    a in (0, 1].  Returns (value, bound): Z_0 of em_log_moments."""
+    _hurwitz_domain(s, a, ctx, "hurwitz_zeta")
+    return em_log_moments(s, a, 0, ctx)[0]
 
 
 def hurwitz_zeta_ds(s: Scalar, a: Scalar, ctx: PrecisionContext) -> tuple[HReal, HReal]:
-    """d/ds zeta(s, a) by term-wise differentiation of the same
-    Euler-Maclaurin formula as hurwitz_zeta.  Returns (value, bound);
-    the bound is the differentiated first omitted term with a safety
-    factor of 4 (conservative in practice, validated against quadrature
-    oracles in the test suite)."""
-    with ctx.workprec(_GUARD):
-        sv = ctx.mpf(s)
-        av = ctx.mpf(a)
-        if sv == 1:
-            raise ValueError("hurwitz_zeta_ds has a pole at s = 1")
-        if not (0 < av <= 1):
-            raise ValueError(f"hurwitz_zeta_ds requires a in (0, 1], got {av}")
-        if sv <= -(2 * _EM_K - 1):
-            raise ValueError(
-                f"Euler-Maclaurin with K={_EM_K} only continues to s > {-(2 * _EM_K - 1)}"
-            )
-        M = _em_choose_M(float(sv), float(av), ctx.bits)
-        acc = mpf(0)
-        for n in range(M):
-            t = n + av
-            acc -= mpmath.log(t) * t ** (-sv)
-        w = M + av
-        logw = mpmath.log(w)
-        acc += w ** (1 - sv) * (-logw / (sv - 1) - 1 / (sv - 1) ** 2)
-        acc -= logw * w ** (-sv) / 2
-        wpow = w ** (-sv - 1)
-        w2 = w * w
-        for k in range(1, _EM_K + 1):
-            b2k = bernoulli(2 * k)
-            coeff = mpf(b2k.numerator) / (b2k.denominator * mpf(math.factorial(2 * k)))
-            poch, dpoch = _poch_and_deriv(sv, 2 * k - 1)
-            acc += coeff * (dpoch - poch * logw) * wpow
-            wpow /= w2
-        b_next = bernoulli(2 * _EM_K + 2)
-        coeff = mpf(b_next.numerator) / (b_next.denominator * mpf(math.factorial(2 * _EM_K + 2)))
-        poch, dpoch = _poch_and_deriv(sv, 2 * _EM_K + 1)
-        bound = 4 * abs(coeff) * (abs(dpoch) + abs(poch) * logw) * w ** (-sv - 2 * _EM_K - 1)
-    return ctx.real(acc), ctx.real(bound)
+    """d/ds zeta(s, a) = -Z_1 of em_log_moments, for real s != 1,
+    a in (0, 1].  Returns (value, bound)."""
+    _hurwitz_domain(s, a, ctx, "hurwitz_zeta_ds")
+    value, bound = em_log_moments(s, a, 1, ctx)[1]
+    return -value, bound
 
 
 # ----------------------------------------------------------------------
-# zeta(j) for integer j >= 2, independent of hurwitz_zeta
+# zeta(j) for integer j >= 2, independent of the Euler-Maclaurin core
 # ----------------------------------------------------------------------
 
 def zeta_int(j: int, ctx: PrecisionContext) -> HReal:

@@ -110,10 +110,10 @@ def test_finder_window_validation(ctx):
 
 
 def test_L_one_chi_closed_forms(ctx):
+    tol = mpf(2) ** (16 - ctx.bits)
     with ctx.workprec(16):
-        assert abs(L_one_chi(1, ctx).val - ctx.pi / 4) < mpf(1) / 10 ** 12
-        assert abs(L_one_chi(3, ctx).val - ctx.pi / (3 * mpmath.sqrt(3))) \
-            < mpf(1) / 10 ** 12
+        assert abs(L_one_chi(1, ctx).val - ctx.pi / 4) < tol
+        assert abs(L_one_chi(3, ctx).val - ctx.pi / (3 * mpmath.sqrt(3))) < tol
         assert abs(L_one_chi(1, ctx, fast=True).val - ctx.pi / 4) \
             < mpf(1) / 10 ** 10
 
@@ -125,12 +125,7 @@ def test_L_prime_one_chi_closed_form(ctx):
         ref = mpmath.pi / 4 * (mpmath.euler + 2 * mpmath.log(2)
                                + 3 * mpmath.log(mpmath.pi)
                                - 4 * mpmath.loggamma(mpf(1) / 4))
-        assert abs(v - ref) < mpf(1) / 10 ** 8
-
-
-def test_L_prime_one_chi_agreement_guard(ctx):
-    with pytest.raises(ArithmeticError, match="disagree"):
-        L_prime_one_chi(1, ctx, agree_tol=1e-30)
+        assert abs(v - ref) < mpf(2) ** (16 - ctx.bits)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
@@ -164,8 +159,7 @@ def test_gamma_product_identity(ctx, d):
 
 
 def test_gamma_product_identity_precision_stability(ctx):
-    # 256 bits keeps the fixed-order Euler-Maclaurin evaluator in its
-    # efficient regime while still exceeding the 192-bit baseline.
+    # A second precision above the 192-bit baseline must agree.
     wide = PrecisionContext(bits=256)
     a = chowla_selberg_check(2, ctx)
     b = chowla_selberg_check(2, wide)

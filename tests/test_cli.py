@@ -167,6 +167,13 @@ def test_chowla_selberg_no_scan(capsys):
     assert "hypothesis_scan" not in json.loads(out)
 
 
+def test_chowla_selberg_at_512_bits(capsys):
+    code, out, _ = run(capsys, "chowla-selberg", "--d", "1", "--no-scan",
+                       "--bits", "512", "--json")
+    assert code == EXIT_OK
+    assert float(json.loads(out)["rel_err"]) < 1e-100
+
+
 def test_json_output_is_deterministic(capsys):
     args = ["eval-f", "--x", "11/10", "--json"]
     assert main(args) == EXIT_OK

@@ -62,7 +62,7 @@ def test_stieltjes_eps_contract(ctx):
     value, bound = stieltjes(2, eps=1e-30, ctx=ctx)
     assert float(bound.val) < 1e-30
     with pytest.raises(ArithmeticError):
-        stieltjes(2, eps=1e-80, ctx=ctx, m=50, K=2)
+        stieltjes(2, eps=1e-80, ctx=ctx)
 
 
 def test_stieltjes_domain_guards(ctx):

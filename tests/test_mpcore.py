@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from zeta_explicit.liconst import stieltjes_shifted
 from zeta_explicit.mpcore import (
     FormalSeries,
     PrecisionContext,
     bernoulli,
+    em_log_moments,
     gamma_fn,
     hurwitz_zeta,
     hurwitz_zeta_ds,
@@ -75,6 +77,11 @@ def test_bernoulli_table():
     assert bernoulli(7) == Fraction(0)
 
 
+def test_bernoulli_matches_mpmath():
+    for n in range(301):
+        assert bernoulli(n) == Fraction(*mpmath.bernfrac(n)), n
+
+
 def test_zeta_int_even_closed_forms(ctx):
     with ctx.workprec(16):
         assert abs(zeta_int(2, ctx).val - mpmath.pi ** 2 / 6) < mpmath.mpf(2) ** (-180)
@@ -126,6 +133,55 @@ def test_hurwitz_zeta_ds_matches_reference(ctx):
         err = abs(value.val - ref)
     assert err <= bound.val + mpmath.mpf(2) ** (-ctx.bits + 8)
     assert err < mpmath.mpf(2) ** (-160)
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_hurwitz_zeta_at_nonpositive_integers(ctx, m, a):
+    # zeta(-m, a) = -B_{m+1}(a)/(m+1): f(t) = t^m is a polynomial, so the
+    # Euler-Maclaurin sum is exact and only rounding enters the bound.
+    x = a
+    bernoulli_poly = [x - Fraction(1, 2), x * x - x + Fraction(1, 6),
+                      x ** 3 - 3 * x * x / 2 + x / 2][m]
+    exact = -bernoulli_poly / (m + 1)
+    value, bound = hurwitz_zeta(-m, a, ctx)
+    with ctx.workprec(64):
+        err = abs(value.val - mpmath.mpf(exact.numerator) / exact.denominator)
+    assert bound.val < mpmath.mpf(2) ** (4 - ctx.bits)
+    assert err <= bound.val
+
+
+core_s = st.one_of(st.just(Fraction(1)),
+                   st.fractions(min_value=-5, max_value=6, max_denominator=12)
+                   .filter(lambda s: s != 1))
+core_a = st.fractions(min_value=0, max_value=1, max_denominator=12) \
+    .filter(lambda a: a > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_s, core_a, st.integers(min_value=0, max_value=3),
+       st.sampled_from([64, 128, 192, 320]))
+def test_em_log_moments_against_mpmath(s, a, N, bits):
+    ctx = PrecisionContext(bits=bits)
+    out = em_log_moments(s, a, N, ctx)
+    with mpmath.workprec(bits + 64):
+        sv = mpmath.mpf(s.numerator) / s.denominator
+        av = mpmath.mpf(a.numerator) / a.denominator
+        for n, (value, bound) in enumerate(out):
+            ref = mpmath.stieltjes(n, av) if s == 1 \
+                else (-1) ** n * mpmath.zeta(sv, av, n)
+            slack = mpmath.mpf(2) ** (8 - bits) * max(1, abs(ref))
+            assert abs(value.val - ref) <= bound.val + slack, (s, a, n, bits)
+
+
+def test_certified_bounds_tighten_with_precision():
+    ladder = (64, 128, 256, 512, 1024)
+    routes = (lambda ctx: hurwitz_zeta(Fraction(3, 2), Fraction(1, 3), ctx),
+              lambda ctx: hurwitz_zeta_ds(Fraction(3, 2), Fraction(1, 3), ctx),
+              lambda ctx: stieltjes_shifted(1, Fraction(2, 7), ctx))
+    for route in routes:
+        bounds = [route(PrecisionContext(bits=b))[1].val for b in ladder]
+        assert all(b1 < b0 for b0, b1 in zip(bounds, bounds[1:])), bounds
 
 
 small_coeffs = st.lists(st.fractions(min_value=-4, max_value=4,
