@@ -2,7 +2,7 @@
 identities, zeta-zero sums, and special-constant identities.
 
 Modules:
-  mpcore    precision contexts, Gamma, Hurwitz zeta, formal Laurent series
+  mpcore    precision contexts, Hurwitz zeta, formal Laurent series
   arith     von Mangoldt sieve, weighted prime-power sums, Kronecker
             characters, imaginary-quadratic class data
   zeros     zero-table ingestion, zero sums, tail estimates
@@ -38,7 +38,6 @@ from .mpcore import (
     HComplex,
     HReal,
     PrecisionContext,
-    gamma_fn,
     hurwitz_zeta,
     series_ops,
     zeta_int,
@@ -70,7 +69,6 @@ __all__ = [
     "find_zeros_gt1",
     "find_zeros_lt1",
     "fixture_table",
-    "gamma_fn",
     "hurwitz_zeta",
     "lambda_direct",
     "li_lambda_identity",

@@ -2,16 +2,20 @@
 sums, Kronecker characters, and imaginary-quadratic class data.
 
 The half-corrected prime-power sums evaluated here are the left-hand
-ingredients of the explicit formulas:
+ingredients of the explicit formulas, for zeta and (with a completely
+multiplicative character table chi, Lambda_F = chi Lambda) for the
+Selberg-class descriptors:
 
-  psi0(x)          = Sum_{n<=x} Lambda(n), with Lambda(x)/2 at a jump
+  psi0(x)          = Sum'_{n<=x} Lambda(n)
   psi0_alpha(x,a)  = x^a Sum'_{n<=x} Lambda(n)/n^a
   T_sum(x,a)       = x^a Sum'_{n<=1/x} Lambda(n)/n^(1-a)   for 0 < x < 1
 
 where Sum' halves the boundary term when the endpoint is a prime power.
 Inputs x are exact rationals so the "is the endpoint a prime power"
-branch is decidable; Lambda(n) is stored as the prime p (n = p^k), so a
-weighted sum takes one high-precision log per prime rather than per n.
+branch is decidable (_endpoint decides it for every sum).  Both forms
+are weighted_sum, and it runs one loop, prime_power_sum: one pass over
+the primes of the sieve, one high-precision log per prime,
+chi(p)^k log p p^(-ks) summed over the powers p^k, at bits + 32.
 """
 
 from __future__ import annotations
@@ -19,15 +23,17 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 import mpmath
 from mpmath import mpf
 
-from .mpcore import HReal, PrecisionContext
+from .mpcore import HReal, PrecisionContext, _to_mpf
 
 # Sieve memory budget: 4 bytes per entry.
 MAX_SIEVE = 20_000_000
+
+_GUARD = 32
 
 
 # ----------------------------------------------------------------------
@@ -92,120 +98,107 @@ _table_cache: dict[str, MangoldtTable] = {}
 
 
 def shared_table(N: int) -> MangoldtTable:
-    """Process-wide sieve cache, grown geometrically on demand."""
+    """Process-wide sieve cache, grown geometrically on demand; the
+    growth stops at the memory budget, so only N > MAX_SIEVE raises."""
     t = _table_cache.get("t")
     if t is None or t.limit < N:
-        grown = max(N, 1024, 2 * (t.limit if t else 0))
-        t = mangoldt_sieve(grown)
+        grown = min(max(1024, 2 * (t.limit if t else 0)), MAX_SIEVE)
+        t = mangoldt_sieve(max(N, grown))
         _table_cache["t"] = t
     return t
-
-
-def _is_prime_power_frac(x: Fraction) -> tuple[bool, int]:
-    """(x is an integer prime power, its prime or 0)."""
-    if x.denominator != 1:
-        return False, 0
-    n = x.numerator
-    if n < 2:
-        return False, 0
-    t = shared_table(n)
-    p = t.prime_of(n)
-    return (p != 0), p
-
-
-def _grouped_counts(N: int) -> dict[int, list[int]]:
-    """{p: [k1, k2, ...]} for every prime power p^k <= N."""
-    t = shared_table(N)
-    out: dict[int, list[int]] = {}
-    for n in range(2, N + 1):
-        p = t.entries[n]
-        if p:
-            k = 0
-            q = n
-            while q % p == 0:
-                q //= p
-                k += 1
-            out.setdefault(p, []).append(k)
-    return out
 
 
 # ----------------------------------------------------------------------
 # Half-corrected prime-power sums
 # ----------------------------------------------------------------------
 
-def psi0(x: Fraction, ctx: PrecisionContext) -> tuple[HReal, bool]:
-    """Sum_{n<=x} Lambda(n) with the boundary term halved when x is a
-    prime power.  Returns (value, at_prime_power)."""
-    x = Fraction(x)
-    if x <= 1:
-        raise ValueError(f"psi0 requires x > 1, got {x}")
-    is_pp, p_at = _is_prime_power_frac(x)
-    n_max = x.numerator // x.denominator
-    if is_pp:
-        n_max -= 1  # boundary handled separately
-    with ctx.workprec():
+def _chi_at(chi: Optional[Sequence[int]], n: int) -> int:
+    return 1 if chi is None else chi[n % len(chi)]
+
+
+def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
+                    chi: Optional[Sequence[int]] = None) -> mpf:
+    """Sum_{p^k <= N} chi(p)^k log(p) p^(-ks) at bits + 32 (chi absent
+    means chi = 1): the one loop behind every prime-power sum.
+
+    One pass over the primes read from the sieve, one log per prime.
+    p^(-s) is formed from that log, or as an integer power of p when s
+    is an integer (cheaper than exp); at s = 0 the inner sum is an
+    integer (the count k of powers p^k <= N when chi is absent).
+    """
+    with ctx.workprec(_GUARD):
         acc = mpf(0)
-        if n_max >= 2:
-            for p, ks in _grouped_counts(n_max).items():
-                acc += len(ks) * mpmath.log(p)
-        if is_pp:
-            acc += mpmath.log(p_at) / 2
-    return ctx.real(acc), is_pp
+        entries = shared_table(N).entries
+        sv = _to_mpf(s)
+        for p in range(2, N + 1):
+            if entries[p] != p:
+                continue
+            c = _chi_at(chi, p)
+            if c == 0:
+                continue
+            logp = mpmath.log(p)
+            if s == 0:
+                r = c
+            elif s.denominator == 1:
+                r = c * mpf(p) ** (-s.numerator)
+            else:
+                r = c * mpmath.exp(-sv * logp)
+            term = rk = r
+            pk = p * p
+            while pk <= N:
+                rk *= r
+                term += rk
+                pk *= p
+            acc += logp * term
+    return acc
+
+
+def _endpoint(y: Fraction) -> tuple[int, int]:
+    """(N, p) for a primed sum over n <= y: the terms n <= N enter in
+    full, and when y is an integer prime power p^k its own term enters
+    halved (p = 0 otherwise)."""
+    n = y.numerator // y.denominator
+    p = shared_table(n).prime_of(n) if y.denominator == 1 and n >= 2 else 0
+    return (n - 1 if p else n), p
+
+
+def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
+                 chi: Optional[Sequence[int]] = None) -> mpf:
+    """x^alpha Sum'_{n<=y} chi(n) Lambda(n) n^(-s) at bits + 32, in the
+    two forms of the explicit formulas: y = x, s = alpha for x > 1 (the
+    psi0 form) and y = 1/x, s = 1 - alpha for 0 < x < 1 (the T form).
+    The endpoint term of an integer prime power y enters halved with
+    its weight x^alpha y^(-s) collapsed exactly: 1 for x > 1, x below.
+    Callers check the domain (x > 0, x != 1)."""
+    x, alpha = Fraction(x), Fraction(alpha)
+    y, s, w = (x, alpha, Fraction(1)) if x > 1 else (1 / x, 1 - alpha, x)
+    N, p = _endpoint(y)
+    with ctx.workprec(_GUARD):
+        total = _to_mpf(x) ** _to_mpf(alpha) * prime_power_sum(N, s, ctx, chi)
+        if p:
+            total += _to_mpf(w) * _chi_at(chi, y.numerator) * mpmath.log(p) / 2
+    return total
+
+
+def psi0(x: Fraction, ctx: PrecisionContext) -> HReal:
+    """Sum'_{n<=x} Lambda(n) for x > 1."""
+    if Fraction(x) <= 1:
+        raise ValueError(f"psi0 requires x > 1, got {x}")
+    return ctx.real(weighted_sum(x, Fraction(0), ctx))
 
 
 def psi0_alpha(x: Fraction, alpha: Fraction, ctx: PrecisionContext) -> HReal:
-    """x^alpha Sum_{n<x} Lambda(n)/n^alpha, plus an unweighted
-    Lambda(x)/2 when x itself is a prime power (the boundary weight
-    x^alpha/x^alpha collapses to 1).  Reduces to psi0 at alpha = 0."""
-    x = Fraction(x)
-    alpha = Fraction(alpha)
-    if x <= 1:
+    """x^alpha Sum'_{n<=x} Lambda(n)/n^alpha for x > 1."""
+    if Fraction(x) <= 1:
         raise ValueError(f"psi0_alpha requires x > 1, got {x}")
-    is_pp, p_at = _is_prime_power_frac(x)
-    n_max = x.numerator // x.denominator
-    if is_pp:
-        n_max -= 1
-    with ctx.workprec(32):
-        a = ctx.mpf(alpha)
-        acc = mpf(0)
-        if n_max >= 2:
-            for p, ks in _grouped_counts(n_max).items():
-                logp = mpmath.log(p)
-                pa = mpf(p) ** (-a)
-                acc += logp * sum(pa ** k for k in ks)
-        xv = ctx.mpf(x)
-        total = xv ** a * acc
-        if is_pp:
-            total += mpmath.log(p_at) / 2
-    return ctx.real(total)
+    return ctx.real(weighted_sum(x, alpha, ctx))
 
 
 def T_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext) -> HReal:
-    """x^alpha Sum_{n<1/x} Lambda(n)/n^(1-alpha), plus (x/2) Lambda(1/x)
-    when 1/x is a prime power (again the boundary weight collapses:
-    x^alpha x^(1-alpha) = x).  Defined for exact rational x in (0, 1)."""
-    x = Fraction(x)
-    alpha = Fraction(alpha)
-    if not (0 < x < 1):
+    """x^alpha Sum'_{n<=1/x} Lambda(n)/n^(1-alpha) for 0 < x < 1."""
+    if not 0 < Fraction(x) < 1:
         raise ValueError(f"T_sum requires 0 < x < 1, got {x}")
-    inv = 1 / x
-    is_pp, p_at = _is_prime_power_frac(inv)
-    n_max = inv.numerator // inv.denominator
-    if is_pp:
-        n_max -= 1
-    with ctx.workprec(32):
-        a = ctx.mpf(alpha)
-        acc = mpf(0)
-        if n_max >= 2:
-            for p, ks in _grouped_counts(n_max).items():
-                logp = mpmath.log(p)
-                pw = mpf(p) ** (a - 1)
-                acc += logp * sum(pw ** k for k in ks)
-        xv = ctx.mpf(x)
-        total = xv ** a * acc
-        if is_pp:
-            total += xv * mpmath.log(p_at) / 2
-    return ctx.real(total)
+    return ctx.real(weighted_sum(x, alpha, ctx))
 
 
 # ----------------------------------------------------------------------
@@ -269,13 +262,6 @@ def kronecker_chi(d: int) -> tuple[int, ...]:
         raise ValueError(f"d = {d} is not squarefree")
     D = discriminant_of(d)
     return tuple(kronecker_symbol(-D, a) for a in range(D))
-
-
-def chi_fn(d: int) -> Callable[[int], int]:
-    """chi_{-d} as a function of any nonnegative integer."""
-    table = kronecker_chi(d)
-    D = len(table)
-    return lambda n: table[n % D]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,12 @@ Identity inventory (all verified against zero sums through verify_identity):
                                          - Sum_i lam_i psi0(x, alpha_i)
                                          + Sum_i lam_i (1/2) f_{alpha_i/2}(x^-2)
   and the Selberg-class forms generalizing both ranges to descriptors
-  (m_F, Q, {lambda_j, mu_j}, w, Lambda_F).
+  (m_F, Q, {lambda_j, mu_j}, w, chi) with Lambda_F = chi Lambda.
+
+The plain and the descriptor prime sums are one computation: psi0,
+psi0_alpha, T_sum, selberg_psi0 and selberg_T all read
+arith.weighted_sum, the descriptor ones with F's character table, so
+all run through the one loop arith.prime_power_sum.
 
 The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u) is evaluated through a
 roots-of-unity closed form DERIVED AND VALIDATED against the defining
@@ -42,8 +47,10 @@ from mpmath import mpf, mpc
 from .arith import (
     psi0 as arith_psi0,
     psi0_alpha,
-    shared_table,
     T_sum,
+    discriminant_of,
+    kronecker_chi,
+    weighted_sum,
 )
 from .mpcore import (
     HComplex,
@@ -253,7 +260,7 @@ def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"f_rhs_gt1 requires x > 1, got {x}")
-    psi, _ = arith_psi0(x, ctx)
+    psi = arith_psi0(x, ctx)
     with ctx.workprec(_GUARD):
         xv = ctx.mpf(x)
         v = xv - psi.val - mpmath.log(2 * mpmath.pi) - mpmath.log(1 - 1 / (xv * xv)) / 2
@@ -290,7 +297,7 @@ def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"cosine_rhs requires x > 1, got {x}")
-    psi, _ = arith_psi0(x, ctx)
+    psi = arith_psi0(x, ctx)
     Lx = L_weighted(x, ctx)
     with ctx.workprec(_GUARD):
         xv = ctx.mpf(x)
@@ -314,7 +321,7 @@ def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"S_rhs_gt1 requires x > 1, got {x}")
-    psi, _ = arith_psi0(x, ctx)
+    psi = arith_psi0(x, ctx)
     Lx = L_weighted(x, ctx)
     with ctx.workprec(_GUARD):
         xv = ctx.mpf(x)
@@ -463,15 +470,13 @@ def general_rhs_lt1(x: Rational, pf: RationalFunctionPF,
 # Selberg-class descriptors
 # ----------------------------------------------------------------------
 
-CoeffProvider = Callable[[int, PrecisionContext], mpc]
-
-
 @dataclass(frozen=True)
 class SelbergDescriptor:
     """Data defining an element of the (arithmetic) Selberg class.
 
     gamma_factors are the (lambda_j, mu_j) of the completed-function
-    Gamma factors; coeffs provides Lambda_F(n); gamma_F is the constant
+    Gamma factors; Lambda_F(n) = chi(n) Lambda(n) with chi a completely
+    multiplicative character table (None for zeta); gamma_F is the constant
     term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1), required only by
     the x < 1, alpha = 0 formula when m_F > 0.  Q_expr is a tiny
     expression language ("1/sqrt(pi)", "sqrt(<q>/pi)", or a decimal)
@@ -483,7 +488,7 @@ class SelbergDescriptor:
     Q_expr: str                                # positive real, see Q()
     gamma_factors: tuple[tuple[Fraction, Fraction], ...]  # (lambda_j, mu_j)
     w: complex                                 # root number, |w| = 1
-    coeffs: CoeffProvider                      # n -> Lambda_F(n)
+    chi: Optional[tuple[int, ...]]             # chi(n) = chi[n % len(chi)]; None: zeta
     gamma_F: Optional[Callable[[PrecisionContext], mpf]] = None
     log_deriv: Optional[Callable[[Fraction, PrecisionContext], mpf]] = None
 
@@ -536,15 +541,6 @@ def _eval_q_expr(expr: str, ctx: PrecisionContext) -> mpf:
         return mpf(e)
 
 
-def _zeta_coeffs(n: int, ctx: PrecisionContext) -> mpc:
-    t = shared_table(max(n, 2))
-    p = t.entries[n] if n >= 2 else 0
-    if p == 0:
-        return mpc(0)
-    with ctx.workprec(_GUARD):
-        return mpc(mpmath.log(p))
-
-
 def descriptor_zeta() -> SelbergDescriptor:
     """The descriptor of zeta itself: m_F = 1, Q = pi^(-1/2), one Gamma
     factor (1/2, 0), w = 1, Lambda_F = Lambda, gamma_F = Euler's
@@ -555,7 +551,7 @@ def descriptor_zeta() -> SelbergDescriptor:
         Q_expr="1/sqrt(pi)",
         gamma_factors=((Fraction(1, 2), Fraction(0)),),
         w=1 + 0j,
-        coeffs=_zeta_coeffs,
+        chi=None,
         gamma_F=lambda ctx: +ctx.euler_gamma,
         log_deriv=lambda s, ctx: zeta_log_deriv(s, ctx).val,
     )
@@ -597,18 +593,13 @@ def descriptor_dirichlet(q: int, chi: Sequence[int],
                 tau += chi[n % q] * mpmath.expjpi(mpf(2 * n) / q)
         w = tau / (mpc(0, 1) ** a * mpmath.sqrt(q))
         w_c = complex(w)
-
-    def coeffs(n: int, c: PrecisionContext) -> mpc:
-        base = _zeta_coeffs(n, c)
-        return chi[n % q] * base
-
     return SelbergDescriptor(
         label=f"dirichlet-{q}",
         m_F=0,
         Q_expr=f"sqrt({q}/pi)",
         gamma_factors=((Fraction(1, 2), Fraction(a, 2)),),
         w=w_c,
-        coeffs=coeffs,
+        chi=chi,
         gamma_F=lambda c: dirichlet_log_deriv(1, q, chi, c).val,
         log_deriv=lambda s, c: dirichlet_log_deriv(s, q, chi, c).val,
     )
@@ -652,7 +643,6 @@ def load_descriptor(text: str, ctx: PrecisionContext) -> SelbergDescriptor:
         if idx.strip() != "1":
             raise ValueError("only character index 1 (quadratic) is supported")
         d = q if q % 2 == 1 else q // 4
-        from .arith import discriminant_of, kronecker_chi
         if discriminant_of(d) != q:
             raise ValueError(f"no odd quadratic character of conductor {q}")
         return descriptor_dirichlet(q, kronecker_chi(d), ctx)
@@ -666,26 +656,11 @@ def load_descriptor(text: str, ctx: PrecisionContext) -> SelbergDescriptor:
 def selberg_psi0(x: Rational, alpha: Rational, F: SelbergDescriptor,
                  ctx: PrecisionContext) -> HComplex:
     """psi0(x, F, alpha) = x^alpha Sum_{n<x} Lambda_F(n)/n^alpha plus the
-    unweighted Lambda_F(x)/2 when x is a prime power (same branch rule
-    as the plain psi0_alpha)."""
-    x = Fraction(x)
-    alpha = Fraction(alpha)
-    if x <= 1:
+    unweighted Lambda_F(x)/2 when x is a prime power: the plain
+    psi0_alpha sum with F's character."""
+    if Fraction(x) <= 1:
         raise ValueError(f"selberg_psi0 requires x > 1, got {x}")
-    n_max = x.numerator // x.denominator
-    is_pp = x.denominator == 1 and shared_table(max(n_max, 2)).is_prime_power(x.numerator)
-    if is_pp:
-        n_max -= 1
-    with ctx.workprec(_GUARD):
-        av = ctx.mpf(alpha)
-        acc = mpc(0)
-        for n in range(2, n_max + 1):
-            lam_n = F.coeffs(n, ctx)
-            if lam_n != 0:
-                acc += lam_n * mpf(n) ** (-av)
-        total = ctx.mpf(x) ** av * acc
-        if is_pp:
-            total += F.coeffs(x.numerator, ctx) / 2
+    total = weighted_sum(x, alpha, ctx, F.chi)
     with ctx.workprec():
         return HComplex(mpc(total), ctx)
 
@@ -693,27 +668,11 @@ def selberg_psi0(x: Rational, alpha: Rational, F: SelbergDescriptor,
 def selberg_T(x: Rational, alpha: Rational, F: SelbergDescriptor,
               ctx: PrecisionContext) -> HComplex:
     """T(x, F, alpha) = x^alpha Sum_{n<1/x} Lambda_F(n)/n^(1-alpha) plus
-    (x/2) Lambda_F(1/x) when 1/x is a prime power."""
-    x = Fraction(x)
-    alpha = Fraction(alpha)
-    if not (0 < x < 1):
+    (x/2) Lambda_F(1/x) when 1/x is a prime power: the plain T_sum with
+    F's character."""
+    if not 0 < Fraction(x) < 1:
         raise ValueError(f"selberg_T requires 0 < x < 1, got {x}")
-    inv = 1 / x
-    n_max = inv.numerator // inv.denominator
-    is_pp = inv.denominator == 1 and shared_table(max(n_max, 2)).is_prime_power(inv.numerator)
-    if is_pp:
-        n_max -= 1
-    with ctx.workprec(_GUARD):
-        av = ctx.mpf(alpha)
-        acc = mpc(0)
-        for n in range(2, n_max + 1):
-            lam_n = F.coeffs(n, ctx)
-            if lam_n != 0:
-                acc += lam_n * mpf(n) ** (av - 1)
-        xv = ctx.mpf(x)
-        total = xv ** av * acc
-        if is_pp:
-            total += xv * F.coeffs(inv.numerator, ctx) / 2
+    total = weighted_sum(x, alpha, ctx, F.chi)
     with ctx.workprec():
         return HComplex(mpc(total), ctx)
 

@@ -7,7 +7,6 @@ pipelines) consumes the types and functions defined here:
   HReal / HComplex   finite high-precision scalars bound to a context
   FormalSeries       truncated Laurent series at s = 1 with an optional
                      simple-pole coefficient, Sum c_n (s-1)^n + p/(s-1)
-  gamma_fn(x)        Gamma(x) for real x > 0 via Stirling + argument raising
   em_log_moments     the one Euler-Maclaurin core: Sum log^n(k+a) (k+a)^(-s)
                      for n = 0..N in one pass, continued in s, regularized
                      at s = 1 (the Stieltjes constants gamma_n(a)), each
@@ -20,12 +19,12 @@ pipelines) consumes the types and functions defined here:
 Numeric backend: mpmath mpf/mpc supplies correctly rounded base arithmetic
 (round-to-nearest, error <= 2^-bits relative per elementary operation, well
 inside the 2^(8-bits) contract) and the elementary functions (exp, log,
-cos, sin).  Gamma, Hurwitz zeta and the Stieltjes constants are
-implemented here from Bernoulli-number expansions with computable error
-terms.  Two production paths call mpmath special functions directly:
-analysis.chowla_selberg_rhs (mpmath.loggamma) and the double-precision
-class-number route L_one_chi(fast=True) (mpmath.digamma); elsewhere the
-mpmath special functions serve only as oracles in the test suite.
+cos, sin).  Hurwitz zeta and the Stieltjes constants are implemented
+here from Bernoulli-number expansions with computable error terms.
+Gamma values come from mpmath: analysis.chowla_selberg_rhs calls
+mpmath.loggamma and the double-precision class-number route
+L_one_chi(fast=True) mpmath.digamma; elsewhere the mpmath special
+functions serve only as oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -313,57 +312,6 @@ def bernoulli(n: int) -> Fraction:
         acc = (m + 1) * b[1] + sum(math.comb(m + 1, j) * b[j] for j in range(0, m, 2))
         b.append(-acc / (m + 1))
     return b[n]
-
-
-# ----------------------------------------------------------------------
-# Gamma via Stirling series with argument raising
-# ----------------------------------------------------------------------
-
-def _stirling_threshold(bits: int) -> int:
-    # The Stirling terms B_2k / (2k(2k-1) x^(2k-1)) bottom out near
-    # exp(-2 pi x); x0 chosen so the floor sits below 2^-(bits+16).
-    return int(math.ceil(0.125 * (bits + 16))) + 6
-
-
-def _log_gamma_raised(x: mpf, bits: int) -> mpf:
-    """log Gamma(x) for x >= _stirling_threshold(bits), at current mp.prec.
-
-    log Gamma(x) = (x - 1/2) log x - x + log(2 pi)/2
-                   + Sum_{k>=1} B_2k / (2k (2k-1) x^(2k-1)),
-    remainder after K terms bounded by the first omitted term for x > 0.
-    """
-    target = mpf(2) ** (-(bits + 16))
-    acc = (x - mpf(1) / 2) * mpmath.log(x) - x + mpmath.log(2 * mpmath.pi) / 2
-    xpow = x  # x^(2k-1)
-    x2 = x * x
-    for k in range(1, 200):
-        b2k = bernoulli(2 * k)
-        term = (mpf(b2k.numerator) / b2k.denominator) / ((2 * k) * (2 * k - 1) * xpow)
-        acc += term
-        if abs(term) < target:
-            return acc
-        xpow *= x2
-    raise ArithmeticError("Stirling series failed to meet target precision")
-
-
-def gamma_fn(x: Scalar, ctx: PrecisionContext) -> HReal:
-    """Gamma(x) for real x > 0, relative error <= 2^(16-bits).
-
-    Stirling expansion above an adaptive threshold; below it the argument
-    is raised through Gamma(x) = Gamma(x+m) / (x (x+1) ... (x+m-1)).
-    """
-    with ctx.workprec(_GUARD * 2):
-        xv = ctx.mpf(x)
-        if xv <= 0:
-            raise ValueError(f"gamma_fn requires x > 0, got {xv}")
-        x0 = _stirling_threshold(ctx.bits)
-        m = max(0, int(math.ceil(x0 - xv)))
-        prod = mpf(1)
-        for j in range(m):
-            prod *= xv + j
-        lg = _log_gamma_raised(xv + m, ctx.bits)
-        value = mpmath.exp(lg) / prod
-    return ctx.real(value)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Oracles and pinned variants that only the tests use, kept out of the
-package: the prime-power Dirichlet series for zeta'/zeta, a plausible but
-wrong assembly of the auxiliary series f_u, and the cosine closed form
-assembled the other way round."""
+package: the prime-power Dirichlet series for zeta'/zeta, the weighted
+prime sums term by term over n, a plausible but wrong assembly of the
+auxiliary series f_u, and the cosine closed form assembled the other way
+round."""
 
 import math
 from fractions import Fraction
@@ -37,6 +38,42 @@ def zeta_log_deriv_dirichlet(s: float, N: int = 100_000) -> tuple[float, float]:
     tail = 2 * (math.log(N) / ((s - 1) * N ** (s - 1))
                 + 1 / ((s - 1) ** 2 * N ** (s - 1)))
     return -acc, tail
+
+
+def _prime_base(n: int) -> int:
+    """p if n = p^k (k >= 1), else 0, by trial division."""
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else 0
+    return n if n >= 2 else 0
+
+
+def prime_sum_reference(x: Fraction, alpha: Fraction, chi, bits: int) -> tuple[mpf, mpf]:
+    """x^alpha Sum'_{n<=y} chi(n) Lambda(n) n^(-s), one term per n, with
+    y = x, s = alpha for x > 1 and y = 1/x, s = 1 - alpha for 0 < x < 1;
+    the term n = y is halved.  chi is a character table or None (zeta).
+    Lambda comes from trial division, not the sieve.  Returns
+    (value, Sum |terms|) at bits + 64."""
+    y, s = (x, alpha) if x > 1 else (1 / x, 1 - alpha)
+    with mpmath.workprec(bits + 64):
+        xa = mpmath.power(mpf(x.numerator) / x.denominator,
+                          mpf(alpha.numerator) / alpha.denominator)
+        sv = mpf(s.numerator) / s.denominator
+        value = mpf(0)
+        size = mpf(0)
+        for n in range(2, math.floor(y) + 1):
+            p = _prime_base(n)
+            c = 1 if chi is None else chi[n % len(chi)]
+            if p == 0 or c == 0:
+                continue
+            term = xa * c * mpmath.log(p) * mpmath.power(n, -sv)
+            if n == y:
+                term /= 2
+            value += term
+            size += abs(term)
+    return value, size
 
 
 def f_u_closed_uncorrected(u: Rational, z, ctx: PrecisionContext) -> HComplex:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from zeta_explicit import arith
 from zeta_explicit.arith import (
     T_sum,
     class_data,
-    chi_fn,
     discriminant_of,
     is_squarefree,
     kronecker_chi,
@@ -22,6 +22,12 @@ from zeta_explicit.arith import (
     psi0_alpha,
     shared_table,
 )
+
+
+def chi_fn(d: int):
+    """chi_{-d} as a function of any nonnegative integer."""
+    table = kronecker_chi(d)
+    return lambda n: table[n % len(table)]
 
 
 def _prime_power_base(n: int) -> int:
@@ -65,15 +71,26 @@ def test_shared_table_grows_monotonically():
     assert shared_table(100) is shared_table(50)  # served from the big one
 
 
+def test_shared_table_growth_stops_at_budget(monkeypatch):
+    # Doubling 3000 would ask for 6000 > budget; any N within the budget
+    # must still be served, and only N beyond it refused.
+    monkeypatch.setattr(arith, "MAX_SIEVE", 5000)
+    monkeypatch.setattr(arith, "_table_cache", {})
+    assert shared_table(3000).limit >= 3000
+    t = shared_table(4000)
+    assert 4000 <= t.limit <= 5000
+    assert shared_table(5000).limit == 5000
+    with pytest.raises(ValueError, match="memory budget"):
+        shared_table(5001)
+
+
 def test_psi0_plain_value(ctx):
-    v, at_pp = psi0(Fraction(10), ctx)
-    assert not at_pp
+    v = psi0(Fraction(10), ctx)
     assert v.str_digits(25) == "7.832014180505468990748299"
 
 
 def test_psi0_halves_boundary_weight(ctx):
-    v, at_pp = psi0(Fraction(8), ctx)
-    assert at_pp
+    v = psi0(Fraction(8), ctx)
     with ctx.workprec(16):
         full = 3 * mpmath.log(2) + mpmath.log(3) + mpmath.log(5) + mpmath.log(7)
         assert abs(v.val - (full - mpmath.log(2) / 2)) < mpmath.mpf(2) ** (-180)
@@ -86,7 +103,7 @@ def test_psi0_rejects_domain(ctx):
 
 def test_psi0_alpha_reduces_to_psi0(ctx):
     for x in (Fraction(10), Fraction(8), Fraction(21, 2)):
-        v0, _ = psi0(x, ctx)
+        v0 = psi0(x, ctx)
         va = psi0_alpha(x, Fraction(0), ctx)
         with ctx.workprec(16):
             assert abs(v0.val - va.val) < mpmath.mpf(2) ** (-180)

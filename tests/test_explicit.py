@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from zeta_explicit.arith import T_sum, kronecker_chi, psi0_alpha, shared_table
+from zeta_explicit.arith import T_sum, kronecker_chi, psi0, psi0_alpha, shared_table
 from zeta_explicit.explicit import (
     IDENTITY_IDS,
     L_weighted,
@@ -29,6 +29,8 @@ from zeta_explicit.explicit import (
     general_rhs_lt1,
     load_descriptor,
     partial_fractions,
+    selberg_psi0,
+    selberg_T,
     selberg_rhs_gt1,
     selberg_rhs_lt1,
     verify_identity,
@@ -36,7 +38,7 @@ from zeta_explicit.explicit import (
 )
 from zeta_explicit.mpcore import HComplex, PrecisionContext
 from explicit_oracles import (cosine_rhs_regrouped, f_u_closed_uncorrected,
-                              zeta_log_deriv_dirichlet)
+                              prime_sum_reference, zeta_log_deriv_dirichlet)
 from zeta_explicit.zeros import SumSpec
 
 F = Fraction
@@ -272,6 +274,48 @@ def test_selberg_domain_guards(ctx):
         selberg_rhs_gt1(F(4), F(0), zeta, ctx)  # m_F > 0 excludes 0
     with pytest.raises(ValueError):
         selberg_rhs_gt1(F(4), F(-2), zeta, ctx)  # trivial-zero chain
+
+
+# Odd real primitive characters by modulus: kronecker_chi(d) has period
+# discriminant_of(d).
+PRIME_SUM_CHARS = {3: 3, 4: 1, 7: 7, 8: 2}
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125,
+                128, 169, 243, 256, 289)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([None, 3, 4, 7, 8]),
+       st.sampled_from([128, 192, 256]),
+       st.one_of(st.sampled_from(PRIME_POWERS).map(F),
+                 st.fractions(min_value=F(17, 16), max_value=300,
+                              max_denominator=16)),
+       st.booleans(),
+       st.fractions(min_value=-2, max_value=2, max_denominator=12))
+def test_prime_sums_match_per_n_reference(q, bits, y, below_one, alpha):
+    # Every prime sum, plain and descriptor, x > 1 and 0 < x < 1, against
+    # a term-by-term loop over n with Lambda from trial division.
+    ctx = PrecisionContext(bits=bits)
+    x = 1 / y if below_one else y
+    if q is None:
+        chi, F_desc = None, descriptor_zeta()
+        plain = T_sum(x, alpha, ctx) if below_one else psi0_alpha(x, alpha, ctx)
+        got = [plain.val]
+        if not below_one:
+            ref0, size0 = prime_sum_reference(x, F(0), None, bits)
+            with mpmath.workprec(bits + 64):
+                assert abs(psi0(x, ctx).val - ref0) <= mpf(2) ** (8 - bits) * size0
+    else:
+        chi = kronecker_chi(PRIME_SUM_CHARS[q])
+        F_desc = descriptor_dirichlet(q, chi, ctx)
+        got = []
+    sel = selberg_T(x, alpha, F_desc, ctx) if below_one \
+        else selberg_psi0(x, alpha, F_desc, ctx)
+    got.append(sel.val.real)
+    ref, size = prime_sum_reference(x, alpha, chi, bits)
+    with mpmath.workprec(bits + 64):
+        for v in got:
+            assert abs(v - ref) <= mpf(2) ** (8 - bits) * size, (x, alpha, q, bits)
+        assert sel.val.imag == 0
 
 
 def test_load_descriptor_round_trip(ctx):

@@ -14,16 +14,11 @@ from zeta_explicit.mpcore import (
     PrecisionContext,
     bernoulli,
     em_log_moments,
-    gamma_fn,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     series_ops,
     zeta_int,
 )
-
-rationals = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(20),
-                         max_denominator=64)
-
 
 def test_context_rejects_low_precision():
     with pytest.raises(ValueError):
@@ -50,23 +45,6 @@ def test_str_digits_round_trips(ctx):
     v = ctx.real(Fraction(1, 3))
     s = v.str_digits(25)
     assert s.startswith("0.3333333333333333333333333")
-
-
-@settings(max_examples=30, deadline=None)
-@given(rationals)
-def test_gamma_recurrence(x):
-    ctx = PrecisionContext(bits=192)
-    lhs = gamma_fn(x + 1, ctx)
-    rhs = gamma_fn(x, ctx)
-    with ctx.workprec(16):
-        rel = abs(lhs.val - ctx.mpf(x) * rhs.val) / abs(lhs.val)
-        assert rel < mpmath.mpf(2) ** (-ctx.bits + 16)
-
-
-def test_gamma_half_integer(ctx):
-    with ctx.workprec(16):
-        ref = mpmath.sqrt(mpmath.pi)
-        assert abs(gamma_fn(Fraction(1, 2), ctx).val - ref) < mpmath.mpf(2) ** (-180)
 
 
 def test_bernoulli_table():
