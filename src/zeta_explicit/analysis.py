@@ -6,13 +6,16 @@ f means the closed-form side of the zero sum Sum_rho x^rho / rho
 (f_rhs_gt1 for x > 1, f_rhs_lt1 for 0 < x < 1).  It is continuous
 except at prime powers (x > 1) or reciprocal prime powers (x < 1),
 where the half-weighted prime term makes the at-point value the mean
-of the one-sided limits.  The scan walks the continuity intervals
-between consecutive discontinuities, samples a fixed rational grid,
-and bisects every sign change; a sign change across a discontinuity
-with no attained zero is reported as a jump-crossing record instead.
-
-Bisections in distinct continuity intervals are independent of each
-other; records are merged in ascending-bracket order.
+of the one-sided limits.  Between consecutive discontinuities f is an
+elementary g(x) plus a constant K, and g' vanishes once, at the plastic
+number (x > 1) or its reciprocal (x < 1).  The finders walk these
+intervals upward: K comes from one f_rhs call in the first interval and
+falls by the von Mangoldt jump at each discontinuity, each interval
+split at the turning point holds at most one zero, and that zero is
+refined by safeguarded Newton steps on g + K.  A sign change of the
+one-sided limits at a discontinuity is reported as a jump-crossing
+record.  Every residual is |f_rhs| itself, so it also checks the walked
+K against the prime-power sums.
 
 The quadratic-field block works with chi = chi_{-d} mod D for
 squarefree d (class_data supplies D, h, w, chi):
@@ -39,7 +42,7 @@ from mpmath import mpf
 
 from .arith import class_data, shared_table
 from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1
-from .mpcore import HReal, PrecisionContext
+from .mpcore import HReal, PrecisionContext, _to_mpf
 
 _GUARD = 32
 
@@ -69,114 +72,126 @@ class RootRecord:
         }
 
 
-Evaluator = Callable[[Fraction, PrecisionContext], HReal]
-SideValues = Callable[[Fraction, PrecisionContext], tuple[mpf, mpf, mpf]]
+def _mpf_to_fraction(x: mpf) -> Fraction:
+    if not mpmath.isfinite(x):
+        raise ValueError(f"cannot convert {x} to a fraction")
+    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    if man == 0:
+        return Fraction(0)
+    value = Fraction(int(man)) * Fraction(2) ** int(exp)
+    return -value if sign else value
 
 
-def _gt1_sides(j: Fraction, ctx: PrecisionContext) -> tuple[mpf, mpf, mpf]:
-    """(left limit, at-point, right limit) of f at an integer prime
-    power: the prime sum gains Lambda(p^k) as x crosses j upward, half
-    of it exactly at j, so f steps DOWN by log p in two half-steps."""
-    at = f_rhs_gt1(j, ctx).val
-    n = int(j)
-    p = shared_table(n).prime_of(n)
-    with ctx.workprec(_GUARD):
-        half = mpmath.log(p) / 2
-        return at + half, at, at - half
+# f = g + K between consecutive discontinuities, K constant there
+# (-psi0(x) - log 2 pi above 1, T(x) + gamma below 1): (f_rhs, g, g').
+_BRANCHES = {
+    True: (f_rhs_gt1, lambda x: x - mpmath.log(1 - 1 / (x * x)) / 2,
+           lambda x: 1 - 1 / (x ** 3 - x)),
+    False: (f_rhs_lt1, lambda x: mpmath.log(x) + x - mpmath.log((1 + x) / (1 - x)) / 2,
+            lambda x: 1 / x + 1 - 1 / (1 - x * x)),
+}
 
 
-def _lt1_sides(j: Fraction, ctx: PrecisionContext) -> tuple[mpf, mpf, mpf]:
-    """Same at j = 1/p^k for the x < 1 branch: the primed sum over
-    n <= 1/x loses Lambda(p^k)/p^k as x crosses j upward."""
-    at = f_rhs_lt1(j, ctx).val
-    n = j.denominator
-    p = shared_table(n).prime_of(n)
-    with ctx.workprec(_GUARD):
-        half = mpmath.log(p) / (2 * n)
-        return at + half, at, at - half
+def _refine(a: Fraction, b: Fraction, fa: mpf, h: Fraction,
+            F: Callable[[mpf], mpf], dF: Callable[[mpf], mpf],
+            ctx: PrecisionContext) -> tuple[Fraction, Fraction, mpf]:
+    """(a', b', r): the zero r of the monotone F on [a, b], where F(a) = fa
+    and F(b) differ strictly in sign, inside a subbracket [a', b'] of
+    width <= h whose end values keep those signs.
 
+    Safeguarded Newton: each iterate (the bracket midpoint when the step
+    leaves the bracket) probes the two points of the grid hZ around it,
+    and the grid point by the midpoint when that has not halved the
+    bracket; a probe replaces the end of like sign.  Newton steps then
+    polish r until they stall."""
+    hv = _to_mpf(h)
 
-def _bisect(a: Fraction, b: Fraction, fa: mpf, fb: mpf, tol: Fraction,
-            f: Evaluator, ctx: PrecisionContext) -> RootRecord:
-    # endpoints may carry one-sided limit values at interval boundaries;
-    # midpoints are strictly interior, so plain f applies there.
-    while b - a > tol:
-        mid = (a + b) / 2
-        fm = f(mid, ctx).val
-        if fm == 0:
-            a = b = mid
+    def newton(x: mpf) -> mpf:
+        y, lo, hi = x - F(x) / dF(x), _to_mpf(a), _to_mpf(b)
+        return y if lo <= y <= hi else (lo + hi) / 2
+
+    def probe(p: Fraction) -> None:
+        nonlocal a, b
+        if a < p < b:
+            if (F(_to_mpf(p)) < 0) == (fa < 0):
+                a = p
+            else:
+                b = p
+
+    x = _to_mpf((a + b) / 2)
+    while b - a > h:
+        x, width = newton(x), b - a
+        c = int(mpmath.floor(x / hv)) * h
+        probe(c)
+        probe(c + h)
+        if 2 * (b - a) > width:
+            m = (a + b) / 2 // h * h
+            probe(m if m > a else m + h)
+    for _ in range(ctx.bits.bit_length()):
+        x, y = newton(x), x
+        if abs(y - x) <= mpmath.ldexp(abs(x), -ctx.bits - 8):
             break
-        if (fa < 0) != (fm < 0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    root = (a + b) / 2
-    res = abs(f(root, ctx).val)
-    return RootRecord(bracket_lo=a, bracket_hi=b, root=ctx.real(root),
-                      residual=ctx.real(res), kind=GENUINE)
+    return a, b, x
 
 
-def _scan(lo: Fraction, hi: Fraction, tol: Fraction, ctx: PrecisionContext,
-          f: Evaluator, jumps: Sequence[Fraction], sides: SideValues,
-          spacing: Fraction) -> list[RootRecord]:
+def _walk(lo: Fraction, hi: Fraction, tol: Fraction, ctx: PrecisionContext,
+          jumps: Sequence[Fraction]) -> list[RootRecord]:
+    """Records on [lo, hi] (one side of 1) given the ascending
+    discontinuities: K from one f_rhs call inside the first interval,
+    lowered by Lambda(n) (x = n) or Lambda(n)/n (x = 1/n) at each jump,
+    all at bits + 32."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol < Fraction(1, 2 ** max(8, ctx.bits - 16)):
         raise ValueError(
             f"tol = {tol} below the precision floor 2^-{ctx.bits - 16}")
+    above = lo > 1
+    f_rhs, g, dg = _BRANCHES[above]
+    h = Fraction(1, 2 ** (math.ceil(1 / tol) - 1).bit_length())  # <= tol
     jumpset = set(jumps)
-    inner = [j for j in jumps if lo < j < hi]
-    bounds = [lo] + inner + [hi]
-
+    bounds = [lo] + [j for j in jumps if lo < j < hi] + [hi]
+    wide = PrecisionContext(ctx.bits + _GUARD)
+    mid = (lo + bounds[1]) / 2
+    K = f_rhs(mid, wide).val
     records: list[RootRecord] = []
-    side_cache = {j: sides(j, ctx) for j in jumps if lo <= j <= hi}
-
-    def boundary_val(x: Fraction, incoming: bool) -> mpf:
-        if x in jumpset:
-            left, _, right = side_cache[x]
-            return left if incoming else right
-        return f(x, ctx).val
-
-    for a, b in zip(bounds, bounds[1:]):
-        pts = [a]
-        vals = [boundary_val(a, incoming=False)]
-        k = 1
-        while a + k * spacing < b:
-            x = a + k * spacing
-            pts.append(x)
-            vals.append(f(x, ctx).val)
-            k += 1
-        pts.append(b)
-        vals.append(boundary_val(b, incoming=True))
-        for i in range(len(pts) - 1):
-            va, vb = vals[i], vals[i + 1]
-            if va == 0 and lo < pts[i] < hi and pts[i] not in jumpset:
-                records.append(RootRecord(pts[i], pts[i], ctx.real(pts[i]),
-                                          ctx.real(0), GENUINE))
-            elif va * vb < 0:
-                records.append(_bisect(pts[i], pts[i + 1], va, vb, tol, f, ctx))
-
-    # A jump at lo is not a crossing encountered inside the window (its
-    # left limit lives below lo); one at hi is, reached from the left.
-    for j, (left, at, right) in side_cache.items():
-        if j > lo and left * right < 0:
-            records.append(RootRecord(j, j, ctx.real(j),
-                                      ctx.real(abs(at)), JUMP))
-    records.sort(key=lambda r: (r.bracket_lo, r.bracket_hi))
+    with ctx.workprec(_GUARD):
+        K -= g(_to_mpf(mid))
+        r = mpmath.sqrt(69)               # the plastic number, x^3 = x + 1
+        turn = mpmath.cbrt((9 + r) / 18) + mpmath.cbrt((9 - r) / 18)
+        turn = _mpf_to_fraction(turn if above else 1 / turn)
+        for a, b in zip(bounds, bounds[1:]):
+            ends = [a, turn, b] if a < turn < b else [a, b]
+            vals = [g(_to_mpf(x)) + K for x in ends]
+            for u, v, fu, fv in zip(ends, ends[1:], vals, vals[1:]):
+                if fu * fv < 0:
+                    u, v, x = _refine(u, v, fu, h, lambda x: g(x) + K, dg, ctx)
+                    root = ctx.real(x)
+                    res = f_rhs(_mpf_to_fraction(root.val), ctx).val
+                    records.append(RootRecord(u, v, root, ctx.real(abs(res)),
+                                              GENUINE))
+            if b in jumpset:
+                n = b.numerator if above else b.denominator
+                drop = shared_table(n).mangoldt(n, wide).val / (1 if above else n)
+                if vals[-1] * (vals[-1] - drop) < 0:
+                    res = f_rhs(b, ctx).val
+                    records.append(RootRecord(b, b, ctx.real(b),
+                                              ctx.real(abs(res)), JUMP))
+                K -= drop
     return records
 
 
 def find_zeros_gt1(lo: Rational, hi: Rational, tol: Rational,
-                   ctx: Optional[PrecisionContext] = None, *,
-                   spacing: Fraction = Fraction(1, 64)) -> list[RootRecord]:
+                   ctx: Optional[PrecisionContext] = None) -> list[RootRecord]:
     """Zeros of f on [lo, hi] with 1 < lo < hi: genuine zeros bracketed
-    to width < tol inside the continuity intervals between consecutive
+    to width <= tol inside the continuity intervals between consecutive
     prime powers, plus jump-crossing records wherever the one-sided
-    limits straddle zero at a prime power.
+    limits straddle zero at a prime power in (lo, hi].
 
-    The sampling grid (step = spacing) fixes which sign changes are
-    seen, so shrinking tol refines brackets without changing the count;
-    no genuine bracket contains a prime power strictly inside.
+    Between prime powers f' = 1 - 1/(x^3 - x) vanishes only at the
+    plastic number, so each interval, split there, holds at most one
+    zero, present exactly when the end values differ strictly in sign:
+    every genuine zero is found, whatever tol.  No genuine bracket holds
+    a prime power strictly inside.
     """
     ctx = ctx or PrecisionContext()
     lo, hi = Fraction(lo), Fraction(hi)
@@ -186,15 +201,14 @@ def find_zeros_gt1(lo: Rational, hi: Rational, tol: Rational,
     table = shared_table(max(2, n_hi))
     jumps = [Fraction(n) for n in range(max(2, math.ceil(lo)), n_hi + 1)
              if table.is_prime_power(n)]
-    return _scan(lo, hi, Fraction(tol), ctx, f_rhs_gt1, jumps,
-                 _gt1_sides, spacing)
+    return _walk(lo, hi, Fraction(tol), ctx, jumps)
 
 
 def find_zeros_lt1(lo: Rational, hi: Rational, tol: Rational,
-                   ctx: Optional[PrecisionContext] = None, *,
-                   spacing: Fraction = Fraction(1, 128)) -> list[RootRecord]:
-    """Same scan on 0 < lo < hi < 1 with discontinuities at the
-    reciprocal prime powers x = 1/p^k."""
+                   ctx: Optional[PrecisionContext] = None) -> list[RootRecord]:
+    """Same walk on 0 < lo < hi < 1 with discontinuities at the
+    reciprocal prime powers x = 1/p^k; there f' = 1/x + 1 - 1/(1 - x^2)
+    vanishes only at the reciprocal of the plastic number."""
     ctx = ctx or PrecisionContext()
     lo, hi = Fraction(lo), Fraction(hi)
     if not 0 < lo < hi < 1:
@@ -203,8 +217,7 @@ def find_zeros_lt1(lo: Rational, hi: Rational, tol: Rational,
     table = shared_table(max(2, n_hi))
     jumps = [Fraction(1, n) for n in range(n_hi, max(2, math.ceil(1 / hi)) - 1, -1)
              if table.is_prime_power(n)]
-    return _scan(lo, hi, Fraction(tol), ctx, f_rhs_lt1, jumps,
-                 _lt1_sides, spacing)
+    return _walk(lo, hi, Fraction(tol), ctx, jumps)
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +257,8 @@ def L_prime_one_chi(d: int, ctx: Optional[PrecisionContext] = None) -> HReal:
 
 @dataclass(frozen=True)
 class ClassNumberCheck:
-    """Reduced-form count h against round(w sqrt(D) L(1, chi) / 2 pi)."""
+    """Reduced-form count h against round(w sqrt(D) L(1, chi) / 2 pi);
+    L_one prints at the 15 digits the double-precision route holds."""
 
     d: int
     D: int
@@ -256,7 +270,7 @@ class ClassNumberCheck:
     def to_dict(self) -> dict:
         return {"d": self.d, "D": self.D, "h_forms": self.h_forms,
                 "h_analytic": self.h_analytic,
-                "L_one": self.L_one.str_digits(20), "match": self.match}
+                "L_one": self.L_one.str_digits(15), "match": self.match}
 
 
 def class_number_check(d: int, ctx: Optional[PrecisionContext] = None, *,
@@ -332,16 +346,6 @@ def chowla_selberg_check(d: int, ctx: Optional[PrecisionContext] = None
 # ----------------------------------------------------------------------
 # Rational-grid scan feeding the transcendence-hypothesis report
 # ----------------------------------------------------------------------
-
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    if not mpmath.isfinite(x):
-        raise ValueError(f"cannot convert {x} to a fraction")
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
-
 
 @dataclass(frozen=True)
 class HypothesisScan:

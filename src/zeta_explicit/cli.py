@@ -199,8 +199,7 @@ def _cmd_find_zeros(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
     notes: list = []
     lo = _parse_rational(args.lo, cfg, notes)
     hi = _parse_rational(args.hi, cfg, notes)
-    tol = Fraction(args.tol) if "/" not in args.tol else _parse_rational(
-        args.tol, cfg, notes)
+    tol = _parse_rational(args.tol, cfg)
     side = args.side
     if side == "auto":
         if lo > 1:
@@ -209,11 +208,8 @@ def _cmd_find_zeros(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
             side = "lt1"
         else:
             raise ValueError(f"window [{lo}, {hi}] must lie on one side of 1")
-    kwargs = {}
-    if args.spacing:
-        kwargs["spacing"] = _parse_rational(args.spacing, cfg, notes)
     finder = analysis.find_zeros_gt1 if side == "gt1" else analysis.find_zeros_lt1
-    records = finder(lo, hi, tol, ctx, **kwargs)
+    records = finder(lo, hi, tol, ctx)
     payload = {
         "command": "find-zeros",
         "side": side,
@@ -421,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", default="1/1000000000000",
                    help="bracket width target (default 1e-12 as a rational)")
     p.add_argument("--side", choices=["auto", "gt1", "lt1"], default="auto")
-    p.add_argument("--spacing", default=None,
-                   help="sampling grid step (rational)")
 
     p = sub.add_parser("li", parents=[common],
                        help="lambda_n: identity route vs direct zero sum")

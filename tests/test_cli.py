@@ -3,6 +3,7 @@ conventions, output formats, exit statuses, and determinism."""
 
 import json
 
+import mpmath
 import pytest
 
 from zeta_explicit.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
@@ -125,6 +126,36 @@ def test_find_zeros_window_split_by_one(capsys):
     assert "side" in err
 
 
+def test_find_zeros_unparsable_tol_is_parse_error(capsys):
+    code, _, err = run(capsys, "find-zeros", "--lo", "21/20", "--hi", "2",
+                       "--tol", "abc")
+    assert code == EXIT_IO
+    assert "abc" in err
+
+
+def test_find_zeros_decimal_tol_requires_inexact(capsys):
+    code, _, err = run(capsys, "find-zeros", "--lo", "21/20", "--hi", "2",
+                       "--tol", "0.001")
+    assert code == EXIT_IO
+    assert "--inexact" in err
+
+
+def test_find_zeros_precision_ladder(capsys):
+    # Same records at every precision; genuine residuals fall with it.
+    kinds, residuals = [], []
+    for bits in ("64", "128", "256", "1024"):
+        code, out, _ = run(capsys, "find-zeros", "--lo", "21/20", "--hi", "2",
+                           "--bits", bits, "--json")
+        assert code == EXIT_OK
+        records = json.loads(out)["records"]
+        kinds.append([r["kind"] for r in records])
+        residuals.append([float(r["residual"]) for r in records
+                          if r["kind"] == "genuine-zero"])
+    assert kinds == [["genuine-zero", "genuine-zero", "jump-crossing"]] * 4
+    for coarse, fine in zip(residuals, residuals[1:]):
+        assert all(f < c for c, f in zip(coarse, fine))
+
+
 def test_li_gap_report(capsys):
     code, out, _ = run(capsys, "li", "--n", "1", "--json")
     assert code == EXIT_OK
@@ -158,6 +189,21 @@ def test_chowla_selberg_with_scan(capsys):
     assert float(payload["rel_err"]) < 1e-6
     assert payload["class_number"]["match"] is True
     assert payload["hypothesis_scan"]["rational_zero_found"] is False
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 23])
+def test_chowla_selberg_class_number_digits(capsys, d):
+    # The class-number block's L(1, chi) comes from the double-precision
+    # route; each printed digit must be a digit of the exact value.
+    code, out, _ = run(capsys, "chowla-selberg", "--d", str(d), "--no-scan",
+                       "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    printed = payload["class_number"]["L_one"]
+    with mpmath.workprec(128):
+        exact = mpmath.mpf(payload["L_one"])
+        digits = sum(c.isdigit() for c in printed.lstrip("0."))
+        assert printed == mpmath.nstr(exact, digits)
 
 
 def test_chowla_selberg_no_scan(capsys):
