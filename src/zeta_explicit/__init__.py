@@ -2,13 +2,16 @@
 identities, zeta-zero sums, and special-constant identities.
 
 Modules:
-  mpcore    precision contexts, Hurwitz zeta, formal Laurent series
+  mpcore    precision contexts, the Euler-Maclaurin core (Hurwitz zeta,
+            its s-derivatives, Stieltjes constants), zeta(j), power-series
+            division
   arith     von Mangoldt sieve, weighted prime-power sums, Kronecker
             characters, imaginary-quadratic class data
   zeros     zero-table ingestion, zero sums, tail estimates
-  explicit  explicit-formula right-hand sides and identity checks
+  explicit  explicit-formula right-hand sides and identity checks,
+            Dirichlet L values
   liconst   Stieltjes constants, eta constants, Li coefficients
-  analysis  sign-change zero finder, Dirichlet L values, Chowla-Selberg
+  analysis  interval-walk zero finder for f, class numbers, Chowla-Selberg
   cli       command-line interface
 """
 
@@ -34,7 +37,6 @@ from .liconst import (
     stieltjes,
 )
 from .mpcore import (
-    FormalSeries,
     HComplex,
     HReal,
     PrecisionContext,
@@ -53,7 +55,6 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FormalSeries",
     "HComplex",
     "HReal",
     "PrecisionContext",

@@ -55,7 +55,10 @@ class RootRecord:
     """One located feature of f: a bracketed genuine zero inside a
     continuity interval, or a sign change across a discontinuity that
     never attains zero (kind = jump-crossing, bracket degenerate at the
-    prime-power abscissa, residual = |f| at the half-weighted point)."""
+    prime-power abscissa, residual = |f| at the half-weighted point).
+    to_dict prints the root to at most 25 digits, and to one digit fewer
+    than its context holds, so that the root's last-bit error does not
+    reach the last printed digit."""
 
     bracket_lo: Fraction
     bracket_hi: Fraction
@@ -67,7 +70,8 @@ class RootRecord:
         return {
             "kind": self.kind,
             "bracket": [str(self.bracket_lo), str(self.bracket_hi)],
-            "root": self.root.str_digits(25),
+            "root": self.root.str_digits(
+                min(25, mpmath.libmp.prec_to_dps(self.root.ctx.bits) - 1)),
             "residual": self.residual.str_digits(8),
         }
 

@@ -14,21 +14,25 @@ Definitions used throughout:
       S1(n) = Sum_{j=2}^{n} C(n,j) (-1)^j (1 - 2^(-j)) zeta(j)
       S2(n) = -Sum_{j=1}^{n} C(n,j) eta_{j-1}
 
-The eta_n here are exactly the Laurent coefficients produced by formal
-division (eta_0 = -gamma_0, eta_1 = gamma_0^2 + 2 gamma_1,
-eta_2 = -(3/2) gamma_2 - 3 gamma_0 gamma_1 - gamma_0^3, ...); the sign
-with which they enter S2 is fixed by the n = 1 reduction
-lambda_1 = 1 + gamma/2 - (log 4pi)/2 and confirmed against direct zero
-sums (see tests).  Classical references print several low-order eta
-closed forms that do not satisfy their own Laurent definition; the
-division is taken as ground truth and the discrepancy is documented
-rather than reproduced.
+The eta_n here are exactly the coefficients produced by dividing
+(s-1)^2 (-zeta') by (s-1) zeta as power series (eta_0 = -gamma_0,
+eta_1 = gamma_0^2 + 2 gamma_1, eta_2 = -(3/2) gamma_2 - 3 gamma_0 gamma_1
+- gamma_0^3, ...); the sign with which they enter S2 is fixed by the
+n = 1 reduction lambda_1 = 1 + gamma/2 - (log 4pi)/2 and confirmed
+against direct zero sums (see tests).  Classical references print
+several low-order eta closed forms that do not satisfy their own Laurent
+definition; the division is taken as ground truth and the discrepancy is
+documented rather than reproduced.
 
 gamma_n(a) are the s = 1 values of mpcore.em_log_moments, the one
 Euler-Maclaurin core shared with zeta(s, a) and its s-derivatives: one
 pass returns gamma_0(a)..gamma_N(a), each with a certified bound
 (Euler-Maclaurin remainder, rounding slop, final rounding), with the
-shift count M and Bernoulli count K chosen from the precision.
+shift count M and Bernoulli count K chosen from the precision.  Any
+order n >= 0 is served while the plan stays within M (n+1) <= 2^20.
+build_stieltjes_table runs the core, the division and the binomial
+sums in one pass at bits + 32 + N, because those sums cancel by up to
+2^N, and rounds each entry once.
 """
 
 from __future__ import annotations
@@ -36,13 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf
 
 from .mpcore import (
-    FormalSeries,
     HReal,
     PrecisionContext,
     em_log_moments,
@@ -54,8 +57,6 @@ from .zeros import (SumSpec, ZeroTable, _density_integral, _selected_height,
 
 _GUARD = 32
 
-MAX_ORDER = 30          # highest gamma_n order served
-
 
 def _check_eps(bound: HReal, eps: Optional[float]) -> None:
     if eps is not None and bound.val > eps:
@@ -66,15 +67,16 @@ def _check_eps(bound: HReal, eps: Optional[float]) -> None:
 
 def stieltjes_shifted(n: int, a: Union[Fraction, int], ctx: PrecisionContext,
                       eps: Optional[float] = None) -> tuple[HReal, HReal]:
-    """gamma_n(a) for 0 <= n <= 30 and rational a > 0, with a certified
-    error bound (Euler-Maclaurin remainder plus rounding slop).
+    """gamma_n(a) for n >= 0 and rational a > 0, with a certified error
+    bound (Euler-Maclaurin remainder plus rounding slop).
 
     Raises ArithmeticError when eps is given and the certified bound
-    exceeds it.  gamma_0(a) = -digamma(a); the a-shifted orders serve
-    Dirichlet L values and derivatives at s = 1.
+    exceeds it, or when the Euler-Maclaurin plan exceeds its budget.
+    gamma_0(a) = -digamma(a); the a-shifted orders serve Dirichlet L
+    values and derivatives at s = 1.
     """
-    if not (0 <= n <= MAX_ORDER):
-        raise ValueError(f"order n = {n} outside [0, {MAX_ORDER}]")
+    if n < 0:
+        raise ValueError(f"order n = {n} must be >= 0")
     a = Fraction(a)
     if a <= 0:
         raise ValueError(f"shift a must be positive, got {a}")
@@ -93,50 +95,36 @@ def stieltjes(n: int, eps: Optional[float] = None,
 
 
 # ----------------------------------------------------------------------
-# Eta coefficients by formal Laurent division
+# Eta coefficients by power-series division
 # ----------------------------------------------------------------------
 
-def _gamma_values(source) -> list[HReal]:
-    if isinstance(source, StieltjesTable):
-        return [v for v, _ in source.gammas]
-    out = []
-    for entry in source:
-        out.append(entry[0] if isinstance(entry, tuple) else entry)
-    return out
-
-
-def eta_from_gamma(source, ctx: Optional[PrecisionContext] = None
+def eta_from_gamma(gammas: Sequence[HReal], ctx: Optional[PrecisionContext] = None
                    ) -> tuple[HReal, ...]:
-    """eta_0..eta_{G-1} from gamma_0..gamma_G by formal Laurent division
-    of -zeta' by zeta around s = 1 (series_ops; both operands are
-    multiplied by (s-1) so each carries at worst a simple pole):
+    """eta_0..eta_{G-1} from gamma_0..gamma_G (G >= 1) by one power-series
+    division around s = 1.  Multiplying -zeta' by (s-1)^2 and zeta by
+    (s-1) clears both poles:
 
-      (s-1)(-zeta') = 1/(s-1) + Sum_{k>=1} (-1)^(k-1) gamma_k (s-1)^k/(k-1)!
-      (s-1) zeta    = 1       + Sum_{k>=1} (-1)^(k-1) gamma_{k-1} (s-1)^k/(k-1)!
+      (s-1)^2 (-zeta') = 1 + Sum_{k>=1} (-1)^(k-1) gamma_k (s-1)^(k+1)/(k-1)!
+      (s-1) zeta       = 1 + Sum_{k>=1} (-1)^(k-1) gamma_{k-1} (s-1)^k/(k-1)!
 
-    The quotient's pole coefficient must come out 1 (sanity-checked).
-    source may be a StieltjesTable, a sequence of HReal, or a sequence
-    of (value, bound) pairs.
+    and their quotient (series_ops) is (s-1)(-zeta'/zeta) =
+    1 + Sum_n eta_n (s-1)^(n+1).  Both series are cut after (s-1)^G, so
+    eta_n reads gamma_0..gamma_n only.
     """
-    gv = _gamma_values(source)
-    if len(gv) < 2:
+    if len(gammas) < 2:
         raise ValueError("need gamma through order >= 1")
-    ctx = ctx or gv[0].ctx
-    G = len(gv) - 1
+    ctx = ctx or gammas[0].ctx
+    G = len(gammas) - 1
     with ctx.workprec(_GUARD):
-        a_coeffs = [mpf(0)]
-        b_coeffs = [mpf(1)]
+        num = [mpf(1), mpf(0)]
+        den = [mpf(1)]
         for k in range(1, G + 1):
-            fact = math.factorial(k - 1)
-            sign = 1 if (k - 1) % 2 == 0 else -1
-            a_coeffs.append(sign * gv[k].val / fact)
-            b_coeffs.append(sign * gv[k - 1].val / fact)
-        A = FormalSeries.make(a_coeffs, ctx, pole=1)
-        B = FormalSeries.make(b_coeffs, ctx)
-        q = series_ops(A, B, "div")
-        if abs(q.pole.val - 1) > mpf(2) ** (-(ctx.bits // 2)):
-            raise ArithmeticError("Laurent division lost the simple pole")
-        return tuple(q.coeff(k) for k in range(q.order + 1))
+            scale = (-1) ** (k - 1) / mpf(math.factorial(k - 1))
+            if k < G:
+                num.append(scale * gammas[k].val)
+            den.append(scale * gammas[k - 1].val)
+        q = series_ops(num, den)
+        return tuple(ctx.real(e) for e in q[1:])
 
 
 # ----------------------------------------------------------------------
@@ -147,10 +135,9 @@ def eta_from_gamma(source, ctx: Optional[PrecisionContext] = None
 class StieltjesTable:
     """Orders 0..N of the constants feeding the Li-coefficient checks.
 
-    gammas holds (value, certified bound) through order N+1 (one extra
-    order so eta reaches N); etas are the division coefficients; lambdas
-    are lambda_1..lambda_N by the binomial identity; S1/S2 the Coffey
-    split for n = 1..N.
+    gammas holds (value, certified bound) through order N+1; etas are the
+    division coefficients through order N; lambdas are lambda_1..lambda_N
+    by the binomial identity; S1/S2 the Coffey split for n = 1..N.
     """
 
     order: int
@@ -185,32 +172,25 @@ class StieltjesTable:
         }
 
 
+def _check_order(n: int, table: StieltjesTable) -> None:
+    if not 1 <= n <= table.order:
+        raise ValueError(f"n = {n} outside the table's orders [1, {table.order}]")
+
+
 def li_lambda_identity(n: int, table: StieltjesTable,
                        ctx: Optional[PrecisionContext] = None) -> HReal:
-    """lambda_n assembled from the constants:
+    """lambda_n assembled from the constants, as build_stieltjes_table
+    computes it:
 
         1 - (n/2)(gamma + log 4pi)
           + Sum_{j=2}^{n} C(n,j) (-1)^j (1 - 2^(-j)) zeta(j)
           - Sum_{j=1}^{n} C(n,j) eta_{j-1}
 
-    with zeta(j) from zeta_int and the division etas; at n = 1 the sums
-    reduce to -eta_0 = gamma_0 and the value collapses to
-    1 + gamma_0/2 - (log 4pi)/2."""
-    if n < 1:
-        raise ValueError(f"lambda_n needs n >= 1, got {n}")
-    if len(table.etas) < n:
-        raise ValueError(f"eta through order {n - 1} required")
-    ctx = ctx or table.gamma(0).ctx
-    with ctx.workprec(_GUARD):
-        g0 = table.gamma(0).val
-        acc = 1 - ctx.mpf(n) * (g0 + ctx.log_4pi) / 2
-        for j in range(2, n + 1):
-            sign = 1 if j % 2 == 0 else -1
-            acc += sign * math.comb(n, j) * (1 - mpf(2) ** (-j)) \
-                * zeta_int(j, ctx).val
-        for j in range(1, n + 1):
-            acc -= math.comb(n, j) * table.etas[j - 1].val
-        return ctx.real(acc)
+    At n = 1 the sums reduce to -eta_0 = gamma_0 and the value collapses
+    to 1 + gamma_0/2 - (log 4pi)/2.  The value is read from the table,
+    which carries its own precision; ctx is not read."""
+    _check_order(n, table)
+    return table.lam(n)
 
 
 def coffey_decomposition(n: int, table: StieltjesTable,
@@ -221,56 +201,64 @@ def coffey_decomposition(n: int, table: StieltjesTable,
         S1(n) = Sum_{j=2}^{n} C(n,j) (-1)^j (1 - 2^(-j)) zeta(j)
         S2(n) = -Sum_{j=1}^{n} C(n,j) eta_{j-1}
 
-    and bounds_ok the check (n >= 2; vacuously true at n = 1)
+    read from the table, and bounds_ok the check (n >= 2; vacuously true
+    at n = 1)
 
         (n(log n + gamma - 1) + 1)/2 <= S1(n) <= (n(log n + gamma + 1) - 1)/2.
     """
-    if n < 1:
-        raise ValueError(f"decomposition needs n >= 1, got {n}")
-    if len(table.etas) < n:
-        raise ValueError(f"eta through order {n - 1} required")
-    ctx = ctx or table.gamma(0).ctx
-    with ctx.workprec(_GUARD):
-        s1 = mpf(0)
-        for j in range(2, n + 1):
-            sign = 1 if j % 2 == 0 else -1
-            s1 += sign * math.comb(n, j) * (1 - mpf(2) ** (-j)) \
-                * zeta_int(j, ctx).val
-        s2 = mpf(0)
-        for j in range(1, n + 1):
-            s2 -= math.comb(n, j) * table.etas[j - 1].val
-        ok = True
-        if n >= 2:
+    _check_order(n, table)
+    s1, s2 = table.S1[n - 1], table.S2[n - 1]
+    ok = True
+    if n >= 2:
+        ctx = ctx or s1.ctx
+        with ctx.workprec(_GUARD):
             g = ctx.euler_gamma
             logn = mpmath.log(n)
             lower = (n * (logn + g - 1) + 1) / 2
             upper = (n * (logn + g + 1) - 1) / 2
-            ok = bool(lower <= s1 <= upper)
-        return ctx.real(s1), ctx.real(s2), ok
+            ok = bool(lower <= s1.val <= upper)
+    return s1, s2, ok
 
 
 def build_stieltjes_table(N: int, ctx: Optional[PrecisionContext] = None,
                           eps: Optional[float] = None) -> StieltjesTable:
-    """Assemble gammas (through N+1, from one Euler-Maclaurin pass), etas
-    (through N), lambdas and the Coffey split (through N)."""
-    if not 1 <= N < MAX_ORDER:
-        raise ValueError(f"table order must be in [1, {MAX_ORDER - 1}], got {N}")
+    """gammas through N+1 from one Euler-Maclaurin pass, etas through N by
+    eta_from_gamma, then S1(n), S2(n) and
+    lambda_n = 1 - (n/2)(gamma_0 + log 4pi) + S1(n) + S2(n) for n = 1..N
+    in one loop, with zeta(j) taken once per j.
+
+    The binomial sums cancel by up to 2^N, so the pass runs at
+    bits + 32 + N and every entry is rounded once to the context; each
+    gamma bound adds 2^(1-bits) (|gamma| + 1) for that rounding.
+    """
+    if N < 1:
+        raise ValueError(f"table order must be >= 1, got {N}")
     ctx = ctx or PrecisionContext()
-    gammas = em_log_moments(1, 1, N + 1, ctx)
-    for _, bound in gammas:
-        _check_eps(bound, eps)
-    etas = eta_from_gamma(gammas, ctx)[:N + 1]
-    partial = StieltjesTable(order=N, gammas=gammas, etas=etas,
-                             lambdas=(), S1=(), S2=())
-    lambdas = tuple(li_lambda_identity(k, partial, ctx) for k in range(1, N + 1))
-    s1s = []
-    s2s = []
-    for k in range(1, N + 1):
-        s1, s2, _ = coffey_decomposition(k, partial, ctx)
-        s1s.append(s1)
-        s2s.append(s2)
-    return StieltjesTable(order=N, gammas=gammas, etas=etas,
-                          lambdas=lambdas, S1=tuple(s1s), S2=tuple(s2s))
+    wide = PrecisionContext(ctx.bits + _GUARD + N)
+    raw = em_log_moments(1, 1, N + 1, wide)
+    with wide.workprec(_GUARD):
+        gammas = tuple(
+            (ctx.real(v.val),
+             ctx.real(b.val + mpf(2) ** (1 - ctx.bits) * (abs(v.val) + 1)))
+            for v, b in raw)
+        for _, bound in gammas:
+            _check_eps(bound, eps)
+        etas = [e.val for e in eta_from_gamma([v for v, _ in raw], wide)]
+        zeta_terms = [(-1) ** j * (1 - mpf(2) ** -j) * zeta_int(j, wide).val
+                      for j in range(2, N + 1)]
+        half = (raw[0][0].val + wide.log_4pi) / 2
+        lambdas, s1s, s2s = [], [], []
+        for n in range(1, N + 1):
+            s1 = sum((math.comb(n, j) * zeta_terms[j - 2]
+                      for j in range(2, n + 1)), mpf(0))
+            s2 = -sum((math.comb(n, j) * etas[j - 1] for j in range(1, n + 1)),
+                      mpf(0))
+            lambdas.append(ctx.real(1 - n * half + s1 + s2))
+            s1s.append(ctx.real(s1))
+            s2s.append(ctx.real(s2))
+        return StieltjesTable(order=N, gammas=gammas,
+                              etas=tuple(ctx.real(e) for e in etas),
+                              lambdas=tuple(lambdas), S1=tuple(s1s), S2=tuple(s2s))
 
 
 def lambda_direct(n: int, table: ZeroTable, spec: SumSpec,

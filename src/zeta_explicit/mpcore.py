@@ -5,8 +5,6 @@ pipelines) consumes the types and functions defined here:
 
   PrecisionContext   immutable working-precision handle (binary digits)
   HReal / HComplex   finite high-precision scalars bound to a context
-  FormalSeries       truncated Laurent series at s = 1 with an optional
-                     simple-pole coefficient, Sum c_n (s-1)^n + p/(s-1)
   em_log_moments     the one Euler-Maclaurin core: Sum log^n(k+a) (k+a)^(-s)
                      for n = 0..N in one pass, continued in s, regularized
                      at s = 1 (the Stieltjes constants gamma_n(a)), each
@@ -14,7 +12,8 @@ pipelines) consumes the types and functions defined here:
   hurwitz_zeta(s,a)  zeta(s, a) = Z_0 of that core; hurwitz_zeta_ds = -Z_1
   zeta_int(j)        zeta(j) for integer j >= 2 via accelerated alternating
                      series (independent of the Euler-Maclaurin core)
-  series_ops         add / mul / div on FormalSeries
+  series_ops         the truncated quotient of two power series given as
+                     coefficient lists (mpf, degree 0 up)
 
 Numeric backend: mpmath mpf/mpc supplies correctly rounded base arithmetic
 (round-to-nearest, error <= 2^-bits relative per elementary operation, well
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf, mpc
@@ -318,18 +317,22 @@ def bernoulli(n: int) -> Fraction:
 # Euler-Maclaurin core: zeta(s, a), its s-derivatives and gamma_n(a)
 # ----------------------------------------------------------------------
 
-_EM_M_MAX = 1 << 20  # refuse, before any summation, plans needing more shifts
+_EM_BUDGET = 1 << 20  # refuse, before any summation, plans with M (N+1) above this
 
 
-def _deriv_polys(s, n: int, count: int) -> list[list]:
-    """P_0..P_count for f(t) = log^n(t) t^(-s): f^(j)(t) = P_j(log t) t^(-s-j),
-    P_0 = L^n, P_{j+1} = P_j' - (s+j) P_j (coefficients from degree 0 up)."""
-    p = [0] * n + [1]
-    out = [p]
+def _eps_table(s, N: int, count: int) -> list[list]:
+    """c[j][i] = [eps^i] (-1)^j (s-eps)_j for j = 0..count, i = 0..N, with
+    (x)_j the rising factorial, by c[j+1][i] = -(s+j) c[j][i] + c[j][i-1].
+
+    d^j/dt^j t^(-(s-eps)) = (-1)^j (s-eps)_j t^(-(s-eps)-j), and the
+    eps^n/n! coefficient of t^(-(s-eps)) is f(t) = log^n(t) t^(-s), so
+    f^(j)(t) = P_j(log t) t^(-s-j) with P_j(L) = Sum_i n!/(n-i)! c[j][i] L^(n-i).
+    """
+    rows = [[1] + [0] * N]
     for j in range(count):
-        p = [(i + 1) * d - (s + j) * c for i, (c, d) in enumerate(zip(p, p[1:] + [0]))]
-        out.append(p)
-    return out
+        p = rows[-1]
+        rows.append([-(s + j) * x + y for x, y in zip(p, [0] + p[:-1])])
+    return rows
 
 
 def _poly_eval(coeffs: Sequence, L):
@@ -337,23 +340,6 @@ def _poly_eval(coeffs: Sequence, L):
     for c in reversed(coeffs):
         acc = acc * L + c
     return acc
-
-
-def _tail_integral(coeffs: Sequence, L: mpf, c: mpf) -> mpf:
-    """Integral_L^inf |P|(u) e^(-cu) du for c > 0, with |P| the
-    absolute-coefficient polynomial, through
-    Integral_L^inf u^i e^(-cu) du = e^(-cL) Sum_j (i!/(i-j)!) L^(i-j)/c^(j+1)."""
-    acc = mpf(0)
-    for i, ci in enumerate(coeffs):
-        if ci == 0:
-            continue
-        inner = mpf(0)
-        fall = 1  # i!/(i-j)!
-        for j in range(i + 1):
-            inner += fall * L ** (i - j) / c ** (j + 1)
-            fall *= i - j
-        acc += abs(ci) * inner
-    return acc * mpmath.exp(-c * L)
 
 
 def _em_plan(s: float, a: float, N: int, bits: int) -> tuple[int, int]:
@@ -364,6 +350,7 @@ def _em_plan(s: float, a: float, N: int, bits: int) -> tuple[int, int]:
     (the remainder integral converges).  M is then the least shift whose
     remainder bound for order N, estimated in floats from a
     coefficient-wise majorant r of |P_2K|/(2K)!, meets 2^-(bits+20).
+    A plan with M (N+1) > 2^20 is refused before any summation.
     """
     K = max(math.ceil((bits + 20) / 8), math.floor((1 - s) / 2) + 1)
     r = [0.0] * N + [1.0]
@@ -381,13 +368,14 @@ def _em_plan(s: float, a: float, N: int, bits: int) -> tuple[int, int]:
         L = math.log(M + a)
         return base + math.log(_poly_eval(r, L)) - c * L > target
 
+    cap = _EM_BUDGET // (N + 1)  # the largest admissible shift count
     lo, hi = 0, 1
     while above_target(hi):
-        lo, hi = hi, 2 * hi
-        if hi > _EM_M_MAX:
+        if hi >= cap:
             raise ArithmeticError(
-                f"Euler-Maclaurin shift count for s = {s:g} at {bits} bits "
-                f"exceeds {_EM_M_MAX}")
+                f"Euler-Maclaurin plan for s = {s:g}, N = {N} at {bits} bits "
+                f"needs M (N+1) > {_EM_BUDGET}")
+        lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if above_target(mid) else (lo, mid)
@@ -412,10 +400,19 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
 
       |remainder| <= 2 zeta(2K)/(2 pi)^(2K) Integral_R^inf |f^(2K)(t)| dt,
 
-    the integral in closed form (_tail_integral) and zeta(2K) <= 1 +
-    2^-2K (2K+1)/(2K-1).  The bound adds the rounding slop of the pass at
-    its working precision and 2^(1-bits) (|value| + 1) for the rounding
-    to the context.
+    with zeta(2K) <= 1 + 2^-2K (2K+1)/(2K-1).  The P_j come from one
+    _eps_table per call, so the Bernoulli corrections contract over j
+    once per eps power i and each order costs O(n):
+
+      correction_n = Sum_i n!/(n-i)! log^(n-i)(R) D_i,
+      D_i = Sum_j B_2j/(2j)! c[2j-1][i] R^(1-s-2j).
+
+    The remainder integral is Sum_m |[L^m] P_2K| e^(-cL) T_m with
+    c = s + 2K - 1 and T_m = e^(cL) Integral_L^inf u^m e^(-cu) du =
+    L^m/c + (m/c) T_(m-1).  The bound adds the rounding slop of the pass
+    at its working precision (with the coefficient-wise majorant of the
+    correction) and 2^(1-bits) (|value| + 1) for the rounding to the
+    context.
     """
     sf, af = float(s), float(a)
     if not af > 0:
@@ -442,33 +439,46 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
         R = M + av
         L = mpmath.log(R)
         wR = R ** -sv
-        coefs = []
+        Lpow = [mpf(1)]
+        for _ in range(N + 1):
+            Lpow.append(Lpow[-1] * L)
+        c = _eps_table(sv, N, 2 * K)
+        D, A = [mpf(0)] * (N + 1), [mpf(0)] * (N + 1)  # D_i and its majorant
+        Rpow = wR / R
         for j in range(1, K + 1):
             b = bernoulli(2 * j)
-            coefs.append(mpf(b.numerator) / (b.denominator * math.factorial(2 * j)))
+            coef = mpf(b.numerator) / (b.denominator * math.factorial(2 * j)) * Rpow
+            for i, ci in enumerate(c[2 * j - 1]):
+                term = coef * ci
+                D[i] += term
+                A[i] += abs(term)
+            Rpow /= R * R
+        cr = sv + 2 * K - 1
+        T = [1 / cr]
+        for m in range(1, N + 1):
+            T.append((Lpow[m] + m * T[-1]) / cr)
         zeta2K = 1 + mpf(2 * K + 1) / ((2 * K - 1) * mpf(4) ** K)
-        rem_scale = 2 * zeta2K / (2 * mpmath.pi) ** (2 * K)
+        rem_scale = 2 * zeta2K / (2 * mpmath.pi) ** (2 * K) * mpmath.exp(-cr * L)
         for n in range(N + 1):
-            P = _deriv_polys(sv, n, 2 * K)
             if sv == 1:
-                I = -L ** (n + 1) / (n + 1)
+                I = -Lpow[n + 1] / (n + 1)
             else:
                 I, fall = mpf(0), 1
                 for j in range(n + 1):
-                    I += fall * L ** (n - j) / (sv - 1) ** (j + 1)
+                    I += fall * Lpow[n - j] / (sv - 1) ** (j + 1)
                     fall *= n - j
                 I *= R * wR
-            value = sums[n] + I + L ** n * wR / 2
-            corr = mpf(0)  # Sum of |correction terms|
-            Rpow = wR / R
-            for j in range(1, K + 1):
-                term = coefs[j - 1] * _poly_eval(P[2 * j - 1], L) * Rpow
-                value -= term
-                corr += abs(term)
-                Rpow /= R * R
-            rem = rem_scale * _tail_integral(P[2 * K], L, sv + 2 * K - 1)
+            corr = corr_abs = tail = mpf(0)
+            fall = 1  # n!/(n-i)!
+            for i in range(n + 1):
+                corr += fall * Lpow[n - i] * D[i]
+                corr_abs += fall * Lpow[n - i] * A[i]
+                tail += fall * abs(c[2 * K][i]) * T[n - i]
+                fall *= n - i
+            value = sums[n] + I + Lpow[n] * wR / 2 - corr
+            rem = rem_scale * tail
             slop = (M + 2 * K + 16) * (n + 4 + abs(sv) * lmax) \
-                * mpf(2) ** -(ctx.bits + extra) * (lmax ** n * mass + abs(I) + corr + 1)
+                * mpf(2) ** -(ctx.bits + extra) * (lmax ** n * mass + abs(I) + corr_abs + 1)
             bound = rem + slop + mpf(2) ** (1 - ctx.bits) * (abs(value) + 1)
             out.append((ctx.real(value), ctx.real(bound)))
     return tuple(out)
@@ -528,150 +538,17 @@ def zeta_int(j: int, ctx: PrecisionContext) -> HReal:
 
 
 # ----------------------------------------------------------------------
-# Truncated Laurent series at s = 1
+# Truncated power series
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormalSeries:
-    """Sum_{n=0}^{N} c_n (s-1)^n plus an optional simple pole p/(s-1).
-
-    coefficients holds c_0..c_N; the length is fixed at construction and
-    binary operations truncate to the shorter operand (for products and
-    quotients involving poles, to the order through which the result is
-    determined by the operands).
-    """
-
-    coefficients: tuple[HReal, ...]  # c_0 .. c_N
-    pole: HReal                      # coefficient of (s-1)^(-1)
-    ctx: PrecisionContext
-
-    @staticmethod
-    def make(coeffs: Iterable[Scalar], ctx: PrecisionContext,
-             pole: Scalar = 0) -> "FormalSeries":
-        return FormalSeries(tuple(ctx.real(c) for c in coeffs), ctx.real(pole), ctx)
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coeff(self, n: int) -> HReal:
-        """Coefficient of (s-1)^n; n = -1 addresses the pole."""
-        if n == -1:
-            return self.pole
-        return self.coefficients[n]
-
-    def __repr__(self) -> str:
-        parts = []
-        if self.pole.val != 0:
-            parts.append(f"{mpmath.nstr(self.pole.val, 8)}/(s-1)")
-        for n, c in enumerate(self.coefficients):
-            parts.append(f"{mpmath.nstr(c.val, 8)}*(s-1)^{n}")
-        return "FormalSeries(" + " + ".join(parts) + ")"
-
-
-def _to_offset_list(f: FormalSeries) -> tuple[int, list[mpf]]:
-    """(e, L) with the series equal to Sum_i L[i] (s-1)^(e+i)."""
-    if f.pole.val != 0:
-        return -1, [f.pole.val] + [c.val for c in f.coefficients]
-    return 0, [c.val for c in f.coefficients]
-
-
-def _from_offset_list(e: int, L: Sequence[mpf], top: int,
-                      ctx: PrecisionContext) -> FormalSeries:
-    """Rebuild a FormalSeries from exponents e..top; exponents below -1
-    must carry zero coefficients (checked by callers)."""
-    pole = mpf(0)
-    coeffs = [mpf(0)] * (top + 1)
-    for i, v in enumerate(L):
-        n = e + i
-        if n > top:
-            break
-        if n == -1:
-            pole = v
-        elif n >= 0:
-            coeffs[n] = v
-    return FormalSeries(tuple(HReal(c, ctx) for c in coeffs), HReal(pole, ctx), ctx)
-
-
-def series_ops(a: FormalSeries, b: FormalSeries, kind: str) -> FormalSeries:
-    """add / mul / div on truncated Laurent series.
-
-    Results are truncated to the order through which they are fully
-    determined by the operands' known coefficients.  mul raises if the
-    product would carry a double pole; div raises on an identically zero
-    divisor or a quotient with a pole of order >= 2.
-    """
-    if a.ctx.bits != b.ctx.bits:
-        raise ValueError("operands bound to different precision contexts")
-    ctx = a.ctx
-    ea, La = _to_offset_list(a)
-    eb, Lb = _to_offset_list(b)
-    ta = ea + len(La) - 1  # top exponent known for a
-    tb = eb + len(Lb) - 1
-
-    with ctx.workprec(_GUARD):
-        if kind == "add":
-            top = min(ta, tb)
-            e = min(ea, eb)
-            out = [mpf(0)] * (top - e + 1)
-            for i, v in enumerate(La):
-                n = ea + i
-                if n <= top:
-                    out[n - e] += v
-            for i, v in enumerate(Lb):
-                n = eb + i
-                if n <= top:
-                    out[n - e] += v
-            return _from_offset_list(e, out, top, ctx)
-
-        if kind == "mul":
-            e = ea + eb
-            top = min(ta + eb, tb + ea)
-            out = [mpf(0)] * (top - e + 1)
-            for i, va in enumerate(La):
-                for jj, vb in enumerate(Lb):
-                    n = e + i + jj
-                    if n <= top:
-                        out[n - e] += va * vb
-            if e <= -2:
-                for n in range(e, -1):
-                    if out[n - e] != 0:
-                        raise ArithmeticError(
-                            "product carries a pole of order >= 2")
-                out = out[-1 - e:]
-                e = -1
-            return _from_offset_list(e, out, top, ctx)
-
-        if kind == "div":
-            # Strip leading zero coefficients of the divisor.
-            fb = 0
-            while fb < len(Lb) and Lb[fb] == 0:
-                fb += 1
-            if fb == len(Lb):
-                raise ZeroDivisionError("division by identically zero series")
-            fa = 0
-            while fa < len(La) and La[fa] == 0:
-                fa += 1
-            if fa == len(La):
-                return FormalSeries.make([0] * (a.order + 1), ctx)
-            ea_first = ea + fa
-            eb_first = eb + fb
-            eq = ea_first - eb_first
-            if eq < -1:
-                raise ArithmeticError("quotient carries a pole of order >= 2")
-            # Quotient exponents valid through min(ta, tb + eq) - eb_first
-            top = min(ta, tb + eq) - eb_first
-            if top < eq:
-                raise ArithmeticError("operands too short to determine quotient")
-            num = La[fa:]
-            den = Lb[fb:]
-            nq = top - eq + 1
-            q = [mpf(0)] * nq
-            rem = list(num) + [mpf(0)] * max(0, nq - len(num))
-            for i in range(nq):
-                q[i] = rem[i] / den[0]
-                for jj in range(1, min(len(den), nq - i)):
-                    rem[i + jj] -= q[i] * den[jj]
-            return _from_offset_list(eq, q, top, ctx)
-
-    raise ValueError(f"unknown series operation kind: {kind!r}")
+def series_ops(num: Sequence[mpf], den: Sequence[mpf]) -> list[mpf]:
+    """The quotient num/den of power series given by their coefficients
+    from degree 0 up, truncated to the shorter operand, at the current
+    mpmath precision.  Raises ZeroDivisionError when den[0] = 0."""
+    if not den or den[0] == 0:
+        raise ZeroDivisionError("series divisor has a zero constant term")
+    q = []
+    for k in range(min(len(num), len(den))):
+        acc = num[k] - sum((q[i] * den[k - i] for i in range(k)), mpf(0))
+        q.append(acc / den[0])
+    return q

@@ -2,11 +2,15 @@
 conventions, output formats, exit statuses, and determinism."""
 
 import json
+import time
+from fractions import Fraction
 
 import mpmath
 import pytest
 
+from zeta_explicit import analysis
 from zeta_explicit.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from zeta_explicit.mpcore import PrecisionContext
 
 
 def run(capsys, *argv):
@@ -154,6 +158,40 @@ def test_find_zeros_precision_ladder(capsys):
     assert kinds == [["genuine-zero", "genuine-zero", "jump-crossing"]] * 4
     for coarse, fine in zip(residuals, residuals[1:]):
         assert all(f < c for c, f in zip(coarse, fine))
+
+
+@pytest.mark.parametrize("lo,hi", [("21/20", "200"), ("1/300", "19/20")])
+def test_find_zeros_root_digits_match_precision(capsys, lo, hi):
+    # A root prints no more digits than its context holds, and every
+    # printed digit agrees with the 256-bit root rounded to that length.
+    finder = analysis.find_zeros_gt1 if Fraction(lo) > 1 else analysis.find_zeros_lt1
+    ref = finder(Fraction(lo), Fraction(hi), Fraction(1, 10 ** 12),
+                 PrecisionContext(bits=256))
+    for bits in ("64", "128"):
+        code, out, _ = run(capsys, "find-zeros", "--lo", lo, "--hi", hi,
+                           "--bits", bits, "--json")
+        assert code == EXIT_OK
+        records = json.loads(out)["records"]
+        assert len(records) == len(ref)
+        for rec, r in zip(records, ref):
+            digits = len(rec["root"].replace(".", "").lstrip("0"))
+            assert digits <= mpmath.libmp.prec_to_dps(int(bits))
+            assert rec["root"] == mpmath.nstr(r.root.val, digits), (bits, rec)
+
+
+def test_li_past_order_29(capsys):
+    code, out, _ = run(capsys, "li", "--n", "40", "--K", "100", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["n"] == 40
+
+
+def test_stieltjes_plan_over_budget_refused_at_once(capsys):
+    # M (N+1) is about 2.7e6 > 2^20: a domain error before any summation.
+    start = time.perf_counter()
+    code, _, err = run(capsys, "stieltjes", "--n", "100", "--bits", "128")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_DOMAIN
+    assert "2^20" in err or "1048576" in err
 
 
 def test_li_gap_report(capsys):

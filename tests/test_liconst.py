@@ -12,7 +12,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from zeta_explicit.liconst import (
-    MAX_ORDER,
     StieltjesTable,
     build_stieltjes_table,
     coffey_decomposition,
@@ -66,14 +65,30 @@ def test_stieltjes_eps_contract(ctx):
 
 
 def test_stieltjes_domain_guards(ctx):
-    with pytest.raises(ValueError):
-        stieltjes(MAX_ORDER + 1, ctx=ctx)
+    # gamma_100 at 128 bits needs M (N+1) of about 2.7e6 shift-orders,
+    # over the 2^20 budget: refused by the plan, before any summation.
+    with pytest.raises(ArithmeticError):
+        stieltjes(100, ctx=PrecisionContext(bits=128))
     with pytest.raises(ValueError):
         stieltjes(-1, ctx=ctx)
     with pytest.raises(ValueError):
         stieltjes_shifted(0, F(-1, 2), ctx)
     with pytest.raises(ValueError):
         stieltjes_shifted(0, F(0), ctx)
+
+
+@pytest.mark.parametrize("bits", [128, 192])
+def test_stieltjes_past_order_29(bits):
+    value, bound = stieltjes(40, ctx=PrecisionContext(bits=bits))
+    with mpmath.workprec(bits + 64):
+        err = abs(value.val - mpmath.stieltjes(40))
+    assert err <= bound.val
+
+
+def test_stieltjes_order_40_bound_falls_with_precision():
+    bounds = [stieltjes(40, ctx=PrecisionContext(bits=b))[1].val
+              for b in (128, 256, 512)]
+    assert all(b1 < b0 for b0, b1 in zip(bounds, bounds[1:])), bounds
 
 
 def test_shifted_order_zero_is_digamma(ctx):
@@ -124,15 +139,19 @@ def test_eta_closed_form_duals(ctx, consts8):
                    - (-F(3, 2) * g2 - 3 * g0 * g1 - g0 ** 3)) < mpf(2) ** (-150)
 
 
-def test_eta_from_gamma_input_forms(ctx, consts8):
-    gammas = [consts8.gamma(n) for n in range(6)]
-    a = eta_from_gamma(consts8, ctx)
-    b = eta_from_gamma(gammas, ctx)
-    c = eta_from_gamma([(g, ctx.real(0)) for g in gammas], ctx)
-    for x, y, z in zip(b, b, c):
-        assert x.val == y.val == z.val
-    for x, y in zip(a[:len(b)], b):
-        assert x.val == y.val
+def test_eta_from_gamma_truncates_consistently(ctx, consts8):
+    # eta_n reads gamma_0..gamma_n only: a shorter input gives the same
+    # leading coefficients bit for bit, and the context-precision gammas
+    # reproduce the table's wide-precision etas.
+    gammas = [consts8.gamma(n) for n in range(consts8.order + 2)]
+    full = eta_from_gamma(gammas, ctx)
+    assert len(full) == consts8.order + 1
+    for G in (1, 3, 6):
+        short = eta_from_gamma(gammas[:G + 1], ctx)
+        assert [e.val for e in short] == [e.val for e in full[:G]]
+    with ctx.workprec(16):
+        for e, ref in zip(full, consts8.etas):
+            assert abs(e.val - ref.val) < mpf(2) ** (-180)
 
 
 def test_eta_from_gamma_rejects_short_input(ctx):
@@ -158,6 +177,37 @@ def test_table_shape(consts8):
     assert {"order", "gammas", "etas", "lambdas"} <= set(d)
     with pytest.raises(IndexError):
         consts8.lam(9)
+
+
+def test_table_rounds_once_at_context_precision():
+    # The division and the binomial sums run with guard bits, so every
+    # eta_n and lambda_n of a 128-bit table is within 2^(2-bits) of the
+    # 384-bit table, relative to max(1, |ref|).
+    bits = 128
+    coarse = build_stieltjes_table(8, PrecisionContext(bits=bits))
+    fine = build_stieltjes_table(8, PrecisionContext(bits=384))
+    with mpmath.workprec(400):
+        for name in ("etas", "lambdas"):
+            for k, (v, ref) in enumerate(zip(getattr(coarse, name),
+                                             getattr(fine, name))):
+                tol = mpf(2) ** (2 - bits) * max(1, abs(ref.val))
+                assert abs(v.val - ref.val) <= tol, (name, k)
+
+
+def test_table_takes_each_zeta_value_once(ctx, monkeypatch):
+    from zeta_explicit import liconst
+    original, calls = liconst.zeta_int, []
+    monkeypatch.setattr(liconst, "zeta_int",
+                        lambda j, c: calls.append(j) or original(j, c))
+    table = build_stieltjes_table(12, ctx)
+    assert sorted(calls) == list(range(2, 13))
+    for n in (1, 5, 12):
+        assert li_lambda_identity(n, table, ctx) is table.lam(n)
+        s1, s2, _ = coffey_decomposition(n, table, ctx)
+        assert (s1, s2) == (table.S1[n - 1], table.S2[n - 1])
+    assert len(calls) == 11
+    with pytest.raises(ValueError):
+        li_lambda_identity(13, table, ctx)
 
 
 def test_coffey_reassembly_and_bounds(ctx, consts20):
