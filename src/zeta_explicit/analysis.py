@@ -41,8 +41,9 @@ import mpmath
 from mpmath import mpf
 
 from .arith import class_data, shared_table
-from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1
+from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
 from .mpcore import HReal, PrecisionContext, _to_mpf
+from .zeros import _exact
 
 _GUARD = 32
 
@@ -56,9 +57,8 @@ class RootRecord:
     continuity interval, or a sign change across a discontinuity that
     never attains zero (kind = jump-crossing, bracket degenerate at the
     prime-power abscissa, residual = |f| at the half-weighted point).
-    to_dict prints the root to at most 25 digits, and to one digit fewer
-    than its context holds, so that the root's last-bit error does not
-    reach the last printed digit."""
+    to_dict prints the root to at most 25 digits (str_digits caps that
+    at one digit fewer than the context holds)."""
 
     bracket_lo: Fraction
     bracket_hi: Fraction
@@ -70,29 +70,16 @@ class RootRecord:
         return {
             "kind": self.kind,
             "bracket": [str(self.bracket_lo), str(self.bracket_hi)],
-            "root": self.root.str_digits(
-                min(25, mpmath.libmp.prec_to_dps(self.root.ctx.bits) - 1)),
+            "root": self.root.str_digits(25),
             "residual": self.residual.str_digits(8),
         }
-
-
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    if not mpmath.isfinite(x):
-        raise ValueError(f"cannot convert {x} to a fraction")
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
 
 
 # f = g + K between consecutive discontinuities, K constant there
 # (-psi0(x) - log 2 pi above 1, T(x) + gamma below 1): (f_rhs, g, g').
 _BRANCHES = {
-    True: (f_rhs_gt1, lambda x: x - mpmath.log(1 - 1 / (x * x)) / 2,
-           lambda x: 1 - 1 / (x ** 3 - x)),
-    False: (f_rhs_lt1, lambda x: mpmath.log(x) + x - mpmath.log((1 + x) / (1 - x)) / 2,
-            lambda x: 1 / x + 1 - 1 / (1 - x * x)),
+    True: (f_rhs_gt1, g_gt1, lambda x: 1 - 1 / (x ** 3 - x)),
+    False: (f_rhs_lt1, g_lt1, lambda x: 1 / x + 1 - 1 / (1 - x * x)),
 }
 
 
@@ -162,7 +149,7 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction, ctx: PrecisionContext,
         K -= g(_to_mpf(mid))
         r = mpmath.sqrt(69)               # the plastic number, x^3 = x + 1
         turn = mpmath.cbrt((9 + r) / 18) + mpmath.cbrt((9 - r) / 18)
-        turn = _mpf_to_fraction(turn if above else 1 / turn)
+        turn = _exact(turn if above else 1 / turn)
         for a, b in zip(bounds, bounds[1:]):
             ends = [a, turn, b] if a < turn < b else [a, b]
             vals = [g(_to_mpf(x)) + K for x in ends]
@@ -170,7 +157,7 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction, ctx: PrecisionContext,
                 if fu * fv < 0:
                     u, v, x = _refine(u, v, fu, h, lambda x: g(x) + K, dg, ctx)
                     root = ctx.real(x)
-                    res = f_rhs(_mpf_to_fraction(root.val), ctx).val
+                    res = f_rhs(_exact(root.val), ctx).val
                     records.append(RootRecord(u, v, root, ctx.real(abs(res)),
                                               GENUINE))
             if b in jumpset:
@@ -404,7 +391,7 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         candidates = []
         best = None
         for k in range(1, kmax + 1):
-            arg = _mpf_to_fraction(scale * k / denominator)
+            arg = _exact(scale * k / denominator)
             if not 0 < arg < 1:
                 continue
             v = abs(f_rhs_lt1(arg, ctx).val)

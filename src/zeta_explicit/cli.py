@@ -200,14 +200,12 @@ def _cmd_find_zeros(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
     lo = _parse_rational(args.lo, cfg, notes)
     hi = _parse_rational(args.hi, cfg, notes)
     tol = _parse_rational(args.tol, cfg)
-    side = args.side
-    if side == "auto":
-        if lo > 1:
-            side = "gt1"
-        elif hi < 1:
-            side = "lt1"
-        else:
-            raise ValueError(f"window [{lo}, {hi}] must lie on one side of 1")
+    if lo > 1:
+        side = "gt1"
+    elif hi < 1:
+        side = "lt1"
+    else:
+        raise ValueError(f"window [{lo}, {hi}] must lie on one side of 1")
     finder = analysis.find_zeros_gt1 if side == "gt1" else analysis.find_zeros_lt1
     records = finder(lo, hi, tol, ctx)
     payload = {
@@ -416,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", required=True)
     p.add_argument("--tol", default="1/1000000000000",
                    help="bracket width target (default 1e-12 as a rational)")
-    p.add_argument("--side", choices=["auto", "gt1", "lt1"], default="auto")
 
     p = sub.add_parser("li", parents=[common],
                        help="lambda_n: identity route vs direct zero sum")

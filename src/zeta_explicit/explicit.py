@@ -1,21 +1,41 @@
-"""Closed-form right-hand sides of the explicit formulas, partial-fraction
-generalizations, Selberg-class descriptors, and residual verification.
+"""Closed-form right-hand sides of the explicit formulas for
+Sum_rho R(rho) x^rho, R rational, over the non-trivial zeros of zeta and
+of Selberg-class descriptors (m_F, Q, {lambda_j, mu_j}, w, chi) with
+Lambda_F = chi Lambda, and residual verification.
 
-Identity inventory (all verified against zero sums through verify_identity):
+Every closed form is one of three things (all verified against zero
+sums through verify_identity):
 
-  x > 1:   Sum_rho x^rho/rho           = x - psi0(x) - log 2pi - (1/2) log(1 - 1/x^2)
-  0<x<1:   Sum_rho x^rho/rho           = Sum'_{n<=1/x} Lambda(n)/n + log x + gamma
-                                         - (1/2) log((1+x)/(1-x)) + x
-  x > 1:   Sum_{nu>0} 2cos(nu log x)/(1/4+nu^2)
-                                       = the critical-line pairing of the two above
-  x > 1:   Sum_rho x^rho/(rho(1-rho))  = S_rhs(x) + gamma x - log 2pi   (absolutely
-                                         convergent; genuine tail bound)
-  general: Sum_rho (A/B)(rho) x^rho + Sum_i lam_i (zeta'/zeta)(alpha_i) x^alpha_i
-                                       = x Sum_i lam_i/(1-alpha_i)
-                                         - Sum_i lam_i psi0(x, alpha_i)
-                                         + Sum_i lam_i (1/2) f_{alpha_i/2}(x^-2)
-  and the Selberg-class forms generalizing both ranges to descriptors
-  (m_F, Q, {lambda_j, mu_j}, w, chi) with Lambda_F = chi Lambda.
+  The descriptor form at (alpha, F), _descriptor_form:
+    x > 1:  Sum_rho x^rho/(rho-alpha) + x^alpha (F'/F)(alpha)
+              = m_F x/(1-alpha) - psi0(x, F, alpha) + (n_0 - m_F)/alpha
+                + Sum_j lambda_j x^(-mu_j/lambda_j) Sum'_{n>=0} z_j^n/(n+u_j)
+            with z_j = x^(-1/lambda_j), u_j = mu_j + alpha lambda_j and
+            n_0 = #{j : mu_j = 0}.  The primed sum leaves out n = 0 when
+            mu_j = 0: that term is 1/alpha, paired with the polar term
+            -m_F/alpha, so the form is finite at alpha = 0 exactly when
+            n_0 = m_F (zeta).
+    0<x<1:  Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha)
+              = T(x, F, alpha) + m_F (x/(1-alpha) - 1/alpha)
+                - Sum_j lambda_j x^(1+mu_j/lambda_j) Sum_{n>=0} z_j^n/(n+u_j)
+            with z_j = x^(1/lambda_j), u_j = mu_j + (1-alpha) lambda_j; at
+            alpha = 0 it predicts Sum_rho x^rho/rho, with
+            m_F (x + log x) + gamma_F in place of the polar term.
+    selberg_rhs_gt1/lt1 are this form.  general_rhs_gt1/lt1, the kernels
+    (A/B)(rho) = Sum_i lam_i/(rho - alpha_i) with their zeta'/zeta
+    terms, are Sum_i lam_i times it for F = zeta.
+  The paper's f(x) = Sum_rho x^rho/rho, kept elementary:
+    x > 1:  f(x) = g_gt1(x) - psi0(x) - log 2pi,
+            g_gt1(x) = x - (1/2) log(1 - x^-2)
+    0<x<1:  f(x) = g_lt1(x) + T(x, 0) + gamma,
+            g_lt1(x) = log x + x - (1/2) log((1+x)/(1-x))
+    (the zeta descriptor form at alpha = 0, less log 2pi above 1).
+  f reflected: for x > 1, rho -> 1 - rho turns Sum x^rho/(1-rho) into
+    x f(1/x), so
+            Sum_rho x^rho/(rho(1-rho)) = f(x) + x f(1/x)
+    (absolutely convergent; genuine tail bound).  cosine_rhs, the
+    critical-line pairing Sum_{nu>0} 2cos(nu log x)/(1/4+nu^2), is that
+    sum over sqrt(x); S_rhs_gt1 is that sum - gamma x + log 2pi.
 
 The plain and the descriptor prime sums are one computation: psi0,
 psi0_alpha, T_sum, selberg_psi0 and selberg_T all read
@@ -39,14 +59,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf, mpc
 
 from .arith import (
     psi0 as arith_psi0,
-    psi0_alpha,
     T_sum,
     discriminant_of,
     kronecker_chi,
@@ -56,6 +75,7 @@ from .mpcore import (
     HComplex,
     HReal,
     PrecisionContext,
+    _to_mpf,
     em_log_moments,
 )
 from .zeros import (
@@ -151,12 +171,11 @@ def dirichlet_log_deriv(s: Rational, q: int, chi: Sequence[int],
 # The auxiliary series f_u(z) = Sum_{n>=1} z^n / (n+u)
 # ----------------------------------------------------------------------
 
-def f_u_series(u: Union[Rational, float], z, ctx: PrecisionContext,
-               extra_bits: int = 0) -> HComplex:
+def f_u_series(u: Union[Rational, float], z, ctx: PrecisionContext) -> HComplex:
     """Direct summation of Sum_{n>=1} z^n/(n+u) for |z| < 1; the oracle
     every closed form is validated against, and the fallback for
     irrational u."""
-    with ctx.workprec(_GUARD + extra_bits):
+    with ctx.workprec(_GUARD):
         uv = ctx.mpf(Fraction(u)) if isinstance(u, (int, Fraction)) else mpf(u)
         zv = z.val if isinstance(z, (HComplex, HReal)) else mpc(z)
         az = abs(zv)
@@ -164,7 +183,7 @@ def f_u_series(u: Union[Rational, float], z, ctx: PrecisionContext,
             raise ValueError(f"f_u series requires |z| < 1, got |z| = {az}")
         if az == 0:
             return ctx.complex(0)
-        target = mpf(2) ** (-(ctx.bits + _GUARD + extra_bits))
+        target = mpf(2) ** (-(ctx.bits + _GUARD))
         acc = mpc(0)
         zpow = mpc(1)
         for n in range(1, 10_000_000):
@@ -239,22 +258,26 @@ def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HComplex:
 
 
 # ----------------------------------------------------------------------
-# Plain-zeta right-hand sides (x > 1, x < 1, cosine pairing, S)
+# f(x) = Sum_rho x^rho/rho on both sides of 1, and f reflected
 # ----------------------------------------------------------------------
 
-def L_weighted(x: Rational, ctx: PrecisionContext) -> HReal:
-    """L(x) = Sum'_{n<=x} Lambda(n)/n for rational x > 1, with the
-    boundary term halved at a prime power; equals psi0_alpha(x, 1)/x
-    exactly, including the branch behavior."""
-    x = Fraction(x)
-    with ctx.workprec(_GUARD):
-        return ctx.real(psi0_alpha(x, Fraction(1), ctx).val / ctx.mpf(x))
+def g_gt1(x: mpf) -> mpf:
+    """The continuous part of f above 1, x - (1/2) log(1 - 1/x^2), at
+    the current mpmath precision."""
+    return x - mpmath.log(1 - 1 / (x * x)) / 2
+
+
+def g_lt1(x: mpf) -> mpf:
+    """The continuous part of f below 1, log x + x - (1/2) log((1+x)/(1-x))
+    (the trivial-zero contribution together with the first odd power),
+    at the current mpmath precision."""
+    return mpmath.log(x) + x - mpmath.log((1 + x) / (1 - x)) / 2
 
 
 def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted Sum_rho x^rho/rho for rational x > 1:
 
-        f(x) = x - psi0(x) - log 2pi - (1/2) log(1 - 1/x^2),
+        f(x) = g_gt1(x) - psi0(x) - log 2pi,
 
     psi0 half-corrected at prime powers."""
     x = Fraction(x)
@@ -262,73 +285,54 @@ def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
         raise ValueError(f"f_rhs_gt1 requires x > 1, got {x}")
     psi = arith_psi0(x, ctx)
     with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
-        v = xv - psi.val - mpmath.log(2 * mpmath.pi) - mpmath.log(1 - 1 / (xv * xv)) / 2
+        v = g_gt1(ctx.mpf(x)) - psi.val - mpmath.log(2 * mpmath.pi)
     return ctx.real(v)
 
 
 def f_rhs_lt1(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted Sum_rho x^rho/rho for rational 0 < x < 1:
 
-        Sum'_{n<=1/x} Lambda(n)/n + log x + gamma
-        - (1/2) log((1+x)/(1-x)) + x,
+        f(x) = g_lt1(x) + Sum'_{n<=1/x} Lambda(n)/n + gamma,
 
     the primed sum halving the boundary term when 1/x is a prime power
-    (T_sum at alpha = 0); the log((1+x)/(1-x)) piece is the trivial-zero
-    contribution together with the first odd power."""
+    (T_sum at alpha = 0)."""
     x = Fraction(x)
     if not (0 < x < 1):
         raise ValueError(f"f_rhs_lt1 requires 0 < x < 1, got {x}")
     t = T_sum(x, Fraction(0), ctx)
     with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
-        v = (t.val + mpmath.log(xv) + mpmath.euler
-             - mpmath.log((1 + xv) / (1 - xv)) / 2 + xv)
+        v = g_lt1(ctx.mpf(x)) + t.val + mpmath.euler
     return ctx.real(v)
+
+
+def _f_reflected(x: Rational, ctx: PrecisionContext, name: str) -> mpf:
+    """Sum_rho x^rho/(rho(1-rho)) = f(x) + x f(1/x) for rational x > 1,
+    at bits + 32 from both values of f taken at bits + 32.  At an integer
+    prime power x both halve the same endpoint term."""
+    x = Fraction(x)
+    if x <= 1:
+        raise ValueError(f"{name} requires x > 1, got {x}")
+    wide = PrecisionContext(ctx.bits + _GUARD)
+    above, below = f_rhs_gt1(x, wide), f_rhs_lt1(1 / x, wide)
+    with wide.workprec():
+        return above.val + _to_mpf(x) * below.val
 
 
 def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted critical-line cosine sum Sum_{nu>0} 2cos(nu log x)/(1/4+nu^2)
-    for rational x > 1, assembled from the weighted prime sums:
-
-        (x - psi0(x))/sqrt(x) - log(2pi)/sqrt(x)
-        - (1/(2 sqrt x)) log(1 - 1/x^2) + sqrt(x) (L(x) - log x)
-        + gamma sqrt(x) - (sqrt(x)/2) log((x+1)/(x-1)) + 1/sqrt(x)."""
-    x = Fraction(x)
-    if x <= 1:
-        raise ValueError(f"cosine_rhs requires x > 1, got {x}")
-    psi = arith_psi0(x, ctx)
-    Lx = L_weighted(x, ctx)
+    for rational x > 1: (f(x) + x f(1/x))/sqrt(x)."""
+    s = _f_reflected(x, ctx, "cosine_rhs")
     with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
-        rx = mpmath.sqrt(xv)
-        v = ((xv - psi.val) / rx
-             - mpmath.log(2 * mpmath.pi) / rx
-             - mpmath.log(1 - 1 / (xv * xv)) / (2 * rx)
-             + rx * (Lx.val - mpmath.log(xv))
-             + mpmath.euler * rx
-             - rx * mpmath.log((xv + 1) / (xv - 1)) / 2
-             + 1 / rx)
-    return ctx.real(v)
+        return ctx.real(s / mpmath.sqrt(_to_mpf(Fraction(x))))
 
 
 def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted S(x) = Sum_rho x^rho/(rho(1-rho)) - gamma x + log 2pi
-    for rational x > 1:
-
-        1 + x (L(x) - log x) + x - psi0(x)
-        - (x/2) log((x+1)/(x-1)) - (1/2) log(1 - 1/x^2)."""
-    x = Fraction(x)
-    if x <= 1:
-        raise ValueError(f"S_rhs_gt1 requires x > 1, got {x}")
-    psi = arith_psi0(x, ctx)
-    Lx = L_weighted(x, ctx)
+    for rational x > 1: f(x) + x f(1/x) - gamma x + log 2pi."""
+    s = _f_reflected(x, ctx, "S_rhs_gt1")
     with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
-        v = (1 + xv * (Lx.val - mpmath.log(xv)) + xv - psi.val
-             - xv * mpmath.log((xv + 1) / (xv - 1)) / 2
-             - mpmath.log(1 - 1 / (xv * xv)) / 2)
-    return ctx.real(v)
+        return ctx.real(s - mpmath.euler * _to_mpf(Fraction(x))
+                        + mpmath.log(2 * mpmath.pi))
 
 
 # ----------------------------------------------------------------------
@@ -343,25 +347,6 @@ class RationalFunctionPF:
     A: tuple[Fraction, ...]         # polynomial coefficients, low order first
     roots: tuple[Fraction, ...]     # distinct rational poles alpha_i
     residues: tuple[Fraction, ...]  # lam_i = A(alpha_i)/B'(alpha_i)
-
-    def eval_A(self, t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.A):
-            acc = acc * t + c
-        return acc
-
-    def eval_B(self, t: Fraction) -> Fraction:
-        acc = Fraction(1)
-        for r in self.roots:
-            acc *= t - r
-        return acc
-
-    def eval_pf(self, t: Fraction) -> Fraction:
-        """Sum_i residues[i]/(t - roots[i]); raises at a pole."""
-        acc = Fraction(0)
-        for lam, r in zip(self.residues, self.roots):
-            acc += lam / (t - r)
-        return acc
 
 
 def partial_fractions(A: Sequence[Rational],
@@ -392,81 +377,6 @@ def partial_fractions(A: Sequence[Rational],
 
 
 # ----------------------------------------------------------------------
-# Partial-fraction generalized right-hand sides
-# ----------------------------------------------------------------------
-
-def _check_gt1_alpha(alpha: Fraction) -> None:
-    if alpha == 1:
-        raise ValueError("alpha = 1 sits on the pole of zeta")
-    if alpha.denominator == 1 and alpha < 0 and alpha.numerator % 2 == 0:
-        raise ValueError(f"alpha = {alpha} sits on a trivial zero")
-
-
-def general_rhs_gt1(x: Rational, pf: RationalFunctionPF,
-                    ctx: PrecisionContext) -> HReal:
-    """Predicted value of
-
-        Sum_rho (A/B)(rho) x^rho + Sum_i lam_i (zeta'/zeta)(alpha_i) x^alpha_i
-
-    for rational x > 1, every alpha_i in Q outside {1, -2, -4, ...}:
-
-        x Sum_i lam_i/(1-alpha_i) - Sum_i lam_i psi0(x, alpha_i)
-        + Sum_i lam_i (1/2) f_{alpha_i/2}(x^-2)."""
-    x = Fraction(x)
-    if x <= 1:
-        raise ValueError(f"general_rhs_gt1 requires x > 1, got {x}")
-    for a in pf.roots:
-        _check_gt1_alpha(a)
-    with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
-        z = 1 / (xv * xv)
-        acc = mpf(0)
-        for lam, a in zip(pf.residues, pf.roots):
-            lamv = ctx.mpf(lam)
-            acc += xv * lamv / ctx.mpf(1 - a)
-            acc -= lamv * psi0_alpha(x, a, ctx).val
-            acc += lamv * f_u_closed(a / 2, HComplex(mpc(z), ctx), ctx).val.real / 2
-    return ctx.real(acc)
-
-
-def _check_lt1_alpha(alpha: Fraction) -> None:
-    if alpha == 0:
-        raise ValueError("alpha = 0 is excluded (1/alpha term)")
-    if alpha.denominator == 1 and alpha > 0 and alpha.numerator % 2 == 1:
-        raise ValueError(f"alpha = {alpha} hits a trivial-zero denominator")
-
-
-def general_rhs_lt1(x: Rational, pf: RationalFunctionPF,
-                    ctx: PrecisionContext) -> HReal:
-    """Predicted value of
-
-        Sum_rho (A/B)(rho) x^rho - Sum_i lam_i (zeta'/zeta)(1-alpha_i) x^alpha_i
-
-    for rational 0 < x < 1, every alpha_i in Q outside {0, 1, 3, 5, ...}:
-
-        Sum_i lam_i T(x, alpha_i) - Sum_i lam_i/alpha_i
-        - Sum_i lam_i (x/2) f_{(1-alpha_i)/2}(x^2),
-
-    the inner series Sum_{n>=1} x^(2n+1)/(2n+1-alpha) reindexed through
-    f_u (oracle-verified in the test suite)."""
-    x = Fraction(x)
-    if not (0 < x < 1):
-        raise ValueError(f"general_rhs_lt1 requires 0 < x < 1, got {x}")
-    for a in pf.roots:
-        _check_lt1_alpha(a)
-    with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
-        z = xv * xv
-        acc = mpf(0)
-        for lam, a in zip(pf.residues, pf.roots):
-            lamv = ctx.mpf(lam)
-            acc += lamv * T_sum(x, a, ctx).val
-            acc -= lamv / ctx.mpf(a)
-            acc -= lamv * xv * f_u_closed((1 - a) / 2, HComplex(mpc(z), ctx), ctx).val.real / 2
-    return ctx.real(acc)
-
-
-# ----------------------------------------------------------------------
 # Selberg-class descriptors
 # ----------------------------------------------------------------------
 
@@ -476,9 +386,8 @@ class SelbergDescriptor:
 
     gamma_factors are the (lambda_j, mu_j) of the completed-function
     Gamma factors; Lambda_F(n) = chi(n) Lambda(n) with chi a completely
-    multiplicative character table (None for zeta); gamma_F is the constant
-    term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1), required only by
-    the x < 1, alpha = 0 formula when m_F > 0.  Q_expr is a tiny
+    multiplicative character table (None for zeta), which also fixes
+    F'/F and gamma_F (see log_deriv and gamma_F).  Q_expr is a tiny
     expression language ("1/sqrt(pi)", "sqrt(<q>/pi)", or a decimal)
     so descriptors stay precision-independent.
     """
@@ -489,8 +398,19 @@ class SelbergDescriptor:
     gamma_factors: tuple[tuple[Fraction, Fraction], ...]  # (lambda_j, mu_j)
     w: complex                                 # root number, |w| = 1
     chi: Optional[tuple[int, ...]]             # chi(n) = chi[n % len(chi)]; None: zeta
-    gamma_F: Optional[Callable[[PrecisionContext], mpf]] = None
-    log_deriv: Optional[Callable[[Fraction, PrecisionContext], mpf]] = None
+
+    def log_deriv(self, s: Rational, ctx: PrecisionContext) -> mpf:
+        """(F'/F)(s): zeta'/zeta for chi = None, else (L'/L)(s, chi)."""
+        if self.chi is None:
+            return zeta_log_deriv(s, ctx).val
+        return dirichlet_log_deriv(s, len(self.chi), self.chi, ctx).val
+
+    def gamma_F(self, ctx: PrecisionContext) -> mpf:
+        """The constant term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1):
+        Euler's constant for zeta, (L'/L)(1, chi) for a character."""
+        if self.chi is None:
+            return +ctx.euler_gamma
+        return self.log_deriv(1, ctx)
 
     def Q(self, ctx: PrecisionContext) -> mpf:
         return _eval_q_expr(self.Q_expr, ctx)
@@ -552,8 +472,6 @@ def descriptor_zeta() -> SelbergDescriptor:
         gamma_factors=((Fraction(1, 2), Fraction(0)),),
         w=1 + 0j,
         chi=None,
-        gamma_F=lambda ctx: +ctx.euler_gamma,
-        log_deriv=lambda s, ctx: zeta_log_deriv(s, ctx).val,
     )
 
 
@@ -600,8 +518,6 @@ def descriptor_dirichlet(q: int, chi: Sequence[int],
         gamma_factors=((Fraction(1, 2), Fraction(a, 2)),),
         w=w_c,
         chi=chi,
-        gamma_F=lambda c: dirichlet_log_deriv(1, q, chi, c).val,
-        log_deriv=lambda s, c: dirichlet_log_deriv(s, q, chi, c).val,
     )
 
 
@@ -619,7 +535,10 @@ def load_descriptor(text: str, ctx: PrecisionContext) -> SelbergDescriptor:
     gamma_factors takes ';'-separated (lambda, mu) pairs of rationals;
     coeffs is builtin:zeta or dirichlet:q,1 (the real primitive
     quadratic character mod q, from the Kronecker symbol); w is a
-    decimal or 'a+bi'.  Unknown keys are rejected."""
+    decimal or 'a+bi'; gamma_F is 'euler' or a decimal.  coeffs fixes
+    the descriptor; every other stated field must agree with it (the
+    numbers to 1e-12), or a ValueError names the field.  Unknown keys
+    are rejected."""
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -635,8 +554,8 @@ def load_descriptor(text: str, ctx: PrecisionContext) -> SelbergDescriptor:
         raise ValueError(f"unknown descriptor keys: {sorted(unknown)}")
     source = fields.get("coeffs", "")
     if source == "builtin:zeta":
-        return descriptor_zeta()
-    if source.startswith("dirichlet:"):
+        F = descriptor_zeta()
+    elif source.startswith("dirichlet:"):
         spec_part = source[len("dirichlet:"):]
         q_str, idx = (spec_part.split(",") + ["1"])[:2]
         q = int(q_str)
@@ -645,8 +564,37 @@ def load_descriptor(text: str, ctx: PrecisionContext) -> SelbergDescriptor:
         d = q if q % 2 == 1 else q // 4
         if discriminant_of(d) != q:
             raise ValueError(f"no odd quadratic character of conductor {q}")
-        return descriptor_dirichlet(q, kronecker_chi(d), ctx)
-    raise ValueError(f"unknown coefficient source {source!r}")
+        F = descriptor_dirichlet(q, kronecker_chi(d), ctx)
+    else:
+        raise ValueError(f"unknown coefficient source {source!r}")
+
+    def near(a, b) -> bool:
+        return abs(a - b) <= 1e-12 * max(1, abs(b))
+
+    def factors(v: str) -> tuple:
+        pairs = (p.strip().strip("()").split(",") for p in v.split(";"))
+        return tuple((Fraction(lam.strip()), Fraction(mu.strip())) for lam, mu in pairs)
+
+    checks = {
+        "label": lambda v: v == F.label,
+        "m_F": lambda v: int(v) == F.m_F,
+        "Q": lambda v: near(_eval_q_expr(v, ctx), F.Q(ctx)),
+        "gamma_factors": lambda v: factors(v) == F.gamma_factors,
+        "w": lambda v: near(complex(v.replace(" ", "").replace("i", "j")), F.w),
+        "gamma_F": lambda v: near(mpmath.euler if v == "euler" else mpf(v),
+                                  F.gamma_F(ctx)),
+    }
+    for key, agrees in checks.items():
+        if key not in fields:
+            continue
+        try:
+            ok = agrees(fields[key])
+        except (ValueError, ArithmeticError):
+            ok = False
+        if not ok:
+            raise ValueError(f"descriptor field {key} = {fields[key]!r} disagrees "
+                             f"with coeffs = {source}")
+    return F
 
 
 # ----------------------------------------------------------------------
@@ -677,49 +625,62 @@ def selberg_T(x: Rational, alpha: Rational, F: SelbergDescriptor,
         return HComplex(mpc(total), ctx)
 
 
-def _trivial_zero_guard_gt1(alpha: Fraction, F: SelbergDescriptor) -> None:
-    # alpha must avoid -(n + mu_j)/lambda_j for n >= 0 (the trivial zeros).
-    for lam, mu in F.gamma_factors:
-        t = -(alpha * lam + mu)  # = n requires n >= 0 integer
-        if t.denominator == 1 and t >= 0:
-            raise ValueError(f"alpha = {alpha} hits the trivial zero chain "
-                             f"(lambda={lam}, mu={mu})")
+def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
+                     ctx: PrecisionContext, gt1: bool) -> mpc:
+    """The descriptor form of the module docstring at bits + 32: for
+    x > 1 (gt1) the predicted Sum_rho x^rho/(rho-alpha) + x^alpha (F'/F)(alpha),
+    for 0 < x < 1 Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha), or
+    Sum_rho x^rho/rho at alpha = 0.  Refuses alpha on the polar term or
+    on a trivial zero, u_j an integer <= 0, except u_j = mu_j = 0 above 1,
+    whose n = 0 term pairs with the polar term."""
+    if alpha == 1 and (gt1 or F.m_F):
+        raise ValueError("alpha = 1 sits on the polar term")
+    # m_F less the gt1 n = 0 terms 1/alpha: the coefficient of -1/alpha
+    polar = F.m_F - (sum(1 for _, mu in F.gamma_factors if mu == 0) if gt1 else 0)
+    if gt1 and alpha == 0 and polar:
+        raise ValueError("alpha = 0 is a pole: the polar term and the "
+                         "trivial zeros at 0 do not cancel")
+    prime = (selberg_psi0 if gt1 else selberg_T)(x, alpha, F, ctx).val
+    with ctx.workprec(_GUARD):
+        xv = ctx.mpf(x)
+        acc = -prime if gt1 else prime
+        if not gt1 and alpha == 0:
+            acc += F.m_F * (xv + mpmath.log(xv)) + F.gamma_F(ctx)
+        else:
+            if F.m_F:
+                acc += F.m_F * xv / ctx.mpf(1 - alpha)
+            if polar:
+                acc -= polar / ctx.mpf(alpha)
+        for lam, mu in F.gamma_factors:
+            u = mu + lam * (alpha if gt1 else 1 - alpha)
+            if u.denominator == 1 and u <= 0 and not (gt1 and u == mu == 0):
+                raise ValueError(f"alpha = {alpha} hits the trivial-zero chain "
+                                 f"(lambda={lam}, mu={mu})")
+            lamv = ctx.mpf(lam)
+            z = xv ** ((-1 if gt1 else 1) / lamv)
+            series = f_u_closed(u, z, ctx).val  # Sum_{n>=1} z^n/(n+u)
+            if gt1:
+                if mu != 0:
+                    series += 1 / ctx.mpf(u)
+                acc += lamv * z ** ctx.mpf(mu) * series
+            else:
+                acc -= lamv * xv * z ** ctx.mpf(mu) * (series + 1 / ctx.mpf(u))
+        return acc
 
 
 def selberg_rhs_gt1(x: Rational, alpha: Rational, F: SelbergDescriptor,
                     ctx: PrecisionContext) -> HComplex:
     """Predicted value of x^alpha (F'/F)(alpha) + Sum_rho x^rho/(rho-alpha)
-    for rational x > 1:
-
-        m_F x/(1-alpha) - psi0(x, F, alpha)
-        + Sum_j [ lambda_j x^(-mu_j/lambda_j) f_{mu_j + alpha lambda_j}(x^(-1/lambda_j))
-                  + x^(-mu_j/lambda_j) / (mu_j/lambda_j + alpha) ]
-        - m_F/alpha.
-
-    The zero sum runs over the non-trivial zeros of F itself."""
-    x = Fraction(x)
-    alpha = Fraction(alpha)
+    for rational x > 1: the descriptor form (module docstring).  The zero
+    sum runs over the non-trivial zeros of F itself.  alpha = 0 is
+    refused when m_F > 0: for zeta that case is the von-mangoldt
+    identity (f + log 2pi, which general_rhs_gt1 gives)."""
+    x, alpha = Fraction(x), Fraction(alpha)
     if x <= 1:
         raise ValueError(f"selberg_rhs_gt1 requires x > 1, got {x}")
-    if alpha == 1:
-        raise ValueError("alpha = 1 sits on the polar term")
     if F.m_F > 0 and alpha == 0:
         raise ValueError("alpha = 0 is excluded when m_F > 0")
-    _trivial_zero_guard_gt1(alpha, F)
-    psi = selberg_psi0(x, alpha, F, ctx)
-    with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
-        acc = -psi.val
-        if F.m_F:
-            acc += F.m_F * xv / ctx.mpf(1 - alpha)
-            acc -= mpf(F.m_F) / ctx.mpf(alpha)
-        for lam, mu in F.gamma_factors:
-            lamv = ctx.mpf(lam)
-            xpow = xv ** (-ctx.mpf(mu) / lamv)
-            z = xv ** (-1 / lamv)
-            u = mu + alpha * lam
-            acc += lamv * xpow * f_u_closed(u, HComplex(mpc(z), ctx), ctx).val
-            acc += xpow / (ctx.mpf(mu) / lamv + ctx.mpf(alpha))
+    acc = _descriptor_form(x, alpha, F, ctx, True)
     with ctx.workprec():
         return HComplex(mpc(acc), ctx)
 
@@ -728,72 +689,64 @@ def selberg_rhs_lt1(x: Rational, alpha: Union[Rational, str],
                     F: SelbergDescriptor, ctx: PrecisionContext) -> HComplex:
     """Predicted zero-sum side for rational 0 < x < 1, zeros taken from
     the conjugate-coefficient function's table (identical for the real
-    -coefficient descriptors shipped here).
-
-    alpha = 0 (or "zero"): predicts Sum_rho x^rho/rho as
-
-        T(x, F, 0) + m_F log x + gamma_F + m_F x
-        - Sum_j lambda_j x^(1+mu_j/lambda_j)
-              [ f_{lambda_j+mu_j}(x^(1/lambda_j)) + 1/(lambda_j+mu_j) ]
-
-    (requires gamma_F when m_F > 0; also used for m_F = 0, where
-    gamma_F = (F'/F)(1)).
-
-    general alpha != 0: predicts Sum_rho x^rho/(rho-alpha)
-    - x^alpha (F'/F)(1-alpha) as
-
-        T(x, F, alpha) - m_F/alpha + m_F x/(1-alpha)
-        - Sum_j lambda_j x^(1+mu_j/lambda_j)
-              [ f_{mu_j + lambda_j (1-alpha)}(x^(1/lambda_j))
-                + 1/(mu_j + lambda_j (1-alpha)) ].
-
-    Both carry the sign corrections stated in the module docstring
-    (-m_F x/(1-alpha) inside the derivation, hence the forms above),
-    which reduce exactly to f_rhs_lt1 / general_rhs_lt1 for zeta.
+    -coefficient descriptors shipped here): the descriptor form (module
+    docstring).  alpha = 0 (or "zero") predicts Sum_rho x^rho/rho, any
+    other alpha Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha).
+    Both carry the sign corrections stated in the module docstring and
+    reduce exactly to f_rhs_lt1 / general_rhs_lt1 for zeta.
     """
     x = Fraction(x)
     if not (0 < x < 1):
         raise ValueError(f"selberg_rhs_lt1 requires 0 < x < 1, got {x}")
-    at_zero = alpha == "zero" or Fraction(alpha) == 0
-    with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
-        if at_zero:
-            if F.gamma_F is None:
-                raise ValueError("alpha = 0 form requires gamma_F")
-            t = selberg_T(x, Fraction(0), F, ctx)
-            acc = t.val + F.m_F * mpmath.log(xv) + F.gamma_F(ctx) + F.m_F * xv
-            for lam, mu in F.gamma_factors:
-                lamv = ctx.mpf(lam)
-                denom = lam + mu
-                if denom <= 0:
-                    raise ValueError("lambda_j + mu_j must be positive")
-                xpow = xv ** (1 + ctx.mpf(mu) / lamv)
-                z = xv ** (1 / lamv)
-                fv = f_u_closed(denom, HComplex(mpc(z), ctx), ctx).val
-                acc -= lamv * xpow * (fv + 1 / ctx.mpf(denom))
-            with ctx.workprec():
-                return HComplex(mpc(acc), ctx)
+    alpha = Fraction(0) if alpha == "zero" else Fraction(alpha)
+    acc = _descriptor_form(x, alpha, F, ctx, False)
+    with ctx.workprec():
+        return HComplex(mpc(acc), ctx)
 
-        alpha = Fraction(alpha)
-        if alpha == 1 and F.m_F:
-            raise ValueError("alpha = 1 sits on the polar term")
-        t = selberg_T(x, alpha, F, ctx)
-        acc = t.val
-        if F.m_F:
-            acc -= mpf(F.m_F) / ctx.mpf(alpha)
-            acc += F.m_F * xv / ctx.mpf(1 - alpha)
-        for lam, mu in F.gamma_factors:
-            lamv = ctx.mpf(lam)
-            u = mu + lam * (1 - alpha)
-            if u.denominator == 1 and u <= 0:
-                raise ValueError(f"alpha = {alpha} hits the trivial-zero chain "
-                                 f"(lambda={lam}, mu={mu})")
-            xpow = xv ** (1 + ctx.mpf(mu) / lamv)
-            z = xv ** (1 / lamv)
-            fv = f_u_closed(u, HComplex(mpc(z), ctx), ctx).val
-            acc -= lamv * xpow * (fv + 1 / ctx.mpf(u))
-        with ctx.workprec():
-            return HComplex(mpc(acc), ctx)
+
+# ----------------------------------------------------------------------
+# Rational kernels: Sum_i lam_i times the zeta descriptor form
+# ----------------------------------------------------------------------
+
+def _kernel_form(x: Fraction, pf: RationalFunctionPF, ctx: PrecisionContext,
+                 gt1: bool) -> HReal:
+    zeta = descriptor_zeta()
+    forms = [_descriptor_form(x, a, zeta, ctx, gt1) for a in pf.roots]
+    with ctx.workprec(_GUARD):
+        acc = sum((ctx.mpf(lam) * v.real for lam, v in zip(pf.residues, forms)), mpf(0))
+    return ctx.real(acc)
+
+
+def general_rhs_gt1(x: Rational, pf: RationalFunctionPF,
+                    ctx: PrecisionContext) -> HReal:
+    """Predicted value of
+
+        Sum_rho (A/B)(rho) x^rho + Sum_i lam_i (zeta'/zeta)(alpha_i) x^alpha_i
+
+    for rational x > 1, every alpha_i in Q outside {1, -2, -4, ...}:
+    Sum_i lam_i times the zeta descriptor form at alpha_i, which is
+    finite at alpha_i = 0 (f + log 2pi there)."""
+    x = Fraction(x)
+    if x <= 1:
+        raise ValueError(f"general_rhs_gt1 requires x > 1, got {x}")
+    return _kernel_form(x, pf, ctx, True)
+
+
+def general_rhs_lt1(x: Rational, pf: RationalFunctionPF,
+                    ctx: PrecisionContext) -> HReal:
+    """Predicted value of
+
+        Sum_rho (A/B)(rho) x^rho - Sum_i lam_i (zeta'/zeta)(1-alpha_i) x^alpha_i
+
+    for rational 0 < x < 1, every alpha_i in Q outside {0, 1, 3, 5, ...}:
+    Sum_i lam_i times the zeta descriptor form at alpha_i.  A pole at 0
+    is refused: there the f-type identity (ingham) applies."""
+    x = Fraction(x)
+    if not (0 < x < 1):
+        raise ValueError(f"general_rhs_lt1 requires 0 < x < 1, got {x}")
+    if 0 in pf.roots:
+        raise ValueError("alpha = 0 is excluded (1/alpha term)")
+    return _kernel_form(x, pf, ctx, False)
 
 
 # ----------------------------------------------------------------------
@@ -873,38 +826,28 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
         rhs = cosine_rhs(x, ctx)
     elif identity == "s":
         term = xrho_term(x, (0, 1), (1, -1))
-        with ctx.workprec(_GUARD):
-            rhs = ctx.real(S_rhs_gt1(x, ctx).val
-                           + mpmath.euler * ctx.mpf(x)
-                           - mpmath.log(2 * mpmath.pi))
-    elif identity in ("general-gt1", "general-lt1"):
-        if pf is None:
-            raise ValueError(f"{identity} requires pf")
-        term = xrho_term(x, pf.roots, pf.residues)
-        gt1 = identity == "general-gt1"
-        rhs = (general_rhs_gt1 if gt1 else general_rhs_lt1)(x, pf, ctx)
-        with ctx.workprec(_GUARD):
-            extra = mpf(0)
-            for lam, a in zip(pf.residues, pf.roots):
-                s = a if gt1 else 1 - Fraction(a)
-                extra += ctx.mpf(lam) * zeta_log_deriv(s, ctx).val * ctx.mpf(x) ** ctx.mpf(a)
-            extra = extra if gt1 else -extra
-    else:  # selberg-gt1, selberg-lt1
-        if F is None or alpha is None:
-            raise ValueError(f"{identity} requires F and alpha")
-        gt1 = identity == "selberg-gt1"
-        if not gt1 and (alpha == "zero" or Fraction(alpha) == 0):
-            term = xrho_term(x, (0,), (1,))
-            rhs = ctx.real(selberg_rhs_lt1(x, 0, F, ctx).val.real)
+        rhs = ctx.real(_f_reflected(x, ctx, "the s identity"))
+    else:  # Sum_i w_i x^rho/(rho - alpha_i) against the descriptor form of F
+        gt1 = identity.endswith("gt1")
+        if identity.startswith("general"):
+            if pf is None:
+                raise ValueError(f"{identity} requires pf")
+            poles, weights, F = pf.roots, pf.residues, descriptor_zeta()
+            rhs = (general_rhs_gt1 if gt1 else general_rhs_lt1)(x, pf, ctx)
         else:
-            if F.log_deriv is None:
-                raise ValueError("descriptor lacks a log-derivative provider")
-            a = Fraction(alpha)
-            term = xrho_term(x, (a,), (1,))
+            if F is None or alpha is None:
+                raise ValueError(f"{identity} requires F and alpha")
+            a = Fraction(0) if alpha == "zero" else Fraction(alpha)
+            poles, weights = (a,), (Fraction(1),)
             rhs_fn = selberg_rhs_gt1 if gt1 else selberg_rhs_lt1
             rhs = ctx.real(rhs_fn(x, a, F, ctx).val.real)
+        term = xrho_term(x, poles, weights)
+        if gt1 or poles != (0,):  # selberg-lt1 at alpha = 0 predicts f itself
             with ctx.workprec(_GUARD):
-                extra = ctx.mpf(x) ** ctx.mpf(a) * F.log_deriv(a if gt1 else 1 - a, ctx)
+                xv = ctx.mpf(x)
+                extra = sum((ctx.mpf(w) * xv ** ctx.mpf(p)
+                             * F.log_deriv(p if gt1 else 1 - p, ctx)
+                             for p, w in zip(poles, weights)), mpf(0))
                 extra = extra if gt1 else -extra
 
     def residual_at(zs: HReal) -> tuple[HReal, HReal]:

@@ -108,9 +108,10 @@ class PrecisionContext:
 
 
 def _to_mpf(x: Scalar) -> mpf:
-    """x as an mpf at the current mpmath precision (at most one rounding)."""
+    """x as an mpf at the current mpmath precision (at most one rounding;
+    an HReal from a wider context is rounded too)."""
     if isinstance(x, HReal):
-        return x.val
+        return +x.val
     if isinstance(x, Fraction):
         return mpf(x.numerator) / mpf(x.denominator)
     return mpf(x)
@@ -123,7 +124,8 @@ def _check_finite(v) -> None:
 
 @dataclass(frozen=True)
 class HReal:
-    """A finite high-precision real bound to a PrecisionContext."""
+    """A finite high-precision real bound to a PrecisionContext: a
+    record, with arithmetic done on .val inside workprec blocks."""
 
     val: mpf                 # underlying mpf, always finite
     ctx: PrecisionContext    # precision the value was produced under
@@ -131,100 +133,15 @@ class HReal:
     def __post_init__(self) -> None:
         _check_finite(self.val)
 
-    # -- arithmetic ----------------------------------------------------
-    def _coerce(self, other: Scalar) -> mpf:
-        if isinstance(other, HReal):
-            return other.val
-        return self.ctx.mpf(other)
-
-    def _wrap(self, v) -> "HReal":
-        _check_finite(v)
-        return HReal(v, self.ctx)
-
-    def __add__(self, other: Scalar) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(self.val + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Scalar) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(self.val - self._coerce(other))
-
-    def __rsub__(self, other: Scalar) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(self._coerce(other) - self.val)
-
-    def __mul__(self, other: Scalar) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(self.val * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(self.val / self._coerce(other))
-
-    def __rtruediv__(self, other: Scalar) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(self._coerce(other) / self.val)
-
-    def __pow__(self, other: Scalar) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(self.val ** self._coerce(other))
-
-    def __neg__(self) -> "HReal":
-        with self.ctx.workprec():
-            return HReal(-self.val, self.ctx)
-
-    def __abs__(self) -> "HReal":
-        with self.ctx.workprec():
-            return HReal(abs(self.val), self.ctx)
-
-    # -- elementary functions -------------------------------------------
-    def log(self) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(mpmath.log(self.val))
-
-    def exp(self) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(mpmath.exp(self.val))
-
-    def sqrt(self) -> "HReal":
-        with self.ctx.workprec():
-            return self._wrap(mpmath.sqrt(self.val))
-
-    # -- comparisons and conversions ------------------------------------
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HReal):
-            return self.val == other.val
-        if isinstance(other, (int, float, Fraction, mpf)):
-            return self.val == self._coerce(other)
-        return NotImplemented
-
-    def __lt__(self, other: Scalar) -> bool:
-        return self.val < self._coerce(other)
-
-    def __le__(self, other: Scalar) -> bool:
-        return self.val <= self._coerce(other)
-
-    def __gt__(self, other: Scalar) -> bool:
-        return self.val > self._coerce(other)
-
-    def __ge__(self, other: Scalar) -> bool:
-        return self.val >= self._coerce(other)
-
-    def __hash__(self) -> int:
-        return hash(self.val)
-
-    def __float__(self) -> float:
-        return float(self.val)
-
     def __repr__(self) -> str:
         return f"HReal({mpmath.nstr(self.val, 25)})"
 
     def str_digits(self, digits: int = 25) -> str:
-        return mpmath.nstr(self.val, digits)
+        """The value to digits significant digits, capped at one digit
+        fewer than the context holds so that the last-bit error does not
+        reach the last printed digit."""
+        cap = mpmath.libmp.prec_to_dps(self.ctx.bits) - 1
+        return mpmath.nstr(self.val, min(digits, cap))
 
 
 @dataclass(frozen=True)
@@ -244,48 +161,6 @@ class HComplex:
     @property
     def imag(self) -> HReal:
         return HReal(self.val.imag, self.ctx)
-
-    def _coerce(self, other) -> mpc:
-        if isinstance(other, HComplex):
-            return other.val
-        if isinstance(other, HReal):
-            return mpc(other.val)
-        with self.ctx.workprec():
-            if isinstance(other, Fraction):
-                return mpc(mpf(other.numerator) / mpf(other.denominator))
-            return mpc(other)
-
-    def _wrap(self, v) -> "HComplex":
-        _check_finite(v)
-        return HComplex(v, self.ctx)
-
-    def __add__(self, other) -> "HComplex":
-        with self.ctx.workprec():
-            return self._wrap(self.val + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HComplex":
-        with self.ctx.workprec():
-            return self._wrap(self.val - self._coerce(other))
-
-    def __mul__(self, other) -> "HComplex":
-        with self.ctx.workprec():
-            return self._wrap(self.val * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "HComplex":
-        with self.ctx.workprec():
-            return self._wrap(self.val / self._coerce(other))
-
-    def __neg__(self) -> "HComplex":
-        with self.ctx.workprec():
-            return HComplex(-self.val, self.ctx)
-
-    def __abs__(self) -> HReal:
-        with self.ctx.workprec():
-            return HReal(abs(self.val), self.ctx)
 
     def __repr__(self) -> str:
         return f"HComplex({mpmath.nstr(self.val, 25)})"
@@ -503,7 +378,8 @@ def hurwitz_zeta_ds(s: Scalar, a: Scalar, ctx: PrecisionContext) -> tuple[HReal,
     a in (0, 1].  Returns (value, bound)."""
     _hurwitz_domain(s, a, ctx, "hurwitz_zeta_ds")
     value, bound = em_log_moments(s, a, 1, ctx)[1]
-    return -value, bound
+    with ctx.workprec():
+        return HReal(-value.val, ctx), bound
 
 
 # ----------------------------------------------------------------------

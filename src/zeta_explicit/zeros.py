@@ -531,39 +531,9 @@ def cosine_sum(x, table: ZeroTable, spec: SumSpec,
     return zero_sum(table, spec, cosine_term(x), ctx)[0]
 
 
-def S_sum(x, table: ZeroTable, spec: SumSpec,
-          ctx: Optional[PrecisionContext] = None) -> tuple[HReal, Optional[HReal]]:
-    """Truncated paired Sum x^rho / (rho (1 - rho)) for x > 1, with the
-    generic tail_estimate(T, 2, x); the series is absolutely convergent
-    so the estimate is a genuine (heuristic-density) bound."""
-    ctx = ctx or PrecisionContext()
-    if _exact(x) <= 1:
-        raise ValueError(f"S_sum requires x > 1, got {x}")
-    value, _ = zero_sum(table, spec, xrho_term(x, (0, 1), (1, -1)), ctx)
-    T = _selected_height(table, spec)
-    return value, tail_estimate(float(T), 2, x, ctx)
-
-
 def sum_xrho_over_rho(x, table: ZeroTable, spec: SumSpec,
                       ctx: Optional[PrecisionContext] = None) -> HReal:
     """Truncated paired Sum x^rho / rho, the zero-sum side of the
     explicit formulas (conditionally convergent; no tail claimed)."""
     term = xrho_term(_abscissa(x, "sum x^rho/rho"), (0,), (1,))
-    return zero_sum(table, spec, term, ctx)[0]
-
-
-def sum_xrho_shifted(x, alpha, table: ZeroTable, spec: SumSpec,
-                     ctx: Optional[PrecisionContext] = None) -> HReal:
-    """Truncated paired Sum x^rho / (rho - alpha) for real alpha not
-    hitting a zero (conditionally convergent; no tail claimed)."""
-    term = xrho_term(_abscissa(x, "sum x^rho/(rho-alpha)"), (alpha,), (1,))
-    return zero_sum(table, spec, term, ctx)[0]
-
-
-def sum_pf_kernel(x, poles: Sequence, residues: Sequence,
-                  table: ZeroTable, spec: SumSpec,
-                  ctx: Optional[PrecisionContext] = None) -> HReal:
-    """Truncated paired Sum x^rho * Sum_i residues[i]/(rho - poles[i]),
-    the zero-sum side of the partial-fraction generalization."""
-    term = xrho_term(_abscissa(x, "kernel sum"), poles, residues)
     return zero_sum(table, spec, term, ctx)[0]

@@ -1,8 +1,9 @@
-"""Oracles and pinned variants that only the tests use, kept out of the
-package: the prime-power Dirichlet series for zeta'/zeta, the weighted
-prime sums term by term over n, a plausible but wrong assembly of the
-auxiliary series f_u, and the cosine closed form assembled the other way
-round."""
+"""Oracles, pinned variants and reference routes that only the tests
+use, kept out of the package: the prime-power Dirichlet series for
+zeta'/zeta, the weighted prime sums term by term over n, a plausible but
+wrong assembly of the auxiliary series f_u, and the hand-expanded zeta
+forms of the rational kernels and of the cosine pairing, which the
+package now assembles from the descriptor form and from f reflected."""
 
 import math
 from fractions import Fraction
@@ -10,8 +11,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpc, mpf
 
-from zeta_explicit.arith import shared_table
-from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1
+from zeta_explicit.arith import psi0, psi0_alpha, shared_table, T_sum
+from zeta_explicit.explicit import RationalFunctionPF, f_u_closed
 from zeta_explicit.mpcore import HComplex, HReal, PrecisionContext
 
 _GUARD = 32
@@ -102,15 +103,106 @@ def f_u_closed_uncorrected(u: Rational, z, ctx: PrecisionContext) -> HComplex:
         return HComplex(-acc * w ** p, ctx)
 
 
-def cosine_rhs_regrouped(x: Rational, ctx: PrecisionContext) -> HReal:
-    """The same predicted cosine sum assembled the other way, as
-    f_rhs_gt1(x)/sqrt(x) + sqrt(x) f_rhs_lt1(1/x); agreement with
-    cosine_rhs to working precision is a regrouping invariant."""
+def _check_gt1_alpha(alpha: Fraction) -> None:
+    if alpha == 1:
+        raise ValueError("alpha = 1 sits on the pole of zeta")
+    if alpha.denominator == 1 and alpha < 0 and alpha.numerator % 2 == 0:
+        raise ValueError(f"alpha = {alpha} sits on a trivial zero")
+
+
+def general_rhs_gt1_expanded(x: Rational, pf: RationalFunctionPF,
+                             ctx: PrecisionContext) -> HReal:
+    """Predicted value of
+
+        Sum_rho (A/B)(rho) x^rho + Sum_i lam_i (zeta'/zeta)(alpha_i) x^alpha_i
+
+    for rational x > 1, every alpha_i in Q outside {1, -2, -4, ...}:
+
+        x Sum_i lam_i/(1-alpha_i) - Sum_i lam_i psi0(x, alpha_i)
+        + Sum_i lam_i (1/2) f_{alpha_i/2}(x^-2)."""
+    x = Fraction(x)
+    if x <= 1:
+        raise ValueError(f"general_rhs_gt1 requires x > 1, got {x}")
+    for a in pf.roots:
+        _check_gt1_alpha(a)
+    with ctx.workprec(_GUARD):
+        xv = ctx.mpf(x)
+        z = 1 / (xv * xv)
+        acc = mpf(0)
+        for lam, a in zip(pf.residues, pf.roots):
+            lamv = ctx.mpf(lam)
+            acc += xv * lamv / ctx.mpf(1 - a)
+            acc -= lamv * psi0_alpha(x, a, ctx).val
+            acc += lamv * f_u_closed(a / 2, HComplex(mpc(z), ctx), ctx).val.real / 2
+    return ctx.real(acc)
+
+
+def _check_lt1_alpha(alpha: Fraction) -> None:
+    if alpha == 0:
+        raise ValueError("alpha = 0 is excluded (1/alpha term)")
+    if alpha.denominator == 1 and alpha > 0 and alpha.numerator % 2 == 1:
+        raise ValueError(f"alpha = {alpha} hits a trivial-zero denominator")
+
+
+def general_rhs_lt1_expanded(x: Rational, pf: RationalFunctionPF,
+                             ctx: PrecisionContext) -> HReal:
+    """Predicted value of
+
+        Sum_rho (A/B)(rho) x^rho - Sum_i lam_i (zeta'/zeta)(1-alpha_i) x^alpha_i
+
+    for rational 0 < x < 1, every alpha_i in Q outside {0, 1, 3, 5, ...}:
+
+        Sum_i lam_i T(x, alpha_i) - Sum_i lam_i/alpha_i
+        - Sum_i lam_i (x/2) f_{(1-alpha_i)/2}(x^2),
+
+    the inner series Sum_{n>=1} x^(2n+1)/(2n+1-alpha) reindexed through
+    f_u (oracle-verified in the test suite)."""
+    x = Fraction(x)
+    if not (0 < x < 1):
+        raise ValueError(f"general_rhs_lt1 requires 0 < x < 1, got {x}")
+    for a in pf.roots:
+        _check_lt1_alpha(a)
+    with ctx.workprec(_GUARD):
+        xv = ctx.mpf(x)
+        z = xv * xv
+        acc = mpf(0)
+        for lam, a in zip(pf.residues, pf.roots):
+            lamv = ctx.mpf(lam)
+            acc += lamv * T_sum(x, a, ctx).val
+            acc -= lamv / ctx.mpf(a)
+            acc -= lamv * xv * f_u_closed((1 - a) / 2, HComplex(mpc(z), ctx), ctx).val.real / 2
+    return ctx.real(acc)
+
+
+def _L_weighted(x: Rational, ctx: PrecisionContext) -> HReal:
+    """L(x) = Sum'_{n<=x} Lambda(n)/n for rational x > 1, with the
+    boundary term halved at a prime power; equals psi0_alpha(x, 1)/x
+    exactly, including the branch behavior."""
+    x = Fraction(x)
+    with ctx.workprec(_GUARD):
+        return ctx.real(psi0_alpha(x, Fraction(1), ctx).val / ctx.mpf(x))
+
+
+def cosine_rhs_expanded(x: Rational, ctx: PrecisionContext) -> HReal:
+    """Predicted critical-line cosine sum Sum_{nu>0} 2cos(nu log x)/(1/4+nu^2)
+    for rational x > 1, assembled from the weighted prime sums:
+
+        (x - psi0(x))/sqrt(x) - log(2pi)/sqrt(x)
+        - (1/(2 sqrt x)) log(1 - 1/x^2) + sqrt(x) (L(x) - log x)
+        + gamma sqrt(x) - (sqrt(x)/2) log((x+1)/(x-1)) + 1/sqrt(x)."""
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"cosine_rhs requires x > 1, got {x}")
-    a = f_rhs_gt1(x, ctx)
-    b = f_rhs_lt1(1 / x, ctx)
+    psi = psi0(x, ctx)
+    Lx = _L_weighted(x, ctx)
     with ctx.workprec(_GUARD):
-        rx = mpmath.sqrt(ctx.mpf(x))
-        return ctx.real(a.val / rx + rx * b.val)
+        xv = ctx.mpf(x)
+        rx = mpmath.sqrt(xv)
+        v = ((xv - psi.val) / rx
+             - mpmath.log(2 * mpmath.pi) / rx
+             - mpmath.log(1 - 1 / (xv * xv)) / (2 * rx)
+             + rx * (Lx.val - mpmath.log(xv))
+             + mpmath.euler * rx
+             - rx * mpmath.log((xv + 1) / (xv - 1)) / 2
+             + 1 / rx)
+    return ctx.real(v)

@@ -185,6 +185,41 @@ def test_li_past_order_29(capsys):
     assert json.loads(out)["n"] == 40
 
 
+def _significant_digits(text: str) -> int:
+    mantissa = text.split("e")[0].lstrip("-").replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+def test_stieltjes_table_digits_match_precision(capsys):
+    # Every printed entry at 64 bits agrees with the 256-bit table to
+    # within one unit of its last printed digit.
+    from zeta_explicit.liconst import build_stieltjes_table
+    ref = build_stieltjes_table(3, PrecisionContext(256))
+    code, out, _ = run(capsys, "stieltjes", "--n", "3", "--table",
+                       "--bits", "64", "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    columns = {"gammas": [v for v, _ in ref.gammas], "etas": ref.etas,
+               "lambdas": ref.lambdas, "S1": ref.S1, "S2": ref.S2}
+    for key, values in columns.items():
+        assert len(payload[key]) == len(values)
+        for text, r in zip(payload[key], values):
+            n = _significant_digits(text)
+            with mpmath.workprec(320):
+                gap = abs(mpmath.mpf(text) - r.val)
+                assert gap <= mpmath.mpf(10) ** (1 - n) * abs(r.val), (key, text)
+
+
+def test_descriptor_field_disagreement_is_input_error(capsys, tmp_path):
+    path = tmp_path / "d4.txt"
+    path.write_text("coeffs = dirichlet:4,1\nm_F = 7\n")
+    code, _, err = run(capsys, "verify", "--identity", "selberg-gt1",
+                       "--x", "4", "--alpha", "1/2", "--descriptor", str(path),
+                       "--K", "5")
+    assert code == EXIT_IO
+    assert "m_F" in err
+
+
 def test_stieltjes_plan_over_budget_refused_at_once(capsys):
     # M (N+1) is about 2.7e6 > 2^20: a domain error before any summation.
     start = time.perf_counter()

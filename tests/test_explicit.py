@@ -8,13 +8,12 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpc, mpf
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from zeta_explicit.arith import T_sum, kronecker_chi, psi0, psi0_alpha, shared_table
 from zeta_explicit.explicit import (
     IDENTITY_IDS,
-    L_weighted,
     S_rhs_gt1,
     cosine_rhs,
     descriptor_dirichlet,
@@ -37,7 +36,8 @@ from zeta_explicit.explicit import (
     zeta_log_deriv,
 )
 from zeta_explicit.mpcore import HComplex, PrecisionContext
-from explicit_oracles import (cosine_rhs_regrouped, f_u_closed_uncorrected,
+from explicit_oracles import (cosine_rhs_expanded, f_u_closed_uncorrected,
+                              general_rhs_gt1_expanded, general_rhs_lt1_expanded,
                               prime_sum_reference, zeta_log_deriv_dirichlet)
 from zeta_explicit.zeros import SumSpec
 
@@ -66,20 +66,19 @@ def test_f_rhs_domains(ctx):
 
 
 def test_weighted_prime_sum_routes_agree(ctx):
-    # Three routes to Sum'_{n<=x} Lambda(n)/n must collapse.
+    # Two routes to Sum'_{n<=x} Lambda(n)/n must collapse.
     for x in (F(10), F(21, 2), F(8)):
-        a = L_weighted(x, ctx).val
         c = T_sum(1 / x, F(0), ctx).val
         with ctx.workprec(16):
             b = psi0_alpha(x, F(1), ctx).val / ctx.mpf(x)
-            assert abs(a - b) < TINY
-            assert abs(a - c) < TINY
+            assert abs(b - c) < TINY
 
 
 def test_cosine_regrouping_is_identity(ctx):
+    # f(x)/sqrt(x) + sqrt(x) f(1/x) against the hand-expanded assembly.
     for x in (F(4), F(9, 2), F(7), F(3, 2)):
         a = cosine_rhs(x, ctx).val
-        b = cosine_rhs_regrouped(x, ctx).val
+        b = cosine_rhs_expanded(x, ctx).val
         with ctx.workprec(16):
             assert abs(a - b) < TINY
 
@@ -239,6 +238,9 @@ def test_dirichlet_descriptor_invariants(ctx):
     with ctx.workprec(16):
         assert abs(d4.conductor(ctx) - 4) < mpf(2) ** (-160)
     assert abs(d4.w - 1) < 1e-20  # real primitive character, root number 1
+    # F'/F and gamma_F follow from the character table.
+    assert d4.log_deriv(F(2), ctx) == dirichlet_log_deriv(F(2), 4, chi, ctx).val
+    assert d4.gamma_F(ctx) == dirichlet_log_deriv(F(1), 4, chi, ctx).val
 
 
 def test_dirichlet_descriptor_rejects_imprimitive(ctx):
@@ -318,6 +320,48 @@ def test_prime_sums_match_per_n_reference(q, bits, y, below_one, alpha):
         assert sel.val.imag == 0
 
 
+def _kernel_admissible(a: F, gt1: bool) -> bool:
+    """alpha outside {1, -2, -4, ...} above 1, outside {0, 1, 3, 5, ...}
+    below 1."""
+    n = a.numerator
+    if a.denominator != 1:
+        return True
+    return n != 1 and not (n < 0 and n % 2 == 0) if gt1 else \
+        n != 0 and not (n > 0 and n % 2 == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([128, 192, 256]),
+       st.one_of(st.sampled_from(PRIME_POWERS).map(F),
+                 st.fractions(min_value=F(17, 16), max_value=300,
+                              max_denominator=16)),
+       st.booleans(), st.booleans(), root_lists, st.data())
+def test_general_forms_match_expanded_reference(bits, y, below_one, with_zero,
+                                                roots, data):
+    # The kernels as Sum_i lam_i times the zeta descriptor form, against
+    # the hand-expanded zeta forms; above 1 the poles may include 0.
+    ctx = PrecisionContext(bits=bits)
+    gt1 = not below_one
+    x = y if gt1 else 1 / y
+    roots = [a for a in roots if _kernel_admissible(a, gt1)]
+    if gt1 and with_zero and F(0) not in roots:
+        roots.append(F(0))
+    assume(roots)
+    numer = [data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=8))
+             for _ in roots]
+    assume(any(numer))
+    pf = partial_fractions(numer, roots)
+    got = (general_rhs_gt1 if gt1 else general_rhs_lt1)(x, pf, ctx).val
+    ref = (general_rhs_gt1_expanded if gt1 else general_rhs_lt1_expanded)(x, pf, ctx).val
+    size = abs(ref)
+    for lam, a in zip(pf.residues, pf.roots):
+        _, prime_size = prime_sum_reference(x, a, None, bits)
+        size += abs(lam) * (prime_size + abs(x / (1 - a))
+                            + (abs(1 / a) if a else 0) + 1)
+    with mpmath.workprec(bits + 64):
+        assert abs(got - ref) <= mpf(2) ** (8 - bits) * size, (x, pf.roots, bits)
+
+
 def test_load_descriptor_round_trip(ctx):
     text = """
 label = zeta
@@ -337,6 +381,20 @@ coeffs = builtin:zeta
         load_descriptor("coeffs = dirichlet:6,1", ctx)
     with pytest.raises(ValueError, match="key = value"):
         load_descriptor("just words", ctx)
+    # Stated fields that agree with the coefficient source load; any
+    # disagreeing field is named in the refusal.
+    stated = load_descriptor("label = dirichlet-4\nm_F = 0\nQ = sqrt(4/pi)\n"
+                             "gamma_factors = (1/2, 1/2)\nw = 1+0i\n"
+                             "coeffs = dirichlet:4,1", ctx)
+    assert stated == d4
+    for extra, field in (("m_F = 7", "m_F"), ("label = zeta", "label"),
+                         ("Q = 1/sqrt(pi)", "Q"),
+                         ("gamma_factors = (1/2, 0)", "gamma_factors"),
+                         ("w = -1", "w"), ("gamma_F = euler", "gamma_F"),
+                         ("m_F = one", "m_F")):
+        with pytest.raises(ValueError, match=f"field {field} "):
+            load_descriptor(f"coeffs = dirichlet:4,1\n{extra}", ctx)
+    assert load_descriptor("coeffs = builtin:zeta\ngamma_F = euler", ctx) == d
 
 
 def test_dirichlet_L_closed_forms(ctx):
@@ -408,6 +466,11 @@ def test_verify_identity_s_tail_is_genuine(ctx, fixture100):
     rep = verify_identity("s", F(4), fixture100, SumSpec(K=100), ctx)
     assert rep.tail is not None and rep.trend is None
     assert abs(float(rep.residual.val)) <= float(rep.tail.val)
+
+
+def test_verify_identity_s_refuses_x_at_most_one(ctx, fixture100):
+    with pytest.raises(ValueError, match="x > 1"):
+        verify_identity("s", F(1, 2), fixture100, SumSpec(K=10), ctx)
 
 
 def test_verify_identity_rejects_unknown(ctx, fixture100):

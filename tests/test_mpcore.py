@@ -49,6 +49,21 @@ def test_str_digits_round_trips(ctx):
     assert s.startswith("0.3333333333333333333333333")
 
 
+def test_str_digits_capped_by_context_precision():
+    # One digit fewer than the context holds: 17 at 64 bits, 37 at 128.
+    third = Fraction(1, 3)
+    assert PrecisionContext(64).real(third).str_digits(30) == "0." + "3" * 17
+    assert PrecisionContext(128).real(third).str_digits(30) == "0." + "3" * 30
+    assert PrecisionContext(128).real(third).str_digits(60) == "0." + "3" * 37
+
+
+def test_real_rounds_a_wider_value_to_the_context():
+    wide = PrecisionContext(256).real(Fraction(1, 3))
+    narrow = PrecisionContext(64).real(wide)
+    assert narrow.val._mpf_[3] <= 64
+    assert narrow.val == PrecisionContext(64).real(Fraction(1, 3)).val
+
+
 def test_bernoulli_table():
     assert bernoulli(0) == Fraction(1)
     assert bernoulli(1) == Fraction(-1, 2)

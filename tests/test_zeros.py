@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 from zeta_explicit.liconst import lambda_direct
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import (
-    S_sum,
     SumSpec,
     ZeroTable,
     cosine_sum,
@@ -201,13 +200,6 @@ def test_cosine_sum_requires_critical_line(ctx):
                   entry_precision=15)
     with pytest.raises(ValueError):
         cosine_sum(Fraction(4), t, SumSpec(K=1), ctx)
-
-
-def test_s_sum_domain_and_tail(ctx, fixture100):
-    with pytest.raises(ValueError):
-        S_sum(Fraction(1, 2), fixture100, SumSpec(K=10), ctx)
-    value, tail = S_sum(Fraction(4), fixture100, SumSpec(K=10), ctx)
-    assert tail is not None and tail.val > 0
 
 
 def test_li_lambda_direct_collapses_at_one(ctx, fixture100):
