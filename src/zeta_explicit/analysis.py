@@ -20,14 +20,17 @@ K against the prime-power sums.
 The quadratic-field block works with chi = chi_{-d} mod D for
 squarefree d (class_data supplies D, h, w, chi):
 
+  h          Dirichlet's class number formula in exact integers,
+             h = -(w/2D) Sum_{a=1}^{D-1} a chi(a), against the
+             reduced-form count.
   L(1, chi), L'(1, chi)
              both from one dirichlet_L(1, ...) call: the character sum
              of the shifted Stieltjes constants gamma_0(a/D),
-             gamma_1(a/D), exact to working precision; a double-precision
-             digamma route -(1/q) Sum chi(a) psi(a/q) serves bulk
-             class-number scans.
+             gamma_1(a/D), exact to working precision.
   exp(L'/L(1, chi) - gamma) against
-             2 pi Prod_{a=1}^{D} Gamma(a/D)^(-chi(a) w / (2h)).
+             2 pi Prod_{a=1}^{D} Gamma(a/D)^(-chi(a) w / (2h)), the one
+             place production code calls an mpmath special function
+             (mpmath.loggamma).
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ from mpmath import mpf
 
 from .arith import class_data, shared_table
 from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
-from .mpcore import HReal, PrecisionContext, _to_mpf
+from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf
 from .zeros import _exact
-
-_GUARD = 32
 
 GENUINE = "genuine-zero"
 JUMP = "jump-crossing"
@@ -215,65 +216,45 @@ def find_zeros_lt1(lo: Rational, hi: Rational, tol: Rational,
 # L(1, chi_{-d}), L'(1, chi_{-d}), class numbers, Gamma product
 # ----------------------------------------------------------------------
 
-def L_one_chi(d: int, ctx: Optional[PrecisionContext] = None, *,
-              fast: bool = False) -> HReal:
-    """L(1, chi_{-d}) for squarefree d.
-
-    Default: dirichlet_L at s = 1, through the shifted Stieltjes
-    constants.  With fast=True, the double-precision digamma form
-    -(1/q) Sum_a chi(a) psi(a/q), accurate to ~1e-15 and cheap enough
-    for a full squarefree sweep.
-    """
+def L_one_chi(d: int, ctx: Optional[PrecisionContext] = None) -> HReal:
+    """L(1, chi_{-d}) for squarefree d from dirichlet_L at s = 1, through
+    the shifted Stieltjes constants."""
     ctx = ctx or PrecisionContext()
-    data = class_data(d, ctx)
-    q, chi = data.D, data.chi
-    if fast:
-        with mpmath.workprec(64):
-            acc = mpf(0)
-            for a in range(1, q):
-                c = chi[a % q]
-                if c:
-                    acc -= c * mpmath.digamma(mpf(a) / q)
-            return ctx.real(acc / q)
-    return ctx.real(dirichlet_L(1, q, chi, ctx)[0])
+    data = class_data(d)
+    return ctx.real(dirichlet_L(1, data.D, data.chi, ctx)[0])
 
 
 def L_prime_one_chi(d: int, ctx: Optional[PrecisionContext] = None) -> HReal:
     """L'(1, chi_{-d}) from dirichlet_L at s = 1, through the shifted
     Stieltjes constants."""
     ctx = ctx or PrecisionContext()
-    data = class_data(d, ctx)
+    data = class_data(d)
     return ctx.real(dirichlet_L(1, data.D, data.chi, ctx)[1])
 
 
 @dataclass(frozen=True)
 class ClassNumberCheck:
-    """Reduced-form count h against round(w sqrt(D) L(1, chi) / 2 pi);
-    L_one prints at the 15 digits the double-precision route holds."""
+    """Reduced-form count h against Dirichlet's class number formula
+    h = -(w/2D) Sum_{a=1}^{D-1} a chi(a), in exact integers; a formula
+    value that is not an integer counts as a mismatch."""
 
     d: int
     D: int
     h_forms: int
     h_analytic: int
-    L_one: HReal
     match: bool
 
     def to_dict(self) -> dict:
         return {"d": self.d, "D": self.D, "h_forms": self.h_forms,
-                "h_analytic": self.h_analytic,
-                "L_one": self.L_one.str_digits(15), "match": self.match}
+                "h_analytic": self.h_analytic, "match": self.match}
 
 
-def class_number_check(d: int, ctx: Optional[PrecisionContext] = None, *,
-                       fast: bool = True) -> ClassNumberCheck:
-    ctx = ctx or PrecisionContext()
-    data = class_data(d, ctx)
-    L1 = L_one_chi(d, ctx, fast=fast)
-    with ctx.workprec(_GUARD):
-        value = data.w * mpmath.sqrt(data.D) * L1.val / (2 * ctx.pi)
-        h2 = int(mpmath.nint(value))
-    return ClassNumberCheck(d=d, D=data.D, h_forms=data.h, h_analytic=h2,
-                            L_one=L1, match=data.h == h2)
+def class_number_check(d: int) -> ClassNumberCheck:
+    data = class_data(d)
+    h, rem = divmod(-data.w * sum(a * data.chi[a] for a in range(1, data.D)),
+                    2 * data.D)
+    return ClassNumberCheck(d=d, D=data.D, h_forms=data.h, h_analytic=h,
+                            match=rem == 0 and data.h == h)
 
 
 def chowla_selberg_rhs(d: int, ctx: Optional[PrecisionContext] = None) -> HReal:
@@ -281,7 +262,7 @@ def chowla_selberg_rhs(d: int, ctx: Optional[PrecisionContext] = None) -> HReal:
     log space (the 2 pi is the exact simplification of 2D/A^2 with
     A = sqrt(D/pi))."""
     ctx = ctx or PrecisionContext()
-    data = class_data(d, ctx)
+    data = class_data(d)
     with ctx.workprec(_GUARD):
         acc = mpf(0)
         for a in range(1, data.D):
@@ -322,7 +303,7 @@ def chowla_selberg_check(d: int, ctx: Optional[PrecisionContext] = None
     the relative discrepancy |lhs/rhs - 1|; L(1) and L'(1) come from one
     dirichlet_L call and both sides are good to working precision."""
     ctx = ctx or PrecisionContext()
-    data = class_data(d, ctx)
+    data = class_data(d)
     L1, Ld = dirichlet_L(1, data.D, data.chi, ctx)
     rhs = chowla_selberg_rhs(d, ctx)
     with ctx.workprec(_GUARD):

@@ -16,6 +16,9 @@ branch is decidable (_endpoint decides it for every sum).  Both forms
 are weighted_sum, and it runs one loop, prime_power_sum: one pass over
 the primes of the sieve, one high-precision log per prime,
 chi(p)^k log p p^(-ks) summed over the powers p^k, at bits + 32.
+
+The class data of Q(sqrt(-d)) is exact integers.  mpmath.loggamma, in
+analysis, is the only mpmath special function production code calls.
 """
 
 from __future__ import annotations
@@ -28,12 +31,10 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath import mpf
 
-from .mpcore import HReal, PrecisionContext, _to_mpf
+from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf
 
 # Sieve memory budget: 4 bytes per entry.
 MAX_SIEVE = 20_000_000
-
-_GUARD = 32
 
 
 # ----------------------------------------------------------------------
@@ -274,8 +275,8 @@ class ImaginaryQuadraticData:
 
     h is the exhaustive count of reduced binary quadratic forms
     (a, b, c) with b^2 - 4ac = -D, |b| <= a <= c, and b >= 0 when
-    |b| = a or a = c.  The class-number formula
-    h = w sqrt(D) L(1, chi_{-d}) / (2 pi) is cross-checked downstream.
+    |b| = a or a = c.  Dirichlet's class number formula
+    h = -(w/2D) Sum_{a=1}^{D-1} a chi(a) is cross-checked downstream.
     """
 
     d: int                    # squarefree positive integer
@@ -283,7 +284,6 @@ class ImaginaryQuadraticData:
     h: int                    # class number, by reduced-form count
     w: int                    # unit-group order: 6 iff D=3, 4 iff D=4, else 2
     chi: tuple[int, ...]      # chi_{-d}(a) for a mod D
-    A: HReal                  # sqrt(D/pi)
 
 
 def reduced_form_count(D: int) -> int:
@@ -307,14 +307,11 @@ def reduced_form_count(D: int) -> int:
     return h
 
 
-def class_data(d: int, ctx: PrecisionContext) -> ImaginaryQuadraticData:
+def class_data(d: int) -> ImaginaryQuadraticData:
     """Full ImaginaryQuadraticData for squarefree d."""
     if not is_squarefree(d):
         raise ValueError(f"d = {d} is not squarefree")
     D = discriminant_of(d)
     w = 6 if D == 3 else (4 if D == 4 else 2)
     h = reduced_form_count(D)
-    chi = kronecker_chi(d)
-    with ctx.workprec():
-        A = ctx.real(mpmath.sqrt(D / mpmath.pi))
-    return ImaginaryQuadraticData(d=d, D=D, h=h, w=w, chi=chi, A=A)
+    return ImaginaryQuadraticData(d=d, D=D, h=h, w=w, chi=kronecker_chi(d))

@@ -1,12 +1,14 @@
 """Command-line surface: identity verification, zero finding, constants,
 and zero-sum reports, in human, json, or csv form.
 
-Conventions shared by every subcommand:
+Each subcommand accepts only the options its handler reads (see
+build_parser).  Conventions:
 
   * abscissas are exact rationals written p/q or as integer literals;
     decimal literals require --inexact, which converts them to dyadic
     rationals and nudges any value landing exactly on a prime power (or
-    reciprocal prime power) off the discontinuity, recording a note
+    reciprocal prime power) off the discontinuity, recording a note;
+    the --pf-num/--pf-roots lists are always exact
   * --zeros names a zero-ordinate file (format per the zeros module);
     the env var ZETA_EXPLICIT_ZEROS supplies a default path, and with
     neither set the embedded 100-ordinate table is used
@@ -23,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -43,23 +44,9 @@ class _InputError(Exception):
     """Unreadable or unparsable input: exit status 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by all subcommands, resolved from flags + env."""
-
-    bits: int
-    zeros_path: Optional[str]
-    label: str
-    T: Optional[float]
-    K: Optional[int]
-    fmt: str                  # human | json | csv
-    inexact: bool
-    digits: int
-
-
-def _parse_rational(text: str, cfg: RunConfig,
+def _parse_rational(text: str, inexact: bool,
                     notes: Optional[list] = None) -> Fraction:
-    """p/q, integer, or (with --inexact) decimal literal.
+    """p/q, integer, or (with inexact) decimal literal.
 
     Inexact decimals that land exactly on an integer prime power or its
     reciprocal are nudged by 2^-96 so the half-weighted branch never
@@ -71,10 +58,10 @@ def _parse_rational(text: str, cfg: RunConfig,
             num, den = text.split("/", 1)
             value = Fraction(int(num), int(den))
         elif "." in text or "e" in text.lower():
-            if not cfg.inexact:
+            if not inexact:
                 raise _InputError(
-                    f"decimal literal {text!r} requires --inexact "
-                    "(exact input is written p/q)")
+                    f"decimal literal {text!r} is not exact: write p/q "
+                    "(abscissas take decimals under --inexact)")
             value = Fraction(text)
             from .arith import shared_table
             hit = None
@@ -98,39 +85,32 @@ def _parse_rational(text: str, cfg: RunConfig,
     return value
 
 
-def _load_table(cfg: RunConfig, ctx: PrecisionContext) -> ZeroTable:
-    path = cfg.zeros_path or os.environ.get(ENV_ZEROS)
+def _load_table(args, ctx: PrecisionContext) -> ZeroTable:
+    path = args.zeros or os.environ.get(ENV_ZEROS)
     if not path:
         return fixture_table(ctx)
     if not os.path.exists(path):
         raise _InputError(f"zero file not found: {path}")
     try:
         fmt = "csv" if path.endswith(".csv") else "plain"
-        return load_zeros(path, fmt, label=cfg.label, ctx=ctx)
+        return load_zeros(path, fmt, label=args.label, ctx=ctx)
     except ValueError as exc:
         raise _InputError(f"cannot parse zero file {path}: {exc}") from None
 
 
-def _make_spec(cfg: RunConfig, table: ZeroTable) -> SumSpec:
-    if cfg.T is not None and cfg.K is not None:
+def _make_spec(args, table: ZeroTable) -> SumSpec:
+    if args.T is not None and args.K is not None:
         raise _InputError("give at most one of --T and --K")
-    if cfg.T is not None:
-        return SumSpec(T=cfg.T)
-    return SumSpec(K=cfg.K if cfg.K is not None else len(table.gammas))
+    if args.T is not None:
+        return SumSpec(T=args.T)
+    return SumSpec(K=args.K if args.K is not None else len(table.gammas))
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "/" in piece:
-            num, den = piece.split("/", 1)
-            out.append(Fraction(int(num), int(den)))
-        else:
-            out.append(Fraction(int(piece)))
-    return tuple(out)
+    """Comma-separated exact rationals (p/q or integers); empty pieces
+    are skipped."""
+    return tuple(_parse_rational(piece, False) for piece in text.split(",")
+                 if piece.strip())
 
 
 def _resolve_descriptor(name: str, ctx: PrecisionContext):
@@ -150,9 +130,9 @@ def _resolve_descriptor(name: str, ctx: PrecisionContext):
 # Subcommand handlers: each returns the payload dict
 # ----------------------------------------------------------------------
 
-def _cmd_eval_f(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
+def _cmd_eval_f(args, ctx: PrecisionContext) -> dict:
     notes: list = []
-    x = _parse_rational(args.x, cfg, notes)
+    x = _parse_rational(args.x, args.inexact, notes)
     if x <= 0 or x == 1:
         raise ValueError(f"x must be positive and != 1, got {x}")
     if x > 1:
@@ -162,17 +142,17 @@ def _cmd_eval_f(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
         value = explicit.f_rhs_lt1(x, ctx)
         side = "lt1"
     payload = {"command": "eval-f", "x": str(x), "side": side,
-               "value": value.str_digits(cfg.digits)}
+               "value": value.str_digits(args.digits)}
     if notes:
         payload["notes"] = notes
     return payload
 
 
-def _cmd_verify(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
+def _cmd_verify(args, ctx: PrecisionContext) -> dict:
     notes: list = []
-    x = _parse_rational(args.x, cfg, notes)
-    table = _load_table(cfg, ctx)
-    spec = _make_spec(cfg, table)
+    x = _parse_rational(args.x, args.inexact, notes)
+    table = _load_table(args, ctx)
+    spec = _make_spec(args, table)
     pf = None
     alpha = None
     F = None
@@ -185,7 +165,7 @@ def _cmd_verify(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
     if args.identity in ("selberg-gt1", "selberg-lt1"):
         if args.alpha is None:
             raise _InputError(f"{args.identity} requires --alpha")
-        alpha = _parse_rational(args.alpha, cfg, notes)
+        alpha = _parse_rational(args.alpha, args.inexact, notes)
         F = _resolve_descriptor(args.descriptor, ctx)
     report = explicit.verify_identity(args.identity, x, table, spec, ctx,
                                       pf=pf, alpha=alpha, F=F)
@@ -195,11 +175,11 @@ def _cmd_verify(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
     return payload
 
 
-def _cmd_find_zeros(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
+def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
     notes: list = []
-    lo = _parse_rational(args.lo, cfg, notes)
-    hi = _parse_rational(args.hi, cfg, notes)
-    tol = _parse_rational(args.tol, cfg)
+    lo = _parse_rational(args.lo, args.inexact, notes)
+    hi = _parse_rational(args.hi, args.inexact, notes)
+    tol = _parse_rational(args.tol, args.inexact)
     if lo > 1:
         side = "gt1"
     elif hi < 1:
@@ -222,10 +202,10 @@ def _cmd_find_zeros(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
     return payload
 
 
-def _cmd_li(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
+def _cmd_li(args, ctx: PrecisionContext) -> dict:
     n = args.n
-    table = _load_table(cfg, ctx)
-    spec = _make_spec(cfg, table)
+    table = _load_table(args, ctx)
+    spec = _make_spec(args, table)
     consts = liconst.build_stieltjes_table(max(n, 1), ctx)
     ident = consts.lam(n)
     direct, tail = liconst.lambda_direct(n, table, spec, ctx)
@@ -236,34 +216,34 @@ def _cmd_li(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
         "command": "li",
         "n": n,
         "pairs": len(spec.select(table)),
-        "lambda_identity": ident.str_digits(cfg.digits),
-        "lambda_direct": direct.str_digits(cfg.digits),
+        "lambda_identity": ident.str_digits(args.digits),
+        "lambda_direct": direct.str_digits(args.digits),
         "tail": tail.str_digits(10),
-        "lambda_direct_corrected": ctx.real(corrected).str_digits(cfg.digits),
+        "lambda_direct_corrected": ctx.real(corrected).str_digits(args.digits),
         "gap": ctx.real(gap).str_digits(6),
     }
 
 
-def _cmd_stieltjes(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
+def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
     if args.table:
         consts = liconst.build_stieltjes_table(args.n, ctx, args.eps)
         return {"command": "stieltjes", **consts.to_dict()}
     value, bound = liconst.stieltjes(args.n, args.eps, ctx)
     return {"command": "stieltjes", "n": args.n,
-            "gamma_n": value.str_digits(cfg.digits),
+            "gamma_n": value.str_digits(args.digits),
             "bound": bound.str_digits(5)}
 
 
-def _cmd_rh_check(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
-    table = _load_table(cfg, ctx)
-    spec = _make_spec(cfg, table)
+def _cmd_rh_check(args, ctx: PrecisionContext) -> dict:
+    table = _load_table(args, ctx)
+    spec = _make_spec(args, table)
     report = liconst.rh_statistic(table, spec, ctx, tolerance=args.tolerance)
     return {"command": "rh-check", "zeros": table.source, **report.to_dict()}
 
 
-def _cmd_chowla_selberg(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
+def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
     report = analysis.chowla_selberg_check(args.d, ctx)
-    numbers = analysis.class_number_check(args.d, ctx)
+    numbers = analysis.class_number_check(args.d)
     payload = {"command": "chowla-selberg", **report.to_dict(),
                "class_number": numbers.to_dict()}
     if args.scan:
@@ -274,26 +254,26 @@ def _cmd_chowla_selberg(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
     return payload
 
 
-def _cmd_sum(args, cfg: RunConfig, ctx: PrecisionContext) -> dict:
-    table = _load_table(cfg, ctx)
-    spec = _make_spec(cfg, table)
+def _cmd_sum(args, ctx: PrecisionContext) -> dict:
+    table = _load_table(args, ctx)
+    spec = _make_spec(args, table)
     payload = {"command": "sum", "term": args.term,
                "pairs": len(spec.select(table)), "zeros": table.source}
     if args.term in ("inv-rho", "inv-rho-sq"):
         named = sum_inv_rho if args.term == "inv-rho" else sum_inv_rho_sq
         value, tail = named(table, spec, ctx)
-        payload["value"] = value.str_digits(cfg.digits)
+        payload["value"] = value.str_digits(args.digits)
         payload["tail"] = tail.str_digits(10)
         with ctx.workprec():
-            payload["corrected"] = ctx.real(value.val + tail.val).str_digits(cfg.digits)
+            payload["corrected"] = ctx.real(value.val + tail.val).str_digits(args.digits)
     else:  # xrho-over-rho
         notes: list = []
         if args.x is None:
             raise _InputError("--term xrho-over-rho requires --x")
-        x = _parse_rational(args.x, cfg, notes)
+        x = _parse_rational(args.x, args.inexact, notes)
         value = sum_xrho_over_rho(x, table, spec, ctx)
         payload["x"] = str(x)
-        payload["value"] = value.str_digits(cfg.digits)
+        payload["value"] = value.str_digits(args.digits)
         if notes:
             payload["notes"] = notes
     return payload
@@ -363,26 +343,31 @@ def _render(payload: dict, fmt: str) -> str:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bits", type=int, default=192,
-                        help="working precision in bits (default 192)")
-    common.add_argument("--zeros", default=None, metavar="PATH",
-                        help=f"zero-ordinate file (default ${ENV_ZEROS} "
-                             "or the embedded fixture)")
-    common.add_argument("--label", default="zeta",
-                        help="label of the zero table (default zeta)")
-    common.add_argument("--T", type=float, default=None,
-                        help="height cutoff: pairs with gamma <= T")
-    common.add_argument("--K", type=int, default=None,
-                        help="pair count cutoff")
-    common.add_argument("--json", dest="fmt", action="store_const",
-                        const="json", help="emit one json object")
-    common.add_argument("--csv", dest="fmt", action="store_const",
-                        const="csv", help="emit csv")
-    common.add_argument("--inexact", action="store_true",
-                        help="accept decimal abscissas (dyadic conversion; "
-                             "prime-power branches disabled by nudge)")
-    common.add_argument("--digits", type=int, default=25,
+    """Every subcommand takes --bits, --json and --csv; of the other
+    shared options it takes exactly those its handler reads."""
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--bits", type=int, default=192,
+                      help="working precision in bits (default 192)")
+    base.add_argument("--json", dest="fmt", action="store_const",
+                      const="json", help="emit one json object")
+    base.add_argument("--csv", dest="fmt", action="store_const",
+                      const="csv", help="emit csv")
+    zeros = argparse.ArgumentParser(add_help=False)
+    zeros.add_argument("--zeros", default=None, metavar="PATH",
+                       help=f"zero-ordinate file (default ${ENV_ZEROS} "
+                            "or the embedded fixture)")
+    zeros.add_argument("--label", default="zeta",
+                       help="label of the zero table (default zeta)")
+    zeros.add_argument("--T", type=float, default=None,
+                       help="height cutoff: pairs with gamma <= T")
+    zeros.add_argument("--K", type=int, default=None,
+                       help="pair count cutoff")
+    inexact = argparse.ArgumentParser(add_help=False)
+    inexact.add_argument("--inexact", action="store_true",
+                         help="accept decimal abscissas (dyadic conversion; "
+                              "prime-power branches disabled by nudge)")
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--digits", type=int, default=25,
                         help="decimal digits printed for values")
 
     parser = argparse.ArgumentParser(
@@ -391,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "special-constant checks at controlled precision")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval-f", parents=[common],
+    p = sub.add_parser("eval-f", parents=[base, inexact, digits],
                        help="evaluate the closed form of Sum x^rho/rho")
     p.add_argument("--x", required=True, help="abscissa (rational p/q)")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[base, zeros, inexact],
                        help="zero sum against closed form for one identity")
     p.add_argument("--identity", required=True,
                    choices=list(explicit.IDENTITY_IDS))
@@ -408,18 +393,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor", default="zeta",
                    help="'zeta' or a descriptor file path")
 
-    p = sub.add_parser("find-zeros", parents=[common],
+    p = sub.add_parser("find-zeros", parents=[base, inexact],
                        help="bracket zeros of f between discontinuities")
     p.add_argument("--lo", required=True)
     p.add_argument("--hi", required=True)
     p.add_argument("--tol", default="1/1000000000000",
                    help="bracket width target (default 1e-12 as a rational)")
 
-    p = sub.add_parser("li", parents=[common],
+    p = sub.add_parser("li", parents=[base, zeros, digits],
                        help="lambda_n: identity route vs direct zero sum")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("stieltjes", parents=[common],
+    p = sub.add_parser("stieltjes", parents=[base, digits],
                        help="gamma_n with certified bound, or the full table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=None,
@@ -427,12 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true",
                    help="emit the full table through order n")
 
-    p = sub.add_parser("rh-check", parents=[common],
+    p = sub.add_parser("rh-check", parents=[base, zeros],
                        help="Sum 1/|rho|^2 + tail against 2 + gamma - log 4pi")
     p.add_argument("--tolerance", type=float, default=None,
                    help="override the within-tolerance allowance")
 
-    p = sub.add_parser("chowla-selberg", parents=[common],
+    p = sub.add_parser("chowla-selberg", parents=[base],
                        help="Gamma-product identity and class-number data")
     p.add_argument("--d", type=int, required=True,
                    help="squarefree d >= 1 (field Q(sqrt(-d)))")
@@ -442,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-denominator", type=int, default=10_000)
     p.add_argument("--threshold", type=float, default=1e-6)
 
-    p = sub.add_parser("sum", parents=[common],
+    p = sub.add_parser("sum", parents=[base, zeros, inexact, digits],
                        help="raw zero sums with tailored tails")
     p.add_argument("--term", required=True,
                    choices=["inv-rho", "inv-rho-sq", "xrho-over-rho"])
@@ -458,12 +443,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return EXIT_IO if exc.code not in (0, None) else EXIT_OK
 
-    cfg = RunConfig(bits=args.bits, zeros_path=args.zeros, label=args.label,
-                    T=args.T, K=args.K, fmt=args.fmt or "human",
-                    inexact=args.inexact, digits=args.digits)
     try:
-        ctx = PrecisionContext(bits=cfg.bits)
-        payload = _HANDLERS[args.command](args, cfg, ctx)
+        ctx = PrecisionContext(bits=args.bits)
+        payload = _HANDLERS[args.command](args, ctx)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -473,7 +455,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    sys.stdout.write(_render(payload, cfg.fmt))
+    sys.stdout.write(_render(payload, args.fmt or "human"))
     return EXIT_OK
 
 

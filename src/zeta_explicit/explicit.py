@@ -72,6 +72,7 @@ from .arith import (
     weighted_sum,
 )
 from .mpcore import (
+    _GUARD,
     HComplex,
     HReal,
     PrecisionContext,
@@ -86,8 +87,6 @@ from .zeros import (
     xrho_term,
     zero_sum,
 )
-
-_GUARD = 32
 
 Rational = Union[int, Fraction]
 

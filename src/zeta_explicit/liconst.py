@@ -46,6 +46,7 @@ import mpmath
 from mpmath import mpf
 
 from .mpcore import (
+    _GUARD,
     HReal,
     PrecisionContext,
     em_log_moments,
@@ -54,8 +55,6 @@ from .mpcore import (
 )
 from .zeros import (SumSpec, ZeroTable, _density_integral, _selected_height,
                     inv_abs_sq_term, inv_rho_poly_term, xrho_term, zero_sum)
-
-_GUARD = 32
 
 
 def _check_eps(bound: HReal, eps: Optional[float]) -> None:
@@ -72,7 +71,7 @@ def stieltjes_shifted(n: int, a: Union[Fraction, int], ctx: PrecisionContext,
 
     Raises ArithmeticError when eps is given and the certified bound
     exceeds it, or when the Euler-Maclaurin plan exceeds its budget.
-    gamma_0(a) = -digamma(a); the a-shifted orders serve Dirichlet L
+    gamma_0(a) = -Gamma'(a)/Gamma(a); the a-shifted orders serve Dirichlet L
     values and derivatives at s = 1.
     """
     if n < 0:

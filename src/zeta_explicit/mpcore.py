@@ -20,10 +20,10 @@ Numeric backend: mpmath mpf/mpc supplies correctly rounded base arithmetic
 inside the 2^(8-bits) contract) and the elementary functions (exp, log,
 cos, sin).  Hurwitz zeta and the Stieltjes constants are implemented
 here from Bernoulli-number expansions with computable error terms.
-Gamma values come from mpmath: analysis.chowla_selberg_rhs calls
-mpmath.loggamma and the double-precision class-number route
-L_one_chi(fast=True) mpmath.digamma; elsewhere the mpmath special
-functions serve only as oracles in the test suite.
+Gamma values come from mpmath: mpmath.loggamma, called by
+analysis.chowla_selberg_rhs, is the only mpmath special function that
+production code calls; elsewhere the mpmath special functions serve
+only as oracles in the test suite.
 """
 
 from __future__ import annotations

@@ -33,10 +33,7 @@ from mpmath import mpf
 from mpmath.libmp import from_man_exp, to_fixed, to_rational
 from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
-from .mpcore import HReal, PrecisionContext
-
-# Extra binary digits used inside accumulation loops.
-_GUARD = 32
+from .mpcore import _GUARD, HReal, PrecisionContext
 
 _HALF = Fraction(1, 2)
 

@@ -406,7 +406,7 @@ def test_c15_class_numbers_from_forms(ctx, criterion_log):
     squarefree = [d for d in range(1, 51)
                   if all(d % (p * p) for p in (2, 3, 5, 7))]
     mismatches = [d for d in squarefree
-                  if not class_number_check(d, ctx, fast=True).match]
+                  if not class_number_check(d).match]
     ok = not mismatches
     line = _note(criterion_log, "15", ok,
                  f"reduced-form count vs rounded analytic class number for "

@@ -7,6 +7,7 @@ import mpmath
 from mpmath import mpf
 import pytest
 
+from zeta_explicit import analysis
 from zeta_explicit.analysis import (
     GENUINE,
     JUMP,
@@ -19,6 +20,7 @@ from zeta_explicit.analysis import (
     find_zeros_lt1,
     hypothesis_scan,
 )
+from zeta_explicit.arith import class_data, is_squarefree
 from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1
 from zeta_explicit.mpcore import PrecisionContext
 
@@ -114,8 +116,6 @@ def test_L_one_chi_closed_forms(ctx):
     with ctx.workprec(16):
         assert abs(L_one_chi(1, ctx).val - ctx.pi / 4) < tol
         assert abs(L_one_chi(3, ctx).val - ctx.pi / (3 * mpmath.sqrt(3))) < tol
-        assert abs(L_one_chi(1, ctx, fast=True).val - ctx.pi / 4) \
-            < mpf(1) / 10 ** 10
 
 
 def test_L_prime_one_chi_closed_form(ctx):
@@ -129,12 +129,35 @@ def test_L_prime_one_chi_closed_form(ctx):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
-def test_class_number_two_routes(ctx, d):
-    check = class_number_check(d, ctx)
+def test_class_number_two_routes(d):
+    # The integer class number formula against the one numerical
+    # L(1, chi) route: w sqrt(D) L(1, chi) / (2 pi) = h.
+    check = class_number_check(d)
     assert check.match
     assert check.h_forms == check.h_analytic
-    assert set(check.to_dict()) == {"d", "D", "h_forms", "h_analytic",
-                                    "L_one", "match"}
+    assert set(check.to_dict()) == {"d", "D", "h_forms", "h_analytic", "match"}
+    data = class_data(d)
+    for bits in (128, 192, 256):
+        ctx = PrecisionContext(bits=bits)
+        L1 = L_one_chi(d, ctx).val
+        with ctx.workprec(32):
+            value = data.w * mpmath.sqrt(data.D) * L1 / (2 * ctx.pi)
+            assert abs(value - check.h_analytic) < mpf(2) ** (16 - bits)
+
+
+def test_class_numbers_from_integers_only(monkeypatch):
+    # Dirichlet's formula in exact integers agrees with the reduced-form
+    # count for every squarefree d <= 1000, with no real arithmetic.
+    def refuse(*args, **kwargs):
+        raise AssertionError("class_number_check left the integers")
+
+    monkeypatch.setattr(analysis, "mpmath", None)
+    monkeypatch.setattr(analysis, "dirichlet_L", refuse)
+    monkeypatch.setattr(analysis, "L_one_chi", refuse)
+    squarefree = [d for d in range(1, 1001) if is_squarefree(d)]
+    assert len(squarefree) == 608
+    mismatches = [d for d in squarefree if not class_number_check(d).match]
+    assert not mismatches
 
 
 def test_gamma_product_value(ctx):

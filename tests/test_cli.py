@@ -1,15 +1,17 @@
 """Command-line interface: argument parsing, rational/decimal input
 conventions, output formats, exit statuses, and determinism."""
 
+import importlib.util
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from zeta_explicit import analysis
-from zeta_explicit.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from zeta_explicit.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
 from zeta_explicit.mpcore import PrecisionContext
 
 
@@ -111,6 +113,23 @@ def test_verify_general_requires_pf(capsys):
                        "--x", "4", "--K", "10")
     assert code == EXIT_IO
     assert "pf-roots" in err
+
+
+@pytest.mark.parametrize("roots", ["abc", "1/2,abc", "1/0", "0.5"])
+def test_pf_roots_bad_piece_is_parse_error(capsys, roots):
+    # Each list piece is an exact p/q or integer; a bad one is named.
+    code, _, err = run(capsys, "verify", "--identity", "general-gt1",
+                       "--x", "4", "--K", "10", "--inexact", "--pf-roots", roots)
+    assert code == EXIT_IO
+    assert repr(roots.split(",")[-1]) in err
+
+
+def test_pf_num_bad_piece_is_parse_error(capsys):
+    code, _, err = run(capsys, "verify", "--identity", "general-gt1",
+                       "--x", "4", "--K", "10", "--pf-roots", "1/2",
+                       "--pf-num", "1,x")
+    assert code == EXIT_IO
+    assert "'x'" in err
 
 
 def test_find_zeros_csv(capsys):
@@ -264,21 +283,6 @@ def test_chowla_selberg_with_scan(capsys):
     assert payload["hypothesis_scan"]["rational_zero_found"] is False
 
 
-@pytest.mark.parametrize("d", [1, 2, 7, 23])
-def test_chowla_selberg_class_number_digits(capsys, d):
-    # The class-number block's L(1, chi) comes from the double-precision
-    # route; each printed digit must be a digit of the exact value.
-    code, out, _ = run(capsys, "chowla-selberg", "--d", str(d), "--no-scan",
-                       "--json")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    printed = payload["class_number"]["L_one"]
-    with mpmath.workprec(128):
-        exact = mpmath.mpf(payload["L_one"])
-        digits = sum(c.isdigit() for c in printed.lstrip("0."))
-        assert printed == mpmath.nstr(exact, digits)
-
-
 def test_chowla_selberg_no_scan(capsys):
     code, out, _ = run(capsys, "chowla-selberg", "--d", "2", "--no-scan",
                        "--json")
@@ -338,3 +342,68 @@ def test_rh_check_offline_csv_adds_reflections(capsys, tmp_path):
         2 / 49.5625 + 2 / 49.0625, rel=1e-15)
     assert float(payload["doubled_inv_rho"]) == pytest.approx(
         2 * (1.5 / 49.5625 + 0.5 / 49.0625), rel=1e-15)
+
+
+# Options each subcommand accepts: --bits/--json/--csv, its own, and
+# exactly the shared options its handler reads.
+BASE_OPTIONS = {"--bits", "--json", "--csv"}
+ZERO_OPTIONS = {"--zeros", "--label", "--T", "--K"}
+OPTION_TABLE = {
+    "eval-f": {"--x", "--inexact", "--digits"},
+    "verify": {"--identity", "--x", "--pf-num", "--pf-roots", "--alpha",
+               "--descriptor", "--inexact"} | ZERO_OPTIONS,
+    "find-zeros": {"--lo", "--hi", "--tol", "--inexact"},
+    "li": {"--n", "--digits"} | ZERO_OPTIONS,
+    "stieltjes": {"--n", "--eps", "--table", "--digits"},
+    "rh-check": {"--tolerance"} | ZERO_OPTIONS,
+    "chowla-selberg": {"--d", "--scan", "--no-scan", "--grid-denominator",
+                       "--threshold"},
+    "sum": {"--term", "--x", "--inexact", "--digits"} | ZERO_OPTIONS,
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_option_surface_matches_table():
+    subs = _subparsers()
+    assert set(subs) == set(OPTION_TABLE)
+    for name, sub in subs.items():
+        accepted = {opt for action in sub._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+        assert accepted == BASE_OPTIONS | OPTION_TABLE[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-zeros", "--lo", "21/20", "--hi", "2", "--K", "5"],
+    ["find-zeros", "--lo", "21/20", "--hi", "2", "--zeros", "/nonexistent"],
+    ["find-zeros", "--lo", "21/20", "--hi", "2", "--label", "foo"],
+    ["stieltjes", "--n", "1", "--zeros", "X"],
+    ["chowla-selberg", "--d", "1", "--inexact"],
+    ["chowla-selberg", "--d", "1", "--digits", "10"],
+    ["rh-check", "--digits", "10"],
+    ["verify", "--identity", "von-mangoldt", "--x", "4", "--digits", "10"],
+])
+def test_option_a_subcommand_ignores_is_usage_error(capsys, argv):
+    assert main(argv) == EXIT_IO
+    capsys.readouterr()
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_benchmark_cli_argv_parse():
+    if not WORKLOADS.exists():
+        pytest.skip("perfbench/ is not part of this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parser = build_parser()
+    commands = set()
+    for seed in range(4):
+        for op in workloads.timed_ops("cli-cold", seed, 60):
+            parser.parse_args(op["args"]["argv"])
+            commands.add(op["args"]["argv"][0])
+    assert commands == set(OPTION_TABLE)
