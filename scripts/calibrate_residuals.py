@@ -54,7 +54,7 @@ def main() -> int:
     ctx = PrecisionContext(bits=args.bits)
     table = load_zeros(args.zeros, "plain", label="zeta", ctx=ctx)
     counts = [int(c) for c in args.counts.split(",")]
-    counts = [c for c in counts if c <= len(table.gammas)]
+    counts = [c for c in counts if c <= len(table)]
 
     for identity, x, kw in cases():
         label = identity if not kw else f"{identity} pf={kw['pf'].residues}"

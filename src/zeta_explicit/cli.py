@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from . import analysis, explicit, liconst
@@ -103,7 +104,7 @@ def _make_spec(args, table: ZeroTable) -> SumSpec:
         raise _InputError("give at most one of --T and --K")
     if args.T is not None:
         return SumSpec(T=args.T)
-    return SumSpec(K=args.K if args.K is not None else len(table.gammas))
+    return SumSpec(K=args.K if args.K is not None else len(table))
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -344,7 +345,8 @@ def _render(payload: dict, fmt: str) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Every subcommand takes --bits, --json and --csv; of the other
-    shared options it takes exactly those its handler reads."""
+    shared options it takes exactly those its handler reads, each only
+    under its full name."""
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--bits", type=int, default=192,
                       help="working precision in bits (default 192)")
@@ -371,17 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decimal digits printed for values")
 
     parser = argparse.ArgumentParser(
-        prog="zeta-explicit",
+        prog="zeta-explicit", allow_abbrev=False,
         description="explicit-formula identities, zero sums, and "
                     "special-constant checks at controlled precision")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("eval-f", parents=[base, inexact, digits],
-                       help="evaluate the closed form of Sum x^rho/rho")
+    p = add("eval-f", parents=[base, inexact, digits],
+            help="evaluate the closed form of Sum x^rho/rho")
     p.add_argument("--x", required=True, help="abscissa (rational p/q)")
 
-    p = sub.add_parser("verify", parents=[base, zeros, inexact],
-                       help="zero sum against closed form for one identity")
+    p = add("verify", parents=[base, zeros, inexact],
+            help="zero sum against closed form for one identity")
     p.add_argument("--identity", required=True,
                    choices=list(explicit.IDENTITY_IDS))
     p.add_argument("--x", required=True, help="abscissa (rational p/q)")
@@ -393,32 +396,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor", default="zeta",
                    help="'zeta' or a descriptor file path")
 
-    p = sub.add_parser("find-zeros", parents=[base, inexact],
-                       help="bracket zeros of f between discontinuities")
+    p = add("find-zeros", parents=[base, inexact],
+            help="bracket zeros of f between discontinuities")
     p.add_argument("--lo", required=True)
     p.add_argument("--hi", required=True)
     p.add_argument("--tol", default="1/1000000000000",
                    help="bracket width target (default 1e-12 as a rational)")
 
-    p = sub.add_parser("li", parents=[base, zeros, digits],
-                       help="lambda_n: identity route vs direct zero sum")
+    p = add("li", parents=[base, zeros, digits],
+            help="lambda_n: identity route vs direct zero sum")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("stieltjes", parents=[base, digits],
-                       help="gamma_n with certified bound, or the full table")
+    p = add("stieltjes", parents=[base, digits],
+            help="gamma_n with certified bound, or the full table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=None,
                    help="fail if the certified bound exceeds this")
     p.add_argument("--table", action="store_true",
                    help="emit the full table through order n")
 
-    p = sub.add_parser("rh-check", parents=[base, zeros],
-                       help="Sum 1/|rho|^2 + tail against 2 + gamma - log 4pi")
+    p = add("rh-check", parents=[base, zeros],
+            help="Sum 1/|rho|^2 + tail against 2 + gamma - log 4pi")
     p.add_argument("--tolerance", type=float, default=None,
                    help="override the within-tolerance allowance")
 
-    p = sub.add_parser("chowla-selberg", parents=[base],
-                       help="Gamma-product identity and class-number data")
+    p = add("chowla-selberg", parents=[base],
+            help="Gamma-product identity and class-number data")
     p.add_argument("--d", type=int, required=True,
                    help="squarefree d >= 1 (field Q(sqrt(-d)))")
     p.add_argument("--scan", action=argparse.BooleanOptionalAction,
@@ -427,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-denominator", type=int, default=10_000)
     p.add_argument("--threshold", type=float, default=1e-6)
 
-    p = sub.add_parser("sum", parents=[base, zeros, inexact, digits],
-                       help="raw zero sums with tailored tails")
+    p = add("sum", parents=[base, zeros, inexact, digits],
+            help="raw zero sums with tailored tails")
     p.add_argument("--term", required=True,
                    choices=["inv-rho", "inv-rho-sq", "xrho-over-rho"])
     p.add_argument("--x", default=None, help="abscissa for xrho-over-rho")

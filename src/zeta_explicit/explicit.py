@@ -1,7 +1,8 @@
 """Closed-form right-hand sides of the explicit formulas for
 Sum_rho R(rho) x^rho, R rational, over the non-trivial zeros of zeta and
-of Selberg-class descriptors (m_F, Q, {lambda_j, mu_j}, w, chi) with
-Lambda_F = chi Lambda, and residual verification.
+of Selberg-class descriptors (m_F, {lambda_j, mu_j}, chi) with
+Lambda_F = chi Lambda, and residual verification.  The character fixes
+Q = sqrt(q/pi) and the root number w = 1, so neither is stored.
 
 Every closed form is one of three things (all verified against zero
 sums through verify_identity):
@@ -343,7 +344,6 @@ class RationalFunctionPF:
     """A(t)/B(t) with B = prod (t - alpha_i), deg A < #roots, in
     partial-fraction form Sum_i residues[i]/(t - roots[i])."""
 
-    A: tuple[Fraction, ...]         # polynomial coefficients, low order first
     roots: tuple[Fraction, ...]     # distinct rational poles alpha_i
     residues: tuple[Fraction, ...]  # lam_i = A(alpha_i)/B'(alpha_i)
 
@@ -372,7 +372,7 @@ def partial_fractions(A: Sequence[Rational],
         for c in reversed(coeffs):
             acc = acc * ai + c
         residues.append(acc / bprime)
-    return RationalFunctionPF(A=coeffs, roots=roots, residues=tuple(residues))
+    return RationalFunctionPF(roots=roots, residues=tuple(residues))
 
 
 # ----------------------------------------------------------------------
@@ -381,21 +381,20 @@ def partial_fractions(A: Sequence[Rational],
 
 @dataclass(frozen=True)
 class SelbergDescriptor:
-    """Data defining an element of the (arithmetic) Selberg class.
+    """Zeta, or L(s, chi) for a real primitive character chi, as the
+    descriptor form reads it.
 
     gamma_factors are the (lambda_j, mu_j) of the completed-function
     Gamma factors; Lambda_F(n) = chi(n) Lambda(n) with chi a completely
-    multiplicative character table (None for zeta), which also fixes
-    F'/F and gamma_F (see log_deriv and gamma_F).  Q_expr is a tiny
-    expression language ("1/sqrt(pi)", "sqrt(<q>/pi)", or a decimal)
-    so descriptors stay precision-independent.
+    multiplicative table (None for zeta), which also fixes F'/F, gamma_F,
+    Q = sqrt(q/pi) (q the modulus, 1 for zeta) and the root number w = 1:
+    the Gauss sum of a real primitive character is i^a sqrt(q)
+    (Davenport, Multiplicative Number Theory, ch. 9).
     """
 
     label: str
     m_F: int                                   # pole order at s = 1, >= 0
-    Q_expr: str                                # positive real, see Q()
     gamma_factors: tuple[tuple[Fraction, Fraction], ...]  # (lambda_j, mu_j)
-    w: complex                                 # root number, |w| = 1
     chi: Optional[tuple[int, ...]]             # chi(n) = chi[n % len(chi)]; None: zeta
 
     def log_deriv(self, s: Rational, ctx: PrecisionContext) -> mpf:
@@ -410,41 +409,6 @@ class SelbergDescriptor:
         if self.chi is None:
             return +ctx.euler_gamma
         return self.log_deriv(1, ctx)
-
-    def Q(self, ctx: PrecisionContext) -> mpf:
-        return _eval_q_expr(self.Q_expr, ctx)
-
-    def degree(self) -> Fraction:
-        return 2 * sum(lam for lam, _ in self.gamma_factors)
-
-    def conductor(self, ctx: PrecisionContext) -> mpf:
-        """q_F = (2 pi)^d_F Q^2 prod lambda_j^(2 lambda_j)."""
-        with ctx.workprec(_GUARD):
-            d = self.degree()
-            q = (2 * mpmath.pi) ** ctx.mpf(d) * self.Q(ctx) ** 2
-            for lam, _ in self.gamma_factors:
-                q *= ctx.mpf(lam) ** (2 * ctx.mpf(lam))
-            return q
-
-    def theta_shift(self) -> float:
-        """theta_F = 2 Im Sum (mu_j - 1/2); zero for real mu_j."""
-        return 2 * sum(complex(mu).imag for _, mu in self.gamma_factors)
-
-    def validate(self, ctx: PrecisionContext, arithmetic: bool = True) -> None:
-        """Axiom checks: lambda_j > 0, |w| = 1; for the arithmetic class,
-        rational lambda/mu with mu >= 0 and q_F near a natural number."""
-        for lam, mu in self.gamma_factors:
-            if lam <= 0:
-                raise ValueError(f"lambda_j must be > 0, got {lam}")
-            if arithmetic and mu < 0:
-                raise ValueError(f"arithmetic class requires mu_j >= 0, got {mu}")
-        if abs(abs(self.w) - 1) > 1e-12:
-            raise ValueError(f"|w| must be 1, got {abs(self.w)}")
-        if arithmetic:
-            with ctx.workprec():
-                q = self.conductor(ctx)
-                if abs(q - mpmath.nint(q)) > mpf(2) ** (-(ctx.bits // 2)) or q < mpf(1) / 2:
-                    raise ValueError(f"conductor {q} is not a natural number")
 
 
 def _eval_q_expr(expr: str, ctx: PrecisionContext) -> mpf:
@@ -461,15 +425,12 @@ def _eval_q_expr(expr: str, ctx: PrecisionContext) -> mpf:
 
 
 def descriptor_zeta() -> SelbergDescriptor:
-    """The descriptor of zeta itself: m_F = 1, Q = pi^(-1/2), one Gamma
-    factor (1/2, 0), w = 1, Lambda_F = Lambda, gamma_F = Euler's
-    constant; degree 1, conductor 1."""
+    """The descriptor of zeta itself: m_F = 1, one Gamma factor (1/2, 0),
+    Lambda_F = Lambda, gamma_F = Euler's constant (Q = pi^(-1/2), w = 1)."""
     return SelbergDescriptor(
         label="zeta",
         m_F=1,
-        Q_expr="1/sqrt(pi)",
         gamma_factors=((Fraction(1, 2), Fraction(0)),),
-        w=1 + 0j,
         chi=None,
     )
 
@@ -494,28 +455,19 @@ def _is_primitive_real(q: int, chi: Sequence[int]) -> bool:
 def descriptor_dirichlet(q: int, chi: Sequence[int],
                          ctx: PrecisionContext) -> SelbergDescriptor:
     """Descriptor of L(s, chi) for a primitive real character table chi
-    mod q: m_F = 0, Q = sqrt(q/pi), one factor (1/2, a/2) with a the
-    parity (chi(-1) = (-1)^a), Lambda_F(n) = chi(n) Lambda(n), w from
-    the Gauss sum tau(chi)/(i^a sqrt q), gamma_F = (L'/L)(1, chi)."""
+    mod q: m_F = 0, one factor (1/2, a/2) with a the parity
+    (chi(-1) = (-1)^a), Lambda_F(n) = chi(n) Lambda(n), gamma_F =
+    (L'/L)(1, chi).  ctx is unused, kept for callers that pass one."""
     chi = tuple(chi)
     if len(chi) != q:
         raise ValueError("character table length must equal the modulus")
     if not _is_primitive_real(q, chi):
         raise ValueError(f"character mod {q} is imprimitive")
     a = 0 if chi[(q - 1) % q] == 1 else 1
-    with ctx.workprec(_GUARD):
-        tau = mpc(0)
-        for n in range(1, q + 1):
-            if chi[n % q]:
-                tau += chi[n % q] * mpmath.expjpi(mpf(2 * n) / q)
-        w = tau / (mpc(0, 1) ** a * mpmath.sqrt(q))
-        w_c = complex(w)
     return SelbergDescriptor(
         label=f"dirichlet-{q}",
         m_F=0,
-        Q_expr=f"sqrt({q}/pi)",
         gamma_factors=((Fraction(1, 2), Fraction(a, 2)),),
-        w=w_c,
         chi=chi,
     )
 
@@ -536,8 +488,9 @@ def load_descriptor(text: str, ctx: PrecisionContext) -> SelbergDescriptor:
     quadratic character mod q, from the Kronecker symbol); w is a
     decimal or 'a+bi'; gamma_F is 'euler' or a decimal.  coeffs fixes
     the descriptor; every other stated field must agree with it (the
-    numbers to 1e-12), or a ValueError names the field.  Unknown keys
-    are rejected."""
+    numbers to 1e-12), or a ValueError names the field: Q must be
+    sqrt(q/pi) for the modulus q (q = 1 for zeta) and w must be 1.
+    Unknown keys are rejected."""
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -574,12 +527,13 @@ def load_descriptor(text: str, ctx: PrecisionContext) -> SelbergDescriptor:
         pairs = (p.strip().strip("()").split(",") for p in v.split(";"))
         return tuple((Fraction(lam.strip()), Fraction(mu.strip())) for lam, mu in pairs)
 
+    q = len(F.chi) if F.chi else 1
     checks = {
         "label": lambda v: v == F.label,
         "m_F": lambda v: int(v) == F.m_F,
-        "Q": lambda v: near(_eval_q_expr(v, ctx), F.Q(ctx)),
+        "Q": lambda v: near(_eval_q_expr(v, ctx), _eval_q_expr(f"sqrt({q}/pi)", ctx)),
         "gamma_factors": lambda v: factors(v) == F.gamma_factors,
-        "w": lambda v: near(complex(v.replace(" ", "").replace("i", "j")), F.w),
+        "w": lambda v: near(complex(v.replace(" ", "").replace("i", "j")), 1),
         "gamma_F": lambda v: near(mpmath.euler if v == "euler" else mpf(v),
                                   F.gamma_F(ctx)),
     }
@@ -861,7 +815,7 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
     tail: Optional[HReal] = None
     trend: Optional[dict] = None
     if identity == "s":
-        tail = tail_estimate(float(table.gammas[terms - 1]), 2, float(x), ctx)
+        tail = tail_estimate(table.ordinates[terms - 1] / table.scale, 2, float(x), ctx)
     else:
         trend = {
             "pairs_half": half,

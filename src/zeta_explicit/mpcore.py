@@ -3,7 +3,8 @@
 Everything downstream (zero sums, explicit-formula evaluators, constant
 pipelines) consumes the types and functions defined here:
 
-  PrecisionContext   immutable working-precision handle (binary digits)
+  PrecisionContext   immutable working-precision handle (binary digits;
+                     rounding is always to nearest)
   HReal / HComplex   finite high-precision scalars bound to a context
   em_log_moments     the one Euler-Maclaurin core: Sum log^n(k+a) (k+a)^(-s)
                      for n = 0..N in one pass, continued in s, regularized
@@ -51,7 +52,7 @@ _GUARD = 32
 class PrecisionContext:
     """Working precision for every derived quantity.
 
-    All arithmetic routed through this context is correctly rounded at
+    All arithmetic routed through this context is rounded to nearest at
     `bits` binary digits, so each elementary operation carries a relative
     error of at most 2^-bits, comfortably within the 2^(8-bits) budget
     that callers may assume.  Instances are immutable and safe to share
@@ -59,13 +60,10 @@ class PrecisionContext:
     """
 
     bits: int = 192          # binary working precision, >= 64
-    rounding: str = "nearest"  # only round-to-nearest is supported
 
     def __post_init__(self) -> None:
         if self.bits < 64:
             raise ValueError(f"precision must be >= 64 bits, got {self.bits}")
-        if self.rounding != "nearest":
-            raise ValueError("only round-to-nearest is supported")
 
     def workprec(self, extra: int = 0):
         """Context manager running mpmath at bits + extra binary digits."""

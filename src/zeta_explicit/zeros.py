@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -59,51 +59,36 @@ def _exact(v) -> Fraction:
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Ordered upper-half-strip zeros of one L-function.
+    """Ordered upper-half-strip zeros of one L-function, kept exactly.
 
-    Each entry represents the conjugate pair rho, rho-bar; an entry with
-    beta != 1/2 additionally stands for 1-rho, 1-rho-bar.  The sums read
-    the exact values gamma_i = ordinates[i] / scale and beta_i =
-    real_parts[i]: load_zeros keeps them from the decimal text, and a
-    table built from binary mpf values alone derives them from those
-    (every mpf is an exact dyadic rational).
+    Entry i stands for the conjugate pair rho, rho-bar with ordinate
+    gamma_i = ordinates[i] / scale and real part beta_i = real_parts[i];
+    an entry with beta != 1/2 also stands for 1 - rho, 1 - rho-bar.
+    load_zeros keeps the decimal text this way, with scale a power of ten.
     """
 
-    label: str                       # identifier of the L-function
-    betas: tuple[mpf, ...]           # real parts, each in (0, 1)
-    gammas: tuple[mpf, ...]          # ordinates, strictly increasing, > 0
-    source: str                      # provenance string
-    entry_precision: int             # decimal digits of the ordinates
-    scale: int = field(default=0, repr=False, compare=False)
-    ordinates: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    real_parts: tuple[Fraction, ...] = field(default=(), repr=False, compare=False)
+    label: str                         # identifier of the L-function
+    scale: int                         # common denominator of the ordinates
+    ordinates: tuple[int, ...]         # gamma_i * scale, strictly increasing, > 0
+    real_parts: tuple[Fraction, ...]   # beta_i, each in (0, 1)
+    source: str                        # provenance string
+    entry_precision: int               # decimal digits of the ordinates
 
     def __post_init__(self) -> None:
-        if len(self.betas) != len(self.gammas):
-            raise ValueError("beta/gamma length mismatch")
-        prev = mpf(0)
-        for i, (b, g) in enumerate(zip(self.betas, self.gammas)):
+        if len(self.ordinates) != len(self.real_parts):
+            raise ValueError("ordinate/real-part length mismatch")
+        if self.scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {self.scale}")
+        prev = 0
+        for i, (b, n) in enumerate(zip(self.real_parts, self.ordinates)):
             if not (0 < b < 1):
                 raise ValueError(f"entry {i}: beta {b} outside (0, 1)")
-            if g <= prev:
+            if n <= prev:
                 raise ValueError(f"entry {i}: ordinates not strictly increasing")
-            prev = g
-        if not self.ordinates:
-            gs = [_exact(g) for g in self.gammas]
-            scale = max((g.denominator for g in gs), default=1)    # powers of 2
-            set_ = object.__setattr__
-            set_(self, "scale", scale)
-            set_(self, "ordinates", tuple(g.numerator * (scale // g.denominator) for g in gs))
-            set_(self, "real_parts", tuple(_exact(b) for b in self.betas))
-        if not (len(self.ordinates) == len(self.real_parts) == len(self.gammas)):
-            raise ValueError("exact ordinates do not match the table")
+            prev = n
 
     def __len__(self) -> int:
-        return len(self.gammas)
-
-    def all_on_critical_line(self) -> bool:
-        half = mpf(1) / 2
-        return all(b == half for b in self.betas)
+        return len(self.ordinates)
 
     @cached_property
     def _parts(self) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
@@ -123,16 +108,19 @@ class SumSpec:
     """Truncation convention for one zero sum.
 
     Exactly one of T (height cutoff: include pairs with gamma <= T) and
-    K (pair count) is set.  Sums are exact integer accumulations, so no
-    ordering is needed: the same selection gives the same bits.
+    K (pair count) is set.  T is compared with the exact ordinates, so a
+    pair at gamma = T is included.  Sums are exact integer accumulations,
+    so no ordering is needed: the same selection gives the same bits.
     """
 
-    T: Optional[float] = None        # height cutoff, gamma <= T
+    T: Optional[float] = None        # height cutoff, gamma <= T, finite
     K: Optional[int] = None          # number of leading pairs
 
     def __post_init__(self) -> None:
         if (self.T is None) == (self.K is None):
             raise ValueError("exactly one of T, K must be set")
+        if self.T is not None and not math.isfinite(self.T):
+            raise ValueError(f"height cutoff T = {self.T} is not finite")
 
     def select(self, table: ZeroTable) -> range:
         """Indices of the selected pairs in ascending-gamma order."""
@@ -140,7 +128,8 @@ class SumSpec:
             if self.K < 0 or self.K > len(table):
                 raise ValueError(f"K = {self.K} outside table of {len(table)} pairs")
             return range(self.K)
-        return range(bisect_right(table.gammas, mpf(self.T)))
+        # gamma = n / scale <= T exactly when the integer n <= floor(T scale).
+        return range(bisect_right(table.ordinates, math.floor(Fraction(self.T) * table.scale)))
 
 
 # ----------------------------------------------------------------------
@@ -171,11 +160,9 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
     ignored, one positive decimal ordinate per non-comment line,
     strictly ascending; beta defaults to 1/2.  csv format: header
     "beta,gamma", decimal columns.  Parse errors report line numbers.
-    The decimals are kept exactly (as integers over a common power of
-    ten) for the sums; the mpf betas and gammas are rounded at the
-    context precision plus guard bits.
+    The decimals are kept exactly, as integers over a common power of
+    ten.  ctx is unused, kept for callers that pass one.
     """
-    ctx = ctx or PrecisionContext()
     if isinstance(source, io.IOBase):
         data = source.read()
     elif isinstance(source, str) and "\n" not in source and os.path.exists(source):
@@ -190,7 +177,7 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
     if fmt not in ("plain", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
     header = fmt == "csv"
-    betas: list[Fraction] = []
+    reals: list[Fraction] = []
     mants: list[int] = []        # gamma_i = mants[i] / 10^places[i]
     places: list[int] = []
     precision = 0
@@ -218,25 +205,20 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
             raise ValueError(f"line {lineno}: ordinate must be positive")
         if mants and m * 10 ** places[-1] <= mants[-1] * 10 ** k:
             raise ValueError(f"line {lineno}: non-monotone ordinate {line}")
-        betas.append(b)
+        reals.append(b)
         mants.append(m)
         places.append(k)
         precision = max(precision, digits)
 
     shift = max(places + [0])
-    ordinates = tuple(m if k == shift else m * 10 ** (shift - k)
-                      for m, k in zip(mants, places))
-    with ctx.workprec(_GUARD):
-        half = mpf(1) / 2
-        return ZeroTable(label=label,
-                         betas=tuple(half if b is _HALF else _mpq(b) for b in betas),
-                         gammas=tuple(mpf(n) / 10 ** shift for n in ordinates),
-                         source=source_name or "<stream>", entry_precision=precision,
-                         scale=10 ** shift, ordinates=ordinates, real_parts=tuple(betas))
+    return ZeroTable(label=label, scale=10 ** shift,
+                     ordinates=tuple(m * 10 ** (shift - k) for m, k in zip(mants, places)),
+                     real_parts=tuple(reals), source=source_name or "<stream>",
+                     entry_precision=precision)
 
 
 def fixture_table(ctx: Optional[PrecisionContext] = None) -> ZeroTable:
-    """The embedded 100-ordinate smoke-test table."""
+    """The embedded 100-ordinate smoke-test table; ctx is unused."""
     with open(FIXTURE_PATH, "rb") as fh:
         return load_zeros(fh, "plain", label="zeta",
                           source_name=FIXTURE_PATH, ctx=ctx)
@@ -472,10 +454,11 @@ def tail_estimate(T: float, p: float, x: float,
 
 
 def _selected_height(table: ZeroTable, spec: SumSpec) -> mpf:
-    idx = spec.select(table)
-    if len(idx) == 0:
+    """The last selected ordinate, rounded once at the current precision."""
+    count = len(spec.select(table))
+    if count == 0:
         raise ValueError("empty selection: truncation excludes every zero pair")
-    return table.gammas[idx[-1]]
+    return mpf(table.ordinates[count - 1]) / table.scale
 
 
 # ----------------------------------------------------------------------

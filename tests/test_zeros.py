@@ -1,6 +1,7 @@
 """Zero-table ingestion, paired zero sums, and density tail estimates."""
 
 import io
+import math
 from fractions import Fraction
 
 import mpmath
@@ -27,6 +28,7 @@ from zeta_explicit.zeros import (
 )
 from zero_sum_reference import reference_sum
 
+HALF = Fraction(1, 2)
 INV_RHO = xrho_term(1, (0,), (1,))
 
 PLAIN = """# comment header
@@ -42,31 +44,36 @@ CSV = """beta,gamma
 
 
 def _prefix(table, k):
-    return ZeroTable(label=table.label, betas=table.betas[:k],
-                     gammas=table.gammas[:k], source="prefix",
-                     entry_precision=table.entry_precision)
+    return ZeroTable(label=table.label, scale=table.scale,
+                     ordinates=table.ordinates[:k], real_parts=table.real_parts[:k],
+                     source="prefix", entry_precision=table.entry_precision)
+
+
+def _single(beta, gamma):
+    """A one-entry table at rho = beta + i gamma, gamma an integer."""
+    return ZeroTable(label="synthetic", scale=1, ordinates=(gamma,),
+                     real_parts=(Fraction(beta),), source="synthetic",
+                     entry_precision=15)
 
 
 def test_load_plain_text(ctx):
     t = load_zeros(PLAIN, fmt="plain", label="zeta", ctx=ctx)
     assert len(t) == 3
     assert t.entry_precision == 15
-    assert t.all_on_critical_line()
-    with ctx.workprec(16):
-        assert abs(t.gammas[0] - mpmath.mpf("14.134725141734693")) \
-            < mpmath.mpf(2) ** (-180)
+    assert t.real_parts == (HALF,) * 3
+    assert Fraction(t.ordinates[0], t.scale) == Fraction("14.134725141734693")
 
 
 def test_load_plain_bytes_and_stream(ctx):
     t1 = load_zeros(PLAIN.encode(), fmt="plain", ctx=ctx)
     t2 = load_zeros(io.BytesIO(PLAIN.encode()), fmt="plain", ctx=ctx)
-    assert t1.gammas == t2.gammas
+    assert t1 == t2
 
 
 def test_load_csv(ctx):
     t = load_zeros(CSV, fmt="csv", label="zeta", ctx=ctx)
     assert len(t) == 2
-    assert t.all_on_critical_line()
+    assert t.real_parts == (HALF,) * 2
 
 
 def test_load_errors_carry_line_numbers(ctx):
@@ -85,18 +92,20 @@ def test_load_errors_carry_line_numbers(ctx):
 def test_fixture_table(fixture100):
     assert len(fixture100) == 100
     assert fixture100.label == "zeta"
-    assert fixture100.all_on_critical_line()
-    assert float(fixture100.gammas[0]) == pytest.approx(14.134725141734693)
+    assert fixture100.real_parts == (HALF,) * 100
+    assert fixture100.ordinates[0] / fixture100.scale == pytest.approx(14.134725141734693)
 
 
 def test_table_validation(ctx):
     with pytest.raises(ValueError, match="not strictly increasing"):
-        ZeroTable(label="x", betas=(mpmath.mpf("0.5"),) * 2,
-                  gammas=(mpmath.mpf(20), mpmath.mpf(14)),
+        ZeroTable(label="x", scale=1, ordinates=(20, 14), real_parts=(HALF,) * 2,
                   source="t", entry_precision=2)
     with pytest.raises(ValueError, match="outside"):
-        ZeroTable(label="x", betas=(mpmath.mpf("1.5"),),
-                  gammas=(mpmath.mpf(14),), source="t", entry_precision=2)
+        ZeroTable(label="x", scale=1, ordinates=(14,), real_parts=(Fraction(3, 2),),
+                  source="t", entry_precision=2)
+    with pytest.raises(ValueError, match="length mismatch"):
+        ZeroTable(label="x", scale=1, ordinates=(14, 20), real_parts=(HALF,),
+                  source="t", entry_precision=2)
 
 
 def test_sumspec_validation():
@@ -112,6 +121,32 @@ def test_sumspec_selection(fixture100):
     assert len(SumSpec(T=50.0).select(fixture100)) == 10
     with pytest.raises(ValueError):
         SumSpec(K=101).select(fixture100)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_sumspec_refuses_non_finite_height(T):
+    with pytest.raises(ValueError, match="T = "):
+        SumSpec(T=T)
+
+
+def test_sumspec_height_is_inclusive_and_exact(ctx):
+    # 14.5 is dyadic, so T = 14.5 meets the row exactly and the next
+    # float below it, 2^-40 less, does not.
+    t = load_zeros("beta,gamma\n0.5,14.5\n0.5,21\n", fmt="csv", ctx=ctx)
+    assert len(SumSpec(T=14.5).select(t)) == 1
+    assert len(SumSpec(T=14.5 - 2.0 ** -40).select(t)) == 0
+
+
+_FIXTURE = fixture_table()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(min_value=-1, max_value=300),
+                 st.sampled_from([n / _FIXTURE.scale for n in _FIXTURE.ordinates])))
+def test_sumspec_height_matches_fraction_reference(T):
+    expected = sum(1 for n in _FIXTURE.ordinates
+                   if Fraction(n, _FIXTURE.scale) <= Fraction(T))
+    assert len(SumSpec(T=T).select(_FIXTURE)) == expected
 
 
 def test_zero_sum_frozen_three_pairs(ctx, fixture100):
@@ -139,8 +174,8 @@ def test_zero_sum_hand_oracle(ctx, fixture100):
     # Plain double-precision complex arithmetic as an independent route.
     t = _prefix(fixture100, 5)
     value, _ = zero_sum(t, SumSpec(K=5), inv_rho_poly_term((0, 0, 1)), ctx)
-    hand = sum((2 * (1 / complex(0.5, float(g)) ** 2)).real
-               for g in t.gammas)
+    hand = sum((2 * (1 / complex(0.5, n / t.scale) ** 2)).real
+               for n in t.ordinates)
     assert float(value.val) == pytest.approx(hand, rel=1e-12)
 
 
@@ -167,9 +202,7 @@ def test_zero_sum_prefix_consistency(k, cuts):
 
 
 def test_reflection_expansion(ctx):
-    t = ZeroTable(label="synthetic", betas=(mpmath.mpf("0.75"),),
-                  gammas=(mpmath.mpf(7),), source="synthetic",
-                  entry_precision=15)
+    t = _single(Fraction(3, 4), 7)
     v1, _ = sum_inv_rho(t, SumSpec(K=1), ctx)
     v2, _ = sum_inv_rho_sq(t, SumSpec(K=1), ctx)
     r, rr = complex(0.75, 7.0), complex(0.25, 7.0)
@@ -179,9 +212,7 @@ def test_reflection_expansion(ctx):
 
 
 def test_reflection_skips_critical_line(ctx):
-    t = ZeroTable(label="synthetic", betas=(mpmath.mpf("0.5"),),
-                  gammas=(mpmath.mpf(7),), source="synthetic",
-                  entry_precision=15)
+    t = _single(HALF, 7)
     v, _ = sum_inv_rho(t, SumSpec(K=1), ctx)
     assert float(v.val) == pytest.approx((2 / complex(0.5, 7.0)).real, rel=1e-12)
 
@@ -195,9 +226,7 @@ def test_tail_estimate_contract(ctx):
 
 
 def test_cosine_sum_requires_critical_line(ctx):
-    t = ZeroTable(label="synthetic", betas=(mpmath.mpf("0.75"),),
-                  gammas=(mpmath.mpf(7),), source="synthetic",
-                  entry_precision=15)
+    t = _single(Fraction(3, 4), 7)
     with pytest.raises(ValueError):
         cosine_sum(Fraction(4), t, SumSpec(K=1), ctx)
 
@@ -239,9 +268,15 @@ def _synthetic_offline(ctx):
 
 
 def _binary(ctx):
+    """The first 40 fixture ordinates rounded to bits + 32 binary digits:
+    dyadic values over one power of two."""
     t = fixture_table(ctx)
-    return ZeroTable(label="zeta", betas=t.betas[:40], gammas=t.gammas[:40],
-                     source="binary", entry_precision=0)
+    with mpmath.workprec(ctx.bits + 32):
+        parts = [(mpmath.mpf(n) / t.scale).man_exp for n in t.ordinates[:40]]
+    k = max(-e for _, e in parts)
+    return ZeroTable(label="zeta", scale=2 ** k,
+                     ordinates=tuple(m << (k + e) for m, e in parts),
+                     real_parts=t.real_parts[:40], source="binary", entry_precision=0)
 
 
 TABLES = {"fixture100": fixture_table, "offline": _synthetic_offline,
@@ -268,7 +303,7 @@ def test_kernel_matches_mpc_reference(bits, table_name, term_name):
     table = TABLES[table_name](PrecisionContext(bits=192))
     term = TERMS[term_name]
     spec = SumSpec(K=len(table))
-    if term_name == "cosine" and not table.all_on_critical_line():
+    if term_name == "cosine" and any(b != HALF for b in table.real_parts):
         with pytest.raises(ValueError, match="critical-line"):
             zero_sum(table, spec, term, ctx)
         return
