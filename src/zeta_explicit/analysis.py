@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import mpmath
 from mpmath import mpf
@@ -126,12 +126,17 @@ def _refine(a: Fraction, b: Fraction, fa: mpf, h: Fraction,
     return a, b, x
 
 
-def _walk(lo: Fraction, hi: Fraction, tol: Fraction, ctx: PrecisionContext,
-          jumps: Sequence[Fraction]) -> list[RootRecord]:
-    """Records on [lo, hi] (one side of 1) given the ascending
-    discontinuities: K from one f_rhs call inside the first interval,
-    lowered by Lambda(n) (x = n) or Lambda(n)/n (x = 1/n) at each jump,
-    all at bits + 32."""
+def _drop(n: int, above: bool, wide: PrecisionContext) -> mpf:
+    """The fall of K as x passes n upward (above 1) or 1/n (below 1):
+    Lambda(n), or Lambda(n)/n, 0 when n is no prime power."""
+    return shared_table(n).mangoldt(n, wide).val / (1 if above else n)
+
+
+def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
+          ctx: PrecisionContext) -> list[RootRecord]:
+    """Records on [lo, hi] (one side of 1), whose discontinuities are the
+    prime powers x = n or x = 1/n: K from one f_rhs call inside the first
+    interval, lowered by _drop at each jump, all at bits + 32."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol < Fraction(1, 2 ** max(8, ctx.bits - 16)):
@@ -139,6 +144,11 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction, ctx: PrecisionContext,
             f"tol = {tol} below the precision floor 2^-{ctx.bits - 16}")
     above = lo > 1
     f_rhs, g, dg = _BRANCHES[above]
+    n_lo, n_hi = (lo, hi) if above else (1 / hi, 1 / lo)
+    table = shared_table(max(2, math.floor(n_hi)))
+    ns = [n for n in range(max(2, math.ceil(n_lo)), math.floor(n_hi) + 1)
+          if table.is_prime_power(n)]
+    jumps = [Fraction(n) for n in ns] if above else [Fraction(1, n) for n in ns[::-1]]
     h = Fraction(1, 2 ** (math.ceil(1 / tol) - 1).bit_length())  # <= tol
     jumpset = set(jumps)
     bounds = [lo] + [j for j in jumps if lo < j < hi] + [hi]
@@ -162,8 +172,7 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction, ctx: PrecisionContext,
                     records.append(RootRecord(u, v, root, ctx.real(abs(res)),
                                               GENUINE))
             if b in jumpset:
-                n = b.numerator if above else b.denominator
-                drop = shared_table(n).mangoldt(n, wide).val / (1 if above else n)
+                drop = _drop(b.numerator if above else b.denominator, above, wide)
                 if vals[-1] * (vals[-1] - drop) < 0:
                     res = f_rhs(b, ctx).val
                     records.append(RootRecord(b, b, ctx.real(b),
@@ -185,15 +194,9 @@ def find_zeros_gt1(lo: Rational, hi: Rational, tol: Rational,
     every genuine zero is found, whatever tol.  No genuine bracket holds
     a prime power strictly inside.
     """
-    ctx = ctx or PrecisionContext()
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not 1 < lo < hi:
+    if not 1 < Fraction(lo) < Fraction(hi):
         raise ValueError(f"need 1 < lo < hi, got [{lo}, {hi}]")
-    n_hi = math.floor(hi)
-    table = shared_table(max(2, n_hi))
-    jumps = [Fraction(n) for n in range(max(2, math.ceil(lo)), n_hi + 1)
-             if table.is_prime_power(n)]
-    return _walk(lo, hi, Fraction(tol), ctx, jumps)
+    return _walk(Fraction(lo), Fraction(hi), Fraction(tol), ctx or PrecisionContext())
 
 
 def find_zeros_lt1(lo: Rational, hi: Rational, tol: Rational,
@@ -201,15 +204,9 @@ def find_zeros_lt1(lo: Rational, hi: Rational, tol: Rational,
     """Same walk on 0 < lo < hi < 1 with discontinuities at the
     reciprocal prime powers x = 1/p^k; there f' = 1/x + 1 - 1/(1 - x^2)
     vanishes only at the reciprocal of the plastic number."""
-    ctx = ctx or PrecisionContext()
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not 0 < lo < hi < 1:
+    if not 0 < Fraction(lo) < Fraction(hi) < 1:
         raise ValueError(f"need 0 < lo < hi < 1, got [{lo}, {hi}]")
-    n_hi = math.floor(1 / lo)
-    table = shared_table(max(2, n_hi))
-    jumps = [Fraction(1, n) for n in range(n_hi, max(2, math.ceil(1 / hi)) - 1, -1)
-             if table.is_prime_power(n)]
-    return _walk(lo, hi, Fraction(tol), ctx, jumps)
+    return _walk(Fraction(lo), Fraction(hi), Fraction(tol), ctx or PrecisionContext())
 
 
 # ----------------------------------------------------------------------
@@ -322,10 +319,11 @@ def chowla_selberg_check(d: int, ctx: Optional[PrecisionContext] = None
 @dataclass(frozen=True)
 class HypothesisScan:
     """Grid survey of x -> f(pi sqrt(d) x) over rationals x = k/N in
-    (0, 1/(pi sqrt d)).  candidates lists grid points with |f| below
-    threshold; found is their existence.  Data only: no conclusion
-    about rational zeros is drawn, and the window/grid convention is
-    part of the report because no canonical choice exists.
+    (0, 1/(pi sqrt d)), walked as g_lt1 + K.  candidates lists grid
+    points with |f| below threshold; found is their existence.  Data
+    only: no conclusion about rational zeros is drawn, and the
+    window/grid convention is part of the report because no canonical
+    choice exists.
     """
 
     d: int
@@ -358,10 +356,16 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
     """Evaluate the zero-sum function at pi sqrt(d) k/denominator for
     every k keeping the argument inside (0, 1); the irrational argument
     is replaced by its working-precision dyadic approximation, which
-    never collides with a reciprocal prime power."""
+    never collides with a reciprocal prime power.  f = g_lt1 + K as in
+    the finders: K comes from one f_rhs_lt1 call at the first point and
+    falls by Lambda(n)/n (_drop) as 1/x passes each n, at bits + 32.
+    Refuses a d that is not a positive integer."""
     ctx = ctx or PrecisionContext()
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be a positive integer, got d = {d}")
     if denominator < 2:
         raise ValueError("grid denominator must be >= 2")
+    wide = PrecisionContext(ctx.bits + _GUARD)
     with ctx.workprec(_GUARD):
         scale = ctx.pi * mpmath.sqrt(d)
         window_hi = 1 / scale
@@ -370,12 +374,17 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
             raise ValueError(f"window (0, {mpmath.nstr(window_hi, 8)}) holds "
                              f"no grid point with denominator {denominator}")
         candidates = []
-        best = None
+        best = K = None
         for k in range(1, kmax + 1):
-            arg = _exact(scale * k / denominator)
+            arg = _exact(xv := scale * k / denominator)
             if not 0 < arg < 1:
                 continue
-            v = abs(f_rhs_lt1(arg, ctx).val)
+            if K is None:
+                n, K = math.floor(1 / arg), f_rhs_lt1(arg, wide).val - g_lt1(xv)
+            while n * arg > 1:
+                K -= _drop(n, False, wide)
+                n -= 1
+            v = abs(g_lt1(xv) + K)
             x = Fraction(k, denominator)
             if best is None or v < best[1]:
                 best = (x, v)

@@ -13,9 +13,10 @@ Selberg-class descriptors:
 where Sum' halves the boundary term when the endpoint is a prime power.
 Inputs x are exact rationals so the "is the endpoint a prime power"
 branch is decidable (_endpoint decides it for every sum).  Both forms
-are weighted_sum, and it runs one loop, prime_power_sum: one pass over
-the primes of the sieve, one high-precision log per prime,
-chi(p)^k log p p^(-ks) summed over the powers p^k, at bits + 32.
+are weighted_sum, which reads prime_power_sum at bits + 32: a running
+sum checkpointed every BLOCK = 256 integers per (s, chi, precision) for
+the life of the process, plus the terms past the checkpoint, so a value
+does not depend on which sums were asked for before it.
 
 The class data of Q(sqrt(-d)) is exact integers.  mpmath.loggamma, in
 analysis, is the only mpmath special function production code calls.
@@ -23,6 +24,7 @@ analysis, is the only mpmath special function production code calls.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,6 +115,10 @@ def shared_table(N: int) -> MangoldtTable:
 # Half-corrected prime-power sums
 # ----------------------------------------------------------------------
 
+BLOCK = 256   # spacing of prime_power_sum's prefix checkpoints
+_prefix: dict[tuple, list] = {}
+
+
 def _chi_at(chi: Optional[Sequence[int]], n: int) -> int:
     return 1 if chi is None else chi[n % len(chi)]
 
@@ -122,36 +128,35 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     """Sum_{p^k <= N} chi(p)^k log(p) p^(-ks) at bits + 32 (chi absent
     means chi = 1): the one loop behind every prime-power sum.
 
-    One pass over the primes read from the sieve, one log per prime.
-    p^(-s) is formed from that log, or as an integer power of p when s
-    is an integer (cheaper than exp); at s = 0 the inner sum is an
-    integer (the count k of powers p^k <= N when chi is absent).
+    A table per (s, chi, working precision) keeps the running sum at each
+    multiple of BLOCK, grown by whole blocks in increasing n; a query adds
+    the terms past its checkpoint, so no value depends on earlier queries.
+    Each prime power n = p^k takes one log, of p, and forms n^(-s) from
+    it (as an integer power of n when s is an integer).
     """
     with ctx.workprec(_GUARD):
-        acc = mpf(0)
+        key = (s, None if chi is None else tuple(chi), mpmath.mp.prec)
+        sums = _prefix.setdefault(key, [mpf(0)])
         entries = shared_table(N).entries
-        sv = _to_mpf(s)
-        for p in range(2, N + 1):
-            if entries[p] != p:
-                continue
-            c = _chi_at(chi, p)
-            if c == 0:
-                continue
-            logp = mpmath.log(p)
-            if s == 0:
-                r = c
-            elif s.denominator == 1:
-                r = c * mpf(p) ** (-s.numerator)
-            else:
-                r = c * mpmath.exp(-sv * logp)
-            term = rk = r
-            pk = p * p
-            while pk <= N:
-                rk *= r
-                term += rk
-                pk *= p
-            acc += logp * term
-    return acc
+        sv, e, zero, integer = _to_mpf(s), s.numerator, s == 0, s.denominator == 1
+
+        def walk(acc: mpf, lo: int, hi: int) -> mpf:
+            for n in range(lo + 1, hi + 1):
+                p = entries[n]
+                if p and (c := _chi_at(chi, n)):     # n = p^k, chi(n) = chi(p)^k
+                    logp = mpmath.log(p)
+                    if zero:
+                        acc += c * logp
+                    elif integer:                    # n^-s as an exact power of n
+                        acc += c * logp / n ** e if e > 0 else c * logp * n ** -e
+                    else:
+                        logn = logp if p == n else round(math.log(n, p)) * logp
+                        acc += c * logp * mpmath.exp(-sv * logn)
+            return acc
+
+        for j in range(len(sums), N // BLOCK + 1):
+            sums.append(walk(sums[-1], (j - 1) * BLOCK, j * BLOCK))
+        return walk(sums[N // BLOCK], N // BLOCK * BLOCK, N)
 
 
 def _endpoint(y: Fraction) -> tuple[int, int]:

@@ -379,6 +379,9 @@ def partial_fractions(A: Sequence[Rational],
 # Selberg-class descriptors
 # ----------------------------------------------------------------------
 
+_gamma_F: dict[tuple, mpf] = {}   # (chi, bits) -> (L'/L)(1, chi)
+
+
 @dataclass(frozen=True)
 class SelbergDescriptor:
     """Zeta, or L(s, chi) for a real primitive character chi, as the
@@ -405,10 +408,13 @@ class SelbergDescriptor:
 
     def gamma_F(self, ctx: PrecisionContext) -> mpf:
         """The constant term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1):
-        Euler's constant for zeta, (L'/L)(1, chi) for a character."""
+        Euler's constant for zeta, (L'/L)(1, chi) once per (chi, bits)."""
         if self.chi is None:
             return +ctx.euler_gamma
-        return self.log_deriv(1, ctx)
+        key = (self.chi, ctx.bits)
+        if key not in _gamma_F:
+            _gamma_F[key] = self.log_deriv(1, ctx)
+        return _gamma_F[key]
 
 
 def _eval_q_expr(expr: str, ctx: PrecisionContext) -> mpf:

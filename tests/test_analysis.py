@@ -1,11 +1,14 @@
 """Sign-change scanning on both sides of 1, L(1) and L'(1) evaluation,
 the class-number cross-check, and the Gamma-product identity."""
 
+import math
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from zeta_explicit import analysis
 from zeta_explicit.analysis import (
@@ -21,8 +24,10 @@ from zeta_explicit.analysis import (
     hypothesis_scan,
 )
 from zeta_explicit.arith import class_data, is_squarefree
-from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1
+from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g_lt1
 from zeta_explicit.mpcore import PrecisionContext
+from zeta_explicit.zeros import _exact
+import scan_reference as ref
 
 F = Fraction
 TOL = F(1, 10 ** 12)
@@ -201,3 +206,36 @@ def test_hypothesis_scan_shape(ctx):
     assert d["grid_denominator"] == 500
     with pytest.raises(ValueError):
         hypothesis_scan(1, ctx, denominator=1)
+
+
+@pytest.mark.parametrize("d", [0, -1, Fraction(3, 2)])
+def test_hypothesis_scan_refuses_bad_d(ctx, d):
+    with pytest.raises(ValueError, match=f"d = {d}"):
+        hypothesis_scan(d, ctx, denominator=500)
+
+
+# d as in the benchmark's scans, 50-3000 grid points, and thresholds loose
+# enough that the candidate lists are not empty.
+SCAN_D = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from(SCAN_D), st.integers(50, 3000),
+       st.sampled_from([128, 192, 256]), st.sampled_from([1e-6, 1e-3, 1e-2]))
+def test_walked_scan_matches_per_point_reference(d, points, bits, threshold):
+    ctx = PrecisionContext(bits=bits)
+    den = round(points * math.pi * math.sqrt(d))
+    new = hypothesis_scan(d, ctx, denominator=den, threshold=threshold)
+    old = ref.hypothesis_scan(d, ctx, denominator=den, threshold=threshold)
+    assert new.evaluated == old.evaluated
+    assert new.argmin == old.argmin
+    assert [x for x, _ in new.candidates] == [x for x, _ in old.candidates]
+    # K = f - g_lt1 is largest at the first grid point, where 1/x is largest
+    wide = PrecisionContext(bits + 32)
+    with wide.workprec():
+        x1 = _exact(wide.pi * mpmath.sqrt(d) / den)
+        K = abs(f_rhs_lt1(x1, wide).val - g_lt1(wide.mpf(x1)))
+        tol = mpf(2) ** (8 - bits) * (1 + K)
+        assert abs(new.min_abs.val - old.min_abs.val) <= tol
+        for (_, a), (_, b) in zip(new.candidates, old.candidates):
+            assert abs(a.val - b.val) <= tol

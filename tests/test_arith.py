@@ -1,5 +1,5 @@
-"""Prime-power sieve, weighted Chebyshev sums, Kronecker characters,
-and imaginary-quadratic class data."""
+"""Prime-power sieve, weighted Chebyshev sums and their prefix
+checkpoints, Kronecker characters, and imaginary-quadratic class data."""
 
 import math
 from fractions import Fraction
@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 
 from zeta_explicit import arith
 from zeta_explicit.arith import (
+    BLOCK,
     T_sum,
     class_data,
     discriminant_of,
@@ -18,10 +19,14 @@ from zeta_explicit.arith import (
     kronecker_chi,
     kronecker_symbol,
     mangoldt_sieve,
+    prime_power_sum,
     psi0,
     psi0_alpha,
     shared_table,
+    weighted_sum,
 )
+from zeta_explicit.mpcore import PrecisionContext
+from explicit_oracles import prime_sum_reference
 
 
 def chi_fn(d: int):
@@ -142,6 +147,58 @@ def test_t_sum_hand_sum(ctx):
 def test_t_sum_rejects_domain(ctx):
     with pytest.raises(ValueError):
         T_sum(Fraction(2), Fraction(0), ctx)
+
+
+# Prefix checkpoints of prime_power_sum.  chi_{-d} for d = 3, 1, 7, 2 has
+# modulus 3, 4, 7, 8.
+TABLE_S = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-1, 2), Fraction(3, 2))
+TABLE_CHI = (None, 3, 1, 7, 2)
+# x = N + 1/2 reads the terms n <= N in full; the integer prime powers
+# 251 < 256 = 2^8 < 257 and 509 < 512 = 2^9 < 521 sit around the first two
+# block edges and halve their own term.
+EDGE_X = ([Fraction(2 * (j * BLOCK + e) + 1, 2) for j in (1, 2) for e in (-1, 0, 1)]
+          + [Fraction(n) for n in (251, 256, 257, 509, 512, 521)])
+
+
+@pytest.mark.parametrize("bits", [128, 192, 256])
+@pytest.mark.parametrize("d", TABLE_CHI)
+def test_checkpointed_sums_match_per_n_reference(bits, d):
+    ctx = PrecisionContext(bits=bits)
+    chi = None if d is None else kronecker_chi(d)
+    for s in TABLE_S:
+        for x in EDGE_X:
+            got = weighted_sum(x, s, ctx, chi)
+            ref, size = prime_sum_reference(x, s, chi, bits)
+            with mpmath.workprec(bits + 64):
+                assert abs(got - ref) <= mpmath.mpf(2) ** (8 - bits) * size, (x, s, d)
+
+
+TABLE_N = (3000, 255, 256, 257, 1, 1023, 5000, 2 * BLOCK)
+
+
+@pytest.mark.parametrize("s,d", [(Fraction(0), None), (Fraction(1, 3), None),
+                                 (Fraction(1), 1), (Fraction(-1, 2), 7)])
+def test_checkpointed_sums_do_not_depend_on_history(monkeypatch, s, d):
+    ctx = PrecisionContext(bits=192)
+    chi = None if d is None else kronecker_chi(d)
+    fresh = {}
+    for N in TABLE_N:
+        monkeypatch.setattr(arith, "_prefix", {})
+        fresh[N] = prime_power_sum(N, s, ctx, chi)
+    for order in (sorted(TABLE_N), sorted(TABLE_N, reverse=True), TABLE_N):
+        monkeypatch.setattr(arith, "_prefix", {})
+        grown = {N: prime_power_sum(N, s, ctx, chi) for N in order}
+        assert grown == fresh, order
+
+
+@pytest.mark.parametrize("N", [1, BLOCK - 1, BLOCK, BLOCK + 1, 10_000])
+def test_checkpoint_table_size(monkeypatch, N):
+    monkeypatch.setattr(arith, "_prefix", {})
+    ctx = PrecisionContext(bits=192)
+    prime_power_sum(N, Fraction(0), ctx)
+    prime_power_sum(N // 3, Fraction(0), ctx)
+    sums, = arith._prefix.values()
+    assert len(sums) <= math.ceil(N / BLOCK) + 1
 
 
 def test_kronecker_symbol_small_table():

@@ -237,6 +237,30 @@ def test_dirichlet_descriptor_invariants(ctx):
     assert d4.gamma_F(ctx) == dirichlet_log_deriv(F(1), 4, chi, ctx).val
 
 
+def test_gamma_F_computed_once_per_character_and_bits(monkeypatch):
+    # gamma_F = (L'/L)(1, chi) costs one Euler-Maclaurin pass per residue;
+    # it is taken once per (chi, bits), also through the alpha = 0 form.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1].bits)
+        return dirichlet_L(*args)
+
+    monkeypatch.setattr(explicit, "_gamma_F", {})
+    monkeypatch.setattr(explicit, "dirichlet_L", counted)
+    ctx = PrecisionContext(bits=192)
+    d4 = descriptor_dirichlet(4, kronecker_chi(1), ctx)
+    first, second, third = (d4.gamma_F(ctx) for _ in range(3))
+    assert calls == [192]
+    assert first == second == third
+    assert first == dirichlet_log_deriv(F(1), 4, d4.chi, ctx).val
+    for _ in range(3):
+        selberg_rhs_lt1(F(1, 10), 0, d4, ctx)
+    assert len(calls) == 2              # the reference line above made one
+    d4.gamma_F(PrecisionContext(bits=128))
+    assert calls == [192, 192, 128]
+
+
 def test_descriptor_fixed_by_its_character(ctx, monkeypatch):
     # A real primitive character fixes its descriptor with no numerics,
     # and its stated Q = sqrt(q/pi) and root number w = 1 agree with it.
