@@ -17,6 +17,11 @@ one-sided limits at a discontinuity is reported as a jump-crossing
 record.  Every residual is |f_rhs| itself, so it also checks the walked
 K against the prime-power sums.
 
+The grid scan walks f(pi sqrt(d) k/N) likewise from one f_rhs_lt1 call
+at k = 1.  Between drops of K, on one side of the turn, |f| is monotone
+or V-shaped in k: f at a piece's ends, a bisection to a sign change and
+steps outward while |f| < threshold find its minimum and candidates.
+
 The quadratic-field block works with chi = chi_{-d} mod D for
 squarefree d (class_data supplies D, h, w, chi):
 
@@ -132,6 +137,14 @@ def _drop(n: int, above: bool, wide: PrecisionContext) -> mpf:
     return shared_table(n).mangoldt(n, wide).val / (1 if above else n)
 
 
+def _turn(above: bool) -> Fraction:
+    """Where g' vanishes, exact at the current precision: the plastic
+    number (x^3 = x + 1) above 1, its reciprocal below."""
+    r = mpmath.sqrt(69)
+    turn = mpmath.cbrt((9 + r) / 18) + mpmath.cbrt((9 - r) / 18)
+    return _exact(turn if above else 1 / turn)
+
+
 def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
           ctx: PrecisionContext) -> list[RootRecord]:
     """Records on [lo, hi] (one side of 1), whose discontinuities are the
@@ -158,9 +171,7 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
     records: list[RootRecord] = []
     with ctx.workprec(_GUARD):
         K -= g(_to_mpf(mid))
-        r = mpmath.sqrt(69)               # the plastic number, x^3 = x + 1
-        turn = mpmath.cbrt((9 + r) / 18) + mpmath.cbrt((9 - r) / 18)
-        turn = _exact(turn if above else 1 / turn)
+        turn = _turn(above)
         for a, b in zip(bounds, bounds[1:]):
             ends = [a, turn, b] if a < turn < b else [a, b]
             vals = [g(_to_mpf(x)) + K for x in ends]
@@ -319,12 +330,11 @@ def chowla_selberg_check(d: int, ctx: Optional[PrecisionContext] = None
 @dataclass(frozen=True)
 class HypothesisScan:
     """Grid survey of x -> f(pi sqrt(d) x) over rationals x = k/N in
-    (0, 1/(pi sqrt d)), walked as g_lt1 + K.  candidates lists grid
-    points with |f| below threshold; found is their existence.  Data
-    only: no conclusion about rational zeros is drawn, and the
-    window/grid convention is part of the report because no canonical
-    choice exists.
-    """
+    (0, 1/(pi sqrt d)); evaluated counts grid points surveyed, not f
+    evaluations.  candidates lists grid points with |f| below threshold;
+    found is their existence.  Data only: no conclusion about rational
+    zeros is drawn, and the window/grid convention is part of the report
+    because no canonical choice exists."""
 
     d: int
     window_hi: HReal
@@ -353,18 +363,17 @@ class HypothesisScan:
 def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
                     denominator: int = 10_000,
                     threshold: float = 1e-6) -> HypothesisScan:
-    """Evaluate the zero-sum function at pi sqrt(d) k/denominator for
-    every k keeping the argument inside (0, 1); the irrational argument
-    is replaced by its working-precision dyadic approximation, which
-    never collides with a reciprocal prime power.  f = g_lt1 + K as in
-    the finders: K comes from one f_rhs_lt1 call at the first point and
-    falls by Lambda(n)/n (_drop) as 1/x passes each n, at bits + 32.
-    Refuses a d that is not a positive integer."""
+    """Survey f at pi sqrt(d) k/denominator inside (0, 1), in monotone
+    pieces; each argument is its dyadic value at working precision, never
+    a reciprocal prime power.  Refuses a d that is not a positive integer,
+    a denominator not an integer >= 2 and a threshold not a finite float > 0."""
     ctx = ctx or PrecisionContext()
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got d = {d}")
-    if denominator < 2:
-        raise ValueError("grid denominator must be >= 2")
+    if not isinstance(denominator, int) or denominator < 2:
+        raise ValueError(f"grid denominator must be an integer >= 2, got {denominator!r}")
+    if not (isinstance(threshold, (int, float)) and 0 < threshold < math.inf):
+        raise ValueError(f"threshold must be a finite positive float, got {threshold!r}")
     wide = PrecisionContext(ctx.bits + _GUARD)
     with ctx.workprec(_GUARD):
         scale = ctx.pi * mpmath.sqrt(d)
@@ -373,23 +382,43 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         if kmax < 1:
             raise ValueError(f"window (0, {mpmath.nstr(window_hi, 8)}) holds "
                              f"no grid point with denominator {denominator}")
-        candidates = []
-        best = K = None
-        for k in range(1, kmax + 1):
-            arg = _exact(xv := scale * k / denominator)
-            if not 0 < arg < 1:
-                continue
-            if K is None:
-                n, K = math.floor(1 / arg), f_rhs_lt1(arg, wide).val - g_lt1(xv)
-            while n * arg > 1:
-                K -= _drop(n, False, wide)
-                n -= 1
-            v = abs(g_lt1(xv) + K)
-            x = Fraction(k, denominator)
+        arg = lambda k: _exact(scale * k / denominator)
+        f = lambda k: g_lt1(scale * k / denominator) + K
+        n, turn = math.floor(1 / arg(1)), _turn(False)
+        K = f_rhs_lt1(arg(1), wide).val - g_lt1(scale / denominator)
+        qs = list(filter(shared_table(max(2, n)).is_prime_power, range(2, n + 1)))
+        candidates, best, k = [], None, 1
+        while k <= kmax and (a := arg(k)) < 1:
+            while qs and qs[-1] * a > 1:
+                K -= _drop(qs.pop(), False, wide)
+            # the piece [k, e]: no further drop and the same side of the turn
+            cap = turn if a < turn else 1
+            inside = lambda j: (b := arg(j)) < cap and not (qs and qs[-1] * b > 1)
+            top = min(cap, Fraction(1, qs[-1]) if qs else 1)
+            e = max(k, min(kmax, math.floor(top * denominator / float(scale))))
+            while e < kmax and inside(e + 1):
+                e += 1
+            while not inside(e):
+                e -= 1
+            lo, hi, flo = k, e, f(k)
+            fhi = f(e) if e > k else flo
+            while hi - lo > 1 and (flo > 0) != (fhi > 0):
+                mid = (lo + hi) // 2
+                if ((fm := f(mid)) > 0) == (flo > 0):
+                    lo, flo = mid, fm
+                else:
+                    hi, fhi = mid, fm
+            m, v = (lo, abs(flo)) if abs(flo) <= abs(fhi) else (hi, abs(fhi))
             if best is None or v < best[1]:
-                best = (x, v)
-            if v < threshold:
-                candidates.append((x, ctx.real(v)))
+                best = (Fraction(m, denominator), v)
+            run = {m: v} if v < threshold else {}
+            for step, stop in ((-1, k - 1), (1, e + 1)):
+                j = m + step
+                while run and j != stop and (w := abs(f(j))) < threshold:
+                    run[j], j = w, j + step
+            candidates += [(Fraction(j, denominator), ctx.real(run[j]))
+                           for j in sorted(run)]
+            k = e + 1
     return HypothesisScan(
         d=d, window_hi=ctx.real(window_hi), denominator=denominator,
         threshold=threshold, evaluated=kmax,

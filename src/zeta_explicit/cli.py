@@ -243,14 +243,13 @@ def _cmd_rh_check(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
-    report = analysis.chowla_selberg_check(args.d, ctx)
     numbers = analysis.class_number_check(args.d)
+    scan = args.scan and analysis.hypothesis_scan(
+        args.d, ctx, denominator=args.grid_denominator, threshold=args.threshold)
+    report = analysis.chowla_selberg_check(args.d, ctx)
     payload = {"command": "chowla-selberg", **report.to_dict(),
                "class_number": numbers.to_dict()}
-    if args.scan:
-        scan = analysis.hypothesis_scan(args.d, ctx,
-                                        denominator=args.grid_denominator,
-                                        threshold=args.threshold)
+    if scan:
         payload["hypothesis_scan"] = scan.to_dict()
     return payload
 

@@ -55,8 +55,9 @@ class PrecisionContext:
     All arithmetic routed through this context is rounded to nearest at
     `bits` binary digits, so each elementary operation carries a relative
     error of at most 2^-bits, comfortably within the 2^(8-bits) budget
-    that callers may assume.  Instances are immutable and safe to share
-    between concurrent tasks.
+    that callers may assume.  Instances are immutable, but workprec sets
+    mpmath's process-wide precision: evaluations in one process must not
+    run in concurrent threads, or the prime-sum tables may keep a wrong sum.
     """
 
     bits: int = 192          # binary working precision, >= 64

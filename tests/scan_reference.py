@@ -1,21 +1,26 @@
-"""Reference route for the rational-grid scan: the body the package used
-before it walked K, kept as an independent oracle.
+"""Reference routes for the rational-grid scan, kept as oracles for the
+package's piece walk.  Both use the package's HypothesisScan record.
 
-It evaluates f_rhs_lt1 afresh at every grid point, so each point pays
-for its own prime-power sum, where the package makes one f_rhs_lt1 call
-and lowers K by Lambda(n)/n as 1/x passes each n.  The result uses the
-package's HypothesisScan record.
+hypothesis_scan evaluates f_rhs_lt1 afresh at every grid point, so each
+point pays for its own prime-power sum.
+
+walked_scan evaluates g_lt1 + K at every grid point: one f_rhs_lt1 call
+at the first point gives K, which falls by Lambda(n)/n (the package's
+_drop) as 1/x passes each n.  The package does the same arithmetic but
+evaluates f only where the minimum or a candidate can lie, so its
+results must equal walked_scan's bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
 import mpmath
 
-from zeta_explicit.analysis import HypothesisScan
-from zeta_explicit.explicit import f_rhs_lt1
+from zeta_explicit.analysis import HypothesisScan, _drop
+from zeta_explicit.explicit import f_rhs_lt1, g_lt1
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import _exact
 
@@ -46,6 +51,53 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
             if not 0 < arg < 1:
                 continue
             v = abs(f_rhs_lt1(arg, ctx).val)
+            x = Fraction(k, denominator)
+            if best is None or v < best[1]:
+                best = (x, v)
+            if v < threshold:
+                candidates.append((x, ctx.real(v)))
+    return HypothesisScan(
+        d=d, window_hi=ctx.real(window_hi), denominator=denominator,
+        threshold=threshold, evaluated=kmax,
+        candidates=tuple(candidates), min_abs=ctx.real(best[1]),
+        argmin=best[0], found=bool(candidates))
+
+
+def walked_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
+                denominator: int = 10_000,
+                threshold: float = 1e-6) -> HypothesisScan:
+    """Evaluate the zero-sum function at pi sqrt(d) k/denominator for
+    every k keeping the argument inside (0, 1); the irrational argument
+    is replaced by its working-precision dyadic approximation, which
+    never collides with a reciprocal prime power.  f = g_lt1 + K as in
+    the finders: K comes from one f_rhs_lt1 call at the first point and
+    falls by Lambda(n)/n (_drop) as 1/x passes each n, at bits + 32.
+    Refuses a d that is not a positive integer."""
+    ctx = ctx or PrecisionContext()
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be a positive integer, got d = {d}")
+    if denominator < 2:
+        raise ValueError("grid denominator must be >= 2")
+    wide = PrecisionContext(ctx.bits + _GUARD)
+    with ctx.workprec(_GUARD):
+        scale = ctx.pi * mpmath.sqrt(d)
+        window_hi = 1 / scale
+        kmax = int(mpmath.floor(denominator * window_hi))
+        if kmax < 1:
+            raise ValueError(f"window (0, {mpmath.nstr(window_hi, 8)}) holds "
+                             f"no grid point with denominator {denominator}")
+        candidates = []
+        best = K = None
+        for k in range(1, kmax + 1):
+            arg = _exact(xv := scale * k / denominator)
+            if not 0 < arg < 1:
+                continue
+            if K is None:
+                n, K = math.floor(1 / arg), f_rhs_lt1(arg, wide).val - g_lt1(xv)
+            while n * arg > 1:
+                K -= _drop(n, False, wide)
+                n -= 1
+            v = abs(g_lt1(xv) + K)
             x = Fraction(k, denominator)
             if best is None or v < best[1]:
                 best = (x, v)

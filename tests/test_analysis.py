@@ -239,3 +239,72 @@ def test_walked_scan_matches_per_point_reference(d, points, bits, threshold):
         assert abs(new.min_abs.val - old.min_abs.val) <= tol
         for (_, a), (_, b) in zip(new.candidates, old.candidates):
             assert abs(a.val - b.val) <= tol
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"denominator": 1000.5}, "denominator"), ({"denominator": 1}, "denominator"),
+    ({"denominator": 1000.0}, "denominator"), ({"threshold": math.nan}, "threshold"),
+    ({"threshold": math.inf}, "threshold"), ({"threshold": 0.0}, "threshold"),
+    ({"threshold": -1e-6}, "threshold"), ({"threshold": "1e-6"}, "threshold"),
+    ({"threshold": Fraction(1, 10 ** 6)}, "threshold"),
+])
+def test_hypothesis_scan_refuses_bad_grid_and_threshold(ctx, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        hypothesis_scan(1, ctx, **kwargs)
+
+
+def _same_scan(new, old):
+    # bit for bit: every point and every mpf value compared with ==
+    assert new.evaluated == old.evaluated
+    assert new.argmin == old.argmin
+    assert new.min_abs.val == old.min_abs.val
+    assert [(x, v.val) for x, v in new.candidates] == \
+        [(x, v.val) for x, v in old.candidates]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(SCAN_D), st.integers(1, 3000),
+       st.sampled_from([128, 192, 256]), st.sampled_from([1e-6, 1e-3, 1e-2, 0.5]))
+def test_piece_walk_equals_walked_scan(d, points, bits, threshold):
+    ctx = PrecisionContext(bits=bits)
+    den = math.ceil(points * math.pi * math.sqrt(d))
+    _same_scan(hypothesis_scan(d, ctx, denominator=den, threshold=threshold),
+               ref.walked_scan(d, ctx, denominator=den, threshold=threshold))
+
+
+@pytest.mark.parametrize("d,den,kmax,past_turn", [
+    (1, 4, 1, True), (1, 5, 1, False), (1, 7, 2, True), (1, 9, 2, False),
+    (1, 10, 3, True), (1, 12, 3, True), (5, 28, 3, False), (7, 9, 1, True),
+    (7, 17, 2, True), (7, 25, 3, True), (30, 18, 1, True), (30, 52, 3, True),
+])
+@pytest.mark.parametrize("bits", [128, 192, 256])
+def test_piece_walk_on_tiny_windows(d, den, kmax, past_turn, bits):
+    # the top grid point on either side of the turn at 1/plastic
+    ctx = PrecisionContext(bits=bits)
+    top = math.pi * math.sqrt(d) * kmax / den
+    assert (top > 0.7548776662466927) == past_turn
+    for threshold in (1e-6, 0.5):
+        new = hypothesis_scan(d, ctx, denominator=den, threshold=threshold)
+        assert new.evaluated == kmax
+        _same_scan(new, ref.walked_scan(d, ctx, denominator=den,
+                                        threshold=threshold))
+
+
+def test_piece_walk_evaluation_count(monkeypatch):
+    # d = 1 with 3,000 grid points: the per-point walk takes g_lt1 3,000
+    # times, the piece walk only at piece ends, bisections and candidates.
+    calls = {"g": 0, "f_rhs": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(analysis, "g_lt1", counted("g", g_lt1))
+    monkeypatch.setattr(analysis, "f_rhs_lt1", counted("f_rhs", f_rhs_lt1))
+    scan = hypothesis_scan(1, PrecisionContext(bits=192),
+                           denominator=round(3000 * math.pi))
+    assert scan.evaluated == 3000
+    assert calls["f_rhs"] == 1
+    assert calls["g"] <= 300

@@ -429,3 +429,20 @@ def test_benchmark_cli_argv_parse():
             parser.parse_args(op["args"]["argv"])
             commands.add(op["args"]["argv"][0])
     assert commands == set(OPTION_TABLE)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-1e-6"),
+    ("--threshold", "0"), ("--grid-denominator", "1"),
+])
+def test_bad_scan_input_is_domain_error(capsys, monkeypatch, option, value):
+    # refused before the Chowla-Selberg check spends any time
+    def refuse(*args, **kwargs):
+        raise AssertionError("chowla_selberg_check ran before the scan input check")
+
+    monkeypatch.setattr(analysis, "chowla_selberg_check", refuse)
+    code, out, err = run(capsys, "chowla-selberg", "--d", "1", "--json",
+                         f"{option}={value}")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert option.lstrip("-").replace("grid-", "grid ") in err
