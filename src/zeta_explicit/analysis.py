@@ -48,7 +48,7 @@ from typing import Callable, Optional
 import mpmath
 from mpmath import mpf
 
-from .arith import class_data, shared_table
+from .arith import class_data, mangoldt, shared_table
 from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
 from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf
 from .zeros import _exact
@@ -134,7 +134,8 @@ def _refine(a: Fraction, b: Fraction, fa: mpf, h: Fraction,
 def _drop(n: int, above: bool, wide: PrecisionContext) -> mpf:
     """The fall of K as x passes n upward (above 1) or 1/n (below 1):
     Lambda(n), or Lambda(n)/n, 0 when n is no prime power."""
-    return shared_table(n).mangoldt(n, wide).val / (1 if above else n)
+    with wide.workprec():
+        return mangoldt(n) / (1 if above else n)
 
 
 def _turn(above: bool) -> Fraction:

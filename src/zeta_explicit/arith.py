@@ -13,10 +13,9 @@ Selberg-class descriptors:
 where Sum' halves the boundary term when the endpoint is a prime power.
 Inputs x are exact rationals so the "is the endpoint a prime power"
 branch is decidable (_endpoint decides it for every sum).  Both forms
-are weighted_sum, which reads prime_power_sum at bits + 32: a running
-sum checkpointed every BLOCK = 256 integers per (s, chi, precision) for
-the life of the process, plus the terms past the checkpoint, so a value
-does not depend on which sums were asked for before it.
+are weighted_sum, which reads prime_power_sum at bits + 32: fixed-point
+integers, each prime's log taken once into a table per width, checkpointed
+every BLOCK = 256 per (s, chi, precision); no value depends on history.
 
 The class data of Q(sqrt(-d)) is exact integers.  mpmath.loggamma, in
 analysis, is the only mpmath special function production code calls.
@@ -31,12 +30,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
-from mpmath import mpf
+from mpmath import libmp, mpf
+from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
 from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf
 
 # Sieve memory budget: 4 bytes per entry.
 MAX_SIEVE = 20_000_000
+LOG_LIMIT = 2 ** 17   # primes whose logs are kept, per width: about 12k
 
 
 # ----------------------------------------------------------------------
@@ -63,14 +64,6 @@ class MangoldtTable:
 
     def is_prime_power(self, n: int) -> bool:
         return 1 <= n <= self.limit and self.entries[n] != 0
-
-    def mangoldt(self, n: int, ctx: PrecisionContext) -> HReal:
-        """Lambda(n) as a high-precision real."""
-        p = self.prime_of(n)
-        if p == 0:
-            return ctx.real(0)
-        with ctx.workprec():
-            return ctx.real(mpmath.log(p))
 
 
 def mangoldt_sieve(N: int) -> MangoldtTable:
@@ -117,10 +110,27 @@ def shared_table(N: int) -> MangoldtTable:
 
 BLOCK = 256   # spacing of prime_power_sum's prefix checkpoints
 _prefix: dict[tuple, list] = {}
+_logs: dict[int, dict[int, int]] = {}   # width W -> {p: log(p) 2^W}
+_FIXED = 16   # guard bits of the walk's width, for its per-term roundings
 
 
 def _chi_at(chi: Optional[Sequence[int]], n: int) -> int:
     return 1 if chi is None else chi[n % len(chi)]
+
+
+def _log(p: int, W: int) -> int:
+    """log(p) 2^W, the one log behind every Lambda(n); kept in the
+    width's table when p <= LOG_LIMIT, so each such p takes it once."""
+    L = libmp.to_fixed(libmp.mpf_log(libmp.from_int(p), W), W)
+    if p <= LOG_LIMIT:
+        _logs.setdefault(W, {})[p] = L
+    return L
+
+
+def mangoldt(n: int) -> mpf:
+    """Lambda(n) at the current precision, log p read from the shared table."""
+    p, W = shared_table(n).prime_of(n), mpmath.mp.prec + _FIXED
+    return mpf((_logs.get(W, {}).get(p) or _log(p, W), -W)) if p else mpf(0)
 
 
 def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
@@ -128,35 +138,39 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     """Sum_{p^k <= N} chi(p)^k log(p) p^(-ks) at bits + 32 (chi absent
     means chi = 1): the one loop behind every prime-power sum.
 
-    A table per (s, chi, working precision) keeps the running sum at each
-    multiple of BLOCK, grown by whole blocks in increasing n; a query adds
-    the terms past its checkpoint, so no value depends on earlier queries.
-    Each prime power n = p^k takes one log, of p, and forms n^(-s) from
-    it (as an integer power of n when s is an integer).
+    Integers at width W + e, rounded once: W = precision + _FIXED, and
+    e = s log2 p0 keeps the first term p0^(-s) (p0 the least prime chi
+    keeps) at W bits.  log p comes from W's table; n = p^k gives n^(-s)
+    as an exact power of n at integer s, else exp_fixed(-s k log p).
+    Checkpoints every BLOCK per (s, chi, precision), grown by whole blocks
+    in increasing n, so no value depends on earlier queries.
     """
     with ctx.workprec(_GUARD):
         key = (s, None if chi is None else tuple(chi), mpmath.mp.prec)
-        sums = _prefix.setdefault(key, [mpf(0)])
+        sums = _prefix.setdefault(key, [0])
         entries = shared_table(N).entries
-        sv, e, zero, integer = _to_mpf(s), s.numerator, s == 0, s.denominator == 1
+        W, a, b = mpmath.mp.prec + _FIXED, s.numerator, s.denominator
+        logs = _logs.setdefault(W, {})
+        p0 = next((n for n in range(2, 3 + len(chi or ())) if _chi_at(chi, n)), 2)
+        e = max(0, math.ceil(s * math.log2(p0)))   # e = 0 for s <= 0
 
-        def walk(acc: mpf, lo: int, hi: int) -> mpf:
+        def walk(acc: int, lo: int, hi: int) -> int:
             for n in range(lo + 1, hi + 1):
                 p = entries[n]
                 if p and (c := _chi_at(chi, n)):     # n = p^k, chi(n) = chi(p)^k
-                    logp = mpmath.log(p)
-                    if zero:
-                        acc += c * logp
-                    elif integer:                    # n^-s as an exact power of n
-                        acc += c * logp / n ** e if e > 0 else c * logp * n ** -e
+                    L = logs.get(p) or _log(p, W)
+                    if a == 0:
+                        acc += c * L
+                    elif b == 1:                     # n^-s as an exact power of n
+                        acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
                     else:
-                        logn = logp if p == n else round(math.log(n, p)) * logp
-                        acc += c * logp * mpmath.exp(-sv * logn)
+                        k = 1 if p == n else round(math.log(n, p))
+                        acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W
             return acc
 
         for j in range(len(sums), N // BLOCK + 1):
             sums.append(walk(sums[-1], (j - 1) * BLOCK, j * BLOCK))
-        return walk(sums[N // BLOCK], N // BLOCK * BLOCK, N)
+        return mpf((walk(sums[N // BLOCK], N // BLOCK * BLOCK, N), -W - e))
 
 
 def _endpoint(y: Fraction) -> tuple[int, int]:
@@ -182,7 +196,7 @@ def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
     with ctx.workprec(_GUARD):
         total = _to_mpf(x) ** _to_mpf(alpha) * prime_power_sum(N, s, ctx, chi)
         if p:
-            total += _to_mpf(w) * _chi_at(chi, y.numerator) * mpmath.log(p) / 2
+            total += _to_mpf(w) * _chi_at(chi, y.numerator) * mangoldt(p) / 2
     return total
 
 

@@ -255,8 +255,9 @@ def test_c09_descriptor_layer_consistency(ctx, criterion_log):
             n = 2
             while F(n) <= x:
                 w = mpf(1) if F(n) < x else mpf(1) / 2
-                acc += (w * chi[n % 4] * tab.mangoldt(n, ctx).val
-                        * mpmath.power(xv / n, av))
+                if p := tab.prime_of(n):    # Lambda(n) = log p for n = p^k
+                    acc += (w * chi[n % 4] * mpmath.log(p)
+                            * mpmath.power(xv / n, av))
                 n += 1
             fu = f_u_closed(F(1, 2) * (1 + a), ctx.mpf(1 / (x * x)), ctx)
             hand = -acc + 1 / (xv * (1 + av)) + fu.val.real / (2 * xv)

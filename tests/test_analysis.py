@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 import hypothesis.strategies as st
 
 from zeta_explicit import analysis
@@ -217,9 +217,12 @@ def test_hypothesis_scan_refuses_bad_d(ctx, d):
 # d as in the benchmark's scans, 50-3000 grid points, and thresholds loose
 # enough that the candidate lists are not empty.
 SCAN_D = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31)
+# No shrinking: each shrink step reruns the reference scans, so a failing
+# example would take minutes to report instead of seconds.
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
+@settings(max_examples=8, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(st.sampled_from(SCAN_D), st.integers(50, 3000),
        st.sampled_from([128, 192, 256]), st.sampled_from([1e-6, 1e-3, 1e-2]))
 def test_walked_scan_matches_per_point_reference(d, points, bits, threshold):
@@ -262,7 +265,7 @@ def _same_scan(new, old):
         [(x, v.val) for x, v in old.candidates]
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(st.sampled_from(SCAN_D), st.integers(1, 3000),
        st.sampled_from([128, 192, 256]), st.sampled_from([1e-6, 1e-3, 1e-2, 0.5]))
 def test_piece_walk_equals_walked_scan(d, points, bits, threshold):

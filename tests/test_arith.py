@@ -18,6 +18,7 @@ from zeta_explicit.arith import (
     is_squarefree,
     kronecker_chi,
     kronecker_symbol,
+    mangoldt,
     mangoldt_sieve,
     prime_power_sum,
     psi0,
@@ -63,8 +64,8 @@ def test_sieve_queries(ctx):
     assert t.is_prime_power(9)
     assert not t.is_prime_power(1)
     with ctx.workprec(16):
-        assert abs(t.mangoldt(49, ctx).val - mpmath.log(7)) < mpmath.mpf(2) ** (-180)
-    assert t.mangoldt(10, ctx).val == 0
+        assert abs(mangoldt(49) - mpmath.log(7)) < mpmath.mpf(2) ** (-180)
+    assert mangoldt(10) == 0
     with pytest.raises(ValueError):
         mangoldt_sieve(100).prime_of(101)
 
@@ -151,7 +152,11 @@ def test_t_sum_rejects_domain(ctx):
 
 # Prefix checkpoints of prime_power_sum.  chi_{-d} for d = 3, 1, 7, 2 has
 # modulus 3, 4, 7, 8.
-TABLE_S = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-1, 2), Fraction(3, 2))
+# 2/5, -3/7 and 7/13 put s with denominators 5, 7 and 13 through exp_fixed;
+# 60 and 401/2 make the first term, p0^-s, smaller than 2^-bits, where a
+# walk kept at a width of a fixed number of bits past 1 would lose it.
+TABLE_S = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-1, 2), Fraction(3, 2),
+           Fraction(2, 5), Fraction(-3, 7), Fraction(7, 13), Fraction(60), Fraction(401, 2))
 TABLE_CHI = (None, 3, 1, 7, 2)
 # x = N + 1/2 reads the terms n <= N in full; the integer prime powers
 # 251 < 256 = 2^8 < 257 and 509 < 512 = 2^9 < 521 sit around the first two
@@ -173,6 +178,20 @@ def test_checkpointed_sums_match_per_n_reference(bits, d):
                 assert abs(got - ref) <= mpmath.mpf(2) ** (8 - bits) * size, (x, s, d)
 
 
+@pytest.mark.parametrize("x,alpha", [(Fraction(17, 2), Fraction(200)),
+                                     (Fraction(2, 1001), Fraction(-60)),
+                                     (Fraction(2, 1001), Fraction(-399, 2))])
+def test_large_s_sums_keep_relative_precision(x, alpha):
+    # psi0_alpha at s = alpha and T_sum at s = 1 - alpha (the T form, which
+    # TABLE_S does not reach), for s of 61 and more: every term is below
+    # 2^-bits, yet the sum keeps the contract.
+    ctx = PrecisionContext(bits=128)
+    got = (psi0_alpha if x > 1 else T_sum)(x, alpha, ctx).val
+    ref, size = prime_sum_reference(x, alpha, None, 128)
+    with mpmath.workprec(192):
+        assert abs(got - ref) <= mpmath.mpf(2) ** (8 - 128) * size
+
+
 TABLE_N = (3000, 255, 256, 257, 1, 1023, 5000, 2 * BLOCK)
 
 
@@ -181,14 +200,48 @@ TABLE_N = (3000, 255, 256, 257, 1, 1023, 5000, 2 * BLOCK)
 def test_checkpointed_sums_do_not_depend_on_history(monkeypatch, s, d):
     ctx = PrecisionContext(bits=192)
     chi = None if d is None else kronecker_chi(d)
+
+    def reset(logs_from=None):
+        # empty checkpoint tables; an empty log table, or one that a walk
+        # past every N at logs_from's precision has grown
+        monkeypatch.setattr(arith, "_prefix", {})
+        monkeypatch.setattr(arith, "_logs", {})
+        if logs_from is not None:
+            prime_power_sum(2 * max(TABLE_N), s, logs_from, chi)
+            monkeypatch.setattr(arith, "_prefix", {})
+
     fresh = {}
     for N in TABLE_N:
-        monkeypatch.setattr(arith, "_prefix", {})
+        reset()
         fresh[N] = prime_power_sum(N, s, ctx, chi)
-    for order in (sorted(TABLE_N), sorted(TABLE_N, reverse=True), TABLE_N):
-        monkeypatch.setattr(arith, "_prefix", {})
-        grown = {N: prime_power_sum(N, s, ctx, chi) for N in order}
-        assert grown == fresh, order
+    for logs_from in (None, ctx, PrecisionContext(bits=128)):
+        for order in (sorted(TABLE_N), sorted(TABLE_N, reverse=True), TABLE_N):
+            reset(logs_from)
+            grown = {N: prime_power_sum(N, s, ctx, chi) for N in order}
+            assert grown == fresh, (order, logs_from)
+
+
+@pytest.mark.parametrize("s", [Fraction(0), Fraction(1), Fraction(2, 5), Fraction(-3, 7)])
+def test_log_table_stops_at_its_limit(monkeypatch, s):
+    # A sum and a Lambda(n) across the limit: logs above it are taken per
+    # use, and the sum equals the one with every log kept and the per-n
+    # reference.
+    ctx, x = PrecisionContext(bits=192), Fraction(2001, 2)
+    monkeypatch.setattr(arith, "_prefix", {})
+    monkeypatch.setattr(arith, "_logs", {})
+    kept = weighted_sum(x, s, ctx)
+    monkeypatch.setattr(arith, "LOG_LIMIT", 500)
+    monkeypatch.setattr(arith, "_prefix", {})
+    monkeypatch.setattr(arith, "_logs", {})
+    got = weighted_sum(x, s, ctx)
+    with ctx.workprec(32):
+        assert abs(mangoldt(503 ** 2) - mpmath.log(503)) < mpmath.mpf(2) ** (-216)
+    logs, = arith._logs.values()
+    assert list(logs) == [p for p in range(2, 501) if _prime_power_base(p) == p]
+    assert got == kept
+    ref, size = prime_sum_reference(x, s, None, 192)
+    with mpmath.workprec(256):
+        assert abs(got - ref) <= mpmath.mpf(2) ** (8 - 192) * size
 
 
 @pytest.mark.parametrize("N", [1, BLOCK - 1, BLOCK, BLOCK + 1, 10_000])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from zeta_explicit import explicit
+from zeta_explicit import arith, explicit
 from zeta_explicit.arith import (T_sum, discriminant_of, kronecker_chi, psi0, psi0_alpha,
                                  shared_table)
 from zeta_explicit.explicit import (
@@ -84,6 +84,23 @@ def test_cosine_regrouping_is_identity(ctx):
         b = cosine_rhs_expanded(x, ctx).val
         with ctx.workprec(16):
             assert abs(a - b) < TINY
+
+
+def test_cold_cosine_rhs_takes_each_log_once(monkeypatch, ctx):
+    # psi0(x) and T(1/x, 0) walk the same primes at the same precision, so
+    # one log per prime p <= 10000 serves both: pi(10000) = 1229 logs.
+    taken, log = [], arith._log
+
+    def counted(p, W):
+        taken.append(p)
+        return log(p, W)
+
+    monkeypatch.setattr(arith, "_prefix", {})
+    monkeypatch.setattr(arith, "_logs", {})
+    monkeypatch.setattr(arith, "_log", counted)
+    cosine_rhs(F(20001, 2), ctx)
+    assert len(taken) == 1229
+    assert taken == [p for p in range(2, 10001) if shared_table(p).prime_of(p) == p]
 
 
 def test_cosine_rhs_frozen_value(ctx):
