@@ -17,10 +17,11 @@ one-sided limits at a discontinuity is reported as a jump-crossing
 record.  Every residual is |f_rhs| itself, so it also checks the walked
 K against the prime-power sums.
 
-The grid scan walks f(pi sqrt(d) k/N) likewise from one f_rhs_lt1 call
-at k = 1.  Between drops of K, on one side of the turn, |f| is monotone
-or V-shaped in k: f at a piece's ends, a bisection to a sign change and
-steps outward while |f| < threshold find its minimum and candidates.
+The grid scan walks f(pi sqrt(d) k/N) likewise, K = T + gamma from one
+prime sum at k = 1, read at the width of its drops.  Between drops of
+K, on one side of the turn, |f| is monotone or V-shaped in k: f at a
+piece's ends, a bisection to a sign change and steps outward while
+|f| < threshold find its minimum and candidates.
 
 The quadratic-field block works with chi = chi_{-d} mod D for
 squarefree d (class_data supplies D, h, w, chi):
@@ -48,7 +49,7 @@ from typing import Callable, Optional
 import mpmath
 from mpmath import mpf
 
-from .arith import class_data, mangoldt, shared_table
+from .arith import class_data, mangoldt, shared_table, weighted_sum
 from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
 from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf
 from .zeros import _exact
@@ -386,7 +387,7 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         arg = lambda k: _exact(scale * k / denominator)
         f = lambda k: g_lt1(scale * k / denominator) + K
         n, turn = math.floor(1 / arg(1)), _turn(False)
-        K = f_rhs_lt1(arg(1), wide).val - g_lt1(scale / denominator)
+        K = weighted_sum(arg(1), Fraction(0), ctx) + mpmath.euler
         qs = list(filter(shared_table(max(2, n)).is_prime_power, range(2, n + 1)))
         candidates, best, k = [], None, 1
         while k <= kmax and (a := arg(k)) < 1:

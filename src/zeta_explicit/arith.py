@@ -141,7 +141,9 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     Integers at width W + e, rounded once: W = precision + _FIXED, and
     e = s log2 p0 keeps the first term p0^(-s) (p0 the least prime chi
     keeps) at W bits.  log p comes from W's table; n = p^k gives n^(-s)
-    as an exact power of n at integer s, else exp_fixed(-s k log p).
+    as an exact power of n at integer s, as the exact floor square root
+    of one at half-integer s, else exp_fixed(-s k log p), whose cost,
+    unlike a b-th root's, does not grow with the denominator b >= 3.
     Checkpoints every BLOCK per (s, chi, precision), grown by whole blocks
     in increasing n, so no value depends on earlier queries.
     """
@@ -153,6 +155,7 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
         logs = _logs.setdefault(W, {})
         p0 = next((n for n in range(2, 3 + len(chi or ())) if _chi_at(chi, n)), 2)
         e = max(0, math.ceil(s * math.log2(p0)))   # e = 0 for s <= 0
+        sq = 1 << 2 * (W + e)                       # the square of the walk's unit
 
         def walk(acc: int, lo: int, hi: int) -> int:
             for n in range(lo + 1, hi + 1):
@@ -163,6 +166,9 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
                         acc += c * L
                     elif b == 1:                     # n^-s as an exact power of n
                         acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
+                    elif b == 2:                     # floor(2^(W+e) n^-s), exactly
+                        R = math.isqrt(sq // n ** a if a > 0 else sq * n ** -a)
+                        acc += c * L * R >> W
                     else:
                         k = 1 if p == n else round(math.log(n, p))
                         acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W

@@ -270,8 +270,8 @@ def g_gt1(x: mpf) -> mpf:
 def g_lt1(x: mpf) -> mpf:
     """The continuous part of f below 1, log x + x - (1/2) log((1+x)/(1-x))
     (the trivial-zero contribution together with the first odd power),
-    at the current mpmath precision."""
-    return mpmath.log(x) + x - mpmath.log((1 + x) / (1 - x)) / 2
+    at the current mpmath precision, with its two logs taken as one."""
+    return x + mpmath.log(x * x * (1 - x) / (1 + x)) / 2
 
 
 def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:

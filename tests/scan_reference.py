@@ -4,8 +4,8 @@ package's piece walk.  Both use the package's HypothesisScan record.
 hypothesis_scan evaluates f_rhs_lt1 afresh at every grid point, so each
 point pays for its own prime-power sum.
 
-walked_scan evaluates g_lt1 + K at every grid point: one f_rhs_lt1 call
-at the first point gives K, which falls by Lambda(n)/n (the package's
+walked_scan evaluates g_lt1 + K at every grid point: one prime sum at
+the first point gives K = T + gamma, which falls by Lambda(n)/n (the package's
 _drop) as 1/x passes each n.  The package does the same arithmetic but
 evaluates f only where the minimum or a candidate can lie, so its
 results must equal walked_scan's bit for bit.
@@ -20,6 +20,7 @@ from typing import Optional
 import mpmath
 
 from zeta_explicit.analysis import HypothesisScan, _drop
+from zeta_explicit.arith import weighted_sum
 from zeta_explicit.explicit import f_rhs_lt1, g_lt1
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import _exact
@@ -70,8 +71,9 @@ def walked_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
     every k keeping the argument inside (0, 1); the irrational argument
     is replaced by its working-precision dyadic approximation, which
     never collides with a reciprocal prime power.  f = g_lt1 + K as in
-    the finders: K comes from one f_rhs_lt1 call at the first point and
-    falls by Lambda(n)/n (_drop) as 1/x passes each n, at bits + 32.
+    the finders: K = T + gamma comes from one prime sum at the first
+    point and falls by Lambda(n)/n (_drop) as 1/x passes each n, at
+    bits + 32.
     Refuses a d that is not a positive integer."""
     ctx = ctx or PrecisionContext()
     if not isinstance(d, int) or d < 1:
@@ -93,7 +95,7 @@ def walked_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
             if not 0 < arg < 1:
                 continue
             if K is None:
-                n, K = math.floor(1 / arg), f_rhs_lt1(arg, wide).val - g_lt1(xv)
+                n, K = math.floor(1 / arg), weighted_sum(arg, Fraction(0), ctx) + mpmath.euler
             while n * arg > 1:
                 K -= _drop(n, False, wide)
                 n -= 1

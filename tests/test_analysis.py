@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 import hypothesis.strategies as st
 
-from zeta_explicit import analysis
+from zeta_explicit import analysis, arith
 from zeta_explicit.analysis import (
     GENUINE,
     JUMP,
@@ -23,7 +23,7 @@ from zeta_explicit.analysis import (
     find_zeros_lt1,
     hypothesis_scan,
 )
-from zeta_explicit.arith import class_data, is_squarefree
+from zeta_explicit.arith import class_data, is_squarefree, weighted_sum
 from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g_lt1
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import _exact
@@ -295,8 +295,9 @@ def test_piece_walk_on_tiny_windows(d, den, kmax, past_turn, bits):
 
 def test_piece_walk_evaluation_count(monkeypatch):
     # d = 1 with 3,000 grid points: the per-point walk takes g_lt1 3,000
-    # times, the piece walk only at piece ends, bisections and candidates.
-    calls = {"g": 0, "f_rhs": 0}
+    # times, the piece walk only at piece ends, bisections and candidates;
+    # K is one prime sum, with no f_rhs_lt1 call.
+    calls = {"g": 0, "f_rhs": 0, "sum": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -306,8 +307,26 @@ def test_piece_walk_evaluation_count(monkeypatch):
 
     monkeypatch.setattr(analysis, "g_lt1", counted("g", g_lt1))
     monkeypatch.setattr(analysis, "f_rhs_lt1", counted("f_rhs", f_rhs_lt1))
+    monkeypatch.setattr(analysis, "weighted_sum", counted("sum", weighted_sum))
     scan = hypothesis_scan(1, PrecisionContext(bits=192),
                            denominator=round(3000 * math.pi))
     assert scan.evaluated == 3000
-    assert calls["f_rhs"] == 1
+    assert (calls["sum"], calls["f_rhs"]) == (1, 0)
     assert calls["g"] <= 300
+
+
+def test_cold_scan_takes_each_log_at_one_width(monkeypatch):
+    # K's prime sum and the drops read one log table: pi(3000) = 430 logs,
+    # all at W = 192 + 32 + 16 bits, none at a second width.
+    taken, log = {}, arith._log
+
+    def counted(p, W):
+        taken.setdefault(W, []).append(p)
+        return log(p, W)
+
+    monkeypatch.setattr(arith, "_prefix", {})
+    monkeypatch.setattr(arith, "_logs", {})
+    monkeypatch.setattr(arith, "_log", counted)
+    hypothesis_scan(1, PrecisionContext(bits=192), denominator=9425)
+    assert {W: len(ps) for W, ps in taken.items()} == {240: 430}
+    assert taken[240] == sorted(set(taken[240]))

@@ -152,9 +152,11 @@ def test_t_sum_rejects_domain(ctx):
 
 # Prefix checkpoints of prime_power_sum.  chi_{-d} for d = 3, 1, 7, 2 has
 # modulus 3, 4, 7, 8.
-# 2/5, -3/7 and 7/13 put s with denominators 5, 7 and 13 through exp_fixed;
-# 60 and 401/2 make the first term, p0^-s, smaller than 2^-bits, where a
-# walk kept at a width of a fixed number of bits past 1 would lose it.
+# 1/3, 2/5, -3/7 and 7/13 put s with denominators 3, 5, 7 and 13 through
+# exp_fixed, the only route for denominators >= 3; -1/2, 3/2 and 401/2 take
+# the exact integer square root.  60 and 401/2 make the first term, p0^-s,
+# smaller than 2^-bits, where a walk kept at a width of a fixed number of
+# bits past 1 would lose it.
 TABLE_S = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-1, 2), Fraction(3, 2),
            Fraction(2, 5), Fraction(-3, 7), Fraction(7, 13), Fraction(60), Fraction(401, 2))
 TABLE_CHI = (None, 3, 1, 7, 2)
@@ -190,6 +192,27 @@ def test_large_s_sums_keep_relative_precision(x, alpha):
     ref, size = prime_sum_reference(x, alpha, None, 128)
     with mpmath.workprec(192):
         assert abs(got - ref) <= mpmath.mpf(2) ** (8 - 128) * size
+
+
+@pytest.mark.parametrize("bits", [128, 192])
+@pytest.mark.parametrize("d", [None, 1, 7])
+def test_half_integer_s_takes_exact_square_roots(monkeypatch, bits, d):
+    # n^-s at s = a/2 is an integer square root, so exp_fixed is never
+    # called; both forms, x > 1 (s = alpha) and x < 1 (s = 1 - alpha).
+    def refuse(*args):
+        raise AssertionError("exp_fixed called at a half-integer s")
+
+    monkeypatch.setattr(arith, "_prefix", {})
+    monkeypatch.setattr(arith, "exp_fixed", refuse)
+    ctx = PrecisionContext(bits=bits)
+    chi = None if d is None else kronecker_chi(d)
+    for s in (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(401, 2)):
+        for x, alpha in ((Fraction(1001, 2), s), (Fraction(2, 1001), 1 - s),
+                         (Fraction(509), s)):
+            got = weighted_sum(x, alpha, ctx, chi)
+            ref, size = prime_sum_reference(x, alpha, chi, bits)
+            with mpmath.workprec(bits + 64):
+                assert abs(got - ref) <= mpmath.mpf(2) ** (8 - bits) * size, (x, s)
 
 
 TABLE_N = (3000, 255, 256, 257, 1, 1023, 5000, 2 * BLOCK)

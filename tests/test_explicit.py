@@ -27,6 +27,7 @@ from zeta_explicit.explicit import (
     f_rhs_lt1,
     f_u_closed,
     f_u_series,
+    g_lt1,
     general_rhs_gt1,
     general_rhs_lt1,
     load_descriptor,
@@ -66,6 +67,20 @@ def test_f_rhs_domains(ctx):
         f_rhs_gt1(F(1, 2), ctx)
     with pytest.raises(ValueError):
         f_rhs_lt1(F(3, 2), ctx)
+
+
+@pytest.mark.parametrize("bits", [128, 224, 512])
+def test_g_lt1_one_log_matches_two_log_form(bits):
+    # x near 0, the turn at 1/plastic (where g_lt1' = 0) and x near 1
+    two_logs = lambda x: mpmath.log(x) + x - mpmath.log((1 + x) / (1 - x)) / 2
+    with mpmath.workprec(bits):
+        turn = 1 / mpmath.findroot(lambda t: t ** 3 - t - 1, mpf(4) / 3)
+        for x in (mpf(2) ** -100, mpf(10) ** -30, turn, 1 - mpf(2) ** -100):
+            got, same_bits = g_lt1(x), two_logs(x)
+            with mpmath.workprec(bits + 64):
+                ref = two_logs(x)
+                assert abs(got - ref) <= mpf(2) ** (4 - bits) * abs(ref), x
+                assert abs(got - same_bits) <= mpf(2) ** (4 - bits) * abs(ref), x
 
 
 def test_weighted_prime_sum_routes_agree(ctx):
