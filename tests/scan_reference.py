@@ -5,10 +5,10 @@ hypothesis_scan evaluates f_rhs_lt1 afresh at every grid point, so each
 point pays for its own prime-power sum.
 
 walked_scan evaluates g_lt1 + K at every grid point: one prime sum at
-the first point gives K = T + gamma, which falls by Lambda(n)/n (the package's
-_drop) as 1/x passes each n.  The package does the same arithmetic but
-evaluates f only where the minimum or a candidate can lie, so its
-results must equal walked_scan's bit for bit.
+the first point gives K = T + gamma, which falls by Lambda(n)/n (the
+package's _drop) as 1/x passes each n.  The package does the same
+arithmetic but evaluates f only where the minimum or a candidate can
+lie, so its results must equal walked_scan's bit for bit.
 """
 
 from __future__ import annotations
