@@ -9,7 +9,7 @@ where the half-weighted prime term makes the at-point value the mean
 of the one-sided limits.  Between consecutive discontinuities f is an
 elementary g(x) plus a constant K, and g' vanishes once, at the plastic
 number (x > 1) or its reciprocal (x < 1).  The finders walk these
-intervals upward: K comes from one f_rhs call in the first interval and
+intervals upward: K comes from one prime sum in the first interval and
 falls by the von Mangoldt jump at each discontinuity, each interval
 split at the turning point holds at most one zero, and that zero is
 refined by safeguarded Newton steps on g + K.  A sign change of the
@@ -83,7 +83,7 @@ class RootRecord:
 
 
 # f = g + K between consecutive discontinuities, K constant there
-# (-psi0(x) - log 2 pi above 1, T(x) + gamma below 1): (f_rhs, g, g').
+# (_K): (f_rhs for residuals, g, g').
 _BRANCHES = {
     True: (f_rhs_gt1, g_gt1, lambda x: 1 - 1 / (x ** 3 - x)),
     False: (f_rhs_lt1, g_lt1, lambda x: 1 / x + 1 - 1 / (1 - x * x)),
@@ -132,6 +132,15 @@ def _refine(a: Fraction, b: Fraction, fa: mpf, h: Fraction,
     return a, b, x
 
 
+def _K(x: Fraction, above: bool, ctx: PrecisionContext) -> mpf:
+    """f - g at an x that is no prime power (above 1) or reciprocal of
+    one (below 1): -psi0(x) - log 2pi, or T(x, 0) + gamma, at bits + 32,
+    the width of _drop."""
+    with ctx.workprec(_GUARD):
+        t = weighted_sum(x, Fraction(0), ctx)
+        return -t - ctx.log_2pi if above else t + mpmath.euler
+
+
 def _drop(n: int, above: bool, wide: PrecisionContext) -> mpf:
     """The fall of K as x passes n upward (above 1) or 1/n (below 1):
     Lambda(n), or Lambda(n)/n, 0 when n is no prime power."""
@@ -150,8 +159,8 @@ def _turn(above: bool) -> Fraction:
 def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
           ctx: PrecisionContext) -> list[RootRecord]:
     """Records on [lo, hi] (one side of 1), whose discontinuities are the
-    prime powers x = n or x = 1/n: K from one f_rhs call inside the first
-    interval, lowered by _drop at each jump, all at bits + 32."""
+    prime powers x = n or x = 1/n: K from _K inside the first interval,
+    lowered by _drop at each jump, all at bits + 32."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol < Fraction(1, 2 ** max(8, ctx.bits - 16)):
@@ -168,11 +177,9 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
     jumpset = set(jumps)
     bounds = [lo] + [j for j in jumps if lo < j < hi] + [hi]
     wide = PrecisionContext(ctx.bits + _GUARD)
-    mid = (lo + bounds[1]) / 2
-    K = f_rhs(mid, wide).val
+    K = _K((lo + bounds[1]) / 2, above, ctx)
     records: list[RootRecord] = []
     with ctx.workprec(_GUARD):
-        K -= g(_to_mpf(mid))
         turn = _turn(above)
         for a, b in zip(bounds, bounds[1:]):
             ends = [a, turn, b] if a < turn < b else [a, b]
@@ -387,7 +394,7 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         arg = lambda k: _exact(scale * k / denominator)
         f = lambda k: g_lt1(scale * k / denominator) + K
         n, turn = math.floor(1 / arg(1)), _turn(False)
-        K = weighted_sum(arg(1), Fraction(0), ctx) + mpmath.euler
+        K = _K(arg(1), False, ctx)
         qs = list(filter(shared_table(max(2, n)).is_prime_power, range(2, n + 1)))
         candidates, best, k = [], None, 1
         while k <= kmax and (a := arg(k)) < 1:

@@ -12,6 +12,9 @@ build_parser).  Conventions:
   * --zeros names a zero-ordinate file (format per the zeros module);
     the env var ZETA_EXPLICIT_ZEROS supplies a default path, and with
     neither set the embedded 100-ordinate table is used
+  * verify --descriptor is zeta, or chi-d for L(s, chi_{-d}) with d
+    squarefree (chi-1 is chi_{-4}); verify --label, zeta or dirichlet-D,
+    names the zero table's L-function and must match the descriptor's
   * --T/--K pick the truncation (at most one; default: every pair)
   * json output is a single object; identical invocations are
     byte-identical (zero sums accumulate exactly in integers)
@@ -24,12 +27,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
 from . import analysis, explicit, liconst
+from .arith import discriminant_of, kronecker_chi, shared_table
 from .mpcore import PrecisionContext
 from .zeros import (SumSpec, ZeroTable, fixture_table, load_zeros,
                     sum_inv_rho, sum_inv_rho_sq, sum_xrho_over_rho)
@@ -54,39 +59,32 @@ def _parse_rational(text: str, inexact: bool,
     fires on approximate input; the nudge is recorded in notes.
     """
     text = text.strip()
+    decimal = "/" not in text and ("." in text or "e" in text.lower())
+    if decimal and not inexact:
+        raise _InputError(
+            f"decimal literal {text!r} is not exact: write p/q "
+            "(abscissas take decimals under --inexact)")
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             value = Fraction(int(num), int(den))
-        elif "." in text or "e" in text.lower():
-            if not inexact:
-                raise _InputError(
-                    f"decimal literal {text!r} is not exact: write p/q "
-                    "(abscissas take decimals under --inexact)")
-            value = Fraction(text)
-            from .arith import shared_table
-            hit = None
-            if value > 1 and value.denominator == 1:
-                n = value.numerator
-                if shared_table(n).is_prime_power(n):
-                    hit = value
-            elif 0 < value < 1 and value.numerator == 1:
-                n = value.denominator
-                if shared_table(n).is_prime_power(n):
-                    hit = value
-            if hit is not None:
-                value += Fraction(1, 2 ** 96)
-                if notes is not None:
-                    notes.append(f"inexact input {text} nudged off the "
-                                 f"prime-power discontinuity by 2^-96")
         else:
-            value = Fraction(int(text))
+            value = Fraction(text) if decimal else Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"unparsable rational {text!r}: {exc}") from None
+    # at value = n or 1/n the lookup, past the sieve budget, raises the
+    # domain error an exact abscissa meets in the prime sum
+    n = value.numerator * value.denominator
+    hit = decimal and n > 1 and 1 in (value.numerator, value.denominator)
+    if hit and shared_table(n).is_prime_power(n):
+        value += Fraction(1, 2 ** 96)
+        if notes is not None:
+            notes.append(f"inexact input {text} nudged off the "
+                         f"prime-power discontinuity by 2^-96")
     return value
 
 
-def _load_table(args, ctx: PrecisionContext) -> ZeroTable:
+def _load_table(args, ctx: PrecisionContext, label: str = "zeta") -> ZeroTable:
     path = args.zeros or os.environ.get(ENV_ZEROS)
     if not path:
         return fixture_table(ctx)
@@ -94,7 +92,7 @@ def _load_table(args, ctx: PrecisionContext) -> ZeroTable:
         raise _InputError(f"zero file not found: {path}")
     try:
         fmt = "csv" if path.endswith(".csv") else "plain"
-        return load_zeros(path, fmt, label=args.label, ctx=ctx)
+        return load_zeros(path, fmt, label=label, ctx=ctx)
     except ValueError as exc:
         raise _InputError(f"cannot parse zero file {path}: {exc}") from None
 
@@ -115,16 +113,16 @@ def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _resolve_descriptor(name: str, ctx: PrecisionContext):
+    """'zeta', or 'chi-d' for L(s, chi_{-d}), d >= 1 (chi-1 is chi_{-4});
+    a d that is not squarefree is a domain error, as for chowla-selberg."""
     if name == "zeta":
         return explicit.descriptor_zeta()
-    if not os.path.exists(name):
-        raise _InputError(f"descriptor file not found: {name}")
-    with open(name, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return explicit.load_descriptor(text, ctx)
-    except ValueError as exc:
-        raise _InputError(f"cannot parse descriptor {name}: {exc}") from None
+    match = re.fullmatch(r"chi-([1-9][0-9]*)", name)
+    if match is None:
+        raise _InputError(f"unknown descriptor {name!r}: give zeta or chi-d "
+                          "with d a squarefree positive integer")
+    d = int(match.group(1))
+    return explicit.descriptor_dirichlet(discriminant_of(d), kronecker_chi(d), ctx)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +150,7 @@ def _cmd_eval_f(args, ctx: PrecisionContext) -> dict:
 def _cmd_verify(args, ctx: PrecisionContext) -> dict:
     notes: list = []
     x = _parse_rational(args.x, args.inexact, notes)
-    table = _load_table(args, ctx)
+    table = _load_table(args, ctx, args.label)
     spec = _make_spec(args, table)
     pf = None
     alpha = None
@@ -342,6 +340,13 @@ def _render(payload: dict, fmt: str) -> str:
 # Parser and entry point
 # ----------------------------------------------------------------------
 
+def _digits(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--digits must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Every subcommand takes --bits, --json and --csv; of the other
     shared options it takes exactly those its handler reads, each only
@@ -357,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     zeros.add_argument("--zeros", default=None, metavar="PATH",
                        help=f"zero-ordinate file (default ${ENV_ZEROS} "
                             "or the embedded fixture)")
-    zeros.add_argument("--label", default="zeta",
-                       help="label of the zero table (default zeta)")
     zeros.add_argument("--T", type=float, default=None,
                        help="height cutoff: pairs with gamma <= T")
     zeros.add_argument("--K", type=int, default=None,
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="accept decimal abscissas (dyadic conversion; "
                               "prime-power branches disabled by nudge)")
     digits = argparse.ArgumentParser(add_help=False)
-    digits.add_argument("--digits", type=int, default=25,
+    digits.add_argument("--digits", type=_digits, default=25,
                         help="decimal digits printed for values")
 
     parser = argparse.ArgumentParser(
@@ -393,7 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simple roots of B(t), comma-separated rationals")
     p.add_argument("--alpha", default=None, help="shift for selberg-* forms")
     p.add_argument("--descriptor", default="zeta",
-                   help="'zeta' or a descriptor file path")
+                   help="zeta, or chi-d for L(s, chi_{-d}), d squarefree "
+                        "(default zeta)")
+    p.add_argument("--label", default="zeta",
+                   help="label of the zero table, checked against the "
+                        "descriptor's (default zeta)")
 
     p = add("find-zeros", parents=[base, inexact],
             help="bracket zeros of f between discontinuities")
@@ -448,10 +455,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ctx = PrecisionContext(bits=args.bits)
         payload = _HANDLERS[args.command](args, ctx)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, UnicodeDecodeError) as exc:
+    except (_InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ArithmeticError, ZeroDivisionError) as exc:

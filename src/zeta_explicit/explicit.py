@@ -68,8 +68,6 @@ from mpmath import mpf, mpc
 from .arith import (
     psi0 as arith_psi0,
     T_sum,
-    discriminant_of,
-    kronecker_chi,
     weighted_sum,
 )
 from .mpcore import (
@@ -417,19 +415,6 @@ class SelbergDescriptor:
         return _gamma_F[key]
 
 
-def _eval_q_expr(expr: str, ctx: PrecisionContext) -> mpf:
-    """Evaluate a descriptor Q expression: "1/sqrt(pi)", "sqrt(N/pi)"
-    with N a positive integer, or a plain decimal literal."""
-    e = expr.strip().replace(" ", "")
-    with ctx.workprec(_GUARD):
-        if e == "1/sqrt(pi)":
-            return 1 / mpmath.sqrt(mpmath.pi)
-        if e.startswith("sqrt(") and e.endswith("/pi)"):
-            n = int(e[len("sqrt("):-len("/pi)")])
-            return mpmath.sqrt(n / mpmath.pi)
-        return mpf(e)
-
-
 def descriptor_zeta() -> SelbergDescriptor:
     """The descriptor of zeta itself: m_F = 1, one Gamma factor (1/2, 0),
     Lambda_F = Lambda, gamma_F = Euler's constant (Q = pi^(-1/2), w = 1)."""
@@ -476,84 +461,6 @@ def descriptor_dirichlet(q: int, chi: Sequence[int],
         gamma_factors=((Fraction(1, 2), Fraction(a, 2)),),
         chi=chi,
     )
-
-
-def load_descriptor(text: str, ctx: PrecisionContext) -> SelbergDescriptor:
-    """Parse the plain key-value descriptor format:
-
-        label = zeta
-        m_F = 1
-        Q = 1/sqrt(pi)
-        gamma_factors = (1/2, 0)
-        w = 1
-        coeffs = builtin:zeta
-        gamma_F = euler            # optional
-
-    gamma_factors takes ';'-separated (lambda, mu) pairs of rationals;
-    coeffs is builtin:zeta or dirichlet:q,1 (the real primitive
-    quadratic character mod q, from the Kronecker symbol); w is a
-    decimal or 'a+bi'; gamma_F is 'euler' or a decimal.  coeffs fixes
-    the descriptor; every other stated field must agree with it (the
-    numbers to 1e-12), or a ValueError names the field: Q must be
-    sqrt(q/pi) for the modulus q (q = 1 for zeta) and w must be 1.
-    Unknown keys are rejected."""
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"descriptor line {lineno}: expected key = value")
-        k, v = line.split("=", 1)
-        fields[k.strip()] = v.strip()
-    known = {"label", "m_F", "Q", "gamma_factors", "w", "coeffs", "gamma_F"}
-    unknown = set(fields) - known
-    if unknown:
-        raise ValueError(f"unknown descriptor keys: {sorted(unknown)}")
-    source = fields.get("coeffs", "")
-    if source == "builtin:zeta":
-        F = descriptor_zeta()
-    elif source.startswith("dirichlet:"):
-        spec_part = source[len("dirichlet:"):]
-        q_str, idx = (spec_part.split(",") + ["1"])[:2]
-        q = int(q_str)
-        if idx.strip() != "1":
-            raise ValueError("only character index 1 (quadratic) is supported")
-        d = q if q % 2 == 1 else q // 4
-        if discriminant_of(d) != q:
-            raise ValueError(f"no odd quadratic character of conductor {q}")
-        F = descriptor_dirichlet(q, kronecker_chi(d), ctx)
-    else:
-        raise ValueError(f"unknown coefficient source {source!r}")
-
-    def near(a, b) -> bool:
-        return abs(a - b) <= 1e-12 * max(1, abs(b))
-
-    def factors(v: str) -> tuple:
-        pairs = (p.strip().strip("()").split(",") for p in v.split(";"))
-        return tuple((Fraction(lam.strip()), Fraction(mu.strip())) for lam, mu in pairs)
-
-    q = len(F.chi) if F.chi else 1
-    checks = {
-        "label": lambda v: v == F.label,
-        "m_F": lambda v: int(v) == F.m_F,
-        "Q": lambda v: near(_eval_q_expr(v, ctx), _eval_q_expr(f"sqrt({q}/pi)", ctx)),
-        "gamma_factors": lambda v: factors(v) == F.gamma_factors,
-        "w": lambda v: near(complex(v.replace(" ", "").replace("i", "j")), 1),
-        "gamma_F": lambda v: near(mpmath.euler if v == "euler" else mpf(v),
-                                  F.gamma_F(ctx)),
-    }
-    for key, agrees in checks.items():
-        if key not in fields:
-            continue
-        try:
-            ok = agrees(fields[key])
-        except (ValueError, ArithmeticError):
-            ok = False
-        if not ok:
-            raise ValueError(f"descriptor field {key} = {fields[key]!r} disagrees "
-                             f"with coeffs = {source}")
-    return F
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,12 @@ from .zeros import (SumSpec, ZeroTable, _density_integral, _selected_height,
                     inv_abs_sq_term, inv_rho_poly_term, xrho_term, zero_sum)
 
 
+def _refuse_eps(eps: Optional[float]) -> None:
+    """Refuse, before any summation, an eps that is not finite and > 0."""
+    if eps is not None and not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite number > 0, got eps = {eps!r}")
+
+
 def _check_eps(bound: HReal, eps: Optional[float]) -> None:
     if eps is not None and bound.val > eps:
         raise ArithmeticError(
@@ -69,8 +75,8 @@ def stieltjes_shifted(n: int, a: Union[Fraction, int], ctx: PrecisionContext,
     """gamma_n(a) for n >= 0 and rational a > 0, with a certified error
     bound (Euler-Maclaurin remainder plus rounding slop).
 
-    Raises ArithmeticError when eps is given and the certified bound
-    exceeds it, or when the Euler-Maclaurin plan exceeds its budget.
+    Raises ValueError for an eps not finite and > 0; ArithmeticError when
+    the certified bound exceeds eps or the Euler-Maclaurin plan its budget.
     gamma_0(a) = -Gamma'(a)/Gamma(a); the a-shifted orders serve Dirichlet L
     values and derivatives at s = 1.
     """
@@ -79,6 +85,7 @@ def stieltjes_shifted(n: int, a: Union[Fraction, int], ctx: PrecisionContext,
     a = Fraction(a)
     if a <= 0:
         raise ValueError(f"shift a must be positive, got {a}")
+    _refuse_eps(eps)
     value, bound = em_log_moments(1, a, n, ctx)[n]
     _check_eps(bound, eps)
     return value, bound
@@ -232,6 +239,7 @@ def build_stieltjes_table(N: int, ctx: Optional[PrecisionContext] = None,
     """
     if N < 1:
         raise ValueError(f"table order must be >= 1, got {N}")
+    _refuse_eps(eps)
     ctx = ctx or PrecisionContext()
     wide = PrecisionContext(ctx.bits + _GUARD + N)
     raw = em_log_moments(1, 1, N + 1, wide)
@@ -324,7 +332,9 @@ def rh_statistic(table: ZeroTable, spec: SumSpec,
                  tolerance: Optional[float] = None) -> RHStatReport:
     """Signed discrepancy of (Sum 1/|rho|^2 + tail) against the constant
     2 + gamma - log 4pi; within_tolerance uses the tail correction
-    itself as the allowance unless an explicit tolerance is given."""
+    itself as the allowance unless a tolerance (finite, >= 0) is given."""
+    if tolerance is not None and not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got tolerance = {tolerance!r}")
     ctx = ctx or PrecisionContext()
     (value, inv_rho), pairs = zero_sum(
         table, spec, (inv_abs_sq_term(), xrho_term(1, (0,), (1,))), ctx)

@@ -317,16 +317,25 @@ def test_piece_walk_evaluation_count(monkeypatch):
 
 def test_cold_scan_takes_each_log_at_one_width(monkeypatch):
     # K's prime sum and the drops read one log table: pi(3000) = 430 logs,
-    # all at W = 192 + 32 + 16 bits, none at a second width.
-    taken, log = {}, arith._log
+    # all at W = 192 + 32 + 16 bits, none at a second width.  The finder
+    # on the same reciprocal window takes K by the scan's rule and reads
+    # the same one table.
+    log, ctx = arith._log, PrecisionContext(bits=192)
 
-    def counted(p, W):
-        taken.setdefault(W, []).append(p)
-        return log(p, W)
+    def cold(run):
+        taken = {}
 
-    monkeypatch.setattr(arith, "_prefix", {})
-    monkeypatch.setattr(arith, "_logs", {})
-    monkeypatch.setattr(arith, "_log", counted)
-    hypothesis_scan(1, PrecisionContext(bits=192), denominator=9425)
-    assert {W: len(ps) for W, ps in taken.items()} == {240: 430}
-    assert taken[240] == sorted(set(taken[240]))
+        def counted(p, W):
+            taken.setdefault(W, []).append(p)
+            return log(p, W)
+
+        monkeypatch.setattr(arith, "_prefix", {})
+        monkeypatch.setattr(arith, "_logs", {})
+        monkeypatch.setattr(arith, "_log", counted)
+        run()
+        assert all(ps == sorted(set(ps)) for ps in taken.values())
+        return {W: len(ps) for W, ps in taken.items()}
+
+    assert cold(lambda: hypothesis_scan(1, ctx, denominator=9425)) == {240: 430}
+    assert cold(lambda: find_zeros_lt1(Fraction(1, 3000), Fraction(9, 10),
+                                       Fraction(1, 10 ** 6), ctx)) == {240: 430}

@@ -10,8 +10,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from zeta_explicit import analysis
-from zeta_explicit.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
+from zeta_explicit import analysis, arith, explicit, zeros
+from zeta_explicit.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, _resolve_descriptor,
+                               build_parser, main)
 from zeta_explicit.mpcore import PrecisionContext
 
 
@@ -59,6 +60,30 @@ def test_inexact_nudges_prime_power(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert any("nudged" in note for note in payload["notes"])
+
+
+@pytest.mark.parametrize("x", ["1e11", "100000000000"])
+def test_abscissa_past_sieve_budget_is_domain_error(capsys, x):
+    # the inexact decimal and the exact integer meet the same refusal
+    code, out, err = run(capsys, "eval-f", "--x", x, "--inexact")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == ("error: sieve limit 100000000000 exceeds memory budget "
+                   f"{arith.MAX_SIEVE}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-f", "--x", "3/2"],
+    ["li", "--n", "1", "--K", "3"],
+    ["stieltjes", "--n", "1"],
+    ["sum", "--term", "inv-rho", "--K", "3"],
+])
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_digits_below_one_is_usage_error(capsys, argv, digits):
+    code, out, err = run(capsys, *argv, f"--digits={digits}")
+    assert code == EXIT_IO
+    assert out == ""
+    assert f"--digits must be >= 1, got {digits}" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -229,14 +254,68 @@ def test_stieltjes_table_digits_match_precision(capsys):
                 assert gap <= mpmath.mpf(10) ** (1 - n) * abs(r.val), (key, text)
 
 
-def test_descriptor_field_disagreement_is_input_error(capsys, tmp_path):
-    path = tmp_path / "d4.txt"
-    path.write_text("coeffs = dirichlet:4,1\nm_F = 7\n")
-    code, _, err = run(capsys, "verify", "--identity", "selberg-gt1",
-                       "--x", "4", "--alpha", "1/2", "--descriptor", str(path),
-                       "--K", "5")
-    assert code == EXIT_IO
-    assert "m_F" in err
+@pytest.mark.parametrize("argv,name", [
+    (["rh-check", "--K", "3"], "tolerance"),
+    (["stieltjes", "--n", "1"], "eps"),
+    (["stieltjes", "--n", "1", "--table"], "eps"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_tolerance_is_domain_error(capsys, argv, name, value):
+    code, out, err = run(capsys, *argv, f"--{name}={value}")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert f"{name} = {float(value)!r}" in err
+
+
+def test_zero_tolerance_is_accepted_and_zero_eps_refused(capsys):
+    code, out, _ = run(capsys, "rh-check", "--K", "3", "--tolerance=0", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["within_tolerance"] is False
+    code, _, err = run(capsys, "stieltjes", "--n", "1", "--eps=0")
+    assert code == EXIT_DOMAIN
+    assert "eps = 0.0" in err
+
+
+def test_descriptor_names_are_the_benchmark_names():
+    # perfbench/worker.py builds chi-d as below; the CLI resolves the same name
+    ctx = PrecisionContext(bits=192)
+    assert _resolve_descriptor("zeta", ctx) == explicit.descriptor_zeta()
+    for d in (1, 2, 3, 7):
+        worker = explicit.descriptor_dirichlet(
+            arith.discriminant_of(d), arith.kronecker_chi(d), ctx)
+        assert _resolve_descriptor(f"chi-{d}", ctx) == worker
+    assert _resolve_descriptor("chi-1", ctx).label == "dirichlet-4"
+
+
+@pytest.mark.parametrize("identity,x", [("selberg-gt1", "4"), ("selberg-lt1", "1/10")])
+def test_verify_chi_descriptor_matches_library(capsys, identity, x):
+    table_path = Path(zeros.__file__).parent / "data" / "dirichlet4_zeros_10.txt"
+    code, out, _ = run(capsys, "verify", "--identity", identity, "--x", x,
+                       "--alpha", "1/2", "--descriptor", "chi-1",
+                       "--zeros", str(table_path), "--label", "dirichlet-4",
+                       "--K", "10", "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    ctx = PrecisionContext(bits=192)
+    table = zeros.load_zeros(str(table_path), "plain", label="dirichlet-4", ctx=ctx)
+    F = explicit.descriptor_dirichlet(4, arith.kronecker_chi(1), ctx)
+    report = explicit.verify_identity(identity, Fraction(x), table,
+                                      zeros.SumSpec(K=10), ctx,
+                                      alpha=Fraction(1, 2), F=F).to_dict()
+    for key in ("lhs", "rhs", "residual"):
+        assert payload[key] == report[key], key
+
+
+@pytest.mark.parametrize("name,status", [
+    ("foo", EXIT_IO), ("chi-x", EXIT_IO), ("chi-", EXIT_IO), ("chi-0", EXIT_IO),
+    (str(Path(__file__)), EXIT_IO), ("chi-4", EXIT_DOMAIN),
+])
+def test_bad_descriptor_name(capsys, name, status):
+    code, out, err = run(capsys, "verify", "--identity", "selberg-gt1", "--x", "4",
+                         "--alpha", "1/2", "--descriptor", name, "--K", "5")
+    assert code == status
+    assert out == ""
+    assert (name in err) if status == EXIT_IO else "not squarefree" in err
 
 
 def test_stieltjes_plan_over_budget_refused_at_once(capsys):
@@ -347,11 +426,11 @@ def test_rh_check_offline_csv_adds_reflections(capsys, tmp_path):
 # Options each subcommand accepts: --bits/--json/--csv, its own, and
 # exactly the shared options its handler reads.
 BASE_OPTIONS = {"--bits", "--json", "--csv"}
-ZERO_OPTIONS = {"--zeros", "--label", "--T", "--K"}
+ZERO_OPTIONS = {"--zeros", "--T", "--K"}
 OPTION_TABLE = {
     "eval-f": {"--x", "--inexact", "--digits"},
     "verify": {"--identity", "--x", "--pf-num", "--pf-roots", "--alpha",
-               "--descriptor", "--inexact"} | ZERO_OPTIONS,
+               "--descriptor", "--label", "--inexact"} | ZERO_OPTIONS,
     "find-zeros": {"--lo", "--hi", "--tol", "--inexact"},
     "li": {"--n", "--digits"} | ZERO_OPTIONS,
     "stieltjes": {"--n", "--eps", "--table", "--digits"},
@@ -385,6 +464,9 @@ def test_option_surface_matches_table():
     ["chowla-selberg", "--d", "1", "--digits", "10"],
     ["rh-check", "--digits", "10"],
     ["verify", "--identity", "von-mangoldt", "--x", "4", "--digits", "10"],
+    ["li", "--n", "1", "--label", "zeta"],
+    ["rh-check", "--label", "zeta"],
+    ["sum", "--term", "inv-rho", "--label", "zeta"],
 ])
 def test_option_a_subcommand_ignores_is_usage_error(capsys, argv):
     assert main(argv) == EXIT_IO

@@ -30,7 +30,6 @@ from zeta_explicit.explicit import (
     g_lt1,
     general_rhs_gt1,
     general_rhs_lt1,
-    load_descriptor,
     partial_fractions,
     selberg_psi0,
     selberg_T,
@@ -294,8 +293,7 @@ def test_gamma_F_computed_once_per_character_and_bits(monkeypatch):
 
 
 def test_descriptor_fixed_by_its_character(ctx, monkeypatch):
-    # A real primitive character fixes its descriptor with no numerics,
-    # and its stated Q = sqrt(q/pi) and root number w = 1 agree with it.
+    # A real primitive character fixes its descriptor with no numerics.
     squarefree = [d for d in range(1, 400) if all(d % (p * p) for p in range(2, 20))]
     assert len(squarefree) == 243
     for d in squarefree:
@@ -307,8 +305,6 @@ def test_descriptor_fixed_by_its_character(ctx, monkeypatch):
         assert desc == SelbergDescriptor(label=f"dirichlet-{q}", m_F=0,
                                          gamma_factors=((F(1, 2), F(1, 2)),),
                                          chi=tuple(chi))
-        assert load_descriptor(f"coeffs = dirichlet:{q},1\nQ = sqrt({q}/pi)\n"
-                               "w = 1", ctx) == desc
 
 
 def test_dirichlet_descriptor_rejects_imprimitive(ctx):
@@ -428,41 +424,6 @@ def test_general_forms_match_expanded_reference(bits, y, below_one, with_zero,
                             + (abs(1 / a) if a else 0) + 1)
     with mpmath.workprec(bits + 64):
         assert abs(got - ref) <= mpf(2) ** (8 - bits) * size, (x, pf.roots, bits)
-
-
-def test_load_descriptor_round_trip(ctx):
-    text = """
-label = zeta
-m_F = 1
-Q = 1/sqrt(pi)
-gamma_factors = (1/2, 0)
-w = 1
-coeffs = builtin:zeta
-"""
-    d = load_descriptor(text, ctx)
-    assert d.label == "zeta"
-    d4 = load_descriptor("coeffs = dirichlet:4,1", ctx)
-    assert d4.label == "dirichlet-4"
-    with pytest.raises(ValueError, match="unknown descriptor keys"):
-        load_descriptor("coeffs = builtin:zeta\nfoo = 1", ctx)
-    with pytest.raises(ValueError):
-        load_descriptor("coeffs = dirichlet:6,1", ctx)
-    with pytest.raises(ValueError, match="key = value"):
-        load_descriptor("just words", ctx)
-    # Stated fields that agree with the coefficient source load; any
-    # disagreeing field is named in the refusal.
-    stated = load_descriptor("label = dirichlet-4\nm_F = 0\nQ = sqrt(4/pi)\n"
-                             "gamma_factors = (1/2, 1/2)\nw = 1+0i\n"
-                             "coeffs = dirichlet:4,1", ctx)
-    assert stated == d4
-    for extra, field in (("m_F = 7", "m_F"), ("label = zeta", "label"),
-                         ("Q = 1/sqrt(pi)", "Q"),
-                         ("gamma_factors = (1/2, 0)", "gamma_factors"),
-                         ("w = -1", "w"), ("gamma_F = euler", "gamma_F"),
-                         ("m_F = one", "m_F")):
-        with pytest.raises(ValueError, match=f"field {field} "):
-            load_descriptor(f"coeffs = dirichlet:4,1\n{extra}", ctx)
-    assert load_descriptor("coeffs = builtin:zeta\ngamma_F = euler", ctx) == d
 
 
 def test_dirichlet_L_closed_forms(ctx):

@@ -2,6 +2,7 @@
 log-derivative, Li coefficients, and the two-sided growth bounds."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from zeta_explicit import liconst
 from zeta_explicit.liconst import (
     StieltjesTable,
     build_stieltjes_table,
@@ -75,6 +77,27 @@ def test_stieltjes_domain_guards(ctx):
         stieltjes_shifted(0, F(-1, 2), ctx)
     with pytest.raises(ValueError):
         stieltjes_shifted(0, F(0), ctx)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("summation ran before the input check")
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_bad_eps_refused_before_summation(ctx, monkeypatch, eps):
+    monkeypatch.setattr(liconst, "em_log_moments", _refuse)
+    with pytest.raises(ValueError, match=re.escape(f"eps = {eps!r}")):
+        stieltjes_shifted(1, F(1, 3), ctx, eps)
+    with pytest.raises(ValueError, match=re.escape(f"eps = {eps!r}")):
+        build_stieltjes_table(3, ctx, eps)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, -1e-300])
+def test_bad_tolerance_refused_before_summation(ctx, fixture100, monkeypatch,
+                                                tolerance):
+    monkeypatch.setattr(liconst, "zero_sum", _refuse)
+    with pytest.raises(ValueError, match=re.escape(f"tolerance = {tolerance!r}")):
+        rh_statistic(fixture100, SumSpec(K=5), ctx, tolerance=tolerance)
 
 
 @pytest.mark.parametrize("bits", [128, 192])
