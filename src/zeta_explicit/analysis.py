@@ -8,20 +8,18 @@ except at prime powers (x > 1) or reciprocal prime powers (x < 1),
 where the half-weighted prime term makes the at-point value the mean
 of the one-sided limits.  Between consecutive discontinuities f is an
 elementary g(x) plus a constant K, and g' vanishes once, at the plastic
-number (x > 1) or its reciprocal (x < 1).  The finders walk these
-intervals upward: K comes from one prime sum in the first interval and
-falls by the von Mangoldt jump at each discontinuity, each interval
-split at the turning point holds at most one zero, and that zero is
-refined by safeguarded Newton steps on g + K.  A sign change of the
-one-sided limits at a discontinuity is reported as a jump-crossing
-record.  Every residual is |f_rhs| itself, so it also checks the walked
-K against the prime-power sums.
-
-The grid scan walks f(pi sqrt(d) k/N) likewise, K = T + gamma from one
-prime sum at k = 1, read at the width of its drops.  Between drops of
-K, on one side of the turn, |f| is monotone or V-shaped in k: f at a
-piece's ends, a bisection to a sign change and steps outward while
-|f| < threshold find its minimum and candidates.
+number (x > 1) or its reciprocal (x < 1).  One walk, _pieces, yields
+the pieces on which g + K is monotone, in increasing x: K comes from
+one prime sum in the first piece and falls by the von Mangoldt jump at
+each discontinuity.  It has two consumers.  The finders refine the one
+sign change g + K can have on a piece by safeguarded Newton steps, and
+report a sign change of the one-sided limits at a discontinuity as a
+jump-crossing record; every residual is |f_rhs| itself, so it also
+checks the walked K against the prime-power sums.  The grid scan reads
+f(pi sqrt(d) k/N) at the grid points of each piece, where |f| is
+monotone or V-shaped in k: f at the piece's ends, a bisection to a
+sign change and steps outward while |f| < threshold find its minimum
+and candidates.
 
 The quadratic-field block works with chi = chi_{-d} mod D for
 squarefree d (class_data supplies D, h, w, chi):
@@ -44,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import mpmath
 from mpmath import mpf
@@ -80,14 +78,6 @@ class RootRecord:
             "root": self.root.str_digits(25),
             "residual": self.residual.str_digits(8),
         }
-
-
-# f = g + K between consecutive discontinuities, K constant there
-# (_K): (f_rhs for residuals, g, g').
-_BRANCHES = {
-    True: (f_rhs_gt1, g_gt1, lambda x: 1 - 1 / (x ** 3 - x)),
-    False: (f_rhs_lt1, g_lt1, lambda x: 1 / x + 1 - 1 / (1 - x * x)),
-}
 
 
 def _refine(a: Fraction, b: Fraction, fa: mpf, h: Fraction,
@@ -132,15 +122,6 @@ def _refine(a: Fraction, b: Fraction, fa: mpf, h: Fraction,
     return a, b, x
 
 
-def _K(x: Fraction, above: bool, ctx: PrecisionContext) -> mpf:
-    """f - g at an x that is no prime power (above 1) or reciprocal of
-    one (below 1): -psi0(x) - log 2pi, or T(x, 0) + gamma, at bits + 32,
-    the width of _drop."""
-    with ctx.workprec(_GUARD):
-        t = weighted_sum(x, Fraction(0), ctx)
-        return -t - ctx.log_2pi if above else t + mpmath.euler
-
-
 def _drop(n: int, above: bool, wide: PrecisionContext) -> mpf:
     """The fall of K as x passes n upward (above 1) or 1/n (below 1):
     Lambda(n), or Lambda(n)/n, 0 when n is no prime power."""
@@ -148,56 +129,74 @@ def _drop(n: int, above: bool, wide: PrecisionContext) -> mpf:
         return mangoldt(n) / (1 if above else n)
 
 
-def _turn(above: bool) -> Fraction:
-    """Where g' vanishes, exact at the current precision: the plastic
-    number (x^3 = x + 1) above 1, its reciprocal below."""
-    r = mpmath.sqrt(69)
-    turn = mpmath.cbrt((9 + r) / 18) + mpmath.cbrt((9 - r) / 18)
-    return _exact(turn if above else 1 / turn)
+def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
+            ) -> Iterator[tuple[Fraction, Fraction, mpf, mpf]]:
+    """The pieces [a, b] of [lo, hi] (one side of 1) on which f = g + K is
+    monotone, in increasing order, as (a, b, K, drop).  They end at each
+    discontinuity x = n (above 1) or x = 1/n (below 1), n a prime power,
+    inside (lo, hi), at the turn where g' vanishes (the plastic number,
+    x^3 = x + 1, above 1; its reciprocal below) and at hi.  K is
+    -psi0 - log 2pi above 1, or T(x, 0) + gamma below, taken from one
+    prime sum inside the first piece at bits + 32; it falls by drop
+    (_drop; 0 at the turn and at an hi that is no discontinuity) as x
+    passes b.  The turn lies below 2 and above 1/2, so it precedes every
+    discontinuity above 1 and follows every one below."""
+    above = lo > 1
+    # x = n above 1, x = 1/n below: the n strictly inside, and hi's own n
+    n_lo, n_hi, n_end = (lo, hi, hi) if above else (1 / hi, 1 / lo, 1 / hi)
+    table = shared_table(max(2, math.floor(n_hi)))
+    ns = [n for n in range(math.floor(n_lo) + 1, math.ceil(n_hi))
+          if table.is_prime_power(n)]
+    ends = [(Fraction(n), n) for n in ns] if above else \
+        [(Fraction(1, n), n) for n in reversed(ns)]
+    wide = PrecisionContext(ctx.bits + _GUARD)
+    with wide.workprec():
+        r = mpmath.sqrt(69)
+        turn = mpmath.cbrt((9 + r) / 18) + mpmath.cbrt((9 - r) / 18)
+        turn = _exact(turn if above else 1 / turn)
+    if lo < turn < hi:
+        ends.insert(0 if above else len(ends), (turn, 0))
+    at_jump = n_end.denominator == 1 and table.is_prime_power(n_end.numerator)
+    ends.append((hi, n_end.numerator if at_jump else 0))
+    with wide.workprec():
+        t = weighted_sum((lo + ends[0][0]) / 2, Fraction(0), ctx)
+        K = -t - ctx.log_2pi if above else t + mpmath.euler
+    a = lo
+    for b, n in ends:
+        drop = _drop(n, above, wide) if n else 0
+        yield a, b, K, drop
+        with wide.workprec():
+            K -= drop
+        a = b
 
 
 def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
           ctx: PrecisionContext) -> list[RootRecord]:
-    """Records on [lo, hi] (one side of 1), whose discontinuities are the
-    prime powers x = n or x = 1/n: K from _K inside the first interval,
-    lowered by _drop at each jump, all at bits + 32."""
+    """Records on [lo, hi] (one side of 1) from the pieces of _pieces:
+    a zero refined where g + K changes sign across a piece, a
+    jump-crossing where the drop at its end carries g + K across 0."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol < Fraction(1, 2 ** max(8, ctx.bits - 16)):
         raise ValueError(
             f"tol = {tol} below the precision floor 2^-{ctx.bits - 16}")
-    above = lo > 1
-    f_rhs, g, dg = _BRANCHES[above]
-    n_lo, n_hi = (lo, hi) if above else (1 / hi, 1 / lo)
-    table = shared_table(max(2, math.floor(n_hi)))
-    ns = [n for n in range(max(2, math.ceil(n_lo)), math.floor(n_hi) + 1)
-          if table.is_prime_power(n)]
-    jumps = [Fraction(n) for n in ns] if above else [Fraction(1, n) for n in ns[::-1]]
+    if lo > 1:
+        f_rhs, g, dg = f_rhs_gt1, g_gt1, lambda x: 1 - 1 / (x ** 3 - x)
+    else:
+        f_rhs, g, dg = f_rhs_lt1, g_lt1, lambda x: 1 / x + 1 - 1 / (1 - x * x)
     h = Fraction(1, 2 ** (math.ceil(1 / tol) - 1).bit_length())  # <= tol
-    jumpset = set(jumps)
-    bounds = [lo] + [j for j in jumps if lo < j < hi] + [hi]
-    wide = PrecisionContext(ctx.bits + _GUARD)
-    K = _K((lo + bounds[1]) / 2, above, ctx)
     records: list[RootRecord] = []
-    with ctx.workprec(_GUARD):
-        turn = _turn(above)
-        for a, b in zip(bounds, bounds[1:]):
-            ends = [a, turn, b] if a < turn < b else [a, b]
-            vals = [g(_to_mpf(x)) + K for x in ends]
-            for u, v, fu, fv in zip(ends, ends[1:], vals, vals[1:]):
-                if fu * fv < 0:
-                    u, v, x = _refine(u, v, fu, h, lambda x: g(x) + K, dg, ctx)
-                    root = ctx.real(x)
-                    res = f_rhs(_exact(root.val), ctx).val
-                    records.append(RootRecord(u, v, root, ctx.real(abs(res)),
-                                              GENUINE))
-            if b in jumpset:
-                drop = _drop(b.numerator if above else b.denominator, above, wide)
-                if vals[-1] * (vals[-1] - drop) < 0:
-                    res = f_rhs(b, ctx).val
-                    records.append(RootRecord(b, b, ctx.real(b),
-                                              ctx.real(abs(res)), JUMP))
-                K -= drop
+    for a, b, K, drop in _pieces(lo, hi, ctx):
+        with ctx.workprec(_GUARD):
+            fa, fb = g(_to_mpf(a)) + K, g(_to_mpf(b)) + K
+            if fa * fb < 0:
+                u, v, x = _refine(a, b, fa, h, lambda x: g(x) + K, dg, ctx)
+                root = ctx.real(x)
+                res = f_rhs(_exact(root.val), ctx).val
+                records.append(RootRecord(u, v, root, ctx.real(abs(res)), GENUINE))
+            if fb * (fb - drop) < 0:
+                res = f_rhs(b, ctx).val
+                records.append(RootRecord(b, b, ctx.real(b), ctx.real(abs(res)), JUMP))
     return records
 
 
@@ -372,10 +371,11 @@ class HypothesisScan:
 def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
                     denominator: int = 10_000,
                     threshold: float = 1e-6) -> HypothesisScan:
-    """Survey f at pi sqrt(d) k/denominator inside (0, 1), in monotone
-    pieces; each argument is its dyadic value at working precision, never
-    a reciprocal prime power.  Refuses a d that is not a positive integer,
-    a denominator not an integer >= 2 and a threshold not a finite float > 0."""
+    """Survey f at pi sqrt(d) k/denominator inside (0, 1), piece by piece
+    of _pieces; each argument is its dyadic value at working precision,
+    never a reciprocal prime power or the turn.  Refuses a d that is not a
+    positive integer, a denominator not an integer >= 2 and a threshold
+    not a finite float > 0."""
     ctx = ctx or PrecisionContext()
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got d = {d}")
@@ -383,7 +383,6 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         raise ValueError(f"grid denominator must be an integer >= 2, got {denominator!r}")
     if not (isinstance(threshold, (int, float)) and 0 < threshold < math.inf):
         raise ValueError(f"threshold must be a finite positive float, got {threshold!r}")
-    wide = PrecisionContext(ctx.bits + _GUARD)
     with ctx.workprec(_GUARD):
         scale = ctx.pi * mpmath.sqrt(d)
         window_hi = 1 / scale
@@ -393,22 +392,21 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
                              f"no grid point with denominator {denominator}")
         arg = lambda k: _exact(scale * k / denominator)
         f = lambda k: g_lt1(scale * k / denominator) + K
-        n, turn = math.floor(1 / arg(1)), _turn(False)
-        K = _K(arg(1), False, ctx)
-        qs = list(filter(shared_table(max(2, n)).is_prime_power, range(2, n + 1)))
+        dx, last = float(scale) / denominator, kmax if arg(kmax) < 1 else kmax - 1
         candidates, best, k = [], None, 1
-        while k <= kmax and (a := arg(k)) < 1:
-            while qs and qs[-1] * a > 1:
-                K -= _drop(qs.pop(), False, wide)
-            # the piece [k, e]: no further drop and the same side of the turn
-            cap = turn if a < turn else 1
-            inside = lambda j: (b := arg(j)) < cap and not (qs and qs[-1] * b > 1)
-            top = min(cap, Fraction(1, qs[-1]) if qs else 1)
-            e = max(k, min(kmax, math.floor(top * denominator / float(scale))))
-            while e < kmax and inside(e + 1):
+        for _, b, K, _ in _pieces(arg(1), arg(last), ctx):
+            # the piece's grid points [k, e], arg(e) <= b < arg(e + 1); the
+            # float test, safe by far more than its rounding, skips a piece
+            # with none before any exact arg
+            if float(b) < k * dx * (1 - 2 ** -40):
+                continue
+            e = max(k - 1, min(last, math.floor(float(b) / dx)))
+            while e < last and arg(e + 1) <= b:
                 e += 1
-            while not inside(e):
+            while e >= k and arg(e) > b:
                 e -= 1
+            if e < k:
+                continue
             lo, hi, flo = k, e, f(k)
             fhi = f(e) if e > k else flo
             while hi - lo > 1 and (flo > 0) != (fhi > 0):

@@ -14,7 +14,9 @@ build_parser).  Conventions:
     neither set the embedded 100-ordinate table is used
   * verify --descriptor is zeta, or chi-d for L(s, chi_{-d}) with d
     squarefree (chi-1 is chi_{-4}); verify --label, zeta or dirichlet-D,
-    names the zero table's L-function and must match the descriptor's
+    names the zero table's L-function, must match the descriptor's and,
+    unless zeta, needs a zero file; these two and --alpha are refused
+    outside selberg-*, and --pf-num/--pf-roots outside general-*
   * --T/--K pick the truncation (at most one; default: every pair)
   * json output is a single object; identical invocations are
     byte-identical (zero sums accumulate exactly in integers)
@@ -37,7 +39,7 @@ from . import analysis, explicit, liconst
 from .arith import discriminant_of, kronecker_chi, shared_table
 from .mpcore import PrecisionContext
 from .zeros import (SumSpec, ZeroTable, fixture_table, load_zeros,
-                    sum_inv_rho, sum_inv_rho_sq, sum_xrho_over_rho)
+                    sum_inv_rho, sum_inv_rho_sq, xrho_term, zero_sum)
 
 ENV_ZEROS = "ZETA_EXPLICIT_ZEROS"
 
@@ -87,6 +89,9 @@ def _parse_rational(text: str, inexact: bool,
 def _load_table(args, ctx: PrecisionContext, label: str = "zeta") -> ZeroTable:
     path = args.zeros or os.environ.get(ENV_ZEROS)
     if not path:
+        if label != "zeta":
+            raise _InputError(f"--label {label} needs --zeros or ${ENV_ZEROS}: "
+                              "the embedded table holds zeta zeros")
         return fixture_table(ctx)
     if not os.path.exists(path):
         raise _InputError(f"zero file not found: {path}")
@@ -148,24 +153,29 @@ def _cmd_eval_f(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_verify(args, ctx: PrecisionContext) -> dict:
+    family = args.identity.split("-")[0]   # selberg, general or another
+    ignored = [f"--{name}" for name, owner in (
+        ("descriptor", "selberg"), ("alpha", "selberg"), ("label", "selberg"),
+        ("pf-num", "general"), ("pf-roots", "general"))
+        if getattr(args, name.replace("-", "_")) is not None and owner != family]
+    if ignored:
+        raise _InputError(f"{args.identity} takes no {', '.join(ignored)}")
     notes: list = []
     x = _parse_rational(args.x, args.inexact, notes)
-    table = _load_table(args, ctx, args.label)
+    table = _load_table(args, ctx, args.label or "zeta")
     spec = _make_spec(args, table)
-    pf = None
-    alpha = None
-    F = None
-    if args.identity in ("general-gt1", "general-lt1"):
+    pf = alpha = F = None
+    if family == "general":
         if not args.pf_roots:
             raise _InputError(f"{args.identity} requires --pf-roots")
         roots = _parse_fraction_list(args.pf_roots)
         numer = _parse_fraction_list(args.pf_num) if args.pf_num else (Fraction(1),)
         pf = explicit.partial_fractions(numer, roots)
-    if args.identity in ("selberg-gt1", "selberg-lt1"):
+    if family == "selberg":
         if args.alpha is None:
             raise _InputError(f"{args.identity} requires --alpha")
         alpha = _parse_rational(args.alpha, args.inexact, notes)
-        F = _resolve_descriptor(args.descriptor, ctx)
+        F = _resolve_descriptor(args.descriptor or "zeta", ctx)
     report = explicit.verify_identity(args.identity, x, table, spec, ctx,
                                       pf=pf, alpha=alpha, F=F)
     payload = {"command": "verify", **report.to_dict()}
@@ -269,7 +279,9 @@ def _cmd_sum(args, ctx: PrecisionContext) -> dict:
         if args.x is None:
             raise _InputError("--term xrho-over-rho requires --x")
         x = _parse_rational(args.x, args.inexact, notes)
-        value = sum_xrho_over_rho(x, table, spec, ctx)
+        if x <= 0 or x == 1:
+            raise ValueError(f"x must be positive and != 1, got {x}")
+        value, _ = zero_sum(table, spec, xrho_term(x, (0,), (1,)), ctx)
         payload["x"] = str(x)
         payload["value"] = value.str_digits(args.digits)
         if notes:
@@ -395,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pf-roots", default=None,
                    help="simple roots of B(t), comma-separated rationals")
     p.add_argument("--alpha", default=None, help="shift for selberg-* forms")
-    p.add_argument("--descriptor", default="zeta",
-                   help="zeta, or chi-d for L(s, chi_{-d}), d squarefree "
-                        "(default zeta)")
-    p.add_argument("--label", default="zeta",
-                   help="label of the zero table, checked against the "
-                        "descriptor's (default zeta)")
+    p.add_argument("--descriptor", default=None,
+                   help="selberg-* only: zeta, or chi-d for L(s, chi_{-d}), "
+                        "d squarefree (default zeta)")
+    p.add_argument("--label", default=None,
+                   help="selberg-* only: label of the zero table, checked "
+                        "against the descriptor's (default zeta)")
 
     p = add("find-zeros", parents=[base, inexact],
             help="bracket zeros of f between discontinuities")

@@ -465,13 +465,6 @@ def _selected_height(table: ZeroTable, spec: SumSpec) -> mpf:
 # Named sums
 # ----------------------------------------------------------------------
 
-def _abscissa(x, what: str) -> Fraction:
-    xv = _exact(x)
-    if xv <= 0 or xv == 1:
-        raise ValueError(f"{what} requires x in (0,1) or x > 1, got {float(xv)}")
-    return xv
-
-
 def sum_inv_rho(table: ZeroTable, spec: SumSpec,
                 ctx: Optional[PrecisionContext] = None) -> tuple[HReal, HReal]:
     """Truncated Sum 1/rho (pairs combine to 2 beta/|rho|^2) plus its
@@ -509,11 +502,3 @@ def cosine_sum(x, table: ZeroTable, spec: SumSpec,
     critical-line pairing of x^rho x^(-1/2); requires every beta = 1/2
     and x >= 1."""
     return zero_sum(table, spec, cosine_term(x), ctx)[0]
-
-
-def sum_xrho_over_rho(x, table: ZeroTable, spec: SumSpec,
-                      ctx: Optional[PrecisionContext] = None) -> HReal:
-    """Truncated paired Sum x^rho / rho, the zero-sum side of the
-    explicit formulas (conditionally convergent; no tail claimed)."""
-    term = xrho_term(_abscissa(x, "sum x^rho/rho"), (0,), (1,))
-    return zero_sum(table, spec, term, ctx)[0]

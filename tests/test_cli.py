@@ -11,8 +11,8 @@ import mpmath
 import pytest
 
 from zeta_explicit import analysis, arith, explicit, zeros
-from zeta_explicit.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, _resolve_descriptor,
-                               build_parser, main)
+from zeta_explicit.cli import (ENV_ZEROS, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
+                               _resolve_descriptor, build_parser, main)
 from zeta_explicit.mpcore import PrecisionContext
 
 
@@ -116,6 +116,26 @@ def test_sum_xrho_requires_x(capsys):
     code, _, err = run(capsys, "sum", "--term", "xrho-over-rho", "--K", "5")
     assert code == EXIT_IO
     assert "--x" in err
+
+
+@pytest.mark.parametrize("x", ["1", "0", "-3/2"])
+def test_sum_xrho_refuses_x_outside_domain(capsys, x):
+    code, out, err = run(capsys, "sum", "--term", "xrho-over-rho", f"--x={x}",
+                         "--K", "5")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "x must be positive and != 1" in err
+
+
+def test_sum_xrho_is_the_von_mangoldt_lhs(capsys):
+    # the same truncated Sum x^rho/rho by two subcommands
+    sums = []
+    for argv in (["sum", "--term", "xrho-over-rho"],
+                 ["verify", "--identity", "von-mangoldt"]):
+        code, out, _ = run(capsys, *argv, "--x", "21/2", "--K", "20", "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        sums.append(mpmath.mpf(payload.get("value") or payload["lhs"]))
+    assert abs(sums[0] - sums[1]) < 1e-24
 
 
 def test_verify_json_payload(capsys):
@@ -316,6 +336,44 @@ def test_bad_descriptor_name(capsys, name, status):
     assert code == status
     assert out == ""
     assert (name in err) if status == EXIT_IO else "not squarefree" in err
+
+
+def test_label_without_zero_file_is_usage_error(capsys, monkeypatch):
+    # the embedded table holds zeta zeros, whatever --label names
+    monkeypatch.delenv(ENV_ZEROS, raising=False)
+    code, out, err = run(capsys, "verify", "--identity", "selberg-gt1", "--x", "4",
+                         "--alpha", "1/2", "--descriptor", "chi-1",
+                         "--label", "dirichlet-4", "--K", "5")
+    assert (code, out) == (EXIT_IO, "")
+    assert "dirichlet-4" in err and "embedded table holds zeta zeros" in err
+
+
+NOT_SELBERG = ("von-mangoldt", "ingham", "cosine", "s", "general-gt1", "general-lt1")
+NOT_GENERAL = ("von-mangoldt", "ingham", "cosine", "s", "selberg-gt1", "selberg-lt1")
+
+
+@pytest.mark.parametrize("identity,option", [
+    *[(i, o) for i in NOT_SELBERG for o in ("--descriptor", "--alpha", "--label")],
+    *[(i, o) for i in NOT_GENERAL for o in ("--pf-num", "--pf-roots")],
+])
+def test_verify_refuses_options_its_identity_ignores(capsys, identity, option):
+    # what the identity needs, then one option it would ignore
+    needs = {"general": ["--pf-roots=0,1/2"], "selberg": ["--alpha=1/2"]}
+    x = "1/10" if identity.endswith("lt1") else "4"
+    value = {"--descriptor": "zeta", "--label": "zeta"}.get(option, "1/2")
+    code, out, err = run(capsys, "verify", "--identity", identity, "--x", x,
+                         "--K", "5", *needs.get(identity.split("-")[0], []),
+                         f"{option}={value}")
+    assert (code, out) == (EXIT_IO, "")
+    assert f"{identity} takes no {option}" in err
+
+
+def test_verify_names_every_ignored_option(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "von-mangoldt", "--x", "4",
+                         "--descriptor", "foo", "--alpha", "7", "--label", "bar",
+                         "--K", "5")
+    assert (code, out) == (EXIT_IO, "")
+    assert "von-mangoldt takes no --descriptor, --alpha, --label" in err
 
 
 def test_stieltjes_plan_over_budget_refused_at_once(capsys):

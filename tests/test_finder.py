@@ -1,14 +1,19 @@
-"""The interval walk against the grid scan it replaced, and frozen zero
-counts on long windows."""
+"""The interval walk against the grid scan it replaced, its pieces, and
+frozen zero counts on long windows."""
 
+import math
 from fractions import Fraction
 
+import mpmath
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from zeta_explicit.analysis import GENUINE, JUMP, find_zeros_gt1, find_zeros_lt1
+from zeta_explicit import analysis
+from zeta_explicit.analysis import (GENUINE, JUMP, _pieces, find_zeros_gt1,
+                                    find_zeros_lt1)
 from zeta_explicit.arith import shared_table
-from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1
+from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
 from zeta_explicit.mpcore import PrecisionContext
 import finder_reference as ref
 
@@ -80,3 +85,65 @@ def test_frozen_counts_gt1(ctx):
 
 def test_frozen_counts_lt1(ctx):
     assert _counts(find_zeros_lt1(F(1, 300), F(19, 20), TOL, ctx)) == (57, 56)
+
+
+def _prime_of(n):
+    """p when n = p^k, else 0: by trial division, apart from the sieve."""
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else 0
+
+
+# Ends at prime powers (2, 8; 1/9, 1/2; 1/7, 1/5), no discontinuity
+# inside (3, 7/2; 1/7, 1/5), the turn inside (5/4, 3/2; 3/5, 9/10) and
+# the long windows of the frozen counts.
+PIECE_WINDOWS = [(F(21, 20), F(200)), (F(2), F(8)), (F(3), F(7, 2)),
+                 (F(5, 4), F(3, 2)), (F(1, 300), F(19, 20)), (F(1, 9), F(1, 2)),
+                 (F(1, 7), F(1, 5)), (F(3, 5), F(9, 10))]
+
+
+@pytest.mark.parametrize("bits", [128, 192, 512])
+@pytest.mark.parametrize("lo,hi", PIECE_WINDOWS)
+def test_pieces_tile_the_window_with_the_walked_K(lo, hi, bits):
+    ctx, wide = PrecisionContext(bits=bits), PrecisionContext(bits=bits + 64)
+    above = lo > 1
+    f_rhs, g = (f_rhs_gt1, g_gt1) if above else (f_rhs_lt1, g_lt1)
+    with wide.workprec():
+        turn = mpmath.findroot(lambda x: x ** 3 - x - 1, 1.3)
+        turn, eps = (turn if above else 1 / turn), mpmath.ldexp(1, -bits)
+    pieces = list(_pieces(lo, hi, ctx))
+    assert pieces[0][0] == lo and pieces[-1][1] == hi
+    assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+    for a, b, K, drop in pieces:
+        assert a < b
+        # n of each discontinuity x = n (above 1) or x = 1/n (below 1) in (a, b)
+        inside = (range(math.floor(a) + 1, math.ceil(b)) if above
+                  else range(math.floor(1 / b) + 1, math.ceil(1 / a)))
+        assert not any(map(_prime_of, inside))
+        n = b if above else 1 / b
+        p = _prime_of(n.numerator) if n.denominator == 1 else 0
+        mid = (a + b) / 2
+        with wide.workprec():
+            assert not wide.mpf(a) + eps < turn < wide.mpf(b) - eps
+            gap = f_rhs(mid, wide).val - g(wide.mpf(mid)) - K
+            assert abs(gap) <= mpmath.ldexp(1 + abs(K), 8 - bits)
+            fall = mpmath.log(p) / (1 if above else n.numerator) if p else 0
+            assert abs(drop - fall) <= mpmath.ldexp(1, 8 - bits)
+
+
+def test_each_record_takes_one_residual(monkeypatch):
+    # The finder reads f_rhs_gt1 and f_rhs_lt1 through the module, where
+    # the benchmark tracer's wrappers sit: one call per record.
+    calls = []
+    for name in ("f_rhs_gt1", "f_rhs_lt1"):
+        def counted(x, ctx, fn=getattr(analysis, name), name=name):
+            calls.append(name)
+            return fn(x, ctx)
+        monkeypatch.setattr(analysis, name, counted)
+    ctx = PrecisionContext(bits=192)
+    records = find_zeros_gt1(F(21, 20), F(100), F(1, 10 ** 6), ctx)
+    assert len(records) == 60 and calls == ["f_rhs_gt1"] * 60
+    calls.clear()
+    records = find_zeros_lt1(F(1, 300), F(19, 20), F(1, 10 ** 6), ctx)
+    assert calls == ["f_rhs_lt1"] * len(records) and len(records) == 113
