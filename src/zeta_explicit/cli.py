@@ -8,7 +8,8 @@ build_parser).  Conventions:
     decimal literals require --inexact, which converts them to dyadic
     rationals and nudges any value landing exactly on a prime power (or
     reciprocal prime power) off the discontinuity, recording a note;
-    the --pf-num/--pf-roots lists are always exact
+    the --pf-num/--pf-roots lists are always exact; a value may start
+    with '-' (--x -3/2 reads as --x=-3/2)
   * --zeros names a zero-ordinate file (format per the zeros module);
     the env var ZETA_EXPLICIT_ZEROS supplies a default path, and with
     neither set the embedded 100-ordinate table is used
@@ -459,6 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # '--x -3/2' as '--x=-3/2', since argparse would read -3/2 as an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1][:2] == "--" and "=" not in argv[i - 1] and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage

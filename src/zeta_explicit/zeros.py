@@ -9,11 +9,12 @@ first,
     term(rho) + term(rho-bar) = 2 Re term(rho),
 
 before accumulating (the symmetric limit over |Im rho| <= T).  All sums
-run through one fixed-point kernel (zero_sum) over small term
-constructors.  Conditionally convergent sums (x^rho / rho) carry no
-claimed tail bound, only trend data; absolutely convergent sums
-(x^rho / (rho (1-rho)), 1/rho, 1/|rho|^2) get density-integral tail
-estimates driven by dN(t) ~ (1/2pi) log(t/2pi) dt.
+run through one fixed-point kernel (zero_sum), one pass per pair, over
+small term constructors; e^(i gamma log x) comes from process-wide
+tables and a short Taylor series.  Conditionally convergent sums
+(x^rho / rho) carry no claimed tail bound, only trend data; absolutely
+convergent sums (x^rho / (rho (1-rho)), 1/rho, 1/|rho|^2) get
+density-integral tail estimates driven by dN(t) ~ (1/2pi) log(t/2pi) dt.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import from_man_exp, to_fixed, to_rational
-from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
 from .mpcore import _GUARD, HReal, PrecisionContext
 
@@ -79,9 +79,11 @@ class ZeroTable:
             raise ValueError("ordinate/real-part length mismatch")
         if self.scale < 1:
             raise ValueError(f"scale must be a positive integer, got {self.scale}")
+        # each distinct real-part object once (a plain table's rows share 1/2)
+        inside = all(0 < b < 1 for b in {id(b): b for b in self.real_parts}.values())
         prev = 0
         for i, (b, n) in enumerate(zip(self.real_parts, self.ordinates)):
-            if not (0 < b < 1):
+            if not (inside or 0 < b < 1):
                 raise ValueError(f"entry {i}: beta {b} outside (0, 1)")
             if n <= prev:
                 raise ValueError(f"entry {i}: ordinates not strictly increasing")
@@ -95,12 +97,10 @@ class ZeroTable:
         """The distinct real parts the sums visit, reflections included,
         and for each entry the indices of those it stands for."""
         index: dict = {}
-        rows: dict = {}
-        for b in self.real_parts:
-            if b not in rows:
-                row = (b,) if b == _HALF else (b, 1 - b)
-                rows[b] = tuple(index.setdefault(v, len(index)) for v in row)
-        return tuple(index), tuple(rows[b] for b in self.real_parts)
+        rows = {id(b): tuple(index.setdefault(v, len(index))
+                             for v in ((b,) if b == _HALF else (b, 1 - b)))
+                for b in {id(b): b for b in self.real_parts}.values()}
+        return tuple(index), tuple(rows[id(b)] for b in self.real_parts)
 
 
 @dataclass(frozen=True)
@@ -289,51 +289,85 @@ def _mpq(q: Fraction) -> mpf:
     return mpf(q.numerator) / q.denominator
 
 
+@cache
+def _turns(W: int) -> tuple:
+    """Process-wide phase data at width W: e^(i j/256) for the 1,609 j of
+    one turn; e^(i j/65536) and, when W > 256, e^(i j/2^24) for j < 256,
+    each with the shift to its 8 bits of theta; the remainder's mask; the
+    Taylor coefficients (-1)^k 2^W / (2k+1)!, k = K..0, of sin(r) / r in
+    r^2.  Each table holds the powers of one mpmath value at W + 32 bits."""
+    V = W + 32
+    tables = []
+    for level, size in enumerate((1609, 256, 256)[:2 + (W > 256)], 1):
+        with mpmath.workprec(V + 16):
+            sc, ss = (to_fixed(v._mpf_, V) for v in mpmath.cos_sin(mpf(2) ** (-8 * level)))
+        c, s, table = 1 << V, 0, []
+        for _ in range(size):
+            table.append((c >> 32, s >> 32))
+            c, s = (c * sc - s * ss) >> V, (c * ss + s * sc) >> V
+        tables.append(table)
+    lo, K = 8 * len(tables), 0
+    while math.factorial(2 * K + 3) << ((2 * K + 3) * lo) <= 1 << (W + 2):
+        K += 1
+    return (tables[0], [(t, W - 8 * i) for i, t in enumerate(tables[1:], 2)],
+            (1 << (W - lo)) - 1,
+            [(-1) ** k * (1 << W) // math.factorial(2 * k + 1) for k in range(K, -1, -1)])
+
+
 def _phase(x: Fraction, table: ZeroTable, F: int):
     """n -> fixed-point (cos, sin) of gamma log x at gamma = n / scale.
 
-    log x and 2 pi scale are taken to P > F bits, so the phase
-    n log x mod 2 pi scale is reduced exactly in integers; the P - F
-    spare bits absorb gamma times the rounding of log x."""
+    log x and 2 pi scale are taken to P bits, so theta = n log x mod 2 pi
+    scale is reduced exactly in integers to the table width W = 64 ceil((F
+    + 8) / 64); the P - W spare bits absorb gamma times the rounding of
+    log x.  e^(i theta) is the product of _turns(W) entries and e^(i r),
+    sin r by one Taylor loop and cos r = sqrt(1 - sin^2 r), shifted to F once."""
+    W = 64 * -(-(F + 8) // 64)
+    first, finer, rest, sine = _turns(W)
     D = table.scale
     top = -(-table.ordinates[-1] // D)
     logx = abs(math.log(x.numerator) - math.log(x.denominator))
-    P = F + (top * (math.ceil(logx) + 1)).bit_length() + 4
+    P = W + (top * (math.ceil(logx) + 1)).bit_length() + 4
     with mpmath.workprec(P + D.bit_length() + 16):
         LX = to_fixed(mpmath.log(_mpq(x))._mpf_, P)
         TP = to_fixed((2 * mpmath.pi * D)._mpf_, P)
-    DS = D << (P - F)
-    pi2 = pi_fixed(F - 1)
+    DS = D << (P - W)
+    one, W2 = 1 << 2 * W, 2 * W - F
 
     def cos_sin(n: int) -> tuple[int, int]:
-        return cos_sin_fixed(((n * LX) % TP) // DS, F, pi2)
+        theta = ((n * LX) % TP) // DS
+        c, s = first[theta >> (W - 8)]
+        for t, sh in finer:
+            c2, s2 = t[(theta >> sh) & 255]
+            c, s = (c * c2 - s * s2) >> W, (c * s2 + s * c2) >> W
+        r = theta & rest
+        u, s2 = r * r >> W, 0
+        for q in sine:
+            s2 = (s2 * u >> W) + q
+        s2 = s2 * r >> W
+        c2 = math.isqrt(one - s2 * s2)
+        return (c * c2 - s * s2) >> W2, (c * s2 + s * c2) >> W2
     return cos_sin
 
 
-def _bind(term: Term, table: ZeroTable, F: int):
-    """f(k, n): the fixed-point (scale 2^F) value of Re term(rho) at
-    rho = real[k] + i n / scale."""
-    real, _ = table._parts
-    D = table.scale
+def _bind(term: Term, real: tuple, F: int, slot: int):
+    """f(k, G, GG, E): the fixed-point (scale 2^F) value of Re term(rho)
+    at rho = real[k] + i G 2^-F, GG = G^2, with E[slot] the fixed-point
+    (cos, sin) of gamma log x at the term's abscissa x."""
     B = [_fixed(b, F) for b in real]
+    BB = [b * b for b in B]
     F2 = 2 * F
-
     if term.kind == "abs2":
         one3 = 1 << (3 * F)
-
-        def f(k: int, n: int) -> int:
-            G = (n << F) // D
-            return one3 // (B[k] * B[k] + G * G)
-        return f
+        return lambda k, G, GG, E: one3 // (BB[k] + GG)
 
     if term.kind == "poly":
         C = [_fixed(c, F) for c in reversed(term.coeffs)]
         top, rest = C[0], C[1:]
 
-        def f(k: int, n: int) -> int:
-            G = (n << F) // D
+        def f(k: int, G: int, GG: int, E) -> int:
             b = B[k]
-            den = b * b + G * G
+            den = BB[k] + GG
             ur = (b << F2) // den
             ui = -((G << F2) // den)
             pr, pi = top, 0
@@ -342,31 +376,27 @@ def _bind(term: Term, table: ZeroTable, F: int):
             return pr
         return f
 
-    # xrho and cos: x^beta e^(i gamma log x) Sum_i w_i / (rho - p_i), cos
-    # without the x^beta factor.
+    # xrho and cos: x^beta Re e^(i gamma log x) Sum_i w_i / (rho - p_i), cos
+    # without the x^beta factor; a = beta - p_i for each pole, per entry.
     if term.kind == "cos" and any(b != _HALF for b in real):
         raise ValueError("cosine_sum requires a critical-line table (all beta = 1/2)")
-    PW = [(_fixed(p, F), _fixed(w, F)) for p, w in zip(term.poles, term.weights)]
-    cos_sin = None if term.x is None else _phase(term.x, table, F)
-    X = [1 << F] * len(real)
-    if cos_sin is not None and term.kind == "xrho":
+    PW = [[(a * a, a, w, (w * a) << F) for a, w in (
+        (b - _fixed(p, F), _fixed(w, F)) for p, w in zip(term.poles, term.weights))]
+        for b in B]
+    if term.x is None:  # pole i adds w a / (a^2 + gamma^2)
+        return lambda k, G, GG, E: sum(wa // (aa + GG) for aa, _, _, wa in PW[k])
+    X = [1 << F] * len(B)
+    if term.kind == "xrho":
         with mpmath.workprec(F + 16):
             X = [to_fixed(mpmath.power(_mpq(term.x), _mpq(b))._mpf_, F) for b in real]
 
-    def f(k: int, n: int) -> int:
-        G = (n << F) // D
-        GG = G * G
-        b = B[k]
-        sr = si = 0
-        for p, w in PW:
-            a = b - p
-            den = a * a + GG
-            sr += ((w * a) << F) // den
-            si -= ((w * G) << F) // den
-        if cos_sin is None:
-            return sr
-        c, s = cos_sin(n)
-        return (X[k] * ((c * sr - s * si) >> F)) >> F
+    def f(k: int, G: int, GG: int, E) -> int:
+        c, s = E[slot]
+        sG = s * G
+        acc = 0
+        for aa, a, w, _ in PW[k]:  # w (c a + s gamma) / (a^2 + gamma^2) at c + i s
+            acc += w * (c * a + sG) // (aa + GG)
+        return X[k] * acc >> F
     return f
 
 
@@ -396,17 +426,21 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
     # x < 1 shrinks x^beta: keep its relative precision with extra bits.
     small = max([math.ceil(1 / t.x).bit_length() for t in terms if t.x and t.x < 1] + [0])
     F = ctx.bits + _GUARD + len(table).bit_length() + small
-    fns = [_bind(t, table, F) for t in terms]
-    _, parts = table._parts
-    nums = table.ordinates
+    real, parts = table._parts
+    phases = {x: _phase(x, table, F) for x in {t.x for t in terms} - {None}}
+    fns = [_bind(t, real, F, t.x and list(phases).index(t.x)) for t in terms]
+    nums, D = table.ordinates, table.scale
     wanted = set(stops)
     acc = [0] * len(fns)
     at = {}
     for i in range(count):
         n = nums[i]
-        for j, f in enumerate(fns):
-            for k in parts[i]:
-                acc[j] += f(k, n)
+        G = (n << F) // D
+        GG = G * G
+        E = phases and [cos_sin(n) for cos_sin in phases.values()]
+        for k in parts[i]:
+            for j, f in enumerate(fns):
+                acc[j] += f(k, G, GG, E)
         if i + 1 in wanted:
             at[i + 1] = tuple(acc)
 

@@ -126,6 +126,20 @@ def test_sum_xrho_refuses_x_outside_domain(capsys, x):
     assert "x must be positive and != 1" in err
 
 
+@pytest.mark.parametrize("option,value,argv", [
+    ("--x", "-3/2", ["eval-f"]),
+    ("--alpha", "-1/2", ["verify", "--identity", "selberg-gt1", "--x", "4", "--K", "5"]),
+    ("--pf-roots", "-1/2,1/3", ["verify", "--identity", "general-gt1", "--x", "4",
+                                "--K", "5"]),
+])
+def test_signed_value_as_separate_argument(capsys, option, value, argv):
+    # a value written after its option acts as the --option=value form
+    separate = run(capsys, *argv, option, value, "--json")
+    joined = run(capsys, *argv, f"{option}={value}", "--json")
+    assert separate == joined
+    assert separate[0] == (EXIT_DOMAIN if option == "--x" else EXIT_OK)
+
+
 def test_sum_xrho_is_the_von_mangoldt_lhs(capsys):
     # the same truncated Sum x^rho/rho by two subcommands
     sums = []

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from zeta_explicit import zeros
 from zeta_explicit.liconst import lambda_direct
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import (
@@ -105,6 +106,17 @@ def test_table_validation(ctx):
                   source="t", entry_precision=2)
     with pytest.raises(ValueError, match="length mismatch"):
         ZeroTable(label="x", scale=1, ordinates=(14, 20), real_parts=(HALF,),
+                  source="t", entry_precision=2)
+
+
+def test_table_refusal_names_the_first_bad_row():
+    # rows share one 1/2 object; the refusal still names the first bad row
+    with pytest.raises(ValueError, match=r"entry 2: beta 3/2 outside"):
+        ZeroTable(label="x", scale=1, ordinates=(1, 2, 3, 4),
+                  real_parts=(HALF, HALF, Fraction(3, 2), Fraction(-1)),
+                  source="t", entry_precision=2)
+    with pytest.raises(ValueError, match="entry 1: ordinates not strictly"):
+        ZeroTable(label="x", scale=1, ordinates=(1, 1, 3), real_parts=(HALF, HALF, Fraction(3, 2)),
                   source="t", entry_precision=2)
 
 
@@ -295,7 +307,7 @@ TERMS = {
 }
 
 
-@pytest.mark.parametrize("bits", (128, 192, 256))
+@pytest.mark.parametrize("bits", (128, 192, 256, 512, 1024))
 @pytest.mark.parametrize("table_name", sorted(TABLES))
 @pytest.mark.parametrize("term_name", sorted(TERMS))
 def test_kernel_matches_mpc_reference(bits, table_name, term_name):
@@ -312,3 +324,60 @@ def test_kernel_matches_mpc_reference(bits, table_name, term_name):
     ref, mag = reference_sum(table, len(table), term, bits)
     with mpmath.workprec(bits + 64):
         assert abs(value.val - ref) <= mpmath.mpf(2) ** -bits * mag
+
+
+def _phase_edges(bits, x):
+    """A table of 27 (30 when W > 256) binary ordinates at which the phase
+    gamma log x mod 2 pi lies, in units of 2^-W at the kernel's table
+    width W, on and one unit either side of table-step multiples (2^-8
+    and 2^-16 rad, 2^-24 when W > 256), of quarter turns and of 0 = 2 pi.
+    The scale is 2^(W + 48), so each phase sits in the middle of its
+    unit, far from the rounding of log x."""
+    F = bits + 32 + 5            # zero_sum's width for 16 to 31 rows
+    W = 64 * -(-(F + 8) // 64)
+    steps = [W - 8, W - 16] + ([W - 24] if W > 256 else [])
+    rows = []
+    with mpmath.workprec(2 * W + 64):
+        turn = 2 * mpmath.pi * 2 ** W
+        units = [0, 1 << (W - 8), 1608 << (W - 8), (402 << (W - 8)) + (255 << (W - 16))]
+        units += [(j * 37 + 5) << e for j, e in enumerate(steps)]
+        units += [int(mpmath.floor(turn * q / 4)) for q in (1, 2, 3)]
+        logx = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+        for turns, unit in enumerate(u + d for u in units for d in (-1, 0, 1)):
+            theta = (unit + mpmath.mpf(1) / 2) / 2 ** W + 2 * mpmath.pi * (turns + 1)
+            rows.append(int(mpmath.nint(theta / logx * 2 ** (W + 48))))
+    assert len(rows).bit_length() == 5
+    return ZeroTable(label="edges", scale=2 ** (W + 48), ordinates=tuple(rows),
+                     real_parts=(HALF,) * len(rows), source="edges", entry_precision=0)
+
+
+@pytest.mark.parametrize("bits", (192, 512))
+@pytest.mark.parametrize("term", (xrho_term(Fraction(21, 2), (0,), (1,)),
+                                  cosine_term(Fraction(21, 2))), ids=("xrho", "cosine"))
+def test_kernel_phase_at_table_edges(bits, term):
+    ctx = PrecisionContext(bits=bits)
+    table = _phase_edges(bits, term.x)
+    value, _ = zero_sum(table, SumSpec(K=len(table)), term, ctx)
+    ref, mag = reference_sum(table, len(table), term, bits)
+    with mpmath.workprec(bits + 64):
+        assert abs(value.val - ref) <= mpmath.mpf(2) ** -bits * mag
+
+
+def test_phase_tables_depend_on_width_alone(fixture100):
+    # a sum after a cold cache equals one after other widths were filled,
+    # and a repeated call fills no table
+    spec, term = SumSpec(K=40), xrho_term(Fraction(21, 2), (0,), (1,))
+    ctx = PrecisionContext(bits=192)
+    zeros._turns.cache_clear()
+    cold = zero_sum(fixture100, spec, term, ctx)[0]
+    cold_tables = zeros._turns(256)
+    assert zeros._turns.cache_info().misses == 1
+    zeros._turns.cache_clear()
+    for bits in (128, 512):
+        zero_sum(fixture100, spec, term, PrecisionContext(bits=bits))
+    assert zero_sum(fixture100, spec, term, ctx)[0].val == cold.val
+    assert zeros._turns(256) == cold_tables
+    filled = zeros._turns.cache_info().misses
+    assert filled == 3                      # W = 192, 576 and 256
+    assert zero_sum(fixture100, spec, term, ctx)[0].val == cold.val
+    assert zeros._turns.cache_info().misses == filled
