@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Cost of the zero-sum kernel per zero pair, by term kind and precision.
 
-For each --bits and each term kind, sums the first --K pairs of the zero
-table once untimed (so process-wide set-up such as phase tables is not
-counted) and then --repeat times timed, round-robin over all cells, and
-prints the median time per pair in microseconds.  Kinds: x^rho/rho
+For each precision in BITS and each term kind, sums the first K pairs of
+the zero table once untimed (so process-wide set-up such as phase tables
+is not counted) and then REPEAT times timed, round-robin over all cells,
+and prints the median time per pair in microseconds.  Kinds: x^rho/rho
 above 1 (x = 21/2) and below 1 (x = 1/10), two poles (x^rho/(rho(rho -
 1)) at x = 4, the s identity's kernel), the cosine pairing at x = 4,
 1/rho, 1/|rho|^2 and lambda_3 (the polynomial 3/rho - 3/rho^2 +
@@ -25,6 +25,9 @@ from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import (SumSpec, cosine_term, inv_abs_sq_term,
                                  inv_rho_poly_term, load_zeros, xrho_term, zero_sum)
 
+BITS = (128, 192, 256, 384, 512, 1024)
+K = 1000
+REPEAT = 5
 KINDS = {
     "xrho/rho x>1": xrho_term(Fraction(21, 2), (0,), (1,)),
     "xrho/rho x<1": xrho_term(Fraction(1, 10), (0,), (1,)),
@@ -40,30 +43,27 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--zeros", default="data/zeros_10k.txt")
-    ap.add_argument("--bits", type=int, nargs="+", default=[128, 192, 256, 384, 512, 1024])
-    ap.add_argument("--K", type=int, default=1000, help="pairs per sum (default 1000)")
-    ap.add_argument("--repeat", type=int, default=7, help="timed sums per cell (default 7)")
     args = ap.parse_args()
 
     table = load_zeros(args.zeros)
-    spec = SumSpec(K=args.K)
-    cells = [(name, bits) for name in KINDS for bits in args.bits]
+    spec = SumSpec(K=K)
+    cells = [(name, bits) for name in KINDS for bits in BITS]
     for name, bits in cells:
         zero_sum(table, spec, KINDS[name], PrecisionContext(bits=bits))
     # Round-robin over the cells, so that a slow spell of the host falls
     # on every cell alike.
     times: dict = {cell: [] for cell in cells}
-    for _ in range(args.repeat):
+    for _ in range(REPEAT):
         for name, bits in cells:
             ctx = PrecisionContext(bits=bits)
             start = time.perf_counter()
             zero_sum(table, spec, KINDS[name], ctx)
             times[name, bits].append(time.perf_counter() - start)
-    print(f"us per pair, median of {args.repeat}, first {args.K} pairs of {args.zeros}")
-    print(f"{'kind':<14}" + "".join(f"{b:>9}" for b in args.bits))
+    print(f"us per pair, median of {REPEAT}, first {K} pairs of {args.zeros}")
+    print(f"{'kind':<14}" + "".join(f"{b:>9}" for b in BITS))
     for name in KINDS:
         print(f"{name:<14}" + "".join(
-            f"{statistics.median(times[name, b]) / args.K * 1e6:>9.2f}" for b in args.bits))
+            f"{statistics.median(times[name, b]) / K * 1e6:>9.2f}" for b in BITS))
     return 0
 
 

@@ -327,13 +327,13 @@ def test_kernel_matches_mpc_reference(bits, table_name, term_name):
 
 
 def _phase_edges(bits, x):
-    """A table of 27 (30 when W > 256) binary ordinates at which the phase
-    gamma log x mod 2 pi lies, in units of 2^-W at the kernel's table
-    width W, on and one unit either side of table-step multiples (2^-8
-    and 2^-16 rad, 2^-24 when W > 256), of quarter turns and of 0 = 2 pi.
-    The scale is 2^(W + 48), so each phase sits in the middle of its
-    unit, far from the rounding of log x."""
-    F = bits + 32 + 5            # zero_sum's width for 16 to 31 rows
+    """27 (30 when W > 256) binary ordinates at which the phase
+    gamma log x mod 2 pi lies, in units of 2^-W at the table width W of
+    a one-row sum, on and one unit either side of table-step multiples
+    (2^-8 and 2^-16 rad, 2^-24 when W > 256), of quarter turns and of
+    0 = 2 pi.  The scale is 2^(W + 48), so each phase sits in the middle
+    of its unit, far from the rounding of log x."""
+    F = bits + 32 + 1            # zero_sum's width for a one-row table
     W = 64 * -(-(F + 8) // 64)
     steps = [W - 8, W - 16] + ([W - 24] if W > 256 else [])
     rows = []
@@ -346,21 +346,32 @@ def _phase_edges(bits, x):
         for turns, unit in enumerate(u + d for u in units for d in (-1, 0, 1)):
             theta = (unit + mpmath.mpf(1) / 2) / 2 ** W + 2 * mpmath.pi * (turns + 1)
             rows.append(int(mpmath.nint(theta / logx * 2 ** (W + 48))))
-    assert len(rows).bit_length() == 5
-    return ZeroTable(label="edges", scale=2 ** (W + 48), ordinates=tuple(rows),
-                     real_parts=(HALF,) * len(rows), source="edges", entry_precision=0)
+    assert len(rows) == (30 if W > 256 else 27)
+    return 2 ** (W + 48), rows
 
 
-@pytest.mark.parametrize("bits", (192, 512))
+@pytest.mark.parametrize("bits", (192, 512, 1024))
 @pytest.mark.parametrize("term", (xrho_term(Fraction(21, 2), (0,), (1,)),
                                   cosine_term(Fraction(21, 2))), ids=("xrho", "cosine"))
 def test_kernel_phase_at_table_edges(bits, term):
+    # Each row is its own one-row sum, checked against that pair's size
+    # with the phase factor taken as 1: 2 x^(1/2) / |rho| for x^rho/rho,
+    # 2 / (1/4 + gamma^2) for the cosine pairing.  Near a quarter turn
+    # the term itself nearly cancels, so its own |2 Re term| is no bound
+    # for a fixed-point error; the pair's size is.
     ctx = PrecisionContext(bits=bits)
-    table = _phase_edges(bits, term.x)
-    value, _ = zero_sum(table, SumSpec(K=len(table)), term, ctx)
-    ref, mag = reference_sum(table, len(table), term, bits)
-    with mpmath.workprec(bits + 64):
-        assert abs(value.val - ref) <= mpmath.mpf(2) ** -bits * mag
+    scale, rows = _phase_edges(bits, term.x)
+    for n in rows:
+        table = ZeroTable(label="edge", scale=scale, ordinates=(n,), real_parts=(HALF,),
+                          source="edges", entry_precision=0)
+        value, _ = zero_sum(table, SumSpec(K=1), term, ctx)
+        ref, _ = reference_sum(table, 1, term, bits)
+        with mpmath.workprec(bits + 64):
+            gamma, x = mpmath.mpf(n) / scale, mpmath.mpf(term.x.numerator) / term.x.denominator
+            size = 2 / (mpmath.mpf(1) / 4 + gamma ** 2)
+            if term.kind == "xrho":
+                size = 2 * mpmath.sqrt(x / (mpmath.mpf(1) / 4 + gamma ** 2))
+            assert abs(value.val - ref) <= mpmath.mpf(2) ** -bits * size, n
 
 
 def test_phase_tables_depend_on_width_alone(fixture100):
