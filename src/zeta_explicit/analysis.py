@@ -49,8 +49,7 @@ from mpmath import mpf
 
 from .arith import class_data, mangoldt, shared_table, weighted_sum
 from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
-from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf
-from .zeros import _exact
+from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf
 
 GENUINE = "genuine-zero"
 JUMP = "jump-crossing"

@@ -18,13 +18,13 @@ pipelines) consumes the types and functions defined here:
 
 Numeric backend: mpmath mpf/mpc supplies correctly rounded base arithmetic
 (round-to-nearest, error <= 2^-bits relative per elementary operation, well
-inside the 2^(8-bits) contract) and the elementary functions (exp, log,
-cos, sin).  Hurwitz zeta and the Stieltjes constants are implemented
-here from Bernoulli-number expansions with computable error terms.
-Gamma values come from mpmath: mpmath.loggamma, called by
-analysis.chowla_selberg_rhs, is the only mpmath special function that
-production code calls; elsewhere the mpmath special functions serve
-only as oracles in the test suite.
+inside the 2^(8-bits) contract) and the elementary functions.  Hurwitz zeta
+and the Stieltjes constants come from Bernoulli-number expansions with
+computable error terms; their head sum and Bernoulli contraction run in
+Python integers, with logs and powers from mpmath's mpf_log, to_fixed and
+exp_fixed.  mpmath.loggamma, called by analysis.chowla_selberg_rhs, is the
+only mpmath special function that production code calls; elsewhere the
+mpmath special functions serve only as oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf, mpc
+from mpmath.libmp import from_int, from_rational, mpf_log, to_fixed, to_rational
+from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
 Scalar = Union[int, float, Fraction, "HReal", mpf]
 
@@ -116,6 +118,16 @@ def _to_mpf(x: Scalar) -> mpf:
     return mpf(x)
 
 
+def _exact(v) -> Fraction:
+    """The exact rational value of an int, Fraction, float, mpf or HReal."""
+    v = v.val if isinstance(v, HReal) else v
+    if isinstance(v, mpf):
+        if not mpmath.isfinite(v):
+            raise ValueError(f"non-finite value {v}")
+        return Fraction(*to_rational(v._mpf_))
+    return Fraction(v)
+
+
 def _check_finite(v) -> None:
     if not mpmath.isfinite(v):
         raise ArithmeticError(f"non-finite result escaped an operation: {v!r}")
@@ -194,18 +206,21 @@ def bernoulli(n: int) -> Fraction:
 _EM_BUDGET = 1 << 20  # refuse, before any summation, plans with M (N+1) above this
 
 
-def _eps_table(s, N: int, count: int) -> list[list]:
-    """c[j][i] = [eps^i] (-1)^j (s-eps)_j for j = 0..count, i = 0..N, with
-    (x)_j the rising factorial, by c[j+1][i] = -(s+j) c[j][i] + c[j][i-1].
+def _eps_table(s: Fraction, N: int, count: int) -> list[list[int]]:
+    """C[j][i] = v^j [eps^i] (-1)^j (s-eps)_j for j = 0..count, i = 0..N,
+    with s = u/v in lowest terms and (x)_j the rising factorial: integers,
+    by C[j+1][i] = -(u + j v) C[j][i] + v C[j][i-1].
 
     d^j/dt^j t^(-(s-eps)) = (-1)^j (s-eps)_j t^(-(s-eps)-j), and the
     eps^n/n! coefficient of t^(-(s-eps)) is f(t) = log^n(t) t^(-s), so
-    f^(j)(t) = P_j(log t) t^(-s-j) with P_j(L) = Sum_i n!/(n-i)! c[j][i] L^(n-i).
+    f^(j)(t) = P_j(log t) t^(-s-j) with
+    P_j(L) = v^(-j) Sum_i n!/(n-i)! C[j][i] L^(n-i).
     """
+    u, v = s.numerator, s.denominator
     rows = [[1] + [0] * N]
     for j in range(count):
         p = rows[-1]
-        rows.append([-(s + j) * x + y for x, y in zip(p, [0] + p[:-1])])
+        rows.append([-(u + j * v) * x + v * y for x, y in zip(p, [0] + p[:-1])])
     return rows
 
 
@@ -281,101 +296,120 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
       correction_n = Sum_i n!/(n-i)! log^(n-i)(R) D_i,
       D_i = Sum_j B_2j/(2j)! c[2j-1][i] R^(1-s-2j).
 
+    s = u/v and a = p/q are exact (_exact), so R = P/q with P = M q + p.
+    The head sum is integers at H = W + N log2(lmax) + 4 fractional bits,
+    W = bits + extra: t = (kq + p)/q takes log t = log(kq + p) - log q
+    (mpf_log, to_fixed), t^(-s) an exact power at integer s, an exact
+    isqrt at half-integer s, else exp_fixed(-u log t / v), and moments by
+    w <- w log t >> H, so its truncations, grown by at most lmax^N, stay
+    below 2^-W apiece.  D_i = R^(-s) Num_i/Den is exact over one common
+    denominator, Den = lcm(denominators of B_2..B_2K) (2K)! (vP)^(2K-1),
+    from the integer table C[j] = v^j c[j]; Num_i/Den is rounded once to
+    W bits.  The closing loop (I_n, remainder, bound) is mpf at W bits.
+
     The remainder integral is Sum_m |[L^m] P_2K| e^(-cL) T_m with
     c = s + 2K - 1 and T_m = e^(cL) Integral_L^inf u^m e^(-cu) du =
-    L^m/c + (m/c) T_(m-1).  The bound adds the rounding slop of the pass
-    at its working precision (with the coefficient-wise majorant of the
-    correction) and 2^(1-bits) (|value| + 1) for the rounding to the
+    L^m/c + (m/c) T_(m-1).  The bound adds the rounding slop of the pass,
+    (M + 2K + 16) (n + 4 + |s| lmax) 2^-W (lmax^n mass + |I_n| + |corr| + 1)
+    with mass = Sum_{k<M} (k+a)^(-s) and |corr| the correction with each
+    D_i as |D_i|, and 2^(1-bits) (|value| + 1) for the rounding to the
     context.
     """
-    sf, af = float(s), float(a)
-    if not af > 0:
+    s, a = _exact(s), _exact(a)
+    if not a > 0:
         raise ValueError(f"Euler-Maclaurin shift must be positive, got {a}")
+    sf, af = float(s), float(a)
     M, K = _em_plan(sf, af, N, ctx.bits)
     lmax = max(2.0, math.log(M + af), abs(math.log(af)))  # bounds |log t| on [a, R]
     # bits that cancel between the partial sum and I_n
     extra = _GUARD + math.ceil(max(0.0, 1 - sf) * math.log2(M + af)
                                + N * math.log2(lmax) + math.log2(M))
+    W = ctx.bits + extra
+    H = W + math.ceil(N * math.log2(lmax)) + 4
+    u, v, p, q = s.numerator, s.denominator, a.numerator, a.denominator
+    P, e = M * q + p, abs(u)
+    wp = H + P.bit_length().bit_length() + 1  # log n to within 2^-H for n <= P
+    lq = to_fixed(mpf_log(from_int(q), wp), H)
+    sums = [0] * (N + 1)
+    for k in range(M):
+        n = k * q + p
+        if N or v > 2:
+            lt = to_fixed(mpf_log(from_int(n), wp), H) - lq
+        x, y = (q, n) if u > 0 else (n, q)  # t^(-s) = (x/y)^(e/v)
+        if v == 1:
+            w = (x ** e << H) // y ** e
+        elif v == 2:
+            w = math.isqrt((x ** e << 2 * H) // y ** e)
+        else:
+            w = exp_fixed(-u * lt // v, H)
+        sums[0] += w
+        for i in range(1, N + 1):
+            w = w * lt >> H
+            sums[i] += w
+    C = _eps_table(s, N, 2 * K)
+    blcm = math.lcm(*(bernoulli(2 * j).denominator for j in range(1, K + 1)))
+    num, g = [0] * (N + 1), 1  # g = (2K)!/(2j)! (vP)^(2K-2j)
+    for j in range(K, 0, -1):
+        b = bernoulli(2 * j)
+        f = b.numerator * (blcm // b.denominator) * g * q ** (2 * j - 1)
+        num = [y + f * x for x, y in zip(C[2 * j - 1], num)]
+        g *= 2 * j * (2 * j - 1) * (v * P) ** 2
+    den = blcm * math.factorial(2 * K) * (v * P) ** (2 * K - 1)
     out = []
     with ctx.workprec(extra):
-        sv, av = _to_mpf(s), _to_mpf(a)
-        integer_s = sv == int(sv)
-        sums = [mpf(0)] * (N + 1)
-        mass = mpf(0)  # Sum_{k<M} (k+a)^(-s)
-        for k in range(M):
-            t = k + av
-            lt = mpmath.log(t)
-            w = t ** -sv if integer_s else mpmath.exp(-sv * lt)
-            mass += w
-            for n in range(N + 1):
-                sums[n] += w
-                w *= lt
-        R = M + av
-        L = mpmath.log(R)
-        wR = R ** -sv
-        Lpow = [mpf(1)]
-        for _ in range(N + 1):
-            Lpow.append(Lpow[-1] * L)
-        c = _eps_table(sv, N, 2 * K)
-        D, A = [mpf(0)] * (N + 1), [mpf(0)] * (N + 1)  # D_i and its majorant
-        Rpow = wR / R
-        for j in range(1, K + 1):
-            b = bernoulli(2 * j)
-            coef = mpf(b.numerator) / (b.denominator * math.factorial(2 * j)) * Rpow
-            for i, ci in enumerate(c[2 * j - 1]):
-                term = coef * ci
-                D[i] += term
-                A[i] += abs(term)
-            Rpow /= R * R
+        sv, d, R = _to_mpf(s), _to_mpf(s - 1), _to_mpf(Fraction(P, q))
+        L, wR = mpmath.log(R), R ** -sv
+        Lpow = [L ** m for m in range(N + 2)]
+        D = [wR * mpf(from_rational(x, den, W, "n")) for x in num]
         cr = sv + 2 * K - 1
         T = [1 / cr]
         for m in range(1, N + 1):
             T.append((Lpow[m] + m * T[-1]) / cr)
         zeta2K = 1 + mpf(2 * K + 1) / ((2 * K - 1) * mpf(4) ** K)
-        rem_scale = 2 * zeta2K / (2 * mpmath.pi) ** (2 * K) * mpmath.exp(-cr * L)
+        rem_scale = 2 * zeta2K / (2 * mpmath.pi * v) ** (2 * K) * mpmath.exp(-cr * L)
         for n in range(N + 1):
-            if sv == 1:
+            if s == 1:
                 I = -Lpow[n + 1] / (n + 1)
             else:
                 I, fall = mpf(0), 1
                 for j in range(n + 1):
-                    I += fall * Lpow[n - j] / (sv - 1) ** (j + 1)
+                    I += fall * Lpow[n - j] / d ** (j + 1)
                     fall *= n - j
                 I *= R * wR
             corr = corr_abs = tail = mpf(0)
             fall = 1  # n!/(n-i)!
             for i in range(n + 1):
                 corr += fall * Lpow[n - i] * D[i]
-                corr_abs += fall * Lpow[n - i] * A[i]
-                tail += fall * abs(c[2 * K][i]) * T[n - i]
+                corr_abs += fall * Lpow[n - i] * abs(D[i])
+                tail += fall * abs(C[2 * K][i]) * T[n - i]
                 fall *= n - i
-            value = sums[n] + I + Lpow[n] * wR / 2 - corr
+            value = mpf((sums[n], -H)) + I + Lpow[n] * wR / 2 - corr
             rem = rem_scale * tail
-            slop = (M + 2 * K + 16) * (n + 4 + abs(sv) * lmax) \
-                * mpf(2) ** -(ctx.bits + extra) * (lmax ** n * mass + abs(I) + corr_abs + 1)
+            slop = (M + 2 * K + 16) * (n + 4 + abs(sv) * lmax) * mpf(2) ** -W \
+                * (lmax ** n * mpf((sums[0], -H)) + abs(I) + corr_abs + 1)
             bound = rem + slop + mpf(2) ** (1 - ctx.bits) * (abs(value) + 1)
             out.append((ctx.real(value), ctx.real(bound)))
     return tuple(out)
 
 
-def _hurwitz_domain(s: Scalar, a: Scalar, ctx: PrecisionContext, name: str) -> None:
-    if ctx.mpf(s) == 1:
+def _hurwitz_domain(s: Scalar, a: Scalar, name: str) -> None:
+    if _exact(s) == 1:
         raise ValueError(f"{name} has a pole at s = 1")
-    if not 0 < ctx.mpf(a) <= 1:
+    if not 0 < _exact(a) <= 1:
         raise ValueError(f"{name} requires a in (0, 1], got {a}")
 
 
 def hurwitz_zeta(s: Scalar, a: Scalar, ctx: PrecisionContext) -> tuple[HReal, HReal]:
     """zeta(s, a) = Sum_{n>=0} (n+a)^(-s), continued, for real s != 1,
     a in (0, 1].  Returns (value, bound): Z_0 of em_log_moments."""
-    _hurwitz_domain(s, a, ctx, "hurwitz_zeta")
+    _hurwitz_domain(s, a, "hurwitz_zeta")
     return em_log_moments(s, a, 0, ctx)[0]
 
 
 def hurwitz_zeta_ds(s: Scalar, a: Scalar, ctx: PrecisionContext) -> tuple[HReal, HReal]:
     """d/ds zeta(s, a) = -Z_1 of em_log_moments, for real s != 1,
     a in (0, 1].  Returns (value, bound)."""
-    _hurwitz_domain(s, a, ctx, "hurwitz_zeta_ds")
+    _hurwitz_domain(s, a, "hurwitz_zeta_ds")
     value, bound = em_log_moments(s, a, 1, ctx)[1]
     with ctx.workprec():
         return HReal(-value.val, ctx), bound

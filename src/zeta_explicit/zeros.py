@@ -31,9 +31,9 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_man_exp, to_fixed, to_rational
+from mpmath.libmp import from_man_exp, to_fixed
 
-from .mpcore import _GUARD, HReal, PrecisionContext
+from .mpcore import _GUARD, HReal, PrecisionContext, _exact
 
 _HALF = Fraction(1, 2)
 
@@ -41,16 +41,6 @@ _HERE = os.path.dirname(__file__)
 
 # First zeta ordinates shipped with the package (15 decimals).
 FIXTURE_PATH = os.path.join(_HERE, "data", "zeta_zeros_100.txt")
-
-
-def _exact(v) -> Fraction:
-    """The exact rational value of an int, Fraction, float, mpf or HReal."""
-    v = v.val if isinstance(v, HReal) else v
-    if isinstance(v, mpf):
-        if not mpmath.isfinite(v):
-            raise ValueError(f"non-finite value {v}")
-        return Fraction(*to_rational(v._mpf_))
-    return Fraction(v)
 
 
 # ----------------------------------------------------------------------
@@ -408,11 +398,12 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
 
     Each pair is evaluated once in integer fixed point at bits + guard
     bits (exact ordinates, phase reduced mod 2 pi in integers) and
-    accumulated exactly, so the error is below 2^-bits Sum |2 Re term|
-    before the final rounding, and the prefix sum at each k in cuts is
-    bit-identical to a call with K = k.  term is one Term or a sequence
-    of Terms summed together.  Returns (values, pairs): values mirrors
-    term, each entry an HReal, or with cuts a tuple with one per cut.
+    accumulated exactly, so before the final rounding the error is below
+    2^-bits times the sum of each pair's size with its phase factor
+    taken as 1, and the prefix sum at each k in cuts is bit-identical to
+    a call with K = k.  term is one Term or a sequence of Terms summed
+    together.  Returns (values, pairs): values mirrors term, each entry
+    an HReal, or with cuts a tuple with one per cut.
     """
     ctx = ctx or PrecisionContext()
     count = len(spec.select(table))

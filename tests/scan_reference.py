@@ -23,7 +23,7 @@ from zeta_explicit.analysis import HypothesisScan, _drop
 from zeta_explicit.arith import weighted_sum
 from zeta_explicit.explicit import f_rhs_lt1, g_lt1
 from zeta_explicit.mpcore import PrecisionContext
-from zeta_explicit.zeros import _exact
+from zeta_explicit.mpcore import _exact
 
 _GUARD = 32
 

@@ -26,7 +26,7 @@ from zeta_explicit.analysis import (
 from zeta_explicit.arith import class_data, is_squarefree, weighted_sum
 from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g_lt1
 from zeta_explicit.mpcore import PrecisionContext
-from zeta_explicit.zeros import _exact
+from zeta_explicit.mpcore import _exact
 import scan_reference as ref
 
 F = Fraction

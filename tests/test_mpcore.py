@@ -10,6 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from deriv_polys_reference import _deriv_polys
+from em_reference import em_log_moments as em_log_moments_reference
 from zeta_explicit.liconst import stieltjes_shifted
 from zeta_explicit.mpcore import (
     PrecisionContext,
@@ -116,6 +117,21 @@ def test_hurwitz_zeta_rejects_shift_outside_unit(ctx):
         hurwitz_zeta(Fraction(3, 2), Fraction(7, 3), ctx)
 
 
+def test_hurwitz_domain_compares_exact_values():
+    # s = 1 + 2^-300 rounds to the pole at 192 bits, and a = 1 + 2^-300
+    # rounds into (0, 1]: the checks must see the exact values.
+    ctx = PrecisionContext(bits=192)
+    tiny = Fraction(1, 2 ** 300)
+    value, bound = hurwitz_zeta(1 + tiny, Fraction(1, 2), ctx)
+    with mpmath.workprec(512):
+        ref = mpmath.zeta(1 + mpmath.mpf(tiny.numerator) / tiny.denominator,
+                          mpmath.mpf(1) / 2)
+        assert abs(value.val - ref) <= bound.val
+    assert bound.val < mpmath.mpf(2) ** (300 - 190)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(3, 1 + tiny, ctx)
+
+
 def test_hurwitz_zeta_ds_matches_reference(ctx):
     value, bound = hurwitz_zeta_ds(Fraction(3, 2), Fraction(1, 3), ctx)
     with mpmath.workprec(ctx.bits + 96):
@@ -164,18 +180,43 @@ def test_em_log_moments_against_mpmath(s, a, N, bits):
             assert abs(value.val - ref) <= bound.val + slack, (s, a, n, bits)
 
 
+ref_s = st.one_of(st.just(Fraction(1)),
+                  st.integers(min_value=-2, max_value=6).map(Fraction),
+                  st.integers(min_value=-3, max_value=6).map(lambda u: Fraction(2 * u + 1, 2)),
+                  st.builds(Fraction, st.integers(min_value=-20, max_value=60),
+                            st.integers(min_value=3, max_value=12)))
+ref_a = st.builds(Fraction, st.integers(min_value=1, max_value=30),
+                  st.integers(min_value=1, max_value=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_s, ref_a, st.integers(min_value=0, max_value=9),
+       st.sampled_from([64, 128, 192, 320, 512, 1024]))
+def test_em_log_moments_against_mpf_reference(s, a, N, bits):
+    # The integer pass against the mpf pass it replaced: the values agree
+    # within the two bounds, and no bound grows by more than 1%.
+    ctx = PrecisionContext(bits=bits)
+    new = em_log_moments(s, a, N, ctx)
+    old = em_log_moments_reference(s, a, N, ctx)
+    with mpmath.workprec(bits + 64):
+        for n, ((v1, b1), (v0, b0)) in enumerate(zip(new, old)):
+            assert abs(v1.val - v0.val) <= b1.val + b0.val, (s, a, N, bits, n)
+            assert b1.val <= b0.val * mpmath.mpf(1.01), (s, a, N, bits, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.fractions(min_value=-6, max_value=6, max_denominator=24),
        st.integers(min_value=0, max_value=6))
 def test_eps_table_matches_derivative_recurrence(s, n):
-    # P_j(L) = Sum_i n!/(n-i)! c[j][i] L^(n-i), coefficient of L^m at
-    # index m, must equal the per-order recurrence exactly.
+    # v^j P_j(L) = Sum_i n!/(n-i)! C[j][i] L^(n-i) (s = u/v), coefficient
+    # of L^m at index m, must equal v^j times the per-order recurrence
+    # exactly.
     count = 12
     c = _eps_table(s, n, count)
     for j, ref in enumerate(_deriv_polys(s, n, count)):
         built = [math.factorial(n) // math.factorial(m) * c[j][n - m]
                  for m in range(n + 1)]
-        assert built == ref, (s, n, j)
+        assert built == [x * s.denominator ** j for x in ref], (s, n, j)
 
 
 def test_certified_bounds_tighten_with_precision():
