@@ -297,12 +297,12 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
       D_i = Sum_j B_2j/(2j)! c[2j-1][i] R^(1-s-2j).
 
     s = u/v and a = p/q are exact (_exact), so R = P/q with P = M q + p.
-    The head sum is integers at H = W + N log2(lmax) + 4 fractional bits,
-    W = bits + extra: t = (kq + p)/q takes log t = log(kq + p) - log q
-    (mpf_log, to_fixed), t^(-s) an exact power at integer s, an exact
-    isqrt at half-integer s, else exp_fixed(-u log t / v), and moments by
-    w <- w log t >> H, so its truncations, grown by at most lmax^N, stay
-    below 2^-W apiece.  D_i = R^(-s) Num_i/Den is exact over one common
+    The head sum runs in integers at H = W + N log2(lmax) + 4 fractional
+    bits, W = bits + extra: t = (kq + p)/q takes log t = log(kq + p) -
+    log q (mpf_log, to_fixed), t^(-s) an exact power at integer s, an
+    exact isqrt at half-integer s, else exp_fixed(-u log t / v), and its
+    moments w <- w log t >> H; each truncation, grown by at most lmax^N,
+    stays below 2^-W.  D_i = R^(-s) Num_i/Den is exact over one common
     denominator, Den = lcm(denominators of B_2..B_2K) (2K)! (vP)^(2K-1),
     from the integer table C[j] = v^j c[j]; Num_i/Den is rounded once to
     W bits.  The closing loop (I_n, remainder, bound) is mpf at W bits.
@@ -316,9 +316,9 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
     context.
     """
     s, a = _exact(s), _exact(a)
-    if not a > 0:
-        raise ValueError(f"Euler-Maclaurin shift must be positive, got {a}")
     sf, af = float(s), float(a)
+    if not af > 0:
+        raise ValueError(f"Euler-Maclaurin shift must be positive, got {a}")
     M, K = _em_plan(sf, af, N, ctx.bits)
     lmax = max(2.0, math.log(M + af), abs(math.log(af)))  # bounds |log t| on [a, R]
     # bits that cancel between the partial sum and I_n
@@ -328,7 +328,7 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
     H = W + math.ceil(N * math.log2(lmax)) + 4
     u, v, p, q = s.numerator, s.denominator, a.numerator, a.denominator
     P, e = M * q + p, abs(u)
-    wp = H + P.bit_length().bit_length() + 1  # log n to within 2^-H for n <= P
+    wp = H + P.bit_length().bit_length() + 1  # log n to within 2^(1-H), n <= P
     lq = to_fixed(mpf_log(from_int(q), wp), H)
     sums = [0] * (N + 1)
     for k in range(M):
