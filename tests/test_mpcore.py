@@ -117,19 +117,20 @@ def test_hurwitz_zeta_rejects_shift_outside_unit(ctx):
         hurwitz_zeta(Fraction(3, 2), Fraction(7, 3), ctx)
 
 
-def test_hurwitz_domain_compares_exact_values():
-    # s = 1 + 2^-300 rounds to the pole at 192 bits, and a = 1 + 2^-300
-    # rounds into (0, 1]: the checks must see the exact values.
+def test_hurwitz_zeta_near_the_pole_is_not_the_pole():
+    # s = 1 + 2^-300 rounds to 1 at 192 bits; the check sees the exact s.
     ctx = PrecisionContext(bits=192)
-    tiny = Fraction(1, 2 ** 300)
-    value, bound = hurwitz_zeta(1 + tiny, Fraction(1, 2), ctx)
+    value, bound = hurwitz_zeta(1 + Fraction(1, 2 ** 300), Fraction(1, 2), ctx)
     with mpmath.workprec(512):
-        ref = mpmath.zeta(1 + mpmath.mpf(tiny.numerator) / tiny.denominator,
-                          mpmath.mpf(1) / 2)
+        ref = mpmath.zeta(1 + mpmath.mpf(2) ** -300, mpmath.mpf(1) / 2)
         assert abs(value.val - ref) <= bound.val
     assert bound.val < mpmath.mpf(2) ** (300 - 190)
+
+
+def test_hurwitz_zeta_rejects_shift_just_above_one():
+    # a = 1 + 2^-300 rounds to 1 at 192 bits; the check sees the exact a.
     with pytest.raises(ValueError):
-        hurwitz_zeta(3, 1 + tiny, ctx)
+        hurwitz_zeta(3, 1 + Fraction(1, 2 ** 300), PrecisionContext(bits=192))
 
 
 def test_hurwitz_zeta_ds_matches_reference(ctx):
