@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Cost of the piece walk behind the zero finders and the grid scan, by
+precision.
+
+For each precision in BITS, times find_zeros_gt1(21/20, 50),
+find_zeros_lt1(1/60, 19/20) (both at tol 10^-12) and
+hypothesis_scan(1, denominator=9425), a grid of 3,000 points: one
+untimed call per cell first (so the sieve, the prime-sum checkpoints
+and mpmath's cached constants are not counted), then REPEAT timed
+calls, round-robin over all cells, and prints the median time per call
+in milliseconds.  Only the public analysis API is used, so the script
+times any checkout:
+
+    PYTHONPATH=src python scripts/walk_cost.py
+"""
+
+from __future__ import annotations
+
+import statistics
+import time
+from fractions import Fraction
+
+from zeta_explicit.analysis import find_zeros_gt1, find_zeros_lt1, hypothesis_scan
+from zeta_explicit.mpcore import PrecisionContext
+
+BITS = (128, 192, 256, 384, 512, 1024)
+TOL = Fraction(1, 10 ** 12)
+CASES = {
+    "find_zeros_gt1(21/20, 50)":
+        lambda ctx: find_zeros_gt1(Fraction(21, 20), Fraction(50), TOL, ctx),
+    "find_zeros_lt1(1/60, 19/20)":
+        lambda ctx: find_zeros_lt1(Fraction(1, 60), Fraction(19, 20), TOL, ctx),
+    "hypothesis_scan(1, 9425)":
+        lambda ctx: hypothesis_scan(1, ctx, denominator=9425),
+}
+REPEAT = 5
+
+
+def main() -> int:
+    cells = [(name, bits) for name in CASES for bits in BITS]
+    for name, bits in cells:
+        CASES[name](PrecisionContext(bits=bits))
+    # Round-robin over the cells, so that a slow spell of the host falls
+    # on every cell alike.
+    times: dict = {cell: [] for cell in cells}
+    for _ in range(REPEAT):
+        for name, bits in cells:
+            ctx = PrecisionContext(bits=bits)
+            start = time.perf_counter()
+            CASES[name](ctx)
+            times[name, bits].append(time.perf_counter() - start)
+    print(f"ms per call, median of {REPEAT}")
+    print(f"{'case':<28}" + "".join(f"{b:>9}" for b in BITS))
+    for name in CASES:
+        print(f"{name:<28}" + "".join(
+            f"{statistics.median(times[name, b]) * 1e3:>9.2f}" for b in BITS))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,17 +9,17 @@ where the half-weighted prime term makes the at-point value the mean
 of the one-sided limits.  Between consecutive discontinuities f is an
 elementary g(x) plus a constant K, and g' vanishes once, at the plastic
 number (x > 1) or its reciprocal (x < 1).  One walk, _pieces, yields
-the pieces on which g + K is monotone, in increasing x: K comes from
-one prime sum in the first piece and falls by the von Mangoldt jump at
-each discontinuity.  It has two consumers.  The finders refine the one
-sign change g + K can have on a piece by safeguarded Newton steps, and
-report a sign change of the one-sided limits at a discontinuity as a
-jump-crossing record; every residual is |f_rhs| itself, so it also
-checks the walked K against the prime-power sums.  The grid scan reads
-f(pi sqrt(d) k/N) at the grid points of each piece, where |f| is
-monotone or V-shaped in k: f at the piece's ends, a bisection to a
-sign change and steps outward while |f| < threshold find its minimum
-and candidates.
+the pieces on which g + K is monotone, in increasing x, in integers at
+the prime sums' width W = bits + 48: K, one prime sum plus log 2pi or
+gamma, falls by log p (floor-divided by n below 1) at each
+discontinuity and errs by a counted number of units of 2^-W.  The
+finders refine the one sign change g + K can have on a piece by
+fixed-point Newton steps and report a sign change of the one-sided
+limits at a discontinuity as a jump-crossing record; every residual is
+|f_rhs| itself, which checks the walked K.  The grid scan reads f at
+floor(S k/N) 2^-W, S = floor(pi sqrt(d) 2^W), on each piece, where |f|
+is monotone or V-shaped in k: its ends, a bisection to a sign change
+and steps while |f| < threshold (exact) give its minimum and candidates.
 
 The quadratic-field block works with chi = chi_{-d} mod D for
 squarefree d (class_data supplies D, h, w, chi):
@@ -45,11 +45,11 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 import mpmath
-from mpmath import mpf
+from mpmath import libmp, mpf
 
-from .arith import class_data, mangoldt, shared_table, weighted_sum
+from .arith import _FIXED, _log_at, class_data, prime_power_sum, shared_table
 from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
-from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf
+from .mpcore import _GUARD, HReal, PrecisionContext, _exact
 
 GENUINE = "genuine-zero"
 JUMP = "jump-crossing"
@@ -79,67 +79,70 @@ class RootRecord:
         }
 
 
-def _refine(a: Fraction, b: Fraction, fa: mpf, h: Fraction,
-            F: Callable[[mpf], mpf], dF: Callable[[mpf], mpf],
-            ctx: PrecisionContext) -> tuple[Fraction, Fraction, mpf]:
-    """(a', b', r): the zero r of the monotone F on [a, b], where F(a) = fa
-    and F(b) differ strictly in sign, inside a subbracket [a', b'] of
-    width <= h whose end values keep those signs.
+def _refine(a: Fraction, b: Fraction, fa: int, k: int, F: Callable[[int], int],
+            W: int, bits: int) -> tuple[Fraction, Fraction, int]:
+    """(a', b', X): the zero X 2^-W of the monotone F = g + K on [a, b] (F
+    and fa = F(a) in units of 2^-W, F' = _dg), inside a subbracket [a', b']
+    of width <= h = 2^-k whose ends keep the differing signs of F(a), F(b).
 
     Safeguarded Newton: each iterate (the bracket midpoint when the step
     leaves the bracket) probes the two points of the grid hZ around it,
     and the grid point by the midpoint when that has not halved the
     bracket; a probe replaces the end of like sign.  Newton steps then
-    polish r until they stall."""
-    hv = _to_mpf(h)
+    polish X until they stall."""
+    h = Fraction(1, 1 << k)
 
-    def newton(x: mpf) -> mpf:
-        y, lo, hi = x - F(x) / dF(x), _to_mpf(a), _to_mpf(b)
-        return y if lo <= y <= hi else (lo + hi) / 2
+    def newton(X: int) -> int:
+        lo, hi = -(-(a.numerator << W) // a.denominator), (b.numerator << W) // b.denominator
+        Y = X - (F(X) << W) // (_dg(X, 1 << W, W) or 1)
+        return Y if lo <= Y <= hi else (lo + hi) >> 1
 
-    def probe(p: Fraction) -> None:
+    def probe(m: int) -> None:   # at the grid point m h
         nonlocal a, b
-        if a < p < b:
-            if (F(_to_mpf(p)) < 0) == (fa < 0):
-                a = p
+        if a < m * h < b:
+            if (F(m << W - k) < 0) == (fa < 0):
+                a = m * h
             else:
-                b = p
+                b = m * h
 
-    x = _to_mpf((a + b) / 2)
+    X = ((a + b).numerator << W - 1) // (a + b).denominator
     while b - a > h:
-        x, width = newton(x), b - a
-        c = int(mpmath.floor(x / hv)) * h
-        probe(c)
-        probe(c + h)
+        X, width = newton(X), b - a
+        probe(X >> W - k)
+        probe((X >> W - k) + 1)
         if 2 * (b - a) > width:
-            m = (a + b) / 2 // h * h
-            probe(m if m > a else m + h)
-    for _ in range(ctx.bits.bit_length()):
-        x, y = newton(x), x
-        if abs(y - x) <= mpmath.ldexp(abs(x), -ctx.bits - 8):
+            m = (a + b) / 2 // h
+            probe(m if m * h > a else m + 1)
+    for _ in range(bits.bit_length()):
+        X, Y = newton(X), X
+        if abs(Y - X) <= abs(X) >> bits + 8:
             break
-    return a, b, x
+    return a, b, X
 
 
-def _drop(n: int, above: bool, wide: PrecisionContext) -> mpf:
-    """The fall of K as x passes n upward (above 1) or 1/n (below 1):
-    Lambda(n), or Lambda(n)/n, 0 when n is no prime power."""
-    with wide.workprec():
-        return mangoldt(n) / (1 if above else n)
+def _dg(p: int, q: int, W: int) -> int:
+    """g' at x = p/q, floored to units of 2^-W: (x^3 - x - 1)/(x^3 - x)
+    above 1, (1 - x^2 - x^3)/(x (1 - x^2)) below."""
+    n, d = (p ** 3 - p * q * q - q ** 3, p ** 3 - p * q * q) if p > q else \
+        (q ** 3 - q * p * p - p ** 3, p * (q * q - p * p))
+    return (n << W) // d
 
 
 def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
-            ) -> Iterator[tuple[Fraction, Fraction, mpf, mpf]]:
+            ) -> Iterator[tuple[Fraction, Fraction, int, int]]:
     """The pieces [a, b] of [lo, hi] (one side of 1) on which f = g + K is
-    monotone, in increasing order, as (a, b, K, drop).  They end at each
-    discontinuity x = n (above 1) or x = 1/n (below 1), n a prime power,
-    inside (lo, hi), at the turn where g' vanishes (the plastic number,
-    x^3 = x + 1, above 1; its reciprocal below) and at hi.  K is
-    -psi0 - log 2pi above 1, or T(x, 0) + gamma below, taken from one
-    prime sum inside the first piece at bits + 32; it falls by drop
-    (_drop; 0 at the turn and at an hi that is no discontinuity) as x
-    passes b.  The turn lies below 2 and above 1/2, so it precedes every
-    discontinuity above 1 and follows every one below."""
+    monotone, in increasing order, as (a, b, K, drop), K and drop integers
+    in units of 2^-W at the prime walk's width W = bits + _GUARD + _FIXED.
+    They end at each discontinuity x = n (above 1) or x = 1/n (below 1),
+    n a prime power, inside (lo, hi), at the turn where g' vanishes (the
+    plastic number, x^3 = x + 1, above 1; its reciprocal below) and at hi.
+    K is -psi0 - log 2pi above 1, or T(x, 0) + gamma below, from one prime
+    sum inside the first piece; it falls by drop, log p or floor(log p / n)
+    (0 at the turn and at an hi that is no discontinuity), as x passes b.
+    Each log p errs by at most 2 log p units (W significant bits), so K
+    errs by less than 1 + Sum (2 log p/n + 1) units over the terms and
+    drops taken (n = 1 above 1).  The turn lies in (1/2, 2), so it
+    precedes every discontinuity above 1 and follows every one below."""
     above = lo > 1
     # x = n above 1, x = 1/n below: the n strictly inside, and hi's own n
     n_lo, n_hi, n_end = (lo, hi, hi) if above else (1 / hi, 1 / lo, 1 / hi)
@@ -148,8 +151,7 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
           if table.is_prime_power(n)]
     ends = [(Fraction(n), n) for n in ns] if above else \
         [(Fraction(1, n), n) for n in reversed(ns)]
-    wide = PrecisionContext(ctx.bits + _GUARD)
-    with wide.workprec():
+    with ctx.workprec(_GUARD):
         r = mpmath.sqrt(69)
         turn = mpmath.cbrt((9 + r) / 18) + mpmath.cbrt((9 - r) / 18)
         turn = _exact(turn if above else 1 / turn)
@@ -157,45 +159,49 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
         ends.insert(0 if above else len(ends), (turn, 0))
     at_jump = n_end.denominator == 1 and table.is_prime_power(n_end.numerator)
     ends.append((hi, n_end.numerator if at_jump else 0))
-    with wide.workprec():
-        t = weighted_sum((lo + ends[0][0]) / 2, Fraction(0), ctx)
-        K = -t - ctx.log_2pi if above else t + mpmath.euler
+    mid, W = (lo + ends[0][0]) / 2, ctx.bits + _GUARD + _FIXED
+    S, e = prime_power_sum(math.floor(mid if above else 1 / mid),
+                           Fraction(0 if above else 1), ctx)
+    with mpmath.workprec(W + 8):
+        c = libmp.to_fixed((-mpmath.log(2 * mpmath.pi) if above else +mpmath.euler)._mpf_, W)
+    K = c + ((-S if above else S) >> -e - W)
     a = lo
     for b, n in ends:
-        drop = _drop(n, above, wide) if n else 0
+        drop = _log_at(table.prime_of(n), W) // (1 if above else n) if n else 0
         yield a, b, K, drop
-        with wide.workprec():
-            K -= drop
+        K -= drop
         a = b
 
 
 def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
           ctx: PrecisionContext) -> list[RootRecord]:
-    """Records on [lo, hi] (one side of 1) from the pieces of _pieces:
-    a zero refined where g + K changes sign across a piece, a
-    jump-crossing where the drop at its end carries g + K across 0."""
+    """Records on [lo, hi] (one side of 1) from the pieces of _pieces, at
+    their width W: a zero refined where g + K changes sign across a piece
+    (g(b) serves the next piece's a), a jump-crossing where the drop at
+    its end carries g + K across 0."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol < Fraction(1, 2 ** max(8, ctx.bits - 16)):
         raise ValueError(
             f"tol = {tol} below the precision floor 2^-{ctx.bits - 16}")
-    if lo > 1:
-        f_rhs, g, dg = f_rhs_gt1, g_gt1, lambda x: 1 - 1 / (x ** 3 - x)
-    else:
-        f_rhs, g, dg = f_rhs_lt1, g_lt1, lambda x: 1 / x + 1 - 1 / (1 - x * x)
-    h = Fraction(1, 2 ** (math.ceil(1 / tol) - 1).bit_length())  # <= tol
+    W = ctx.bits + _GUARD + _FIXED
+    f_rhs, g = (f_rhs_gt1, g_gt1) if lo > 1 else (f_rhs_lt1, g_lt1)
+    k = (math.ceil(1 / tol) - 1).bit_length()   # h = 2^-k <= tol
     records: list[RootRecord] = []
+    ga = g(lo.numerator, lo.denominator, W)
     for a, b, K, drop in _pieces(lo, hi, ctx):
+        gb = g(b.numerator, b.denominator, W)
+        fa, fb = ga + K, gb + K
         with ctx.workprec(_GUARD):
-            fa, fb = g(_to_mpf(a)) + K, g(_to_mpf(b)) + K
             if fa * fb < 0:
-                u, v, x = _refine(a, b, fa, h, lambda x: g(x) + K, dg, ctx)
-                root = ctx.real(x)
+                v, w, X = _refine(a, b, fa, k, lambda X: g(X, 1 << W, W) + K, W, ctx.bits)
+                root = ctx.real((X, -W))   # X 2^-W rounded once
                 res = f_rhs(_exact(root.val), ctx).val
-                records.append(RootRecord(u, v, root, ctx.real(abs(res)), GENUINE))
+                records.append(RootRecord(v, w, root, ctx.real(abs(res)), GENUINE))
             if fb * (fb - drop) < 0:
                 res = f_rhs(b, ctx).val
                 records.append(RootRecord(b, b, ctx.real(b), ctx.real(abs(res)), JUMP))
+        ga = gb
     return records
 
 
@@ -371,10 +377,11 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
                     denominator: int = 10_000,
                     threshold: float = 1e-6) -> HypothesisScan:
     """Survey f at pi sqrt(d) k/denominator inside (0, 1), piece by piece
-    of _pieces; each argument is its dyadic value at working precision,
-    never a reciprocal prime power or the turn.  Refuses a d that is not a
-    positive integer, a denominator not an integer >= 2 and a threshold
-    not a finite float > 0."""
+    of _pieces, at their width W: each argument is X_k 2^-W, X_k =
+    floor(S k/denominator), S = floor(pi sqrt(d) 2^W), never a reciprocal
+    prime power or the turn; pieces and |f| < threshold are exact integer
+    tests.  Refuses a d that is not a positive integer, a denominator not
+    an integer >= 2 and a threshold not a finite float > 0."""
     ctx = ctx or PrecisionContext()
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got d = {d}")
@@ -382,51 +389,46 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         raise ValueError(f"grid denominator must be an integer >= 2, got {denominator!r}")
     if not (isinstance(threshold, (int, float)) and 0 < threshold < math.inf):
         raise ValueError(f"threshold must be a finite positive float, got {threshold!r}")
+    W = ctx.bits + _GUARD + _FIXED
     with ctx.workprec(_GUARD):
-        scale = ctx.pi * mpmath.sqrt(d)
-        window_hi = 1 / scale
+        window_hi = 1 / (ctx.pi * mpmath.sqrt(d))
         kmax = int(mpmath.floor(denominator * window_hi))
-        if kmax < 1:
-            raise ValueError(f"window (0, {mpmath.nstr(window_hi, 8)}) holds "
-                             f"no grid point with denominator {denominator}")
-        arg = lambda k: _exact(scale * k / denominator)
-        f = lambda k: g_lt1(scale * k / denominator) + K
-        dx, last = float(scale) / denominator, kmax if arg(kmax) < 1 else kmax - 1
-        candidates, best, k = [], None, 1
-        for _, b, K, _ in _pieces(arg(1), arg(last), ctx):
-            # the piece's grid points [k, e], arg(e) <= b < arg(e + 1); the
-            # float test, safe by far more than its rounding, skips a piece
-            # with none before any exact arg
-            if float(b) < k * dx * (1 - 2 ** -40):
-                continue
-            e = max(k - 1, min(last, math.floor(float(b) / dx)))
-            while e < last and arg(e + 1) <= b:
-                e += 1
-            while e >= k and arg(e) > b:
-                e -= 1
-            if e < k:
-                continue
-            lo, hi, flo = k, e, f(k)
-            fhi = f(e) if e > k else flo
-            while hi - lo > 1 and (flo > 0) != (fhi > 0):
-                mid = (lo + hi) // 2
-                if ((fm := f(mid)) > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi, fhi = mid, fm
-            m, v = (lo, abs(flo)) if abs(flo) <= abs(fhi) else (hi, abs(fhi))
-            if best is None or v < best[1]:
-                best = (Fraction(m, denominator), v)
-            run = {m: v} if v < threshold else {}
-            for step, stop in ((-1, k - 1), (1, e + 1)):
-                j = m + step
-                while run and j != stop and (w := abs(f(j))) < threshold:
-                    run[j], j = w, j + step
-            candidates += [(Fraction(j, denominator), ctx.real(run[j]))
-                           for j in sorted(run)]
-            k = e + 1
+    with mpmath.workprec(W + 8):
+        u, S = 1 << W, libmp.to_fixed((mpmath.pi * mpmath.sqrt(d))._mpf_, W)
+    if kmax < 1 or S < denominator:   # S < denominator: X_1 = 0
+        raise ValueError(f"window (0, {mpmath.nstr(window_hi, 8)}) holds no grid "
+                         f"point above 2^-{W} with denominator {denominator}")
+    X = lambda k: S * k // denominator
+    f = lambda k: g_lt1(X(k), u, W) + K
+    tn, td = Fraction(threshold).as_integer_ratio()   # v 2^-W < tn/td iff v td < tn 2^W
+    last = kmax if X(kmax) < u else kmax - 1
+    candidates, best, k = [], None, 1
+    for _, b, K, _ in _pieces(Fraction(X(1), u), Fraction(X(last), u), ctx):
+        # the piece's grid points [k, e]: X_e <= b 2^W < X_(e+1)
+        e = min(last, (((b.numerator << W) // b.denominator + 1) * denominator - 1) // S)
+        if e < k:
+            continue
+        lo, hi, flo = k, e, f(k)
+        fhi = f(e) if e > k else flo
+        while hi - lo > 1 and (flo > 0) != (fhi > 0):
+            mid = (lo + hi) // 2
+            if ((fm := f(mid)) > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi, fhi = mid, fm
+        m, v = (lo, abs(flo)) if abs(flo) <= abs(fhi) else (hi, abs(fhi))
+        if best is None or v < best[1]:
+            best = (Fraction(m, denominator), v)
+        run = {m: v} if v * td < tn << W else {}
+        for step, stop in ((-1, k - 1), (1, e + 1)):
+            j = m + step
+            while run and j != stop and (w := abs(f(j))) * td < tn << W:
+                run[j], j = w, j + step
+        candidates += [(Fraction(j, denominator), ctx.real((run[j], -W)))
+                       for j in sorted(run)]
+        k = e + 1
     return HypothesisScan(
         d=d, window_hi=ctx.real(window_hi), denominator=denominator,
         threshold=threshold, evaluated=kmax,
-        candidates=tuple(candidates), min_abs=ctx.real(best[1]),
+        candidates=tuple(candidates), min_abs=ctx.real((best[1], -W)),
         argmin=best[0], found=bool(candidates))

@@ -127,18 +127,24 @@ def _log(p: int, W: int) -> int:
     return L
 
 
+def _log_at(p: int, W: int) -> int:
+    """log(p) 2^W from W's table, taken by _log on a miss."""
+    return _logs.get(W, {}).get(p) or _log(p, W)
+
+
 def mangoldt(n: int) -> mpf:
     """Lambda(n) at the current precision, log p read from the shared table."""
     p, W = shared_table(n).prime_of(n), mpmath.mp.prec + _FIXED
-    return mpf((_logs.get(W, {}).get(p) or _log(p, W), -W)) if p else mpf(0)
+    return mpf((_log_at(p, W), -W)) if p else mpf(0)
 
 
 def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
-                    chi: Optional[Sequence[int]] = None) -> mpf:
-    """Sum_{p^k <= N} chi(p)^k log(p) p^(-ks) at bits + 32 (chi absent
-    means chi = 1): the one loop behind every prime-power sum.
+                    chi: Optional[Sequence[int]] = None) -> tuple[int, int]:
+    """Sum_{p^k <= N} chi(p)^k log(p) p^(-ks) (chi absent means chi = 1)
+    as (man, exp), man 2^exp, at bits + 32: the one loop behind every
+    prime-power sum.
 
-    Integers at width W + e, rounded once: W = precision + _FIXED, and
+    Integers at width W + e, unrounded: W = precision + _FIXED, and
     e = s log2 p0 keeps the first term p0^(-s) (p0 the least prime chi
     keeps) at W bits.  log p comes from W's table; n = p^k gives n^(-s)
     as an exact power of n at integer s, as the exact floor square root
@@ -176,7 +182,7 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
 
         for j in range(len(sums), N // BLOCK + 1):
             sums.append(walk(sums[-1], (j - 1) * BLOCK, j * BLOCK))
-        return mpf((walk(sums[N // BLOCK], N // BLOCK * BLOCK, N), -W - e))
+        return walk(sums[N // BLOCK], N // BLOCK * BLOCK, N), -W - e
 
 
 def _endpoint(y: Fraction) -> tuple[int, int]:
@@ -200,7 +206,7 @@ def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
     y, s, w = (x, alpha, Fraction(1)) if x > 1 else (1 / x, 1 - alpha, x)
     N, p = _endpoint(y)
     with ctx.workprec(_GUARD):
-        total = _to_mpf(x) ** _to_mpf(alpha) * prime_power_sum(N, s, ctx, chi)
+        total = _to_mpf(x) ** _to_mpf(alpha) * mpf(prime_power_sum(N, s, ctx, chi))
         if p:
             total += _to_mpf(w) * _chi_at(chi, y.numerator) * mangoldt(p) / 2
     return total

@@ -63,9 +63,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import mpmath
-from mpmath import mpf, mpc
+from mpmath import libmp, mpf, mpc
 
 from .arith import (
+    _FIXED,
     psi0 as arith_psi0,
     T_sum,
     weighted_sum,
@@ -259,17 +260,26 @@ def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HComplex:
 # f(x) = Sum_rho x^rho/rho on both sides of 1, and f reflected
 # ----------------------------------------------------------------------
 
-def g_gt1(x: mpf) -> mpf:
+def _half_log(n: int, d: int, W: int) -> int:
+    """floor(2^W log(n/d) / 2), 0 < n < d, within 1 + 2^-4 units: one
+    mpf_log at wp = W + 4 + t bits, 2^t > |log(n/d)|, of n/d floored to wp
+    bits in integers (from_rational strips a power-of-two d bit by bit)."""
+    wp = W + 4 + d.bit_length().bit_length()
+    sh = wp + 1 + d.bit_length() - n.bit_length()
+    return libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp((n << sh) // d, -sh), wp), W - 1)
+
+
+def g_gt1(p: int, q: int, W: int) -> int:
     """The continuous part of f above 1, x - (1/2) log(1 - 1/x^2), at
-    the current mpmath precision."""
-    return x - mpmath.log(1 - 1 / (x * x)) / 2
+    x = p/q > 1 in units of 2^-W, within 2 (x rounded, then _half_log)."""
+    return ((p << W + 1) + q) // (2 * q) - _half_log(p * p - q * q, p * p, W)
 
 
-def g_lt1(x: mpf) -> mpf:
+def g_lt1(p: int, q: int, W: int) -> int:
     """The continuous part of f below 1, log x + x - (1/2) log((1+x)/(1-x))
     (the trivial-zero contribution together with the first odd power),
-    at the current mpmath precision, with its two logs taken as one."""
-    return x + mpmath.log(x * x * (1 - x) / (1 + x)) / 2
+    at x = p/q in (0, 1) in units of 2^-W, within 2, its logs one."""
+    return ((p << W + 1) + q) // (2 * q) + _half_log(p * p * (q - p), q * q * (q + p), W)
 
 
 def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
@@ -281,9 +291,9 @@ def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"f_rhs_gt1 requires x > 1, got {x}")
-    psi = arith_psi0(x, ctx)
+    psi, W = arith_psi0(x, ctx), ctx.bits + _GUARD + _FIXED
     with ctx.workprec(_GUARD):
-        v = g_gt1(ctx.mpf(x)) - psi.val - mpmath.log(2 * mpmath.pi)
+        v = mpf((g_gt1(x.numerator, x.denominator, W), -W)) - psi.val - ctx.log_2pi
     return ctx.real(v)
 
 
@@ -297,9 +307,9 @@ def f_rhs_lt1(x: Rational, ctx: PrecisionContext) -> HReal:
     x = Fraction(x)
     if not (0 < x < 1):
         raise ValueError(f"f_rhs_lt1 requires 0 < x < 1, got {x}")
-    t = T_sum(x, Fraction(0), ctx)
+    t, W = T_sum(x, Fraction(0), ctx), ctx.bits + _GUARD + _FIXED
     with ctx.workprec(_GUARD):
-        v = g_lt1(ctx.mpf(x)) + t.val + mpmath.euler
+        v = mpf((g_lt1(x.numerator, x.denominator, W), -W)) + t.val + mpmath.euler
     return ctx.real(v)
 
 

@@ -231,7 +231,7 @@ def _poly_eval(coeffs: Sequence, L):
     return acc
 
 
-def _em_plan(s: float, a: float, N: int, bits: int) -> tuple[int, int]:
+def _em_plan(s: float, a: Scalar, N: int, bits: int) -> tuple[int, int]:
     """Shift count M and Bernoulli count K for em_log_moments.
 
     Near R = M + a = 2K each Bernoulli term gains about 2 log2(2 pi e) =
@@ -242,6 +242,7 @@ def _em_plan(s: float, a: float, N: int, bits: int) -> tuple[int, int]:
     A plan with M (N+1) > 2^20 is refused before any summation.
     """
     K = max(math.ceil((bits + 20) / 8), math.floor((1 - s) / 2) + 1)
+    p, q = _exact(a).numerator, _exact(a).denominator
     r = [0.0] * N + [1.0]
     for j in range(2 * K):
         r = [((i + 1) * d + abs(s + j) * c) / (j + 1)
@@ -254,7 +255,7 @@ def _em_plan(s: float, a: float, N: int, bits: int) -> tuple[int, int]:
     target = -(bits + 20) * math.log(2)
 
     def above_target(M: int) -> bool:
-        L = math.log(M + a)
+        L = math.log(M * q + p) - math.log(q)   # log(M + a), a = p/q of any size
         return base + math.log(_poly_eval(r, L)) - c * L > target
 
     cap = _EM_BUDGET // (N + 1)  # the largest admissible shift count
@@ -316,18 +317,19 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
     context.
     """
     s, a = _exact(s), _exact(a)
-    sf, af = float(s), float(a)
-    if not af > 0:
+    sf = float(s)
+    if not a > 0:
         raise ValueError(f"Euler-Maclaurin shift must be positive, got {a}")
-    M, K = _em_plan(sf, af, N, ctx.bits)
-    lmax = max(2.0, math.log(M + af), abs(math.log(af)))  # bounds |log t| on [a, R]
+    M, K = _em_plan(sf, a, N, ctx.bits)
+    u, v, p, q = s.numerator, s.denominator, a.numerator, a.denominator
+    P, e = M * q + p, abs(u)
+    lR = math.log(P) - math.log(q)   # log R in floats, for R beyond their range
+    lmax = max(2.0, lR, abs(math.log(p) - math.log(q)))  # bounds |log t| on [a, R]
     # bits that cancel between the partial sum and I_n
-    extra = _GUARD + math.ceil(max(0.0, 1 - sf) * math.log2(M + af)
+    extra = _GUARD + math.ceil(max(0.0, 1 - sf) * lR / math.log(2)
                                + N * math.log2(lmax) + math.log2(M))
     W = ctx.bits + extra
     H = W + math.ceil(N * math.log2(lmax)) + 4
-    u, v, p, q = s.numerator, s.denominator, a.numerator, a.denominator
-    P, e = M * q + p, abs(u)
     wp = H + P.bit_length().bit_length() + 1  # log n to within 2^(1-H), n <= P
     lq = to_fixed(mpf_log(from_int(q), wp), H)
     sums = [0] * (N + 1)

@@ -23,7 +23,7 @@ from zeta_explicit.analysis import (
     find_zeros_lt1,
     hypothesis_scan,
 )
-from zeta_explicit.arith import class_data, is_squarefree, weighted_sum
+from zeta_explicit.arith import class_data, is_squarefree
 from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g_lt1
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.mpcore import _exact
@@ -234,10 +234,11 @@ def test_walked_scan_matches_per_point_reference(d, points, bits, threshold):
     assert new.argmin == old.argmin
     assert [x for x, _ in new.candidates] == [x for x, _ in old.candidates]
     # K = f - g_lt1 is largest at the first grid point, where 1/x is largest
-    wide = PrecisionContext(bits + 32)
+    wide, W = PrecisionContext(bits + 32), bits + 80
     with wide.workprec():
         x1 = _exact(wide.pi * mpmath.sqrt(d) / den)
-        K = abs(f_rhs_lt1(x1, wide).val - g_lt1(wide.mpf(x1)))
+        K = abs(f_rhs_lt1(x1, wide).val
+                - mpmath.ldexp(g_lt1(x1.numerator, x1.denominator, W), -W))
         tol = mpf(2) ** (8 - bits) * (1 + K)
         assert abs(new.min_abs.val - old.min_abs.val) <= tol
         for (_, a), (_, b) in zip(new.candidates, old.candidates):
@@ -249,7 +250,7 @@ def test_walked_scan_matches_per_point_reference(d, points, bits, threshold):
     ({"denominator": 1000.0}, "denominator"), ({"threshold": math.nan}, "threshold"),
     ({"threshold": math.inf}, "threshold"), ({"threshold": 0.0}, "threshold"),
     ({"threshold": -1e-6}, "threshold"), ({"threshold": "1e-6"}, "threshold"),
-    ({"threshold": Fraction(1, 10 ** 6)}, "threshold"),
+    ({"threshold": Fraction(1, 10 ** 6)}, "threshold"), ({"denominator": 10 ** 80}, "denominator"),
 ])
 def test_hypothesis_scan_refuses_bad_grid_and_threshold(ctx, kwargs, name):
     with pytest.raises(ValueError, match=name):
@@ -293,10 +294,26 @@ def test_piece_walk_on_tiny_windows(d, den, kmax, past_turn, bits):
                                         threshold=threshold))
 
 
+def test_piece_walk_at_1024_bits():
+    # W = 1072 bits: past the float range, so the threshold test must be
+    # exact; the walk still equals the per-point walk bit for bit and the
+    # per-point f_rhs scan in its points
+    ctx = PrecisionContext(bits=1024)
+    for d, den, threshold in ((1, 9425, 1e-6), (7, 2500, 1e-2)):
+        new = hypothesis_scan(d, ctx, denominator=den, threshold=threshold)
+        _same_scan(new, ref.walked_scan(d, ctx, denominator=den, threshold=threshold))
+    old = ref.hypothesis_scan(7, ctx, denominator=2500, threshold=1e-2)
+    assert (new.evaluated, new.argmin) == (old.evaluated, old.argmin)
+    assert [x for x, _ in new.candidates] == [x for x, _ in old.candidates]
+    with mpmath.workprec(1024):
+        assert abs(new.min_abs.val - old.min_abs.val) <= mpf(2) ** -1000
+
+
 def test_piece_walk_evaluation_count(monkeypatch):
-    # d = 1 with 3,000 grid points: the per-point walk takes g_lt1 3,000
-    # times, the piece walk only at piece ends, bisections and candidates;
-    # K is one prime sum, with no f_rhs_lt1 call.
+    # d = 1 with 3,000 grid points: the per-point walk takes the
+    # fixed-point g_lt1 3,000 times, the piece walk only at piece ends,
+    # bisections and candidates; K is one fixed-point prime sum, with no
+    # f_rhs_lt1 call.
     calls = {"g": 0, "f_rhs": 0, "sum": 0}
 
     def counted(name, fn):
@@ -307,7 +324,8 @@ def test_piece_walk_evaluation_count(monkeypatch):
 
     monkeypatch.setattr(analysis, "g_lt1", counted("g", g_lt1))
     monkeypatch.setattr(analysis, "f_rhs_lt1", counted("f_rhs", f_rhs_lt1))
-    monkeypatch.setattr(analysis, "weighted_sum", counted("sum", weighted_sum))
+    monkeypatch.setattr(analysis, "prime_power_sum",
+                        counted("sum", arith.prime_power_sum))
     scan = hypothesis_scan(1, PrecisionContext(bits=192),
                            denominator=round(3000 * math.pi))
     assert scan.evaluated == 3000

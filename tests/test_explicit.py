@@ -38,7 +38,7 @@ from zeta_explicit.explicit import (
     verify_identity,
     zeta_log_deriv,
 )
-from zeta_explicit.mpcore import HComplex, PrecisionContext
+from zeta_explicit.mpcore import HComplex, PrecisionContext, _exact
 from explicit_oracles import (cosine_rhs_expanded, f_u_closed_uncorrected,
                               general_rhs_gt1_expanded, general_rhs_lt1_expanded,
                               prime_sum_reference, zeta_log_deriv_dirichlet)
@@ -70,12 +70,15 @@ def test_f_rhs_domains(ctx):
 
 @pytest.mark.parametrize("bits", [128, 224, 512])
 def test_g_lt1_one_log_matches_two_log_form(bits):
-    # x near 0, the turn at 1/plastic (where g_lt1' = 0) and x near 1
+    # x near 0, the turn at 1/plastic (where g_lt1' = 0) and x near 1;
+    # g_lt1 in units of 2^-W at the finders' width W = bits + 48
     two_logs = lambda x: mpmath.log(x) + x - mpmath.log((1 + x) / (1 - x)) / 2
+    W = bits + 48
     with mpmath.workprec(bits):
         turn = 1 / mpmath.findroot(lambda t: t ** 3 - t - 1, mpf(4) / 3)
         for x in (mpf(2) ** -100, mpf(10) ** -30, turn, 1 - mpf(2) ** -100):
-            got, same_bits = g_lt1(x), two_logs(x)
+            r, same_bits = _exact(x), two_logs(x)
+            got = mpmath.ldexp(g_lt1(r.numerator, r.denominator, W), -W)
             with mpmath.workprec(bits + 64):
                 ref = two_logs(x)
                 assert abs(got - ref) <= mpf(2) ** (4 - bits) * abs(ref), x

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from zeta_explicit import analysis
-from zeta_explicit.analysis import (GENUINE, JUMP, _pieces, find_zeros_gt1,
+from zeta_explicit.analysis import (GENUINE, JUMP, _dg, _pieces, find_zeros_gt1,
                                     find_zeros_lt1)
 from zeta_explicit.arith import shared_table
 from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
@@ -87,6 +87,14 @@ def test_frozen_counts_lt1(ctx):
     assert _counts(find_zeros_lt1(F(1, 300), F(19, 20), TOL, ctx)) == (57, 56)
 
 
+@pytest.mark.parametrize("bits", [128, 512, 1024])
+def test_frozen_counts_across_precisions(bits):
+    # the counts above (192 bits) at the other widths of the walk
+    ctx = PrecisionContext(bits=bits)
+    assert _counts(find_zeros_gt1(F(21, 20), F(200), TOL, ctx)) == (46, 45)
+    assert _counts(find_zeros_lt1(F(1, 300), F(19, 20), TOL, ctx)) == (57, 56)
+
+
 def _prime_of(n):
     """p when n = p^k, else 0: by trial division, apart from the sieve."""
     p = next(q for q in range(2, n + 1) if n % q == 0)
@@ -115,7 +123,11 @@ def test_pieces_tile_the_window_with_the_walked_K(lo, hi, bits):
     pieces = list(_pieces(lo, hi, ctx))
     assert pieces[0][0] == lo and pieces[-1][1] == hi
     assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+    # K and drop are integers in units of 2^-W, W = bits + 48; g is read
+    # at W + 64
+    W = bits + 48
     for a, b, K, drop in pieces:
+        K, drop = mpmath.ldexp(K, -W), mpmath.ldexp(drop, -W)
         assert a < b
         # n of each discontinuity x = n (above 1) or x = 1/n (below 1) in (a, b)
         inside = (range(math.floor(a) + 1, math.ceil(b)) if above
@@ -126,10 +138,39 @@ def test_pieces_tile_the_window_with_the_walked_K(lo, hi, bits):
         mid = (a + b) / 2
         with wide.workprec():
             assert not wide.mpf(a) + eps < turn < wide.mpf(b) - eps
-            gap = f_rhs(mid, wide).val - g(wide.mpf(mid)) - K
+            gap = f_rhs(mid, wide).val \
+                - mpmath.ldexp(g(mid.numerator, mid.denominator, W + 64), -W - 64) - K
             assert abs(gap) <= mpmath.ldexp(1 + abs(K), 8 - bits)
             fall = mpmath.log(p) / (1 if above else n.numerator) if p else 0
             assert abs(drop - fall) <= mpmath.ldexp(1, 8 - bits)
+
+
+PRIME_POWERS = [n for n in range(2, 128) if _prime_of(n)] + [2 ** 19, 999983]
+# x near 0 and near 1 on both sides, the prime powers and their
+# reciprocals, and rationals up to 10^6
+walk_points = st.one_of(
+    st.sampled_from([F(1, 2 ** 40), 1 - F(1, 2 ** 30), 1 + F(1, 2 ** 30), F(10 ** 6)]
+                    + [F(n) for n in PRIME_POWERS] + [F(1, n) for n in PRIME_POWERS]),
+    st.builds(F, st.integers(1, 10 ** 9), st.integers(1, 1000))
+    .filter(lambda x: x != 1 and x <= 10 ** 6))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([128, 192, 512, 1024]), walk_points)
+def test_fixed_point_g_and_slope_against_mpmath(bits, x):
+    # g within 2 units of 2^-W and g' (floored) within 1, W = bits + 48,
+    # against mpmath at W + 64
+    W, p, q = bits + 48, x.numerator, x.denominator
+    with mpmath.workprec(W + 64):
+        X = mpmath.mpf(p) / q
+        if x > 1:
+            got, ref = g_gt1(p, q, W), X - mpmath.log(1 - 1 / X ** 2) / 2
+            slope = 1 - 1 / (X ** 3 - X)
+        else:
+            got, ref = g_lt1(p, q, W), mpmath.log(X) + X - mpmath.log((1 + X) / (1 - X)) / 2
+            slope = 1 / X + 1 - 1 / (1 - X ** 2)
+        assert abs(got - mpmath.ldexp(ref, W)) <= 2
+        assert abs(_dg(p, q, W) - mpmath.ldexp(slope, W)) <= 1
 
 
 def test_each_record_takes_one_residual(monkeypatch):

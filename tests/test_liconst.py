@@ -124,6 +124,17 @@ def test_shifted_order_zero_is_digamma(ctx):
         assert err < mpf(1) / 10 ** 40
 
 
+def test_shifted_takes_a_shift_above_the_float_range(ctx):
+    # a = 10^400 overflows a float: the plan takes log(M + a) from the
+    # exact integers.
+    value, bound = stieltjes_shifted(0, 10 ** 400, ctx)
+    with mpmath.workprec(ctx.bits + 64):
+        ref = -mpmath.digamma(mpmath.mpf(10) ** 400)
+        err = abs(value.val - ref)
+    assert err <= bound.val
+    assert err < mpf(1) / 10 ** 40
+
+
 def test_shifted_reduces_to_plain(ctx):
     v1, _ = stieltjes_shifted(1, F(1), ctx)
     v2, _ = stieltjes(1, ctx=ctx)

@@ -127,6 +127,17 @@ def test_hurwitz_zeta_near_the_pole_is_not_the_pole():
     assert bound.val < mpmath.mpf(2) ** (300 - 190)
 
 
+def test_hurwitz_zeta_takes_a_shift_below_the_float_range():
+    # a = 2^-1100 lies in (0, 1] but is 0.0 as a float: the sign check and
+    # the plan read the exact a.
+    ctx, a = PrecisionContext(bits=192), Fraction(1, 2 ** 1100)
+    value, bound = hurwitz_zeta(2, a, ctx)
+    with mpmath.workprec(320):
+        ref = mpmath.zeta(2, mpmath.mpf(2) ** -1100)
+        assert abs(value.val - ref) <= bound.val
+        assert bound.val <= abs(ref) * mpmath.mpf(2) ** -180
+
+
 def test_hurwitz_zeta_rejects_shift_just_above_one():
     # a = 1 + 2^-300 rounds to 1 at 192 bits; the check sees the exact a.
     with pytest.raises(ValueError):
