@@ -47,7 +47,7 @@ from typing import Callable, Iterator, Optional
 import mpmath
 from mpmath import libmp, mpf
 
-from .arith import _FIXED, _log_at, class_data, prime_power_sum, shared_table
+from .arith import MAX_SIEVE, _FIXED, _log_at, class_data, prime_power_sum, shared_table
 from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
 from .mpcore import _GUARD, HReal, PrecisionContext, _exact
 
@@ -380,8 +380,8 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
     of _pieces, at their width W: each argument is X_k 2^-W, X_k =
     floor(S k/denominator), S = floor(pi sqrt(d) 2^W), never a reciprocal
     prime power or the turn; pieces and |f| < threshold are exact integer
-    tests.  Refuses a d that is not a positive integer, a denominator not
-    an integer >= 2 and a threshold not a finite float > 0."""
+    tests.  Refuses a d not a positive integer, a denominator not an integer
+    >= 2 or past MAX_SIEVE at X_1, and a threshold not a finite float > 0."""
     ctx = ctx or PrecisionContext()
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got d = {d}")
@@ -395,10 +395,13 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         kmax = int(mpmath.floor(denominator * window_hi))
     with mpmath.workprec(W + 8):
         u, S = 1 << W, libmp.to_fixed((mpmath.pi * mpmath.sqrt(d))._mpf_, W)
+    window, X = f"window (0, {mpmath.nstr(window_hi, 8)})", lambda k: S * k // denominator
     if kmax < 1 or S < denominator:   # S < denominator: X_1 = 0
-        raise ValueError(f"window (0, {mpmath.nstr(window_hi, 8)}) holds no grid "
-                         f"point above 2^-{W} with denominator {denominator}")
-    X = lambda k: S * k // denominator
+        raise ValueError(f"{window} holds no grid point above 2^-{W} "
+                         f"with denominator {denominator}")
+    if u // X(1) > MAX_SIEVE:         # _pieces sieves to 1/X_1
+        raise ValueError(f"grid denominator {denominator} puts the first point of the "
+                         f"{window} at 1/{u // X(1)}, past MAX_SIEVE = {MAX_SIEVE}")
     f = lambda k: g_lt1(X(k), u, W) + K
     tn, td = Fraction(threshold).as_integer_ratio()   # v 2^-W < tn/td iff v td < tn 2^W
     last = kmax if X(kmax) < u else kmax - 1

@@ -14,7 +14,8 @@ where Sum' halves the boundary term when the endpoint is a prime power.
 Inputs x are exact rationals so the "is the endpoint a prime power"
 branch is decidable (_endpoint decides it for every sum).  Both forms
 are weighted_sum, which reads prime_power_sum at bits + 32: fixed-point
-integers, each prime's log taken once into a table per width, checkpointed
+integers, each prime's log taken once into a table per width and its
+root p^(-1/b) once into one per (b, width), b <= ROOT_BOUND, checkpointed
 every BLOCK = 256 per (s, chi, precision); no value depends on history.
 
 The class data of Q(sqrt(-d)) is exact integers.  mpmath.loggamma, in
@@ -69,20 +70,19 @@ class MangoldtTable:
 def mangoldt_sieve(N: int) -> MangoldtTable:
     """Exact MangoldtTable for 1..N.
 
-    Boolean prime sieve, then each prime marks its powers.  Raises when
-    N exceeds the configured memory budget.
+    Boolean prime sieve marked by slice assignment, then each prime marks
+    its powers.  Raises when N exceeds the configured memory budget.
     """
     if N < 1:
         raise ValueError(f"sieve limit must be >= 1, got {N}")
     if N > MAX_SIEVE:
         raise ValueError(f"sieve limit {N} exceeds memory budget {MAX_SIEVE}")
-    entries = array("i", bytes(4 * (N + 1)))
+    entries = array("i", [0]) * (N + 1)
     is_comp = bytearray(N + 1)
     for p in range(2, N + 1):
         if is_comp[p]:
             continue
-        for m in range(p * p, N + 1, p):
-            is_comp[m] = 1
+        is_comp[p * p::p] = b"\1" * len(range(p * p, N + 1, p))
         q = p
         while q <= N:
             entries[q] = p
@@ -109,8 +109,10 @@ def shared_table(N: int) -> MangoldtTable:
 # ----------------------------------------------------------------------
 
 BLOCK = 256   # spacing of prime_power_sum's prefix checkpoints
+ROOT_BOUND = 12   # largest denominator of s whose roots are tabled; see prime_power_sum
 _prefix: dict[tuple, list] = {}
 _logs: dict[int, dict[int, int]] = {}   # width W -> {p: log(p) 2^W}
+_roots: dict[tuple, dict[int, int]] = {}   # (b, W) -> {p: floor(2^W p^(-1/b))}
 _FIXED = 16   # guard bits of the walk's width, for its per-term roundings
 
 
@@ -132,6 +134,39 @@ def _log_at(p: int, W: int) -> int:
     return _logs.get(W, {}).get(p) or _log(p, W)
 
 
+def _power(x: int, j: int, U: int) -> int:
+    """2^U (x 2^-U)^j, j >= 0, products floored: < j units of 2^-U low if x <= 2^U."""
+    y = x if j else 1 << U
+    for bit in bin(j)[3:]:
+        y = y * y >> U
+        if bit == "1":
+            y = y * x >> U
+    return y
+
+
+def _root(p: int, b: int, W: int) -> int:
+    """floor(2^W p^(-1/b)) exactly, b >= 2, kept in the (b, W) table when
+    p <= LOG_LIMIT.  math.isqrt at b = 2; else Newton's r += r (1 - p y^b)/b,
+    y = r 2^-w, from a float seed, w doubled less c bits a step (p's bits
+    guard _power): each step errs by less than 3 units, so r at W + 2 bits,
+    shifted to W, is within 1 of the floor, and one exact test corrects it."""
+    if b == 2:
+        r = math.isqrt((1 << 2 * W) // p)
+    else:
+        g, c = p.bit_length() + 4, b.bit_length() + p.bit_length() // b + 4
+        r, w, T = int(math.ldexp(p ** (-1 / b), 40)), 40, 1 << b * W
+        while w < W + 2:
+            r, w = r << min(w - c, W + 2 - w), min(2 * w - c, W + 2)
+            r += (r * ((1 << w + g) - p * _power(r << g, b, w + g)) >> w + g) // b
+        r >>= w - W
+        q = r ** (b - 1)               # (r + 1)^b >= r^b + b r^(b-1) = q (r + b)
+        r -= q * r * p > T
+        r += q * (r + b) * p <= T and (r + 1) ** b * p <= T
+    if p <= LOG_LIMIT:
+        _roots.setdefault((b, W), {})[p] = r
+    return r
+
+
 def mangoldt(n: int) -> mpf:
     """Lambda(n) at the current precision, log p read from the shared table."""
     p, W = shared_table(n).prime_of(n), mpmath.mp.prec + _FIXED
@@ -146,12 +181,17 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
 
     Integers at width W + e, unrounded: W = precision + _FIXED, and
     e = s log2 p0 keeps the first term p0^(-s) (p0 the least prime chi
-    keeps) at W bits.  log p comes from W's table; n = p^k gives n^(-s)
-    as an exact power of n at integer s, as the exact floor square root
-    of one at half-integer s, else exp_fixed(-s k log p), whose cost,
-    unlike a b-th root's, does not grow with the denominator b >= 3.
-    Checkpoints every BLOCK per (s, chi, precision), grown by whole blocks
-    in increasing n, so no value depends on earlier queries.
+    keeps) at W bits.  log p comes from W's table; n = p^k gives n^(-s) as
+    an exact power of n at integer s.  At s = a/b, 2 <= b <= ROOT_BOUND,
+    r = floor(2^W p^(-1/b)) comes from the (b, W) root table, shared by
+    every numerator, character and form: with m = ak, q = max(0, ceil(-m/b))
+    and j = qb + m, n^(-s) = p^q p^(-j/b); the term c L p^q
+    _power(r << e, j, W + e) >> W errs (L within 2 log p units) by less than
+    1 + ((j p^(1/b) + 3) 2^e n^(-s) + 2 j p^q) log p units of 2^-(W+e).
+    Larger b take exp_fixed(-s k log p): a cold table via roots costs up to
+    1.7 tables via exp_fixed at b <= 12, 2.3 at b = 16 (README; the exact
+    check's r^b grows).  Checkpoints every BLOCK per (s, chi, precision),
+    grown by whole blocks in increasing n: no value depends on history.
     """
     with ctx.workprec(_GUARD):
         key = (s, None if chi is None else tuple(chi), mpmath.mp.prec)
@@ -159,25 +199,27 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
         entries = shared_table(N).entries
         W, a, b = mpmath.mp.prec + _FIXED, s.numerator, s.denominator
         logs = _logs.setdefault(W, {})
+        roots = _roots.setdefault((b, W), {}) if 1 < b <= ROOT_BOUND else None
         p0 = next((n for n in range(2, 3 + len(chi or ())) if _chi_at(chi, n)), 2)
         e = max(0, math.ceil(s * math.log2(p0)))   # e = 0 for s <= 0
-        sq = 1 << 2 * (W + e)                       # the square of the walk's unit
 
         def walk(acc: int, lo: int, hi: int) -> int:
             for n in range(lo + 1, hi + 1):
                 p = entries[n]
                 if p and (c := _chi_at(chi, n)):     # n = p^k, chi(n) = chi(p)^k
                     L = logs.get(p) or _log(p, W)
-                    if a == 0:
-                        acc += c * L
-                    elif b == 1:                     # n^-s as an exact power of n
+                    if b == 1:                       # n^-s as an exact power of n
                         acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
-                    elif b == 2:                     # floor(2^(W+e) n^-s), exactly
-                        R = math.isqrt(sq // n ** a if a > 0 else sq * n ** -a)
-                        acc += c * L * R >> W
-                    else:
+                    elif roots is None:              # b > ROOT_BOUND
                         k = 1 if p == n else round(math.log(n, p))
                         acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W
+                    else:
+                        m = a * (1 if p == n else round(math.log(n, p)))
+                        r = (roots.get(p) or _root(p, b, W)) << e
+                        if m > 0:                    # q = 0, j = m
+                            acc += c * L * (r if m == 1 else _power(r, m, W + e)) >> W
+                        else:                        # e = 0, j = m mod b
+                            acc += c * L * p ** -(m // b) * _power(r, m % b, W) >> W
             return acc
 
         for j in range(len(sums), N // BLOCK + 1):
@@ -339,10 +381,7 @@ def reduced_form_count(D: int) -> int:
 
 
 def class_data(d: int) -> ImaginaryQuadraticData:
-    """Full ImaginaryQuadraticData for squarefree d."""
-    if not is_squarefree(d):
-        raise ValueError(f"d = {d} is not squarefree")
-    D = discriminant_of(d)
+    """Full ImaginaryQuadraticData for squarefree d (kronecker_chi checks d)."""
+    chi, D = kronecker_chi(d), discriminant_of(d)
     w = 6 if D == 3 else (4 if D == 4 else 2)
-    h = reduced_form_count(D)
-    return ImaginaryQuadraticData(d=d, D=D, h=h, w=w, chi=kronecker_chi(d))
+    return ImaginaryQuadraticData(d=d, D=D, h=reduced_form_count(D), w=w, chi=chi)

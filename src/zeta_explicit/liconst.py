@@ -156,9 +156,6 @@ class StieltjesTable:
     def gamma(self, n: int) -> HReal:
         return self.gammas[n][0]
 
-    def gamma_bound(self, n: int) -> HReal:
-        return self.gammas[n][1]
-
     def eta(self, n: int) -> HReal:
         return self.etas[n]
 
@@ -178,11 +175,6 @@ class StieltjesTable:
         }
 
 
-def _check_order(n: int, table: StieltjesTable) -> None:
-    if not 1 <= n <= table.order:
-        raise ValueError(f"n = {n} outside the table's orders [1, {table.order}]")
-
-
 def li_lambda_identity(n: int, table: StieltjesTable,
                        ctx: Optional[PrecisionContext] = None) -> HReal:
     """lambda_n assembled from the constants, as build_stieltjes_table
@@ -195,35 +187,9 @@ def li_lambda_identity(n: int, table: StieltjesTable,
     At n = 1 the sums reduce to -eta_0 = gamma_0 and the value collapses
     to 1 + gamma_0/2 - (log 4pi)/2.  The value is read from the table,
     which carries its own precision; ctx is not read."""
-    _check_order(n, table)
+    if not 1 <= n <= table.order:
+        raise ValueError(f"n = {n} outside the table's orders [1, {table.order}]")
     return table.lam(n)
-
-
-def coffey_decomposition(n: int, table: StieltjesTable,
-                         ctx: Optional[PrecisionContext] = None
-                         ) -> tuple[HReal, HReal, bool]:
-    """(S1(n), S2(n), bounds_ok) with
-
-        S1(n) = Sum_{j=2}^{n} C(n,j) (-1)^j (1 - 2^(-j)) zeta(j)
-        S2(n) = -Sum_{j=1}^{n} C(n,j) eta_{j-1}
-
-    read from the table, and bounds_ok the check (n >= 2; vacuously true
-    at n = 1)
-
-        (n(log n + gamma - 1) + 1)/2 <= S1(n) <= (n(log n + gamma + 1) - 1)/2.
-    """
-    _check_order(n, table)
-    s1, s2 = table.S1[n - 1], table.S2[n - 1]
-    ok = True
-    if n >= 2:
-        ctx = ctx or s1.ctx
-        with ctx.workprec(_GUARD):
-            g = ctx.euler_gamma
-            logn = mpmath.log(n)
-            lower = (n * (logn + g - 1) + 1) / 2
-            upper = (n * (logn + g + 1) - 1) / 2
-            ok = bool(lower <= s1.val <= upper)
-    return s1, s2, ok
 
 
 def build_stieltjes_table(N: int, ctx: Optional[PrecisionContext] = None,

@@ -51,6 +51,24 @@ def _prime_base(n: int) -> int:
     return n if n >= 2 else 0
 
 
+_TERMS: dict = {}
+
+
+def _reference_terms(s: Fraction, bits: int, N: int) -> tuple[int, list]:
+    """(N', [(n, Lambda(n) n^(-s)) for the prime powers n <= N']), N' >= N,
+    at bits + 64, one term per n with Lambda from trial division; kept per
+    (s, bits) and extended on demand, so that references at many x and
+    characters share their terms."""
+    done, terms = _TERMS.get((s, bits), (1, []))
+    with mpmath.workprec(bits + 64):
+        sv = mpf(s.numerator) / s.denominator
+        for n in range(done + 1, N + 1):
+            if p := _prime_base(n):
+                terms.append((n, mpmath.log(p) * mpmath.power(n, -sv)))
+    _TERMS[s, bits] = max(done, N), terms
+    return _TERMS[s, bits]
+
+
 def prime_sum_reference(x: Fraction, alpha: Fraction, chi, bits: int) -> tuple[mpf, mpf]:
     """x^alpha Sum'_{n<=y} chi(n) Lambda(n) n^(-s), one term per n, with
     y = x, s = alpha for x > 1 and y = 1/x, s = 1 - alpha for 0 < x < 1;
@@ -58,23 +76,21 @@ def prime_sum_reference(x: Fraction, alpha: Fraction, chi, bits: int) -> tuple[m
     Lambda comes from trial division, not the sieve.  Returns
     (value, Sum |terms|) at bits + 64."""
     y, s = (x, alpha) if x > 1 else (1 / x, 1 - alpha)
+    _, terms = _reference_terms(s, bits, math.floor(y))
     with mpmath.workprec(bits + 64):
         xa = mpmath.power(mpf(x.numerator) / x.denominator,
                           mpf(alpha.numerator) / alpha.denominator)
-        sv = mpf(s.numerator) / s.denominator
         value = mpf(0)
         size = mpf(0)
-        for n in range(2, math.floor(y) + 1):
-            p = _prime_base(n)
+        for n, t in terms:
+            if n > y:
+                break
             c = 1 if chi is None else chi[n % len(chi)]
-            if p == 0 or c == 0:
-                continue
-            term = xa * c * mpmath.log(p) * mpmath.power(n, -sv)
-            if n == y:
-                term /= 2
-            value += term
-            size += abs(term)
-    return value, size
+            if c:
+                term = c * t / 2 if n == y else c * t
+                value += term
+                size += abs(term)
+        return xa * value, abs(xa) * size
 
 
 def f_u_closed_uncorrected(u: Rational, z, ctx: PrecisionContext) -> HComplex:

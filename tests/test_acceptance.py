@@ -41,13 +41,13 @@ from zeta_explicit.explicit import (
     verify_identity,
 )
 from zeta_explicit.liconst import (
-    coffey_decomposition,
     lambda_direct,
     li_lambda_identity,
     rh_statistic,
 )
 from zeta_explicit.zeros import SumSpec, sum_inv_rho
 from explicit_oracles import f_u_closed_uncorrected
+from liconst_helpers import coffey_decomposition
 
 F = Fraction
 

@@ -2,6 +2,7 @@
 checkpoints, Kronecker characters, and imaginary-quadratic class data."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -52,9 +53,13 @@ def _prime_power_base(n: int) -> int:
 
 
 def test_sieve_matches_trial_division():
-    t = mangoldt_sieve(5000)
-    for n in range(5001):
-        assert t.entries[n] == _prime_power_base(n), n
+    # the smallest tables and the edges of the slice marking: N = p^2 - 1
+    # and p^2, the first multiple that p marks
+    for N in (1, 2, 3, 4, 8, 9, 24, 25, 48, 49, 120, 121, 5000):
+        t = mangoldt_sieve(N)
+        assert t.limit == N and len(t.entries) == N + 1
+        for n in range(N + 1):
+            assert t.entries[n] == _prime_power_base(n), (N, n)
 
 
 def test_sieve_queries(ctx):
@@ -152,13 +157,16 @@ def test_t_sum_rejects_domain(ctx):
 
 # Prefix checkpoints of prime_power_sum.  chi_{-d} for d = 3, 1, 7, 2 has
 # modulus 3, 4, 7, 8.
-# 1/3, 2/5, -3/7 and 7/13 put s with denominators 3, 5, 7 and 13 through
-# exp_fixed, the only route for denominators >= 3; -1/2, 3/2 and 401/2 take
-# the exact integer square root.  60 and 401/2 make the first term, p0^-s,
-# smaller than 2^-bits, where a walk kept at a width of a fixed number of
-# bits past 1 would lose it.
+# 1/3, 2/5, -5/4, -3/7 and -1/ROOT_BOUND put s with denominators 3, 5, 4, 7
+# and the bound through the root table, like -1/2, 3/2 and 401/2;
+# 7/13 and 2/(ROOT_BOUND + 1), the first denominator above the bound, take
+# exp_fixed.  60 and 401/2 make the first term, p0^-s, smaller than
+# 2^-bits, where a walk kept at a width of a fixed number of bits past 1
+# would lose it.
+ABOVE_BOUND = Fraction(2, arith.ROOT_BOUND + 1)
 TABLE_S = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-1, 2), Fraction(3, 2),
-           Fraction(2, 5), Fraction(-3, 7), Fraction(7, 13), Fraction(60), Fraction(401, 2))
+           Fraction(2, 5), Fraction(-5, 4), Fraction(-3, 7), Fraction(-1, arith.ROOT_BOUND),
+           Fraction(7, 13), ABOVE_BOUND, Fraction(60), Fraction(401, 2))
 TABLE_CHI = (None, 3, 1, 7, 2)
 # x = N + 1/2 reads the terms n <= N in full; the integer prime powers
 # 251 < 256 = 2^8 < 257 and 509 < 512 = 2^9 < 521 sit around the first two
@@ -167,7 +175,7 @@ EDGE_X = ([Fraction(2 * (j * BLOCK + e) + 1, 2) for j in (1, 2) for e in (-1, 0,
           + [Fraction(n) for n in (251, 256, 257, 509, 512, 521)])
 
 
-@pytest.mark.parametrize("bits", [128, 192, 256])
+@pytest.mark.parametrize("bits", [128, 192, 256, 512, 1024])
 @pytest.mark.parametrize("d", TABLE_CHI)
 def test_checkpointed_sums_match_per_n_reference(bits, d):
     ctx = PrecisionContext(bits=bits)
@@ -197,16 +205,19 @@ def test_large_s_sums_keep_relative_precision(x, alpha):
 @pytest.mark.parametrize("bits", [128, 192])
 @pytest.mark.parametrize("d", [None, 1, 7])
 def test_half_integer_s_takes_exact_square_roots(monkeypatch, bits, d):
-    # n^-s at s = a/2 is an integer square root, so exp_fixed is never
-    # called; both forms, x > 1 (s = alpha) and x < 1 (s = 1 - alpha).
+    # n^-s at s = a/b, 2 <= b <= ROOT_BOUND, is read from the integer root
+    # table (math.isqrt at b = 2), so exp_fixed is never called; both
+    # forms, x > 1 (s = alpha) and x < 1 (s = 1 - alpha).
     def refuse(*args):
-        raise AssertionError("exp_fixed called at a half-integer s")
+        raise AssertionError("exp_fixed called at a denominator within the bound")
 
     monkeypatch.setattr(arith, "_prefix", {})
     monkeypatch.setattr(arith, "exp_fixed", refuse)
     ctx = PrecisionContext(bits=bits)
     chi = None if d is None else kronecker_chi(d)
-    for s in (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(401, 2)):
+    S = [Fraction(401, 2)] + [Fraction(a, b) for b in range(2, arith.ROOT_BOUND + 1)
+                              for a in (1, -1, b + 1)]
+    for s in S:
         for x, alpha in ((Fraction(1001, 2), s), (Fraction(2, 1001), 1 - s),
                          (Fraction(509), s)):
             got = weighted_sum(x, alpha, ctx, chi)
@@ -215,22 +226,95 @@ def test_half_integer_s_takes_exact_square_roots(monkeypatch, bits, d):
                 assert abs(got - ref) <= mpmath.mpf(2) ** (8 - bits) * size, (x, s)
 
 
+@pytest.mark.parametrize("bits", [128, 192, 1024])
+def test_root_table_holds_exact_floors(monkeypatch, bits):
+    # Every stored root of every denominator b <= ROOT_BOUND is
+    # floor(2^W p^(-1/b)): r^b p <= 2^(bW) < (r + 1)^b p, for each prime
+    # the walk reached, and only for those.
+    monkeypatch.setattr(arith, "_prefix", {})
+    monkeypatch.setattr(arith, "_roots", {})
+    ctx, W = PrecisionContext(bits=bits), bits + 32 + arith._FIXED
+    primes = [p for p in range(2, 1201) if _prime_power_base(p) == p]
+    for b in range(2, arith.ROOT_BOUND + 1):
+        prime_power_sum(1200, Fraction(1, b), ctx)
+        roots = arith._roots[b, W]
+        assert sorted(roots) == primes
+        for p, r in roots.items():
+            assert r ** b * p <= 1 << b * W < (r + 1) ** b * p, (p, b)
+
+
+def _stated_error(N: int, s: Fraction, chi, e: int) -> float:
+    """prime_power_sum's stated bound on its error, in units of 2^-(W+e):
+    1 + ((j p^(1/b) + 3) 2^e n^(-s) + 2 j p^q) log p summed over its
+    terms, m = ak, q = max(0, ceil(-m/b)), j = qb + m."""
+    a, b, total = s.numerator, s.denominator, 0.0
+    for n in range(2, N + 1):
+        p = _prime_power_base(n)
+        if p and (chi is None or chi[n % len(chi)]):
+            m = a * round(math.log(n, p))
+            q = max(0, -(m // b))
+            j = q * b + m
+            total += 1 + ((j * p ** (1 / b) + 3) * 2.0 ** e * n ** -float(s)
+                          + 2 * j * p ** q) * math.log(p)
+    return total
+
+
+@pytest.mark.parametrize("bits", [128, 192, 1024])
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                               Fraction(1, 3), Fraction(2, 3), Fraction(-5, 7),
+                               Fraction(13, 2), Fraction(-7, arith.ROOT_BOUND)])
+@pytest.mark.parametrize("d", [None, 3])
+def test_root_walk_within_stated_error(bits, s, d):
+    # The unrounded sum against a per-n sum at 64 bits past its unit: the
+    # difference stays below the sum of the stated term errors.
+    ctx, N = PrecisionContext(bits=bits), 1500
+    chi = None if d is None else kronecker_chi(d)
+    man, exp = prime_power_sum(N, s, ctx, chi)
+    with mpmath.workprec(-exp + 64):
+        ref = mpmath.fsum((1 if chi is None else chi[n % len(chi)])
+                          * mpmath.log(_prime_power_base(n))
+                          * mpmath.power(n, -mpmath.mpf(s.numerator) / s.denominator)
+                          for n in range(2, N + 1) if _prime_power_base(n))
+        err = abs(man - mpmath.ldexp(ref, -exp))
+    assert err < _stated_error(N, s, chi, -exp - bits - 32 - arith._FIXED)
+
+
+def test_huge_denominator_takes_exp_fixed(monkeypatch):
+    # s = 1 + 2^-300 would need a 2^300-th root; above ROOT_BOUND the walk
+    # takes exp_fixed, once per term, and stores no roots.
+    calls, exp_fixed = [], arith.exp_fixed
+    monkeypatch.setattr(arith, "_prefix", {})
+    monkeypatch.setattr(arith, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
+    ctx, x, alpha = PrecisionContext(bits=128), Fraction(1001, 2), 1 + Fraction(1, 2 ** 300)
+    start = time.perf_counter()
+    got = psi0_alpha(x, alpha, ctx).val
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) == sum(1 for n in range(2, 501) if _prime_power_base(n))
+    assert not any(b > arith.ROOT_BOUND for b, _ in arith._roots)
+    ref, size = prime_sum_reference(x, alpha, None, 128)
+    with mpmath.workprec(192):
+        assert abs(got - ref) <= mpmath.mpf(2) ** (8 - 128) * size
+
+
 TABLE_N = (3000, 255, 256, 257, 1, 1023, 5000, 2 * BLOCK)
 
 
 @pytest.mark.parametrize("s,d", [(Fraction(0), None), (Fraction(1, 3), None),
-                                 (Fraction(1), 1), (Fraction(-1, 2), 7)])
+                                 (Fraction(1), 1), (Fraction(-1, 2), 7),
+                                 (Fraction(2, 3), 3)])
 def test_checkpointed_sums_do_not_depend_on_history(monkeypatch, s, d):
     ctx = PrecisionContext(bits=192)
     chi = None if d is None else kronecker_chi(d)
 
     def reset(logs_from=None):
-        # empty checkpoint tables; an empty log table, or one that a walk
-        # past every N at logs_from's precision has grown
+        # empty checkpoint, log and root tables; or logs and roots grown by
+        # a walk past every N at logs_from's precision and s' = 1/b, b the
+        # denominator of s: s = 2/3 then reads the roots that 1/3 took
         monkeypatch.setattr(arith, "_prefix", {})
         monkeypatch.setattr(arith, "_logs", {})
+        monkeypatch.setattr(arith, "_roots", {})
         if logs_from is not None:
-            prime_power_sum(2 * max(TABLE_N), s, logs_from, chi)
+            prime_power_sum(2 * max(TABLE_N), Fraction(1, s.denominator), logs_from, chi)
             monkeypatch.setattr(arith, "_prefix", {})
 
     fresh = {}

@@ -434,6 +434,22 @@ def test_chowla_selberg_with_scan(capsys):
     assert payload["hypothesis_scan"]["rational_zero_found"] is False
 
 
+def test_scan_past_the_sieve_budget_is_domain_error(capsys, monkeypatch):
+    # 1/X_1 = 10^9/pi exceeds MAX_SIEVE: refused before the piece walk
+    # sieves, with the grid, the window and the budget named
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan walked before its grid check")
+
+    monkeypatch.setattr(analysis, "_pieces", refuse)
+    code, out, err = run(capsys, "chowla-selberg", "--d", "1", "--scan",
+                         "--grid-denominator", "1000000000")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "grid denominator 1000000000" in err
+    assert "window (0, 0.31830989)" in err
+    assert f"MAX_SIEVE = {arith.MAX_SIEVE}" in err
+
+
 def test_chowla_selberg_no_scan(capsys):
     code, out, _ = run(capsys, "chowla-selberg", "--d", "2", "--no-scan",
                        "--json")

@@ -16,7 +16,6 @@ from zeta_explicit import liconst
 from zeta_explicit.liconst import (
     StieltjesTable,
     build_stieltjes_table,
-    coffey_decomposition,
     eta_from_gamma,
     lambda_direct,
     li_lambda_identity,
@@ -26,6 +25,7 @@ from zeta_explicit.liconst import (
 )
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import SumSpec
+from liconst_helpers import coffey_decomposition
 
 F = Fraction
 
@@ -206,7 +206,7 @@ def test_li_lambda_identity_is_table_value(ctx, consts8):
 def test_table_shape(consts8):
     assert isinstance(consts8, StieltjesTable)
     assert consts8.order == 8
-    assert consts8.gamma_bound(3).val > 0
+    assert consts8.gammas[3][1].val > 0
     d = consts8.to_dict()
     assert {"order", "gammas", "etas", "lambdas"} <= set(d)
     with pytest.raises(IndexError):
