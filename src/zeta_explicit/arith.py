@@ -188,10 +188,10 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     and j = qb + m, n^(-s) = p^q p^(-j/b); the term c L p^q
     _power(r << e, j, W + e) >> W errs (L within 2 log p units) by less than
     1 + ((j p^(1/b) + 3) 2^e n^(-s) + 2 j p^q) log p units of 2^-(W+e).
-    Larger b take exp_fixed(-s k log p): a cold table via roots costs up to
-    1.7 tables via exp_fixed at b <= 12, 2.3 at b = 16 (README; the exact
-    check's r^b grows).  Checkpoints every BLOCK per (s, chi, precision),
-    grown by whole blocks in increasing n: no value depends on history.
+    Larger b take exp_fixed(-s k log p): a cold table via roots costs at
+    most 1.7 via exp_fixed at b <= 12, so the roots pay by a second table,
+    but 2.3 at b = 16 (README).  Checkpoints every BLOCK per (s, chi, prec)
+    grow by whole blocks in increasing n: no value depends on history.
     """
     with ctx.workprec(_GUARD):
         key = (s, None if chi is None else tuple(chi), mpmath.mp.prec)
