@@ -159,11 +159,11 @@ def test_t_sum_rejects_domain(ctx):
 # modulus 3, 4, 7, 8.
 # 1/3, 2/5, -5/4, -3/7 and -1/ROOT_BOUND put s with denominators 3, 5, 4, 7
 # and the bound through the root table, like -1/2, 3/2 and 401/2;
-# 7/13 and 2/(ROOT_BOUND + 1), the first denominator above the bound, take
+# 7/13 and -1/(ROOT_BOUND + 1), the first denominator above the bound, take
 # exp_fixed.  60 and 401/2 make the first term, p0^-s, smaller than
 # 2^-bits, where a walk kept at a width of a fixed number of bits past 1
 # would lose it.
-ABOVE_BOUND = Fraction(2, arith.ROOT_BOUND + 1)
+ABOVE_BOUND = Fraction(-1, arith.ROOT_BOUND + 1)
 TABLE_S = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-1, 2), Fraction(3, 2),
            Fraction(2, 5), Fraction(-5, 4), Fraction(-3, 7), Fraction(-1, arith.ROOT_BOUND),
            Fraction(7, 13), ABOVE_BOUND, Fraction(60), Fraction(401, 2))
