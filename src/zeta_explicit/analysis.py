@@ -395,10 +395,11 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         kmax = int(mpmath.floor(denominator * window_hi))
     with mpmath.workprec(W + 8):
         u, S = 1 << W, libmp.to_fixed((mpmath.pi * mpmath.sqrt(d))._mpf_, W)
-    window, X = f"window (0, {mpmath.nstr(window_hi, 8)})", lambda k: S * k // denominator
+    window = f"window (0, {mpmath.nstr(window_hi, 8)})"
     if kmax < 1 or S < denominator:   # S < denominator: X_1 = 0
         raise ValueError(f"{window} holds no grid point above 2^-{W} "
                          f"with denominator {denominator}")
+    X = lambda k: S * k // denominator
     if u // X(1) > MAX_SIEVE:         # _pieces sieves to 1/X_1
         raise ValueError(f"grid denominator {denominator} puts the first point of the "
                          f"{window} at 1/{u // X(1)}, past MAX_SIEVE = {MAX_SIEVE}")

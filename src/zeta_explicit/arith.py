@@ -109,7 +109,7 @@ def shared_table(N: int) -> MangoldtTable:
 # ----------------------------------------------------------------------
 
 BLOCK = 256   # spacing of prime_power_sum's prefix checkpoints
-ROOT_BOUND = 12   # largest denominator of s whose roots are tabled; see prime_power_sum
+ROOT_BOUND = 3   # largest denominator of s whose roots are tabled; see prime_power_sum
 _prefix: dict[tuple, list] = {}
 _logs: dict[int, dict[int, int]] = {}   # width W -> {p: log(p) 2^W}
 _roots: dict[tuple, dict[int, int]] = {}   # (b, W) -> {p: floor(2^W p^(-1/b))}
@@ -145,23 +145,23 @@ def _power(x: int, j: int, U: int) -> int:
 
 
 def _root(p: int, b: int, W: int) -> int:
-    """floor(2^W p^(-1/b)) exactly, b >= 2, kept in the (b, W) table when
-    p <= LOG_LIMIT.  math.isqrt at b = 2; else Newton's r += r (1 - p y^b)/b,
-    y = r 2^-w, from a float seed, w doubled less c bits a step (p's bits
-    guard _power): each step errs by less than 3 units, so r at W + 2 bits,
-    shifted to W, is within 1 of the floor, and one exact test corrects it."""
+    """floor(2^W p^(-1/b)) = floor(X^(1/b)), X = floor(2^(bW)/p), exactly,
+    b >= 2, kept in the (b, W) table when p <= LOG_LIMIT.  math.isqrt at
+    b = 2; else integer Newton r = ((b-1) r + X // r^(b-1)) // b, which from
+    any r >= the floor stays >= it and falls to it, stopping there.  It runs
+    at widths v doubling up to W, each from the last floor at w shifted,
+    (r + 1) 2^(v-w) (above the floor at v), after a float seed raised."""
     if b == 2:
         r = math.isqrt((1 << 2 * W) // p)
     else:
-        g, c = p.bit_length() + 4, b.bit_length() + p.bit_length() // b + 4
-        r, w, T = int(math.ldexp(p ** (-1 / b), 40)), 40, 1 << b * W
-        while w < W + 2:
-            r, w = r << min(w - c, W + 2 - w), min(2 * w - c, W + 2)
-            r += (r * ((1 << w + g) - p * _power(r << g, b, w + g)) >> w + g) // b
-        r >>= w - W
-        q = r ** (b - 1)               # (r + 1)^b >= r^b + b r^(b-1) = q (r + b)
-        r -= q * r * p > T
-        r += q * (r + b) * p <= T and (r + 1) ** b * p <= T
+        widths = [W]
+        while widths[-1] > 320:
+            widths.append(widths[-1] // 2)
+        r, w = int(math.ldexp(p ** (-1 / b), 48)) + 1, 48
+        for v in reversed(widths):
+            r, w, X = (r + 1) << v - w, v, (1 << b * v) // p
+            while (y := ((b - 1) * r + X // r ** (b - 1)) // b) < r:
+                r = y
     if p <= LOG_LIMIT:
         _roots.setdefault((b, W), {})[p] = r
     return r
@@ -188,10 +188,13 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     and j = qb + m, n^(-s) = p^q p^(-j/b); the term c L p^q
     _power(r << e, j, W + e) >> W errs (L within 2 log p units) by less than
     1 + ((j p^(1/b) + 3) 2^e n^(-s) + 2 j p^q) log p units of 2^-(W+e).
-    Larger b take exp_fixed(-s k log p): a cold table via roots costs at
-    most 1.7 via exp_fixed at b <= 12, so the roots pay by a second table,
-    but 2.3 at b = 16 (README).  Checkpoints every BLOCK per (s, chi, prec)
-    grow by whole blocks in increasing n: no value depends on history.
+    Larger b, and p > LOG_LIMIT at b >= 3 (roots no table keeps, each a
+    Newton root dearer than one exp_fixed), take exp_fixed(-s k log p).
+    ROOT_BOUND = 3 is the largest b a measured workload reads (prime-scan's
+    s = 1/2, 3/2, -1/2, 1/3, 2/3); at b = 4..12 a cold table through roots
+    costs 0.5 to 1.7 times one through exp_fixed, which only reuse repays.
+    Checkpoints every BLOCK per (s, chi, prec) grow by whole blocks in
+    increasing n: no value depends on history.
     """
     with ctx.workprec(_GUARD):
         key = (s, None if chi is None else tuple(chi), mpmath.mp.prec)
@@ -210,7 +213,7 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
                     L = logs.get(p) or _log(p, W)
                     if b == 1:                       # n^-s as an exact power of n
                         acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
-                    elif roots is None:              # b > ROOT_BOUND
+                    elif roots is None or (b > 2 and p > LOG_LIMIT):
                         k = 1 if p == n else round(math.log(n, p))
                         acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W
                     else:
@@ -381,7 +384,10 @@ def reduced_form_count(D: int) -> int:
 
 
 def class_data(d: int) -> ImaginaryQuadraticData:
-    """Full ImaginaryQuadraticData for squarefree d (kronecker_chi checks d)."""
-    chi, D = kronecker_chi(d), discriminant_of(d)
+    """Full ImaginaryQuadraticData for squarefree d."""
+    if not is_squarefree(d):
+        raise ValueError(f"d = {d} is not squarefree")
+    D = discriminant_of(d)
     w = 6 if D == 3 else (4 if D == 4 else 2)
-    return ImaginaryQuadraticData(d=d, D=D, h=reduced_form_count(D), w=w, chi=chi)
+    h = reduced_form_count(D)
+    return ImaginaryQuadraticData(d=d, D=D, h=h, w=w, chi=kronecker_chi(d))

@@ -440,9 +440,17 @@ def _is_primitive_real(q: int, chi: Sequence[int]) -> bool:
     """True when the real character table chi mod q is primitive: no
     proper divisor f < q induces it, i.e. for every proper f | q some
     n = 1 mod f with gcd(n, q) = 1 has chi(n) != 1."""
-    return all(any(chi[n % q] != 1 for n in range(1, q + 1)
-                   if n % f == 1 % f and math.gcd(n, q) == 1)
-               for f in range(1, q) if q % f == 0)
+    for f in range(1, q):
+        if q % f != 0:
+            continue
+        induced = True
+        for n in range(1, q + 1):
+            if n % f == 1 % f and math.gcd(n, q) == 1 and chi[n % q] != 1:
+                induced = False
+                break
+        if induced:
+            return False
+    return True
 
 
 def descriptor_dirichlet(q: int, chi: Sequence[int],

@@ -156,6 +156,9 @@ class StieltjesTable:
     def gamma(self, n: int) -> HReal:
         return self.gammas[n][0]
 
+    def gamma_bound(self, n: int) -> HReal:
+        return self.gammas[n][1]
+
     def eta(self, n: int) -> HReal:
         return self.etas[n]
 
@@ -175,6 +178,11 @@ class StieltjesTable:
         }
 
 
+def _check_order(n: int, table: StieltjesTable) -> None:
+    if not 1 <= n <= table.order:
+        raise ValueError(f"n = {n} outside the table's orders [1, {table.order}]")
+
+
 def li_lambda_identity(n: int, table: StieltjesTable,
                        ctx: Optional[PrecisionContext] = None) -> HReal:
     """lambda_n assembled from the constants, as build_stieltjes_table
@@ -187,8 +195,7 @@ def li_lambda_identity(n: int, table: StieltjesTable,
     At n = 1 the sums reduce to -eta_0 = gamma_0 and the value collapses
     to 1 + gamma_0/2 - (log 4pi)/2.  The value is read from the table,
     which carries its own precision; ctx is not read."""
-    if not 1 <= n <= table.order:
-        raise ValueError(f"n = {n} outside the table's orders [1, {table.order}]")
+    _check_order(n, table)
     return table.lam(n)
 
 

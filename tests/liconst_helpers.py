@@ -5,7 +5,7 @@ from typing import Optional
 
 import mpmath
 
-from zeta_explicit.liconst import StieltjesTable
+from zeta_explicit.liconst import StieltjesTable, _check_order
 from zeta_explicit.mpcore import _GUARD, HReal, PrecisionContext
 
 
@@ -22,8 +22,7 @@ def coffey_decomposition(n: int, table: StieltjesTable,
 
         (n(log n + gamma - 1) + 1)/2 <= S1(n) <= (n(log n + gamma + 1) - 1)/2.
     """
-    if not 1 <= n <= table.order:
-        raise ValueError(f"n = {n} outside the table's orders [1, {table.order}]")
+    _check_order(n, table)
     s1, s2 = table.S1[n - 1], table.S2[n - 1]
     ok = True
     if n >= 2:

@@ -157,9 +157,9 @@ def test_t_sum_rejects_domain(ctx):
 
 # Prefix checkpoints of prime_power_sum.  chi_{-d} for d = 3, 1, 7, 2 has
 # modulus 3, 4, 7, 8.
-# 1/3, 2/5, -5/4, -3/7 and -1/ROOT_BOUND put s with denominators 3, 5, 4, 7
-# and the bound through the root table, like -1/2, 3/2 and 401/2;
-# 7/13 and -1/(ROOT_BOUND + 1), the first denominator above the bound, take
+# The denominators 3, 5, 4, 7, 13, ROOT_BOUND and ROOT_BOUND + 1 (1/3, 2/5,
+# -5/4, -3/7, 7/13, -1/ROOT_BOUND and ABOVE_BOUND): those up to the bound,
+# like -1/2, 3/2 and 401/2, read the root table, and the rest take
 # exp_fixed.  60 and 401/2 make the first term, p0^-s, smaller than
 # 2^-bits, where a walk kept at a width of a fixed number of bits past 1
 # would lose it.
@@ -261,7 +261,7 @@ def _stated_error(N: int, s: Fraction, chi, e: int) -> float:
 
 @pytest.mark.parametrize("bits", [128, 192, 1024])
 @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
-                               Fraction(1, 3), Fraction(2, 3), Fraction(-5, 7),
+                               Fraction(1, 3), Fraction(2, 3), Fraction(5, 3),
                                Fraction(13, 2), Fraction(-7, arith.ROOT_BOUND)])
 @pytest.mark.parametrize("d", [None, 3])
 def test_root_walk_within_stated_error(bits, s, d):
@@ -277,6 +277,56 @@ def test_root_walk_within_stated_error(bits, s, d):
                           for n in range(2, N + 1) if _prime_power_base(n))
         err = abs(man - mpmath.ldexp(ref, -exp))
     assert err < _stated_error(N, s, chi, -exp - bits - 32 - arith._FIXED)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("bits", [128, 192, 1024])
+def test_root_is_exact_floor_near_the_sieve_budget(monkeypatch, bits):
+    # _root's Newton guard grows with the bits of p: the floor holds for
+    # primes just above LOG_LIMIT and just below MAX_SIEVE, where no table
+    # keeps the root, at every b the Newton branch serves.
+    monkeypatch.setattr(arith, "_roots", {})
+    W = bits + 32 + arith._FIXED
+    primes = ([p for p in range(arith.LOG_LIMIT, arith.LOG_LIMIT + 60) if _is_prime(p)]
+              + [p for p in range(arith.MAX_SIEVE - 300, arith.MAX_SIEVE) if _is_prime(p)])
+    for b in range(2, 13):
+        for p in primes:
+            r = arith._root(p, b, W)
+            assert r ** b * p <= 1 << b * W < (r + 1) ** b * p, (p, b)
+    assert arith._roots == {}
+
+
+@pytest.mark.parametrize("bits", [128, 192])
+@pytest.mark.parametrize("s,d", [(Fraction(1, 2), None), (Fraction(1, 3), None),
+                                 (Fraction(-2, 3), 3), (Fraction(5, 3), 7)])
+def test_primes_past_log_limit_take_exp_fixed_at_b_above_2(monkeypatch, bits, s, d):
+    # Past LOG_LIMIT no table keeps a root, so at b >= 3 each such prime
+    # takes one exp_fixed and no Newton root; b = 2 keeps math.isqrt.  The
+    # terms in (N1, N2] agree with a per-n sum to a few units of 2^-(W+e)
+    # per unit of their size.
+    calls, exp_fixed = [], arith.exp_fixed
+    monkeypatch.setattr(arith, "_prefix", {})
+    monkeypatch.setattr(arith, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
+    ctx, N1, N2 = PrecisionContext(bits=bits), arith.LOG_LIMIT - 200, arith.LOG_LIMIT + 400
+    chi = None if d is None else kronecker_chi(d)
+    m1, e1 = prime_power_sum(N1, s, ctx, chi)
+    m2, e2 = prime_power_sum(N2, s, ctx, chi)
+    terms = [(n, _prime_power_base(n)) for n in range(N1 + 1, N2 + 1)]
+    terms = [(n, p, 1 if chi is None else chi[n % len(chi)]) for n, p in terms
+             if p and (chi is None or chi[n % len(chi)])]
+    past = sum(1 for n, p, _ in terms if p > arith.LOG_LIMIT)
+    assert past > 0 and len(calls) == (past if s.denominator > 2 else 0)
+    assert not any(p > arith.LOG_LIMIT for roots in arith._roots.values() for p in roots)
+    e = -e1 - bits - 32 - arith._FIXED
+    with mpmath.workprec(-e1 + 64):
+        ref = mpmath.fsum(c * mpmath.log(p) * mpmath.power(n, -mpmath.mpf(s.numerator) / s.denominator)
+                          for n, p, c in terms)
+        err = abs((m2 - m1) - mpmath.ldexp(ref, -e1))
+    assert e1 == e2
+    assert err < 16 * sum((1 + 2.0 ** e * n ** -float(s)) * math.log(p) for n, p, _ in terms)
 
 
 def test_huge_denominator_takes_exp_fixed(monkeypatch):

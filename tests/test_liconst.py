@@ -206,7 +206,7 @@ def test_li_lambda_identity_is_table_value(ctx, consts8):
 def test_table_shape(consts8):
     assert isinstance(consts8, StieltjesTable)
     assert consts8.order == 8
-    assert consts8.gammas[3][1].val > 0
+    assert consts8.gamma_bound(3).val > 0
     d = consts8.to_dict()
     assert {"order", "gammas", "etas", "lambdas"} <= set(d)
     with pytest.raises(IndexError):
