@@ -287,7 +287,7 @@ def _is_prime(n: int) -> bool:
 def test_root_is_exact_floor_near_the_sieve_budget(monkeypatch, bits):
     # _root's Newton guard grows with the bits of p: the floor holds for
     # primes just above LOG_LIMIT and just below MAX_SIEVE, where no table
-    # keeps the root, at every b the Newton branch serves.
+    # keeps the root, at b = 2 to 12.
     monkeypatch.setattr(arith, "_roots", {})
     W = bits + 32 + arith._FIXED
     primes = ([p for p in range(arith.LOG_LIMIT, arith.LOG_LIMIT + 60) if _is_prime(p)]
