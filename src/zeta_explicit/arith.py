@@ -36,7 +36,7 @@ from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
 from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf
 
-# Sieve memory budget: 4 bytes per entry.
+# Sieve memory budget: 4 bytes per entry kept, 6 at the peak of a sieve (tracemalloc).
 MAX_SIEVE = 20_000_000
 LOG_LIMIT = 2 ** 17   # primes whose logs are kept, per width: about 12k
 
@@ -90,17 +90,19 @@ def mangoldt_sieve(N: int) -> MangoldtTable:
     return MangoldtTable(limit=N, entries=entries)
 
 
-_table_cache: dict[str, MangoldtTable] = {}
+_table_cache: dict[str, Optional[MangoldtTable]] = {}
 
 
 def shared_table(N: int) -> MangoldtTable:
-    """Process-wide sieve cache, grown geometrically on demand; the
-    growth stops at the memory budget, so only N > MAX_SIEVE raises."""
+    """Process-wide sieve cache, grown geometrically on demand up to the
+    memory budget; N > MAX_SIEVE raises before the cache is touched."""
+    if N > MAX_SIEVE:
+        raise ValueError(f"sieve limit {N} exceeds memory budget {MAX_SIEVE}")
     t = _table_cache.get("t")
     if t is None or t.limit < N:
         grown = min(max(1024, 2 * (t.limit if t else 0)), MAX_SIEVE)
-        t = mangoldt_sieve(max(N, grown))
-        _table_cache["t"] = t
+        t = _table_cache["t"] = None  # free the old table before sieving the new one
+        t = _table_cache["t"] = mangoldt_sieve(max(N, grown))
     return t
 
 

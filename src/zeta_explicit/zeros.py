@@ -10,11 +10,11 @@ first,
 
 before accumulating (the symmetric limit over |Im rho| <= T).  All sums
 run through one fixed-point kernel (zero_sum), one pass per pair, over
-small term constructors; e^(i gamma log x) comes from process-wide
-tables and a short Taylor series.  Conditionally convergent sums
-(x^rho / rho) carry no claimed tail bound, only trend data; absolutely
-convergent sums (x^rho / (rho (1-rho)), 1/rho, 1/|rho|^2) get
-density-integral tail estimates driven by dN(t) ~ (1/2pi) log(t/2pi) dt.
+small term constructors; e^(i gamma log x) comes from process-wide tables
+and e^(ir) = (1 - t^2 + 2it)/(1 + t^2), t = tan(r/2) by a short series.
+Conditionally convergent sums (x^rho / rho) carry no claimed tail bound,
+only trend data; absolutely convergent sums (x^rho / (rho (1-rho)), 1/rho,
+1/|rho|^2) get density-integral tail estimates, dN(t) ~ (1/2pi) log(t/2pi) dt.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import mul
 from typing import Optional, Sequence, Union
 
 import mpmath
@@ -283,9 +284,10 @@ def _mpq(q: Fraction) -> mpf:
 def _turns(W: int) -> tuple:
     """Process-wide phase data at width W: e^(i j/256) for the 1,609 j of
     one turn; e^(i j/65536) and, when W > 256, e^(i j/2^24) for j < 256,
-    each with the shift to its 8 bits of theta; the remainder's mask; the
-    Taylor coefficients (-1)^k 2^W / (2k+1)!, k = K..0, of sin(r) / r in
-    r^2.  Each table holds the powers of one mpmath value at W + 32 bits."""
+    each with the shift to its 8 bits of theta, from the powers of one
+    mpmath value at W + 32 bits; the remainder's mask; the coefficients of
+    tan(r/2) in r^(2k+1), k = K..0, exact then floored at 2^(W - 16 L k), L
+    tables, K the least that leaves a tail below 2^-(W-5) at r < 2^-8L."""
     V = W + 32
     tables = []
     for level, size in enumerate((1609, 256, 256)[:2 + (W > 256)], 1):
@@ -296,60 +298,65 @@ def _turns(W: int) -> tuple:
             table.append((c >> 32, s >> 32))
             c, s = (c * sc - s * ss) >> V, (c * ss + s * sc) >> V
         tables.append(table)
-    lo, K = 8 * len(tables), 0
-    while math.factorial(2 * K + 3) << ((2 * K + 3) * lo) <= 1 << (W + 2):
-        K += 1
+    lo, tan = 8 * len(tables), [Fraction(1)]   # tan y = Sum t_k y^(2k+1)
+    while True:  # tan' = 1 + tan^2: (2k + 1) t_k = Sum_m t_m t_(k-1-m)
+        t = sum(map(mul, tan, reversed(tan))) / (2 * len(tan) + 1)
+        if t.numerator << (W - 5) < t.denominator << (lo + 1) * (2 * len(tan) + 1):
+            break
+        tan.append(t)
     return (tables[0], [(t, W - 8 * i) for i, t in enumerate(tables[1:], 2)],
-            (1 << (W - lo)) - 1,
-            [(-1) ** k * (1 << W) // math.factorial(2 * k + 1) for k in range(K, -1, -1)])
+            (1 << (W - lo)) - 1, [(t.numerator << W - 2 * lo * k) // (
+                t.denominator << 2 * k + 1) for k, t in enumerate(tan)][::-1])
 
 
 def _phase(x: Fraction, table: ZeroTable, F: int):
-    """n -> fixed-point (cos, sin) of gamma log x at gamma = n / scale.
+    """n -> fixed-point (cos, sin) of gamma log x at gamma = n / scale,
+    each within 1 + 80 2^(F-W) < 1.32 units of 2^-F.
 
-    log x and 2 pi scale are taken to P bits, so theta = n log x mod 2 pi
-    scale is reduced exactly in integers to the table width W = 64 ceil((F
-    + 8) / 64); the P - W spare bits absorb gamma times the rounding of
-    log x.  e^(i theta) is the product of _turns(W) entries and e^(i r),
-    sin r by one Taylor loop and cos r = sqrt(1 - sin^2 r), shifted to F once."""
+    theta = n log x / scale mod 2 pi is reduced in integers at P bits, whose
+    P - W spare bits absorb n times the rounding of log x / scale, then cut
+    to the table width W = 64 ceil((F + 8) / 64).  e^(i theta) is the product
+    of _turns(W) entries and e^(i r): t = tan(r/2) by one Horner loop, sin r
+    = 2t / (1 + t^2), the one division, and cos r = 1 - t sin r.  Before the
+    floor to F, the error is below 80 units of 2^-W: theta 1.07, tables 7.1,
+    t's tail and floors 2 (32 + 1.1), the division and cos r 1.5."""
     W = 64 * -(-(F + 8) // 64)
-    first, finer, rest, sine = _turns(W)
-    D = table.scale
-    top = -(-table.ordinates[-1] // D)
+    first, finer, rest, (top, *tan) = _turns(W)
     logx = abs(math.log(x.numerator) - math.log(x.denominator))
-    P = W + (top * (math.ceil(logx) + 1)).bit_length() + 4
-    with mpmath.workprec(P + D.bit_length() + 16):
-        LX = to_fixed(mpmath.log(_mpq(x))._mpf_, P)
-        TP = to_fixed((2 * mpmath.pi * D)._mpf_, P)
-    DS = D << (P - W)
-    one, W2 = 1 << 2 * W, 2 * W - F
+    P = W + (table.ordinates[-1] * (math.ceil(logx) + 1)).bit_length() + 4
+    with mpmath.workprec(2 * P):
+        LX = to_fixed((mpmath.log(_mpq(x)) / table.scale)._mpf_, P)
+        TP = to_fixed((2 * mpmath.pi)._mpf_, P)
+    one, W2, US = 1 << W, 2 * W - F, W - 16 * (1 + len(finer))
 
     def cos_sin(n: int) -> tuple[int, int]:
-        theta = ((n * LX) % TP) // DS
+        theta = ((n * LX) % TP) >> (P - W)
         c, s = first[theta >> (W - 8)]
-        for t, sh in finer:
-            c2, s2 = t[(theta >> sh) & 255]
+        for tab, sh in finer:
+            c2, s2 = tab[(theta >> sh) & 255]
             c, s = (c * c2 - s * s2) >> W, (c * s2 + s * c2) >> W
         r = theta & rest
-        u, s2 = r * r >> W, 0
-        for q in sine:
-            s2 = (s2 * u >> W) + q
-        s2 = s2 * r >> W
-        c2 = math.isqrt(one - s2 * s2)
+        u, t = r * r >> W, top
+        for q in tan:
+            t = (t * u >> US) + q
+        t = t * r >> W
+        s2 = (t << W + 1) // (one + (t * t >> W))
+        c2 = one - (t * s2 >> W)
         return (c * c2 - s * s2) >> W2, (c * s2 + s * c2) >> W2
     return cos_sin
 
 
 def _bind(term: Term, real: tuple, F: int, slot: int):
-    """f(k, G, GG, E): the fixed-point (scale 2^F) value of Re term(rho)
-    at rho = real[k] + i G 2^-F, GG = G^2, with E[slot] the fixed-point
-    (cos, sin) of gamma log x at the term's abscissa x."""
+    """(f, X, e): f(k, G, GG, E) is Re term(rho) / x^beta in fixed point
+    (scale 2^F) at rho = real[k] + i G 2^-F, GG = G^2, E[slot] the
+    fixed-point (cos, sin) of gamma log x at the term's abscissa x; X[k]
+    2^-e is x^beta, beta = real[k], to 2^-F relative, or 1 without it."""
     B = [_fixed(b, F) for b in real]
     BB = [b * b for b in B]
-    F2 = 2 * F
+    F2, X, e = 2 * F, [1] * len(B), 0
     if term.kind == "abs2":
         one3 = 1 << (3 * F)
-        return lambda k, G, GG, E: one3 // (BB[k] + GG)
+        return (lambda k, G, GG, E: one3 // (BB[k] + GG)), X, e
 
     if term.kind == "poly":
         C = [_fixed(c, F) for c in reversed(term.coeffs)]
@@ -364,21 +371,26 @@ def _bind(term: Term, real: tuple, F: int, slot: int):
             for c in rest:
                 pr, pi = ((pr * ur - pi * ui) >> F) + c, (pr * ui + pi * ur) >> F
             return pr
-        return f
+        return f, X, e
 
-    # xrho and cos: x^beta Re e^(i gamma log x) Sum_i w_i / (rho - p_i), cos
-    # without the x^beta factor; a = beta - p_i for each pole, per entry.
+    # xrho and cos: Re e^(i gamma log x) Sum_i w_i / (rho - p_i); a = beta
+    # - p_i for each pole, per entry.
     if term.kind == "cos" and any(b != _HALF for b in real):
         raise ValueError("cosine_sum requires a critical-line table (all beta = 1/2)")
     PW = [[(a * a, a, w, (w * a) << F) for a, w in (
         (b - _fixed(p, F), _fixed(w, F)) for p, w in zip(term.poles, term.weights))]
         for b in B]
     if term.x is None:  # pole i adds w a / (a^2 + gamma^2)
-        return lambda k, G, GG, E: sum(wa // (aa + GG) for aa, _, _, wa in PW[k])
-    X = [1 << F] * len(B)
-    if term.kind == "xrho":
-        with mpmath.workprec(F + 16):
-            X = [to_fixed(mpmath.power(_mpq(term.x), _mpq(b))._mpf_, F) for b in real]
+        def f(k: int, G: int, GG: int, E) -> int:
+            acc = 0
+            for aa, _, _, wa in PW[k]:
+                acc += wa // (aa + GG)
+            return acc
+        return f, X, e
+    if term.kind == "xrho":  # below 1, x^beta > x: extra bits keep 2^-F relative
+        e = F + (math.ceil(1 / term.x).bit_length() if term.x < 1 else 0)
+        with mpmath.workprec(e + 16):
+            X = [to_fixed(mpmath.power(_mpq(term.x), _mpq(b))._mpf_, e) for b in real]
 
     def f(k: int, G: int, GG: int, E) -> int:
         c, s = E[slot]
@@ -386,8 +398,8 @@ def _bind(term: Term, real: tuple, F: int, slot: int):
         acc = 0
         for aa, a, w, _ in PW[k]:  # w (c a + s gamma) / (a^2 + gamma^2) at c + i s
             acc += w * (c * a + sG) // (aa + GG)
-        return X[k] * acc >> F
-    return f
+        return acc
+    return f, X, e
 
 
 def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
@@ -397,13 +409,14 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
     off-line entry adding its reflection 1 - rho-bar, in one pass.
 
     Each pair is evaluated once in integer fixed point at bits + guard
-    bits (exact ordinates, phase reduced mod 2 pi in integers) and
-    accumulated exactly, so before the final rounding the error is below
-    2^-bits times the sum of each pair's size with its phase factor
-    taken as 1, and the prefix sum at each k in cuts is bit-identical to
-    a call with K = k.  term is one Term or a sequence of Terms summed
-    together.  Returns (values, pairs): values mirrors term, each entry
-    an HReal, or with cuts a tuple with one per cut.
+    bits (exact ordinates, cos and sin of the phase within 1.32 units, see
+    _phase) and summed exactly per term and real part; x^beta multiplies
+    each real part's sum once at each cut.  So before the final rounding
+    the error is below 2^-bits times the sum of each pair's size with its
+    phase factor taken as 1, and the prefix sum at each k in cuts is
+    bit-identical to a call with K = k.  term is one Term or a sequence of
+    Terms summed together.  Returns (values, pairs): values mirrors term,
+    each entry an HReal, or with cuts a tuple with one per cut.
     """
     ctx = ctx or PrecisionContext()
     count = len(spec.select(table))
@@ -414,32 +427,27 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
         raise ValueError(f"cuts {stops} outside 1..{count}")
     single = isinstance(term, Term)
     terms = (term,) if single else tuple(term)
-    # x < 1 shrinks x^beta: keep its relative precision with extra bits.
-    small = max([math.ceil(1 / t.x).bit_length() for t in terms if t.x and t.x < 1] + [0])
-    F = ctx.bits + _GUARD + len(table).bit_length() + small
+    F = ctx.bits + _GUARD + len(table).bit_length()
     real, parts = table._parts
-    phases = {x: _phase(x, table, F) for x in {t.x for t in terms} - {None}}
-    fns = [_bind(t, real, F, t.x and list(phases).index(t.x)) for t in terms]
+    xs = list(dict.fromkeys(t.x for t in terms if t.x))
+    phases = [_phase(x, table, F) for x in xs]
+    bound = [_bind(t, real, F, t.x and xs.index(t.x)) for t in terms]
+    walk = [(f, [0] * len(real)) for f, _, _ in bound]   # per term, per real part
     nums, D = table.ordinates, table.scale
-    wanted = set(stops)
-    acc = [0] * len(fns)
-    at = {}
-    for i in range(count):
-        n = nums[i]
-        G = (n << F) // D
-        GG = G * G
-        E = phases and [cos_sin(n) for cos_sin in phases.values()]
-        for k in parts[i]:
-            for j, f in enumerate(fns):
-                acc[j] += f(k, G, GG, E)
-        if i + 1 in wanted:
-            at[i + 1] = tuple(acc)
-
-    def value(j: int, k: int) -> HReal:
-        return ctx.real(mpmath.make_mpf(from_man_exp(2 * at[k][j], -F)))
-
-    out = [value(j, count) if cuts is None else tuple(value(j, k) for k in stops)
-           for j in range(len(fns))]
+    at, start = {}, 0
+    for stop in sorted(set(stops)):  # the segments between cuts
+        for n, ks in zip(nums[start:stop], parts[start:stop]):
+            G = (n << F) // D
+            GG = G * G
+            E = phases and [cos_sin(n) for cos_sin in phases]
+            for k in ks:
+                for f, A in walk:
+                    A[k] += f(k, G, GG, E)
+        at[stop] = [ctx.real(mpmath.make_mpf(from_man_exp(2 * sum(map(mul, X, A)), -F - e)))
+                    for (_, X, e), (_, A) in zip(bound, walk)]
+        start = stop
+    out = [at[count][j] if cuts is None else tuple(at[k][j] for k in stops)
+           for j in range(len(terms))]
     return (out[0] if single else tuple(out)), count
 
 

@@ -3,6 +3,7 @@ checkpoints, Kronecker characters, and imaginary-quadratic class data."""
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -90,9 +91,28 @@ def test_shared_table_growth_stops_at_budget(monkeypatch):
     assert shared_table(3000).limit >= 3000
     t = shared_table(4000)
     assert 4000 <= t.limit <= 5000
-    assert shared_table(5000).limit == 5000
+    t = shared_table(5000)
+    assert t.limit == 5000
     with pytest.raises(ValueError, match="memory budget"):
         shared_table(5001)
+    assert arith._table_cache["t"] is t       # a refusal keeps the cached table
+
+
+def test_sieve_growth_frees_the_old_table_first(monkeypatch):
+    # Growing from 5*10^5 to 10^6 entries: the table keeps 4 bytes per
+    # entry and a sieve peaks near 6; the old table (2 bytes per new entry)
+    # must be gone before the new one is sieved, or the peak is 8.
+    monkeypatch.setattr(arith, "_table_cache", {})
+    tracemalloc.start()
+    try:
+        shared_table(500_000)
+        tracemalloc.reset_peak()
+        assert shared_table(500_001).limit == 1_000_000
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 1_000_000
+    assert current <= 4.5 * 1_000_000
 
 
 def test_psi0_plain_value(ctx):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -326,6 +327,25 @@ def test_kernel_matches_mpc_reference(bits, table_name, term_name):
         assert abs(value.val - ref) <= mpmath.mpf(2) ** -bits * mag
 
 
+@pytest.mark.parametrize("table_name, terms, cuts", (
+    ("offline", (xrho_term(Fraction(3, 2), (0,), (1,)), xrho_term(Fraction(4), (0, 1), (1, -1))),
+     (7, 3, 1, 3, 6, 2)),
+    ("fixture100", (xrho_term(Fraction(21, 2), (0,), (1,)), cosine_term(Fraction(4))),
+     (100, 37, 1, 64, 37, 99))), ids=("offline", "fixture100"))
+def test_zero_sum_cuts_of_two_abscissas(table_name, terms, cuts):
+    # Two terms at two abscissas, on one pass: the value at each cut, with
+    # x^beta applied to each real part's sum there, equals a call with K =
+    # cut, of both terms together and of each alone.
+    ctx = PrecisionContext(bits=192)
+    table = TABLES[table_name](ctx)
+    at_cuts, pairs = zero_sum(table, SumSpec(K=len(table)), terms, ctx, cuts=cuts)
+    assert pairs == len(table)
+    for j, term in enumerate(terms):
+        for c, v in zip(cuts, at_cuts[j]):
+            assert v.val == zero_sum(table, SumSpec(K=c), terms, ctx)[0][j].val
+            assert v.val == zero_sum(table, SumSpec(K=c), term, ctx)[0].val
+
+
 def _phase_edges(bits, x):
     """27 (30 when W > 256) binary ordinates at which the phase
     gamma log x mod 2 pi lies, in units of 2^-W at the table width W of
@@ -392,3 +412,28 @@ def test_phase_tables_depend_on_width_alone(fixture100):
     assert filled == 3                      # W = 192, 576 and 256
     assert zero_sum(fixture100, spec, term, ctx)[0].val == cold.val
     assert zeros._turns.cache_info().misses == filled
+
+
+@pytest.mark.parametrize("W", (192, 256, 320, 576, 1088))
+@pytest.mark.parametrize("x", (Fraction(21, 2), Fraction(1, 10)), ids=("21/2", "1/10"))
+def test_phase_within_stated_units(W, x, table10k):
+    # _phase states cos and sin each within 1 + 80 2^(F-W) units of 2^-F;
+    # F = W - 8, the finest F at width W, is where that bound is tightest.
+    # Rows: the table-edge ordinates of _phase_edges (bits = W - 64 gives
+    # width W; at 1/x for x < 1) and 200 seeded ordinates of the 10^4 table.
+    F = W - 8
+    edges = _phase_edges(W - 64, x if x > 1 else 1 / x)
+    seeded = (table10k.scale, random.Random(W).sample(table10k.ordinates, 200))
+    for scale, rows in (edges, seeded):
+        rows = sorted(set(rows))
+        table = ZeroTable(label="phase", scale=scale, ordinates=tuple(rows),
+                          real_parts=(HALF,) * len(rows), source="phase", entry_precision=0)
+        cos_sin = zeros._phase(x, table, F)
+        with mpmath.workprec(W + 64):
+            bound = 1 + mpmath.mpf(80) / 2 ** (W - F)
+            logx = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+            for n in rows:
+                theta = mpmath.mpf(n) / scale * logx
+                c, s = cos_sin(n)
+                assert abs(c - mpmath.cos(theta) * 2 ** F) <= bound, n
+                assert abs(s - mpmath.sin(theta) * 2 ** F) <= bound, n
