@@ -11,8 +11,8 @@ pipelines) consumes the types and functions defined here:
                      at s = 1 (the Stieltjes constants gamma_n(a)), each
                      value with a certified bound
   hurwitz_zeta(s,a)  zeta(s, a) = Z_0 of that core; hurwitz_zeta_ds = -Z_1
-  zeta_int(j)        zeta(j) for integer j >= 2 via accelerated alternating
-                     series (independent of the Euler-Maclaurin core)
+  zeta_int(j)        zeta(j), integer j >= 2, from an accelerated alternating
+                     series in exact integers (not the Euler-Maclaurin core)
   series_ops         the truncated quotient of two power series given as
                      coefficient lists (mpf, degree 0 up)
 
@@ -22,9 +22,9 @@ inside the 2^(8-bits) contract) and the elementary functions.  Hurwitz zeta
 and the Stieltjes constants come from Bernoulli-number expansions with
 computable error terms; their head sum and Bernoulli contraction run in
 Python integers, with logs and powers from mpmath's mpf_log, to_fixed and
-exp_fixed.  mpmath.loggamma, called by analysis.chowla_selberg_rhs, is the
-only mpmath special function that production code calls; elsewhere the
-mpmath special functions serve only as oracles in the test suite.
+exp_fixed; zeta_int runs wholly in integers and rounds once.  mpmath.loggamma,
+called by analysis.chowla_selberg_rhs, is the only mpmath special function
+that production code calls; the others serve only as test oracles.
 """
 
 from __future__ import annotations
@@ -427,25 +427,27 @@ def zeta_int(j: int, ctx: PrecisionContext) -> HReal:
     (Cohen-Rodriguez Villegas-Zagier), then zeta = eta / (1 - 2^(1-j)).
 
     The acceleration error decays like (3 + sqrt 8)^(-n), so n is chosen
-    from the context precision.  Entirely independent of the
-    Euler-Maclaurin evaluator, which makes the pair a two-route check.
+    from the context precision.  All in integers: d = T_n(3) by T_(m+1) =
+    6 T_m - T_(m-1); the weights b_k = -(-4)^k n/(n+k) C(n+k, 2k) and c_k,
+    |c_k| <= d, are exact (so is each division); acc = Sum c_k floor(2^W /
+    (k+1)^j) at W = bits + 32 + bits of n, so acc/(d 2^W) is within n units
+    of 2^-W of the accelerated sum, and is rounded once to the context.
+    Independent of the Euler-Maclaurin evaluator: the pair is a two-route check.
     """
     if not isinstance(j, int) or j < 2:
         raise ValueError(f"zeta_int requires an integer j >= 2, got {j!r}")
-    with ctx.workprec(_GUARD):
-        n = int((ctx.bits + 16) * math.log(2) / math.log(3 + math.sqrt(8))) + 4
-        d = (3 + 2 * mpmath.sqrt(2)) ** n
-        d = (d + 1 / d) / 2
-        b = mpf(-1)
-        c = -d
-        acc = mpf(0)
-        for k in range(n):
-            c = b - c
-            acc += c * mpf(k + 1) ** (-j)
-            b = b * (k + n) * (k - n) / ((k + mpf(1) / 2) * (k + 1))
-        eta = acc / d
-        value = eta / (1 - mpf(2) ** (1 - j))
-    return ctx.real(value)
+    n = int((ctx.bits + 16) * math.log(2) / math.log(3 + math.sqrt(8))) + 4
+    W = ctx.bits + _GUARD + n.bit_length()
+    t, d = 1, 3   # T_0(3), T_1(3)
+    for _ in range(n - 1):
+        t, d = d, 6 * d - t
+    b, c, acc = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        acc += c * ((1 << W) // (k + 1) ** j)
+        b = 2 * b * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    h = 1 << (j - 1)   # zeta = eta 2^(j-1) / (2^(j-1) - 1)
+    return HReal(mpmath.make_mpf(from_rational(acc * h, d * (h - 1) << W, ctx.bits, "n")), ctx)
 
 
 # ----------------------------------------------------------------------

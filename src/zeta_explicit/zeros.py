@@ -377,10 +377,14 @@ def _bind(term: Term, real: tuple, F: int, slot: int):
     # - p_i for each pole, per entry.
     if term.kind == "cos" and any(b != _HALF for b in real):
         raise ValueError("cosine_sum requires a critical-line table (all beta = 1/2)")
-    PW = [[(a * a, a, w, (w * a) << F) for a, w in (
-        (b - _fixed(p, F), _fixed(w, F)) for p, w in zip(term.poles, term.weights))]
-        for b in B]
-    if term.x is None:  # pole i adds w a / (a^2 + gamma^2)
+    PW = []
+    for b in B:  # poles with one a^2 share a division: (a^2, Sum w a, Sum w, 2^F Sum w a)
+        g = {}
+        for p, w in zip(term.poles, term.weights):
+            a, w = b - _fixed(p, F), _fixed(w, F)
+            g[a * a] = [u + v for u, v in zip(g.get(a * a, (0, 0)), (w * a, w))]
+        PW.append([(aa, A, S, A << F) for aa, (A, S) in g.items()])
+    if term.x is None:  # each a^2 adds Sum w a / (a^2 + gamma^2)
         def f(k: int, G: int, GG: int, E) -> int:
             acc = 0
             for aa, _, _, wa in PW[k]:
@@ -396,8 +400,8 @@ def _bind(term: Term, real: tuple, F: int, slot: int):
         c, s = E[slot]
         sG = s * G
         acc = 0
-        for aa, a, w, _ in PW[k]:  # w (c a + s gamma) / (a^2 + gamma^2) at c + i s
-            acc += w * (c * a + sG) // (aa + GG)
+        for aa, A, S, _ in PW[k]:  # (c A + s gamma S) / (a^2 + gamma^2) at c + i s
+            acc += (c * A + sG * S) // (aa + GG)
         return acc
     return f, X, e
 

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from deriv_polys_reference import _deriv_polys
 from em_reference import em_log_moments as em_log_moments_reference
-from zeta_explicit.liconst import stieltjes_shifted
+from zeta_explicit.liconst import build_stieltjes_table, stieltjes_shifted
 from zeta_explicit.mpcore import (
     PrecisionContext,
     _eps_table,
@@ -84,6 +84,29 @@ def test_zeta_int_vs_mpmath(ctx):
         for j in (3, 5, 11):
             assert abs(zeta_int(j, ctx).val - mpmath.zeta(j)) \
                 < mpmath.mpf(2) ** (-ctx.bits + 8)
+
+
+@pytest.mark.parametrize("bits", (64, 128, 192, 256, 512, 1024))
+def test_zeta_int_along_the_precision_axis(bits):
+    # The integer loop against mpmath at bits + 64: within 2^(1-bits) zeta(j).
+    ctx = PrecisionContext(bits=bits)
+    with mpmath.workprec(bits + 64):
+        for j in tuple(range(2, 41)) + (64, 200):
+            ref = mpmath.zeta(j)
+            assert abs(zeta_int(j, ctx).val - ref) <= mpmath.mpf(2) ** (1 - bits) * ref, j
+
+
+@pytest.mark.parametrize("bits", (128, 1024))
+def test_stieltjes_table_S1_column(bits):
+    # S1(n) = Sum_{j=2}^{n} C(n, j) (-1)^j (1 - 2^-j) zeta(j), with mpmath's
+    # zeta at bits + 64: within 2^(2-bits) (|S1(n)| + 1).
+    table = build_stieltjes_table(12, PrecisionContext(bits=bits))
+    with mpmath.workprec(bits + 64):
+        for n in range(1, 13):
+            ref = sum((math.comb(n, j) * (-1) ** j * (1 - mpmath.mpf(2) ** -j)
+                       * mpmath.zeta(j) for j in range(2, n + 1)), mpmath.mpf(0))
+            assert abs(table.S1[n - 1].val - ref) \
+                <= mpmath.mpf(2) ** (2 - bits) * (abs(ref) + 1), n
 
 
 def test_zeta_int_rejects_bad_argument(ctx):
