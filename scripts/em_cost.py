@@ -14,18 +14,18 @@ and the li subcommand build it.  Only the public API is used, so the
 script times any checkout:
 
     PYTHONPATH=src python scripts/em_cost.py
+
+The timing loop and the table are cost_harness's.
 """
 
 from __future__ import annotations
 
-import statistics
-import time
 from fractions import Fraction
 
+from cost_harness import median_times, print_table
 from zeta_explicit.liconst import build_stieltjes_table
-from zeta_explicit.mpcore import PrecisionContext, em_log_moments
+from zeta_explicit.mpcore import em_log_moments
 
-BITS = (128, 192, 256, 384, 512, 1024)
 S = (Fraction(3), Fraction(5, 2), Fraction(4, 3), Fraction(1))
 ORDERS = (0, 1, 4)
 A = Fraction(1, 3)
@@ -33,34 +33,13 @@ TABLE = 8
 REPEAT = 5
 
 
-def call(s, N: int, ctx: PrecisionContext) -> None:
-    """One em_log_moments call, or the order-N table when s is None."""
-    if s is None:
-        build_stieltjes_table(N, ctx)
-    else:
-        em_log_moments(s, A, N, ctx)
-
-
 def main() -> int:
-    cells = [(s, N, bits) for s in S for N in ORDERS for bits in BITS]
-    cells += [(None, TABLE, bits) for bits in BITS]
-    for s, N, bits in cells:
-        call(s, N, PrecisionContext(bits=bits))
-    # Round-robin over the cells, so that a slow spell of the host falls
-    # on every cell alike.
-    times: dict = {cell: [] for cell in cells}
-    for _ in range(REPEAT):
-        for s, N, bits in cells:
-            ctx = PrecisionContext(bits=bits)
-            start = time.perf_counter()
-            call(s, N, ctx)
-            times[s, N, bits].append(time.perf_counter() - start)
-    print(f"ms per em_log_moments call at a = {A}, median of {REPEAT};"
-          f" 'table' is build_stieltjes_table({TABLE})")
-    print(f"{'s':>5} {'N':>2}" + "".join(f"{b:>9}" for b in BITS))
-    for s, N in [(s, N) for s in S for N in ORDERS] + [(None, TABLE)]:
-        print(f"{str(s or 'table'):>5} {N:>2}" + "".join(
-            f"{statistics.median(times[s, N, b]) * 1e3:>9.2f}" for b in BITS))
+    rows = {f"{str(s):>5} {N:>2}": (lambda ctx, s=s, N=N: em_log_moments(s, A, N, ctx))
+            for s in S for N in ORDERS}
+    rows[f"{'table':>5} {TABLE:>2}"] = lambda ctx: build_stieltjes_table(TABLE, ctx)
+    print_table(f"ms per em_log_moments call at a = {A}, median of {REPEAT};"
+                f" 'table' is build_stieltjes_table({TABLE})",
+                f"{'s':>5} {'N':>2}", 8, median_times(rows, REPEAT), 1e3, ".2f")
     return 0
 
 

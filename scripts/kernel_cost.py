@@ -23,20 +23,19 @@ kernel of some ops of perfbench's zero-sums workload:
 Only the public zeros API is used, so the script times any checkout:
 
     PYTHONPATH=src python scripts/kernel_cost.py
+
+The timing loop and the table are cost_harness's.
 """
 
 from __future__ import annotations
 
 import argparse
-import statistics
-import time
 from fractions import Fraction
 
-from zeta_explicit.mpcore import PrecisionContext
+from cost_harness import median_times, print_table
 from zeta_explicit.zeros import (SumSpec, cosine_term, inv_abs_sq_term,
                                  inv_rho_poly_term, load_zeros, xrho_term, zero_sum)
 
-BITS = (128, 192, 256, 384, 512, 1024)
 K = 1000
 REPEAT = 5
 KINDS = {
@@ -59,23 +58,10 @@ def main() -> int:
 
     table = load_zeros(args.zeros)
     spec = SumSpec(K=K)
-    cells = [(name, bits) for name in KINDS for bits in BITS]
-    for name, bits in cells:
-        zero_sum(table, spec, KINDS[name], PrecisionContext(bits=bits))
-    # Round-robin over the cells, so that a slow spell of the host falls
-    # on every cell alike.
-    times: dict = {cell: [] for cell in cells}
-    for _ in range(REPEAT):
-        for name, bits in cells:
-            ctx = PrecisionContext(bits=bits)
-            start = time.perf_counter()
-            zero_sum(table, spec, KINDS[name], ctx)
-            times[name, bits].append(time.perf_counter() - start)
-    print(f"us per pair, median of {REPEAT}, first {K} pairs of {args.zeros}")
-    print(f"{'kind':<14}" + "".join(f"{b:>9}" for b in BITS))
-    for name in KINDS:
-        print(f"{name:<14}" + "".join(
-            f"{statistics.median(times[name, b]) / K * 1e6:>9.2f}" for b in BITS))
+    rows = {name: (lambda ctx, term=term: zero_sum(table, spec, term, ctx))
+            for name, term in KINDS.items()}
+    print_table(f"us per pair, median of {REPEAT}, first {K} pairs of {args.zeros}",
+                "kind", 14, median_times(rows, REPEAT), 1e6 / K, ".2f")
     return 0
 
 

@@ -14,18 +14,17 @@ reset, so the script times any checkout that has them (a checkout
 without a root table simply has nothing to reset there):
 
     PYTHONPATH=src python scripts/prime_walk_cost.py
+
+The timing loop and the table are cost_harness's.
 """
 
 from __future__ import annotations
 
-import statistics
-import time
 from fractions import Fraction
 
+from cost_harness import median_times, print_table
 from zeta_explicit import arith
-from zeta_explicit.mpcore import PrecisionContext
 
-BITS = (128, 192, 256, 384, 512, 1024)
 S = (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3))
 ROWS = {str(s): (s,) for s in S} | {"1/2,3/2,-1/2": S[:3], "1/3,2/3": S[3:]}
 CHIS = (None,) + tuple(arith.kronecker_chi(d) for d in (1, 2, 3, 7))
@@ -33,29 +32,18 @@ N = 30_000
 REPEAT = 3
 
 
-def _cold(row: tuple, bits: int) -> float:
+def _reset() -> None:
     for name in ("_prefix", "_logs", "_roots"):
         getattr(arith, name, {}).clear()
-    ctx = PrecisionContext(bits=bits)
-    start = time.perf_counter()
-    for s in row:
-        for chi in CHIS:
-            arith.prime_power_sum(N, s, ctx, chi)
-    return time.perf_counter() - start
 
 
 def main() -> int:
     arith.shared_table(N)
-    cells = [(name, bits) for name in ROWS for bits in BITS]
-    times: dict = {cell: [] for cell in cells}
-    for _ in range(REPEAT):
-        for name, bits in cells:
-            times[name, bits].append(_cold(ROWS[name], bits))
-    print(f"ms per row of cold tables to {N}, five characters per s, median of {REPEAT}")
-    print(f"{'s':<14}" + "".join(f"{b:>9}" for b in BITS))
-    for name in ROWS:
-        print(f"{name:<14}" + "".join(
-            f"{statistics.median(times[name, b]) * 1e3:>9.1f}" for b in BITS))
+    rows = {name: (lambda ctx, row=row: [arith.prime_power_sum(N, s, ctx, chi)
+                                         for s in row for chi in CHIS])
+            for name, row in ROWS.items()}
+    print_table(f"ms per row of cold tables to {N}, five characters per s, median of {REPEAT}",
+                "s", 14, median_times(rows, REPEAT, warm=False, before=_reset), 1e3, ".1f")
     return 0
 
 

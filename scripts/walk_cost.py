@@ -12,18 +12,17 @@ in milliseconds.  Only the public analysis API is used, so the script
 times any checkout:
 
     PYTHONPATH=src python scripts/walk_cost.py
+
+The timing loop and the table are cost_harness's.
 """
 
 from __future__ import annotations
 
-import statistics
-import time
 from fractions import Fraction
 
+from cost_harness import median_times, print_table
 from zeta_explicit.analysis import find_zeros_gt1, find_zeros_lt1, hypothesis_scan
-from zeta_explicit.mpcore import PrecisionContext
 
-BITS = (128, 192, 256, 384, 512, 1024)
 TOL = Fraction(1, 10 ** 12)
 CASES = {
     "find_zeros_gt1(21/20, 50)":
@@ -37,23 +36,8 @@ REPEAT = 5
 
 
 def main() -> int:
-    cells = [(name, bits) for name in CASES for bits in BITS]
-    for name, bits in cells:
-        CASES[name](PrecisionContext(bits=bits))
-    # Round-robin over the cells, so that a slow spell of the host falls
-    # on every cell alike.
-    times: dict = {cell: [] for cell in cells}
-    for _ in range(REPEAT):
-        for name, bits in cells:
-            ctx = PrecisionContext(bits=bits)
-            start = time.perf_counter()
-            CASES[name](ctx)
-            times[name, bits].append(time.perf_counter() - start)
-    print(f"ms per call, median of {REPEAT}")
-    print(f"{'case':<28}" + "".join(f"{b:>9}" for b in BITS))
-    for name in CASES:
-        print(f"{name:<28}" + "".join(
-            f"{statistics.median(times[name, b]) * 1e3:>9.2f}" for b in BITS))
+    print_table(f"ms per call, median of {REPEAT}", "case", 28,
+                median_times(CASES, REPEAT), 1e3, ".2f")
     return 0
 
 

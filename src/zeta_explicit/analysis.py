@@ -47,7 +47,7 @@ from typing import Callable, Iterator, Optional
 import mpmath
 from mpmath import libmp, mpf
 
-from .arith import MAX_SIEVE, _FIXED, _log_at, class_data, prime_power_sum, shared_table
+from .arith import MAX_SIEVE, _log_at, class_data, prime_power_sum, shared_table, walk_width
 from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
 from .mpcore import _GUARD, HReal, PrecisionContext, _exact
 
@@ -132,7 +132,7 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
             ) -> Iterator[tuple[Fraction, Fraction, int, int]]:
     """The pieces [a, b] of [lo, hi] (one side of 1) on which f = g + K is
     monotone, in increasing order, as (a, b, K, drop), K and drop integers
-    in units of 2^-W at the prime walk's width W = bits + _GUARD + _FIXED.
+    in units of 2^-W at the prime walk's width W = walk_width(ctx).
     They end at each discontinuity x = n (above 1) or x = 1/n (below 1),
     n a prime power, inside (lo, hi), at the turn where g' vanishes (the
     plastic number, x^3 = x + 1, above 1; its reciprocal below) and at hi.
@@ -159,7 +159,7 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
         ends.insert(0 if above else len(ends), (turn, 0))
     at_jump = n_end.denominator == 1 and table.is_prime_power(n_end.numerator)
     ends.append((hi, n_end.numerator if at_jump else 0))
-    mid, W = (lo + ends[0][0]) / 2, ctx.bits + _GUARD + _FIXED
+    mid, W = (lo + ends[0][0]) / 2, walk_width(ctx)
     S, e = prime_power_sum(math.floor(mid if above else 1 / mid),
                            Fraction(0 if above else 1), ctx)
     with mpmath.workprec(W + 8):
@@ -184,7 +184,7 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
     if tol < Fraction(1, 2 ** max(8, ctx.bits - 16)):
         raise ValueError(
             f"tol = {tol} below the precision floor 2^-{ctx.bits - 16}")
-    W = ctx.bits + _GUARD + _FIXED
+    W = walk_width(ctx)
     f_rhs, g = (f_rhs_gt1, g_gt1) if lo > 1 else (f_rhs_lt1, g_lt1)
     k = (math.ceil(1 / tol) - 1).bit_length()   # h = 2^-k <= tol
     records: list[RootRecord] = []
@@ -389,7 +389,7 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         raise ValueError(f"grid denominator must be an integer >= 2, got {denominator!r}")
     if not (isinstance(threshold, (int, float)) and 0 < threshold < math.inf):
         raise ValueError(f"threshold must be a finite positive float, got {threshold!r}")
-    W = ctx.bits + _GUARD + _FIXED
+    W = walk_width(ctx)
     with ctx.workprec(_GUARD):
         window_hi = 1 / (ctx.pi * mpmath.sqrt(d))
         kmax = int(mpmath.floor(denominator * window_hi))

@@ -16,7 +16,7 @@ branch is decidable (_endpoint decides it for every sum).  Both forms
 are weighted_sum, which reads prime_power_sum at bits + 32: fixed-point
 integers, each prime's log taken once into a table per width and its
 root p^(-1/b) once into one per (b, width), b <= ROOT_BOUND, checkpointed
-every BLOCK = 256 per (s, chi, precision); no value depends on history.
+every BLOCK = 256 per (s, chi, width); no value depends on history.
 
 The class data of Q(sqrt(-d)) is exact integers.  mpmath.loggamma, in
 analysis, is the only mpmath special function production code calls.
@@ -118,6 +118,12 @@ _roots: dict[tuple, dict[int, int]] = {}   # (b, W) -> {p: floor(2^W p^(-1/b))}
 _FIXED = 16   # guard bits of the walk's width, for its per-term roundings
 
 
+def walk_width(ctx: PrecisionContext) -> int:
+    """W = bits + _GUARD + _FIXED, the prime walk's fixed-point width, also
+    the width of the finders' and the grid scan's integer walk."""
+    return ctx.bits + _GUARD + _FIXED
+
+
 def _chi_at(chi: Optional[Sequence[int]], n: int) -> int:
     return 1 if chi is None else chi[n % len(chi)]
 
@@ -181,7 +187,7 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     as (man, exp), man 2^exp, at bits + 32: the one loop behind every
     prime-power sum.
 
-    Integers at width W + e, unrounded: W = precision + _FIXED, and
+    Integers at width W + e, unrounded: W = walk_width(ctx), and
     e = s log2 p0 keeps the first term p0^(-s) (p0 the least prime chi
     keeps) at W bits.  log p comes from W's table; n = p^k gives n^(-s) as
     an exact power of n at integer s.  At s = a/b, 2 <= b <= ROOT_BOUND,
@@ -195,41 +201,39 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     ROOT_BOUND = 3 is the largest b a measured workload reads (prime-scan's
     s = 1/2, 3/2, -1/2, 1/3, 2/3); at b = 4..12 a cold table through roots
     costs 0.5 to 1.7 times one through exp_fixed, which only reuse repays.
-    Checkpoints every BLOCK per (s, chi, prec) grow by whole blocks in
-    increasing n: no value depends on history.
+    Checkpoints every BLOCK per (s, chi, W) grow by whole blocks in
+    increasing n: no value depends on history, nor on mpmath's precision.
     """
-    with ctx.workprec(_GUARD):
-        key = (s, None if chi is None else tuple(chi), mpmath.mp.prec)
-        sums = _prefix.setdefault(key, [0])
-        entries = shared_table(N).entries
-        W, a, b = mpmath.mp.prec + _FIXED, s.numerator, s.denominator
-        logs = _logs.setdefault(W, {})
-        roots = _roots.setdefault((b, W), {}) if 1 < b <= ROOT_BOUND else None
-        p0 = next((n for n in range(2, 3 + len(chi or ())) if _chi_at(chi, n)), 2)
-        e = max(0, math.ceil(s * math.log2(p0)))   # e = 0 for s <= 0
+    W, a, b = walk_width(ctx), s.numerator, s.denominator
+    sums = _prefix.setdefault((s, None if chi is None else tuple(chi), W), [0])
+    entries = shared_table(N).entries
+    logs = _logs.setdefault(W, {})
+    roots = _roots.setdefault((b, W), {}) if 1 < b <= ROOT_BOUND else None
+    p0 = next((n for n in range(2, 3 + len(chi or ())) if _chi_at(chi, n)), 2)
+    e = max(0, math.ceil(s * math.log2(p0)))   # e = 0 for s <= 0
 
-        def walk(acc: int, lo: int, hi: int) -> int:
-            for n in range(lo + 1, hi + 1):
-                p = entries[n]
-                if p and (c := _chi_at(chi, n)):     # n = p^k, chi(n) = chi(p)^k
-                    L = logs.get(p) or _log(p, W)
-                    if b == 1:                       # n^-s as an exact power of n
-                        acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
-                    elif roots is None or (b > 2 and p > LOG_LIMIT):
-                        k = 1 if p == n else round(math.log(n, p))
-                        acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W
-                    else:
-                        m = a * (1 if p == n else round(math.log(n, p)))
-                        r = (roots.get(p) or _root(p, b, W)) << e
-                        if m > 0:                    # q = 0, j = m
-                            acc += c * L * (r if m == 1 else _power(r, m, W + e)) >> W
-                        else:                        # e = 0, j = m mod b
-                            acc += c * L * p ** -(m // b) * _power(r, m % b, W) >> W
-            return acc
+    def walk(acc: int, lo: int, hi: int) -> int:
+        for n in range(lo + 1, hi + 1):
+            p = entries[n]
+            if p and (c := _chi_at(chi, n)):     # n = p^k, chi(n) = chi(p)^k
+                L = logs.get(p) or _log(p, W)
+                if b == 1:                       # n^-s as an exact power of n
+                    acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
+                elif roots is None or (b > 2 and p > LOG_LIMIT):
+                    k = 1 if p == n else round(math.log(n, p))
+                    acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W
+                else:
+                    m = a * (1 if p == n else round(math.log(n, p)))
+                    r = (roots.get(p) or _root(p, b, W)) << e
+                    if m > 0:                    # q = 0, j = m
+                        acc += c * L * (r if m == 1 else _power(r, m, W + e)) >> W
+                    else:                        # e = 0, j = m mod b
+                        acc += c * L * p ** -(m // b) * _power(r, m % b, W) >> W
+        return acc
 
-        for j in range(len(sums), N // BLOCK + 1):
-            sums.append(walk(sums[-1], (j - 1) * BLOCK, j * BLOCK))
-        return walk(sums[N // BLOCK], N // BLOCK * BLOCK, N), -W - e
+    for j in range(len(sums), N // BLOCK + 1):
+        sums.append(walk(sums[-1], (j - 1) * BLOCK, j * BLOCK))
+    return walk(sums[N // BLOCK], N // BLOCK * BLOCK, N), -W - e
 
 
 def _endpoint(y: Fraction) -> tuple[int, int]:

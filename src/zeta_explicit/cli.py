@@ -14,10 +14,10 @@ build_parser).  Conventions:
     the env var ZETA_EXPLICIT_ZEROS supplies a default path, and with
     neither set the embedded 100-ordinate table is used
   * verify --descriptor is zeta, or chi-d for L(s, chi_{-d}) with d
-    squarefree (chi-1 is chi_{-4}); verify --label, zeta or dirichlet-D,
-    names the zero table's L-function, must match the descriptor's and,
-    unless zeta, needs a zero file; these two and --alpha are refused
-    outside selberg-*, and --pf-num/--pf-roots outside general-*
+    squarefree (chi-1 is chi_{-4}); the zero table is read under the
+    descriptor's label (zeta or dirichlet-D), so chi-d needs a zero file;
+    --descriptor and --alpha are refused outside selberg-*, and
+    --pf-num/--pf-roots outside general-*
   * --T/--K pick the truncation (at most one; default: every pair)
   * json output is a single object; identical invocations are
     byte-identical (zero sums accumulate exactly in integers)
@@ -87,28 +87,28 @@ def _parse_rational(text: str, inexact: bool,
     return value
 
 
-def _load_table(args, ctx: PrecisionContext, label: str = "zeta") -> ZeroTable:
+def _selection(args, ctx: PrecisionContext,
+               label: str = "zeta") -> tuple[ZeroTable, SumSpec]:
+    """The zero table, read under label, and the truncation --T/--K picks."""
     path = args.zeros or os.environ.get(ENV_ZEROS)
     if not path:
         if label != "zeta":
-            raise _InputError(f"--label {label} needs --zeros or ${ENV_ZEROS}: "
-                              "the embedded table holds zeta zeros")
-        return fixture_table(ctx)
-    if not os.path.exists(path):
+            raise _InputError(f"{label} zeros need a zero file, --zeros or "
+                              f"${ENV_ZEROS}: the embedded table holds zeta zeros")
+        table = fixture_table(ctx)
+    elif not os.path.exists(path):
         raise _InputError(f"zero file not found: {path}")
-    try:
-        fmt = "csv" if path.endswith(".csv") else "plain"
-        return load_zeros(path, fmt, label=label, ctx=ctx)
-    except ValueError as exc:
-        raise _InputError(f"cannot parse zero file {path}: {exc}") from None
-
-
-def _make_spec(args, table: ZeroTable) -> SumSpec:
+    else:
+        try:
+            fmt = "csv" if path.endswith(".csv") else "plain"
+            table = load_zeros(path, fmt, label=label, ctx=ctx)
+        except ValueError as exc:
+            raise _InputError(f"cannot parse zero file {path}: {exc}") from None
     if args.T is not None and args.K is not None:
         raise _InputError("give at most one of --T and --K")
     if args.T is not None:
-        return SumSpec(T=args.T)
-    return SumSpec(K=args.K if args.K is not None else len(table))
+        return table, SumSpec(T=args.T)
+    return table, SumSpec(K=args.K if args.K is not None else len(table))
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -156,15 +156,13 @@ def _cmd_eval_f(args, ctx: PrecisionContext) -> dict:
 def _cmd_verify(args, ctx: PrecisionContext) -> dict:
     family = args.identity.split("-")[0]   # selberg, general or another
     ignored = [f"--{name}" for name, owner in (
-        ("descriptor", "selberg"), ("alpha", "selberg"), ("label", "selberg"),
+        ("descriptor", "selberg"), ("alpha", "selberg"),
         ("pf-num", "general"), ("pf-roots", "general"))
         if getattr(args, name.replace("-", "_")) is not None and owner != family]
     if ignored:
         raise _InputError(f"{args.identity} takes no {', '.join(ignored)}")
     notes: list = []
     x = _parse_rational(args.x, args.inexact, notes)
-    table = _load_table(args, ctx, args.label or "zeta")
-    spec = _make_spec(args, table)
     pf = alpha = F = None
     if family == "general":
         if not args.pf_roots:
@@ -177,6 +175,7 @@ def _cmd_verify(args, ctx: PrecisionContext) -> dict:
             raise _InputError(f"{args.identity} requires --alpha")
         alpha = _parse_rational(args.alpha, args.inexact, notes)
         F = _resolve_descriptor(args.descriptor or "zeta", ctx)
+    table, spec = _selection(args, ctx, F.label if F else "zeta")
     report = explicit.verify_identity(args.identity, x, table, spec, ctx,
                                       pf=pf, alpha=alpha, F=F)
     payload = {"command": "verify", **report.to_dict()}
@@ -214,8 +213,7 @@ def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
 
 def _cmd_li(args, ctx: PrecisionContext) -> dict:
     n = args.n
-    table = _load_table(args, ctx)
-    spec = _make_spec(args, table)
+    table, spec = _selection(args, ctx)
     consts = liconst.build_stieltjes_table(max(n, 1), ctx)
     ident = consts.lam(n)
     direct, tail = liconst.lambda_direct(n, table, spec, ctx)
@@ -245,8 +243,7 @@ def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_rh_check(args, ctx: PrecisionContext) -> dict:
-    table = _load_table(args, ctx)
-    spec = _make_spec(args, table)
+    table, spec = _selection(args, ctx)
     report = liconst.rh_statistic(table, spec, ctx, tolerance=args.tolerance)
     return {"command": "rh-check", "zeros": table.source, **report.to_dict()}
 
@@ -264,8 +261,7 @@ def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_sum(args, ctx: PrecisionContext) -> dict:
-    table = _load_table(args, ctx)
-    spec = _make_spec(args, table)
+    table, spec = _selection(args, ctx)
     payload = {"command": "sum", "term": args.term,
                "pairs": len(spec.select(table)), "zeros": table.source}
     if args.term in ("inv-rho", "inv-rho-sq"):
@@ -411,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor", default=None,
                    help="selberg-* only: zeta, or chi-d for L(s, chi_{-d}), "
                         "d squarefree (default zeta)")
-    p.add_argument("--label", default=None,
-                   help="selberg-* only: label of the zero table, checked "
-                        "against the descriptor's (default zeta)")
 
     p = add("find-zeros", parents=[base, inexact],
             help="bracket zeros of f between discontinuities")

@@ -66,9 +66,9 @@ import mpmath
 from mpmath import libmp, mpf, mpc
 
 from .arith import (
-    _FIXED,
     psi0 as arith_psi0,
     T_sum,
+    walk_width,
     weighted_sum,
 )
 from .mpcore import (
@@ -113,7 +113,7 @@ def zeta_log_deriv(s: Rational, ctx: PrecisionContext) -> HReal:
         raise ValueError(f"zeta'/zeta has a pole at the trivial zero s = {s}")
     with ctx.workprec(_GUARD):
         if s == 0:
-            return ctx.real(mpmath.log(2 * mpmath.pi))
+            return ctx.real(ctx.log_2pi)
         if s == Fraction(1, 2):
             v = (mpmath.euler / 2 + mpmath.pi / 4
                  + 3 * mpmath.log(2) / 2 + mpmath.log(mpmath.pi) / 2)
@@ -291,7 +291,7 @@ def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"f_rhs_gt1 requires x > 1, got {x}")
-    psi, W = arith_psi0(x, ctx), ctx.bits + _GUARD + _FIXED
+    psi, W = arith_psi0(x, ctx), walk_width(ctx)
     with ctx.workprec(_GUARD):
         v = mpf((g_gt1(x.numerator, x.denominator, W), -W)) - psi.val - ctx.log_2pi
     return ctx.real(v)
@@ -307,7 +307,7 @@ def f_rhs_lt1(x: Rational, ctx: PrecisionContext) -> HReal:
     x = Fraction(x)
     if not (0 < x < 1):
         raise ValueError(f"f_rhs_lt1 requires 0 < x < 1, got {x}")
-    t, W = T_sum(x, Fraction(0), ctx), ctx.bits + _GUARD + _FIXED
+    t, W = T_sum(x, Fraction(0), ctx), walk_width(ctx)
     with ctx.workprec(_GUARD):
         v = mpf((g_lt1(x.numerator, x.denominator, W), -W)) + t.val + mpmath.euler
     return ctx.real(v)
@@ -339,8 +339,7 @@ def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     for rational x > 1: f(x) + x f(1/x) - gamma x + log 2pi."""
     s = _f_reflected(x, ctx, "S_rhs_gt1")
     with ctx.workprec(_GUARD):
-        return ctx.real(s - mpmath.euler * _to_mpf(Fraction(x))
-                        + mpmath.log(2 * mpmath.pi))
+        return ctx.real(s - mpmath.euler * _to_mpf(Fraction(x)) + ctx.log_2pi)
 
 
 # ----------------------------------------------------------------------
@@ -478,31 +477,27 @@ def descriptor_dirichlet(q: int, chi: Sequence[int],
 # ----------------------------------------------------------------------
 
 def selberg_psi0(x: Rational, alpha: Rational, F: SelbergDescriptor,
-                 ctx: PrecisionContext) -> HComplex:
+                 ctx: PrecisionContext) -> HReal:
     """psi0(x, F, alpha) = x^alpha Sum_{n<x} Lambda_F(n)/n^alpha plus the
     unweighted Lambda_F(x)/2 when x is a prime power: the plain
     psi0_alpha sum with F's character."""
     if Fraction(x) <= 1:
         raise ValueError(f"selberg_psi0 requires x > 1, got {x}")
-    total = weighted_sum(x, alpha, ctx, F.chi)
-    with ctx.workprec():
-        return HComplex(mpc(total), ctx)
+    return ctx.real(weighted_sum(x, alpha, ctx, F.chi))
 
 
 def selberg_T(x: Rational, alpha: Rational, F: SelbergDescriptor,
-              ctx: PrecisionContext) -> HComplex:
+              ctx: PrecisionContext) -> HReal:
     """T(x, F, alpha) = x^alpha Sum_{n<1/x} Lambda_F(n)/n^(1-alpha) plus
     (x/2) Lambda_F(1/x) when 1/x is a prime power: the plain T_sum with
     F's character."""
     if not 0 < Fraction(x) < 1:
         raise ValueError(f"selberg_T requires 0 < x < 1, got {x}")
-    total = weighted_sum(x, alpha, ctx, F.chi)
-    with ctx.workprec():
-        return HComplex(mpc(total), ctx)
+    return ctx.real(weighted_sum(x, alpha, ctx, F.chi))
 
 
 def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
-                     ctx: PrecisionContext, gt1: bool) -> mpc:
+                     ctx: PrecisionContext, gt1: bool) -> mpf:
     """The descriptor form of the module docstring at bits + 32: for
     x > 1 (gt1) the predicted Sum_rho x^rho/(rho-alpha) + x^alpha (F'/F)(alpha),
     for 0 < x < 1 Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha), or
@@ -534,7 +529,7 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
                                  f"(lambda={lam}, mu={mu})")
             lamv = ctx.mpf(lam)
             z = xv ** ((-1 if gt1 else 1) / lamv)
-            series = f_u_closed(u, z, ctx).val  # Sum_{n>=1} z^n/(n+u)
+            series = f_u_closed(u, z, ctx).val.real  # Sum_{n>=1} z^n/(n+u)
             if gt1:
                 if mu != 0:
                     series += 1 / ctx.mpf(u)
@@ -545,7 +540,7 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
 
 
 def selberg_rhs_gt1(x: Rational, alpha: Rational, F: SelbergDescriptor,
-                    ctx: PrecisionContext) -> HComplex:
+                    ctx: PrecisionContext) -> HReal:
     """Predicted value of x^alpha (F'/F)(alpha) + Sum_rho x^rho/(rho-alpha)
     for rational x > 1: the descriptor form (module docstring).  The zero
     sum runs over the non-trivial zeros of F itself.  alpha = 0 is
@@ -556,13 +551,11 @@ def selberg_rhs_gt1(x: Rational, alpha: Rational, F: SelbergDescriptor,
         raise ValueError(f"selberg_rhs_gt1 requires x > 1, got {x}")
     if F.m_F > 0 and alpha == 0:
         raise ValueError("alpha = 0 is excluded when m_F > 0")
-    acc = _descriptor_form(x, alpha, F, ctx, True)
-    with ctx.workprec():
-        return HComplex(mpc(acc), ctx)
+    return ctx.real(_descriptor_form(x, alpha, F, ctx, True))
 
 
 def selberg_rhs_lt1(x: Rational, alpha: Union[Rational, str],
-                    F: SelbergDescriptor, ctx: PrecisionContext) -> HComplex:
+                    F: SelbergDescriptor, ctx: PrecisionContext) -> HReal:
     """Predicted zero-sum side for rational 0 < x < 1, zeros taken from
     the conjugate-coefficient function's table (identical for the real
     -coefficient descriptors shipped here): the descriptor form (module
@@ -575,9 +568,7 @@ def selberg_rhs_lt1(x: Rational, alpha: Union[Rational, str],
     if not (0 < x < 1):
         raise ValueError(f"selberg_rhs_lt1 requires 0 < x < 1, got {x}")
     alpha = Fraction(0) if alpha == "zero" else Fraction(alpha)
-    acc = _descriptor_form(x, alpha, F, ctx, False)
-    with ctx.workprec():
-        return HComplex(mpc(acc), ctx)
+    return ctx.real(_descriptor_form(x, alpha, F, ctx, False))
 
 
 # ----------------------------------------------------------------------
@@ -589,7 +580,7 @@ def _kernel_form(x: Fraction, pf: RationalFunctionPF, ctx: PrecisionContext,
     zeta = descriptor_zeta()
     forms = [_descriptor_form(x, a, zeta, ctx, gt1) for a in pf.roots]
     with ctx.workprec(_GUARD):
-        acc = sum((ctx.mpf(lam) * v.real for lam, v in zip(pf.residues, forms)), mpf(0))
+        acc = sum((ctx.mpf(lam) * v for lam, v in zip(pf.residues, forms)), mpf(0))
     return ctx.real(acc)
 
 
@@ -716,7 +707,7 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
             a = Fraction(0) if alpha == "zero" else Fraction(alpha)
             poles, weights = (a,), (Fraction(1),)
             rhs_fn = selberg_rhs_gt1 if gt1 else selberg_rhs_lt1
-            rhs = ctx.real(rhs_fn(x, a, F, ctx).val.real)
+            rhs = rhs_fn(x, a, F, ctx)
         term = xrho_term(x, poles, weights)
         if gt1 or poles != (0,):  # selberg-lt1 at alpha = 0 predicts f itself
             with ctx.workprec(_GUARD):
@@ -738,7 +729,7 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
     tail: Optional[HReal] = None
     trend: Optional[dict] = None
     if identity == "s":
-        tail = tail_estimate(table.ordinates[terms - 1] / table.scale, 2, float(x), ctx)
+        tail = tail_estimate(Fraction(table.ordinates[terms - 1], table.scale), 2, x, ctx)
     else:
         trend = {
             "pairs_half": half,

@@ -53,8 +53,8 @@ from .mpcore import (
     series_ops,
     zeta_int,
 )
-from .zeros import (SumSpec, ZeroTable, _density_integral, _selected_height,
-                    inv_abs_sq_term, inv_rho_poly_term, xrho_term, zero_sum)
+from .zeros import (SumSpec, ZeroTable, density_tail, inv_abs_sq_term,
+                    inv_rho_poly_term, xrho_term, zero_sum)
 
 
 def _refuse_eps(eps: Optional[float]) -> None:
@@ -163,7 +163,9 @@ class StieltjesTable:
         return self.etas[n]
 
     def lam(self, n: int) -> HReal:
-        """lambda_n, 1-indexed."""
+        """lambda_n, 1-indexed; refuses n outside 1..order."""
+        if not 1 <= n <= self.order:
+            raise ValueError(f"n = {n} outside the table's orders [1, {self.order}]")
         return self.lambdas[n - 1]
 
     def to_dict(self) -> dict:
@@ -178,11 +180,6 @@ class StieltjesTable:
         }
 
 
-def _check_order(n: int, table: StieltjesTable) -> None:
-    if not 1 <= n <= table.order:
-        raise ValueError(f"n = {n} outside the table's orders [1, {table.order}]")
-
-
 def li_lambda_identity(n: int, table: StieltjesTable,
                        ctx: Optional[PrecisionContext] = None) -> HReal:
     """lambda_n assembled from the constants, as build_stieltjes_table
@@ -195,7 +192,6 @@ def li_lambda_identity(n: int, table: StieltjesTable,
     At n = 1 the sums reduce to -eta_0 = gamma_0 and the value collapses
     to 1 + gamma_0/2 - (log 4pi)/2.  The value is read from the table,
     which carries its own precision; ctx is not read."""
-    _check_order(n, table)
     return table.lam(n)
 
 
@@ -257,11 +253,8 @@ def lambda_direct(n: int, table: ZeroTable, spec: SumSpec,
         raise ValueError(f"lambda_n needs n >= 1, got {n}")
     ctx = ctx or PrecisionContext()
     coeffs = [0] + [(-1) ** (k + 1) * math.comb(n, k) for k in range(1, n + 1)]
-    value, _ = zero_sum(table, spec, inv_rho_poly_term(coeffs), ctx)
-    with ctx.workprec(_GUARD):
-        T = _selected_height(table, spec)
-        tail = n * n * _density_integral(T, mpf(2))
-    return value, ctx.real(tail)
+    value, count = zero_sum(table, spec, inv_rho_poly_term(coeffs), ctx)
+    return value, density_tail(table, count, n * n, ctx)
 
 
 # ----------------------------------------------------------------------
@@ -311,8 +304,8 @@ def rh_statistic(table: ZeroTable, spec: SumSpec,
     ctx = ctx or PrecisionContext()
     (value, inv_rho), pairs = zero_sum(
         table, spec, (inv_abs_sq_term(), xrho_term(1, (0,), (1,))), ctx)
+    tail = density_tail(table, pairs, 2, ctx)
     with ctx.workprec(_GUARD):
-        tail = ctx.real(2 * _density_integral(_selected_height(table, spec), mpf(2)))
         target = 2 + ctx.euler_gamma - ctx.log_4pi
         corrected = value.val + tail.val
         disc = corrected - target

@@ -6,6 +6,7 @@ pipelines) consumes the types and functions defined here:
   PrecisionContext   immutable working-precision handle (binary digits;
                      rounding is always to nearest)
   HReal / HComplex   finite high-precision scalars bound to a context
+                     (HComplex only for the complex values of f_u)
   em_log_moments     the one Euler-Maclaurin core: Sum log^n(k+a) (k+a)^(-s)
                      for n = 0..N in one pass, continued in s, regularized
                      at s = 1 (the Stieltjes constants gamma_n(a)), each
@@ -59,7 +60,7 @@ class PrecisionContext:
     error of at most 2^-bits, comfortably within the 2^(8-bits) budget
     that callers may assume.  Instances are immutable, but workprec sets
     mpmath's process-wide precision: evaluations in one process must not
-    run in concurrent threads, or the prime-sum tables may keep a wrong sum.
+    run in concurrent threads.
     """
 
     bits: int = 192          # binary working precision, >= 64
@@ -169,10 +170,6 @@ class HComplex:
     def real(self) -> HReal:
         return HReal(self.val.real, self.ctx)
 
-    @property
-    def imag(self) -> HReal:
-        return HReal(self.val.imag, self.ctx)
-
     def __repr__(self) -> str:
         return f"HComplex({mpmath.nstr(self.val, 25)})"
 
@@ -238,7 +235,8 @@ def _em_plan(s: float, a: Scalar, N: int, bits: int) -> tuple[int, int]:
     8.2 bits, so K = (bits + 20)/8, raised if needed so that s + 2K > 1
     (the remainder integral converges).  M is then the least shift whose
     remainder bound for order N, estimated in floats from a
-    coefficient-wise majorant r of |P_2K|/(2K)!, meets 2^-(bits+20).
+    coefficient-wise majorant r of |P_2K|/(2K)! at log R, or at the
+    integrand's peak N/c past it, meets 2^-(bits+20).
     A plan with M (N+1) > 2^20 is refused before any summation.
     """
     K = max(math.ceil((bits + 20) / 8), math.floor((1 - s) / 2) + 1)
@@ -255,7 +253,7 @@ def _em_plan(s: float, a: Scalar, N: int, bits: int) -> tuple[int, int]:
     target = -(bits + 20) * math.log(2)
 
     def above_target(M: int) -> bool:
-        L = math.log(M * q + p) - math.log(q)   # log(M + a), a = p/q of any size
+        L = max(math.log(M * q + p) - math.log(q), N / c)   # log(M + a), a = p/q
         return base + math.log(_poly_eval(r, L)) - c * L > target
 
     cap = _EM_BUDGET // (N + 1)  # the largest admissible shift count
@@ -388,7 +386,7 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
             value = mpf((sums[n], -H)) + I + Lpow[n] * wR / 2 - corr
             rem = rem_scale * tail
             slop = (M + 2 * K + 16) * (n + 4 + abs(sv) * lmax) * mpf(2) ** -W \
-                * (lmax ** n * mpf((sums[0], -H)) + abs(I) + corr_abs + 1)
+                * (mpf(lmax) ** n * mpf((sums[0], -H)) + abs(I) + corr_abs + 1)
             bound = rem + slop + mpf(2) ** (1 - ctx.bits) * (abs(value) + 1)
             out.append((ctx.real(value), ctx.real(bound)))
     return tuple(out)

@@ -468,7 +468,7 @@ def _density_integral(T: mpf, p: mpf) -> mpf:
             + 1 / ((p - 1) ** 2 * Tp)) / twopi
 
 
-def tail_estimate(T: float, p: float, x: float,
+def tail_estimate(T: Union[float, Fraction], p: float, x: Union[float, Fraction],
                   ctx: Optional[PrecisionContext] = None) -> Optional[HReal]:
     """Heuristic bound for the zero-sum mass above height T when each
     pair contributes at most 2 x^(1/2) / gamma^p:
@@ -490,12 +490,14 @@ def tail_estimate(T: float, p: float, x: float,
     return ctx.real(est)
 
 
-def _selected_height(table: ZeroTable, spec: SumSpec) -> mpf:
-    """The last selected ordinate, rounded once at the current precision."""
-    count = len(spec.select(table))
-    if count == 0:
-        raise ValueError("empty selection: truncation excludes every zero pair")
-    return mpf(table.ordinates[count - 1]) / table.scale
+def density_tail(table: ZeroTable, count: int, weight: int,
+                 ctx: PrecisionContext) -> HReal:
+    """weight (1/2pi) Integral_T^inf t^(-2) log(t/2pi) dt, T the count-th
+    ordinate: the density estimate of what pairs of size weight/gamma^2
+    above the first count pairs add.  A correction, not a bound."""
+    with ctx.workprec(_GUARD):
+        T = mpf(table.ordinates[count - 1]) / table.scale
+        return ctx.real(weight * _density_integral(T, mpf(2)))
 
 
 # ----------------------------------------------------------------------
@@ -514,10 +516,8 @@ def sum_inv_rho(table: ZeroTable, spec: SumSpec,
     2 beta/|rho|^2 = 1/|rho|^2, matching the integrand t^(-2) exactly.
     """
     ctx = ctx or PrecisionContext()
-    value, _ = zero_sum(table, spec, xrho_term(1, (0,), (1,)), ctx)
-    with ctx.workprec(_GUARD):
-        tail = _density_integral(_selected_height(table, spec), mpf(2))
-    return value, ctx.real(tail)
+    value, count = zero_sum(table, spec, xrho_term(1, (0,), (1,)), ctx)
+    return value, density_tail(table, count, 1, ctx)
 
 
 def sum_inv_rho_sq(table: ZeroTable, spec: SumSpec,
@@ -527,10 +527,8 @@ def sum_inv_rho_sq(table: ZeroTable, spec: SumSpec,
     2 + gamma - log 4 pi (twice the Sum 1/rho constant when every zero
     sits on the critical line)."""
     ctx = ctx or PrecisionContext()
-    value, _ = zero_sum(table, spec, inv_abs_sq_term(), ctx)
-    with ctx.workprec(_GUARD):
-        tail = 2 * _density_integral(_selected_height(table, spec), mpf(2))
-    return value, ctx.real(tail)
+    value, count = zero_sum(table, spec, inv_abs_sq_term(), ctx)
+    return value, density_tail(table, count, 2, ctx)
 
 
 def cosine_sum(x, table: ZeroTable, spec: SumSpec,

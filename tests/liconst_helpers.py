@@ -5,7 +5,7 @@ from typing import Optional
 
 import mpmath
 
-from zeta_explicit.liconst import StieltjesTable, _check_order
+from zeta_explicit.liconst import StieltjesTable
 from zeta_explicit.mpcore import _GUARD, HReal, PrecisionContext
 
 
@@ -22,7 +22,7 @@ def coffey_decomposition(n: int, table: StieltjesTable,
 
         (n(log n + gamma - 1) + 1)/2 <= S1(n) <= (n(log n + gamma + 1) - 1)/2.
     """
-    _check_order(n, table)
+    table.lam(n)   # refuses n outside 1..order
     s1, s2 = table.S1[n - 1], table.S2[n - 1]
     ok = True
     if n >= 2:

@@ -26,6 +26,7 @@ from zeta_explicit.arith import (
     psi0,
     psi0_alpha,
     shared_table,
+    walk_width,
     weighted_sum,
 )
 from zeta_explicit.mpcore import PrecisionContext
@@ -74,6 +75,9 @@ def test_sieve_queries(ctx):
     assert mangoldt(10) == 0
     with pytest.raises(ValueError):
         mangoldt_sieve(100).prime_of(101)
+    for N in (0, arith.MAX_SIEVE + 1):   # refused before any allocation
+        with pytest.raises(ValueError, match="sieve limit"):
+            mangoldt_sieve(N)
 
 
 def test_shared_table_grows_monotonically():
@@ -130,6 +134,8 @@ def test_psi0_halves_boundary_weight(ctx):
 def test_psi0_rejects_domain(ctx):
     with pytest.raises(ValueError):
         psi0(Fraction(1), ctx)
+    with pytest.raises(ValueError, match="x > 1"):
+        psi0_alpha(Fraction(1), Fraction(1, 2), ctx)
 
 
 def test_psi0_alpha_reduces_to_psi0(ctx):
@@ -253,7 +259,8 @@ def test_root_table_holds_exact_floors(monkeypatch, bits):
     # the walk reached, and only for those.
     monkeypatch.setattr(arith, "_prefix", {})
     monkeypatch.setattr(arith, "_roots", {})
-    ctx, W = PrecisionContext(bits=bits), bits + 32 + arith._FIXED
+    ctx = PrecisionContext(bits=bits)
+    W = walk_width(ctx)
     primes = [p for p in range(2, 1201) if _prime_power_base(p) == p]
     for b in range(2, arith.ROOT_BOUND + 1):
         prime_power_sum(1200, Fraction(1, b), ctx)
@@ -296,7 +303,7 @@ def test_root_walk_within_stated_error(bits, s, d):
                           * mpmath.power(n, -mpmath.mpf(s.numerator) / s.denominator)
                           for n in range(2, N + 1) if _prime_power_base(n))
         err = abs(man - mpmath.ldexp(ref, -exp))
-    assert err < _stated_error(N, s, chi, -exp - bits - 32 - arith._FIXED)
+    assert err < _stated_error(N, s, chi, -exp - walk_width(ctx))
 
 
 def _is_prime(n: int) -> bool:
@@ -309,7 +316,7 @@ def test_root_is_exact_floor_near_the_sieve_budget(monkeypatch, bits):
     # primes just above LOG_LIMIT and just below MAX_SIEVE, where no table
     # keeps the root, at b = 2 to 12.
     monkeypatch.setattr(arith, "_roots", {})
-    W = bits + 32 + arith._FIXED
+    W = walk_width(PrecisionContext(bits=bits))
     primes = ([p for p in range(arith.LOG_LIMIT, arith.LOG_LIMIT + 60) if _is_prime(p)]
               + [p for p in range(arith.MAX_SIEVE - 300, arith.MAX_SIEVE) if _is_prime(p)])
     for b in range(2, 13):
@@ -340,7 +347,7 @@ def test_primes_past_log_limit_take_exp_fixed_at_b_above_2(monkeypatch, bits, s,
     past = sum(1 for n, p, _ in terms if p > arith.LOG_LIMIT)
     assert past > 0 and len(calls) == (past if s.denominator > 2 else 0)
     assert not any(p > arith.LOG_LIMIT for roots in arith._roots.values() for p in roots)
-    e = -e1 - bits - 32 - arith._FIXED
+    e = -e1 - walk_width(ctx)
     with mpmath.workprec(-e1 + 64):
         ref = mpmath.fsum(c * mpmath.log(p) * mpmath.power(n, -mpmath.mpf(s.numerator) / s.denominator)
                           for n, p, c in terms)

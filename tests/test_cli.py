@@ -86,6 +86,18 @@ def test_digits_below_one_is_usage_error(capsys, argv, digits):
     assert f"--digits must be >= 1, got {digits}" in err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["eval-f", "--x", "3/2"], "value"),
+    (["li", "--n", "1", "--K", "3"], "lambda_direct"),
+    (["stieltjes", "--n", "1"], "gamma_n"),
+    (["sum", "--term", "inv-rho", "--K", "3"], "value"),
+])
+def test_digits_sets_the_printed_digits(capsys, argv, key):
+    code, out, _ = run(capsys, *argv, "--digits", "7", "--json")
+    assert code == EXIT_OK
+    assert _significant_digits(json.loads(out)[key]) == 7
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["eval-f", "--x", "3/2", "--frobnicate"]) == EXIT_IO
     capsys.readouterr()
@@ -96,10 +108,15 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_missing_zeros_file(capsys):
+def test_missing_zeros_file(capsys, tmp_path):
     code, _, err = run(capsys, "sum", "--term", "inv-rho",
                        "--zeros", "/nonexistent/zeros.txt")
     assert code == EXIT_IO
+    bad = tmp_path / "bad.txt"
+    bad.write_text("14.13\nabc\n")
+    code, out, err = run(capsys, "sum", "--term", "inv-rho", "--zeros", str(bad))
+    assert (code, out) == (EXIT_IO, "")
+    assert f"cannot parse zero file {bad}" in err
 
 
 def test_sum_inv_rho_fixture(capsys):
@@ -162,6 +179,18 @@ def test_verify_json_payload(capsys):
     assert "trend" in payload and "residual" in payload
 
 
+def test_verify_s_reports_its_tail_estimate(capsys, fixture100):
+    code, out, _ = run(capsys, "verify", "--identity", "s", "--x", "4",
+                       "--K", "50", "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    report = explicit.verify_identity("s", Fraction(4), fixture100, zeros.SumSpec(K=50),
+                                      PrecisionContext(bits=192)).to_dict()
+    assert "trend" not in payload
+    assert payload["tail_estimate"] == report["tail_estimate"]
+    assert float(payload["residual"]) <= float(payload["tail_estimate"])
+
+
 def test_verify_unknown_identity(capsys):
     assert main(["verify", "--identity", "nonsense", "--x", "4"]) == EXIT_IO
     capsys.readouterr()
@@ -172,6 +201,10 @@ def test_verify_general_requires_pf(capsys):
                        "--x", "4", "--K", "10")
     assert code == EXIT_IO
     assert "pf-roots" in err
+    code, _, err = run(capsys, "verify", "--identity", "selberg-gt1",
+                       "--x", "4", "--K", "10")
+    assert code == EXIT_IO
+    assert "selberg-gt1 requires --alpha" in err
 
 
 @pytest.mark.parametrize("roots", ["abc", "1/2,abc", "1/0", "0.5"])
@@ -199,6 +232,14 @@ def test_find_zeros_csv(capsys):
     assert lines[0].split(",")[:2] == ["kind", "bracket_lo"] or "kind" in lines[0]
     assert sum("genuine-zero" in ln for ln in lines) == 2
     assert sum("jump-crossing" in ln for ln in lines) == 1
+
+
+def test_csv_without_records_is_one_header_and_one_row(capsys):
+    code, out, _ = run(capsys, "eval-f", "--x", "3/2", "--csv")
+    assert code == EXIT_OK
+    header, row = out.splitlines()
+    assert header == "command,x,side,value"
+    assert row.startswith("eval-f,3/2,gt1,-0.04398373395828597946")
 
 
 def test_find_zeros_window_split_by_one(capsys):
@@ -326,8 +367,7 @@ def test_verify_chi_descriptor_matches_library(capsys, identity, x):
     table_path = Path(zeros.__file__).parent / "data" / "dirichlet4_zeros_10.txt"
     code, out, _ = run(capsys, "verify", "--identity", identity, "--x", x,
                        "--alpha", "1/2", "--descriptor", "chi-1",
-                       "--zeros", str(table_path), "--label", "dirichlet-4",
-                       "--K", "10", "--json")
+                       "--zeros", str(table_path), "--K", "10", "--json")
     assert code == EXIT_OK
     payload = json.loads(out)
     ctx = PrecisionContext(bits=192)
@@ -353,13 +393,14 @@ def test_bad_descriptor_name(capsys, name, status):
 
 
 def test_label_without_zero_file_is_usage_error(capsys, monkeypatch):
-    # the embedded table holds zeta zeros, whatever --label names
+    # the table's label comes from the descriptor; the embedded table
+    # holds zeta zeros, so chi-d needs a zero file
     monkeypatch.delenv(ENV_ZEROS, raising=False)
     code, out, err = run(capsys, "verify", "--identity", "selberg-gt1", "--x", "4",
-                         "--alpha", "1/2", "--descriptor", "chi-1",
-                         "--label", "dirichlet-4", "--K", "5")
+                         "--alpha", "1/2", "--descriptor", "chi-1", "--K", "5")
     assert (code, out) == (EXIT_IO, "")
-    assert "dirichlet-4" in err and "embedded table holds zeta zeros" in err
+    assert "dirichlet-4" in err and "--zeros" in err and ENV_ZEROS in err
+    assert "embedded table holds zeta zeros" in err
 
 
 NOT_SELBERG = ("von-mangoldt", "ingham", "cosine", "s", "general-gt1", "general-lt1")
@@ -367,14 +408,14 @@ NOT_GENERAL = ("von-mangoldt", "ingham", "cosine", "s", "selberg-gt1", "selberg-
 
 
 @pytest.mark.parametrize("identity,option", [
-    *[(i, o) for i in NOT_SELBERG for o in ("--descriptor", "--alpha", "--label")],
+    *[(i, o) for i in NOT_SELBERG for o in ("--descriptor", "--alpha")],
     *[(i, o) for i in NOT_GENERAL for o in ("--pf-num", "--pf-roots")],
 ])
 def test_verify_refuses_options_its_identity_ignores(capsys, identity, option):
     # what the identity needs, then one option it would ignore
     needs = {"general": ["--pf-roots=0,1/2"], "selberg": ["--alpha=1/2"]}
     x = "1/10" if identity.endswith("lt1") else "4"
-    value = {"--descriptor": "zeta", "--label": "zeta"}.get(option, "1/2")
+    value = {"--descriptor": "zeta"}.get(option, "1/2")
     code, out, err = run(capsys, "verify", "--identity", identity, "--x", x,
                          "--K", "5", *needs.get(identity.split("-")[0], []),
                          f"{option}={value}")
@@ -384,10 +425,10 @@ def test_verify_refuses_options_its_identity_ignores(capsys, identity, option):
 
 def test_verify_names_every_ignored_option(capsys):
     code, out, err = run(capsys, "verify", "--identity", "von-mangoldt", "--x", "4",
-                         "--descriptor", "foo", "--alpha", "7", "--label", "bar",
+                         "--descriptor", "foo", "--alpha", "7", "--pf-roots", "1/2",
                          "--K", "5")
     assert (code, out) == (EXIT_IO, "")
-    assert "von-mangoldt takes no --descriptor, --alpha, --label" in err
+    assert "von-mangoldt takes no --descriptor, --alpha, --pf-roots" in err
 
 
 def test_stieltjes_plan_over_budget_refused_at_once(capsys):
@@ -397,6 +438,25 @@ def test_stieltjes_plan_over_budget_refused_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert code == EXIT_DOMAIN
     assert "2^20" in err or "1048576" in err
+
+
+@pytest.mark.parametrize("n,bits", [("400", "64"), ("1024", "64"), ("1500", "192")])
+def test_stieltjes_plan_past_the_integrand_peak_refused_at_once(capsys, n, bits):
+    # At R = 1 + a < e the remainder integrand log^N(t) t^-c peaks past
+    # log R; planned at log R these ran 1.7-24 s to a huge bound or a
+    # float overflow.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "stieltjes", "--n", n, "--bits", bits)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "Euler-Maclaurin plan" in err and "1048576" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "-2"])
+def test_li_refuses_orders_below_one(capsys, n):
+    code, out, err = run(capsys, "li", f"--n={n}", "--K", "3")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error: ") and f"n = {n} outside" in err
 
 
 def test_li_gap_report(capsys):
@@ -518,7 +578,7 @@ ZERO_OPTIONS = {"--zeros", "--T", "--K"}
 OPTION_TABLE = {
     "eval-f": {"--x", "--inexact", "--digits"},
     "verify": {"--identity", "--x", "--pf-num", "--pf-roots", "--alpha",
-               "--descriptor", "--label", "--inexact"} | ZERO_OPTIONS,
+               "--descriptor", "--inexact"} | ZERO_OPTIONS,
     "find-zeros": {"--lo", "--hi", "--tol", "--inexact"},
     "li": {"--n", "--digits"} | ZERO_OPTIONS,
     "stieltjes": {"--n", "--eps", "--table", "--digits"},
@@ -555,6 +615,8 @@ def test_option_surface_matches_table():
     ["li", "--n", "1", "--label", "zeta"],
     ["rh-check", "--label", "zeta"],
     ["sum", "--term", "inv-rho", "--label", "zeta"],
+    ["verify", "--identity", "selberg-gt1", "--x", "4", "--alpha", "1/2",
+     "--label", "zeta"],
 ])
 def test_option_a_subcommand_ignores_is_usage_error(capsys, argv):
     assert main(argv) == EXIT_IO
@@ -574,6 +636,14 @@ def test_option_prefix_is_usage_error(capsys, argv):
 def test_every_parser_refuses_option_prefixes():
     assert not build_parser().allow_abbrev
     assert not any(sub.allow_abbrev for sub in _subparsers().values())
+
+
+@pytest.mark.parametrize("command", [["li", "--n", "1"], ["rh-check"],
+                                     ["sum", "--term", "inv-rho"]])
+def test_height_and_count_cutoffs_together_are_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--T", "50", "--K", "5")
+    assert (code, out) == (EXIT_IO, "")
+    assert "at most one of --T and --K" in err
 
 
 @pytest.mark.parametrize("T", ["nan", "inf", "-inf"])

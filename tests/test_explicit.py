@@ -66,6 +66,15 @@ def test_f_rhs_domains(ctx):
         f_rhs_gt1(F(1, 2), ctx)
     with pytest.raises(ValueError):
         f_rhs_lt1(F(3, 2), ctx)
+    for s in (F(1), F(-2)):   # the pole, and a trivial zero
+        with pytest.raises(ValueError, match="pole"):
+            zeta_log_deriv(s, ctx)
+    for fn in (f_u_closed, f_u_series):
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
+            fn(F(1, 2), ctx.mpf(1), ctx)
+    with pytest.raises(ValueError, match="negative integer"):
+        f_u_closed(F(-1), ctx.mpf(F(1, 2)), ctx)
+    assert f_u_series(F(1, 2), 0, ctx).val == 0
 
 
 @pytest.mark.parametrize("bits", [128, 224, 512])
@@ -192,6 +201,13 @@ def test_f_u_uncorrected_variant_fails_oracle(ctx):
         assert abs(wrong.val - series.val) > mpf("0.35")
 
 
+def test_f_u_closed_at_zero_and_below_the_cancellation_guard(ctx):
+    # z = 0 is the empty series; |z| < 2^(-bits/2) is summed directly
+    assert f_u_closed(F(1, 3), 0, ctx).val == 0
+    z = ctx.mpf(2) ** -(ctx.bits // 2 + 3)
+    assert f_u_closed(F(1, 3), z, ctx) == f_u_series(F(1, 3), ctx.complex(z), ctx)
+
+
 def test_f_u_integer_u_reduces_to_log(ctx):
     # u = 0: f_0(z) = -log(1 - z).
     z = ctx.mpf(F(1, 3))
@@ -251,6 +267,10 @@ def test_general_domain_guards(ctx):
         general_rhs_lt1(F(1, 4), partial_fractions([F(1)], [F(0)]), ctx)
     with pytest.raises(ValueError):
         general_rhs_lt1(F(1, 4), partial_fractions([F(1)], [F(3)]), ctx)
+    pf = partial_fractions([F(1)], [F(1, 2)])
+    for x, rhs in ((F(1), general_rhs_gt1), (F(1), general_rhs_lt1), (F(2), general_rhs_lt1)):
+        with pytest.raises(ValueError, match="requires"):
+            rhs(x, pf, ctx)
 
 
 # ----------------------------------------------------------------------
@@ -319,17 +339,17 @@ def test_dirichlet_descriptor_rejects_imprimitive(ctx):
 def test_selberg_matches_plain_evaluators(ctx):
     zeta = descriptor_zeta()
     for x, a in ((F(3, 2), F(1, 3)), (F(4), F(1, 2)), (F(6), F(2, 3))):
-        s = selberg_rhs_gt1(x, a, zeta, ctx).val.real
+        s = selberg_rhs_gt1(x, a, zeta, ctx).val
         g = general_rhs_gt1(x, partial_fractions([F(1)], [a]), ctx).val
         with ctx.workprec(16):
             assert abs(s - g) < TINY
     for x, a in ((F(1, 10), F(1, 3)), (F(2, 5), F(1, 2))):
-        s = selberg_rhs_lt1(x, a, zeta, ctx).val.real
+        s = selberg_rhs_lt1(x, a, zeta, ctx).val
         g = general_rhs_lt1(x, partial_fractions([F(1)], [a]), ctx).val
         with ctx.workprec(16):
             assert abs(s - g) < TINY
     for x in (F(1, 10), F(1, 4)):
-        s = selberg_rhs_lt1(x, 0, zeta, ctx).val.real
+        s = selberg_rhs_lt1(x, 0, zeta, ctx).val
         f = f_rhs_lt1(x, ctx).val
         with ctx.workprec(16):
             assert abs(s - f) < TINY
@@ -343,6 +363,15 @@ def test_selberg_domain_guards(ctx):
         selberg_rhs_gt1(F(4), F(0), zeta, ctx)  # m_F > 0 excludes 0
     with pytest.raises(ValueError):
         selberg_rhs_gt1(F(4), F(-2), zeta, ctx)  # trivial-zero chain
+    for fn, x in ((selberg_psi0, F(1)), (selberg_T, F(1)), (selberg_T, F(2)),
+                  (selberg_rhs_gt1, F(1)), (selberg_rhs_lt1, F(1))):
+        with pytest.raises(ValueError, match="requires"):
+            fn(x, F(1, 2), zeta, ctx)
+    # an even character (mod 5): its Gamma factor has mu = 0 but m_F = 0,
+    # so at alpha = 0 nothing cancels the n = 0 term 1/alpha above 1
+    even = descriptor_dirichlet(5, (0, 1, -1, -1, 1), ctx)
+    with pytest.raises(ValueError, match="alpha = 0 is a pole"):
+        selberg_rhs_gt1(F(4), F(0), even, ctx)
 
 
 # Odd real primitive characters by modulus: kronecker_chi(d) has period
@@ -379,12 +408,12 @@ def test_prime_sums_match_per_n_reference(q, bits, y, below_one, alpha):
         got = []
     sel = selberg_T(x, alpha, F_desc, ctx) if below_one \
         else selberg_psi0(x, alpha, F_desc, ctx)
-    got.append(sel.val.real)
+    assert isinstance(sel.val, mpf)
+    got.append(sel.val)
     ref, size = prime_sum_reference(x, alpha, chi, bits)
     with mpmath.workprec(bits + 64):
         for v in got:
             assert abs(v - ref) <= mpf(2) ** (8 - bits) * size, (x, alpha, q, bits)
-        assert sel.val.imag == 0
 
 
 def _kernel_admissible(a: F, gt1: bool) -> bool:
@@ -508,6 +537,17 @@ def test_verify_identity_s_refuses_x_at_most_one(ctx, fixture100):
 def test_verify_identity_rejects_unknown(ctx, fixture100):
     with pytest.raises(ValueError):
         verify_identity("bogus", F(4), fixture100, SumSpec(K=10), ctx)
+
+
+@pytest.mark.parametrize("identity,kw,needs", [
+    ("general-gt1", {}, "pf"), ("general-lt1", {}, "pf"),
+    ("selberg-gt1", {"alpha": F(1, 2)}, "F and alpha"),
+    ("selberg-lt1", {"F": descriptor_zeta()}, "F and alpha"),
+])
+def test_verify_identity_requires_its_inputs(ctx, fixture100, identity, kw, needs):
+    x = F(4) if identity.endswith("gt1") else F(1, 10)
+    with pytest.raises(ValueError, match=f"requires {needs}"):
+        verify_identity(identity, x, fixture100, SumSpec(K=10), ctx, **kw)
 
 
 def test_verify_identity_rejects_label_mismatch(ctx, fixture100):

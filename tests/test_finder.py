@@ -173,6 +173,16 @@ def test_fixed_point_g_and_slope_against_mpmath(bits, x):
         assert abs(_dg(p, q, W) - mpmath.ldexp(slope, W)) <= 1
 
 
+@pytest.mark.parametrize("finder,lo,hi", [(find_zeros_gt1, F(21, 20), F(2)),
+                                          (find_zeros_lt1, F(1, 10), F(9, 10))])
+@pytest.mark.parametrize("tol,match", [(F(0), "positive"), (F(-1, 8), "positive"),
+                                       (F(1, 2 ** 177), "precision floor")])
+def test_finder_refuses_tol_outside_its_range(ctx, finder, lo, hi, tol, match):
+    # the floor at 192 bits is 2^-176
+    with pytest.raises(ValueError, match=match):
+        finder(lo, hi, tol, ctx)
+
+
 def test_each_record_takes_one_residual(monkeypatch):
     # The finder reads f_rhs_gt1 and f_rhs_lt1 through the module, where
     # the benchmark tracer's wrappers sit: one call per record.

@@ -209,8 +209,9 @@ def test_table_shape(consts8):
     assert consts8.gamma_bound(3).val > 0
     d = consts8.to_dict()
     assert {"order", "gammas", "etas", "lambdas"} <= set(d)
-    with pytest.raises(IndexError):
-        consts8.lam(9)
+    for n in (0, -1, 9):   # lambdas[n - 1] would read lambda_8 or lambda_7 below 1
+        with pytest.raises(ValueError, match="outside the table's orders"):
+            consts8.lam(n)
 
 
 def test_table_rounds_once_at_context_precision():

@@ -140,6 +140,12 @@ def test_hurwitz_zeta_rejects_shift_outside_unit(ctx):
         hurwitz_zeta(Fraction(3, 2), Fraction(7, 3), ctx)
 
 
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(-1, 2)])
+def test_em_log_moments_refuses_a_nonpositive_shift(ctx, a):
+    with pytest.raises(ValueError, match="shift must be positive"):
+        em_log_moments(2, a, 1, ctx)
+
+
 def test_hurwitz_zeta_near_the_pole_is_not_the_pole():
     # s = 1 + 2^-300 rounds to 1 at 192 bits; the check sees the exact s.
     ctx = PrecisionContext(bits=192)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from zeta_explicit import zeros
-from zeta_explicit.liconst import lambda_direct
+from zeta_explicit.liconst import lambda_direct, rh_statistic
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import (
     SumSpec,
@@ -24,6 +24,7 @@ from zeta_explicit.zeros import (
     load_zeros,
     sum_inv_rho,
     sum_inv_rho_sq,
+    density_tail,
     tail_estimate,
     xrho_term,
     zero_sum,
@@ -228,6 +229,28 @@ def test_reflection_skips_critical_line(ctx):
     t = _single(HALF, 7)
     v, _ = sum_inv_rho(t, SumSpec(K=1), ctx)
     assert float(v.val) == pytest.approx((2 / complex(0.5, 7.0)).real, rel=1e-12)
+
+
+def test_empty_selection_refused_before_any_tail(ctx, fixture100):
+    # T = 10 lies below the first ordinate, 14.13...
+    spec = SumSpec(T=10.0)
+    for route in (lambda: zero_sum(fixture100, spec, INV_RHO, ctx),
+                  lambda: sum_inv_rho(fixture100, spec, ctx),
+                  lambda: lambda_direct(2, fixture100, spec, ctx),
+                  lambda: rh_statistic(fixture100, spec, ctx)):
+        with pytest.raises(ValueError, match="empty selection"):
+            route()
+
+
+def test_every_tail_is_the_one_density_tail(ctx, fixture100):
+    # weight 1 for Sum 1/rho, 2 for Sum 1/|rho|^2, n^2 for lambda_n, at
+    # the last pair the sum took
+    spec = SumSpec(T=50.0)
+    count = len(spec.select(fixture100))
+    assert sum_inv_rho(fixture100, spec, ctx)[1] == density_tail(fixture100, count, 1, ctx)
+    assert sum_inv_rho_sq(fixture100, spec, ctx)[1] == density_tail(fixture100, count, 2, ctx)
+    assert rh_statistic(fixture100, spec, ctx).tail == density_tail(fixture100, count, 2, ctx)
+    assert lambda_direct(3, fixture100, spec, ctx)[1] == density_tail(fixture100, count, 9, ctx)
 
 
 def test_tail_estimate_contract(ctx):
