@@ -253,7 +253,8 @@ def _em_plan(s: float, a: Scalar, N: int, bits: int) -> tuple[int, int]:
     target = -(bits + 20) * math.log(2)
 
     def above_target(M: int) -> bool:
-        L = max(math.log(M * q + p) - math.log(q), N / c)   # log(M + a), a = p/q
+        # log(M + a) for a = p/q of any size, or the integrand's peak past it
+        L = max(math.log(M * q + p) - math.log(q), N / c)
         return base + math.log(_poly_eval(r, L)) - c * L > target
 
     cap = _EM_BUDGET // (N + 1)  # the largest admissible shift count

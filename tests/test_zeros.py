@@ -18,13 +18,13 @@ from zeta_explicit.zeros import (
     ZeroTable,
     cosine_sum,
     cosine_term,
+    density_tail,
     fixture_table,
     inv_abs_sq_term,
     inv_rho_poly_term,
     load_zeros,
     sum_inv_rho,
     sum_inv_rho_sq,
-    density_tail,
     tail_estimate,
     xrho_term,
     zero_sum,
