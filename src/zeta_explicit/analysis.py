@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import mpmath
 from mpmath import libmp, mpf
@@ -206,7 +206,7 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
 
 
 def find_zeros_gt1(lo: Rational, hi: Rational, tol: Rational,
-                   ctx: Optional[PrecisionContext] = None) -> list[RootRecord]:
+                   ctx: PrecisionContext) -> list[RootRecord]:
     """Zeros of f on [lo, hi] with 1 < lo < hi: genuine zeros bracketed
     to width <= tol inside the continuity intervals between consecutive
     prime powers, plus jump-crossing records wherever the one-sided
@@ -220,35 +220,33 @@ def find_zeros_gt1(lo: Rational, hi: Rational, tol: Rational,
     """
     if not 1 < Fraction(lo) < Fraction(hi):
         raise ValueError(f"need 1 < lo < hi, got [{lo}, {hi}]")
-    return _walk(Fraction(lo), Fraction(hi), Fraction(tol), ctx or PrecisionContext())
+    return _walk(Fraction(lo), Fraction(hi), Fraction(tol), ctx)
 
 
 def find_zeros_lt1(lo: Rational, hi: Rational, tol: Rational,
-                   ctx: Optional[PrecisionContext] = None) -> list[RootRecord]:
+                   ctx: PrecisionContext) -> list[RootRecord]:
     """Same walk on 0 < lo < hi < 1 with discontinuities at the
     reciprocal prime powers x = 1/p^k; there f' = 1/x + 1 - 1/(1 - x^2)
     vanishes only at the reciprocal of the plastic number."""
     if not 0 < Fraction(lo) < Fraction(hi) < 1:
         raise ValueError(f"need 0 < lo < hi < 1, got [{lo}, {hi}]")
-    return _walk(Fraction(lo), Fraction(hi), Fraction(tol), ctx or PrecisionContext())
+    return _walk(Fraction(lo), Fraction(hi), Fraction(tol), ctx)
 
 
 # ----------------------------------------------------------------------
 # L(1, chi_{-d}), L'(1, chi_{-d}), class numbers, Gamma product
 # ----------------------------------------------------------------------
 
-def L_one_chi(d: int, ctx: Optional[PrecisionContext] = None) -> HReal:
+def L_one_chi(d: int, ctx: PrecisionContext) -> HReal:
     """L(1, chi_{-d}) for squarefree d from dirichlet_L at s = 1, through
     the shifted Stieltjes constants."""
-    ctx = ctx or PrecisionContext()
     data = class_data(d)
     return ctx.real(dirichlet_L(1, data.D, data.chi, ctx)[0])
 
 
-def L_prime_one_chi(d: int, ctx: Optional[PrecisionContext] = None) -> HReal:
+def L_prime_one_chi(d: int, ctx: PrecisionContext) -> HReal:
     """L'(1, chi_{-d}) from dirichlet_L at s = 1, through the shifted
     Stieltjes constants."""
-    ctx = ctx or PrecisionContext()
     data = class_data(d)
     return ctx.real(dirichlet_L(1, data.D, data.chi, ctx)[1])
 
@@ -278,11 +276,10 @@ def class_number_check(d: int) -> ClassNumberCheck:
                             match=rem == 0 and data.h == h)
 
 
-def chowla_selberg_rhs(d: int, ctx: Optional[PrecisionContext] = None) -> HReal:
+def chowla_selberg_rhs(d: int, ctx: PrecisionContext) -> HReal:
     """2 pi Prod_{a=1}^{D} Gamma(a/D)^(-chi(a) w / (2h)), assembled in
     log space (the 2 pi is the exact simplification of 2D/A^2 with
     A = sqrt(D/pi))."""
-    ctx = ctx or PrecisionContext()
     data = class_data(d)
     with ctx.workprec(_GUARD):
         acc = mpf(0)
@@ -318,12 +315,10 @@ class ChowlaSelbergReport:
         }
 
 
-def chowla_selberg_check(d: int, ctx: Optional[PrecisionContext] = None
-                         ) -> ChowlaSelbergReport:
+def chowla_selberg_check(d: int, ctx: PrecisionContext) -> ChowlaSelbergReport:
     """exp(L'/L(1, chi_{-d}) - gamma) against the Gamma product, with
     the relative discrepancy |lhs/rhs - 1|; L(1) and L'(1) come from one
     dirichlet_L call and both sides are good to working precision."""
-    ctx = ctx or PrecisionContext()
     data = class_data(d)
     L1, Ld = dirichlet_L(1, data.D, data.chi, ctx)
     rhs = chowla_selberg_rhs(d, ctx)
@@ -373,7 +368,7 @@ class HypothesisScan:
         }
 
 
-def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
+def hypothesis_scan(d: int, ctx: PrecisionContext, *,
                     denominator: int = 10_000,
                     threshold: float = 1e-6) -> HypothesisScan:
     """Survey f at pi sqrt(d) k/denominator inside (0, 1), piece by piece
@@ -382,7 +377,6 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
     prime power or the turn; pieces and |f| < threshold are exact integer
     tests.  Refuses a d not a positive integer, a denominator not an integer
     >= 2 or past MAX_SIEVE at X_1, and a threshold not a finite float > 0."""
-    ctx = ctx or PrecisionContext()
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got d = {d}")
     if not isinstance(denominator, int) or denominator < 2:

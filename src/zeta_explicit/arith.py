@@ -175,10 +175,11 @@ def _root(p: int, b: int, W: int) -> int:
     return r
 
 
-def mangoldt(n: int) -> mpf:
-    """Lambda(n) at the current precision, log p read from the shared table."""
-    p, W = shared_table(n).prime_of(n), mpmath.mp.prec + _FIXED
-    return mpf((_log_at(p, W), -W)) if p else mpf(0)
+def mangoldt(n: int, ctx: PrecisionContext) -> mpf:
+    """Lambda(n) = log p to 2^-W, W = walk_width(ctx), exactly as the prime
+    walk's table holds it: an mpf not rounded to mpmath's precision."""
+    p, W = shared_table(n).prime_of(n), walk_width(ctx)
+    return mpmath.make_mpf(libmp.from_man_exp(_log_at(p, W), -W)) if p else mpf(0)
 
 
 def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
@@ -259,7 +260,7 @@ def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
     with ctx.workprec(_GUARD):
         total = _to_mpf(x) ** _to_mpf(alpha) * mpf(prime_power_sum(N, s, ctx, chi))
         if p:
-            total += _to_mpf(w) * _chi_at(chi, y.numerator) * mangoldt(p) / 2
+            total += mangoldt(p, ctx) * _chi_at(chi, y.numerator) * _to_mpf(w) / 2
     return total
 
 

@@ -5,11 +5,12 @@ Each subcommand accepts only the options its handler reads (see
 build_parser).  Conventions:
 
   * abscissas are exact rationals written p/q or as integer literals;
-    decimal literals require --inexact, which converts them to dyadic
-    rationals and nudges any value landing exactly on a prime power (or
-    reciprocal prime power) off the discontinuity, recording a note;
-    the --pf-num/--pf-roots lists are always exact; a value may start
-    with '-' (--x -3/2 reads as --x=-3/2)
+    decimal literals require --inexact, which reads them exactly and
+    nudges an abscissa (--x, --lo, --hi) landing exactly on a prime power
+    (or reciprocal prime power) off the discontinuity, recording a note;
+    --alpha and --tol take decimals as they are; the --pf-num/--pf-roots
+    lists are always exact; a value may start with '-' (--x -3/2 reads
+    as --x=-3/2)
   * --zeros names a zero-ordinate file (format per the zeros module);
     the env var ZETA_EXPLICIT_ZEROS supplies a default path, and with
     neither set the embedded 100-ordinate table is used
@@ -53,16 +54,14 @@ class _InputError(Exception):
     """Unreadable or unparsable input: exit status 2."""
 
 
-def _parse_rational(text: str, inexact: bool,
-                    notes: Optional[list] = None) -> Fraction:
-    """p/q, integer, or (with inexact) decimal literal.
+def _decimal(text: str) -> bool:
+    return "/" not in text and ("." in text or "e" in text.lower())
 
-    Inexact decimals that land exactly on an integer prime power or its
-    reciprocal are nudged by 2^-96 so the half-weighted branch never
-    fires on approximate input; the nudge is recorded in notes.
-    """
+
+def _parse_rational(text: str, inexact: bool) -> Fraction:
+    """p/q, integer, or (with inexact) decimal literal, kept exactly."""
     text = text.strip()
-    decimal = "/" not in text and ("." in text or "e" in text.lower())
+    decimal = _decimal(text)
     if decimal and not inexact:
         raise _InputError(
             f"decimal literal {text!r} is not exact: write p/q "
@@ -70,20 +69,27 @@ def _parse_rational(text: str, inexact: bool,
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(text) if decimal else Fraction(int(text))
+            return Fraction(int(num), int(den))
+        return Fraction(text) if decimal else Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"unparsable rational {text!r}: {exc}") from None
+
+
+def _abscissa(args, name: str) -> Fraction:
+    """The abscissa option --name.  A decimal that lands exactly on an
+    integer prime power or its reciprocal is nudged by 2^-96 so the
+    half-weighted branch never fires on approximate input; the nudge is
+    recorded in args.notes, which main attaches to the payload."""
+    text = getattr(args, name).strip()
+    value = _parse_rational(text, args.inexact)
     # at value = n or 1/n the lookup, past the sieve budget, raises the
     # domain error an exact abscissa meets in the prime sum
     n = value.numerator * value.denominator
-    hit = decimal and n > 1 and 1 in (value.numerator, value.denominator)
+    hit = _decimal(text) and n > 1 and 1 in (value.numerator, value.denominator)
     if hit and shared_table(n).is_prime_power(n):
         value += Fraction(1, 2 ** 96)
-        if notes is not None:
-            notes.append(f"inexact input {text} nudged off the "
-                         f"prime-power discontinuity by 2^-96")
+        args.notes.append(f"inexact input {text} nudged off the "
+                          f"prime-power discontinuity by 2^-96")
     return value
 
 
@@ -95,7 +101,7 @@ def _selection(args, ctx: PrecisionContext,
         if label != "zeta":
             raise _InputError(f"{label} zeros need a zero file, --zeros or "
                               f"${ENV_ZEROS}: the embedded table holds zeta zeros")
-        table = fixture_table(ctx)
+        table = fixture_table()
     elif not os.path.exists(path):
         raise _InputError(f"zero file not found: {path}")
     else:
@@ -136,8 +142,7 @@ def _resolve_descriptor(name: str, ctx: PrecisionContext):
 # ----------------------------------------------------------------------
 
 def _cmd_eval_f(args, ctx: PrecisionContext) -> dict:
-    notes: list = []
-    x = _parse_rational(args.x, args.inexact, notes)
+    x = _abscissa(args, "x")
     if x <= 0 or x == 1:
         raise ValueError(f"x must be positive and != 1, got {x}")
     if x > 1:
@@ -146,11 +151,8 @@ def _cmd_eval_f(args, ctx: PrecisionContext) -> dict:
     else:
         value = explicit.f_rhs_lt1(x, ctx)
         side = "lt1"
-    payload = {"command": "eval-f", "x": str(x), "side": side,
-               "value": value.str_digits(args.digits)}
-    if notes:
-        payload["notes"] = notes
-    return payload
+    return {"command": "eval-f", "x": str(x), "side": side,
+            "value": value.str_digits(args.digits)}
 
 
 def _cmd_verify(args, ctx: PrecisionContext) -> dict:
@@ -161,8 +163,7 @@ def _cmd_verify(args, ctx: PrecisionContext) -> dict:
         if getattr(args, name.replace("-", "_")) is not None and owner != family]
     if ignored:
         raise _InputError(f"{args.identity} takes no {', '.join(ignored)}")
-    notes: list = []
-    x = _parse_rational(args.x, args.inexact, notes)
+    x = _abscissa(args, "x")
     pf = alpha = F = None
     if family == "general":
         if not args.pf_roots:
@@ -173,21 +174,16 @@ def _cmd_verify(args, ctx: PrecisionContext) -> dict:
     if family == "selberg":
         if args.alpha is None:
             raise _InputError(f"{args.identity} requires --alpha")
-        alpha = _parse_rational(args.alpha, args.inexact, notes)
+        alpha = _parse_rational(args.alpha, args.inexact)
         F = _resolve_descriptor(args.descriptor or "zeta", ctx)
     table, spec = _selection(args, ctx, F.label if F else "zeta")
     report = explicit.verify_identity(args.identity, x, table, spec, ctx,
                                       pf=pf, alpha=alpha, F=F)
-    payload = {"command": "verify", **report.to_dict()}
-    if notes:
-        payload["notes"] = notes
-    return payload
+    return {"command": "verify", **report.to_dict()}
 
 
 def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
-    notes: list = []
-    lo = _parse_rational(args.lo, args.inexact, notes)
-    hi = _parse_rational(args.hi, args.inexact, notes)
+    lo, hi = _abscissa(args, "lo"), _abscissa(args, "hi")
     tol = _parse_rational(args.tol, args.inexact)
     if lo > 1:
         side = "gt1"
@@ -197,7 +193,7 @@ def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
         raise ValueError(f"window [{lo}, {hi}] must lie on one side of 1")
     finder = analysis.find_zeros_gt1 if side == "gt1" else analysis.find_zeros_lt1
     records = finder(lo, hi, tol, ctx)
-    payload = {
+    return {
         "command": "find-zeros",
         "side": side,
         "window": [str(lo), str(hi)],
@@ -206,9 +202,6 @@ def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
         "jumps": sum(1 for r in records if r.kind == analysis.JUMP),
         "records": [r.to_dict() for r in records],
     }
-    if notes:
-        payload["notes"] = notes
-    return payload
 
 
 def _cmd_li(args, ctx: PrecisionContext) -> dict:
@@ -236,7 +229,7 @@ def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
     if args.table:
         consts = liconst.build_stieltjes_table(args.n, ctx, args.eps)
         return {"command": "stieltjes", **consts.to_dict()}
-    value, bound = liconst.stieltjes(args.n, args.eps, ctx)
+    value, bound = liconst.stieltjes(args.n, ctx, args.eps)
     return {"command": "stieltjes", "n": args.n,
             "gamma_n": value.str_digits(args.digits),
             "bound": bound.str_digits(5)}
@@ -272,17 +265,14 @@ def _cmd_sum(args, ctx: PrecisionContext) -> dict:
         with ctx.workprec():
             payload["corrected"] = ctx.real(value.val + tail.val).str_digits(args.digits)
     else:  # xrho-over-rho
-        notes: list = []
         if args.x is None:
             raise _InputError("--term xrho-over-rho requires --x")
-        x = _parse_rational(args.x, args.inexact, notes)
+        x = _abscissa(args, "x")
         if x <= 0 or x == 1:
             raise ValueError(f"x must be positive and != 1, got {x}")
         value, _ = zero_sum(table, spec, xrho_term(x, (0,), (1,)), ctx)
         payload["x"] = str(x)
         payload["value"] = value.str_digits(args.digits)
-        if notes:
-            payload["notes"] = notes
     return payload
 
 
@@ -377,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pair count cutoff")
     inexact = argparse.ArgumentParser(add_help=False)
     inexact.add_argument("--inexact", action="store_true",
-                         help="accept decimal abscissas (dyadic conversion; "
-                              "prime-power branches disabled by nudge)")
+                         help="accept decimal values (abscissas on a "
+                              "prime-power branch are nudged off it)")
     digits = argparse.ArgumentParser(add_help=False)
     digits.add_argument("--digits", type=_digits, default=25,
                         help="decimal digits printed for values")
@@ -463,6 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return EXIT_IO if exc.code not in (0, None) else EXIT_OK
 
+    args.notes = []   # filled by _abscissa
     try:
         ctx = PrecisionContext(bits=args.bits)
         payload = _HANDLERS[args.command](args, ctx)
@@ -472,6 +463,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.notes:
+        payload["notes"] = args.notes
     sys.stdout.write(_render(payload, args.fmt or "human"))
     return EXIT_OK
 

@@ -83,7 +83,7 @@ from .zeros import (
     SumSpec,
     ZeroTable,
     cosine_term,
-    tail_estimate,
+    density_tail,
     xrho_term,
     zero_sum,
 )
@@ -728,8 +728,9 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
     lhs, residual = residual_at(zs)
     tail: Optional[HReal] = None
     trend: Optional[dict] = None
-    if identity == "s":
-        tail = tail_estimate(Fraction(table.ordinates[terms - 1], table.scale), 2, x, ctx)
+    if identity == "s":  # a pair adds at most 2 sqrt(x)/gamma^2; safety factor 2
+        with ctx.workprec(_GUARD):
+            tail = density_tail(table, terms, 4 * mpmath.sqrt(_to_mpf(x)), ctx)
     else:
         trend = {
             "pairs_half": half,

@@ -91,12 +91,11 @@ def stieltjes_shifted(n: int, a: Union[Fraction, int], ctx: PrecisionContext,
     return value, bound
 
 
-def stieltjes(n: int, eps: Optional[float] = None,
-              ctx: Optional[PrecisionContext] = None) -> tuple[HReal, HReal]:
+def stieltjes(n: int, ctx: PrecisionContext,
+              eps: Optional[float] = None) -> tuple[HReal, HReal]:
     """gamma_n with certified error <= eps (when given), by
     Euler-Maclaurin acceleration of the defining limit
     Sum_{k<=m} log^n(k)/k - log^(n+1)(m)/(n+1)."""
-    ctx = ctx or PrecisionContext()
     return stieltjes_shifted(n, Fraction(1), ctx, eps)
 
 
@@ -104,7 +103,7 @@ def stieltjes(n: int, eps: Optional[float] = None,
 # Eta coefficients by power-series division
 # ----------------------------------------------------------------------
 
-def eta_from_gamma(gammas: Sequence[HReal], ctx: Optional[PrecisionContext] = None
+def eta_from_gamma(gammas: Sequence[HReal], ctx: PrecisionContext
                    ) -> tuple[HReal, ...]:
     """eta_0..eta_{G-1} from gamma_0..gamma_G (G >= 1) by one power-series
     division around s = 1.  Multiplying -zeta' by (s-1)^2 and zeta by
@@ -119,7 +118,6 @@ def eta_from_gamma(gammas: Sequence[HReal], ctx: Optional[PrecisionContext] = No
     """
     if len(gammas) < 2:
         raise ValueError("need gamma through order >= 1")
-    ctx = ctx or gammas[0].ctx
     G = len(gammas) - 1
     with ctx.workprec(_GUARD):
         num = [mpf(1), mpf(0)]
@@ -195,7 +193,7 @@ def li_lambda_identity(n: int, table: StieltjesTable,
     return table.lam(n)
 
 
-def build_stieltjes_table(N: int, ctx: Optional[PrecisionContext] = None,
+def build_stieltjes_table(N: int, ctx: PrecisionContext,
                           eps: Optional[float] = None) -> StieltjesTable:
     """gammas through N+1 from one Euler-Maclaurin pass, etas through N by
     eta_from_gamma, then S1(n), S2(n) and
@@ -209,7 +207,6 @@ def build_stieltjes_table(N: int, ctx: Optional[PrecisionContext] = None,
     if N < 1:
         raise ValueError(f"table order must be >= 1, got {N}")
     _refuse_eps(eps)
-    ctx = ctx or PrecisionContext()
     wide = PrecisionContext(ctx.bits + _GUARD + N)
     raw = em_log_moments(1, 1, N + 1, wide)
     with wide.workprec(_GUARD):
@@ -238,8 +235,7 @@ def build_stieltjes_table(N: int, ctx: Optional[PrecisionContext] = None,
 
 
 def lambda_direct(n: int, table: ZeroTable, spec: SumSpec,
-                  ctx: Optional[PrecisionContext] = None
-                  ) -> tuple[HReal, HReal]:
+                  ctx: PrecisionContext) -> tuple[HReal, HReal]:
     """lambda_n by its defining truncated zero sum
     Sum over pairs of (1 - (1 - 1/rho)^n), plus the tail correction
     n^2 * Integral_T t^(-2) dN(t): an omitted critical-line pair
@@ -251,7 +247,6 @@ def lambda_direct(n: int, table: ZeroTable, spec: SumSpec,
     at n = 1 it is 1/rho, bit-identical to sum_inv_rho."""
     if n < 1:
         raise ValueError(f"lambda_n needs n >= 1, got {n}")
-    ctx = ctx or PrecisionContext()
     coeffs = [0] + [(-1) ** (k + 1) * math.comb(n, k) for k in range(1, n + 1)]
     value, count = zero_sum(table, spec, inv_rho_poly_term(coeffs), ctx)
     return value, density_tail(table, count, n * n, ctx)
@@ -293,15 +288,13 @@ class RHStatReport:
         }
 
 
-def rh_statistic(table: ZeroTable, spec: SumSpec,
-                 ctx: Optional[PrecisionContext] = None,
+def rh_statistic(table: ZeroTable, spec: SumSpec, ctx: PrecisionContext,
                  tolerance: Optional[float] = None) -> RHStatReport:
     """Signed discrepancy of (Sum 1/|rho|^2 + tail) against the constant
     2 + gamma - log 4pi; within_tolerance uses the tail correction
     itself as the allowance unless a tolerance (finite, >= 0) is given."""
     if tolerance is not None and not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got tolerance = {tolerance!r}")
-    ctx = ctx or PrecisionContext()
     (value, inv_rho), pairs = zero_sum(
         table, spec, (inv_abs_sq_term(), xrho_term(1, (0,), (1,))), ctx)
     tail = density_tail(table, pairs, 2, ctx)

@@ -37,7 +37,7 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf, mpc
-from mpmath.libmp import from_int, from_rational, mpf_log, to_fixed, to_rational
+from mpmath.libmp import from_int, from_rational, mpf_log, prec_to_dps, to_fixed, to_rational
 from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
 Scalar = Union[int, float, Fraction, "HReal", mpf]
@@ -152,7 +152,7 @@ class HReal:
         """The value to digits significant digits, capped at one digit
         fewer than the context holds so that the last-bit error does not
         reach the last printed digit."""
-        cap = mpmath.libmp.prec_to_dps(self.ctx.bits) - 1
+        cap = prec_to_dps(self.ctx.bits) - 1
         return mpmath.nstr(self.val, min(digits, cap))
 
 

@@ -34,7 +34,7 @@ import mpmath
 from mpmath import mpf
 from mpmath.libmp import from_man_exp, to_fixed
 
-from .mpcore import _GUARD, HReal, PrecisionContext, _exact
+from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf
 
 _HALF = Fraction(1, 2)
 
@@ -208,11 +208,10 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
                      entry_precision=precision)
 
 
-def fixture_table(ctx: Optional[PrecisionContext] = None) -> ZeroTable:
-    """The embedded 100-ordinate smoke-test table; ctx is unused."""
+def fixture_table() -> ZeroTable:
+    """The embedded 100-ordinate smoke-test table."""
     with open(FIXTURE_PATH, "rb") as fh:
-        return load_zeros(fh, "plain", label="zeta",
-                          source_name=FIXTURE_PATH, ctx=ctx)
+        return load_zeros(fh, "plain", label="zeta", source_name=FIXTURE_PATH)
 
 
 # ----------------------------------------------------------------------
@@ -276,10 +275,6 @@ def _fixed(q: Fraction, F: int) -> int:
     return (q.numerator << F) // q.denominator
 
 
-def _mpq(q: Fraction) -> mpf:
-    return mpf(q.numerator) / q.denominator
-
-
 @cache
 def _turns(W: int) -> tuple:
     """Process-wide phase data at width W: e^(i j/256) for the 1,609 j of
@@ -325,7 +320,7 @@ def _phase(x: Fraction, table: ZeroTable, F: int):
     logx = abs(math.log(x.numerator) - math.log(x.denominator))
     P = W + (table.ordinates[-1] * (math.ceil(logx) + 1)).bit_length() + 4
     with mpmath.workprec(2 * P):
-        LX = to_fixed((mpmath.log(_mpq(x)) / table.scale)._mpf_, P)
+        LX = to_fixed((mpmath.log(_to_mpf(x)) / table.scale)._mpf_, P)
         TP = to_fixed((2 * mpmath.pi)._mpf_, P)
     one, W2, US = 1 << W, 2 * W - F, W - 16 * (1 + len(finer))
 
@@ -394,7 +389,7 @@ def _bind(term: Term, real: tuple, F: int, slot: int):
     if term.kind == "xrho":  # below 1, x^beta > x: extra bits keep 2^-F relative
         e = F + (math.ceil(1 / term.x).bit_length() if term.x < 1 else 0)
         with mpmath.workprec(e + 16):
-            X = [to_fixed(mpmath.power(_mpq(term.x), _mpq(b))._mpf_, e) for b in real]
+            X = [to_fixed(mpmath.power(_to_mpf(term.x), _to_mpf(b))._mpf_, e) for b in real]
 
     def f(k: int, G: int, GG: int, E) -> int:
         c, s = E[slot]
@@ -407,8 +402,7 @@ def _bind(term: Term, real: tuple, F: int, slot: int):
 
 
 def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
-             ctx: Optional[PrecisionContext] = None,
-             cuts: Optional[Sequence[int]] = None) -> tuple:
+             ctx: PrecisionContext, cuts: Optional[Sequence[int]] = None) -> tuple:
     """Paired sum over the selected pairs of 2 Re term(rho), each
     off-line entry adding its reflection 1 - rho-bar, in one pass.
 
@@ -422,7 +416,6 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
     Terms summed together.  Returns (values, pairs): values mirrors term,
     each entry an HReal, or with cuts a tuple with one per cut.
     """
-    ctx = ctx or PrecisionContext()
     count = len(spec.select(table))
     if count == 0:
         raise ValueError("empty selection: truncation excludes every zero pair")
@@ -459,45 +452,18 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
 # Tail estimates
 # ----------------------------------------------------------------------
 
-def _density_integral(T: mpf, p: mpf) -> mpf:
-    """(1/2pi) Integral_T^inf t^(-p) log(t/2pi) dt for p > 1, equal to
-    (1/2pi) [ log(T/2pi) / ((p-1) T^(p-1)) + 1 / ((p-1)^2 T^(p-1)) ]."""
-    twopi = 2 * mpmath.pi
-    Tp = T ** (p - 1)
-    return (mpmath.log(T / twopi) / ((p - 1) * Tp)
-            + 1 / ((p - 1) ** 2 * Tp)) / twopi
-
-
-def tail_estimate(T: Union[float, Fraction], p: float, x: Union[float, Fraction],
-                  ctx: Optional[PrecisionContext] = None) -> Optional[HReal]:
-    """Heuristic bound for the zero-sum mass above height T when each
-    pair contributes at most 2 x^(1/2) / gamma^p:
-
-        2 x^(1/2) * Integral_T^inf t^(-p) dN(t),  dN ~ (1/2pi) log(t/2pi) dt,
-
-    multiplied by a safety factor 2 for the density approximation.
-    Returns None (no-bound marker) for p < 2, the conditionally
-    convergent regime where no bound is claimed.
-    """
-    ctx = ctx or PrecisionContext()
-    if p < 2:
-        return None
-    with ctx.workprec(_GUARD):
-        Tv = ctx.mpf(T)
-        if Tv <= 2 * mpmath.pi:
-            raise ValueError("tail estimate requires T > 2 pi")
-        est = 2 * mpmath.sqrt(ctx.mpf(x)) * _density_integral(Tv, ctx.mpf(p)) * 2
-    return ctx.real(est)
-
-
-def density_tail(table: ZeroTable, count: int, weight: int,
+def density_tail(table: ZeroTable, count: int, weight: Union[int, mpf],
                  ctx: PrecisionContext) -> HReal:
     """weight (1/2pi) Integral_T^inf t^(-2) log(t/2pi) dt, T the count-th
-    ordinate: the density estimate of what pairs of size weight/gamma^2
-    above the first count pairs add.  A correction, not a bound."""
+    ordinate, equal to weight (log(T/2pi) + 1) / (2pi T): the density
+    estimate of what pairs of size weight/gamma^2 above the first count
+    pairs add.  A correction, not a bound.  Refuses T <= 2pi, where the
+    density (1/2pi) log(t/2pi) is not yet positive."""
     with ctx.workprec(_GUARD):
-        T = mpf(table.ordinates[count - 1]) / table.scale
-        return ctx.real(weight * _density_integral(T, mpf(2)))
+        T, twopi = mpf(table.ordinates[count - 1]) / table.scale, 2 * mpmath.pi
+        if T <= twopi:
+            raise ValueError(f"density tail needs T > 2 pi, got T = {mpmath.nstr(T, 6)}")
+        return ctx.real(weight * ((mpmath.log(T / twopi) / T + 1 / T) / twopi))
 
 
 # ----------------------------------------------------------------------
@@ -505,7 +471,7 @@ def density_tail(table: ZeroTable, count: int, weight: int,
 # ----------------------------------------------------------------------
 
 def sum_inv_rho(table: ZeroTable, spec: SumSpec,
-                ctx: Optional[PrecisionContext] = None) -> tuple[HReal, HReal]:
+                ctx: PrecisionContext) -> tuple[HReal, HReal]:
     """Truncated Sum 1/rho (pairs combine to 2 beta/|rho|^2) plus its
     tailored tail estimate Integral_T^inf t^(-2) dN(t); value + tail
     approximates the target constant 1 + gamma/2 - log(4 pi)/2.
@@ -515,24 +481,22 @@ def sum_inv_rho(table: ZeroTable, spec: SumSpec,
     and on critical-line tables each missing pair contributes
     2 beta/|rho|^2 = 1/|rho|^2, matching the integrand t^(-2) exactly.
     """
-    ctx = ctx or PrecisionContext()
     value, count = zero_sum(table, spec, xrho_term(1, (0,), (1,)), ctx)
     return value, density_tail(table, count, 1, ctx)
 
 
 def sum_inv_rho_sq(table: ZeroTable, spec: SumSpec,
-                   ctx: Optional[PrecisionContext] = None) -> tuple[HReal, HReal]:
+                   ctx: PrecisionContext) -> tuple[HReal, HReal]:
     """Truncated Sum 1/|rho|^2 (each pair contributes 2/|rho|^2) plus
     the doubled density-integral tail; value + tail approximates
     2 + gamma - log 4 pi (twice the Sum 1/rho constant when every zero
     sits on the critical line)."""
-    ctx = ctx or PrecisionContext()
     value, count = zero_sum(table, spec, inv_abs_sq_term(), ctx)
     return value, density_tail(table, count, 2, ctx)
 
 
 def cosine_sum(x, table: ZeroTable, spec: SumSpec,
-               ctx: Optional[PrecisionContext] = None) -> HReal:
+               ctx: PrecisionContext) -> HReal:
     """Sum over pairs of 2 cos(gamma log x) / (1/4 + gamma^2), the
     critical-line pairing of x^rho x^(-1/2); requires every beta = 1/2
     and x >= 1."""

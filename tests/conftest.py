@@ -21,7 +21,7 @@ def ctx():
 
 @pytest.fixture(scope="session")
 def fixture100(ctx):
-    return fixture_table(ctx)
+    return fixture_table()
 
 
 @pytest.fixture(scope="session")

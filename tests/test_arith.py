@@ -71,8 +71,8 @@ def test_sieve_queries(ctx):
     assert t.is_prime_power(9)
     assert not t.is_prime_power(1)
     with ctx.workprec(16):
-        assert abs(mangoldt(49) - mpmath.log(7)) < mpmath.mpf(2) ** (-180)
-    assert mangoldt(10) == 0
+        assert abs(mangoldt(49, ctx) - mpmath.log(7)) < mpmath.mpf(2) ** (-180)
+    assert mangoldt(10, ctx) == 0
     with pytest.raises(ValueError):
         mangoldt_sieve(100).prime_of(101)
     for N in (0, arith.MAX_SIEVE + 1):   # refused before any allocation
@@ -405,6 +405,21 @@ def test_checkpointed_sums_do_not_depend_on_history(monkeypatch, s, d):
             assert grown == fresh, (order, logs_from)
 
 
+@pytest.mark.parametrize("bits", [128, 192, 1024])
+def test_mangoldt_reads_its_width_from_the_context(bits):
+    # Lambda(n) = log p to 2^-W at the walk's width, whatever precision
+    # mpmath holds when it is called
+    ctx = PrecisionContext(bits=bits)
+    W = arith.walk_width(ctx)
+    got = set()
+    for prec in (53, bits, 2 * W):
+        with mpmath.workprec(prec):
+            got.add(mangoldt(7 ** 3, ctx)._mpf_)
+    value, = got
+    with mpmath.workprec(2 * W):
+        assert abs(mpmath.mpf(value) - mpmath.log(7)) < mpmath.mpf(2) ** -W
+
+
 @pytest.mark.parametrize("s", [Fraction(0), Fraction(1), Fraction(2, 5), Fraction(-3, 7)])
 def test_log_table_stops_at_its_limit(monkeypatch, s):
     # A sum and a Lambda(n) across the limit: logs above it are taken per
@@ -419,7 +434,7 @@ def test_log_table_stops_at_its_limit(monkeypatch, s):
     monkeypatch.setattr(arith, "_logs", {})
     got = weighted_sum(x, s, ctx)
     with ctx.workprec(32):
-        assert abs(mangoldt(503 ** 2) - mpmath.log(503)) < mpmath.mpf(2) ** (-216)
+        assert abs(mangoldt(503 ** 2, ctx) - mpmath.log(503)) < mpmath.mpf(2) ** (-216)
     logs, = arith._logs.values()
     assert list(logs) == [p for p in range(2, 501) if _prime_power_base(p) == p]
     assert got == kept

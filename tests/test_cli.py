@@ -62,6 +62,31 @@ def test_inexact_nudges_prime_power(capsys):
     assert any("nudged" in note for note in payload["notes"])
 
 
+def test_inexact_nudges_abscissas_only(capsys, monkeypatch):
+    # --alpha 0.5 and --tol 0.5 sit on 1/2 as written: only --x, --lo and
+    # --hi are abscissas; alpha = 1/2 + 2^-96 would set f_u a 2^97-term
+    # root-of-unity sum
+    seen = {}
+
+    def capture(name):
+        def stop(*a, **k):
+            seen[name] = (a, k)
+            raise ValueError("captured")
+        return stop
+    monkeypatch.setattr(explicit, "verify_identity", capture("verify"))
+    monkeypatch.setattr(analysis, "find_zeros_gt1", capture("find"))
+    code, _, _ = run(capsys, "verify", "--identity", "selberg-gt1", "--x", "5/2",
+                     "--alpha", "0.5", "--inexact", "--K", "10")
+    assert code == EXIT_DOMAIN
+    assert seen["verify"][1]["alpha"] == Fraction(1, 2)
+    code, _, _ = run(capsys, "find-zeros", "--lo", "2.0", "--hi", "3.0",
+                     "--tol", "0.5", "--inexact")
+    assert code == EXIT_DOMAIN
+    lo, hi, tol, _ = seen["find"][0]
+    assert (lo, hi, tol) == (2 + Fraction(1, 2 ** 96), 3 + Fraction(1, 2 ** 96),
+                             Fraction(1, 2))
+
+
 @pytest.mark.parametrize("x", ["1e11", "100000000000"])
 def test_abscissa_past_sieve_budget_is_domain_error(capsys, x):
     # the inexact decimal and the exact integer meet the same refusal
@@ -189,6 +214,17 @@ def test_verify_s_reports_its_tail_estimate(capsys, fixture100):
     assert "trend" not in payload
     assert payload["tail_estimate"] == report["tail_estimate"]
     assert float(payload["residual"]) <= float(payload["tail_estimate"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["rh-check"], ["li", "--n", "2"], ["sum", "--term", "inv-rho"],
+    ["sum", "--term", "inv-rho-sq"], ["verify", "--identity", "s", "--x", "4"]])
+def test_every_tail_refuses_a_last_height_below_2pi(capsys, argv):
+    # the chi_{-4} table's first ordinate is 6.02 < 2 pi
+    table_path = Path(zeros.__file__).parent / "data" / "dirichlet4_zeros_10.txt"
+    code, out, err = run(capsys, *argv, "--zeros", str(table_path), "--K", "1")
+    assert code == EXIT_DOMAIN
+    assert out == "" and "T > 2 pi" in err
 
 
 def test_verify_unknown_identity(capsys):

@@ -296,7 +296,7 @@ def test_lambda_identity_direct_consistency(n):
     # scale; 1e-3 is far above the observed gaps yet far below lambda_n.
     ctx = PrecisionContext(bits=192)
     from zeta_explicit.zeros import fixture_table
-    table = fixture_table(ctx)
+    table = fixture_table()
     consts = build_stieltjes_table(8, ctx)
     direct, tail = lambda_direct(n, table, SumSpec(K=100), ctx)
     with ctx.workprec(16):

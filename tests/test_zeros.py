@@ -11,8 +11,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from zeta_explicit import zeros
+from zeta_explicit.explicit import verify_identity
 from zeta_explicit.liconst import lambda_direct, rh_statistic
-from zeta_explicit.mpcore import PrecisionContext
+from zeta_explicit.mpcore import _GUARD, PrecisionContext
 from zeta_explicit.zeros import (
     SumSpec,
     ZeroTable,
@@ -25,7 +26,6 @@ from zeta_explicit.zeros import (
     load_zeros,
     sum_inv_rho,
     sum_inv_rho_sq,
-    tail_estimate,
     xrho_term,
     zero_sum,
 )
@@ -198,7 +198,7 @@ def test_zero_sum_hand_oracle(ctx, fixture100):
        st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=4))
 def test_zero_sum_prefix_consistency(k, cuts):
     ctx = PrecisionContext(bits=192)
-    table = fixture_table(ctx)
+    table = fixture_table()
     full, _ = zero_sum(table, SumSpec(K=k), INV_RHO, ctx)
     head = _prefix(table, k)
     part, _ = zero_sum(head, SumSpec(K=k), INV_RHO, ctx)
@@ -243,22 +243,33 @@ def test_empty_selection_refused_before_any_tail(ctx, fixture100):
 
 
 def test_every_tail_is_the_one_density_tail(ctx, fixture100):
-    # weight 1 for Sum 1/rho, 2 for Sum 1/|rho|^2, n^2 for lambda_n, at
-    # the last pair the sum took
+    # weight 1 for Sum 1/rho, 2 for Sum 1/|rho|^2, n^2 for lambda_n and
+    # 4 sqrt(x) for the s identity, at the last pair the sum took
     spec = SumSpec(T=50.0)
     count = len(spec.select(fixture100))
+    with ctx.workprec(_GUARD):
+        s_weight = 4 * mpmath.sqrt(mpmath.mpf(21) / 2)
     assert sum_inv_rho(fixture100, spec, ctx)[1] == density_tail(fixture100, count, 1, ctx)
     assert sum_inv_rho_sq(fixture100, spec, ctx)[1] == density_tail(fixture100, count, 2, ctx)
     assert rh_statistic(fixture100, spec, ctx).tail == density_tail(fixture100, count, 2, ctx)
     assert lambda_direct(3, fixture100, spec, ctx)[1] == density_tail(fixture100, count, 9, ctx)
+    assert verify_identity("s", Fraction(21, 2), fixture100, spec, ctx).tail \
+        == density_tail(fixture100, count, s_weight, ctx)
 
 
-def test_tail_estimate_contract(ctx):
-    te = tail_estimate(1000.0, 2, 4, ctx)
-    assert te.str_digits(15) == "0.00772840897197406"
-    assert tail_estimate(1000.0, 1.5, 4, ctx) is None
-    with pytest.raises(ValueError):
-        tail_estimate(5.0, 2, 4, ctx)
+def test_density_tail_value_and_refusal(ctx):
+    # weight (1/2pi) Integral_T^inf t^-2 log(t/2pi) dt at T = 1000: the
+    # closed form against quadrature, and at weight 8 = 4 sqrt(4) the
+    # value the s identity reports at x = 4
+    at = _single(HALF, 1000)
+    with mpmath.workprec(ctx.bits + 32):
+        quad = mpmath.quad(lambda t: mpmath.log(t / (2 * mpmath.pi)) / t ** 2,
+                           [1000, mpmath.inf]) / (2 * mpmath.pi)
+    assert abs(density_tail(at, 1, 1, ctx).val - quad) < mpmath.mpf(2) ** -180 * quad
+    assert density_tail(at, 1, 8, ctx).str_digits(15) == "0.00772840897197406"
+    # one rule for every tail: T > 2 pi, where the density turns positive
+    with pytest.raises(ValueError, match="T > 2 pi"):
+        density_tail(_single(HALF, 6), 1, 1, ctx)
 
 
 def test_cosine_sum_requires_critical_line(ctx):
@@ -306,7 +317,7 @@ def _synthetic_offline(ctx):
 def _binary(ctx):
     """The first 40 fixture ordinates rounded to bits + 32 binary digits:
     dyadic values over one power of two."""
-    t = fixture_table(ctx)
+    t = fixture_table()
     with mpmath.workprec(ctx.bits + 32):
         parts = [(mpmath.mpf(n) / t.scale).man_exp for n in t.ordinates[:40]]
     k = max(-e for _, e in parts)
@@ -315,7 +326,7 @@ def _binary(ctx):
                      real_parts=t.real_parts[:40], source="binary", entry_precision=0)
 
 
-TABLES = {"fixture100": fixture_table, "offline": _synthetic_offline,
+TABLES = {"fixture100": lambda ctx: fixture_table(), "offline": _synthetic_offline,
           "binary": _binary}
 TERMS = {
     "xrho_over_rho_gt1": xrho_term(Fraction(21, 2), (0,), (1,)),
