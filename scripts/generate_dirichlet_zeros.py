@@ -58,6 +58,7 @@ def main() -> int:
             print(f"  zero {len(roots):2d}: {mpmath.nstr(root, 20)}")
         prev_t, prev_v = t, v
     with open(OUT, "w", encoding="utf-8") as fh:
+        fh.write("# label: dirichlet-4\n")
         fh.write("# critical-line ordinates of the conductor-4 odd real"
                  " character L-function\n")
         fh.write(f"# first {COUNT} sign changes of the completed function,"

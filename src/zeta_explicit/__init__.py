@@ -37,7 +37,6 @@ from .liconst import (
     stieltjes,
 )
 from .mpcore import (
-    HComplex,
     HReal,
     PrecisionContext,
     hurwitz_zeta,
@@ -55,7 +54,6 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HComplex",
     "HReal",
     "PrecisionContext",
     "SumSpec",

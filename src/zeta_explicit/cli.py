@@ -15,8 +15,9 @@ build_parser).  Conventions:
     the env var ZETA_EXPLICIT_ZEROS supplies a default path, and with
     neither set the embedded 100-ordinate table is used
   * verify --descriptor is zeta, or chi-d for L(s, chi_{-d}) with d
-    squarefree (chi-1 is chi_{-4}); the zero table is read under the
-    descriptor's label (zeta or dirichlet-D), so chi-d needs a zero file;
+    squarefree (chi-1 is chi_{-4}); the zero table must carry the
+    descriptor's label (zeta or dirichlet-D), which a file names in a
+    "# label:" line (none: zeta), else verify exits 1; chi-d needs a file;
     --descriptor and --alpha are refused outside selberg-*, and
     --pf-num/--pf-roots outside general-*
   * --T/--K pick the truncation (at most one; default: every pair)
@@ -95,7 +96,7 @@ def _abscissa(args, name: str) -> Fraction:
 
 def _selection(args, ctx: PrecisionContext,
                label: str = "zeta") -> tuple[ZeroTable, SumSpec]:
-    """The zero table, read under label, and the truncation --T/--K picks."""
+    """The zero table, labelled by its file, and the truncation --T/--K picks."""
     path = args.zeros or os.environ.get(ENV_ZEROS)
     if not path:
         if label != "zeta":
@@ -107,7 +108,7 @@ def _selection(args, ctx: PrecisionContext,
     else:
         try:
             fmt = "csv" if path.endswith(".csv") else "plain"
-            table = load_zeros(path, fmt, label=label, ctx=ctx)
+            table = load_zeros(path, fmt, ctx=ctx)
         except ValueError as exc:
             raise _InputError(f"cannot parse zero file {path}: {exc}") from None
     if args.T is not None and args.K is not None:

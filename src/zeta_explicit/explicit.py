@@ -43,9 +43,9 @@ psi0_alpha, T_sum, selberg_psi0 and selberg_T all read
 arith.weighted_sum, the descriptor ones with F's character table, so
 all run through the one loop arith.prime_power_sum.
 
-The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u) is evaluated through a
-roots-of-unity closed form DERIVED AND VALIDATED against the defining
-series (see f_u_closed).
+The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u), at real z in [0, 1)
+and rational u, is real fixed point (f_u_closed): the series itself, or
+Lerch's expansion about z = 1.
 
 Two corrections relative to the classical displays these formulas come
 from, both forced by requiring residuals against zero sums to vanish as
@@ -63,7 +63,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import mpmath
-from mpmath import libmp, mpf, mpc
+from mpmath import libmp, mpf
 
 from .arith import (
     psi0 as arith_psi0,
@@ -73,10 +73,11 @@ from .arith import (
 )
 from .mpcore import (
     _GUARD,
-    HComplex,
     HReal,
     PrecisionContext,
+    _exact,
     _to_mpf,
+    bernoulli,
     em_log_moments,
 )
 from .zeros import (
@@ -170,90 +171,101 @@ def dirichlet_log_deriv(s: Rational, q: int, chi: Sequence[int],
 # The auxiliary series f_u(z) = Sum_{n>=1} z^n / (n+u)
 # ----------------------------------------------------------------------
 
-def f_u_series(u: Union[Rational, float], z, ctx: PrecisionContext) -> HComplex:
-    """Direct summation of Sum_{n>=1} z^n/(n+u) for |z| < 1; the oracle
-    every closed form is validated against, and the fallback for
-    irrational u."""
+TAU0 = 1 / 20   # f_u_closed's branch point in tau = -log z; see there
+
+
+def _f_u_series(u: Fraction, z: Fraction, W: int) -> int:
+    """S = Sum_{n>=1} floor(b P_(n-1)/(bn + a)), u = a/b, P_0 = 2^W and
+    P_n = floor(P_(n-1) z), until P = 0: f_u(z) = z S 2^-W.  z enters exactly,
+    so a step multiplies by its numerator and divides by its denominator,
+    not by a W-bit z.  P_n is below 2^W z^n by less than min(n, 1/(1-z))
+    units of 2^-W, so S errs by less than N (1 + 1/((1-z) d)) + 1/((1-z)^2 d)
+    units over its N terms and the rest (z^N < 2^-W/(1-z)), d = min |n + u|."""
+    a, b = u.numerator, u.denominator
+    zn, zd = z.numerator, z.denominator
+    P, S, c = 1 << W, 0, b + a
+    while P:
+        S += b * P // c
+        P = P * zn // zd
+        c += b
+    return S
+
+
+def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
+    """f_u(z) = e^(u tau) [-gamma - log tau - psi(a) - Sum_{k>=1} B_k(a)(-tau)^k/(k k!)],
+    tau = -log z < 2 pi, a = 1 + u: the s -> 1 limit of Lerch's
+    Phi(z, s, a) = z^(-a) [Gamma(1-s) tau^(s-1) + Sum_k zeta(s-k, a)(-tau)^k/k!]
+    (Erdelyi et al., Higher Transcendental Functions I, 1953, 1.11), with
+    zeta(1-k, a) = -B_k(a)/k and f_u(z) = z Phi(z, 1, a).
+
+    The sum stops at the least K whose tail is below 2^-(W+1), W =
+    walk_width(ctx): with a = t + m, t in [0, 1), m an integer, B_k(1+t) =
+    B_k(t) + k t^(k-1) taken |m| times and |B_k(t)| <= 2 zeta(k) k!/(2 pi)^k
+    <= 4 k!/(2 pi)^k (k >= 2) bound the tail by 4 r^(K+1)/((K+1)(1-r)) +
+    c^(K+1)/((K+1)! (1 - c/(K+2))), r = tau/(2 pi), c = (|a| + 1) tau.
+    E_k = D q^k B_k(a) = Sum_j C(k, j) (D B_j) q^j p^(k-j), a = p/q, D the
+    lcm of the denominators of B_0..B_K (mpcore's exact recurrence), are
+    integers, and the sum runs in integers at W: T = floor(2^W tau) and
+    its floored powers T_k are below 2^W tau^k by less than k units, each
+    term E_k T_k // (D q^k k k!) floors once, so it errs by less than
+    K + 1 + Sum_k |B_k(a)|/k! units of 2^-W.  psi(a) = -gamma_0(a) is
+    em_log_moments' at s = 1 and bits + 32, after psi(a) = psi(a + m) -
+    Sum_{j<m} 1/(a + j) for a <= 0; its certified bound, near
+    2^-(bits+31) |psi(a)|, is the largest error.  tau = -log1p(z - 1)
+    and log tau are mpf at W bits."""
+    a = 1 + u
+    p, q = a.numerator, a.denominator
+    W = walk_width(ctx)
+    m = max(0, math.floor(-a) + 1)
+    (g0, _), = em_log_moments(1, a + m, 0, PrecisionContext(ctx.bits + _GUARD))
+    with mpmath.workprec(W):
+        tau = -mpmath.log1p(mpmath.make_mpf(libmp.from_rational(
+            z.numerator - z.denominator, z.denominator, W, "n")))
+        r, c = float(tau) / (2 * math.pi), (abs(float(a)) + 1) * float(tau)
+        K = max(1, math.ceil(c))
+        while max(math.log(4 / ((K + 1) * (1 - r))) + (K + 1) * math.log(r),
+                  (K + 1) * math.log(c) - math.lgamma(K + 2) - math.log(1 - c / (K + 2))
+                  ) > -(W + 2) * math.log(2):
+            K += 1
+        bs = [bernoulli(j) for j in range(K + 1)]
+        D = math.lcm(*(b.denominator for b in bs))
+        bq = [(j, b.numerator * (D // b.denominator) * q ** j) for j, b in enumerate(bs) if b]
+        T, Tk, qf, S = libmp.to_fixed(tau._mpf_, W), 1 << W, D, 0   # qf = D q^k k!
+        for k in range(1, K + 1):
+            Tk, qf = Tk * T >> W, qf * q * k
+            E = sum(math.comb(k, j) * e * p ** (k - j) for j, e in bq if j <= k)
+            S += (E * Tk if k % 2 == 0 else -E * Tk) // (qf * k)
+        psi = -g0.val - _to_mpf(sum((Fraction(1) / (a + j) for j in range(m)), Fraction(0)))
+        bracket = -mpmath.euler - mpmath.log(tau) - psi - mpf((S, -W))
     with ctx.workprec(_GUARD):
-        uv = ctx.mpf(Fraction(u)) if isinstance(u, (int, Fraction)) else mpf(u)
-        zv = z.val if isinstance(z, (HComplex, HReal)) else mpc(z)
-        az = abs(zv)
-        if az >= 1:
-            raise ValueError(f"f_u series requires |z| < 1, got |z| = {az}")
-        if az == 0:
-            return ctx.complex(0)
-        target = mpf(2) ** (-(ctx.bits + _GUARD))
-        acc = mpc(0)
-        zpow = mpc(1)
-        for n in range(1, 10_000_000):
-            if n + uv == 0:
-                raise ValueError(f"series term n + u = 0 at n = {n}")
-            zpow *= zv
-            acc += zpow / (n + uv)
-            if abs(zpow) / max(1, abs(1 + n + uv)) < target:
-                break
-        return HComplex(acc, ctx)
+        return mpmath.exp(_to_mpf(u) * tau) * bracket
 
 
-def _f_u_base(p: int, q: int, zv: mpc, ctx: PrecisionContext) -> mpc:
-    """Closed form on the base range u = p/q, 0 <= p < q, |z| < 1:
-
-        f_u(z) = z^(-p/q) [ -Sum_{m=0}^{q-1} zq^(-pm) log(1 - zq^m w) ]
-                 - q/p  (the k = p boundary term, only when p >= 1)
-
-    with w = z^(1/q) the principal root and zq = e^(2 pi i / q);
-    equivalently q z^(-p/q) Sum_{k = p mod q, k > p} w^k / k via the
-    roots-of-unity filter.  Principal branch of every logarithm.
-    """
-    w = mpmath.exp(mpmath.log(zv) / q) if zv.imag != 0 or zv.real < 0 \
-        else mpc(mpmath.root(zv.real, q))
-    acc = mpc(0)
-    for m in range(q):
-        zq_m = mpmath.expjpi(mpf(2 * m) / q)
-        zq_neg_pm = mpmath.expjpi(mpf(-2 * p * m) / q)
-        acc += zq_neg_pm * mpmath.log(1 - zq_m * w)
-    value = -acc * w ** (-p)
-    if p >= 1:
-        value -= mpf(q) / p
-    return value
-
-
-def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HComplex:
-    """f_u(z) = Sum_{n>=1} z^n/(n+u) for rational u and |z| < 1, via the
-    roots-of-unity closed form.
-
-    u outside [0, 1) is reduced to the base range through the exact
-    shift recursion f_{v+1}(z) = (f_v(z) - z/(1+v))/z (equivalently
-    f_v(z) = z f_{v+1}(z) + z/(1+v)); negative integers u are poles of
-    a series term and rejected.  z = 0 returns 0 (empty series); |z|
-    below 2^(-bits/2) is summed directly as a cancellation guard.
-    """
+def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HReal:
+    """f_u(z) = Sum_{n>=1} z^n/(n+u) for real z in [0, 1) (a Fraction, or an
+    mpf or HReal at its exact value) and rational u, not an integer <= -1,
+    at bits + 32 (not rounded to ctx), within 2^-(bits+16) (|f_u(z)| + z).
+    Both routes run in integers at W = walk_width(ctx), at a cost that does
+    not depend on the denominator of u: where tau = -log z >= TAU0 the
+    series, z S 2^-W with S from _f_u_series, scaled by z once so that its
+    error stays relative to the value; below TAU0, where the series needs
+    W/(tau log2 e) terms, the Lerch expansion of _f_u_lerch.  TAU0 = 1/20
+    is where the two cost about the same: on a 2-core Xeon (medians of 5,
+    u = 1/3 and 1/1009, ms, series/Lerch at 128, 192, 512 and 1024 bits)
+    1.9/1.3, 2.5-2.7/1.4-1.5, 8.9-9.1/4.1-5.0, 26/12-23 at tau = 0.03;
+    1.1-1.2/1.2-1.3, 1.6/1.5-1.7, 5.3-5.4/4.2-5.4, 14-15/15-28 at 0.05;
+    0.7/1.2, 1.0/1.4-1.7, 3.1-3.3/4.5-6.1, 8.6-8.7/18-30 at 0.0625."""
     u = Fraction(u)
     if u.denominator == 1 and u <= -1:
         raise ValueError(f"f_u undefined at negative integer u = {u}")
-    with ctx.workprec(_GUARD):
-        zv = z.val if isinstance(z, (HComplex, HReal)) else mpc(z)
-        az = abs(zv)
-        if az >= 1:
-            raise ValueError(f"f_u_closed requires |z| < 1, got |z| = {az}")
-        if az == 0:
-            return ctx.complex(0)
-        if az < mpf(2) ** (-(ctx.bits // 2)):
-            return f_u_series(u, HComplex(zv, ctx), ctx)
-        shift = u.numerator // u.denominator  # floor
-        base = u - shift
-        value = _f_u_base(base.numerator, base.denominator, zv, ctx)
-        if shift > 0:
-            v = base
-            for _ in range(shift):
-                value = (value - zv / (1 + v)) / zv
-                v += 1
-        elif shift < 0:
-            v = base
-            for _ in range(-shift):
-                v -= 1
-                value = zv * value + zv / (1 + v)
-        return HComplex(value, ctx)
+    z = _exact(z)
+    if not 0 <= z < 1:
+        raise ValueError(f"f_u_closed requires 0 <= z < 1, got z = {float(z)}")
+    if z > Fraction(1, 2) and -math.log1p(float(z - 1)) < TAU0:
+        return HReal(_f_u_lerch(u, z, ctx), ctx)
+    W = walk_width(ctx)
+    return HReal(mpmath.make_mpf(libmp.from_rational(
+        _f_u_series(u, z, W) * z.numerator, z.denominator << W, ctx.bits + _GUARD, "n")), ctx)
 
 
 # ----------------------------------------------------------------------
@@ -527,15 +539,17 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
             if u.denominator == 1 and u <= 0 and not (gt1 and u == mu == 0):
                 raise ValueError(f"alpha = {alpha} hits the trivial-zero chain "
                                  f"(lambda={lam}, mu={mu})")
-            lamv = ctx.mpf(lam)
-            z = xv ** ((-1 if gt1 else 1) / lamv)
-            series = f_u_closed(u, z, ctx).val.real  # Sum_{n>=1} z^n/(n+u)
+            lamv, e = ctx.mpf(lam), (-1 if gt1 else 1) / lam
+            z, zmu = (x ** int(t) if t.denominator == 1 else _to_mpf(x) ** _to_mpf(t)
+                      for t in (e, e * mu))   # x^e, x^(e mu): exact at lambda = 1/2
+            series = f_u_closed(u, z, ctx).val  # Sum_{n>=1} z^n/(n+u)
+            zmu = _to_mpf(zmu)
             if gt1:
                 if mu != 0:
                     series += 1 / ctx.mpf(u)
-                acc += lamv * z ** ctx.mpf(mu) * series
+                acc += lamv * zmu * series
             else:
-                acc -= lamv * xv * z ** ctx.mpf(mu) * (series + 1 / ctx.mpf(u))
+                acc -= lamv * xv * zmu * (series + 1 / ctx.mpf(u))
         return acc
 
 

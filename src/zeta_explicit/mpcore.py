@@ -1,12 +1,12 @@
-"""Precision-controlled real/complex arithmetic and core special functions.
+"""Precision-controlled real arithmetic and core special functions.
 
 Everything downstream (zero sums, explicit-formula evaluators, constant
 pipelines) consumes the types and functions defined here:
 
   PrecisionContext   immutable working-precision handle (binary digits;
                      rounding is always to nearest)
-  HReal / HComplex   finite high-precision scalars bound to a context
-                     (HComplex only for the complex values of f_u)
+  HReal              a finite high-precision real bound to a context; every
+                     public result is one
   em_log_moments     the one Euler-Maclaurin core: Sum log^n(k+a) (k+a)^(-s)
                      for n = 0..N in one pass, continued in s, regularized
                      at s = 1 (the Stieltjes constants gamma_n(a)), each
@@ -17,7 +17,7 @@ pipelines) consumes the types and functions defined here:
   series_ops         the truncated quotient of two power series given as
                      coefficient lists (mpf, degree 0 up)
 
-Numeric backend: mpmath mpf/mpc supplies correctly rounded base arithmetic
+Numeric backend: mpmath mpf supplies correctly rounded base arithmetic
 (round-to-nearest, error <= 2^-bits relative per elementary operation, well
 inside the 2^(8-bits) contract) and the elementary functions.  Hurwitz zeta
 and the Stieltjes constants come from Bernoulli-number expansions with
@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 import mpmath
-from mpmath import mpf, mpc
+from mpmath import mpf
 from mpmath.libmp import from_int, from_rational, mpf_log, prec_to_dps, to_fixed, to_rational
 from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
@@ -82,10 +82,6 @@ class PrecisionContext:
     def real(self, x: Scalar) -> "HReal":
         return HReal(self.mpf(x), self)
 
-    def complex(self, re: Scalar, im: Scalar = 0) -> "HComplex":
-        with self.workprec():
-            return HComplex(mpc(self.mpf(re), self.mpf(im)), self)
-
     # Shared constants.  Computed at context precision plus guard bits so
     # they can be consumed inside guarded evaluations without re-rounding.
     @property
@@ -129,11 +125,6 @@ def _exact(v) -> Fraction:
     return Fraction(v)
 
 
-def _check_finite(v) -> None:
-    if not mpmath.isfinite(v):
-        raise ArithmeticError(f"non-finite result escaped an operation: {v!r}")
-
-
 @dataclass(frozen=True)
 class HReal:
     """A finite high-precision real bound to a PrecisionContext: a
@@ -143,7 +134,8 @@ class HReal:
     ctx: PrecisionContext    # precision the value was produced under
 
     def __post_init__(self) -> None:
-        _check_finite(self.val)
+        if not mpmath.isfinite(self.val):
+            raise ArithmeticError(f"non-finite result escaped an operation: {self.val!r}")
 
     def __repr__(self) -> str:
         return f"HReal({mpmath.nstr(self.val, 25)})"
@@ -154,24 +146,6 @@ class HReal:
         reach the last printed digit."""
         cap = prec_to_dps(self.ctx.bits) - 1
         return mpmath.nstr(self.val, min(digits, cap))
-
-
-@dataclass(frozen=True)
-class HComplex:
-    """A finite high-precision complex bound to a PrecisionContext."""
-
-    val: mpc
-    ctx: PrecisionContext
-
-    def __post_init__(self) -> None:
-        _check_finite(self.val)
-
-    @property
-    def real(self) -> HReal:
-        return HReal(self.val.real, self.ctx)
-
-    def __repr__(self) -> str:
-        return f"HComplex({mpmath.nstr(self.val, 25)})"
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ _HERE = os.path.dirname(__file__)
 
 # First zeta ordinates shipped with the package (15 decimals).
 FIXTURE_PATH = os.path.join(_HERE, "data", "zeta_zeros_100.txt")
+_LABEL_LINE = re.compile(r"#\s*label:\s*(\S+)")
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +144,7 @@ def _parse_decimal(tok: str, lineno: int) -> tuple[int, int, int]:
 
 
 def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
-               label: str = "zeta", source_name: str = "",
+               label: Optional[str] = None, source_name: str = "",
                ctx: Optional[PrecisionContext] = None) -> ZeroTable:
     """Parse a zero table from bytes, text, a readable stream, or a path.
 
@@ -152,7 +153,10 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
     strictly ascending; beta defaults to 1/2.  csv format: header
     "beta,gamma", decimal columns.  Parse errors report line numbers.
     The decimals are kept exactly, as integers over a common power of
-    ten.  ctx is unused, kept for callers that pass one.
+    ten.  In either format one comment line "# label: NAME" names the
+    L-function the zeros belong to; a file without one holds zeta zeros.
+    A label that differs from the file's is refused; None takes the
+    file's.  ctx is unused, kept for callers that pass one.
     """
     if isinstance(source, io.IOBase):
         data = source.read()
@@ -172,8 +176,13 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
     mants: list[int] = []        # gamma_i = mants[i] / 10^places[i]
     places: list[int] = []
     precision = 0
+    named: Optional[str] = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
+        if tag := _LABEL_LINE.fullmatch(line):
+            if named is not None:
+                raise ValueError(f"line {lineno}: a second label line")
+            named = tag.group(1)
         if not line or line.startswith("#"):
             continue
         if header:
@@ -201,8 +210,11 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
         places.append(k)
         precision = max(precision, digits)
 
+    named = named or "zeta"
+    if label is not None and label != named:
+        raise ValueError(f"the table holds {named} zeros, not {label} zeros")
     shift = max(places + [0])
-    return ZeroTable(label=label, scale=10 ** shift,
+    return ZeroTable(label=named, scale=10 ** shift,
                      ordinates=tuple(m * 10 ** (shift - k) for m, k in zip(mants, places)),
                      real_parts=tuple(reals), source=source_name or "<stream>",
                      entry_precision=precision)

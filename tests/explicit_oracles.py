@@ -1,19 +1,22 @@
 """Oracles, pinned variants and reference routes that only the tests
 use, kept out of the package: the prime-power Dirichlet series for
 zeta'/zeta, the weighted prime sums term by term over n, a plausible but
-wrong assembly of the auxiliary series f_u, and the hand-expanded zeta
-forms of the rational kernels and of the cosine pairing, which the
-package now assembles from the descriptor form and from f reflected."""
+the auxiliary series f_u at complex z (its direct sum, the paper's
+roots-of-unity closed form and a plausible but wrong assembly of it),
+and the hand-expanded zeta forms of the rational kernels and of the
+cosine pairing, which the package now assembles from the descriptor
+form and from f reflected."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf
 
 from zeta_explicit.arith import psi0, psi0_alpha, shared_table, T_sum
-from zeta_explicit.explicit import RationalFunctionPF, f_u_closed
-from zeta_explicit.mpcore import HComplex, HReal, PrecisionContext
+from zeta_explicit.explicit import RationalFunctionPF
+from zeta_explicit.mpcore import HReal, PrecisionContext
 
 _GUARD = 32
 
@@ -93,6 +96,94 @@ def prime_sum_reference(x: Fraction, alpha: Fraction, chi, bits: int) -> tuple[m
         return xa * value, abs(xa) * size
 
 
+@dataclass(frozen=True)
+class HComplex:
+    """A complex value of the f_u oracles with the context it was taken
+    under; .real is its real part as an HReal."""
+
+    val: mpc
+    ctx: PrecisionContext
+
+    @property
+    def real(self) -> HReal:
+        return HReal(self.val.real, self.ctx)
+
+
+def _complex_z(z) -> mpc:
+    return z.val if isinstance(z, (HComplex, HReal)) else mpc(z)
+
+
+def f_u_series(u: Rational, z, ctx: PrecisionContext) -> HComplex:
+    """Direct summation of f_u(z) = Sum_{n>=1} z^n/(n+u) for complex
+    |z| < 1 at bits + 32: the oracle the closed forms are validated
+    against."""
+    with ctx.workprec(_GUARD):
+        uv = mpf(Fraction(u).numerator) / Fraction(u).denominator
+        zv = _complex_z(z)
+        az = abs(zv)
+        if az >= 1:
+            raise ValueError(f"f_u series requires |z| < 1, got |z| = {az}")
+        target = mpf(2) ** (-(ctx.bits + _GUARD))
+        acc, zpow = mpc(0), mpc(1)
+        for n in range(1, 10_000_000 if az else 1):
+            if n + uv == 0:
+                raise ValueError(f"series term n + u = 0 at n = {n}")
+            zpow *= zv
+            acc += zpow / (n + uv)
+            if abs(zpow) / max(1, abs(1 + n + uv)) < target:
+                break
+        return HComplex(acc, ctx)
+
+
+def _roots_sum(p: int, q: int, zv: mpc) -> tuple[mpc, mpc]:
+    """(w, -Sum_{m<q} zq^(-pm) log(1 - zq^m w)), w = z^(1/q) the principal
+    root and zq = e^(2 pi i/q)."""
+    w = mpmath.exp(mpmath.log(zv) / q) if zv.imag != 0 or zv.real < 0 \
+        else mpc(mpmath.root(zv.real, q))
+    acc = mpc(0)
+    for m in range(q):
+        zq_m = mpmath.expjpi(mpf(2 * m) / q)
+        zq_neg_pm = mpmath.expjpi(mpf(-2 * p * m) / q)
+        acc += zq_neg_pm * mpmath.log(1 - zq_m * w)
+    return w, -acc
+
+
+def f_u_roots_of_unity(u: Rational, z, ctx: PrecisionContext) -> HComplex:
+    """f_u(z) for rational u and complex 0 < |z| < 1 by the paper's
+    roots-of-unity closed form, q complex logs for u = p/q.  On the base
+    range 0 <= p < q,
+
+        f_u(z) = w^(-p) [ -Sum_{m=0}^{q-1} zq^(-pm) log(1 - zq^m w) ]
+                 - q/p  (the k = p boundary term, only when p >= 1),
+
+    equivalently q z^(-p/q) Sum_{k = p mod q, k > p} w^k / k; other u
+    reach it through f_{v+1}(z) = (f_v(z) - z/(1+v))/z.  Negative
+    integers u are poles of a series term and rejected."""
+    u = Fraction(u)
+    if u.denominator == 1 and u <= -1:
+        raise ValueError(f"f_u undefined at negative integer u = {u}")
+    with ctx.workprec(_GUARD):
+        zv = _complex_z(z)
+        if not 0 < abs(zv) < 1:
+            raise ValueError(f"roots-of-unity form requires 0 < |z| < 1, got {zv}")
+        shift = u.numerator // u.denominator  # floor
+        base = u - shift
+        p, q = base.numerator, base.denominator
+        w, acc = _roots_sum(p, q, zv)
+        value = acc * w ** (-p)
+        if p >= 1:
+            value -= mpf(q) / p
+        v = base
+        for _ in range(abs(shift)):
+            if shift > 0:
+                value = (value - zv / (1 + v)) / zv
+                v += 1
+            else:
+                v -= 1
+                value = zv * value + zv / (1 + v)
+        return HComplex(value, ctx)
+
+
 def f_u_closed_uncorrected(u: Rational, z, ctx: PrecisionContext) -> HComplex:
     """The same roots-of-unity assembly with a z^(+p/q) prefactor and no
     boundary-term subtraction.  This variant looks plausible but does
@@ -104,19 +195,13 @@ def f_u_closed_uncorrected(u: Rational, z, ctx: PrecisionContext) -> HComplex:
     if not (0 <= p < q):
         raise ValueError("uncorrected variant only defined for 0 <= u < 1")
     with ctx.workprec(_GUARD):
-        zv = z.val if isinstance(z, (HComplex, HReal)) else mpc(z)
+        zv = _complex_z(z)
         if abs(zv) >= 1:
             raise ValueError("requires |z| < 1")
         if abs(zv) == 0:
-            return ctx.complex(0)
-        w = mpmath.exp(mpmath.log(zv) / q) if zv.imag != 0 or zv.real < 0 \
-            else mpc(mpmath.root(zv.real, q))
-        acc = mpc(0)
-        for m in range(q):
-            zq_m = mpmath.expjpi(mpf(2 * m) / q)
-            zq_neg_pm = mpmath.expjpi(mpf(-2 * p * m) / q)
-            acc += zq_neg_pm * mpmath.log(1 - zq_m * w)
-        return HComplex(-acc * w ** p, ctx)
+            return HComplex(mpc(0), ctx)
+        w, acc = _roots_sum(p, q, zv)
+        return HComplex(acc * w ** p, ctx)
 
 
 def _check_gt1_alpha(alpha: Fraction) -> None:
@@ -149,7 +234,7 @@ def general_rhs_gt1_expanded(x: Rational, pf: RationalFunctionPF,
             lamv = ctx.mpf(lam)
             acc += xv * lamv / ctx.mpf(1 - a)
             acc -= lamv * psi0_alpha(x, a, ctx).val
-            acc += lamv * f_u_closed(a / 2, HComplex(mpc(z), ctx), ctx).val.real / 2
+            acc += lamv * f_u_roots_of_unity(a / 2, z, ctx).val.real / 2
     return ctx.real(acc)
 
 
@@ -186,7 +271,7 @@ def general_rhs_lt1_expanded(x: Rational, pf: RationalFunctionPF,
             lamv = ctx.mpf(lam)
             acc += lamv * T_sum(x, a, ctx).val
             acc -= lamv / ctx.mpf(a)
-            acc -= lamv * xv * f_u_closed((1 - a) / 2, HComplex(mpc(z), ctx), ctx).val.real / 2
+            acc -= lamv * xv * f_u_roots_of_unity((1 - a) / 2, z, ctx).val.real / 2
     return ctx.real(acc)
 
 
@@ -222,3 +307,54 @@ def cosine_rhs_expanded(x: Rational, ctx: PrecisionContext) -> HReal:
              - rx * mpmath.log((xv + 1) / (xv - 1)) / 2
              + 1 / rx)
     return ctx.real(v)
+
+
+def f_u_reference(u: Fraction, z: Fraction, bits: int) -> mpf:
+    """f_u(z) for rational u and z in (0, 1) at bits + 64, in mpf alone.
+    Where tau = -log z >= 1/4, the direct sum, stopped when the tail
+    bound z^n/((1-z) min|n+u|) falls below 2^-(bits+80).  Nearer z = 1,
+    Lerch's expansion e^(u tau)[-gamma - log tau - psi(a) - H], a = 1 + u,
+    with H = Sum_k B_k(a)(-tau)^k/(k k!) regrouped by B_k(a) =
+    Sum_j C(k, j) B_j a^(k-j) into Bernoulli numbers alone:
+
+        H = Ein(c) + Sum_{j>=1} (B_j/j!) (-tau)^j I_j(c),   c = -a tau,
+
+    Ein(c) = Sum_{i>=1} c^i/(i i!) and I_j(c) = Integral_0^1 s^(j-1) e^(cs) ds
+    by the downward recurrence I_j = (e^c - c I_(j+1))/j; with
+    |B_j/j!| <= 4/(2 pi)^j and |I_j| <= e^|c|/j, J = (bits + 80)/
+    log2(2 pi/tau) + 8 terms and 2^-(bits+80) series cut-offs suffice.
+    psi is mpmath's digamma."""
+    with mpmath.workprec(bits + 64):
+        zv = mpf(z.numerator) / z.denominator
+        uv = mpf(u.numerator) / u.denominator
+        tau = -mpmath.log1p(mpf(z.numerator - z.denominator) / z.denominator)
+        eps = mpf(2) ** -(bits + 80)
+        if tau < mpf(1) / 4:
+            a, y = 1 + uv, -tau
+            c = a * y
+            J = int((bits + 80) / math.log2(2 * math.pi / float(tau))) + 8
+
+            def series(f):   # Sum_{i>=0} c^i/i! f(i), to 2^-(bits+80)
+                acc, t, i = mpf(0), mpf(1), 0
+                while abs(t) > eps or i <= abs(c):
+                    acc += t * f(i)
+                    i += 1
+                    t *= c / i
+                return acc
+
+            ec = mpmath.exp(c)
+            I = series(lambda i: mpf(1) / (i + J + 1))
+            H = mpf(0)
+            for j in range(J, 0, -1):
+                I = (ec - c * I) / j
+                H += mpmath.bernoulli(j) / mpmath.factorial(j) * y ** j * I
+            H += series(lambda i: mpf(1) / i if i else mpf(0))
+            return mpmath.exp(uv * tau) * (-mpmath.euler - mpmath.log(tau)
+                                           - mpmath.digamma(a) - H)
+        d = min(abs(n + uv) for n in range(1, int(abs(uv)) + 3))
+        acc, zn, n = mpf(0), mpf(1), 0
+        while zn > eps * (1 - zv) * d:
+            n += 1
+            zn *= zv
+            acc += zn / (n + uv)
+        return acc

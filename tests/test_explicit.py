@@ -25,8 +25,8 @@ from zeta_explicit.explicit import (
     dirichlet_log_deriv,
     f_rhs_gt1,
     f_rhs_lt1,
+    TAU0,
     f_u_closed,
-    f_u_series,
     g_lt1,
     general_rhs_gt1,
     general_rhs_lt1,
@@ -38,8 +38,9 @@ from zeta_explicit.explicit import (
     verify_identity,
     zeta_log_deriv,
 )
-from zeta_explicit.mpcore import HComplex, PrecisionContext, _exact
-from explicit_oracles import (cosine_rhs_expanded, f_u_closed_uncorrected,
+from zeta_explicit.mpcore import PrecisionContext, _exact
+from explicit_oracles import (HComplex, cosine_rhs_expanded, f_u_closed_uncorrected,
+                              f_u_reference, f_u_roots_of_unity, f_u_series,
                               general_rhs_gt1_expanded, general_rhs_lt1_expanded,
                               prime_sum_reference, zeta_log_deriv_dirichlet)
 from zeta_explicit.zeros import SumSpec
@@ -69,12 +70,12 @@ def test_f_rhs_domains(ctx):
     for s in (F(1), F(-2)):   # the pole, and a trivial zero
         with pytest.raises(ValueError, match="pole"):
             zeta_log_deriv(s, ctx)
-    for fn in (f_u_closed, f_u_series):
-        with pytest.raises(ValueError, match=r"\|z\| < 1"):
-            fn(F(1, 2), ctx.mpf(1), ctx)
+    for z in (ctx.mpf(1), F(-1, 2)):
+        with pytest.raises(ValueError, match="0 <= z < 1"):
+            f_u_closed(F(1, 2), z, ctx)
     with pytest.raises(ValueError, match="negative integer"):
         f_u_closed(F(-1), ctx.mpf(F(1, 2)), ctx)
-    assert f_u_series(F(1, 2), 0, ctx).val == 0
+    assert f_u_closed(F(1, 2), 0, ctx).val == 0
 
 
 @pytest.mark.parametrize("bits", [128, 224, 512])
@@ -171,11 +172,12 @@ angles = st.floats(min_value=0.0, max_value=2 * math.pi)
 
 @settings(max_examples=25, deadline=None)
 @given(u_fracs, radii, angles)
-def test_f_u_closed_matches_series(u, r, t):
+def test_f_u_roots_of_unity_matches_series(u, r, t):
+    # the paper's closed form against the direct sum, both complex oracles
     ctx = PrecisionContext(bits=192)
     with ctx.workprec():
         z = mpc(r * math.cos(t), r * math.sin(t))
-    a = f_u_closed(u, HComplex(z, ctx), ctx).val
+    a = f_u_roots_of_unity(u, HComplex(z, ctx), ctx).val
     b = f_u_series(u, HComplex(z, ctx), ctx).val
     with ctx.workprec(16):
         assert abs(a - b) < mpf(1) / 10 ** 20
@@ -184,7 +186,7 @@ def test_f_u_closed_matches_series(u, r, t):
 def test_f_u_frozen_oracle(ctx):
     z = ctx.mpf(F(1, 4))
     series = f_u_series(F(1, 2), ctx.real(z), ctx).real
-    closed = f_u_closed(F(1, 2), ctx.real(z), ctx).real
+    closed = f_u_closed(F(1, 2), ctx.real(z), ctx)
     assert series.str_digits(20) == "0.19722457733621938279"
     with ctx.workprec(16):
         assert abs(series.val - closed.val) < TINY
@@ -201,11 +203,14 @@ def test_f_u_uncorrected_variant_fails_oracle(ctx):
         assert abs(wrong.val - series.val) > mpf("0.35")
 
 
-def test_f_u_closed_at_zero_and_below_the_cancellation_guard(ctx):
-    # z = 0 is the empty series; |z| < 2^(-bits/2) is summed directly
+def test_f_u_closed_at_zero_and_at_tiny_z(ctx):
+    # z = 0 is the empty series; a tiny z keeps its relative accuracy
     assert f_u_closed(F(1, 3), 0, ctx).val == 0
-    z = ctx.mpf(2) ** -(ctx.bits // 2 + 3)
-    assert f_u_closed(F(1, 3), z, ctx) == f_u_series(F(1, 3), ctx.complex(z), ctx)
+    z = F(1, 2 ** (ctx.bits // 2 + 3))
+    v = f_u_closed(F(1, 3), z, ctx).val
+    ref = f_u_series(F(1, 3), HComplex(mpc(ctx.mpf(z)), ctx), ctx).val.real
+    with ctx.workprec(16):
+        assert abs(v - ref) < abs(ref) * mpf(2) ** -(ctx.bits + 16)
 
 
 def test_f_u_integer_u_reduces_to_log(ctx):
@@ -214,6 +219,70 @@ def test_f_u_integer_u_reduces_to_log(ctx):
     v = f_u_closed(F(0), ctx.real(z), ctx).val
     with ctx.workprec(16):
         assert abs(v + mpmath.log(1 - z)) < TINY
+
+
+# abscissas x and shifts u of the f_u grid, z = x^-2; two x straddle
+# the branch point tau = TAU0 of f_u_closed
+FU_XS = (1 + F(1, 2 ** 40), F(11, 10), F(math.exp(TAU0 / 2)) * (1 - F(1, 2 ** 20)),
+         F(math.exp(TAU0 / 2)) * (1 + F(1, 2 ** 20)), F(5, 2), F(3001, 3), F(30001))
+FU_US = (F(0), F(1, 2), F(1, 3), F(-1, 4), F(5, 4), F(-5, 4), F(1, 1009), F(1, 10007))
+
+
+def _f_u_gap(u: F, x: F, bits: int, ref=None) -> mpf:
+    """|f_u_closed - reference| / (|reference| + z) at z = x^-2, in units
+    of the stated bound 2^-(bits+16)."""
+    z = 1 / (x * x)
+    v = f_u_closed(u, z, PrecisionContext(bits=bits)).val
+    ref = f_u_reference(u, z, bits) if ref is None else ref
+    with mpmath.workprec(bits + 64):
+        return abs(v - ref) / (abs(ref) + mpf(z.numerator) / z.denominator) \
+            * mpf(2) ** (bits + 16)
+
+
+def test_f_u_branches_straddle_tau0():
+    taus = [-math.log1p(float(1 / (x * x) - 1)) for x in FU_XS[2:4]]
+    assert taus[0] < TAU0 < taus[1]
+
+
+@pytest.mark.parametrize("bits", [128, 192, 512, 1024])
+def test_f_u_closed_grid_within_stated_bound(bits):
+    # both branches against an mpf reference at bits + 64 (the direct
+    # sum, or Lerch's expansion regrouped into Bernoulli numbers)
+    worst = max(_f_u_gap(u, x, bits) for x in FU_XS for u in FU_US)
+    assert worst < 1
+
+
+def test_f_u_closed_against_lerchphi():
+    # mpmath's Lerch transcendent: f_u(z) = z Phi(z, 1, 1 + u)
+    bits = 128
+    for x in FU_XS[:5]:
+        z = 1 / (x * x)
+        for u in (F(1, 2), F(-5, 4)):
+            with mpmath.workprec(bits + 64):
+                zv = mpf(z.numerator) / z.denominator
+                ref = zv * mpmath.lerchphi(zv, 1, 1 + mpf(u.numerator) / u.denominator)
+            assert _f_u_gap(u, x, bits, ref) < 1
+
+
+def test_f_u_lerch_stopping_rule_witness():
+    # u = 1/2 just below TAU0: B_k(3/2) = k 2^(1-k) at odd k >= 3, so the
+    # odd terms fall below 2^-W long before the even ones; a sum stopped
+    # at the first small term loses hundreds of bits at 1024 bits
+    for bits in (192, 1024):
+        assert _f_u_gap(F(1, 2), FU_XS[2], bits) < 1
+
+
+def test_f_u_small_z_regression_witness():
+    # x = 30001, u = 5/6 at 192 bits: the roots-of-unity form loses 56 of
+    # its 224 bits to cancellation (2^-168 relative); the series keeps them
+    bits, u, x = 192, F(5, 6), F(30001)
+    z = 1 / (x * x)
+    ctx = PrecisionContext(bits=bits)
+    ref = f_u_reference(u, z, bits)
+    old = f_u_roots_of_unity(u, HComplex(mpc(ctx.mpf(z)), ctx), ctx).val.real
+    with mpmath.workprec(bits + 64):
+        assert abs(old - ref) / ref > mpf(2) ** -(bits - 16)
+    assert _f_u_gap(u, x, bits) < 1
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +392,6 @@ def test_descriptor_fixed_by_its_character(ctx, monkeypatch):
         q, chi = discriminant_of(d), kronecker_chi(d)
         with monkeypatch.context() as m:
             m.setattr(explicit, "mpmath", None)
-            m.setattr(explicit, "mpc", None)
             desc = descriptor_dirichlet(q, chi, ctx)
         assert desc == SelbergDescriptor(label=f"dirichlet-{q}", m_F=0,
                                          gamma_factors=((F(1, 2), F(1, 2)),),

@@ -92,6 +92,25 @@ def test_load_errors_carry_line_numbers(ctx):
         load_zeros(PLAIN, fmt="xml", ctx=ctx)
 
 
+def test_load_reads_the_label_line(ctx):
+    # no label line: zeta; a label line names the table, in either format
+    assert load_zeros(PLAIN, fmt="plain", ctx=ctx).label == "zeta"
+    t = load_zeros("# label: dirichlet-4\n" + PLAIN, fmt="plain", ctx=ctx)
+    assert t.label == "dirichlet-4"
+    assert load_zeros(PLAIN + "#label:  x \n", fmt="plain", label="x", ctx=ctx).label == "x"
+    assert load_zeros("# label: y\n" + CSV, fmt="csv", ctx=ctx).label == "y"
+    assert t.ordinates == load_zeros(PLAIN, fmt="plain", ctx=ctx).ordinates
+
+
+def test_load_refuses_another_label(ctx):
+    with pytest.raises(ValueError, match="holds zeta zeros, not dirichlet-4"):
+        load_zeros(PLAIN, fmt="plain", label="dirichlet-4", ctx=ctx)
+    with pytest.raises(ValueError, match="holds dirichlet-4 zeros, not zeta"):
+        load_zeros("# label: dirichlet-4\n" + PLAIN, fmt="plain", label="zeta", ctx=ctx)
+    with pytest.raises(ValueError, match="line 2: a second label line"):
+        load_zeros("# label: a\n# label: a\n" + PLAIN, fmt="plain", ctx=ctx)
+
+
 def test_fixture_table(fixture100):
     assert len(fixture100) == 100
     assert fixture100.label == "zeta"
@@ -311,7 +330,8 @@ def _synthetic_offline(ctx):
     rows = "".join(f"{b},{g}\n" for b, g in (
         ("0.5", "6.5"), ("0.75", "9.25"), ("0.5", "13.3"), ("0.6", "17.125"),
         ("0.5", "21.02"), ("0.55", "24.5"), ("0.5", "30.4249")))
-    return load_zeros("beta,gamma\n" + rows, fmt="csv", label="synthetic", ctx=ctx)
+    return load_zeros("# label: synthetic\nbeta,gamma\n" + rows, fmt="csv",
+                      label="synthetic", ctx=ctx)
 
 
 def _binary(ctx):
