@@ -27,7 +27,7 @@ from zeta_explicit import arith
 
 S = (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3))
 ROWS = {str(s): (s,) for s in S} | {"1/2,3/2,-1/2": S[:3], "1/3,2/3": S[3:]}
-CHIS = (None,) + tuple(arith.kronecker_chi(d) for d in (1, 2, 3, 7))
+CHIS = ((1,),) + tuple(arith.kronecker_chi(d) for d in (1, 2, 3, 7))
 N = 30_000
 REPEAT = 3
 

@@ -2,9 +2,9 @@
 sums, Kronecker characters, and imaginary-quadratic class data.
 
 The half-corrected prime-power sums evaluated here are the left-hand
-ingredients of the explicit formulas, for zeta and (with a completely
-multiplicative character table chi, Lambda_F = chi Lambda) for the
-Selberg-class descriptors:
+ingredients of the explicit formulas of the Selberg-class descriptors,
+Lambda_F = chi Lambda with chi a completely multiplicative character
+table; zeta is the table (1,) mod 1, the default:
 
   psi0(x)          = Sum'_{n<=x} Lambda(n)
   psi0_alpha(x,a)  = x^a Sum'_{n<=x} Lambda(n)/n^a
@@ -124,10 +124,6 @@ def walk_width(ctx: PrecisionContext) -> int:
     return ctx.bits + _GUARD + _FIXED
 
 
-def _chi_at(chi: Optional[Sequence[int]], n: int) -> int:
-    return 1 if chi is None else chi[n % len(chi)]
-
-
 def _log(p: int, W: int) -> int:
     """log(p) 2^W, the one log behind every Lambda(n); kept in the
     width's table when p <= LOG_LIMIT, so each such p takes it once."""
@@ -183,10 +179,10 @@ def mangoldt(n: int, ctx: PrecisionContext) -> mpf:
 
 
 def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
-                    chi: Optional[Sequence[int]] = None) -> tuple[int, int]:
-    """Sum_{p^k <= N} chi(p)^k log(p) p^(-ks) (chi absent means chi = 1)
-    as (man, exp), man 2^exp, at bits + 32: the one loop behind every
-    prime-power sum.
+                    chi: Sequence[int] = (1,)) -> tuple[int, int]:
+    """Sum_{p^k <= N} chi(p)^k log(p) p^(-ks), chi(n) = chi[n % len(chi)]
+    (zeta: (1,), the default), as (man, exp), man 2^exp, at bits + 32: the
+    one loop behind every prime-power sum.
 
     Integers at width W + e, unrounded: W = walk_width(ctx), and
     e = s log2 p0 keeps the first term p0^(-s) (p0 the least prime chi
@@ -205,18 +201,18 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     Checkpoints every BLOCK per (s, chi, W) grow by whole blocks in
     increasing n: no value depends on history, nor on mpmath's precision.
     """
-    W, a, b = walk_width(ctx), s.numerator, s.denominator
-    sums = _prefix.setdefault((s, None if chi is None else tuple(chi), W), [0])
+    W, a, b, q = walk_width(ctx), s.numerator, s.denominator, len(chi)
+    sums = _prefix.setdefault((s, tuple(chi), W), [0])
     entries = shared_table(N).entries
     logs = _logs.setdefault(W, {})
     roots = _roots.setdefault((b, W), {}) if 1 < b <= ROOT_BOUND else None
-    p0 = next((n for n in range(2, 3 + len(chi or ())) if _chi_at(chi, n)), 2)
+    p0 = next((n for n in range(2, 3 + q) if chi[n % q]), 2)
     e = max(0, math.ceil(s * math.log2(p0)))   # e = 0 for s <= 0
 
     def walk(acc: int, lo: int, hi: int) -> int:
         for n in range(lo + 1, hi + 1):
             p = entries[n]
-            if p and (c := _chi_at(chi, n)):     # n = p^k, chi(n) = chi(p)^k
+            if p and (c := chi[n % q]):          # n = p^k, chi(n) = chi(p)^k
                 L = logs.get(p) or _log(p, W)
                 if b == 1:                       # n^-s as an exact power of n
                     acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
@@ -247,7 +243,7 @@ def _endpoint(y: Fraction) -> tuple[int, int]:
 
 
 def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
-                 chi: Optional[Sequence[int]] = None) -> mpf:
+                 chi: Sequence[int] = (1,)) -> mpf:
     """x^alpha Sum'_{n<=y} chi(n) Lambda(n) n^(-s) at bits + 32, in the
     two forms of the explicit formulas: y = x, s = alpha for x > 1 (the
     psi0 form) and y = 1/x, s = 1 - alpha for 0 < x < 1 (the T form).
@@ -260,7 +256,7 @@ def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
     with ctx.workprec(_GUARD):
         total = _to_mpf(x) ** _to_mpf(alpha) * mpf(prime_power_sum(N, s, ctx, chi))
         if p:
-            total += mangoldt(p, ctx) * _chi_at(chi, y.numerator) * _to_mpf(w) / 2
+            total += mangoldt(p, ctx) * chi[y.numerator % len(chi)] * _to_mpf(w) / 2
     return total
 
 

@@ -14,10 +14,11 @@ build_parser).  Conventions:
   * --zeros names a zero-ordinate file (format per the zeros module);
     the env var ZETA_EXPLICIT_ZEROS supplies a default path, and with
     neither set the embedded 100-ordinate table is used
-  * verify --descriptor is zeta, or chi-d for L(s, chi_{-d}) with d
-    squarefree (chi-1 is chi_{-4}); the zero table must carry the
-    descriptor's label (zeta or dirichlet-D), which a file names in a
-    "# label:" line (none: zeta), else verify exits 1; chi-d needs a file;
+  * a zero table must carry its function's label, which a file names in
+    a "# label:" line (none: zeta), else the subcommand exits 1: zeta for
+    li, rh-check, sum and every verify identity but selberg-*, whose
+    --descriptor is zeta, or chi-d for L(s, chi_{-d}) with d squarefree
+    (chi-1 is chi_{-4}, label dirichlet-4), which needs a file;
     --descriptor and --alpha are refused outside selberg-*, and
     --pf-num/--pf-roots outside general-*
   * --T/--K pick the truncation (at most one; default: every pair)
@@ -94,9 +95,9 @@ def _abscissa(args, name: str) -> Fraction:
     return value
 
 
-def _selection(args, ctx: PrecisionContext,
-               label: str = "zeta") -> tuple[ZeroTable, SumSpec]:
-    """The zero table, labelled by its file, and the truncation --T/--K picks."""
+def _selection(args, ctx: PrecisionContext, label: str) -> tuple[ZeroTable, SumSpec]:
+    """The zero table of the function named label, refused when its file
+    names another, and the truncation --T/--K picks."""
     path = args.zeros or os.environ.get(ENV_ZEROS)
     if not path:
         if label != "zeta":
@@ -111,6 +112,9 @@ def _selection(args, ctx: PrecisionContext,
             table = load_zeros(path, fmt, ctx=ctx)
         except ValueError as exc:
             raise _InputError(f"cannot parse zero file {path}: {exc}") from None
+        if table.label != label:
+            raise ValueError(f"table label {table.label!r} does not match "
+                             f"descriptor {label!r}")
     if args.T is not None and args.K is not None:
         raise _InputError("give at most one of --T and --K")
     if args.T is not None:
@@ -207,7 +211,7 @@ def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
 
 def _cmd_li(args, ctx: PrecisionContext) -> dict:
     n = args.n
-    table, spec = _selection(args, ctx)
+    table, spec = _selection(args, ctx, "zeta")
     consts = liconst.build_stieltjes_table(max(n, 1), ctx)
     ident = consts.lam(n)
     direct, tail = liconst.lambda_direct(n, table, spec, ctx)
@@ -237,7 +241,7 @@ def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_rh_check(args, ctx: PrecisionContext) -> dict:
-    table, spec = _selection(args, ctx)
+    table, spec = _selection(args, ctx, "zeta")
     report = liconst.rh_statistic(table, spec, ctx, tolerance=args.tolerance)
     return {"command": "rh-check", "zeros": table.source, **report.to_dict()}
 
@@ -255,7 +259,7 @@ def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_sum(args, ctx: PrecisionContext) -> dict:
-    table, spec = _selection(args, ctx)
+    table, spec = _selection(args, ctx, "zeta")
     payload = {"command": "sum", "term": args.term,
                "pairs": len(spec.select(table)), "zeros": table.source}
     if args.term in ("inv-rho", "inv-rho-sq"):

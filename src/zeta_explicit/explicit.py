@@ -1,8 +1,8 @@
 """Closed-form right-hand sides of the explicit formulas for
 Sum_rho R(rho) x^rho, R rational, over the non-trivial zeros of zeta and
-of Selberg-class descriptors (m_F, {lambda_j, mu_j}, chi) with
-Lambda_F = chi Lambda, and residual verification.  The character fixes
-Q = sqrt(q/pi) and the root number w = 1, so neither is stored.
+of Selberg-class descriptors (m_F, {lambda_j, mu_j}, chi), zeta the
+character (1,) mod 1, with Lambda_F = chi Lambda, and residual verification.
+The character fixes Q = sqrt(q/pi) and the root number w = 1, unstored.
 
 Every closed form is one of three things (all verified against zero
 sums through verify_identity):
@@ -93,40 +93,13 @@ Rational = Union[int, Fraction]
 
 
 # ----------------------------------------------------------------------
-# Logarithmic derivative of zeta and of Dirichlet L-functions
+# Dirichlet L-functions and their logarithmic derivatives (zeta: chi mod 1)
 # ----------------------------------------------------------------------
-
-def zeta_log_deriv(s: Rational, ctx: PrecisionContext) -> HReal:
-    """(zeta'/zeta)(s) for real rational s, s != 1, away from the zeros.
-
-    Special values with classical closed forms are hard-wired:
-      s = 0   -> log 2pi
-      s = 1/2 -> gamma/2 + pi/4 + (3/2) log 2 + (1/2) log pi
-    Elsewhere the value is -Z_1/Z_0 from one Euler-Maclaurin pass
-    (em_log_moments at a = 1); the test suite cross-checks the hard-wired
-    values against that route and, for s > 1, against the prime-power
-    Dirichlet series.
-    """
-    s = Fraction(s)
-    if s == 1:
-        raise ValueError("zeta'/zeta has a pole at s = 1")
-    if s.denominator == 1 and s < 0 and s.numerator % 2 == 0:
-        raise ValueError(f"zeta'/zeta has a pole at the trivial zero s = {s}")
-    with ctx.workprec(_GUARD):
-        if s == 0:
-            return ctx.real(ctx.log_2pi)
-        if s == Fraction(1, 2):
-            v = (mpmath.euler / 2 + mpmath.pi / 4
-                 + 3 * mpmath.log(2) / 2 + mpmath.log(mpmath.pi) / 2)
-            return ctx.real(v)
-        (z0, _), (z1, _) = em_log_moments(s, 1, 1, ctx)
-        return ctx.real(-z1.val / z0.val)
-
 
 def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
                 ctx: PrecisionContext) -> tuple[mpf, mpf]:
-    """(L(s, chi), L'(s, chi)) for a real character table chi mod q,
-    from one Euler-Maclaurin pass per residue (em_log_moments, N = 1):
+    """(L(s, chi), L'(s, chi)) for a real character table chi mod q (zeta:
+    (1,) mod 1), one Euler-Maclaurin pass per residue (em_log_moments, N = 1):
 
         L(s)  = q^(-s) Sum_{a=1}^{q} chi(a) Z_0(s, a/q)
         L'(s) = -log(q) L(s) - q^(-s) Sum_{a=1}^{q} chi(a) Z_1(s, a/q).
@@ -137,7 +110,7 @@ def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
     """
     s = Fraction(s)
     if s == 1 and sum(chi[a % q] for a in range(1, q + 1)) != 0:
-        raise ValueError("L(1) route requires a non-principal character")
+        raise ValueError("L(s, chi) has a pole at s = 1 for a principal character")
     # The character sums cancel (by a factor of about 170 for L'(1) at
     # q = 7), so the Z_n are taken to the guard bits of the sums.
     wide = PrecisionContext(ctx.bits + _GUARD)
@@ -159,7 +132,8 @@ def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
 
 def dirichlet_log_deriv(s: Rational, q: int, chi: Sequence[int],
                         ctx: PrecisionContext) -> HReal:
-    """(L'/L)(s, chi) for a real character table chi mod q."""
+    """(L'/L)(s, chi) for a real character table chi mod q, zeta'/zeta at (1,);
+    a zero of L (zeta's trivial zeros are exact zeros of the sum) is a pole."""
     with ctx.workprec(_GUARD):
         L, Lp = dirichlet_L(s, q, chi, ctx)
         if L == 0:
@@ -403,32 +377,29 @@ _gamma_F: dict[tuple, mpf] = {}   # (chi, bits) -> (L'/L)(1, chi)
 
 @dataclass(frozen=True)
 class SelbergDescriptor:
-    """Zeta, or L(s, chi) for a real primitive character chi, as the
-    descriptor form reads it.
+    """L(s, chi) for a real primitive character chi mod q, as the
+    descriptor form reads it; zeta is the character (1,) mod 1.
 
     gamma_factors are the (lambda_j, mu_j) of the completed-function
     Gamma factors; Lambda_F(n) = chi(n) Lambda(n) with chi a completely
-    multiplicative table (None for zeta), which also fixes F'/F, gamma_F,
-    Q = sqrt(q/pi) (q the modulus, 1 for zeta) and the root number w = 1:
-    the Gauss sum of a real primitive character is i^a sqrt(q)
-    (Davenport, Multiplicative Number Theory, ch. 9).
+    multiplicative table, which also fixes F'/F, gamma_F, Q = sqrt(q/pi)
+    (q = len(chi)) and the root number w = 1: the Gauss sum of a real
+    primitive character is i^a sqrt(q) (Davenport, ch. 9).
     """
 
     label: str
     m_F: int                                   # pole order at s = 1, >= 0
     gamma_factors: tuple[tuple[Fraction, Fraction], ...]  # (lambda_j, mu_j)
-    chi: Optional[tuple[int, ...]]             # chi(n) = chi[n % len(chi)]; None: zeta
+    chi: tuple[int, ...]                       # chi(n) = chi[n % len(chi)]
 
     def log_deriv(self, s: Rational, ctx: PrecisionContext) -> mpf:
-        """(F'/F)(s): zeta'/zeta for chi = None, else (L'/L)(s, chi)."""
-        if self.chi is None:
-            return zeta_log_deriv(s, ctx).val
+        """(F'/F)(s) = (L'/L)(s, chi), zeta'/zeta at chi = (1,)."""
         return dirichlet_log_deriv(s, len(self.chi), self.chi, ctx).val
 
     def gamma_F(self, ctx: PrecisionContext) -> mpf:
-        """The constant term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1):
-        Euler's constant for zeta, (L'/L)(1, chi) once per (chi, bits)."""
-        if self.chi is None:
+        """The constant term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1): Euler's
+        constant at zeta's pole, else (L'/L)(1, chi) once per (chi, bits)."""
+        if self.m_F:
             return +ctx.euler_gamma
         key = (self.chi, ctx.bits)
         if key not in _gamma_F:
@@ -437,13 +408,13 @@ class SelbergDescriptor:
 
 
 def descriptor_zeta() -> SelbergDescriptor:
-    """The descriptor of zeta itself: m_F = 1, one Gamma factor (1/2, 0),
-    Lambda_F = Lambda, gamma_F = Euler's constant (Q = pi^(-1/2), w = 1)."""
+    """Zeta as the character (1,) mod 1: m_F = 1, one Gamma factor (1/2, 0),
+    gamma_F = Euler's constant (Q = pi^(-1/2), w = 1)."""
     return SelbergDescriptor(
         label="zeta",
         m_F=1,
         gamma_factors=((Fraction(1, 2), Fraction(0)),),
-        chi=None,
+        chi=(1,),
     )
 
 
@@ -467,10 +438,12 @@ def _is_primitive_real(q: int, chi: Sequence[int]) -> bool:
 def descriptor_dirichlet(q: int, chi: Sequence[int],
                          ctx: PrecisionContext) -> SelbergDescriptor:
     """Descriptor of L(s, chi) for a primitive real character table chi
-    mod q: m_F = 0, one factor (1/2, a/2) with a the parity
-    (chi(-1) = (-1)^a), Lambda_F(n) = chi(n) Lambda(n), gamma_F =
+    mod q >= 2 (q = 1 is zeta, whose pole descriptor_zeta() carries): m_F =
+    0, one factor (1/2, a/2) with a the parity (chi(-1) = (-1)^a), gamma_F =
     (L'/L)(1, chi).  ctx is unused, kept for callers that pass one."""
     chi = tuple(chi)
+    if q == 1:
+        raise ValueError("the character mod 1 is zeta: use descriptor_zeta()")
     if len(chi) != q:
         raise ValueError("character table length must equal the modulus")
     if not _is_primitive_real(q, chi):
@@ -689,11 +662,16 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
     trend record (residual at half truncation vs full, from one pass over
     the zeros); the absolutely convergent S identity gets the genuine
     tail bound.  The closed form and the F'/F term are evaluated once.
+    F is zeta but for selberg-*, and the table must carry F's label.
     """
     x = Fraction(x)
     if identity not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITY_IDS}")
-    if F is not None and table.label != F.label:
+    selberg = identity.startswith("selberg")
+    if selberg and (F is None or alpha is None):
+        raise ValueError(f"{identity} requires F and alpha")
+    F = F if selberg else descriptor_zeta()
+    if table.label != F.label:
         raise ValueError(f"table label {table.label!r} does not match "
                          f"descriptor {F.label!r}")
 
@@ -713,11 +691,9 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
         if identity.startswith("general"):
             if pf is None:
                 raise ValueError(f"{identity} requires pf")
-            poles, weights, F = pf.roots, pf.residues, descriptor_zeta()
+            poles, weights = pf.roots, pf.residues
             rhs = (general_rhs_gt1 if gt1 else general_rhs_lt1)(x, pf, ctx)
         else:
-            if F is None or alpha is None:
-                raise ValueError(f"{identity} requires F and alpha")
             a = Fraction(0) if alpha == "zero" else Fraction(alpha)
             poles, weights = (a,), (Fraction(1),)
             rhs_fn = selberg_rhs_gt1 if gt1 else selberg_rhs_lt1

@@ -205,7 +205,7 @@ EDGE_X = ([Fraction(2 * (j * BLOCK + e) + 1, 2) for j in (1, 2) for e in (-1, 0,
 @pytest.mark.parametrize("d", TABLE_CHI)
 def test_checkpointed_sums_match_per_n_reference(bits, d):
     ctx = PrecisionContext(bits=bits)
-    chi = None if d is None else kronecker_chi(d)
+    chi = (1,) if d is None else kronecker_chi(d)
     for s in TABLE_S:
         for x in EDGE_X:
             got = weighted_sum(x, s, ctx, chi)
@@ -240,7 +240,7 @@ def test_half_integer_s_takes_exact_square_roots(monkeypatch, bits, d):
     monkeypatch.setattr(arith, "_prefix", {})
     monkeypatch.setattr(arith, "exp_fixed", refuse)
     ctx = PrecisionContext(bits=bits)
-    chi = None if d is None else kronecker_chi(d)
+    chi = (1,) if d is None else kronecker_chi(d)
     S = [Fraction(401, 2)] + [Fraction(a, b) for b in range(2, arith.ROOT_BOUND + 1)
                               for a in (1, -1, b + 1)]
     for s in S:
@@ -295,7 +295,7 @@ def test_root_walk_within_stated_error(bits, s, d):
     # The unrounded sum against a per-n sum at 64 bits past its unit: the
     # difference stays below the sum of the stated term errors.
     ctx, N = PrecisionContext(bits=bits), 1500
-    chi = None if d is None else kronecker_chi(d)
+    chi = (1,) if d is None else kronecker_chi(d)
     man, exp = prime_power_sum(N, s, ctx, chi)
     with mpmath.workprec(-exp + 64):
         ref = mpmath.fsum((1 if chi is None else chi[n % len(chi)])
@@ -338,7 +338,7 @@ def test_primes_past_log_limit_take_exp_fixed_at_b_above_2(monkeypatch, bits, s,
     monkeypatch.setattr(arith, "_prefix", {})
     monkeypatch.setattr(arith, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
     ctx, N1, N2 = PrecisionContext(bits=bits), arith.LOG_LIMIT - 200, arith.LOG_LIMIT + 400
-    chi = None if d is None else kronecker_chi(d)
+    chi = (1,) if d is None else kronecker_chi(d)
     m1, e1 = prime_power_sum(N1, s, ctx, chi)
     m2, e2 = prime_power_sum(N2, s, ctx, chi)
     terms = [(n, _prime_power_base(n)) for n in range(N1 + 1, N2 + 1)]
@@ -381,7 +381,7 @@ TABLE_N = (3000, 255, 256, 257, 1, 1023, 5000, 2 * BLOCK)
                                  (Fraction(2, 3), 3)])
 def test_checkpointed_sums_do_not_depend_on_history(monkeypatch, s, d):
     ctx = PrecisionContext(bits=192)
-    chi = None if d is None else kronecker_chi(d)
+    chi = (1,) if d is None else kronecker_chi(d)
 
     def reset(logs_from=None):
         # empty checkpoint, log and root tables; or logs and roots grown by
@@ -451,6 +451,17 @@ def test_checkpoint_table_size(monkeypatch, N):
     prime_power_sum(N // 3, Fraction(0), ctx)
     sums, = arith._prefix.values()
     assert len(sums) <= math.ceil(N / BLOCK) + 1
+
+
+def test_zeta_and_the_character_mod_1_share_one_checkpoint_table(monkeypatch):
+    # zeta is the character table (1,) mod 1: the default chi and an
+    # explicit (1,) read and grow one table, to the same integers
+    monkeypatch.setattr(arith, "_prefix", {})
+    ctx, s = PrecisionContext(bits=192), Fraction(1, 2)
+    first = prime_power_sum(3000, s, ctx)
+    assert prime_power_sum(3000, s, ctx, (1,)) == first
+    assert prime_power_sum(5000, s, ctx, [1]) == prime_power_sum(5000, s, ctx)
+    assert list(arith._prefix) == [(s, (1,), walk_width(ctx))]
 
 
 def test_kronecker_symbol_small_table():

@@ -219,12 +219,26 @@ def test_verify_s_reports_its_tail_estimate(capsys, fixture100):
 @pytest.mark.parametrize("argv", [
     ["rh-check"], ["li", "--n", "2"], ["sum", "--term", "inv-rho"],
     ["sum", "--term", "inv-rho-sq"], ["verify", "--identity", "s", "--x", "4"]])
-def test_every_tail_refuses_a_last_height_below_2pi(capsys, argv):
-    # the chi_{-4} table's first ordinate is 6.02 < 2 pi
-    table_path = Path(zeros.__file__).parent / "data" / "dirichlet4_zeros_10.txt"
+def test_every_tail_refuses_a_last_height_below_2pi(capsys, tmp_path, argv):
+    # an unlabelled (zeta) table whose first ordinate is 6.0 < 2 pi
+    table_path = tmp_path / "low.txt"
+    table_path.write_text("6.0\n14.134725141734693\n")
     code, out, err = run(capsys, *argv, "--zeros", str(table_path), "--K", "1")
     assert code == EXIT_DOMAIN
     assert out == "" and "T > 2 pi" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "von-mangoldt", "--x", "4"],
+    ["verify", "--identity", "general-gt1", "--x", "4", "--pf-roots", "1/2"],
+    ["verify", "--identity", "s", "--x", "4"],
+    ["li", "--n", "1"], ["rh-check"], ["sum", "--term", "inv-rho-sq"]])
+def test_zeta_subcommands_refuse_a_zero_file_of_another_function(capsys, argv):
+    # the chi_{-4} file says "# label: dirichlet-4": zeta's formulas refuse it
+    table_path = Path(zeros.__file__).parent / "data" / "dirichlet4_zeros_10.txt"
+    code, out, err = run(capsys, *argv, "--zeros", str(table_path), "--K", "10")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "does not match descriptor 'zeta'" in err
 
 
 def test_verify_unknown_identity(capsys):

@@ -1,6 +1,7 @@
 """Closed-form right-hand sides, the auxiliary series f_u, rational
 kernels, and the descriptor layer that generalizes both."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -36,7 +37,6 @@ from zeta_explicit.explicit import (
     selberg_rhs_gt1,
     selberg_rhs_lt1,
     verify_identity,
-    zeta_log_deriv,
 )
 from zeta_explicit.mpcore import PrecisionContext, _exact
 from explicit_oracles import (HComplex, cosine_rhs_expanded, f_u_closed_uncorrected,
@@ -69,7 +69,7 @@ def test_f_rhs_domains(ctx):
         f_rhs_lt1(F(3, 2), ctx)
     for s in (F(1), F(-2)):   # the pole, and a trivial zero
         with pytest.raises(ValueError, match="pole"):
-            zeta_log_deriv(s, ctx)
+            descriptor_zeta().log_deriv(s, ctx)
     for z in (ctx.mpf(1), F(-1, 2)):
         with pytest.raises(ValueError, match="0 <= z < 1"):
             f_u_closed(F(1, 2), z, ctx)
@@ -142,18 +142,28 @@ def test_s_rhs_frozen_values(ctx):
         "-0.4752081546601097160301093"
 
 
-def test_zeta_log_deriv_closed_forms(ctx):
-    # At s = 0 the value is log(2 pi); at s = 1/2 it is known in terms
-    # of gamma and pi/2 log pi, checked against an mpmath reference.
-    with ctx.workprec(16):
-        assert abs(zeta_log_deriv(F(0), ctx).val - ctx.log_2pi) < TINY
-    assert zeta_log_deriv(F(1, 2), ctx).str_digits(25) == \
-        "2.686091709612832791116479"
+@pytest.mark.parametrize("bits", [64, 128, 192, 512, 1024])
+def test_zeta_log_deriv_closed_forms(bits):
+    # zeta'/zeta through the one route, the character (1,) mod 1, against
+    # two classical closed forms taken at bits + 32: log(2 pi) at s = 0 and
+    # gamma/2 + pi/4 + (3/2) log 2 + (1/2) log pi at s = 1/2.
+    ctx, zeta = PrecisionContext(bits=bits), descriptor_zeta()
+    with mpmath.workprec(bits + 32):
+        closed = {F(0): mpmath.log(2 * mpmath.pi),
+                  F(1, 2): (mpmath.euler / 2 + mpmath.pi / 4 + 3 * mpmath.log(2) / 2
+                            + mpmath.log(mpmath.pi) / 2)}
+    for s, ref in closed.items():
+        got = zeta.log_deriv(s, ctx)
+        with mpmath.workprec(bits + 32):
+            assert abs(got - ref) <= mpf(2) ** (8 - bits) * abs(ref), s
+    if bits == 192:
+        assert ctx.real(zeta.log_deriv(F(1, 2), ctx)).str_digits(25) == \
+            "2.686091709612832791116479"
 
 
 def test_zeta_log_deriv_vs_dirichlet_series(ctx):
     value, tail = zeta_log_deriv_dirichlet(2.0)
-    ref = float(zeta_log_deriv(F(2), ctx).val)
+    ref = float(descriptor_zeta().log_deriv(F(2), ctx))
     assert abs(value - ref) <= tail
     assert abs(value - ref) > 0
     with pytest.raises(ValueError):
@@ -404,6 +414,17 @@ def test_dirichlet_descriptor_rejects_imprimitive(ctx):
         descriptor_dirichlet(4, (0, 1, 0, 1), ctx)
 
 
+def test_dirichlet_descriptor_refuses_the_character_mod_1(ctx):
+    # The character mod 1 is zeta, whose pole (m_F = 1) only
+    # descriptor_zeta() carries; built with m_F = 0 it would give
+    # selberg_rhs_gt1(5/2, 1/3) = 2.3285... against zeta's 3.0785...
+    with pytest.raises(ValueError, match="descriptor_zeta"):
+        descriptor_dirichlet(1, (1,), ctx)
+    zeta = descriptor_zeta()
+    assert (zeta.chi, zeta.m_F) == ((1,), 1)
+    assert selberg_rhs_gt1(F(5, 2), F(1, 3), zeta, ctx).str_digits(5) == "3.0785"
+
+
 def test_selberg_matches_plain_evaluators(ctx):
     zeta = descriptor_zeta()
     for x, a in ((F(3, 2), F(1, 3)), (F(4), F(1, 2)), (F(6), F(2, 3))):
@@ -624,3 +645,18 @@ def test_verify_identity_rejects_label_mismatch(ctx, fixture100):
     with pytest.raises(ValueError, match="label"):
         verify_identity("selberg-gt1", F(4), fixture100, SumSpec(K=10),
                         ctx, alpha=F(1, 2), F=d4)
+
+
+@pytest.mark.parametrize("identity,x,kw", [
+    ("von-mangoldt", F(4), {}), ("ingham", F(1, 10), {}), ("cosine", F(4), {}),
+    ("s", F(4), {}), ("general-gt1", F(4), {"pf": partial_fractions([F(1)], [F(1, 2)])}),
+    ("general-lt1", F(2, 5), {"pf": partial_fractions([F(1)], [F(1, 2)])}),
+])
+def test_verify_identity_zeta_identities_refuse_another_label(ctx, fixture100,
+                                                              identity, x, kw):
+    # every identity but selberg-* sums zeta's zeros, whatever F is passed
+    table = dataclasses.replace(fixture100, label="dirichlet-4")
+    d4 = descriptor_dirichlet(4, kronecker_chi(1), ctx)
+    for F_given in (None, d4):
+        with pytest.raises(ValueError, match="does not match descriptor 'zeta'"):
+            verify_identity(identity, x, table, SumSpec(K=10), ctx, F=F_given, **kw)
