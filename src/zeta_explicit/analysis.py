@@ -14,9 +14,11 @@ the prime sums' width W = bits + 48: K, one prime sum plus log 2pi or
 gamma, falls by log p (floor-divided by n below 1) at each
 discontinuity and errs by a counted number of units of 2^-W.  The
 finders refine the one sign change g + K can have on a piece by
-fixed-point Newton steps and report a sign change of the one-sided
-limits at a discontinuity as a jump-crossing record; every residual is
-|f_rhs| itself, which checks the walked K.  The grid scan reads f at
+fixed-point Newton steps safeguarded by bisection, bracket it by the
+cell of the grid 2^-k Z (2^-k <= tol) that holds the root, cut to the
+piece, and report a sign change of the one-sided limits at a
+discontinuity as a jump-crossing record; every residual is |f_rhs|
+itself, which checks the walked K.  The grid scan reads f at
 floor(S k/N) 2^-W, S = floor(pi sqrt(d) 2^W), on each piece, where |f|
 is monotone or V-shaped in k: its ends, a bisection to a sign change
 and steps while |f| < threshold (exact) give its minimum and candidates.
@@ -82,42 +84,35 @@ class RootRecord:
 def _refine(a: Fraction, b: Fraction, fa: int, k: int, F: Callable[[int], int],
             W: int, bits: int) -> tuple[Fraction, Fraction, int]:
     """(a', b', X): the zero X 2^-W of the monotone F = g + K on [a, b] (F
-    and fa = F(a) in units of 2^-W, F' = _dg), inside a subbracket [a', b']
-    of width <= h = 2^-k whose ends keep the differing signs of F(a), F(b).
+    and fa = F(a) in units of 2^-W, F' = _dg), inside the cell of the grid
+    hZ, h = 2^-k, that holds X, cut to [a, b]: its ends keep the differing
+    signs of F(a), F(b), a zero of F counting with the positive side.
 
-    Safeguarded Newton: each iterate (the bracket midpoint when the step
-    leaves the bracket) probes the two points of the grid hZ around it,
-    and the grid point by the midpoint when that has not halved the
-    bracket; a probe replaces the end of like sign.  Newton steps then
-    polish X until they stall."""
-    h = Fraction(1, 1 << k)
-
-    def newton(X: int) -> int:
-        lo, hi = -(-(a.numerator << W) // a.denominator), (b.numerator << W) // b.denominator
-        Y = X - (F(X) << W) // (_dg(X, 1 << W, W) or 1)
-        return Y if lo <= Y <= hi else (lo + hi) >> 1
-
-    def probe(m: int) -> None:   # at the grid point m h
-        nonlocal a, b
-        if a < m * h < b:
-            if (F(m << W - k) < 0) == (fa < 0):
-                a = m * h
-            else:
-                b = m * h
-
-    X = ((a + b).numerator << W - 1) // (a + b).denominator
-    while b - a > h:
-        X, width = newton(X), b - a
-        probe(X >> W - k)
-        probe((X >> W - k) + 1)
-        if 2 * (b - a) > width:
-            m = (a + b) / 2 // h
-            probe(m if m * h > a else m + 1)
-    for _ in range(bits.bit_length()):
-        X, Y = newton(X), X
+    Newton's method safeguarded by bisection on the integer bracket
+    [lo, hi] (Numerical Recipes, 9.4): each iterate's F replaces the end
+    of like sign, a step that leaves the bracket becomes its midpoint,
+    and the loop stops once a step moves X by at most |X| 2^-(bits+8)
+    or the bracket closes.  A probed cell end of the wrong sign moves the
+    cell by one, which happens only when X is within a unit of its end."""
+    lo, hi = -(-(a.numerator << W) // a.denominator), (b.numerator << W) // b.denominator
+    X = (lo + hi) >> 1
+    while hi - lo > 1:
+        FX = F(X)
+        if (FX < 0) == (fa < 0):
+            lo = X
+        else:
+            hi = X
+        X, Y = X - (FX << W) // (_dg(X, 1 << W, W) or 1), X
         if abs(Y - X) <= abs(X) >> bits + 8:
             break
-    return a, b, X
+        if not lo < X < hi:
+            X = (lo + hi) >> 1
+    m, h = X >> W - k, Fraction(1, 1 << k)
+    while a < m * h and (F(m << W - k) < 0) != (fa < 0):
+        m -= 1
+    while (m + 1) * h < b and (F(m + 1 << W - k) < 0) == (fa < 0):
+        m += 1
+    return max(a, m * h), min(b, (m + 1) * h), X
 
 
 def _dg(p: int, q: int, W: int) -> int:
@@ -181,7 +176,7 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
     its end carries g + K across 0."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if tol < Fraction(1, 2 ** max(8, ctx.bits - 16)):
+    if tol < Fraction(1, 2 ** (ctx.bits - 16)):
         raise ValueError(
             f"tol = {tol} below the precision floor 2^-{ctx.bits - 16}")
     W = walk_width(ctx)

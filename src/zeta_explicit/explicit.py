@@ -372,7 +372,7 @@ def partial_fractions(A: Sequence[Rational],
 # Selberg-class descriptors
 # ----------------------------------------------------------------------
 
-_gamma_F: dict[tuple, mpf] = {}   # (chi, bits) -> (L'/L)(1, chi)
+_log_deriv: dict[tuple, mpf] = {}   # (chi, s, bits) -> (L'/L)(s, chi)
 
 
 @dataclass(frozen=True)
@@ -393,18 +393,17 @@ class SelbergDescriptor:
     chi: tuple[int, ...]                       # chi(n) = chi[n % len(chi)]
 
     def log_deriv(self, s: Rational, ctx: PrecisionContext) -> mpf:
-        """(F'/F)(s) = (L'/L)(s, chi), zeta'/zeta at chi = (1,)."""
-        return dirichlet_log_deriv(s, len(self.chi), self.chi, ctx).val
+        """(F'/F)(s) = (L'/L)(s, chi), zeta'/zeta at chi = (1,), taken once
+        per (chi, s, bits)."""
+        key = (self.chi, Fraction(s), ctx.bits)
+        if key not in _log_deriv:
+            _log_deriv[key] = dirichlet_log_deriv(s, len(self.chi), self.chi, ctx).val
+        return _log_deriv[key]
 
     def gamma_F(self, ctx: PrecisionContext) -> mpf:
         """The constant term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1): Euler's
-        constant at zeta's pole, else (L'/L)(1, chi) once per (chi, bits)."""
-        if self.m_F:
-            return +ctx.euler_gamma
-        key = (self.chi, ctx.bits)
-        if key not in _gamma_F:
-            _gamma_F[key] = self.log_deriv(1, ctx)
-        return _gamma_F[key]
+        constant at zeta's pole, else (L'/L)(1, chi)."""
+        return +ctx.euler_gamma if self.m_F else self.log_deriv(1, ctx)
 
 
 def descriptor_zeta() -> SelbergDescriptor:

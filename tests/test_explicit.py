@@ -373,14 +373,15 @@ def test_dirichlet_descriptor_invariants(ctx):
 
 def test_gamma_F_computed_once_per_character_and_bits(monkeypatch):
     # gamma_F = (L'/L)(1, chi) costs one Euler-Maclaurin pass per residue;
-    # it is taken once per (chi, bits), also through the alpha = 0 form.
+    # log_deriv takes it once per (chi, s, bits), also through the alpha = 0
+    # form.
     calls = []
 
     def counted(*args):
         calls.append(args[-1].bits)
         return dirichlet_L(*args)
 
-    monkeypatch.setattr(explicit, "_gamma_F", {})
+    monkeypatch.setattr(explicit, "_log_deriv", {})
     monkeypatch.setattr(explicit, "dirichlet_L", counted)
     ctx = PrecisionContext(bits=192)
     d4 = descriptor_dirichlet(4, kronecker_chi(1), ctx)
@@ -393,6 +394,24 @@ def test_gamma_F_computed_once_per_character_and_bits(monkeypatch):
     assert len(calls) == 2              # the reference line above made one
     d4.gamma_F(PrecisionContext(bits=128))
     assert calls == [192, 192, 128]
+
+
+def test_verify_identity_takes_F_log_deriv_once_per_alpha_and_bits(monkeypatch, fixture100):
+    # the x^alpha F'/F(alpha) term: one dirichlet_L pass for three calls at
+    # one alpha and one precision, where an uncached log_deriv takes three
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return dirichlet_L(*args)
+
+    monkeypatch.setattr(explicit, "_log_deriv", {}, raising=False)
+    monkeypatch.setattr(explicit, "dirichlet_L", counted)
+    ctx = PrecisionContext(bits=192)
+    reports = [verify_identity("selberg-gt1", F(4), fixture100, SumSpec(K=10), ctx,
+                               alpha=F(1, 2), F=descriptor_zeta()) for _ in range(3)]
+    assert calls == [F(1, 2)]
+    assert len({r.lhs.val for r in reports}) == 1
 
 
 def test_descriptor_fixed_by_its_character(ctx, monkeypatch):

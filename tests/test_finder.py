@@ -173,6 +173,101 @@ def test_fixed_point_g_and_slope_against_mpmath(bits, x):
         assert abs(_dg(p, q, W) - mpmath.ldexp(slope, W)) <= 1
 
 
+REFINE_W, REFINE_BITS, REFINE_K = 240, 192, 20   # h = 2^-20 at 192 bits
+REFINE_CELL = 1 << REFINE_W - REFINE_K           # units of 2^-W per cell
+# g_lt1 rises on [1/8, 1/4] and falls on [17/20, 19/20], |g'| > 1 on both
+REFINE_PIECES = [(F(1, 8), F(1, 4), F(3, 16)), (F(17, 20), F(19, 20), F(9, 10))]
+
+
+def _grid_unit(x):
+    """The grid point of hZ at or below x, in units of 2^-W."""
+    return math.floor(x * 2 ** REFINE_K) * REFINE_CELL
+
+
+@pytest.mark.parametrize("a,b,c", REFINE_PIECES)
+@pytest.mark.parametrize("case", ["generic", "on-grid", "grid-1", "grid+1",
+                                  "first-iterate", "short-straddling", "short-inside",
+                                  "steep"])
+def test_refine_on_a_synthetic_monotone_F(a, b, c, case):
+    # F(X) = floor((X - R) g'(R)): exact, monotone like g + K, with its one
+    # sign change at the integer R (F(R) = 0, a zero counting with the
+    # positive side), so Newton's slope _dg is F's near R.  The steep F is
+    # three times that: every Newton step overshoots by 2 (X - R), only the
+    # shrinking bracket converges, and X is good to the stall rule's
+    # |X| 2^-(bits+8), not to a unit.
+    W, h = REFINE_W, F(1, 1 << REFINE_K)
+    grid = _grid_unit(c)
+    lo, hi = -(-(a.numerator << W) // a.denominator), (b.numerator << W) // b.denominator
+    R = {"generic": (c.numerator << W) // c.denominator + (1 << W - 12) + 12345,
+         "steep": (c.numerator << W) // c.denominator + (1 << W - 12) + 12345,
+         "on-grid": grid, "grid-1": grid - 1, "grid+1": grid + 1,
+         "first-iterate": (lo + hi) >> 1,
+         "short-straddling": grid + 5, "short-inside": grid + REFINE_CELL // 4}[case]
+    if case.startswith("short"):   # a piece shorter than one cell around R
+        a = F(R - REFINE_CELL // 3 if case == "short-straddling" else grid + 1, 1 << W)
+        b = F(R + REFINE_CELL // 3, 1 << W)
+        assert b - a < h
+    d = _dg(R, 1 << W, W) * (3 if case == "steep" else 1)
+    calls = []
+
+    def Fs(X):
+        calls.append(X)
+        assert len(calls) <= 4 * W     # bisection alone takes about W
+        return (X - R) * d >> W
+
+    fa, fb = Fs(math.ceil(a * 2 ** W)), Fs(math.floor(b * 2 ** W))
+    assert (fa < 0) != (fb < 0)
+    v, w, X = analysis._refine(a, b, fa, REFINE_K, Fs, W, REFINE_BITS)
+    assert a <= v < w <= b and w - v <= h
+    assert v * 2 ** W <= R <= w * 2 ** W          # the cell holds the root
+    for end, ref_sign in ((v, fa), (w, fb)):      # each end keeps its side's sign
+        if end not in (a, b):
+            assert (end * 2 ** W).denominator == 1 and end / h == end // h
+            value = Fs(int(end * 2 ** W))
+            assert value == 0 or (value < 0) == (ref_sign < 0)
+    assert abs(X - R) <= (R >> REFINE_BITS + 8 if case == "steep" else 1)
+    if case == "first-iterate":                   # F(X) = 0 at once: no Newton step
+        assert X == R and calls[2] == R
+
+
+@pytest.mark.parametrize("a,b,c", REFINE_PIECES)
+def test_refine_moves_the_cell_to_the_sign_change(a, b, c):
+    # F vanishes on [G - 2, G + 2], G a grid point, and the first iterate
+    # (the bracket midpoint) is a zero of F in the cell beside the one that
+    # holds the sign change (G - 2 rising, G + 2 falling): the cell moves.
+    W, grid = REFINE_W, _grid_unit(c)
+    d = _dg(grid, 1 << W, W)
+    mid = grid + 1 if d > 0 else grid - 1
+    a, b = F(mid - REFINE_CELL // 3, 1 << W), F(mid + REFINE_CELL // 3, 1 << W)
+
+    def Fs(X):
+        t = X - grid
+        return (t - 2 if t > 2 else t + 2 if t < -2 else 0) * d >> W
+
+    v, w, X = analysis._refine(a, b, Fs(mid - REFINE_CELL // 3), REFINE_K, Fs, W, REFINE_BITS)
+    assert X == mid and Fs(X) == 0
+    assert (v, w) == ((a, F(grid, 1 << W)) if d > 0 else (F(grid, 1 << W), b))
+
+
+@pytest.mark.parametrize("g_name,finder,lo,hi,bound", [
+    # 342 and 225 for a refinement that probed the grid around every
+    # Newton iterate and then polished X in a second loop
+    ("g_lt1", find_zeros_lt1, F(1, 60), F(19, 20), 217),
+    ("g_gt1", find_zeros_gt1, F(21, 20), F(50), 175),
+])
+def test_refinement_evaluation_count(monkeypatch, g_name, finder, lo, hi, bound):
+    # one F per Newton iterate plus the cell-end probes, at 192 bits
+    calls = []
+
+    def counted(*args, fn=getattr(analysis, g_name)):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(analysis, g_name, counted)
+    finder(lo, hi, TOL, PrecisionContext(bits=192))
+    assert len(calls) <= bound
+
+
 @pytest.mark.parametrize("finder,lo,hi", [(find_zeros_gt1, F(21, 20), F(2)),
                                           (find_zeros_lt1, F(1, 10), F(9, 10))])
 @pytest.mark.parametrize("tol,match", [(F(0), "positive"), (F(-1, 8), "positive"),
