@@ -134,9 +134,9 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
     K is -psi0 - log 2pi above 1, or T(x, 0) + gamma below, from one prime
     sum inside the first piece; it falls by drop, log p or floor(log p / n)
     (0 at the turn and at an hi that is no discontinuity), as x passes b.
-    Each log p errs by at most 2 log p units (W significant bits), so K
-    errs by less than 1 + Sum (2 log p/n + 1) units over the terms and
-    drops taken (n = 1 above 1).  The turn lies in (1/2, 2), so it
+    Each log p is floor(log(p) 2^W), under 1 unit low, so K errs by less
+    than 1 + Sum (1/n + 1) units over the terms and drops taken (n = 1
+    above 1).  The turn lies in (1/2, 2), so it
     precedes every discontinuity above 1 and follows every one below."""
     above = lo > 1
     # x = n above 1, x = 1/n below: the n strictly inside, and hi's own n

@@ -14,7 +14,7 @@ where Sum' halves the boundary term when the endpoint is a prime power.
 Inputs x are exact rationals so the "is the endpoint a prime power"
 branch is decidable (_endpoint decides it for every sum).  Both forms
 are weighted_sum, which reads prime_power_sum at bits + 32: fixed-point
-integers, each prime's log taken once into a table per width and its
+integers, each prime's log floored once into a table per width and its
 root p^(-1/b) once into one per (b, width), b <= ROOT_BOUND, checkpointed
 every BLOCK = 256 per (s, chi, width); no value depends on history.
 
@@ -113,7 +113,9 @@ def shared_table(N: int) -> MangoldtTable:
 BLOCK = 256   # spacing of prime_power_sum's prefix checkpoints
 ROOT_BOUND = 3   # largest denominator of s whose roots are tabled; see prime_power_sum
 _prefix: dict[tuple, list] = {}
-_logs: dict[int, dict[int, int]] = {}   # width W -> {p: log(p) 2^W}
+_logs: dict[int, dict[int, int]] = {}   # width W -> {p: floor(log(p) 2^W)}
+_chain: dict[int, tuple] = {}   # W -> (q, L, err): _log's last prime at W, L within err of log(q) 2^(W+32)
+_CHAIN_ERR = 1 << 12   # err at which _log re-anchors: a floor is ambiguous for about 2 err 2^-32 of primes
 _roots: dict[tuple, dict[int, int]] = {}   # (b, W) -> {p: floor(2^W p^(-1/b))}
 _FIXED = 16   # guard bits of the walk's width, for its per-term roundings
 
@@ -124,17 +126,43 @@ def walk_width(ctx: PrecisionContext) -> int:
     return ctx.bits + _GUARD + _FIXED
 
 
+def _mpf_log(p: int, V: int) -> int:
+    """log(p) 2^V within 4 units: mpf_log to V + 8 bits (log p < 2^8), floored."""
+    return libmp.to_fixed(libmp.mpf_log(libmp.from_int(p), V + 8), V)
+
+
 def _log(p: int, W: int) -> int:
-    """log(p) 2^W, the one log behind every Lambda(n); kept in the
-    width's table when p <= LOG_LIMIT, so each such p takes it once."""
-    L = libmp.to_fixed(libmp.mpf_log(libmp.from_int(p), W), W)
+    """floor(log(p) 2^W), exactly: the one log behind every Lambda(n); kept
+    in the width's table when p <= LOG_LIMIT, so each such p takes it once.
+    L is log(p) 2^V within err units, V = W + 32: a step from the last prime
+    q logged at W, log p = log q + 2 atanh(d/s), d = p - q, s = p + q, its
+    series in integers to odd index k under k + 1 units off; or one _mpf_log,
+    the anchor, when 64|d| >= p or err >= _CHAIN_ERR.  L >> 32 is the floor
+    when L - err and L + err share it (all but about 2^-19 of the primes);
+    else _mpf_log, 64 bits wider each time, decides it."""
+    V, (q, L, err) = W + 32, _chain.get(W, (1, 0, 0))
+    d, s = p - q, p + q
+    if 64 * abs(d) < p and err < _CHAIN_ERR:
+        y = (abs(d) << V + 1) // s
+        A, k, d2, s2 = y, 1, d * d, s * s
+        while y := y * d2 // s2:
+            k += 2
+            A += y // k
+        L, err = L + A if d > 0 else L - A, err + k + 1
+    else:
+        L, err = _mpf_log(p, V), 4
+    g = 32
+    while (L - err) >> g != (L + err) >> g:
+        g += 64
+        L, err = _mpf_log(p, W + g), 4
+    _chain[W] = (p, L, err) if g == 32 else (p, L >> g - 32, 2)
     if p <= LOG_LIMIT:
-        _logs.setdefault(W, {})[p] = L
-    return L
+        _logs.setdefault(W, {})[p] = L >> g
+    return L >> g
 
 
 def _log_at(p: int, W: int) -> int:
-    """log(p) 2^W from W's table, taken by _log on a miss."""
+    """floor(log(p) 2^W) from W's table, taken by _log on a miss."""
     return _logs.get(W, {}).get(p) or _log(p, W)
 
 
@@ -172,7 +200,7 @@ def _root(p: int, b: int, W: int) -> int:
 
 
 def mangoldt(n: int, ctx: PrecisionContext) -> mpf:
-    """Lambda(n) = log p to 2^-W, W = walk_width(ctx), exactly as the prime
+    """Lambda(n) = floor(log(p) 2^W) 2^-W, W = walk_width(ctx), as the prime
     walk's table holds it: an mpf not rounded to mpmath's precision."""
     p, W = shared_table(n).prime_of(n), walk_width(ctx)
     return mpmath.make_mpf(libmp.from_man_exp(_log_at(p, W), -W)) if p else mpf(0)
@@ -186,13 +214,14 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
 
     Integers at width W + e, unrounded: W = walk_width(ctx), and
     e = s log2 p0 keeps the first term p0^(-s) (p0 the least prime chi
-    keeps) at W bits.  log p comes from W's table; n = p^k gives n^(-s) as
-    an exact power of n at integer s.  At s = a/b, 2 <= b <= ROOT_BOUND,
-    r = floor(2^W p^(-1/b)) comes from the (b, W) root table, shared by
-    every numerator, character and form: with m = ak, q = max(0, ceil(-m/b))
-    and j = qb + m, n^(-s) = p^q p^(-j/b); the term c L p^q
-    _power(r << e, j, W + e) >> W errs (L within 2 log p units) by less than
-    1 + ((j p^(1/b) + 3) 2^e n^(-s) + 2 j p^q) log p units of 2^-(W+e).
+    keeps) at W bits.  L = floor(log(p) 2^W) comes from W's table; n = p^k
+    gives n^(-s) as an exact power of n at integer s.  At s = a/b,
+    2 <= b <= ROOT_BOUND, r = floor(2^W p^(-1/b)) comes from the (b, W) root
+    table, shared by every numerator, character and form: with m = ak,
+    q = max(0, ceil(-m/b)) and j = qb + m, n^(-s) = p^q p^(-j/b); the term
+    c L p^q _power(r << e, j, W + e) >> W errs (L under 1 unit low) by less
+    than 1 + (1 + (j p^(1/b) + 1) log p) 2^e n^(-s) + 2 j p^q log p units
+    of 2^-(W+e).
     Larger b, and p > LOG_LIMIT at b >= 3 (roots no table keeps, each a
     Newton root dearer than one exp_fixed), take exp_fixed(-s k log p).
     ROOT_BOUND = 3 is the largest b a measured workload reads (prime-scan's

@@ -272,8 +272,8 @@ def test_root_table_holds_exact_floors(monkeypatch, bits):
 
 def _stated_error(N: int, s: Fraction, chi, e: int) -> float:
     """prime_power_sum's stated bound on its error, in units of 2^-(W+e):
-    1 + ((j p^(1/b) + 3) 2^e n^(-s) + 2 j p^q) log p summed over its
-    terms, m = ak, q = max(0, ceil(-m/b)), j = qb + m."""
+    1 + (1 + (j p^(1/b) + 1) log p) 2^e n^(-s) + 2 j p^q log p summed over
+    its terms, m = ak, q = max(0, ceil(-m/b)), j = qb + m."""
     a, b, total = s.numerator, s.denominator, 0.0
     for n in range(2, N + 1):
         p = _prime_power_base(n)
@@ -281,8 +281,8 @@ def _stated_error(N: int, s: Fraction, chi, e: int) -> float:
             m = a * round(math.log(n, p))
             q = max(0, -(m // b))
             j = q * b + m
-            total += 1 + ((j * p ** (1 / b) + 3) * 2.0 ** e * n ** -float(s)
-                          + 2 * j * p ** q) * math.log(p)
+            total += 1 + (1 + (j * p ** (1 / b) + 1) * math.log(p)) * 2.0 ** e * n ** -float(s) \
+                + 2 * j * p ** q * math.log(p)
     return total
 
 
@@ -308,6 +308,56 @@ def test_root_walk_within_stated_error(bits, s, d):
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def _log_floor(p: int, W: int) -> int:
+    """floor(log(p) 2^W) from mpmath's log at W + 64 bits past the unit."""
+    with mpmath.workprec(W + 72):
+        return int(mpmath.floor(mpmath.ldexp(mpmath.log(p), W)))
+
+
+LOG_PRIMES = ([p for p in range(2, 200) if _is_prime(p)]
+              + [p for p in range(arith.LOG_LIMIT - 300, arith.LOG_LIMIT + 300) if _is_prime(p)]
+              + [p for p in range(arith.MAX_SIEVE - 600, arith.MAX_SIEVE) if _is_prime(p)])
+
+
+@pytest.mark.parametrize("W", [112, 240, 560, 1072])
+def test_log_is_exact_floor_by_every_route(monkeypatch, W):
+    # The chain in increasing and in decreasing p, and the anchor alone
+    # (chain state cleared before each call), all give the exact floor
+    # near 2, around LOG_LIMIT and just below MAX_SIEVE.
+    monkeypatch.setattr(arith, "_logs", {})
+    monkeypatch.setattr(arith, "_chain", {})
+    up = [arith._log(p, W) for p in LOG_PRIMES]
+    arith._chain.clear()
+    down = [arith._log(p, W) for p in reversed(LOG_PRIMES)][::-1]
+    anchored = []
+    for p in LOG_PRIMES:
+        arith._chain.clear()
+        anchored.append(arith._log(p, W))
+    assert up == down == anchored == [_log_floor(p, W) for p in LOG_PRIMES]
+    assert arith._logs[W] == {p: L for p, L in zip(LOG_PRIMES, up) if p <= arith.LOG_LIMIT}
+
+
+@pytest.mark.parametrize("W", [112, 1072])
+def test_log_near_tie_takes_the_wide_fallback(monkeypatch, W):
+    # A chain state whose L for p lands on a multiple of 2^32 within its
+    # counted error: the guard bits cannot certify the floor, and one
+    # mpf_log 64 bits wider decides it.
+    q, V = arith.LOG_LIMIT - 1, W + 32
+    p = next(n for n in range(q + 1, 2 * q) if _is_prime(n))
+    monkeypatch.setattr(arith, "_logs", {})
+    monkeypatch.setattr(arith, "_chain", {W: (q, arith._mpf_log(q, V), 4)})
+    monkeypatch.setattr(arith, "_CHAIN_ERR", 1 << 33)
+    arith._log(p, W)
+    _, L, err = arith._chain[W]
+    assert err < 1 << 12
+    shift = (1 << 31) - (L + (1 << 31)) % (1 << 32)   # L + shift: the nearest multiple of 2^32
+    monkeypatch.setattr(arith, "_chain", {W: (q, arith._mpf_log(q, V) + shift, 4 + abs(shift))})
+    widths, mpf_log = [], arith._mpf_log
+    monkeypatch.setattr(arith, "_mpf_log", lambda p, V: widths.append(V) or mpf_log(p, V))
+    assert arith._log(p, W) == _log_floor(p, W)
+    assert widths == [W + 96] and arith._chain[W][2] == 2
 
 
 @pytest.mark.parametrize("bits", [128, 192, 1024])
