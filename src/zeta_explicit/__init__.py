@@ -48,7 +48,6 @@ from .zeros import (
     ZeroTable,
     fixture_table,
     load_zeros,
-    sum_inv_rho,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +75,6 @@ __all__ = [
     "rh_statistic",
     "series_ops",
     "stieltjes",
-    "sum_inv_rho",
     "verify_identity",
     "zeta_int",
     "__version__",

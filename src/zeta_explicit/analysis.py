@@ -2,26 +2,26 @@
 the imaginary-quadratic identities: class numbers against L(1, chi),
 and the Gamma-product evaluation of exp(L'/L(1, chi) - gamma).
 
-f means the closed-form side of the zero sum Sum_rho x^rho / rho
-(f_rhs_gt1 for x > 1, f_rhs_lt1 for 0 < x < 1).  It is continuous
-except at prime powers (x > 1) or reciprocal prime powers (x < 1),
-where the half-weighted prime term makes the at-point value the mean
-of the one-sided limits.  Between consecutive discontinuities f is an
-elementary g(x) plus a constant K, and g' vanishes once, at the plastic
-number (x > 1) or its reciprocal (x < 1).  One walk, _pieces, yields
-the pieces on which g + K is monotone, in increasing x, in integers at
-the prime sums' width W = bits + 48: K, one prime sum plus log 2pi or
-gamma, falls by log p (floor-divided by n below 1) at each
-discontinuity and errs by a counted number of units of 2^-W.  The
-finders refine the one sign change g + K can have on a piece by
-fixed-point Newton steps safeguarded by bisection, bracket it by the
-cell of the grid 2^-k Z (2^-k <= tol) that holds the root, cut to the
-piece, and report a sign change of the one-sided limits at a
-discontinuity as a jump-crossing record; every residual is |f_rhs|
-itself, which checks the walked K.  The grid scan reads f at
-floor(S k/N) 2^-W, S = floor(pi sqrt(d) 2^W), on each piece, where |f|
-is monotone or V-shaped in k: its ends, a bisection to a sign change
-and steps while |f| < threshold (exact) give its minimum and candidates.
+f means the closed-form side of the zero sum Sum_rho x^rho / rho,
+explicit's f_fixed = g + K (rounded once by f_rhs_gt1 and f_rhs_lt1).
+It is continuous except at prime powers (x > 1) or reciprocal prime
+powers (x < 1), where the half-weighted prime term makes the at-point
+value the mean of the one-sided limits.  Between consecutive
+discontinuities K is constant, and g' vanishes once, at the plastic
+number (x > 1) or its reciprocal (x < 1).  One walk, _pieces, yields the
+pieces on which g + K is monotone, in increasing x, in integers at the
+prime sums' width W = bits + 48: K, explicit's f_const inside the first
+piece, falls by log p (floor-divided by n below 1) at each discontinuity
+and errs by a counted number of units of 2^-W.  The finders refine the
+one sign change g + K can have on a piece by fixed-point Newton steps
+safeguarded by bisection, bracket it by the cell of the grid 2^-k Z
+(2^-k <= tol) that holds the root, cut to the piece, and report a sign
+change of the one-sided limits at a discontinuity as a jump-crossing
+record; every residual is |f_rhs| itself, which checks the walked K.
+The grid scan reads f at floor(S k/N) 2^-W, S = floor(pi sqrt(d) 2^W),
+on each piece, where |f| is monotone or V-shaped in k: its ends, a
+bisection to a sign change and steps while |f| < threshold (exact) give
+its minimum and candidates.
 
 The quadratic-field block works with chi = chi_{-d} mod D for
 squarefree d (class_data supplies D, h, w, chi):
@@ -49,8 +49,8 @@ from typing import Callable, Iterator
 import mpmath
 from mpmath import libmp, mpf
 
-from .arith import MAX_SIEVE, _log_at, class_data, prime_power_sum, shared_table, walk_width
-from .explicit import Rational, dirichlet_L, f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
+from .arith import MAX_SIEVE, _log_at, class_data, shared_table, walk_width
+from .explicit import Rational, dirichlet_L, f_const, f_rhs_gt1, f_rhs_lt1, g
 from .mpcore import _GUARD, HReal, PrecisionContext, _exact
 
 GENUINE = "genuine-zero"
@@ -131,13 +131,12 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
     They end at each discontinuity x = n (above 1) or x = 1/n (below 1),
     n a prime power, inside (lo, hi), at the turn where g' vanishes (the
     plastic number, x^3 = x + 1, above 1; its reciprocal below) and at hi.
-    K is -psi0 - log 2pi above 1, or T(x, 0) + gamma below, from one prime
-    sum inside the first piece; it falls by drop, log p or floor(log p / n)
-    (0 at the turn and at an hi that is no discontinuity), as x passes b.
-    Each log p is floor(log(p) 2^W), under 1 unit low, so K errs by less
-    than 1 + Sum (1/n + 1) units over the terms and drops taken (n = 1
-    above 1).  The turn lies in (1/2, 2), so it
-    precedes every discontinuity above 1 and follows every one below."""
+    K is f_const at the first piece's midpoint; it falls by drop, log p or
+    floor(log p / n) (0 at the turn and at an hi that is no discontinuity),
+    as x passes b, each drop under 1/n + 1 units off, log p being
+    floor(log(p) 2^W): K errs by less than 1 + Sum (1/n + 1) units over
+    the terms and drops taken (n = 1 above 1).  The turn lies in (1/2, 2),
+    so it precedes every discontinuity above 1 and follows every one below."""
     above = lo > 1
     # x = n above 1, x = 1/n below: the n strictly inside, and hi's own n
     n_lo, n_hi, n_end = (lo, hi, hi) if above else (1 / hi, 1 / lo, 1 / hi)
@@ -154,13 +153,7 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
         ends.insert(0 if above else len(ends), (turn, 0))
     at_jump = n_end.denominator == 1 and table.is_prime_power(n_end.numerator)
     ends.append((hi, n_end.numerator if at_jump else 0))
-    mid, W = (lo + ends[0][0]) / 2, walk_width(ctx)
-    S, e = prime_power_sum(math.floor(mid if above else 1 / mid),
-                           Fraction(0 if above else 1), ctx)
-    with mpmath.workprec(W + 8):
-        c = libmp.to_fixed((-mpmath.log(2 * mpmath.pi) if above else +mpmath.euler)._mpf_, W)
-    K = c + ((-S if above else S) >> -e - W)
-    a = lo
+    K, W, a = f_const((lo + ends[0][0]) / 2, ctx), walk_width(ctx), lo
     for b, n in ends:
         drop = _log_at(table.prime_of(n), W) // (1 if above else n) if n else 0
         yield a, b, K, drop
@@ -180,7 +173,7 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
         raise ValueError(
             f"tol = {tol} below the precision floor 2^-{ctx.bits - 16}")
     W = walk_width(ctx)
-    f_rhs, g = (f_rhs_gt1, g_gt1) if lo > 1 else (f_rhs_lt1, g_lt1)
+    f_rhs = f_rhs_gt1 if lo > 1 else f_rhs_lt1
     k = (math.ceil(1 / tol) - 1).bit_length()   # h = 2^-k <= tol
     records: list[RootRecord] = []
     ga = g(lo.numerator, lo.denominator, W)
@@ -392,7 +385,7 @@ def hypothesis_scan(d: int, ctx: PrecisionContext, *,
     if u // X(1) > MAX_SIEVE:         # _pieces sieves to 1/X_1
         raise ValueError(f"grid denominator {denominator} puts the first point of the "
                          f"{window} at 1/{u // X(1)}, past MAX_SIEVE = {MAX_SIEVE}")
-    f = lambda k: g_lt1(X(k), u, W) + K
+    f = lambda k: g(X(k), u, W) + K
     tn, td = Fraction(threshold).as_integer_ratio()   # v 2^-W < tn/td iff v td < tn 2^W
     last = kmax if X(kmax) < u else kmax - 1
     candidates, best, k = [], None, 1

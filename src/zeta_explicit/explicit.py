@@ -25,12 +25,13 @@ sums through verify_identity):
     selberg_rhs_gt1/lt1 are this form.  general_rhs_gt1/lt1, the kernels
     (A/B)(rho) = Sum_i lam_i/(rho - alpha_i) with their zeta'/zeta
     terms, are Sum_i lam_i times it for F = zeta.
-  The paper's f(x) = Sum_rho x^rho/rho, kept elementary:
-    x > 1:  f(x) = g_gt1(x) - psi0(x) - log 2pi,
-            g_gt1(x) = x - (1/2) log(1 - x^-2)
-    0<x<1:  f(x) = g_lt1(x) + T(x, 0) + gamma,
-            g_lt1(x) = log x + x - (1/2) log((1+x)/(1-x))
-    (the zeta descriptor form at alpha = 0, less log 2pi above 1).
+  The paper's f(x) = Sum_rho x^rho/rho is f_fixed = g + K in units of
+    2^-W, W = walk_width, which f_rhs_gt1/lt1 round once (zeta's form at
+    alpha = 0, less log 2pi above 1); it errs by g's 2 units plus K's
+    1 + Sum (1/n + 1):
+    x > 1:  g(x) = x - (1/2) log(1 - x^-2),  K = -psi0(x) - log 2pi
+    0<x<1:  g(x) = log x + x - (1/2) log((1+x)/(1-x)),  K = T(x, 0) + gamma
+    The finders and the scan walk K from f_const, the same K.
   f reflected: for x > 1, rho -> 1 - rho turns Sum x^rho/(1-rho) into
     x f(1/x), so
             Sum_rho x^rho/(rho(1-rho)) = f(x) + x f(1/x)
@@ -65,12 +66,7 @@ from typing import Optional, Sequence, Union
 import mpmath
 from mpmath import libmp, mpf
 
-from .arith import (
-    psi0 as arith_psi0,
-    T_sum,
-    walk_width,
-    weighted_sum,
-)
+from .arith import _endpoint, prime_power_sum, walk_width, weighted_sum
 from .mpcore import (
     _GUARD,
     HReal,
@@ -255,48 +251,59 @@ def _half_log(n: int, d: int, W: int) -> int:
     return libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp((n << sh) // d, -sh), wp), W - 1)
 
 
-def g_gt1(p: int, q: int, W: int) -> int:
-    """The continuous part of f above 1, x - (1/2) log(1 - 1/x^2), at
-    x = p/q > 1 in units of 2^-W, within 2 (x rounded, then _half_log)."""
-    return ((p << W + 1) + q) // (2 * q) - _half_log(p * p - q * q, p * p, W)
+def g(p: int, q: int, W: int) -> int:
+    """The continuous part of f at x = p/q (p > q picks the side of 1) in
+    units of 2^-W, within 2 (x rounded, then _half_log): x - (1/2) log(1 -
+    1/x^2) above 1, and below 1 log x + x - (1/2) log((1+x)/(1-x)) (the
+    trivial-zero contribution together with the first odd power)."""
+    x = ((p << W + 1) + q) // (2 * q)
+    return x - _half_log(p * p - q * q, p * p, W) if p > q else \
+        x + _half_log(p * p * (q - p), q * q * (q + p), W)
 
 
-def g_lt1(p: int, q: int, W: int) -> int:
-    """The continuous part of f below 1, log x + x - (1/2) log((1+x)/(1-x))
-    (the trivial-zero contribution together with the first odd power),
-    at x = p/q in (0, 1) in units of 2^-W, within 2, its logs one."""
-    return ((p << W + 1) + q) // (2 * q) + _half_log(p * p * (q - p), q * q * (q + p), W)
+def f_const(x: Fraction, ctx: PrecisionContext) -> int:
+    """K = f(x) - g(x) in units of 2^-W, W = walk_width(ctx), rational
+    x > 0, x != 1: -log 2pi - psi0(x) above 1, gamma + T(x, 0) below, one
+    prime_power_sum over n <= y = x or 1/x (at an integer prime power y the
+    mean of the sums to y - 1 and to y: its term halved exactly).  Each
+    log p is floor(log(p) 2^W), so K errs by less than 1 + Sum (1/n + 1)
+    units over the terms taken (n = 1 above 1)."""
+    W, above = walk_width(ctx), x > 1
+    N, p = _endpoint(x if above else 1 / x)
+    s = Fraction(0 if above else 1)
+    S, e = prime_power_sum(N, s, ctx)
+    if p:
+        S, e = S + prime_power_sum(N + 1, s, ctx)[0], e - 1
+    with mpmath.workprec(W + 8):
+        c = libmp.to_fixed((-mpmath.log(2 * mpmath.pi) if above else +mpmath.euler)._mpf_, W)
+    return c + ((-S if above else S) >> -e - W)
+
+
+def f_fixed(x: Fraction, ctx: PrecisionContext) -> int:
+    """f(x) = g(x) + f_const(x) in units of 2^-W, W = walk_width(ctx),
+    within g's 2 units plus K's count: f's one assembly."""
+    return g(x.numerator, x.denominator, walk_width(ctx)) + f_const(x, ctx)
 
 
 def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
-    """Predicted Sum_rho x^rho/rho for rational x > 1:
-
-        f(x) = g_gt1(x) - psi0(x) - log 2pi,
-
-    psi0 half-corrected at prime powers."""
+    """Predicted Sum_rho x^rho/rho for rational x > 1, f = g - psi0 - log 2pi
+    (psi0 half-corrected at prime powers): f_fixed, within g's 2 units of
+    2^-W plus K's 1 + Sum (1/n + 1), rounded once."""
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"f_rhs_gt1 requires x > 1, got {x}")
-    psi, W = arith_psi0(x, ctx), walk_width(ctx)
-    with ctx.workprec(_GUARD):
-        v = mpf((g_gt1(x.numerator, x.denominator, W), -W)) - psi.val - ctx.log_2pi
-    return ctx.real(v)
+    return ctx.real((f_fixed(x, ctx), -walk_width(ctx)))
 
 
 def f_rhs_lt1(x: Rational, ctx: PrecisionContext) -> HReal:
-    """Predicted Sum_rho x^rho/rho for rational 0 < x < 1:
-
-        f(x) = g_lt1(x) + Sum'_{n<=1/x} Lambda(n)/n + gamma,
-
-    the primed sum halving the boundary term when 1/x is a prime power
-    (T_sum at alpha = 0)."""
+    """Predicted Sum_rho x^rho/rho for rational 0 < x < 1, f = g + gamma +
+    Sum'_{n<=1/x} Lambda(n)/n (T_sum at alpha = 0, halved at a prime power
+    1/x): f_fixed, within g's 2 units of 2^-W plus K's 1 + Sum (1/n + 1),
+    rounded once."""
     x = Fraction(x)
     if not (0 < x < 1):
         raise ValueError(f"f_rhs_lt1 requires 0 < x < 1, got {x}")
-    t, W = T_sum(x, Fraction(0), ctx), walk_width(ctx)
-    with ctx.workprec(_GUARD):
-        v = mpf((g_lt1(x.numerator, x.denominator, W), -W)) + t.val + mpmath.euler
-    return ctx.real(v)
+    return ctx.real((f_fixed(x, ctx), -walk_width(ctx)))
 
 
 def _f_reflected(x: Rational, ctx: PrecisionContext, name: str) -> mpf:

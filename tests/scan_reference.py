@@ -4,7 +4,7 @@ package's piece walk.  Both use the package's HypothesisScan record.
 hypothesis_scan evaluates f_rhs_lt1 afresh at every grid point, so each
 point pays for its own prime-power sum.
 
-walked_scan evaluates g_lt1 + K at every grid point, in integers at the
+walked_scan evaluates g + K at every grid point, in integers at the
 package's fixed-point width: one prime sum at the first point gives
 K = T + gamma, which falls by log p / n, floored, as 1/x passes each
 prime power n = p^j.  The package does the same arithmetic but evaluates
@@ -23,7 +23,7 @@ from mpmath import libmp
 
 from zeta_explicit.analysis import HypothesisScan
 from zeta_explicit.arith import _log_at, prime_power_sum, shared_table
-from zeta_explicit.explicit import f_rhs_lt1, g_lt1
+from zeta_explicit.explicit import f_rhs_lt1, g
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.mpcore import _exact
 
@@ -73,7 +73,7 @@ def walked_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
     every k keeping the argument inside (0, 1), in fixed point at
     W = bits + 48: the argument is X_k 2^-W, X_k = floor(S k/denominator)
     with S = pi sqrt(d) 2^W, which never collides with a reciprocal prime
-    power.  f = g_lt1 + K as in the finders: K = T + gamma comes from one
+    power.  f = g + K as in the finders: K = T + gamma comes from one
     fixed-point prime sum at the first point and falls by
     floor(log p 2^W / n) as 1/x passes each prime power n = p^j.
     Refuses a d that is not a positive integer."""
@@ -109,7 +109,7 @@ def walked_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
             p = table.prime_of(n)
             K -= _log_at(p, W) // n if p else 0
             n -= 1
-        v = abs(g_lt1(X, u, W) + K)
+        v = abs(g(X, u, W) + K)
         x = Fraction(k, denominator)
         if best is None or v < best[1]:
             best = (x, v)

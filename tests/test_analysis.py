@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 import hypothesis.strategies as st
 
-from zeta_explicit import analysis, arith
+from zeta_explicit import analysis, arith, explicit
 from zeta_explicit.analysis import (
     GENUINE,
     JUMP,
@@ -24,7 +24,7 @@ from zeta_explicit.analysis import (
     hypothesis_scan,
 )
 from zeta_explicit.arith import class_data, is_squarefree
-from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g_lt1
+from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.mpcore import _exact
 import scan_reference as ref
@@ -233,12 +233,12 @@ def test_walked_scan_matches_per_point_reference(d, points, bits, threshold):
     assert new.evaluated == old.evaluated
     assert new.argmin == old.argmin
     assert [x for x, _ in new.candidates] == [x for x, _ in old.candidates]
-    # K = f - g_lt1 is largest at the first grid point, where 1/x is largest
+    # K = f - g is largest at the first grid point, where 1/x is largest
     wide, W = PrecisionContext(bits + 32), bits + 80
     with wide.workprec():
         x1 = _exact(wide.pi * mpmath.sqrt(d) / den)
         K = abs(f_rhs_lt1(x1, wide).val
-                - mpmath.ldexp(g_lt1(x1.numerator, x1.denominator, W), -W))
+                - mpmath.ldexp(g(x1.numerator, x1.denominator, W), -W))
         tol = mpf(2) ** (8 - bits) * (1 + K)
         assert abs(new.min_abs.val - old.min_abs.val) <= tol
         for (_, a), (_, b) in zip(new.candidates, old.candidates):
@@ -311,8 +311,8 @@ def test_piece_walk_at_1024_bits():
 
 def test_piece_walk_evaluation_count(monkeypatch):
     # d = 1 with 3,000 grid points: the per-point walk takes the
-    # fixed-point g_lt1 3,000 times, the piece walk only at piece ends,
-    # bisections and candidates; K is one fixed-point prime sum, with no
+    # fixed-point g 3,000 times, the piece walk only at piece ends,
+    # bisections and candidates; K is f_const's one prime sum, with no
     # f_rhs_lt1 call.
     calls = {"g": 0, "f_rhs": 0, "sum": 0}
 
@@ -322,9 +322,9 @@ def test_piece_walk_evaluation_count(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(analysis, "g_lt1", counted("g", g_lt1))
+    monkeypatch.setattr(analysis, "g", counted("g", g))
     monkeypatch.setattr(analysis, "f_rhs_lt1", counted("f_rhs", f_rhs_lt1))
-    monkeypatch.setattr(analysis, "prime_power_sum",
+    monkeypatch.setattr(explicit, "prime_power_sum",
                         counted("sum", arith.prime_power_sum))
     scan = hypothesis_scan(1, PrecisionContext(bits=192),
                            denominator=round(3000 * math.pi))

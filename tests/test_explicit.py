@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf
+from mpmath.libmp import prec_to_dps
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
@@ -28,7 +29,7 @@ from zeta_explicit.explicit import (
     f_rhs_lt1,
     TAU0,
     f_u_closed,
-    g_lt1,
+    g,
     general_rhs_gt1,
     general_rhs_lt1,
     partial_fractions,
@@ -62,6 +63,19 @@ def test_f_rhs_gt1_at_prime_power_boundary(ctx):
         "-0.04060962046342767454966603"
 
 
+@pytest.mark.parametrize("bits", [128, 192, 512])
+def test_f_rhs_right_to_its_print_cap(bits):
+    # f is g + K in integers rounded once, so every digit str_digits may
+    # print, prec_to_dps(bits) - 1, agrees with the same call at bits + 256:
+    # at x = 299999/2 psi0 is near 1.5e5 and f near -49
+    cap = prec_to_dps(bits) - 1
+    for x in (F(21), F(2 ** 17), F(299999, 2), F(2, 299999), F(1, 2 ** 17), F(3, 902)):
+        f = f_rhs_gt1 if x > 1 else f_rhs_lt1
+        got, ref = f(x, PrecisionContext(bits)).val, f(x, PrecisionContext(bits + 256)).val
+        with mpmath.workprec(bits + 256):
+            assert abs(got - ref) <= abs(ref) * mpf(10) ** -cap, x
+
+
 def test_f_rhs_domains(ctx):
     with pytest.raises(ValueError):
         f_rhs_gt1(F(1, 2), ctx)
@@ -80,15 +94,15 @@ def test_f_rhs_domains(ctx):
 
 @pytest.mark.parametrize("bits", [128, 224, 512])
 def test_g_lt1_one_log_matches_two_log_form(bits):
-    # x near 0, the turn at 1/plastic (where g_lt1' = 0) and x near 1;
-    # g_lt1 in units of 2^-W at the finders' width W = bits + 48
+    # x near 0, the turn at 1/plastic (where g' = 0) and x near 1;
+    # g in units of 2^-W at the finders' width W = bits + 48
     two_logs = lambda x: mpmath.log(x) + x - mpmath.log((1 + x) / (1 - x)) / 2
     W = bits + 48
     with mpmath.workprec(bits):
         turn = 1 / mpmath.findroot(lambda t: t ** 3 - t - 1, mpf(4) / 3)
         for x in (mpf(2) ** -100, mpf(10) ** -30, turn, 1 - mpf(2) ** -100):
             r, same_bits = _exact(x), two_logs(x)
-            got = mpmath.ldexp(g_lt1(r.numerator, r.denominator, W), -W)
+            got = mpmath.ldexp(g(r.numerator, r.denominator, W), -W)
             with mpmath.workprec(bits + 64):
                 ref = two_logs(x)
                 assert abs(got - ref) <= mpf(2) ** (4 - bits) * abs(ref), x

@@ -13,7 +13,7 @@ from zeta_explicit import analysis
 from zeta_explicit.analysis import (GENUINE, JUMP, _dg, _pieces, find_zeros_gt1,
                                     find_zeros_lt1)
 from zeta_explicit.arith import shared_table
-from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g_gt1, g_lt1
+from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g
 from zeta_explicit.mpcore import PrecisionContext
 import finder_reference as ref
 
@@ -116,7 +116,7 @@ PIECE_WINDOWS = [(F(21, 20), F(200)), (F(2), F(8)), (F(3), F(7, 2)),
 def test_pieces_tile_the_window_with_the_walked_K(lo, hi, bits):
     ctx, wide = PrecisionContext(bits=bits), PrecisionContext(bits=bits + 64)
     above = lo > 1
-    f_rhs, g = (f_rhs_gt1, g_gt1) if above else (f_rhs_lt1, g_lt1)
+    f_rhs = f_rhs_gt1 if above else f_rhs_lt1
     with wide.workprec():
         turn = mpmath.findroot(lambda x: x ** 3 - x - 1, 1.3)
         turn, eps = (turn if above else 1 / turn), mpmath.ldexp(1, -bits)
@@ -164,10 +164,10 @@ def test_fixed_point_g_and_slope_against_mpmath(bits, x):
     with mpmath.workprec(W + 64):
         X = mpmath.mpf(p) / q
         if x > 1:
-            got, ref = g_gt1(p, q, W), X - mpmath.log(1 - 1 / X ** 2) / 2
+            got, ref = g(p, q, W), X - mpmath.log(1 - 1 / X ** 2) / 2
             slope = 1 - 1 / (X ** 3 - X)
         else:
-            got, ref = g_lt1(p, q, W), mpmath.log(X) + X - mpmath.log((1 + X) / (1 - X)) / 2
+            got, ref = g(p, q, W), mpmath.log(X) + X - mpmath.log((1 + X) / (1 - X)) / 2
             slope = 1 / X + 1 - 1 / (1 - X ** 2)
         assert abs(got - mpmath.ldexp(ref, W)) <= 2
         assert abs(_dg(p, q, W) - mpmath.ldexp(slope, W)) <= 1
@@ -175,7 +175,7 @@ def test_fixed_point_g_and_slope_against_mpmath(bits, x):
 
 REFINE_W, REFINE_BITS, REFINE_K = 240, 192, 20   # h = 2^-20 at 192 bits
 REFINE_CELL = 1 << REFINE_W - REFINE_K           # units of 2^-W per cell
-# g_lt1 rises on [1/8, 1/4] and falls on [17/20, 19/20], |g'| > 1 on both
+# g rises on [1/8, 1/4] and falls on [17/20, 19/20], |g'| > 1 on both
 REFINE_PIECES = [(F(1, 8), F(1, 4), F(3, 16)), (F(17, 20), F(19, 20), F(9, 10))]
 
 
@@ -249,21 +249,22 @@ def test_refine_moves_the_cell_to_the_sign_change(a, b, c):
     assert (v, w) == ((a, F(grid, 1 << W)) if d > 0 else (F(grid, 1 << W), b))
 
 
-@pytest.mark.parametrize("g_name,finder,lo,hi,bound", [
+@pytest.mark.parametrize("finder,lo,hi,bound", [
     # 342 and 225 for a refinement that probed the grid around every
     # Newton iterate and then polished X in a second loop
-    ("g_lt1", find_zeros_lt1, F(1, 60), F(19, 20), 217),
-    ("g_gt1", find_zeros_gt1, F(21, 20), F(50), 175),
+    (find_zeros_lt1, F(1, 60), F(19, 20), 217),
+    (find_zeros_gt1, F(21, 20), F(50), 175),
 ])
-def test_refinement_evaluation_count(monkeypatch, g_name, finder, lo, hi, bound):
-    # one F per Newton iterate plus the cell-end probes, at 192 bits
+def test_refinement_evaluation_count(monkeypatch, finder, lo, hi, bound):
+    # one F per Newton iterate plus the cell-end probes, at 192 bits; K
+    # (f_const) takes no g, and the residuals' g is explicit's, uncounted
     calls = []
 
-    def counted(*args, fn=getattr(analysis, g_name)):
+    def counted(*args, fn=g):
         calls.append(args)
         return fn(*args)
 
-    monkeypatch.setattr(analysis, g_name, counted)
+    monkeypatch.setattr(analysis, "g", counted)
     finder(lo, hi, TOL, PrecisionContext(bits=192))
     assert len(calls) <= bound
 
