@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Cost of one Euler-Maclaurin pass, by s, order and precision.
 
-For each precision in BITS, each s in S and each order N in ORDERS,
-calls mpcore.em_log_moments(s, A, N, ctx) once untimed (so process-wide
-set-up inside mpmath, such as its cached log 2, is not counted) and then
-REPEAT times timed, round-robin over all cells, and prints the median
-time per call in milliseconds.  s = 3 takes exact powers, s = 5/2 exact
-square roots, s = 4/3 exponentials, and s = 1 gives the Stieltjes
-constants gamma_n(A).  One more row times liconst.build_stieltjes_table
+For each precision in BITS, each shift a in A, each s in S and each
+order N in ORDERS, calls mpcore.em_log_moments(s, a, N, ctx) once
+untimed (so process-wide set-up, such as mpcore.log_fixed's table for
+the width, is not counted) and then REPEAT times timed, round-robin over
+all cells, and prints the median time per call in milliseconds.  s = 3
+takes exact powers, s = 5/2 exact square roots, s = 4/3 exponentials,
+and s = 1 gives the Stieltjes constants gamma_n(a).  At a = 1/3 the head
+terms n = 3k + 1 stay below 512, where every log n is a table entry of
+log_fixed; at a = 2/7 the head runs past n = 512 at 384 bits and more,
+so log_fixed's atanh series is timed too.  One more row times
+liconst.build_stieltjes_table
 at order TABLE in the same round-robin: its pass at s = 1 and the
 zeta(j) of mpcore.zeta_int for j = 2..TABLE, as the constants workload
 and the li subcommand build it.  Only the public API is used, so the
@@ -28,18 +32,19 @@ from zeta_explicit.mpcore import em_log_moments
 
 S = (Fraction(3), Fraction(5, 2), Fraction(4, 3), Fraction(1))
 ORDERS = (0, 1, 4)
-A = Fraction(1, 3)
+A = (Fraction(1, 3), Fraction(2, 7))
 TABLE = 8
 REPEAT = 5
 
 
 def main() -> int:
-    rows = {f"{str(s):>5} {N:>2}": (lambda ctx, s=s, N=N: em_log_moments(s, A, N, ctx))
-            for s in S for N in ORDERS}
-    rows[f"{'table':>5} {TABLE:>2}"] = lambda ctx: build_stieltjes_table(TABLE, ctx)
-    print_table(f"ms per em_log_moments call at a = {A}, median of {REPEAT};"
+    rows = {f"{str(a):>4} {str(s):>5} {N:>2}":
+            (lambda ctx, a=a, s=s, N=N: em_log_moments(s, a, N, ctx))
+            for a in A for s in S for N in ORDERS}
+    rows[f"{'':>4} {'table':>5} {TABLE:>2}"] = lambda ctx: build_stieltjes_table(TABLE, ctx)
+    print_table(f"ms per em_log_moments call, median of {REPEAT};"
                 f" 'table' is build_stieltjes_table({TABLE})",
-                f"{'s':>5} {'N':>2}", 8, median_times(rows, REPEAT), 1e3, ".2f")
+                f"{'a':>4} {'s':>5} {'N':>2}", 13, median_times(rows, REPEAT), 1e3, ".2f")
     return 0
 
 

@@ -34,7 +34,7 @@ import mpmath
 from mpmath import libmp, mpf
 from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
-from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf
+from .mpcore import _GUARD, HReal, PrecisionContext, _atanh2, _to_mpf, log_fixed
 
 # Sieve memory budget: 4 bytes per entry kept, 6 at the peak of a sieve (tracemalloc).
 MAX_SIEVE = 20_000_000
@@ -126,35 +126,23 @@ def walk_width(ctx: PrecisionContext) -> int:
     return ctx.bits + _GUARD + _FIXED
 
 
-def _mpf_log(p: int, V: int) -> int:
-    """log(p) 2^V within 4 units: mpf_log to V + 8 bits (log p < 2^8), floored."""
-    return libmp.to_fixed(libmp.mpf_log(libmp.from_int(p), V + 8), V)
-
-
 def _log(p: int, W: int) -> int:
-    """floor(log(p) 2^W), exactly: the one log behind every Lambda(n); kept
-    in the width's table when p <= LOG_LIMIT, so each such p takes it once.
-    L is log(p) 2^V within err units, V = W + 32: a step from the last prime
-    q logged at W, log p = log q + 2 atanh(d/s), d = p - q, s = p + q, its
-    series in integers to odd index k under k + 1 units off; or one _mpf_log,
-    the anchor, when 64|d| >= p or err >= _CHAIN_ERR.  L >> 32 is the floor
-    when L - err and L + err share it (all but about 2^-19 of the primes);
-    else _mpf_log, 64 bits wider each time, decides it."""
-    V, (q, L, err) = W + 32, _chain.get(W, (1, 0, 0))
-    d, s = p - q, p + q
-    if 64 * abs(d) < p and err < _CHAIN_ERR:
-        y = (abs(d) << V + 1) // s
-        A, k, d2, s2 = y, 1, d * d, s * s
-        while y := y * d2 // s2:
-            k += 2
-            A += y // k
-        L, err = L + A if d > 0 else L - A, err + k + 1
+    """floor(log(p) 2^W), exactly: the one log behind every Lambda(n), kept
+    in W's table when p <= LOG_LIMIT.  L is log(p) 2^V within err units,
+    V = W + 32: log q + 2 atanh((p - q)/(p + q)) from the last prime q
+    logged at W, by _atanh2 (k + 1 units added to err); or log_fixed(p, 1,
+    V) (err 1), the anchor, when 64|p - q| >= p or err >= _CHAIN_ERR.
+    L >> 32 is the floor when L - err and L + err share it (all but about
+    2^-19 of the primes); else log_fixed, 64 bits wider each time, decides it."""
+    V, (q, L, err), g = W + 32, _chain.get(W, (1, 0, 0)), 32
+    if 64 * abs(p - q) < p and err < _CHAIN_ERR:
+        A, k = _atanh2(abs(p - q), p + q, V)
+        L, err = L + A if p > q else L - A, err + k + 1
     else:
-        L, err = _mpf_log(p, V), 4
-    g = 32
+        L, err = log_fixed(p, 1, V), 1
     while (L - err) >> g != (L + err) >> g:
         g += 64
-        L, err = _mpf_log(p, W + g), 4
+        L, err = log_fixed(p, 1, W + g), 1
     _chain[W] = (p, L, err) if g == 32 else (p, L >> g - 32, 2)
     if p <= LOG_LIMIT:
         _logs.setdefault(W, {})[p] = L >> g

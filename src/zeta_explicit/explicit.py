@@ -75,6 +75,7 @@ from .mpcore import (
     _to_mpf,
     bernoulli,
     em_log_moments,
+    log_fixed,
 )
 from .zeros import (
     SumSpec,
@@ -86,6 +87,7 @@ from .zeros import (
 )
 
 Rational = Union[int, Fraction]
+_K_CONST: dict[int, list[int]] = {}   # W -> f_const's gamma and -log 2pi, floored to W bits
 
 
 # ----------------------------------------------------------------------
@@ -242,23 +244,14 @@ def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HReal:
 # f(x) = Sum_rho x^rho/rho on both sides of 1, and f reflected
 # ----------------------------------------------------------------------
 
-def _half_log(n: int, d: int, W: int) -> int:
-    """floor(2^W log(n/d) / 2), 0 < n < d, within 1 + 2^-4 units: one
-    mpf_log at wp = W + 4 + t bits, 2^t > |log(n/d)|, of n/d floored to wp
-    bits in integers (from_rational strips a power-of-two d bit by bit)."""
-    wp = W + 4 + d.bit_length().bit_length()
-    sh = wp + 1 + d.bit_length() - n.bit_length()
-    return libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp((n << sh) // d, -sh), wp), W - 1)
-
-
 def g(p: int, q: int, W: int) -> int:
     """The continuous part of f at x = p/q (p > q picks the side of 1) in
-    units of 2^-W, within 2 (x rounded, then _half_log): x - (1/2) log(1 -
-    1/x^2) above 1, and below 1 log x + x - (1/2) log((1+x)/(1-x)) (the
-    trivial-zero contribution together with the first odd power)."""
+    units of 2^-W, within 2 (x rounded, then log_fixed at W - 1): x - (1/2)
+    log(1 - 1/x^2) above 1, and below 1 log x + x - (1/2) log((1+x)/(1-x))
+    (the trivial-zero contribution together with the first odd power)."""
     x = ((p << W + 1) + q) // (2 * q)
-    return x - _half_log(p * p - q * q, p * p, W) if p > q else \
-        x + _half_log(p * p * (q - p), q * q * (q + p), W)
+    return x - log_fixed(p * p - q * q, p * p, W - 1) if p > q else \
+        x + log_fixed(p * p * (q - p), q * q * (q + p), W - 1)
 
 
 def f_const(x: Fraction, ctx: PrecisionContext) -> int:
@@ -274,9 +267,10 @@ def f_const(x: Fraction, ctx: PrecisionContext) -> int:
     S, e = prime_power_sum(N, s, ctx)
     if p:
         S, e = S + prime_power_sum(N + 1, s, ctx)[0], e - 1
-    with mpmath.workprec(W + 8):
-        c = libmp.to_fixed((-mpmath.log(2 * mpmath.pi) if above else +mpmath.euler)._mpf_, W)
-    return c + ((-S if above else S) >> -e - W)
+    if W not in _K_CONST:
+        with mpmath.workprec(W + 8):
+            _K_CONST[W] = [libmp.to_fixed(c._mpf_, W) for c in (+mpmath.euler, -mpmath.log(2 * mpmath.pi))]
+    return _K_CONST[W][above] + ((-S if above else S) >> -e - W)
 
 
 def f_fixed(x: Fraction, ctx: PrecisionContext) -> int:

@@ -16,13 +16,14 @@ pipelines) consumes the types and functions defined here:
                      series in exact integers (not the Euler-Maclaurin core)
   series_ops         the truncated quotient of two power series given as
                      coefficient lists (mpf, degree 0 up)
+  log_fixed(n,d,V)   2^V log(n/d) in integers: every log of an exact argument
 
 Numeric backend: mpmath mpf supplies correctly rounded base arithmetic
 (round-to-nearest, error <= 2^-bits relative per elementary operation, well
 inside the 2^(8-bits) contract) and the elementary functions.  Hurwitz zeta
 and the Stieltjes constants come from Bernoulli-number expansions with
 computable error terms; their head sum and Bernoulli contraction run in
-Python integers, with logs and powers from mpmath's mpf_log, to_fixed and
+Python integers, with logs from log_fixed and powers from mpmath's
 exp_fixed; zeta_int runs wholly in integers and rounds once.  mpmath.loggamma,
 called by analysis.chowla_selberg_rhs, is the only mpmath special function
 that production code calls; the others serve only as test oracles.
@@ -37,7 +38,7 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_int, from_rational, mpf_log, prec_to_dps, to_fixed, to_rational
+from mpmath.libmp import from_rational, prec_to_dps, to_rational
 from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
 Scalar = Union[int, float, Fraction, "HReal", mpf]
@@ -149,7 +150,7 @@ class HReal:
 
 
 # ----------------------------------------------------------------------
-# Bernoulli numbers (exact rationals, one table grown on demand)
+# Bernoulli numbers and logs of exact rationals (tables grown on demand)
 # ----------------------------------------------------------------------
 
 _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
@@ -168,6 +169,49 @@ def bernoulli(n: int) -> Fraction:
         acc = (m + 1) * b[1] + sum(math.comb(m + 1, j) * b[j] for j in range(0, m, 2))
         b.append(-acc / (m + 1))
     return b[n]
+
+
+_LOGS: dict[int, list[list[int]]] = {}   # T -> 2^T log(1 + j/2^B) for B = 8 (j <= 256), 12, 16
+
+
+def _atanh2(d: int, s: int, V: int) -> tuple[int, int]:
+    """(A, k): A = 2^V 2 atanh(d/s), 0 <= 3d <= s, its series in integers to
+    odd index k, each term floored: under k + 1 units low.  Past V/4 bits of
+    s (callers keep d/s < 2^-8 there) each term takes z^2 2^V instead."""
+    y = (d << V + 1) // s
+    A, k, d2, s2, sh = (y, 1, d * d, s * s, 0) if 4 * s.bit_length() <= V else (y, 1, y * y >> V + 2, 1, V)
+    while y := y * d2 // s2 >> sh:
+        k += 2
+        A += y // k
+    return A, k
+
+
+def log_fixed(n: int, d: int, V: int) -> int:
+    """2^V log(n/d) within 1 unit, n and d positive integers, in integers at
+    U = V + 40 bits: n/d = 2^e a/b, 1 <= a/b < 2 (a, b cut to U + 16 bits);
+    levels B = 8, 12, 16 divide out 1 + j/2^B <= a/b, its log read from the
+    tables of T = 256 ceil(U/256) (B = 8 alone at its grid points, such as
+    the integers below 512), and leave 2 atanh(z), 0 <= z < 2^-17, to
+    _atanh2: within |e| + U units of 2^-U in all.  Entries are within 1 unit;
+    B = 8's sum the logs of 2..512, a prime's log(p - 1) + 2 atanh(1/(2p - 1))."""
+    U, T = V + 40, -(-(V + 40) // 256) * 256
+    if T not in _LOGS:
+        lg = [0] * 513
+        for m in range(2, 513):
+            lg[m] = lg[m] or lg[m - 1] + _atanh2(1, 2 * m - 1, T + 24)[0]
+            for k in range(2, min(m, 512 // m) + 1):
+                lg[m * k] = lg[m] + lg[k]
+        _LOGS[T] = [[(x - 8 * lg[2] + (1 << 23)) >> 24 for x in lg[256:]]] + [
+            [(_atanh2(j, (2 << B) + j, T + 24)[0] + (1 << 23)) >> 24 for j in range(16)] for B in (12, 16)]
+    e, L = n.bit_length() - d.bit_length(), min(max(n.bit_length(), d.bit_length()), U + 16)
+    a, b = n << L >> n.bit_length(), d << L >> d.bit_length()
+    a, e = (a << 1, e - 1) if a < b else (a, e)
+    acc = e * _LOGS[T][0][256]
+    for B, grid in zip((8,) if (a << 8) % b == 0 else (8, 12, 16), _LOGS[T]):
+        j = (a << B) // b - (1 << B)
+        a, b, acc = a << B, b * ((1 << B) + j), acc + grid[j]
+    A = _atanh2(a - b, a + b, U)[0] if a > b else 0
+    return ((acc >> T - U) + A + (1 << 39)) >> 40
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +317,7 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
     s = u/v and a = p/q are exact (_exact), so R = P/q with P = M q + p.
     The head sum runs in integers at H = W + N log2(lmax) + 4 fractional
     bits, W = bits + extra: t = (kq + p)/q takes log t = log(kq + p) -
-    log q (mpf_log, to_fixed), t^(-s) an exact power at integer s, an
+    log q (log_fixed at H bits), t^(-s) an exact power at integer s, an
     exact isqrt at half-integer s, else exp_fixed(-u log t / v), and its
     moments w <- w log t >> H; each truncation, grown by at most lmax^N,
     stays below 2^-W.  D_i = R^(-s) Num_i/Den is exact over one common
@@ -303,13 +347,12 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
                                + N * math.log2(lmax) + math.log2(M))
     W = ctx.bits + extra
     H = W + math.ceil(N * math.log2(lmax)) + 4
-    wp = H + P.bit_length().bit_length() + 1  # log n to within 2^(1-H), n <= P
-    lq = to_fixed(mpf_log(from_int(q), wp), H)
+    lq = log_fixed(q, 1, H)
     sums = [0] * (N + 1)
     for k in range(M):
         n = k * q + p
         if N or v > 2:
-            lt = to_fixed(mpf_log(from_int(n), wp), H) - lq
+            lt = log_fixed(n, 1, H) - lq
         x, y = (q, n) if u > 0 else (n, q)  # t^(-s) = (x/y)^(e/v)
         if v == 1:
             w = (x ** e << H) // y ** e

@@ -343,19 +343,19 @@ def test_log_is_exact_floor_by_every_route(monkeypatch, W):
 def test_log_near_tie_takes_the_wide_fallback(monkeypatch, W):
     # A chain state whose L for p lands on a multiple of 2^32 within its
     # counted error: the guard bits cannot certify the floor, and one
-    # mpf_log 64 bits wider decides it.
+    # log_fixed 64 bits wider decides it.
     q, V = arith.LOG_LIMIT - 1, W + 32
     p = next(n for n in range(q + 1, 2 * q) if _is_prime(n))
     monkeypatch.setattr(arith, "_logs", {})
-    monkeypatch.setattr(arith, "_chain", {W: (q, arith._mpf_log(q, V), 4)})
+    monkeypatch.setattr(arith, "_chain", {W: (q, arith.log_fixed(q, 1, V), 4)})
     monkeypatch.setattr(arith, "_CHAIN_ERR", 1 << 33)
     arith._log(p, W)
     _, L, err = arith._chain[W]
     assert err < 1 << 12
     shift = (1 << 31) - (L + (1 << 31)) % (1 << 32)   # L + shift: the nearest multiple of 2^32
-    monkeypatch.setattr(arith, "_chain", {W: (q, arith._mpf_log(q, V) + shift, 4 + abs(shift))})
-    widths, mpf_log = [], arith._mpf_log
-    monkeypatch.setattr(arith, "_mpf_log", lambda p, V: widths.append(V) or mpf_log(p, V))
+    monkeypatch.setattr(arith, "_chain", {W: (q, arith.log_fixed(q, 1, V) + shift, 4 + abs(shift))})
+    widths, log_fixed = [], arith.log_fixed
+    monkeypatch.setattr(arith, "log_fixed", lambda n, d, V: widths.append(V) or log_fixed(n, d, V))
     assert arith._log(p, W) == _log_floor(p, W)
     assert widths == [W + 96] and arith._chain[W][2] == 2
 

@@ -2,7 +2,9 @@
 truncated power-series division."""
 
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,6 +13,7 @@ import hypothesis.strategies as st
 
 from deriv_polys_reference import _deriv_polys
 from em_reference import em_log_moments as em_log_moments_reference
+from zeta_explicit import mpcore
 from zeta_explicit.liconst import build_stieltjes_table, stieltjes_shifted
 from zeta_explicit.mpcore import (
     PrecisionContext,
@@ -19,6 +22,7 @@ from zeta_explicit.mpcore import (
     em_log_moments,
     hurwitz_zeta,
     hurwitz_zeta_ds,
+    log_fixed,
     series_ops,
     zeta_int,
 )
@@ -299,3 +303,44 @@ def test_series_div_rejects_zero_divisor(ctx):
     with ctx.workprec():
         with pytest.raises(ZeroDivisionError):
             series_ops([mpmath.mpf(1), mpmath.mpf(2)], [mpmath.mpf(0)] * 2)
+
+
+def _log_arguments() -> list[tuple[int, int]]:
+    """(n, d): random n/d up to 10^200 on both sides of 1, powers of two,
+    the grid points 1 + j/256, the integers 1 to 3000, and ratios just
+    off grid points and just below 2."""
+    rng = random.Random(31)
+    args = [(rng.randrange(1, 10 ** rng.randrange(1, 201)), rng.randrange(1, 10 ** rng.randrange(1, 201)))
+            for _ in range(200)]
+    args += [(2 ** k, 1) for k in range(0, 700, 37)] + [(1, 2 ** k) for k in range(0, 700, 37)]
+    args += [(256 + j, 256) for j in range(257)] + [(n, 1) for n in range(1, 3001)]
+    args += [(((256 + j) << 300) + t, 1 << 308) for j in (0, 1, 255) for t in (-1, 1)]
+    return args + [((1 << 301) - 1, 1 << 300), ((1 << 700) - 1, (1 << 699) + 1)]
+
+
+@pytest.mark.parametrize("V", [64, 112, 240, 560, 1072])
+def test_log_fixed_within_one_unit(V):
+    # Against mpmath's log at V + 64 bits: every value within 1 unit of 2^-V.
+    with mpmath.workprec(V + 64):
+        for n, d in _log_arguments():
+            ref = mpmath.ldexp(mpmath.log(mpmath.mpf(n)) - mpmath.log(mpmath.mpf(d)), V)
+            assert abs(log_fixed(n, d, V) - ref) < 1, (n, d, V)
+
+
+def test_log_fixed_does_not_depend_on_history(monkeypatch):
+    # The same integers from a cold table set and from widths filled in
+    # the reverse order; each width's tables come out the same too.
+    args, widths = _log_arguments()[::7], [64, 112, 240, 560, 1072]
+    monkeypatch.setattr(mpcore, "_LOGS", {})
+    first = {V: [log_fixed(n, d, V) for n, d in args] for V in widths}
+    tables = dict(mpcore._LOGS)
+    mpcore._LOGS.clear()
+    again = {V: [log_fixed(n, d, V) for n, d in args] for V in reversed(widths)}
+    assert again == first and mpcore._LOGS == tables
+
+
+def test_no_module_names_mpf_log():
+    # Every log of an exact argument is log_fixed's: no package module
+    # reaches for mpmath's mpf_log.
+    package = Path(mpcore.__file__).parent
+    assert [p.name for p in package.rglob("*.py") if "mpf_log" in p.read_text()] == []
