@@ -8,8 +8,9 @@ one after another, as the benchmark's Selberg ops meet them; the last
 row is one cold zeta table at s = 0 to 3 10^5, the walk of psi0 at the
 prime-scan benchmark's largest abscissa, where the logs of its 26k primes
 are almost all the cost.  "Cold" means the module's checkpoint, log and
-root tables and its log chain are emptied before each timed row, so a
-row pays for every log and root it reads once; the two rows before the
+root tables, its log chain and mpcore.log_fixed's tables (which anchor
+the chain) are emptied before each timed row, so a row pays for every
+log and root it reads once; the two rows before the
 last show what the s of one denominator share.  The sieve is built once,
 untimed.  Prints the median of REPEAT runs per cell in
 milliseconds, round-robin over the cells.  Only module-level tables are
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cost_harness import median_times, print_table
-from zeta_explicit import arith
+from zeta_explicit import arith, mpcore
 
 S = (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3))
 ROWS = {str(s): (s,) for s in S} | {"1/2,3/2,-1/2": S[:3], "1/3,2/3": S[3:]}
@@ -39,6 +40,7 @@ REPEAT = 3
 def _reset() -> None:
     for name in ("_prefix", "_logs", "_roots", "_chain"):
         getattr(arith, name, {}).clear()
+    getattr(mpcore, "_LOGS", {}).clear()
 
 
 def main() -> int:

@@ -16,7 +16,7 @@ pipelines) consumes the types and functions defined here:
                      series in exact integers (not the Euler-Maclaurin core)
   series_ops         the truncated quotient of two power series given as
                      coefficient lists (mpf, degree 0 up)
-  log_fixed(n,d,V)   2^V log(n/d) in integers: every log of an exact argument
+  log_fixed(n,d,V)   2^V log(n/d) in integers: the head's, g's and the prime logs
 
 Numeric backend: mpmath mpf supplies correctly rounded base arithmetic
 (round-to-nearest, error <= 2^-bits relative per elementary operation, well
