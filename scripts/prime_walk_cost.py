@@ -11,11 +11,13 @@ are almost all the cost.  "Cold" means the module's checkpoint, log and
 root tables, its log chain and mpcore.log_fixed's tables (which anchor
 the chain) are emptied before each timed row, so a row pays for every
 log and root it reads once; the two rows before the
-last show what the s of one denominator share.  The sieve is built once,
-untimed.  Prints the median of REPEAT runs per cell in
-milliseconds, round-robin over the cells.  Only module-level tables are
-reset, so the script times any checkout that has them (a checkout
-without a root table simply has nothing to reset there):
+last show what the s of one denominator share.  The sieve these rows
+read is built once, untimed.  Prints the median of REPEAT runs per cell
+in milliseconds, round-robin over the cells.  A second table times a cold
+mangoldt_sieve(N) at each N of SIEVE_N, the median of REPEAT, with the
+tracemalloc peak of one more call in bytes per entry.  Only module-level
+tables are reset, so the script times any checkout that has them (a
+checkout without a root table simply has nothing to reset there):
 
     PYTHONPATH=src python scripts/prime_walk_cost.py
 
@@ -24,9 +26,11 @@ The timing loop and the table are cost_harness's.
 
 from __future__ import annotations
 
+import statistics
+import tracemalloc
 from fractions import Fraction
 
-from cost_harness import median_times, print_table
+from cost_harness import median_times, print_table, scaled_seconds
 from zeta_explicit import arith, mpcore
 
 S = (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -34,6 +38,7 @@ ROWS = {str(s): (s,) for s in S} | {"1/2,3/2,-1/2": S[:3], "1/3,2/3": S[3:]}
 CHIS = ((1,),) + tuple(arith.kronecker_chi(d) for d in (1, 2, 3, 7))
 N = 30_000
 ZETA_N = 300_000
+SIEVE_N = (300_000, 2_000_000, 20_000_000)
 REPEAT = 3
 
 
@@ -52,6 +57,17 @@ def main() -> int:
     print_table(f"ms per row of cold tables (to {N}, five characters per s, but the last), "
                 f"median of {REPEAT}",
                 "s", 16, median_times(rows, REPEAT, warm=False, before=_reset), 1e3, ".1f")
+    print(f"cold mangoldt_sieve(N): ms, median of {REPEAT} (host-scaled), "
+          f"and tracemalloc peak in bytes per entry")
+    print(f"{'N':>10}{'ms':>10}{'B/entry':>8}")
+    for limit in SIEVE_N:
+        ms = 1e3 * statistics.median(scaled_seconds(lambda: arith.mangoldt_sieve(limit))
+                                     for _ in range(REPEAT))
+        tracemalloc.start()
+        arith.mangoldt_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"{limit:>10}{ms:>10.1f}{peak / limit:>8.2f}")
     return 0
 
 

@@ -141,21 +141,21 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
     # x = n above 1, x = 1/n below: the n strictly inside, and hi's own n
     n_lo, n_hi, n_end = (lo, hi, hi) if above else (1 / hi, 1 / lo, 1 / hi)
     table = shared_table(max(2, math.floor(n_hi)))
-    ns = [n for n in range(math.floor(n_lo) + 1, math.ceil(n_hi))
-          if table.is_prime_power(n)]
-    ends = [(Fraction(n), n) for n in ns] if above else \
-        [(Fraction(1, n), n) for n in reversed(ns)]
+    ends = [(Fraction(n) if above else Fraction(1, n), n, p)
+            for n, p in zip(*table.between(math.floor(n_lo), math.ceil(n_hi) - 1))]
+    if not above:
+        ends.reverse()
     with ctx.workprec(_GUARD):
         r = mpmath.sqrt(69)
         turn = mpmath.cbrt((9 + r) / 18) + mpmath.cbrt((9 - r) / 18)
         turn = _exact(turn if above else 1 / turn)
     if lo < turn < hi:
-        ends.insert(0 if above else len(ends), (turn, 0))
-    at_jump = n_end.denominator == 1 and table.is_prime_power(n_end.numerator)
-    ends.append((hi, n_end.numerator if at_jump else 0))
+        ends.insert(0 if above else len(ends), (turn, 0, 0))
+    p = table.prime_of(n_end.numerator) if n_end.denominator == 1 else 0
+    ends.append((hi, n_end.numerator, p))
     K, W, a = f_const((lo + ends[0][0]) / 2, ctx), walk_width(ctx), lo
-    for b, n in ends:
-        drop = _log_at(table.prime_of(n), W) // (1 if above else n) if n else 0
+    for b, n, p in ends:
+        drop = _log_at(p, W) // (1 if above else n) if p else 0
         yield a, b, K, drop
         K -= drop
         a = b

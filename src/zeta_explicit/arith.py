@@ -26,17 +26,20 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 import mpmath
 from mpmath import libmp, mpf
 from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
-from .mpcore import _GUARD, HReal, PrecisionContext, _atanh2, _to_mpf, log_fixed
+from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf, log_fixed
 
-# Sieve memory budget: 4 bytes per entry kept, 6 at the peak of a sieve (tracemalloc).
+# Sieve memory budget (tracemalloc): the table keeps 8 pi(N)/N bytes per entry, 0.64
+# at N = 10^6; a sieve peaks near 1.65 (1 flag byte, N/2 marking bytes, the arrays).
 MAX_SIEVE = 20_000_000
 LOG_LIMIT = 2 ** 17   # primes whose logs are kept, per width: about 12k
 
@@ -47,47 +50,59 @@ LOG_LIMIT = 2 ** 17   # primes whose logs are kept, per width: about 12k
 
 @dataclass(frozen=True)
 class MangoldtTable:
-    """Exact von Mangoldt data up to a limit.
-
-    entries[n] is 0 when Lambda(n) = 0 and the prime p when n = p^k,
-    so Lambda(n) = log(entries[n]) taken lazily at whatever precision
-    the consumer wants.  Immutable after construction.
-    """
+    """Exact von Mangoldt data up to a limit: the prime powers n = p^k
+    <= limit in increasing order and the prime p of each, so
+    Lambda(n) = log p taken lazily at whatever precision the consumer
+    wants.  Immutable after construction."""
 
     limit: int        # table covers 1..limit inclusive
-    entries: array    # entries[n] = p if n = p^k else 0; entries[0..1] = 0
+    powers: array     # every n = p^k <= limit, increasing
+    bases: array      # bases[i] = p where powers[i] = p^k
+
+    def between(self, lo: int, hi: int) -> tuple[array, array]:
+        """(powers, bases) of the prime powers n with lo < n <= hi."""
+        if hi > self.limit:
+            raise ValueError(f"n = {hi} outside table limit {self.limit}")
+        i, j = bisect_right(self.powers, lo), bisect_right(self.powers, hi)
+        return self.powers[i:j], self.bases[i:j]
 
     def prime_of(self, n: int) -> int:
         """p if n = p^k, else 0."""
         if not (1 <= n <= self.limit):
             raise ValueError(f"n = {n} outside table limit {self.limit}")
-        return self.entries[n]
+        i = bisect_left(self.powers, n)
+        return self.bases[i] if i < len(self.powers) and self.powers[i] == n else 0
 
     def is_prime_power(self, n: int) -> bool:
-        return 1 <= n <= self.limit and self.entries[n] != 0
+        return 1 <= n <= self.limit and self.prime_of(n) != 0
 
 
 def mangoldt_sieve(N: int) -> MangoldtTable:
     """Exact MangoldtTable for 1..N.
 
-    Boolean prime sieve marked by slice assignment, then each prime marks
-    its powers.  Raises when N exceeds the configured memory budget.
+    One flag byte per integer: the primes p <= sqrt(N) clear their
+    multiples from p^2 by slice assignment and flag back their powers p^k,
+    k >= 2; itertools.compress lists the flagged n as powers, and bases is
+    powers with each higher power's p written in.  Raises when N exceeds
+    the configured memory budget.
     """
     if N < 1:
         raise ValueError(f"sieve limit must be >= 1, got {N}")
     if N > MAX_SIEVE:
         raise ValueError(f"sieve limit {N} exceeds memory budget {MAX_SIEVE}")
-    entries = array("i", [0]) * (N + 1)
-    is_comp = bytearray(N + 1)
-    for p in range(2, N + 1):
-        if is_comp[p]:
-            continue
-        is_comp[p * p::p] = b"\1" * len(range(p * p, N + 1, p))
-        q = p
-        while q <= N:
-            entries[q] = p
-            q *= p
-    return MangoldtTable(limit=N, entries=entries)
+    flags, higher = bytearray(b"\1") * (N + 1), []
+    flags[:2] = bytes(2)
+    for p in range(2, math.isqrt(N) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytearray(len(range(p * p, N + 1, p)))
+            higher += [(p ** k, p) for k in range(2, N.bit_length()) if p ** k <= N]
+    for n, _ in higher:
+        flags[n] = 1
+    powers = array("i", compress(range(N + 1), flags))
+    bases = array("i", powers)
+    for n, p in higher:
+        bases[bisect_left(powers, n)] = p
+    return MangoldtTable(limit=N, powers=powers, bases=bases)
 
 
 _table_cache: dict[str, Optional[MangoldtTable]] = {}
@@ -130,13 +145,18 @@ def _log(p: int, W: int) -> int:
     """floor(log(p) 2^W), exactly: the one log behind every Lambda(n), kept
     in W's table when p <= LOG_LIMIT.  L is log(p) 2^V within err units,
     V = W + 32: log q + 2 atanh((p - q)/(p + q)) from the last prime q
-    logged at W, by _atanh2 (k + 1 units added to err); or log_fixed(p, 1,
-    V) (err 1), the anchor, when 64|p - q| >= p or err >= _CHAIN_ERR.
+    logged at W, its series summed in integers to odd index k, each term
+    floored (k + 1 units added to err); or log_fixed(p, 1, V) (err 1), the
+    anchor, when 64|p - q| >= p or err >= _CHAIN_ERR.
     L >> 32 is the floor when L - err and L + err share it (all but about
     2^-19 of the primes); else log_fixed, 64 bits wider each time, decides it."""
     V, (q, L, err), g = W + 32, _chain.get(W, (1, 0, 0)), 32
     if 64 * abs(p - q) < p and err < _CHAIN_ERR:
-        A, k = _atanh2(abs(p - q), p + q, V)
+        d, s, k = (p - q) ** 2, (p + q) ** 2, 1
+        A = y = (abs(p - q) << V + 1) // (p + q)
+        while y := y * d // s:
+            k += 2
+            A += y // k
         L, err = L + A if p > q else L - A, err + k + 1
     else:
         L, err = log_fixed(p, 1, V), 1
@@ -215,21 +235,21 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     ROOT_BOUND = 3 is the largest b a measured workload reads (prime-scan's
     s = 1/2, 3/2, -1/2, 1/3, 2/3); at b = 4..12 a cold table through roots
     costs 0.5 to 1.7 times one through exp_fixed, which only reuse repays.
-    Checkpoints every BLOCK per (s, chi, W) grow by whole blocks in
+    The walk reads the table's prime powers in (lo, hi], not the integers;
+    its checkpoints every BLOCK per (s, chi, W) grow by whole blocks in
     increasing n: no value depends on history, nor on mpmath's precision.
     """
     W, a, b, q = walk_width(ctx), s.numerator, s.denominator, len(chi)
     sums = _prefix.setdefault((s, tuple(chi), W), [0])
-    entries = shared_table(N).entries
+    table = shared_table(N)
     logs = _logs.setdefault(W, {})
     roots = _roots.setdefault((b, W), {}) if 1 < b <= ROOT_BOUND else None
     p0 = next((n for n in range(2, 3 + q) if chi[n % q]), 2)
     e = max(0, math.ceil(s * math.log2(p0)))   # e = 0 for s <= 0
 
     def walk(acc: int, lo: int, hi: int) -> int:
-        for n in range(lo + 1, hi + 1):
-            p = entries[n]
-            if p and (c := chi[n % q]):          # n = p^k, chi(n) = chi(p)^k
+        for n, p in zip(*table.between(lo, hi)):
+            if c := chi[n % q]:                  # n = p^k, chi(n) = chi(p)^k
                 L = logs.get(p) or _log(p, W)
                 if b == 1:                       # n^-s as an exact power of n
                     acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a

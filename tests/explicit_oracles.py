@@ -33,12 +33,9 @@ def zeta_log_deriv_dirichlet(s: float, N: int = 100_000) -> tuple[float, float]:
     """
     if s <= 1:
         raise ValueError("Dirichlet-series route requires s > 1")
-    t = shared_table(N)
     acc = 0.0
-    for n in range(2, N + 1):
-        p = t.entries[n]
-        if p:
-            acc += math.log(p) * float(n) ** (-s)
+    for n, p in zip(*shared_table(N).between(1, N)):
+        acc += math.log(p) * float(n) ** (-s)
     tail = 2 * (math.log(N) / ((s - 1) * N ** (s - 1))
                 + 1 / ((s - 1) ** 2 * N ** (s - 1)))
     return -acc, tail

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp.libelefun import exp_fixed
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -55,13 +56,31 @@ def _prime_power_base(n: int) -> int:
 
 
 def test_sieve_matches_trial_division():
-    # the smallest tables and the edges of the slice marking: N = p^2 - 1
-    # and p^2, the first multiple that p marks
-    for N in (1, 2, 3, 4, 8, 9, 24, 25, 48, 49, 120, 121, 5000):
+    # the smallest tables, the edges of the slice marking (N = p^2 - 1 and
+    # p^2, the first multiple that p marks) and of the higher powers
+    # flagged back (27, 32, 125, 128)
+    for N in (1, 2, 3, 4, 8, 9, 24, 25, 27, 32, 48, 49, 120, 121, 125, 128, 5000):
         t = mangoldt_sieve(N)
-        assert t.limit == N and len(t.entries) == N + 1
-        for n in range(N + 1):
-            assert t.entries[n] == _prime_power_base(n), (N, n)
+        assert t.limit == N
+        assert list(t.powers) == [n for n in range(N + 1) if _prime_power_base(n)], N
+        for n in range(1, N + 1):
+            assert t.prime_of(n) == _prime_power_base(n), (N, n)
+
+
+@pytest.mark.parametrize("N", [1000, 1024])
+def test_walk_slice_is_the_prime_powers_in_lo_hi(N):
+    # the (lo, hi] slice prime_power_sum and _pieces read, with lo and hi on
+    # and off prime powers, at 1 and at the limit (1024 = 2^10 is one, 1000
+    # is not); hi <= lo gives an empty slice, and hi past the limit is refused
+    t = mangoldt_sieve(N)
+    ref = [(n, _prime_power_base(n)) for n in range(N + 1) if _prime_power_base(n)]
+    ends = (1, 2, 3, 4, 6, 8, 9, 10, 30, 31, 32, 121, 127, 128, 500, N - 1, N)
+    for lo in ends:
+        for hi in ends:
+            got = list(zip(*t.between(lo, hi)))
+            assert got == [(n, p) for n, p in ref if lo < n <= hi], (lo, hi)
+    with pytest.raises(ValueError, match="table limit"):
+        t.between(1, N + 1)
 
 
 def test_sieve_queries(ctx):
@@ -83,7 +102,7 @@ def test_sieve_queries(ctx):
 def test_shared_table_grows_monotonically():
     a = shared_table(10)
     b = shared_table(500)
-    assert len(b.entries) >= len(a.entries)
+    assert b.limit >= a.limit
     assert shared_table(100) is shared_table(50)  # served from the big one
 
 
@@ -103,9 +122,10 @@ def test_shared_table_growth_stops_at_budget(monkeypatch):
 
 
 def test_sieve_growth_frees_the_old_table_first(monkeypatch):
-    # Growing from 5*10^5 to 10^6 entries: the table keeps 4 bytes per
-    # entry and a sieve peaks near 6; the old table (2 bytes per new entry)
-    # must be gone before the new one is sieved, or the peak is 8.
+    # Growing from 5*10^5 to 10^6 entries: the table keeps 8 bytes per
+    # prime power, 0.64 per entry, and a sieve peaks near 1.65; the old
+    # table (0.33 bytes per new entry) must be gone before the new one is
+    # sieved, or the peak is near 2.
     monkeypatch.setattr(arith, "_table_cache", {})
     tracemalloc.start()
     try:
@@ -115,8 +135,8 @@ def test_sieve_growth_frees_the_old_table_first(monkeypatch):
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 1_000_000
-    assert current <= 4.5 * 1_000_000
+    assert peak <= 1.75 * 1_000_000
+    assert current <= 0.7 * 1_000_000
 
 
 def test_psi0_plain_value(ctx):
@@ -453,6 +473,40 @@ def test_checkpointed_sums_do_not_depend_on_history(monkeypatch, s, d):
             reset(logs_from)
             grown = {N: prime_power_sum(N, s, ctx, chi) for N in order}
             assert grown == fresh, (order, logs_from)
+
+
+_BASES: list = []
+
+
+def _per_integer_sum(N: int, s: Fraction, ctx: PrecisionContext, chi) -> tuple[int, int]:
+    """prime_power_sum's terms at s >= 0 summed over every integer n <= N,
+    each n's prime by trial division, not from the sieve: the walk as it
+    was before it read the table's prime powers."""
+    _BASES.extend(_prime_power_base(n) for n in range(len(_BASES), N + 1))
+    W, a, b, q = walk_width(ctx), s.numerator, s.denominator, len(chi)
+    e = max(0, math.ceil(s * math.log2(next(n for n in (2, 3) if chi[n % q]))))
+    acc = 0
+    for n in range(2, N + 1):
+        if (p := _BASES[n]) and (c := chi[n % q]):
+            L, k = arith._log_at(p, W), round(math.log(n, p))
+            if b == 1:
+                acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
+            elif b == 2 or p <= arith.LOG_LIMIT:
+                acc += c * L * arith._power(arith._root(p, b, W) << e, a * k, W + e) >> W
+            else:
+                acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W
+    return acc, -W - e
+
+
+@pytest.mark.parametrize("s", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+@pytest.mark.parametrize("d", [None, 1])
+def test_prime_power_walk_matches_per_integer_sum(s, d):
+    # bit-identical at the block edges 255, 256, 257 and around LOG_LIMIT,
+    # past which s = 1/3 takes exp_fixed instead of a tabled root
+    ctx = PrecisionContext(bits=192)
+    chi = (1,) if d is None else kronecker_chi(d)
+    for N in (255, 256, 257, arith.LOG_LIMIT - 1, arith.LOG_LIMIT + 1):
+        assert prime_power_sum(N, s, ctx, chi) == _per_integer_sum(N, s, ctx, chi), N
 
 
 @pytest.mark.parametrize("bits", [128, 192, 1024])
