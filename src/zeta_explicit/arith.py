@@ -14,9 +14,9 @@ where Sum' halves the boundary term when the endpoint is a prime power.
 Inputs x are exact rationals so the "is the endpoint a prime power"
 branch is decidable (_endpoint decides it for every sum).  Both forms
 are weighted_sum, which reads prime_power_sum at bits + 32: fixed-point
-integers, each prime's log floored once into a table per width and its
-root p^(-1/b) once into one per (b, width), b <= ROOT_BOUND, checkpointed
-every BLOCK = 256 per (s, chi, width); no value depends on history.
+integers, each prime's log floored once per width (at s = 0 past LOG_LIMIT
+one product's log) and root p^(-1/b) once per (b, width), b <= ROOT_BOUND,
+checkpointed every BLOCK = 256 per (s, chi, width); no value depends on history.
 
 The class data of Q(sqrt(-d)) is exact integers.  mpmath.loggamma, in
 analysis, is the only mpmath special function production code calls.
@@ -41,7 +41,7 @@ from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf, log_fixed
 # Sieve memory budget (tracemalloc): the table keeps 8 pi(N)/N bytes per entry, 0.64
 # at N = 10^6; a sieve peaks near 1.65 (1 flag byte, N/2 marking bytes, the arrays).
 MAX_SIEVE = 20_000_000
-LOG_LIMIT = 2 ** 17   # primes whose logs are kept, per width: about 12k
+LOG_LIMIT = 2 ** 17   # primes whose logs are kept, per width (about 12k); s = 0 walks no further
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +132,7 @@ _logs: dict[int, dict[int, int]] = {}   # width W -> {p: floor(log(p) 2^W)}
 _chain: dict[int, tuple] = {}   # W -> (q, L, err): _log's last prime at W, L within err of log(q) 2^(W+32)
 _CHAIN_ERR = 1 << 12   # err at which _log re-anchors: a floor is ambiguous for about 2 err 2^-32 of primes
 _roots: dict[tuple, dict[int, int]] = {}   # (b, W) -> {p: floor(2^W p^(-1/b))}
+_ratios: dict[tuple, tuple[bytearray, array]] = {}   # (chi, W) -> _log_ratio's checkpoints
 _FIXED = 16   # guard bits of the walk's width, for its per-term roundings
 
 
@@ -231,13 +232,12 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     than 1 + (1 + (j p^(1/b) + 1) log p) 2^e n^(-s) + 2 j p^q log p units
     of 2^-(W+e).
     Larger b, and p > LOG_LIMIT at b >= 3 (roots no table keeps, each a
-    Newton root dearer than one exp_fixed), take exp_fixed(-s k log p).
-    ROOT_BOUND = 3 is the largest b a measured workload reads (prime-scan's
-    s = 1/2, 3/2, -1/2, 1/3, 2/3); at b = 4..12 a cold table through roots
-    costs 0.5 to 1.7 times one through exp_fixed, which only reuse repays.
-    The walk reads the table's prime powers in (lo, hi], not the integers;
-    its checkpoints every BLOCK per (s, chi, W) grow by whole blocks in
-    increasing n: no value depends on history, nor on mpmath's precision.
+    Newton root dearer than one exp_fixed), take exp_fixed(-s k log p);
+    ROOT_BOUND = 3 is the largest b a measured workload reads (README).
+    At s = 0 the terms past LOG_LIMIT are one log, _log_ratio's: 2 units in all.
+    The walk reads the table's prime powers in (lo, hi]; its checkpoints
+    every BLOCK per (s, chi, W) grow by whole blocks in increasing n: no
+    value depends on history, nor on mpmath's precision.
     """
     W, a, b, q = walk_width(ctx), s.numerator, s.denominator, len(chi)
     sums = _prefix.setdefault((s, tuple(chi), W), [0])
@@ -265,9 +265,37 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
                         acc += c * L * p ** -(m // b) * _power(r, m % b, W) >> W
         return acc
 
-    for j in range(len(sums), N // BLOCK + 1):
+    top = N if s or N <= LOG_LIMIT else LOG_LIMIT
+    for j in range(len(sums), top // BLOCK + 1):
         sums.append(walk(sums[-1], (j - 1) * BLOCK, j * BLOCK))
-    return walk(sums[N // BLOCK], N // BLOCK * BLOCK, N), -W - e
+    acc = walk(sums[top // BLOCK], top // BLOCK * BLOCK, top)
+    return acc + (_log_ratio(N, tuple(chi), W) if top < N else 0), -W - e
+
+
+def _log_ratio(N: int, chi: tuple, W: int) -> int:
+    """floor(log(P+/P-) 2^W), N > LOG_LIMIT, chi real: P+- the products of the
+    p of the n = p^k in (LOG_LIMIT, N] with chi(n) = +-1, their ratio m 2^E,
+    2^(V-1) <= m < 2^(V+1), V = W + 64, floored once a block and checkpointed
+    per (chi, W), m in w bytes, E in an array.  log_fixed(m T+, T-, V) + E log 2,
+    T+- the tail's products, errs by 2^18 + 1 + |E| < 2^26 units of 2^-V."""
+    V, w, q, table = W + 64, (W + 64) // 8 + 1, len(chi), shared_table(N)
+    mants, exps = _ratios.setdefault((chi, W), (bytearray((1).to_bytes(w, "big")), array("i", [0])))
+
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        P = [1, 1, 1]   # indexed by chi(n): P[1] = P+, P[-1] = P-
+        for n, p in zip(*table.between(lo, hi)):
+            P[chi[n % q]] *= p
+        return P[1], P[-1]
+
+    for j in range(len(exps), (N - LOG_LIMIT) // BLOCK + 1):
+        up, down = split(LOG_LIMIT + (j - 1) * BLOCK, LOG_LIMIT + j * BLOCK)
+        k = V + down.bit_length() - (num := int.from_bytes(mants[-w:], "big") * up).bit_length()
+        mants += ((num << k if k >= 0 else num >> -k) // down).to_bytes(w, "big")
+        exps.append(exps[-1] - k)
+    j = (N - LOG_LIMIT) // BLOCK
+    up, down = split(LOG_LIMIT + j * BLOCK, N)
+    m = int.from_bytes(mants[j * w:j * w + w], "big")
+    return log_fixed(m * up, down, V) + exps[j] * log_fixed(2, 1, V) >> 64
 
 
 def _endpoint(y: Fraction) -> tuple[int, int]:

@@ -27,8 +27,7 @@ sums through verify_identity):
     terms, are Sum_i lam_i times it for F = zeta.
   The paper's f(x) = Sum_rho x^rho/rho is f_fixed = g + K in units of
     2^-W, W = walk_width, which f_rhs_gt1/lt1 round once (zeta's form at
-    alpha = 0, less log 2pi above 1); it errs by g's 2 units plus K's
-    1 + Sum (1/n + 1):
+    alpha = 0, less log 2pi above 1), within g's 2 units plus K's count:
     x > 1:  g(x) = x - (1/2) log(1 - x^-2),  K = -psi0(x) - log 2pi
     0<x<1:  g(x) = log x + x - (1/2) log((1+x)/(1-x)),  K = T(x, 0) + gamma
     The finders and the scan walk K from f_const, the same K.
@@ -258,9 +257,9 @@ def f_const(x: Fraction, ctx: PrecisionContext) -> int:
     """K = f(x) - g(x) in units of 2^-W, W = walk_width(ctx), rational
     x > 0, x != 1: -log 2pi - psi0(x) above 1, gamma + T(x, 0) below, one
     prime_power_sum over n <= y = x or 1/x (at an integer prime power y the
-    mean of the sums to y - 1 and to y: its term halved exactly).  Each
-    log p is floor(log(p) 2^W), so K errs by less than 1 + Sum (1/n + 1)
-    units over the terms taken (n = 1 above 1)."""
+    mean of the sums to y - 1 and to y: its term halved exactly).  K errs by
+    less than 1 + Sum (1/n + 1) units over the terms taken (n = 1 above 1),
+    each log floored at W, but 2 in all for the terms past LOG_LIMIT above 1."""
     W, above = walk_width(ctx), x > 1
     N, p = _endpoint(x if above else 1 / x)
     s = Fraction(0 if above else 1)
@@ -282,7 +281,7 @@ def f_fixed(x: Fraction, ctx: PrecisionContext) -> int:
 def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted Sum_rho x^rho/rho for rational x > 1, f = g - psi0 - log 2pi
     (psi0 half-corrected at prime powers): f_fixed, within g's 2 units of
-    2^-W plus K's 1 + Sum (1/n + 1), rounded once."""
+    2^-W plus K's count (f_const), rounded once."""
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"f_rhs_gt1 requires x > 1, got {x}")
@@ -301,16 +300,14 @@ def f_rhs_lt1(x: Rational, ctx: PrecisionContext) -> HReal:
 
 
 def _f_reflected(x: Rational, ctx: PrecisionContext, name: str) -> mpf:
-    """Sum_rho x^rho/(rho(1-rho)) = f(x) + x f(1/x) for rational x > 1,
-    at bits + 32 from both values of f taken at bits + 32.  At an integer
-    prime power x both halve the same endpoint term."""
+    """Sum_rho x^rho/(rho(1-rho)) = f(x) + x f(1/x), rational x > 1, as the
+    unrounded f_fixed(x) + floor(x f_fixed(1/x)) 2^-W, W = walk_width(ctx),
+    within f(x)'s count, x times f(1/x)'s, and 1 (endpoint halved in both)."""
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"{name} requires x > 1, got {x}")
-    wide = PrecisionContext(ctx.bits + _GUARD)
-    above, below = f_rhs_gt1(x, wide), f_rhs_lt1(1 / x, wide)
-    with wide.workprec():
-        return above.val + _to_mpf(x) * below.val
+    v = f_fixed(x, ctx) + x.numerator * f_fixed(1 / x, ctx) // x.denominator
+    return mpmath.make_mpf(libmp.from_man_exp(v, -walk_width(ctx)))
 
 
 def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:

@@ -450,26 +450,29 @@ TABLE_N = (3000, 255, 256, 257, 1, 1023, 5000, 2 * BLOCK)
                                  (Fraction(1), 1), (Fraction(-1, 2), 7),
                                  (Fraction(2, 3), 3)])
 def test_checkpointed_sums_do_not_depend_on_history(monkeypatch, s, d):
+    # at s = 0 also N past LOG_LIMIT, which the running product takes, one
+    # block and a tail past the limit, and on a block edge
     ctx = PrecisionContext(bits=192)
     chi = (1,) if d is None else kronecker_chi(d)
+    ns = TABLE_N + ((arith.LOG_LIMIT + 300, arith.LOG_LIMIT + 2 * BLOCK) if s == 0 else ())
 
     def reset(logs_from=None):
-        # empty checkpoint, log and root tables; or logs and roots grown by
-        # a walk past every N at logs_from's precision and s' = 1/b, b the
-        # denominator of s: s = 2/3 then reads the roots that 1/3 took
-        monkeypatch.setattr(arith, "_prefix", {})
-        monkeypatch.setattr(arith, "_logs", {})
-        monkeypatch.setattr(arith, "_roots", {})
+        # empty checkpoint, ratio, log and root tables; or logs and roots
+        # grown by a walk past every N (below LOG_LIMIT) at logs_from's
+        # precision and s' = 1/b, b the denominator of s: s = 2/3 then
+        # reads the roots that 1/3 took
+        for name in ("_prefix", "_ratios", "_logs", "_roots"):
+            monkeypatch.setattr(arith, name, {})
         if logs_from is not None:
             prime_power_sum(2 * max(TABLE_N), Fraction(1, s.denominator), logs_from, chi)
             monkeypatch.setattr(arith, "_prefix", {})
 
     fresh = {}
-    for N in TABLE_N:
+    for N in ns:
         reset()
         fresh[N] = prime_power_sum(N, s, ctx, chi)
     for logs_from in (None, ctx, PrecisionContext(bits=128)):
-        for order in (sorted(TABLE_N), sorted(TABLE_N, reverse=True), TABLE_N):
+        for order in (sorted(ns), sorted(ns, reverse=True), ns):
             reset(logs_from)
             grown = {N: prime_power_sum(N, s, ctx, chi) for N in order}
             assert grown == fresh, (order, logs_from)
@@ -509,6 +512,58 @@ def test_prime_power_walk_matches_per_integer_sum(s, d):
         assert prime_power_sum(N, s, ctx, chi) == _per_integer_sum(N, s, ctx, chi), N
 
 
+def _exact_log_ratio(lo: int, hi: int, chi, W: int) -> mpmath.mpf:
+    """2^W log(P+/P-) at W + 64 bits, P+- the exact products, by a product
+    tree, of the p of the n = p^k in (lo, hi] with chi(n) = +-1, p and k
+    by trial division."""
+    def tree(xs):
+        while len(xs) > 1:
+            xs = [math.prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
+        return xs[0] if xs else 1
+
+    _BASES.extend(_prime_power_base(n) for n in range(len(_BASES), hi + 1))
+    up, down = (tree([_BASES[n] for n in range(lo + 1, hi + 1)
+                      if _BASES[n] and chi[n % len(chi)] == c]) for c in (1, -1))
+    with mpmath.workprec(W + 64):
+        return (mpmath.log(up) - mpmath.log(down)) * mpmath.mpf(2) ** W
+
+
+_LIM = arith.LOG_LIMIT
+RATIO_N = (_LIM, _LIM + 1, 131101, _LIM + BLOCK - 1, _LIM + BLOCK, _LIM + BLOCK + 1,
+           _LIM + 2 * BLOCK - 1, _LIM + 2 * BLOCK, _LIM + 2 * BLOCK + 1, 300_000)
+
+
+@pytest.mark.parametrize("bits", [128, 192, 512, 1024])
+@pytest.mark.parametrize("d", [None, 1])
+def test_s0_past_log_limit_is_the_log_of_the_product(bits, d):
+    # s = 0 past LOG_LIMIT (131101 is the first prime past 2^17, and
+    # LOG_LIMIT + j BLOCK the ratio's checkpoints): the walk to the limit
+    # plus the log of the exact products, within the product's 2 units
+    ctx, chi = PrecisionContext(bits=bits), (1,) if d is None else kronecker_chi(d)
+    W = walk_width(ctx)
+    walked = prime_power_sum(_LIM, Fraction(0), ctx, chi)
+    for N in RATIO_N:
+        got, e = prime_power_sum(N, Fraction(0), ctx, chi)
+        assert e == walked[1] == -W
+        assert abs(got - walked[0] - _exact_log_ratio(_LIM, N, chi, W)) < 2, N
+
+
+def test_cold_s0_sum_takes_no_log_past_log_limit(monkeypatch):
+    # psi to 3 10^5 takes the logs of the primes to LOG_LIMIT, kept for
+    # every other s and the finders' drops, and none past it
+    taken, log = [], arith._log
+
+    def counted(p, W):
+        taken.append(p)
+        return log(p, W)
+
+    for name in ("_prefix", "_ratios", "_logs", "_chain"):
+        monkeypatch.setattr(arith, name, {})
+    monkeypatch.setattr(arith, "_log", counted)
+    prime_power_sum(300_000, Fraction(0), PrecisionContext(bits=192))
+    assert taken == [p for n, p in zip(*shared_table(_LIM).between(1, _LIM)) if n == p]
+
+
 @pytest.mark.parametrize("bits", [128, 192, 1024])
 def test_mangoldt_reads_its_width_from_the_context(bits):
     # Lambda(n) = log p to 2^-W at the walk's width, whatever precision
@@ -526,22 +581,29 @@ def test_mangoldt_reads_its_width_from_the_context(bits):
 
 @pytest.mark.parametrize("s", [Fraction(0), Fraction(1), Fraction(2, 5), Fraction(-3, 7)])
 def test_log_table_stops_at_its_limit(monkeypatch, s):
-    # A sum and a Lambda(n) across the limit: logs above it are taken per
-    # use, and the sum equals the one with every log kept and the per-n
-    # reference.
+    # A sum and a Lambda(n) across the limit, set to 500, no multiple of
+    # BLOCK: logs above it are taken per use, and the sum equals the one
+    # with every log kept and the per-n reference.  At s = 0 the terms past
+    # the limit are the running product's log, within its 2 units of the
+    # exact log of the product, so only the per-n reference holds there.
     ctx, x = PrecisionContext(bits=192), Fraction(2001, 2)
-    monkeypatch.setattr(arith, "_prefix", {})
-    monkeypatch.setattr(arith, "_logs", {})
+    for name in ("_prefix", "_ratios", "_logs"):
+        monkeypatch.setattr(arith, name, {})
     kept = weighted_sum(x, s, ctx)
     monkeypatch.setattr(arith, "LOG_LIMIT", 500)
-    monkeypatch.setattr(arith, "_prefix", {})
-    monkeypatch.setattr(arith, "_logs", {})
+    for name in ("_prefix", "_ratios", "_logs"):
+        monkeypatch.setattr(arith, name, {})
     got = weighted_sum(x, s, ctx)
     with ctx.workprec(32):
         assert abs(mangoldt(503 ** 2, ctx) - mpmath.log(503)) < mpmath.mpf(2) ** (-216)
     logs, = arith._logs.values()
     assert list(logs) == [p for p in range(2, 501) if _prime_power_base(p) == p]
-    assert got == kept
+    if s == 0:
+        W = walk_width(ctx)
+        past = prime_power_sum(1000, s, ctx)[0] - prime_power_sum(500, s, ctx)[0]
+        assert abs(past - _exact_log_ratio(500, 1000, (1,), W)) < 2
+    else:
+        assert got == kept
     ref, size = prime_sum_reference(x, s, None, 192)
     with mpmath.workprec(256):
         assert abs(got - ref) <= mpmath.mpf(2) ** (8 - 192) * size
@@ -555,6 +617,24 @@ def test_checkpoint_table_size(monkeypatch, N):
     prime_power_sum(N // 3, Fraction(0), ctx)
     sums, = arith._prefix.values()
     assert len(sums) <= math.ceil(N / BLOCK) + 1
+
+
+@pytest.mark.parametrize("N", [arith.LOG_LIMIT + 1, arith.LOG_LIMIT + BLOCK,
+                               arith.LOG_LIMIT + BLOCK + 1, 300_000])
+def test_ratio_table_size(monkeypatch, N):
+    # s = 0 past LOG_LIMIT: the walk's table stops at the limit, and the
+    # running product's holds one checkpoint per block past it, its
+    # mantissas in fixed-width bytes beside an array of exponents
+    for name in ("_prefix", "_ratios"):
+        monkeypatch.setattr(arith, name, {})
+    ctx = PrecisionContext(bits=192)
+    prime_power_sum(N, Fraction(0), ctx)
+    prime_power_sum((N + arith.LOG_LIMIT) // 2, Fraction(0), ctx)
+    sums, = arith._prefix.values()
+    (mants, exps), = arith._ratios.values()
+    assert len(sums) <= math.ceil(arith.LOG_LIMIT / BLOCK) + 1
+    assert len(exps) <= math.ceil((N - arith.LOG_LIMIT) / BLOCK) + 1
+    assert len(mants) == len(exps) * ((walk_width(ctx) + 64) // 8 + 1)
 
 
 def test_zeta_and_the_character_mod_1_share_one_checkpoint_table(monkeypatch):

@@ -76,6 +76,37 @@ def test_f_rhs_right_to_its_print_cap(bits):
             assert abs(got - ref) <= abs(ref) * mpf(10) ** -cap, x
 
 
+@pytest.mark.parametrize("bits", [128, 192, 512])
+def test_f_reflected_right_to_its_print_cap(bits):
+    # f(x) + x f(1/x) is one integer at the walk's width, rounded once, so
+    # the cosine and S forms agree with the same call at bits + 256 in
+    # every digit str_digits may print, past LOG_LIMIT too
+    cap = prec_to_dps(bits) - 1
+    for x in (F(21), F(5, 2), F(2 ** 17), F(299999, 2), F(1000001, 3)):
+        for rhs in (cosine_rhs, S_rhs_gt1):
+            got, ref = rhs(x, PrecisionContext(bits)).val, rhs(x, PrecisionContext(bits + 256)).val
+            with mpmath.workprec(bits + 256):
+                assert abs(got - ref) <= abs(ref) * mpf(10) ** -cap, (x, rhs)
+
+
+@pytest.mark.parametrize("bits", [128, 192, 512])
+def test_f_across_log_limit_against_the_exact_product(bits):
+    # f = g - log 2pi - psi0 where psi past LOG_LIMIT = 2^17 is the running
+    # product's log: at x = 2^17 (a prime power, its log 2 halved), 2^17 + 1/2
+    # and 131101, the first prime past 2^17 (its own log halved), against
+    # psi as the log of the exact product of the sieve's bases
+    cap = prec_to_dps(bits) - 1
+    for x, end in ((F(2 ** 17), 2), (F(2 ** 18 + 1, 2), 0), (F(131101), 131101)):
+        n = math.floor(x) - (1 if end else 0)
+        got = f_rhs_gt1(x, PrecisionContext(bits)).val
+        with mpmath.workprec(bits + 64):
+            psi = mpmath.log(math.prod(shared_table(n).between(1, n)[1]))
+            psi += mpmath.log(end) / 2 if end else 0
+            xv = mpf(x.numerator) / x.denominator
+            ref = xv - mpmath.log(1 - xv ** -2) / 2 - mpmath.log(2 * mpmath.pi) - psi
+            assert abs(got - ref) <= abs(ref) * mpf(10) ** -cap, x
+
+
 def test_f_rhs_domains(ctx):
     with pytest.raises(ValueError):
         f_rhs_gt1(F(1, 2), ctx)
