@@ -514,8 +514,8 @@ def test_prime_power_walk_matches_per_integer_sum(s, d):
 
 def _exact_log_ratio(lo: int, hi: int, chi, W: int) -> mpmath.mpf:
     """2^W log(P+/P-) at W + 64 bits, P+- the exact products, by a product
-    tree, of the p of the n = p^k in (lo, hi] with chi(n) = +-1, p and k
-    by trial division."""
+    tree, of the p of the n = p^k in (lo, hi] with chi(n) = +-1, p by
+    trial division."""
     def tree(xs):
         while len(xs) > 1:
             xs = [math.prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
@@ -584,8 +584,9 @@ def test_log_table_stops_at_its_limit(monkeypatch, s):
     # A sum and a Lambda(n) across the limit, set to 500, no multiple of
     # BLOCK: logs above it are taken per use, and the sum equals the one
     # with every log kept and the per-n reference.  At s = 0 the terms past
-    # the limit are the running product's log, within its 2 units of the
-    # exact log of the product, so only the per-n reference holds there.
+    # the limit are the running product's log, which keeps no walk's floors
+    # bit for bit: there they are checked against the log of the exact
+    # products, within the product's 2 units, in place of the kept sum.
     ctx, x = PrecisionContext(bits=192), Fraction(2001, 2)
     for name in ("_prefix", "_ratios", "_logs"):
         monkeypatch.setattr(arith, name, {})
