@@ -51,7 +51,7 @@ from mpmath import libmp, mpf
 
 from .arith import MAX_SIEVE, _log_at, class_data, shared_table, walk_width
 from .explicit import Rational, dirichlet_L, f_const, f_rhs_gt1, f_rhs_lt1, g
-from .mpcore import _GUARD, HReal, PrecisionContext, _exact
+from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf
 
 GENUINE = "genuine-zero"
 JUMP = "jump-crossing"
@@ -274,7 +274,7 @@ def chowla_selberg_rhs(d: int, ctx: PrecisionContext) -> HReal:
         for a in range(1, data.D):
             c = data.chi[a % data.D]
             if c:
-                acc += c * mpmath.loggamma(ctx.mpf(Fraction(a, data.D)))
+                acc += c * mpmath.loggamma(_to_mpf(Fraction(a, data.D)))
         expo = -mpf(data.w) / (2 * data.h)
         return ctx.real(2 * ctx.pi * mpmath.exp(expo * acc))
 

@@ -12,11 +12,13 @@ table; zeta is the table (1,) mod 1, the default:
 
 where Sum' halves the boundary term when the endpoint is a prime power.
 Inputs x are exact rationals so the "is the endpoint a prime power"
-branch is decidable (_endpoint decides it for every sum).  Both forms
-are weighted_sum, which reads prime_power_sum at bits + 32: fixed-point
-integers, each prime's log floored once per width (at s = 0 past LOG_LIMIT
-one product's log) and root p^(-1/b) once per (b, width), b <= ROOT_BOUND,
-checkpointed every BLOCK = 256 per (s, chi, width); no value depends on history.
+branch is decidable: primed_sum decides it for every sum, f's too, as the
+mean of the sums to y - 1 and to y, one integer.  Both forms are
+weighted_sum, x^a times primed_sum, which reads prime_power_sum at
+bits + 32: fixed-point integers, each prime's log floored once per width
+(at s = 0 past LOG_LIMIT one product's log) and root p^(-1/b) once per
+(b, width), b <= ROOT_BOUND, checkpointed every BLOCK = 256 per
+(s, chi, width); no value depends on history.
 
 The class data of Q(sqrt(-d)) is exact integers.  mpmath.loggamma, in
 analysis, is the only mpmath special function production code calls.
@@ -32,8 +34,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Optional, Sequence
 
-import mpmath
-from mpmath import libmp, mpf
+from mpmath import mpf
 from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
 from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf, log_fixed
@@ -208,13 +209,6 @@ def _root(p: int, b: int, W: int) -> int:
     return r
 
 
-def mangoldt(n: int, ctx: PrecisionContext) -> mpf:
-    """Lambda(n) = floor(log(p) 2^W) 2^-W, W = walk_width(ctx), as the prime
-    walk's table holds it: an mpf not rounded to mpmath's precision."""
-    p, W = shared_table(n).prime_of(n), walk_width(ctx)
-    return mpmath.make_mpf(libmp.from_man_exp(_log_at(p, W), -W)) if p else mpf(0)
-
-
 def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
                     chi: Sequence[int] = (1,)) -> tuple[int, int]:
     """Sum_{p^k <= N} chi(p)^k log(p) p^(-ks), chi(n) = chi[n % len(chi)]
@@ -298,52 +292,50 @@ def _log_ratio(N: int, chi: tuple, W: int) -> int:
     return log_fixed(m * up, down, V) + exps[j] * log_fixed(2, 1, V) >> 64
 
 
-def _endpoint(y: Fraction) -> tuple[int, int]:
-    """(N, p) for a primed sum over n <= y: the terms n <= N enter in
-    full, and when y is an integer prime power p^k its own term enters
-    halved (p = 0 otherwise)."""
+def primed_sum(y: Fraction, s: Fraction, ctx: PrecisionContext,
+               chi: Sequence[int] = (1,)) -> tuple[int, int]:
+    """Sum'_{n<=y} chi(n) Lambda(n) n^(-s), y >= 1 rational, as (man, exp)
+    at bits + 32: prime_power_sum to floor(y), and when y is an integer
+    prime power the mean of the sums to y - 1 and to y, its own term
+    halved exactly.  The one endpoint rule of every primed sum."""
     n = y.numerator // y.denominator
-    p = shared_table(n).prime_of(n) if y.denominator == 1 and n >= 2 else 0
-    return (n - 1 if p else n), p
+    S, e = prime_power_sum(n, s, ctx, chi)
+    if y.denominator == 1 and shared_table(n).is_prime_power(n):
+        S, e = S + prime_power_sum(n - 1, s, ctx, chi)[0], e - 1
+    return S, e
 
 
 def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
                  chi: Sequence[int] = (1,)) -> mpf:
-    """x^alpha Sum'_{n<=y} chi(n) Lambda(n) n^(-s) at bits + 32, in the
-    two forms of the explicit formulas: y = x, s = alpha for x > 1 (the
-    psi0 form) and y = 1/x, s = 1 - alpha for 0 < x < 1 (the T form).
-    The endpoint term of an integer prime power y enters halved with
-    its weight x^alpha y^(-s) collapsed exactly: 1 for x > 1, x below.
-    Callers check the domain (x > 0, x != 1)."""
+    """x^alpha primed_sum(y, s) at bits + 32, in the two forms of the
+    explicit formulas: y = x, s = alpha for x > 1 (the psi0 form) and
+    y = 1/x, s = 1 - alpha for 0 < x < 1 (the T form).  Callers check the
+    domain (x > 0, x != 1)."""
     x, alpha = Fraction(x), Fraction(alpha)
-    y, s, w = (x, alpha, Fraction(1)) if x > 1 else (1 / x, 1 - alpha, x)
-    N, p = _endpoint(y)
+    y, s = (x, alpha) if x > 1 else (1 / x, 1 - alpha)
     with ctx.workprec(_GUARD):
-        total = _to_mpf(x) ** _to_mpf(alpha) * mpf(prime_power_sum(N, s, ctx, chi))
-        if p:
-            total += mangoldt(p, ctx) * chi[y.numerator % len(chi)] * _to_mpf(w) / 2
-    return total
+        return _to_mpf(x) ** _to_mpf(alpha) * mpf(primed_sum(y, s, ctx, chi))
 
 
 def psi0(x: Fraction, ctx: PrecisionContext) -> HReal:
     """Sum'_{n<=x} Lambda(n) for x > 1."""
     if Fraction(x) <= 1:
         raise ValueError(f"psi0 requires x > 1, got {x}")
-    return ctx.real(weighted_sum(x, Fraction(0), ctx))
+    return HReal(weighted_sum(x, Fraction(0), ctx), ctx)
 
 
 def psi0_alpha(x: Fraction, alpha: Fraction, ctx: PrecisionContext) -> HReal:
     """x^alpha Sum'_{n<=x} Lambda(n)/n^alpha for x > 1."""
     if Fraction(x) <= 1:
         raise ValueError(f"psi0_alpha requires x > 1, got {x}")
-    return ctx.real(weighted_sum(x, alpha, ctx))
+    return HReal(weighted_sum(x, alpha, ctx), ctx)
 
 
 def T_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext) -> HReal:
     """x^alpha Sum'_{n<=1/x} Lambda(n)/n^(1-alpha) for 0 < x < 1."""
     if not 0 < Fraction(x) < 1:
         raise ValueError(f"T_sum requires 0 < x < 1, got {x}")
-    return ctx.real(weighted_sum(x, alpha, ctx))
+    return HReal(weighted_sum(x, alpha, ctx), ctx)
 
 
 # ----------------------------------------------------------------------

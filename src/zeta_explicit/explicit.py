@@ -38,10 +38,11 @@ sums through verify_identity):
     critical-line pairing Sum_{nu>0} 2cos(nu log x)/(1/4+nu^2), is that
     sum over sqrt(x); S_rhs_gt1 is that sum - gamma x + log 2pi.
 
-The plain and the descriptor prime sums are one computation: psi0,
-psi0_alpha, T_sum, selberg_psi0 and selberg_T all read
-arith.weighted_sum, the descriptor ones with F's character table, so
-all run through the one loop arith.prime_power_sum.
+Every prime side is one integer, arith.primed_sum, with one endpoint rule:
+f_const reads it, and psi0, psi0_alpha, T_sum, selberg_psi0 and selberg_T
+read x^alpha times it (arith.weighted_sum, the descriptor ones with F's
+character table) at bits + 32, unrounded.  Exact inputs enter each form
+at bits + 32 too (_to_mpf), so every closed form rounds once, at its end.
 
 The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u), at real z in [0, 1)
 and rational u, is real fixed point (f_u_closed): the series itself, or
@@ -65,7 +66,7 @@ from typing import Optional, Sequence, Union
 import mpmath
 from mpmath import libmp, mpf
 
-from .arith import _endpoint, prime_power_sum, walk_width, weighted_sum
+from .arith import primed_sum, walk_width, weighted_sum
 from .mpcore import (
     _GUARD,
     HReal,
@@ -90,13 +91,14 @@ _K_CONST: dict[int, list[int]] = {}   # W -> f_const's gamma and -log 2pi, floor
 
 
 # ----------------------------------------------------------------------
-# Dirichlet L-functions and their logarithmic derivatives (zeta: chi mod 1)
+# Dirichlet L-functions (zeta: chi mod 1)
 # ----------------------------------------------------------------------
 
 def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
                 ctx: PrecisionContext) -> tuple[mpf, mpf]:
-    """(L(s, chi), L'(s, chi)) for a real character table chi mod q (zeta:
-    (1,) mod 1), one Euler-Maclaurin pass per residue (em_log_moments, N = 1):
+    """(L(s, chi), L'(s, chi)) at bits + 32 for a real character table chi
+    mod q (zeta: (1,) mod 1), one Euler-Maclaurin pass per residue
+    (em_log_moments, N = 1):
 
         L(s)  = q^(-s) Sum_{a=1}^{q} chi(a) Z_0(s, a/q)
         L'(s) = -log(q) L(s) - q^(-s) Sum_{a=1}^{q} chi(a) Z_1(s, a/q).
@@ -121,21 +123,10 @@ def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
             (z0, _), (z1, _) = em_log_moments(s, Fraction(a, q), 1, wide)
             S0 += c * z0.val
             S1 += c * z1.val
-        qs = ctx.mpf(q) ** (-ctx.mpf(s))
+        qs = _to_mpf(q) ** -_to_mpf(s)
         value = qs * S0
         deriv = -mpmath.log(q) * value - qs * S1
         return value, deriv
-
-
-def dirichlet_log_deriv(s: Rational, q: int, chi: Sequence[int],
-                        ctx: PrecisionContext) -> HReal:
-    """(L'/L)(s, chi) for a real character table chi mod q, zeta'/zeta at (1,);
-    a zero of L (zeta's trivial zeros are exact zeros of the sum) is a pole."""
-    with ctx.workprec(_GUARD):
-        L, Lp = dirichlet_L(s, q, chi, ctx)
-        if L == 0:
-            raise ValueError(f"L({s}, chi mod {q}) vanishes; log-derivative pole")
-        return ctx.real(Lp / L)
 
 
 # ----------------------------------------------------------------------
@@ -256,16 +247,11 @@ def g(p: int, q: int, W: int) -> int:
 def f_const(x: Fraction, ctx: PrecisionContext) -> int:
     """K = f(x) - g(x) in units of 2^-W, W = walk_width(ctx), rational
     x > 0, x != 1: -log 2pi - psi0(x) above 1, gamma + T(x, 0) below, one
-    prime_power_sum over n <= y = x or 1/x (at an integer prime power y the
-    mean of the sums to y - 1 and to y: its term halved exactly).  K errs by
-    less than 1 + Sum (1/n + 1) units over the terms taken (n = 1 above 1),
-    each log floored at W, but 2 in all for the terms past LOG_LIMIT above 1."""
+    primed_sum over n <= y = x or 1/x.  K errs by less than 1 + Sum (1/n + 1)
+    units over the terms taken (n = 1 above 1), each log floored at W, but 2
+    in all for the terms past LOG_LIMIT above 1."""
     W, above = walk_width(ctx), x > 1
-    N, p = _endpoint(x if above else 1 / x)
-    s = Fraction(0 if above else 1)
-    S, e = prime_power_sum(N, s, ctx)
-    if p:
-        S, e = S + prime_power_sum(N + 1, s, ctx)[0], e - 1
+    S, e = primed_sum(x if above else 1 / x, Fraction(0 if above else 1), ctx)
     if W not in _K_CONST:
         with mpmath.workprec(W + 8):
             _K_CONST[W] = [libmp.to_fixed(c._mpf_, W) for c in (+mpmath.euler, -mpmath.log(2 * mpmath.pi))]
@@ -391,11 +377,16 @@ class SelbergDescriptor:
     chi: tuple[int, ...]                       # chi(n) = chi[n % len(chi)]
 
     def log_deriv(self, s: Rational, ctx: PrecisionContext) -> mpf:
-        """(F'/F)(s) = (L'/L)(s, chi), zeta'/zeta at chi = (1,), taken once
-        per (chi, s, bits)."""
+        """(F'/F)(s) = (L'/L)(s, chi) at bits + 32 from dirichlet_L, zeta'/zeta
+        at chi = (1,), taken once per (chi, s, bits); a zero of L (zeta's
+        trivial zeros are exact zeros of the sum) is a pole."""
         key = (self.chi, Fraction(s), ctx.bits)
         if key not in _log_deriv:
-            _log_deriv[key] = dirichlet_log_deriv(s, len(self.chi), self.chi, ctx).val
+            L, Lp = dirichlet_L(s, len(self.chi), self.chi, ctx)
+            if L == 0:
+                raise ValueError(f"L({s}, chi mod {len(self.chi)}) vanishes; log-derivative pole")
+            with ctx.workprec(_GUARD):
+                _log_deriv[key] = Lp / L
         return _log_deriv[key]
 
     def gamma_F(self, ctx: PrecisionContext) -> mpf:
@@ -465,7 +456,7 @@ def selberg_psi0(x: Rational, alpha: Rational, F: SelbergDescriptor,
     psi0_alpha sum with F's character."""
     if Fraction(x) <= 1:
         raise ValueError(f"selberg_psi0 requires x > 1, got {x}")
-    return ctx.real(weighted_sum(x, alpha, ctx, F.chi))
+    return HReal(weighted_sum(x, alpha, ctx, F.chi), ctx)
 
 
 def selberg_T(x: Rational, alpha: Rational, F: SelbergDescriptor,
@@ -475,7 +466,7 @@ def selberg_T(x: Rational, alpha: Rational, F: SelbergDescriptor,
     F's character."""
     if not 0 < Fraction(x) < 1:
         raise ValueError(f"selberg_T requires 0 < x < 1, got {x}")
-    return ctx.real(weighted_sum(x, alpha, ctx, F.chi))
+    return HReal(weighted_sum(x, alpha, ctx, F.chi), ctx)
 
 
 def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
@@ -495,31 +486,31 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
                          "trivial zeros at 0 do not cancel")
     prime = (selberg_psi0 if gt1 else selberg_T)(x, alpha, F, ctx).val
     with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
+        xv = _to_mpf(x)
         acc = -prime if gt1 else prime
         if not gt1 and alpha == 0:
             acc += F.m_F * (xv + mpmath.log(xv)) + F.gamma_F(ctx)
         else:
             if F.m_F:
-                acc += F.m_F * xv / ctx.mpf(1 - alpha)
+                acc += F.m_F * xv / _to_mpf(1 - alpha)
             if polar:
-                acc -= polar / ctx.mpf(alpha)
+                acc -= polar / _to_mpf(alpha)
         for lam, mu in F.gamma_factors:
             u = mu + lam * (alpha if gt1 else 1 - alpha)
             if u.denominator == 1 and u <= 0 and not (gt1 and u == mu == 0):
                 raise ValueError(f"alpha = {alpha} hits the trivial-zero chain "
                                  f"(lambda={lam}, mu={mu})")
-            lamv, e = ctx.mpf(lam), (-1 if gt1 else 1) / lam
+            lamv, e = _to_mpf(lam), (-1 if gt1 else 1) / lam
             z, zmu = (x ** int(t) if t.denominator == 1 else _to_mpf(x) ** _to_mpf(t)
                       for t in (e, e * mu))   # x^e, x^(e mu): exact at lambda = 1/2
             series = f_u_closed(u, z, ctx).val  # Sum_{n>=1} z^n/(n+u)
             zmu = _to_mpf(zmu)
             if gt1:
                 if mu != 0:
-                    series += 1 / ctx.mpf(u)
+                    series += 1 / _to_mpf(u)
                 acc += lamv * zmu * series
             else:
-                acc -= lamv * xv * zmu * (series + 1 / ctx.mpf(u))
+                acc -= lamv * xv * zmu * (series + 1 / _to_mpf(u))
         return acc
 
 
@@ -564,7 +555,7 @@ def _kernel_form(x: Fraction, pf: RationalFunctionPF, ctx: PrecisionContext,
     zeta = descriptor_zeta()
     forms = [_descriptor_form(x, a, zeta, ctx, gt1) for a in pf.roots]
     with ctx.workprec(_GUARD):
-        acc = sum((ctx.mpf(lam) * v for lam, v in zip(pf.residues, forms)), mpf(0))
+        acc = sum((_to_mpf(lam) * v for lam, v in zip(pf.residues, forms)), mpf(0))
     return ctx.real(acc)
 
 
@@ -698,8 +689,8 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
         term = xrho_term(x, poles, weights)
         if gt1 or poles != (0,):  # selberg-lt1 at alpha = 0 predicts f itself
             with ctx.workprec(_GUARD):
-                xv = ctx.mpf(x)
-                extra = sum((ctx.mpf(w) * xv ** ctx.mpf(p)
+                xv = _to_mpf(x)
+                extra = sum((_to_mpf(w) * xv ** _to_mpf(p)
                              * F.log_deriv(p if gt1 else 1 - p, ctx)
                              for p, w in zip(poles, weights)), mpf(0))
                 extra = extra if gt1 else -extra

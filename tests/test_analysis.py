@@ -312,7 +312,7 @@ def test_piece_walk_at_1024_bits():
 def test_piece_walk_evaluation_count(monkeypatch):
     # d = 1 with 3,000 grid points: the per-point walk takes the
     # fixed-point g 3,000 times, the piece walk only at piece ends,
-    # bisections and candidates; K is f_const's one prime sum, with no
+    # bisections and candidates; K is f_const's one primed sum, with no
     # f_rhs_lt1 call.
     calls = {"g": 0, "f_rhs": 0, "sum": 0}
 
@@ -324,8 +324,7 @@ def test_piece_walk_evaluation_count(monkeypatch):
 
     monkeypatch.setattr(analysis, "g", counted("g", g))
     monkeypatch.setattr(analysis, "f_rhs_lt1", counted("f_rhs", f_rhs_lt1))
-    monkeypatch.setattr(explicit, "prime_power_sum",
-                        counted("sum", arith.prime_power_sum))
+    monkeypatch.setattr(explicit, "primed_sum", counted("sum", arith.primed_sum))
     scan = hypothesis_scan(1, PrecisionContext(bits=192),
                            denominator=round(3000 * math.pi))
     assert scan.evaluated == 3000

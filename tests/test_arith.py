@@ -21,7 +21,6 @@ from zeta_explicit.arith import (
     is_squarefree,
     kronecker_chi,
     kronecker_symbol,
-    mangoldt,
     mangoldt_sieve,
     prime_power_sum,
     psi0,
@@ -89,9 +88,11 @@ def test_sieve_queries(ctx):
     assert t.prime_of(12) == 0
     assert t.is_prime_power(9)
     assert not t.is_prime_power(1)
+    W = walk_width(ctx)
     with ctx.workprec(16):
-        assert abs(mangoldt(49, ctx) - mpmath.log(7)) < mpmath.mpf(2) ** (-180)
-    assert mangoldt(10, ctx) == 0
+        L = mpmath.mpf((arith._log_at(t.prime_of(49), W), -W))
+        assert abs(L - mpmath.log(7)) < mpmath.mpf(2) ** (-180)
+    assert t.prime_of(10) == 0
     with pytest.raises(ValueError):
         mangoldt_sieve(100).prime_of(101)
     for N in (0, arith.MAX_SIEVE + 1):   # refused before any allocation
@@ -573,10 +574,10 @@ def test_mangoldt_reads_its_width_from_the_context(bits):
     got = set()
     for prec in (53, bits, 2 * W):
         with mpmath.workprec(prec):
-            got.add(mangoldt(7 ** 3, ctx)._mpf_)
+            got.add(arith._log_at(shared_table(7 ** 3).prime_of(7 ** 3), W))
     value, = got
     with mpmath.workprec(2 * W):
-        assert abs(mpmath.mpf(value) - mpmath.log(7)) < mpmath.mpf(2) ** -W
+        assert abs(mpmath.mpf((value, -W)) - mpmath.log(7)) < mpmath.mpf(2) ** -W
 
 
 @pytest.mark.parametrize("s", [Fraction(0), Fraction(1), Fraction(2, 5), Fraction(-3, 7)])
@@ -588,6 +589,7 @@ def test_log_table_stops_at_its_limit(monkeypatch, s):
     # bit for bit: there they are checked against the log of the exact
     # products, within the product's 2 units, in place of the kept sum.
     ctx, x = PrecisionContext(bits=192), Fraction(2001, 2)
+    W = walk_width(ctx)
     for name in ("_prefix", "_ratios", "_logs"):
         monkeypatch.setattr(arith, name, {})
     kept = weighted_sum(x, s, ctx)
@@ -596,11 +598,11 @@ def test_log_table_stops_at_its_limit(monkeypatch, s):
         monkeypatch.setattr(arith, name, {})
     got = weighted_sum(x, s, ctx)
     with ctx.workprec(32):
-        assert abs(mangoldt(503 ** 2, ctx) - mpmath.log(503)) < mpmath.mpf(2) ** (-216)
+        L = mpmath.mpf((arith._log_at(shared_table(503 ** 2).prime_of(503 ** 2), W), -W))
+        assert abs(L - mpmath.log(503)) < mpmath.mpf(2) ** (-216)
     logs, = arith._logs.values()
     assert list(logs) == [p for p in range(2, 501) if _prime_power_base(p) == p]
     if s == 0:
-        W = walk_width(ctx)
         past = prime_power_sum(1000, s, ctx)[0] - prime_power_sum(500, s, ctx)[0]
         assert abs(past - _exact_log_ratio(500, 1000, (1,), W)) < 2
     else:

@@ -204,6 +204,16 @@ def test_verify_json_payload(capsys):
     assert "trend" in payload and "residual" in payload
 
 
+def test_verify_selberg_lt1_rhs_right_in_its_last_printed_digit(capsys):
+    # at alpha = 0 below 1 the descriptor form is f: T(x, 0) near 11 is one
+    # integer and x enters at bits + 32, so the form rounds once, at its end,
+    # and all 27 digits that 96 bits print are right (the value is ...553256.8)
+    code, out, _ = run(capsys, "verify", "--identity", "selberg-lt1", "--x", "2/299999",
+                       "--alpha", "0", "--K", "100", "--bits", "96", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["rhs"] == "0.000321231071462791053665553257"
+
+
 def test_verify_s_reports_its_tail_estimate(capsys, fixture100):
     code, out, _ = run(capsys, "verify", "--identity", "s", "--x", "4",
                        "--K", "50", "--json")

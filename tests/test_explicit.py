@@ -24,7 +24,6 @@ from zeta_explicit.explicit import (
     descriptor_dirichlet,
     descriptor_zeta,
     dirichlet_L,
-    dirichlet_log_deriv,
     f_rhs_gt1,
     f_rhs_lt1,
     TAU0,
@@ -63,17 +62,41 @@ def test_f_rhs_gt1_at_prime_power_boundary(ctx):
         "-0.04060962046342767454966603"
 
 
+def _closed_forms():
+    """(name, form above 1, form below 1), each a function of (x, ctx): the
+    kernels 1/(rho - 1/2) and 1/((rho - 1/2)(rho + 1/3)) (residues +-6/5),
+    and the descriptor form of zeta, chi_-4 and chi_-3 at alpha = 1/3 above 1
+    and alpha = 0 (f itself for zeta) below."""
+    for poles in ([F(1, 2)], [F(1, 2), F(-1, 3)]):
+        pf = partial_fractions([1], poles)
+        yield (f"general {poles}", lambda x, c, pf=pf: general_rhs_gt1(x, pf, c),
+               lambda x, c, pf=pf: general_rhs_lt1(x, pf, c))
+    for D in [descriptor_zeta()] + [descriptor_dirichlet(discriminant_of(d), kronecker_chi(d),
+                                                         None) for d in (1, 3)]:
+        yield (D.label, lambda x, c, D=D: selberg_rhs_gt1(x, F(1, 3), D, c),
+               lambda x, c, D=D: selberg_rhs_lt1(x, F(0), D, c))
+
+
 @pytest.mark.parametrize("bits", [128, 192, 512])
 def test_f_rhs_right_to_its_print_cap(bits):
     # f is g + K in integers rounded once, so every digit str_digits may
     # print, prec_to_dps(bits) - 1, agrees with the same call at bits + 256:
-    # at x = 299999/2 psi0 is near 1.5e5 and f near -49
+    # at x = 299999/2 psi0 is near 1.5e5 and f near -49.  So does every
+    # descriptor and kernel form, whose prime side is x^alpha times one such
+    # integer and whose exact inputs enter at bits + 32, rounded once, also
+    # at the prime-power endpoints 2^17 and 131101, whose terms are halved
     cap = prec_to_dps(bits) - 1
     for x in (F(21), F(2 ** 17), F(299999, 2), F(2, 299999), F(1, 2 ** 17), F(3, 902)):
         f = f_rhs_gt1 if x > 1 else f_rhs_lt1
         got, ref = f(x, PrecisionContext(bits)).val, f(x, PrecisionContext(bits + 256)).val
         with mpmath.workprec(bits + 256):
             assert abs(got - ref) <= abs(ref) * mpf(10) ** -cap, x
+    for name, above, below in _closed_forms():
+        for x in (F(299999, 2), F(2 ** 17), F(131101)):
+            for rhs, y in ((above, x), (below, 1 / x)):
+                got, ref = rhs(y, PrecisionContext(bits)).val, rhs(y, PrecisionContext(bits + 256)).val
+                with mpmath.workprec(bits + 256):
+                    assert abs(got - ref) <= abs(ref) * mpf(10) ** -cap, (name, y)
 
 
 @pytest.mark.parametrize("bits", [128, 192, 512])
@@ -408,12 +431,19 @@ def test_zeta_descriptor_invariants(ctx):
         assert abs(zeta.gamma_F(ctx) - ctx.euler_gamma) < TINY
 
 
+def _L_log_deriv(s, q, chi, ctx):
+    """(L'/L)(s, chi) from explicit.dirichlet_L, divided at bits + 32."""
+    L, Lp = explicit.dirichlet_L(s, q, chi, ctx)
+    with ctx.workprec(32):
+        return Lp / L
+
+
 def test_dirichlet_descriptor_invariants(ctx):
     chi = kronecker_chi(1)
     d4 = descriptor_dirichlet(4, chi, ctx)
     # F'/F and gamma_F follow from the character table.
-    assert d4.log_deriv(F(2), ctx) == dirichlet_log_deriv(F(2), 4, chi, ctx).val
-    assert d4.gamma_F(ctx) == dirichlet_log_deriv(F(1), 4, chi, ctx).val
+    assert d4.log_deriv(F(2), ctx) == _L_log_deriv(F(2), 4, chi, ctx)
+    assert d4.gamma_F(ctx) == _L_log_deriv(F(1), 4, chi, ctx)
 
 
 def test_gamma_F_computed_once_per_character_and_bits(monkeypatch):
@@ -433,7 +463,7 @@ def test_gamma_F_computed_once_per_character_and_bits(monkeypatch):
     first, second, third = (d4.gamma_F(ctx) for _ in range(3))
     assert calls == [192]
     assert first == second == third
-    assert first == dirichlet_log_deriv(F(1), 4, d4.chi, ctx).val
+    assert first == _L_log_deriv(F(1), 4, d4.chi, ctx)
     for _ in range(3):
         selberg_rhs_lt1(F(1, 10), 0, d4, ctx)
     assert len(calls) == 2              # the reference line above made one
@@ -626,7 +656,7 @@ def test_dirichlet_log_deriv_closed_form(ctx):
     # (L'/L)(1) for the conductor-4 character equals
     # gamma + 2 log 2 + 3 log pi - 4 log Gamma(1/4).
     chi4 = kronecker_chi(1)
-    v = dirichlet_log_deriv(F(1), 4, chi4, ctx).val
+    v = _L_log_deriv(F(1), 4, chi4, ctx)
     with ctx.workprec(32):
         ref = mpmath.euler + 2 * mpmath.log(2) + 3 * mpmath.log(mpmath.pi) \
             - 4 * mpmath.loggamma(mpf(1) / 4)
