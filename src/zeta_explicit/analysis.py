@@ -49,7 +49,7 @@ from typing import Callable, Iterator
 import mpmath
 from mpmath import libmp, mpf
 
-from .arith import MAX_SIEVE, _log_at, class_data, shared_table, walk_width
+from .arith import MAX_SIEVE, _log, class_data, shared_table, walk_width
 from .explicit import Rational, dirichlet_L, f_const, f_rhs_gt1, f_rhs_lt1, g
 from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf
 
@@ -155,7 +155,7 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
     ends.append((hi, n_end.numerator, p))
     K, W, a = f_const((lo + ends[0][0]) / 2, ctx), walk_width(ctx), lo
     for b, n, p in ends:
-        drop = _log_at(p, W) // (1 if above else n) if p else 0
+        drop = _log(p, W) // (1 if above else n) if p else 0
         yield a, b, K, drop
         K -= drop
         a = b

@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: von Mangoldt sieve, weighted prime-power
-sums, Kronecker characters, and imaginary-quadratic class data.
+sums, the characters chi_{-d}, and imaginary-quadratic class data.
 
 The half-corrected prime-power sums evaluated here are the left-hand
 ingredients of the explicit formulas of the Selberg-class descriptors,
@@ -16,12 +16,14 @@ branch is decidable: primed_sum decides it for every sum, f's too, as the
 mean of the sums to y - 1 and to y, one integer.  Both forms are
 weighted_sum, x^a times primed_sum, which reads prime_power_sum at
 bits + 32: fixed-point integers, each prime's log floored once per width
-(at s = 0 past LOG_LIMIT one product's log) and root p^(-1/b) once per
-(b, width), b <= ROOT_BOUND, checkpointed every BLOCK = 256 per
-(s, chi, width); no value depends on history.
+by _log, the one log lookup (at s = 0 past LOG_LIMIT one product's log),
+and root p^(-1/b) once per (b, width), b <= ROOT_BOUND, checkpointed
+every BLOCK = 256 per (s, chi, width); no value depends on history.
 
-The class data of Q(sqrt(-d)) is exact integers.  mpmath.loggamma, in
-analysis, is the only mpmath special function production code calls.
+The class data of Q(sqrt(-d)) is exact integers, chi_{-d} a table built
+by complete multiplicativity from its values at the primes.
+mpmath.loggamma, in analysis, is the only mpmath special function
+production code calls.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Optional, Sequence
 from mpmath import mpf
 from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
-from .mpcore import _GUARD, HReal, PrecisionContext, _to_mpf, log_fixed
+from .mpcore import _GUARD, HReal, PrecisionContext, _atanh2, _to_mpf, log_fixed
 
 # Sieve memory budget (tracemalloc): the table keeps 8 pi(N)/N bytes per entry, 0.64
 # at N = 10^6; a sieve peaks near 1.65 (1 flag byte, N/2 marking bytes, the arrays).
@@ -73,9 +75,6 @@ class MangoldtTable:
             raise ValueError(f"n = {n} outside table limit {self.limit}")
         i = bisect_left(self.powers, n)
         return self.bases[i] if i < len(self.powers) and self.powers[i] == n else 0
-
-    def is_prime_power(self, n: int) -> bool:
-        return 1 <= n <= self.limit and self.prime_of(n) != 0
 
 
 def mangoldt_sieve(N: int) -> MangoldtTable:
@@ -131,7 +130,6 @@ ROOT_BOUND = 3   # largest denominator of s whose roots are tabled; see prime_po
 _prefix: dict[tuple, list] = {}
 _logs: dict[int, dict[int, int]] = {}   # width W -> {p: floor(log(p) 2^W)}
 _chain: dict[int, tuple] = {}   # W -> (q, L, err): _log's last prime at W, L within err of log(q) 2^(W+32)
-_CHAIN_ERR = 1 << 12   # err at which _log re-anchors: a floor is ambiguous for about 2 err 2^-32 of primes
 _roots: dict[tuple, dict[int, int]] = {}   # (b, W) -> {p: floor(2^W p^(-1/b))}
 _ratios: dict[tuple, tuple[bytearray, array]] = {}   # (chi, W) -> _log_ratio's checkpoints
 _FIXED = 16   # guard bits of the walk's width, for its per-term roundings
@@ -144,21 +142,19 @@ def walk_width(ctx: PrecisionContext) -> int:
 
 
 def _log(p: int, W: int) -> int:
-    """floor(log(p) 2^W), exactly: the one log behind every Lambda(n), kept
-    in W's table when p <= LOG_LIMIT.  L is log(p) 2^V within err units,
-    V = W + 32: log q + 2 atanh((p - q)/(p + q)) from the last prime q
-    logged at W, its series summed in integers to odd index k, each term
-    floored (k + 1 units added to err); or log_fixed(p, 1, V) (err 1), the
-    anchor, when 64|p - q| >= p or err >= _CHAIN_ERR.
-    L >> 32 is the floor when L - err and L + err share it (all but about
-    2^-19 of the primes); else log_fixed, 64 bits wider each time, decides it."""
+    """floor(log(p) 2^W), exactly: the one log behind every Lambda(n), read
+    from W's table, and on a miss taken and kept there when p <= LOG_LIMIT.
+    L is log(p) 2^V within err units, V = W + 32: log q + _atanh2(p - q,
+    p + q) from the last prime q logged at W (k + 1 units added to err for
+    its series to odd index k); or log_fixed(p, 1, V) (err 1), the anchor,
+    when 64|p - q| >= p.  L >> 32 is the floor when L - err and L + err
+    share it; else log_fixed, 64 bits wider each time, decides it and
+    re-anchors the chain."""
+    if L := _logs.get(W, {}).get(p):
+        return L
     V, (q, L, err), g = W + 32, _chain.get(W, (1, 0, 0)), 32
-    if 64 * abs(p - q) < p and err < _CHAIN_ERR:
-        d, s, k = (p - q) ** 2, (p + q) ** 2, 1
-        A = y = (abs(p - q) << V + 1) // (p + q)
-        while y := y * d // s:
-            k += 2
-            A += y // k
+    if 64 * abs(p - q) < p:
+        A, k = _atanh2(abs(p - q), p + q, V)
         L, err = L + A if p > q else L - A, err + k + 1
     else:
         L, err = log_fixed(p, 1, V), 1
@@ -169,11 +165,6 @@ def _log(p: int, W: int) -> int:
     if p <= LOG_LIMIT:
         _logs.setdefault(W, {})[p] = L >> g
     return L >> g
-
-
-def _log_at(p: int, W: int) -> int:
-    """floor(log(p) 2^W) from W's table, taken by _log on a miss."""
-    return _logs.get(W, {}).get(p) or _log(p, W)
 
 
 def _power(x: int, j: int, U: int) -> int:
@@ -300,7 +291,7 @@ def primed_sum(y: Fraction, s: Fraction, ctx: PrecisionContext,
     halved exactly.  The one endpoint rule of every primed sum."""
     n = y.numerator // y.denominator
     S, e = prime_power_sum(n, s, ctx, chi)
-    if y.denominator == 1 and shared_table(n).is_prime_power(n):
+    if y.denominator == 1 and shared_table(n).prime_of(n):
         S, e = S + prime_power_sum(n - 1, s, ctx, chi)[0], e - 1
     return S, e
 
@@ -342,37 +333,6 @@ def T_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext) -> HReal:
 # Kronecker characters
 # ----------------------------------------------------------------------
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), the completely multiplicative extension
-    of the Jacobi symbol with the standard conventions at 2, -1, 0."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a % 2 == 0 and n % 2 == 0:
-        return 0
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    k = 1
-    if v % 2 == 1 and a % 8 in (3, 5):
-        k = -1
-    if n < 0:
-        n = -n
-        if a < 0:
-            k = -k
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                k = -k
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            k = -k
-        a %= n
-    return k if n == 1 else 0
-
-
 def is_squarefree(d: int) -> bool:
     if d < 1:
         return False
@@ -394,11 +354,23 @@ def kronecker_chi(d: int) -> tuple[int, ...]:
     """Character table (chi(0), ..., chi(D-1)) of the quadratic character
     chi_{-d}(n) = kronecker(-D | n) attached to Q(sqrt(-d)); D is the
     absolute discriminant, -D the fundamental discriminant, and the
-    table has exact period D."""
+    table has exact period D.  By complete multiplicativity: chi(p) = 0
+    for p | D, chi(2) = +-1 as -D = 1 or 5 mod 8, chi(p) = (-D)^((p-1)/2)
+    mod p for odd p (Euler's criterion), and a composite n takes chi of
+    its least prime factor times chi of the cofactor."""
     if not is_squarefree(d):
         raise ValueError(f"d = {d} is not squarefree")
     D = discriminant_of(d)
-    return tuple(kronecker_symbol(-D, a) for a in range(D))
+    least = list(range(D))   # least[n] = n's least prime factor, n >= 2
+    for f in range(math.isqrt(D), 1, -1):
+        least[f * f::f] = [f] * len(range(f * f, D, f))
+    chi = [0, 1] + [0] * (D - 2)
+    for n in range(2, D):
+        if (p := least[n]) < n:
+            chi[n] = chi[p] * chi[n // p]
+        elif D % p:
+            chi[n] = 1 if (-D % 8 == 1 if p == 2 else pow(-D, (p - 1) // 2, p) == 1) else -1
+    return tuple(chi)
 
 
 # ----------------------------------------------------------------------

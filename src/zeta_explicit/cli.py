@@ -88,7 +88,7 @@ def _abscissa(args, name: str) -> Fraction:
     # domain error an exact abscissa meets in the prime sum
     n = value.numerator * value.denominator
     hit = _decimal(text) and n > 1 and 1 in (value.numerator, value.denominator)
-    if hit and shared_table(n).is_prime_power(n):
+    if hit and shared_table(n).prime_of(n):
         value += Fraction(1, 2 ** 96)
         args.notes.append(f"inexact input {text} nudged off the "
                           f"prime-power discontinuity by 2^-96")

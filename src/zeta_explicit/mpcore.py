@@ -174,16 +174,17 @@ def bernoulli(n: int) -> Fraction:
 _LOGS: dict[int, list[list[int]]] = {}   # T -> 2^T log(1 + j/2^B) for B = 8 (j <= 256), 12, 16
 
 
-def _atanh2(d: int, s: int, V: int) -> int:
-    """2^V 2 atanh(d/s), 0 <= 3d <= s, its series in integers to odd index
-    k, each term floored: under k + 1 units low.  Past V/4 bits of
-    s (callers keep d/s < 2^-8 there) each term takes z^2 2^V instead."""
+def _atanh2(d: int, s: int, V: int) -> tuple[int, int]:
+    """(A, k): A = 2^V 2 atanh(d/s), 0 <= 3d <= s, its series in integers
+    to odd index k, each term floored: under k + 1 units low.  Past V/4
+    bits of s (callers keep d/s < 2^-8 there) each term takes z^2 2^V
+    instead.  log_fixed's atanh, and the step of arith._log's chain."""
     y = (d << V + 1) // s
     A, k, d2, s2, sh = (y, 1, d * d, s * s, 0) if 4 * s.bit_length() <= V else (y, 1, y * y >> V + 2, 1, V)
-    while y := y * d2 // s2 >> sh:
+    while y := y * d2 >> sh if sh else y * d2 // s2:
         k += 2
         A += y // k
-    return A
+    return A, k
 
 
 def log_fixed(n: int, d: int, V: int) -> int:
@@ -198,11 +199,11 @@ def log_fixed(n: int, d: int, V: int) -> int:
     if T not in _LOGS:
         lg = [0] * 513
         for m in range(2, 513):
-            lg[m] = lg[m] or lg[m - 1] + _atanh2(1, 2 * m - 1, T + 24)
+            lg[m] = lg[m] or lg[m - 1] + _atanh2(1, 2 * m - 1, T + 24)[0]
             for k in range(2, min(m, 512 // m) + 1):
                 lg[m * k] = lg[m] + lg[k]
         _LOGS[T] = [[(x - 8 * lg[2] + (1 << 23)) >> 24 for x in lg[256:]]] + [
-            [(_atanh2(j, (2 << B) + j, T + 24) + (1 << 23)) >> 24 for j in range(16)] for B in (12, 16)]
+            [(_atanh2(j, (2 << B) + j, T + 24)[0] + (1 << 23)) >> 24 for j in range(16)] for B in (12, 16)]
     e, L = n.bit_length() - d.bit_length(), min(max(n.bit_length(), d.bit_length()), U + 16)
     a, b = n << L >> n.bit_length(), d << L >> d.bit_length()
     a, e = (a << 1, e - 1) if a < b else (a, e)
@@ -210,7 +211,7 @@ def log_fixed(n: int, d: int, V: int) -> int:
     for B, grid in zip((8,) if (a << 8) % b == 0 else (8, 12, 16), _LOGS[T]):
         j = (a << B) // b - (1 << B)
         a, b, acc = a << B, b * ((1 << B) + j), acc + grid[j]
-    A = _atanh2(a - b, a + b, U) if a > b else 0
+    A = _atanh2(a - b, a + b, U)[0] if a > b else 0
     return ((acc >> T - U) + A + (1 << 39)) >> 40
 
 

@@ -140,7 +140,7 @@ def find_zeros_gt1(lo: Rational, hi: Rational, tol: Rational,
     n_hi = math.floor(hi)
     table = shared_table(max(2, n_hi))
     jumps = [Fraction(n) for n in range(max(2, math.ceil(lo)), n_hi + 1)
-             if table.is_prime_power(n)]
+             if table.prime_of(n)]
     return _scan(lo, hi, Fraction(tol), ctx, f_rhs_gt1, jumps,
                  _gt1_sides, spacing)
 
@@ -157,6 +157,6 @@ def find_zeros_lt1(lo: Rational, hi: Rational, tol: Rational,
     n_hi = math.floor(1 / lo)
     table = shared_table(max(2, n_hi))
     jumps = [Fraction(1, n) for n in range(n_hi, max(2, math.ceil(1 / hi)) - 1, -1)
-             if table.is_prime_power(n)]
+             if table.prime_of(n)]
     return _scan(lo, hi, Fraction(tol), ctx, f_rhs_lt1, jumps,
                  _lt1_sides, spacing)

@@ -22,7 +22,7 @@ import mpmath
 from mpmath import libmp
 
 from zeta_explicit.analysis import HypothesisScan
-from zeta_explicit.arith import _log_at, prime_power_sum, shared_table
+from zeta_explicit.arith import _log, prime_power_sum, shared_table
 from zeta_explicit.explicit import f_rhs_lt1, g
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.mpcore import _exact
@@ -107,7 +107,7 @@ def walked_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
             K = (total >> -e - W) + gamma
         while n * X > u:
             p = table.prime_of(n)
-            K -= _log_at(p, W) // n if p else 0
+            K -= _log(p, W) // n if p else 0
             n -= 1
         v = abs(g(X, u, W) + K)
         x = Fraction(k, denominator)

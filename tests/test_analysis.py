@@ -336,19 +336,21 @@ def test_cold_scan_takes_each_log_at_one_width(monkeypatch):
     # K's prime sum and the drops read one log table: pi(3000) = 430 logs,
     # all at W = 192 + 32 + 16 bits, none at a second width.  The finder
     # on the same reciprocal window takes K by the scan's rule and reads
-    # the same one table.
+    # the same one table.  A log is counted where _log misses the table.
     log, ctx = arith._log, PrecisionContext(bits=192)
 
     def cold(run):
         taken = {}
 
         def counted(p, W):
-            taken.setdefault(W, []).append(p)
+            if p not in arith._logs.get(W, {}):
+                taken.setdefault(W, []).append(p)
             return log(p, W)
 
         monkeypatch.setattr(arith, "_prefix", {})
         monkeypatch.setattr(arith, "_logs", {})
         monkeypatch.setattr(arith, "_log", counted)
+        monkeypatch.setattr(analysis, "_log", counted)
         run()
         assert all(ps == sorted(set(ps)) for ps in taken.values())
         return {W: len(ps) for W, ps in taken.items()}

@@ -20,7 +20,6 @@ from zeta_explicit.arith import (
     discriminant_of,
     is_squarefree,
     kronecker_chi,
-    kronecker_symbol,
     mangoldt_sieve,
     prime_power_sum,
     psi0,
@@ -31,6 +30,7 @@ from zeta_explicit.arith import (
 )
 from zeta_explicit.mpcore import PrecisionContext
 from explicit_oracles import prime_sum_reference
+from kronecker_reference import kronecker_symbol
 
 
 def chi_fn(d: int):
@@ -86,11 +86,11 @@ def test_sieve_queries(ctx):
     t = shared_table(100)
     assert t.prime_of(8) == 2
     assert t.prime_of(12) == 0
-    assert t.is_prime_power(9)
-    assert not t.is_prime_power(1)
+    assert t.prime_of(9) == 3
+    assert t.prime_of(1) == 0
     W = walk_width(ctx)
     with ctx.workprec(16):
-        L = mpmath.mpf((arith._log_at(t.prime_of(49), W), -W))
+        L = mpmath.mpf((arith._log(t.prime_of(49), W), -W))
         assert abs(L - mpmath.log(7)) < mpmath.mpf(2) ** (-180)
     assert t.prime_of(10) == 0
     with pytest.raises(ValueError):
@@ -346,18 +346,21 @@ LOG_PRIMES = ([p for p in range(2, 200) if _is_prime(p)]
 def test_log_is_exact_floor_by_every_route(monkeypatch, W):
     # The chain in increasing and in decreasing p, and the anchor alone
     # (chain state cleared before each call), all give the exact floor
-    # near 2, around LOG_LIMIT and just below MAX_SIEVE.
+    # near 2, around LOG_LIMIT and just below MAX_SIEVE.  The log table
+    # is cleared with the chain, so no route reads another's floors.
     monkeypatch.setattr(arith, "_logs", {})
     monkeypatch.setattr(arith, "_chain", {})
     up = [arith._log(p, W) for p in LOG_PRIMES]
+    kept = arith._logs.pop(W)
     arith._chain.clear()
     down = [arith._log(p, W) for p in reversed(LOG_PRIMES)][::-1]
     anchored = []
     for p in LOG_PRIMES:
+        arith._logs.clear()
         arith._chain.clear()
         anchored.append(arith._log(p, W))
     assert up == down == anchored == [_log_floor(p, W) for p in LOG_PRIMES]
-    assert arith._logs[W] == {p: L for p, L in zip(LOG_PRIMES, up) if p <= arith.LOG_LIMIT}
+    assert kept == {p: L for p, L in zip(LOG_PRIMES, up) if p <= arith.LOG_LIMIT}
 
 
 @pytest.mark.parametrize("W", [112, 1072])
@@ -369,7 +372,6 @@ def test_log_near_tie_takes_the_wide_fallback(monkeypatch, W):
     p = next(n for n in range(q + 1, 2 * q) if _is_prime(n))
     monkeypatch.setattr(arith, "_logs", {})
     monkeypatch.setattr(arith, "_chain", {W: (q, arith.log_fixed(q, 1, V), 4)})
-    monkeypatch.setattr(arith, "_CHAIN_ERR", 1 << 33)
     arith._log(p, W)
     _, L, err = arith._chain[W]
     assert err < 1 << 12
@@ -379,6 +381,21 @@ def test_log_near_tie_takes_the_wide_fallback(monkeypatch, W):
     monkeypatch.setattr(arith, "log_fixed", lambda n, d, V: widths.append(V) or log_fixed(n, d, V))
     assert arith._log(p, W) == _log_floor(p, W)
     assert widths == [W + 96] and arith._chain[W][2] == 2
+
+
+@pytest.mark.parametrize("W", [240, 1072])
+def test_cold_log_chain_anchors_rarely(monkeypatch, W):
+    # A cold pass over the 25,997 primes to 3 10^5, in increasing order,
+    # takes at most 100 log_fixed calls: the chain steps from prime to
+    # prime and re-anchors only where a floor is left undecided.
+    primes = [p for n, p in zip(*shared_table(300_000).between(1, 300_000)) if n == p]
+    monkeypatch.setattr(arith, "_logs", {})
+    monkeypatch.setattr(arith, "_chain", {})
+    widths, log_fixed = [], arith.log_fixed
+    monkeypatch.setattr(arith, "log_fixed", lambda n, d, V: widths.append(V) or log_fixed(n, d, V))
+    logs = [arith._log(p, W) for p in primes]
+    assert len(primes) == 25_997 and len(widths) <= 100
+    assert [logs[0], logs[-1]] == [_log_floor(primes[0], W), _log_floor(primes[-1], W)]
 
 
 @pytest.mark.parametrize("bits", [128, 192, 1024])
@@ -492,7 +509,7 @@ def _per_integer_sum(N: int, s: Fraction, ctx: PrecisionContext, chi) -> tuple[i
     acc = 0
     for n in range(2, N + 1):
         if (p := _BASES[n]) and (c := chi[n % q]):
-            L, k = arith._log_at(p, W), round(math.log(n, p))
+            L, k = arith._log(p, W), round(math.log(n, p))
             if b == 1:
                 acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
             elif b == 2 or p <= arith.LOG_LIMIT:
@@ -574,7 +591,7 @@ def test_mangoldt_reads_its_width_from_the_context(bits):
     got = set()
     for prec in (53, bits, 2 * W):
         with mpmath.workprec(prec):
-            got.add(arith._log_at(shared_table(7 ** 3).prime_of(7 ** 3), W))
+            got.add(arith._log(shared_table(7 ** 3).prime_of(7 ** 3), W))
     value, = got
     with mpmath.workprec(2 * W):
         assert abs(mpmath.mpf((value, -W)) - mpmath.log(7)) < mpmath.mpf(2) ** -W
@@ -598,7 +615,7 @@ def test_log_table_stops_at_its_limit(monkeypatch, s):
         monkeypatch.setattr(arith, name, {})
     got = weighted_sum(x, s, ctx)
     with ctx.workprec(32):
-        L = mpmath.mpf((arith._log_at(shared_table(503 ** 2).prime_of(503 ** 2), W), -W))
+        L = mpmath.mpf((arith._log(shared_table(503 ** 2).prime_of(503 ** 2), W), -W))
         assert abs(L - mpmath.log(503)) < mpmath.mpf(2) ** (-216)
     logs, = arith._logs.values()
     assert list(logs) == [p for p in range(2, 501) if _prime_power_base(p) == p]
@@ -652,13 +669,20 @@ def test_zeta_and_the_character_mod_1_share_one_checkpoint_table(monkeypatch):
 
 
 def test_kronecker_symbol_small_table():
-    # Rows: (-4 | n) and (-8 | n) for n = 1..8.
-    assert [kronecker_symbol(-4, n) for n in range(1, 9)] == \
+    # Rows: chi_{-1} = (-4 | n) and chi_{-2} = (-8 | n) for n = 1..8.
+    assert [kronecker_chi(1)[n % 4] for n in range(1, 9)] == \
         [1, 0, -1, 0, 1, 0, -1, 0]
-    assert [kronecker_symbol(-8, n) for n in range(1, 9)] == \
+    assert [kronecker_chi(2)[n % 8] for n in range(1, 9)] == \
         [1, 0, 1, 0, -1, 0, -1, 0]
-    assert kronecker_symbol(5, -1) == 1
-    assert kronecker_symbol(-5, -1) == -1
+
+
+def test_kronecker_chi_equals_the_general_symbol():
+    # The table built from chi at the primes equals (-D | n), n mod D,
+    # from the general Kronecker symbol, for every squarefree d <= 400
+    # and for d = 3001.
+    for d in [d for d in range(1, 401) if is_squarefree(d)] + [3001]:
+        D = discriminant_of(d)
+        assert kronecker_chi(d) == tuple(kronecker_symbol(-D, n) for n in range(D)), d
 
 
 @settings(max_examples=60, deadline=None)

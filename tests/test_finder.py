@@ -29,7 +29,7 @@ lt1_windows = st.builds(lambda n, m: (F(1, n), min(F(19, 20), F(1, n) + F(m, 40)
 
 
 # every discontinuity the windows below can reach
-JUMPS = {x for n in range(2, 100) if shared_table(n).is_prime_power(n)
+JUMPS = {x for n in range(2, 100) if shared_table(n).prime_of(n)
          for x in (F(n), F(1, n))}
 
 
