@@ -42,9 +42,8 @@ squarefree d (class_data supplies D, h, w, chi):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import mpmath
 from mpmath import libmp, mpf
@@ -57,8 +56,7 @@ GENUINE = "genuine-zero"
 JUMP = "jump-crossing"
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(NamedTuple):
     """One located feature of f: a bracketed genuine zero inside a
     continuity interval, or a sign change across a discontinuity that
     never attains zero (kind = jump-crossing, bracket degenerate at the
@@ -239,8 +237,7 @@ def L_prime_one_chi(d: int, ctx: PrecisionContext) -> HReal:
     return ctx.real(dirichlet_L(1, data.D, data.chi, ctx)[1])
 
 
-@dataclass(frozen=True)
-class ClassNumberCheck:
+class ClassNumberCheck(NamedTuple):
     """Reduced-form count h against Dirichlet's class number formula
     h = -(w/2D) Sum_{a=1}^{D-1} a chi(a), in exact integers; a formula
     value that is not an integer counts as a mismatch."""
@@ -252,8 +249,7 @@ class ClassNumberCheck:
     match: bool
 
     def to_dict(self) -> dict:
-        return {"d": self.d, "D": self.D, "h_forms": self.h_forms,
-                "h_analytic": self.h_analytic, "match": self.match}
+        return self._asdict()
 
 
 def class_number_check(d: int) -> ClassNumberCheck:
@@ -279,8 +275,7 @@ def chowla_selberg_rhs(d: int, ctx: PrecisionContext) -> HReal:
         return ctx.real(2 * ctx.pi * mpmath.exp(expo * acc))
 
 
-@dataclass(frozen=True)
-class ChowlaSelbergReport:
+class ChowlaSelbergReport(NamedTuple):
     d: int
     D: int
     h: int
@@ -323,8 +318,7 @@ def chowla_selberg_check(d: int, ctx: PrecisionContext) -> ChowlaSelbergReport:
 # Rational-grid scan feeding the transcendence-hypothesis report
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisScan:
+class HypothesisScan(NamedTuple):
     """Grid survey of x -> f(pi sqrt(d) x) over rationals x = k/N in
     (0, 1/(pi sqrt d)); evaluated counts grid points surveyed, not f
     evaluations.  candidates lists grid points with |f| below threshold;

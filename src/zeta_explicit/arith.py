@@ -31,15 +31,15 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mpmath import mpf
 from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
-from .mpcore import _GUARD, HReal, PrecisionContext, _atanh2, _to_mpf, log_fixed
+from .mpcore import _GUARD, HReal, PrecisionContext, _atanh2, _to_mpf, _Value, log_fixed
 
 # Sieve memory budget (tracemalloc): the table keeps 8 pi(N)/N bytes per entry, 0.64
 # at N = 10^6; a sieve peaks near 1.65 (1 flag byte, N/2 marking bytes, the arrays).
@@ -51,16 +51,15 @@ LOG_LIMIT = 2 ** 17   # primes whose logs are kept, per width (about 12k); s = 0
 # von Mangoldt sieve
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MangoldtTable:
+class MangoldtTable(_Value):
     """Exact von Mangoldt data up to a limit: the prime powers n = p^k
     <= limit in increasing order and the prime p of each, so
     Lambda(n) = log p taken lazily at whatever precision the consumer
     wants.  Immutable after construction."""
 
-    limit: int        # table covers 1..limit inclusive
-    powers: array     # every n = p^k <= limit, increasing
-    bases: array      # bases[i] = p where powers[i] = p^k
+    __slots__ = _fields = ("limit",     # table covers 1..limit inclusive
+                           "powers",    # every n = p^k <= limit, increasing
+                           "bases")     # bases[i] = p where powers[i] = p^k
 
     def between(self, lo: int, hi: int) -> tuple[array, array]:
         """(powers, bases) of the prime powers n with lo < n <= hi."""
@@ -102,7 +101,7 @@ def mangoldt_sieve(N: int) -> MangoldtTable:
     bases = array("i", powers)
     for n, p in higher:
         bases[bisect_left(powers, n)] = p
-    return MangoldtTable(limit=N, powers=powers, bases=bases)
+    return MangoldtTable(N, powers, bases)
 
 
 _table_cache: dict[str, Optional[MangoldtTable]] = {}
@@ -377,8 +376,7 @@ def kronecker_chi(d: int) -> tuple[int, ...]:
 # Imaginary-quadratic class data
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ImaginaryQuadraticData:
+class ImaginaryQuadraticData(NamedTuple):
     """Class data of Q(sqrt(-d)) for squarefree d >= 1.
 
     h is the exhaustive count of reduced binary quadratic forms
@@ -415,8 +413,9 @@ def reduced_form_count(D: int) -> int:
     return h
 
 
+@lru_cache(maxsize=1)
 def class_data(d: int) -> ImaginaryQuadraticData:
-    """Full ImaginaryQuadraticData for squarefree d."""
+    """Full ImaginaryQuadraticData for squarefree d, the last d's kept."""
     if not is_squarefree(d):
         raise ValueError(f"d = {d} is not squarefree")
     D = discriminant_of(d)

@@ -59,9 +59,8 @@ Both reduce exactly to the plain-zeta formulas above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import mpmath
 from mpmath import libmp, mpf
@@ -316,8 +315,7 @@ def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
 # Partial fractions
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalFunctionPF:
+class RationalFunctionPF(NamedTuple):
     """A(t)/B(t) with B = prod (t - alpha_i), deg A < #roots, in
     partial-fraction form Sum_i residues[i]/(t - roots[i])."""
 
@@ -359,8 +357,7 @@ def partial_fractions(A: Sequence[Rational],
 _log_deriv: dict[tuple, mpf] = {}   # (chi, s, bits) -> (L'/L)(s, chi)
 
 
-@dataclass(frozen=True)
-class SelbergDescriptor:
+class SelbergDescriptor(NamedTuple):
     """L(s, chi) for a real primitive character chi mod q, as the
     descriptor form reads it; zeta is the character (1,) mod 1.
 
@@ -599,8 +596,7 @@ IDENTITY_IDS = ("von-mangoldt", "ingham", "cosine", "s",
                 "general-gt1", "general-lt1", "selberg-gt1", "selberg-lt1")
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Paired (zero-sum LHS, closed-form RHS) record for one identity.
 
     residual = lhs - rhs recomputable exactly from the stored fields;

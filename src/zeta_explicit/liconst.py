@@ -38,9 +38,8 @@ sums in one pass at bits + 32 + N, because those sums cancel by up to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf
@@ -135,8 +134,7 @@ def eta_from_gamma(gammas: Sequence[HReal], ctx: PrecisionContext
 # Table and Li-coefficient assembly
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StieltjesTable:
+class StieltjesTable(NamedTuple):
     """Orders 0..N of the constants feeding the Li-coefficient checks.
 
     gammas holds (value, certified bound) through order N+1; etas are the
@@ -256,8 +254,7 @@ def lambda_direct(n: int, table: ZeroTable, spec: SumSpec,
 # The zero-sum statistic
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RHStatReport:
+class RHStatReport(NamedTuple):
     """Comparison of Sum 1/|rho|^2 (+ tail) against 2 + gamma - log 4pi.
 
     The target equals twice Sum 1/rho exactly when every zero lies on

@@ -32,7 +32,6 @@ that production code calls; the others serve only as test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -52,8 +51,30 @@ _GUARD = 32
 # Precision context and scalar wrappers
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class _Value:
+    """Base of the hot value types: slotted, immutable, equal and hashed by _fields."""
+
+    __slots__ = _fields = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+
+class PrecisionContext(_Value):
     """Working precision for every derived quantity.
 
     All arithmetic routed through this context is rounded to nearest at
@@ -64,11 +85,12 @@ class PrecisionContext:
     run in concurrent threads.
     """
 
-    bits: int = 192          # binary working precision, >= 64
+    __slots__ = _fields = ("bits",)    # binary working precision, >= 64
 
-    def __post_init__(self) -> None:
-        if self.bits < 64:
-            raise ValueError(f"precision must be >= 64 bits, got {self.bits}")
+    def __init__(self, bits: int = 192) -> None:
+        if bits < 64:
+            raise ValueError(f"precision must be >= 64 bits, got {bits}")
+        _Value.__init__(self, bits)
 
     def workprec(self, extra: int = 0):
         """Context manager running mpmath at bits + extra binary digits."""
@@ -126,17 +148,18 @@ def _exact(v) -> Fraction:
     return Fraction(v)
 
 
-@dataclass(frozen=True)
-class HReal:
+class HReal(_Value):
     """A finite high-precision real bound to a PrecisionContext: a
     record, with arithmetic done on .val inside workprec blocks."""
 
-    val: mpf                 # underlying mpf, always finite
-    ctx: PrecisionContext    # precision the value was produced under
+    __slots__ = _fields = ("val",      # underlying mpf, always finite
+                           "ctx")      # precision the value was produced under
 
-    def __post_init__(self) -> None:
-        if not mpmath.isfinite(self.val):
-            raise ArithmeticError(f"non-finite result escaped an operation: {self.val!r}")
+    def __init__(self, val: mpf, ctx: PrecisionContext) -> None:
+        if not mpmath.isfinite(val):
+            raise ArithmeticError(f"non-finite result escaped an operation: {val!r}")
+        object.__setattr__(self, "val", val)   # as _Value.__init__, without its loop: one per value
+        object.__setattr__(self, "ctx", ctx)
 
     def __repr__(self) -> str:
         return f"HReal({mpmath.nstr(self.val, 25)})"

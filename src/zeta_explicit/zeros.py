@@ -24,17 +24,16 @@ import math
 from bisect import bisect_right
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import mul
-from typing import Optional, Sequence, Union
+from operator import lt, mul
+from typing import NamedTuple, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import from_man_exp, to_fixed
 
-from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf
+from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf, _Value
 
 _HALF = Fraction(1, 2)
 
@@ -49,8 +48,7 @@ _LABEL_LINE = re.compile(r"#\s*label:\s*(\S+)")
 # Data model
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroTable:
+class ZeroTable(_Value):
     """Ordered upper-half-strip zeros of one L-function, kept exactly.
 
     Entry i stands for the conjugate pair rho, rho-bar with ordinate
@@ -59,27 +57,30 @@ class ZeroTable:
     load_zeros keeps the decimal text this way, with scale a power of ten.
     """
 
-    label: str                         # identifier of the L-function
-    scale: int                         # common denominator of the ordinates
-    ordinates: tuple[int, ...]         # gamma_i * scale, strictly increasing, > 0
-    real_parts: tuple[Fraction, ...]   # beta_i, each in (0, 1)
-    source: str                        # provenance string
-    entry_precision: int               # decimal digits of the ordinates
+    _fields = ("label",              # identifier of the L-function
+               "scale",              # common denominator of the ordinates
+               "ordinates",          # gamma_i * scale, strictly increasing, > 0
+               "real_parts",         # beta_i, each in (0, 1)
+               "source",             # provenance string
+               "entry_precision")    # decimal digits of the ordinates
+    __slots__ = _fields + ("__dict__",)   # _parts, once computed
 
-    def __post_init__(self) -> None:
-        if len(self.ordinates) != len(self.real_parts):
+    def __init__(self, label, scale, ordinates, real_parts, source, entry_precision) -> None:
+        if len(ordinates) != len(real_parts):
             raise ValueError("ordinate/real-part length mismatch")
-        if self.scale < 1:
-            raise ValueError(f"scale must be a positive integer, got {self.scale}")
+        if scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {scale}")
         # each distinct real-part object once (a plain table's rows share 1/2)
-        inside = all(0 < b < 1 for b in {id(b): b for b in self.real_parts}.values())
-        prev = 0
-        for i, (b, n) in enumerate(zip(self.real_parts, self.ordinates)):
-            if not (inside or 0 < b < 1):
-                raise ValueError(f"entry {i}: beta {b} outside (0, 1)")
-            if n <= prev:
-                raise ValueError(f"entry {i}: ordinates not strictly increasing")
-            prev = n
+        inside = all(0 < b < 1 for b in {id(b): b for b in real_parts}.values())
+        if not (inside and all(map(lt, (0, *ordinates), ordinates))):   # name the entry at fault
+            prev = 0
+            for i, (b, n) in enumerate(zip(real_parts, ordinates)):
+                if not (inside or 0 < b < 1):
+                    raise ValueError(f"entry {i}: beta {b} outside (0, 1)")
+                if n <= prev:
+                    raise ValueError(f"entry {i}: ordinates not strictly increasing")
+                prev = n
+        _Value.__init__(self, label, scale, ordinates, real_parts, source, entry_precision)
 
     def __len__(self) -> int:
         return len(self.ordinates)
@@ -95,8 +96,7 @@ class ZeroTable:
         return tuple(index), tuple(rows[id(b)] for b in self.real_parts)
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(_Value):
     """Truncation convention for one zero sum.
 
     Exactly one of T (height cutoff: include pairs with gamma <= T) and
@@ -105,14 +105,15 @@ class SumSpec:
     so no ordering is needed: the same selection gives the same bits.
     """
 
-    T: Optional[float] = None        # height cutoff, gamma <= T, finite
-    K: Optional[int] = None          # number of leading pairs
+    __slots__ = _fields = ("T",        # height cutoff, gamma <= T, finite
+                           "K")        # number of leading pairs
 
-    def __post_init__(self) -> None:
-        if (self.T is None) == (self.K is None):
+    def __init__(self, T: Optional[float] = None, K: Optional[int] = None) -> None:
+        if (T is None) == (K is None):
             raise ValueError("exactly one of T, K must be set")
-        if self.T is not None and not math.isfinite(self.T):
-            raise ValueError(f"height cutoff T = {self.T} is not finite")
+        if T is not None and not math.isfinite(T):
+            raise ValueError(f"height cutoff T = {T} is not finite")
+        _Value.__init__(self, T, K)
 
     def select(self, table: ZeroTable) -> range:
         """Indices of the selected pairs in ascending-gamma order."""
@@ -133,7 +134,10 @@ _DECIMAL_RE = re.compile(r"^([+-]?)(?:(\d+)(?:\.(\d*))?|\.(\d+))(?:[eE]([+-]?\d+
 
 def _parse_decimal(tok: str, lineno: int) -> tuple[int, int, int]:
     """(m, k, d): the decimal token equals m / 10^k exactly and carries
-    d digits after its point."""
+    d digits after its point; a table's usual digits.digits skips the regex."""
+    whole, _, frac = tok.partition(".")
+    if whole.isdecimal() and frac.isdecimal():
+        return int(whole + frac), len(frac), len(frac)
     match = _DECIMAL_RE.match(tok.strip())
     if not match:
         raise ValueError(f"line {lineno}: unparsable decimal {tok.strip()!r}")
@@ -171,53 +175,51 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
 
     if fmt not in ("plain", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    header = fmt == "csv"
+    csv = header = fmt == "csv"
     reals: list[Fraction] = []
-    mants: list[int] = []        # gamma_i = mants[i] / 10^places[i]
-    places: list[int] = []
-    precision = 0
+    rows = [(0, 0, 0)]   # (m, k, digits) per row, gamma = m / 10^k; (0, 0, 0) precedes row 1
     named: Optional[str] = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if tag := _LABEL_LINE.fullmatch(line):
-            if named is not None:
-                raise ValueError(f"line {lineno}: a second label line")
-            named = tag.group(1)
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
+            if tag := _LABEL_LINE.fullmatch(line):
+                if named is not None:
+                    raise ValueError(f"line {lineno}: a second label line")
+                named = tag.group(1)
             continue
         if header:
             if [c.strip() for c in line.split(",")] != ["beta", "gamma"]:
                 raise ValueError(f"line {lineno}: expected header 'beta,gamma'")
             header = False
             continue
-        b = _HALF
-        if fmt == "csv":
+        if csv:
             cols = line.split(",")
             if len(cols) != 2:
                 raise ValueError(f"line {lineno}: expected two columns")
-            m, k, _ = _parse_decimal(cols[0], lineno)
-            b = Fraction(m) / Fraction(10) ** k
+            q, e, _ = _parse_decimal(cols[0], lineno)
+            b = Fraction(q) / Fraction(10) ** e
             if not (0 < b < 1):
                 raise ValueError(f"line {lineno}: beta {cols[0]} outside (0, 1)")
+            reals.append(b)
             line = cols[1]
-        m, k, digits = _parse_decimal(line, lineno)
+        pm, pk, _ = rows[-1]
+        m, k, _ = row = _parse_decimal(line, lineno)
         if m <= 0:
             raise ValueError(f"line {lineno}: ordinate must be positive")
-        if mants and m * 10 ** places[-1] <= mants[-1] * 10 ** k:
+        if m <= pm if k == pk else m * 10 ** pk <= pm * 10 ** k:
             raise ValueError(f"line {lineno}: non-monotone ordinate {line}")
-        reals.append(b)
-        mants.append(m)
-        places.append(k)
-        precision = max(precision, digits)
+        rows.append(row)
 
     named = named or "zeta"
     if label is not None and label != named:
         raise ValueError(f"the table holds {named} zeros, not {label} zeros")
-    shift = max(places + [0])
+    mants, places, digits = zip(*rows)
+    shift = max(places)
+    up = {k: 10 ** (shift - k) for k in set(places)}
     return ZeroTable(label=named, scale=10 ** shift,
-                     ordinates=tuple(m * 10 ** (shift - k) for m, k in zip(mants, places)),
-                     real_parts=tuple(reals), source=source_name or "<stream>",
-                     entry_precision=precision)
+                     ordinates=tuple(map(mul, mants, map(up.get, places)))[1:],
+                     real_parts=tuple(reals) if csv else (_HALF,) * (len(rows) - 1),
+                     source=source_name or "<stream>", entry_precision=max(digits))
 
 
 def fixture_table() -> ZeroTable:
@@ -230,8 +232,7 @@ def fixture_table() -> ZeroTable:
 # Term constructors
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One family of summands term(rho) in a form the kernel evaluates
     in fixed point; build it with the constructors below."""
 

@@ -3,6 +3,9 @@ conventions, output formats, exit statuses, and determinism."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -762,3 +765,29 @@ def test_bad_scan_input_is_domain_error(capsys, monkeypatch, option, value):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert option.lstrip("-").replace("grid-", "grid ") in err
+
+
+def test_cold_import_leaves_dataclasses_and_inspect_out():
+    # the package's records are slotted classes and NamedTuples, so a fresh
+    # command-line process never imports dataclasses or what it pulls in
+    code = ("import sys, zeta_explicit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_chowla_selberg_builds_class_data_once(capsys, monkeypatch):
+    # class_number_check, chowla_selberg_check and chowla_selberg_rhs share
+    # one class_data(d): one chi table and one reduced-form count per call
+    calls = dict.fromkeys(("kronecker_chi", "reduced_form_count"), 0)
+    for name in calls:
+        def counted(*args, fn=getattr(arith, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(arith, name, counted)
+    arith.class_data.cache_clear()
+    code, out, _ = run(capsys, "chowla-selberg", "--d", "7", "--no-scan", "--json")
+    assert code == EXIT_OK and json.loads(out)["class_number"]["match"]
+    assert calls == {"kronecker_chi": 1, "reduced_form_count": 1}

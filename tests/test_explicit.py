@@ -1,7 +1,6 @@
 """Closed-form right-hand sides, the auxiliary series f_u, rational
 kernels, and the descriptor layer that generalizes both."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -18,6 +17,7 @@ from zeta_explicit.arith import (T_sum, discriminant_of, kronecker_chi, psi0, ps
                                  shared_table)
 from zeta_explicit.explicit import (
     IDENTITY_IDS,
+    EvalReport,
     SelbergDescriptor,
     S_rhs_gt1,
     cosine_rhs,
@@ -43,7 +43,7 @@ from explicit_oracles import (HComplex, cosine_rhs_expanded, f_u_closed_uncorrec
                               f_u_reference, f_u_roots_of_unity, f_u_series,
                               general_rhs_gt1_expanded, general_rhs_lt1_expanded,
                               prime_sum_reference, zeta_log_deriv_dirichlet)
-from zeta_explicit.zeros import SumSpec
+from zeta_explicit.zeros import SumSpec, ZeroTable, fixture_table
 
 F = Fraction
 TINY = mpf(2) ** (-170)
@@ -750,8 +750,24 @@ def test_verify_identity_rejects_label_mismatch(ctx, fixture100):
 def test_verify_identity_zeta_identities_refuse_another_label(ctx, fixture100,
                                                               identity, x, kw):
     # every identity but selberg-* sums zeta's zeros, whatever F is passed
-    table = dataclasses.replace(fixture100, label="dirichlet-4")
+    table = ZeroTable(label="dirichlet-4", scale=fixture100.scale,
+                      ordinates=fixture100.ordinates, real_parts=fixture100.real_parts,
+                      source=fixture100.source, entry_precision=fixture100.entry_precision)
     d4 = descriptor_dirichlet(4, kronecker_chi(1), ctx)
     for F_given in (None, d4):
         with pytest.raises(ValueError, match="does not match descriptor 'zeta'"):
             verify_identity(identity, x, table, SumSpec(K=10), ctx, F=F_given, **kw)
+
+
+def test_records_compare_by_value(ctx, fixture100):
+    # slotted value types and NamedTuple records alike equal their rebuilt twins
+    report = lambda: verify_identity("von-mangoldt", F(5, 2), fixture100, SumSpec(K=10), ctx)
+    pairs = [(fixture_table(), fixture100), (SumSpec(K=10), SumSpec(K=10)),
+             (partial_fractions([F(1)], [F(1, 2), F(1, 3)]), partial_fractions([1], [F(1, 2), F(1, 3)])),
+             (descriptor_zeta(), descriptor_zeta()), (report(), report()),
+             (arith.class_data.__wrapped__(7), arith.class_data.__wrapped__(7))]
+    for a, b in pairs:
+        assert a is not b and a == b
+        if not isinstance(a, EvalReport):   # its trend field is a dict
+            assert hash(a) == hash(b)
+    assert SumSpec(K=10) != SumSpec(T=10) and report() != report()._replace(x=F(3))

@@ -16,6 +16,7 @@ from em_reference import em_log_moments as em_log_moments_reference
 from zeta_explicit import mpcore
 from zeta_explicit.liconst import build_stieltjes_table, stieltjes_shifted
 from zeta_explicit.mpcore import (
+    HReal,
     PrecisionContext,
     _eps_table,
     bernoulli,
@@ -30,6 +31,22 @@ from zeta_explicit.mpcore import (
 def test_context_rejects_low_precision():
     with pytest.raises(ValueError):
         PrecisionContext(bits=32)
+
+
+def test_value_types_compare_hash_and_refuse_assignment(ctx):
+    third = mpmath.mpf(1) / 3
+    h = HReal(third, ctx)
+    assert h == HReal(third, PrecisionContext(192)) and hash(h) == hash(HReal(third, ctx))
+    assert h != HReal(third, PrecisionContext(256)) and h != third
+    assert PrecisionContext() == ctx and len({ctx, PrecisionContext(bits=192)}) == 1
+    for value, field in ((h, "val"), (h, "ctx"), (ctx, "bits")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert (h.val, h.ctx, ctx.bits) == (third, ctx, 192)
+    with pytest.raises(AttributeError):
+        h.extra = 1   # nor can a new attribute be set
 
 
 def test_mpf_exact_for_dyadic_fraction(ctx):
