@@ -61,7 +61,7 @@ class RootRecord(NamedTuple):
     continuity interval, or a sign change across a discontinuity that
     never attains zero (kind = jump-crossing, bracket degenerate at the
     prime-power abscissa, residual = |f| at the half-weighted point).
-    to_dict prints the root to at most 25 digits (str_digits caps that
+    The CLI prints the root to at most 25 digits (str_digits caps that
     at one digit fewer than the context holds)."""
 
     bracket_lo: Fraction
@@ -69,14 +69,6 @@ class RootRecord(NamedTuple):
     root: HReal
     residual: HReal
     kind: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bracket": [str(self.bracket_lo), str(self.bracket_hi)],
-            "root": self.root.str_digits(25),
-            "residual": self.residual.str_digits(8),
-        }
 
 
 def _refine(a: Fraction, b: Fraction, fa: int, k: int, F: Callable[[int], int],
@@ -248,9 +240,6 @@ class ClassNumberCheck(NamedTuple):
     h_analytic: int
     match: bool
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def class_number_check(d: int) -> ClassNumberCheck:
     data = class_data(d)
@@ -285,17 +274,6 @@ class ChowlaSelbergReport(NamedTuple):
     lhs: HReal          # exp(L'/L(1, chi) - gamma)
     rhs: HReal          # the Gamma product
     rel_err: HReal      # |lhs/rhs - 1|
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d, "D": self.D, "h": self.h, "w": self.w,
-            "L_one": self.L_one.str_digits(25),
-            "L_prime_one": self.L_prime_one.str_digits(25),
-            "L_prime_sign": "+" if self.L_prime_one.val > 0 else "-",
-            "lhs": self.lhs.str_digits(25),
-            "rhs": self.rhs.str_digits(25),
-            "rel_err": self.rel_err.str_digits(6),
-        }
 
 
 def chowla_selberg_check(d: int, ctx: PrecisionContext) -> ChowlaSelbergReport:
@@ -335,19 +313,6 @@ class HypothesisScan(NamedTuple):
     min_abs: HReal
     argmin: Fraction
     found: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "window": ["0", self.window_hi.str_digits(15)],
-            "grid_denominator": self.denominator,
-            "threshold": self.threshold,
-            "evaluated": self.evaluated,
-            "candidates": [[str(x), v.str_digits(6)] for x, v in self.candidates],
-            "min_abs_f": self.min_abs.str_digits(10),
-            "argmin": str(self.argmin),
-            "rational_zero_found": self.found,
-        }
 
 
 def hypothesis_scan(d: int, ctx: PrecisionContext, *,

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from . import analysis, explicit, liconst
 from .arith import discriminant_of, kronecker_chi, shared_table
-from .mpcore import PrecisionContext
+from .mpcore import HReal, PrecisionContext
 from .zeros import (SumSpec, ZeroTable, fixture_table, load_zeros,
                     sum_inv_rho, sum_inv_rho_sq, xrho_term, zero_sum)
 
@@ -143,7 +143,8 @@ def _resolve_descriptor(name: str, ctx: PrecisionContext):
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers: each returns the payload dict
+# Subcommand handlers: each returns the payload dict, the one place a
+# result's values become text (keys, their order, digits per value)
 # ----------------------------------------------------------------------
 
 def _cmd_eval_f(args, ctx: PrecisionContext) -> dict:
@@ -184,7 +185,22 @@ def _cmd_verify(args, ctx: PrecisionContext) -> dict:
     table, spec = _selection(args, ctx, F.label if F else "zeta")
     report = explicit.verify_identity(args.identity, x, table, spec, ctx,
                                       pf=pf, alpha=alpha, F=F)
-    return {"command": "verify", **report.to_dict()}
+    payload = {
+        "command": "verify",
+        "identity": report.identity,
+        "x": str(report.x),
+        "terms_used": report.terms_used,
+        "lhs": report.lhs.str_digits(30),
+        "rhs": report.rhs.str_digits(30),
+        "residual": report.residual.str_digits(15),
+        "precision_bits": report.bits,
+    }
+    if report.tail is not None:
+        payload["tail_estimate"] = report.tail.str_digits(15)
+    if report.trend is not None:
+        payload["trend"] = {k: (v.str_digits(15) if isinstance(v, HReal) else v)
+                            for k, v in report.trend.items()}
+    return payload
 
 
 def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
@@ -205,7 +221,12 @@ def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
         "tol": str(tol),
         "genuine": sum(1 for r in records if r.kind == analysis.GENUINE),
         "jumps": sum(1 for r in records if r.kind == analysis.JUMP),
-        "records": [r.to_dict() for r in records],
+        "records": [{
+            "kind": r.kind,
+            "bracket": [str(r.bracket_lo), str(r.bracket_hi)],
+            "root": r.root.str_digits(25),
+            "residual": r.residual.str_digits(8),
+        } for r in records],
     }
 
 
@@ -233,7 +254,16 @@ def _cmd_li(args, ctx: PrecisionContext) -> dict:
 def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
     if args.table:
         consts = liconst.build_stieltjes_table(args.n, ctx, args.eps)
-        return {"command": "stieltjes", **consts.to_dict()}
+        return {
+            "command": "stieltjes",
+            "order": consts.order,
+            "gammas": [v.str_digits(30) for v, _ in consts.gammas],
+            "gamma_bounds": [b.str_digits(5) for _, b in consts.gammas],
+            "etas": [e.str_digits(30) for e in consts.etas],
+            "lambdas": [l.str_digits(30) for l in consts.lambdas],
+            "S1": [s.str_digits(30) for s in consts.S1],
+            "S2": [s.str_digits(30) for s in consts.S2],
+        }
     value, bound = liconst.stieltjes(args.n, ctx, args.eps)
     return {"command": "stieltjes", "n": args.n,
             "gamma_n": value.str_digits(args.digits),
@@ -243,7 +273,18 @@ def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
 def _cmd_rh_check(args, ctx: PrecisionContext) -> dict:
     table, spec = _selection(args, ctx, "zeta")
     report = liconst.rh_statistic(table, spec, ctx, tolerance=args.tolerance)
-    return {"command": "rh-check", "zeros": table.source, **report.to_dict()}
+    return {
+        "command": "rh-check",
+        "zeros": table.source,
+        "pairs": report.pairs,
+        "sum_inv_rho_sq": report.sum_value.str_digits(20),
+        "tail": report.tail.str_digits(10),
+        "corrected": report.corrected.str_digits(20),
+        "target": report.target.str_digits(20),
+        "discrepancy": report.discrepancy.str_digits(10),
+        "within_tolerance": report.within_tolerance,
+        "doubled_inv_rho": report.doubled_inv_rho.str_digits(20),
+    }
 
 
 def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
@@ -251,10 +292,29 @@ def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
     scan = args.scan and analysis.hypothesis_scan(
         args.d, ctx, denominator=args.grid_denominator, threshold=args.threshold)
     report = analysis.chowla_selberg_check(args.d, ctx)
-    payload = {"command": "chowla-selberg", **report.to_dict(),
-               "class_number": numbers.to_dict()}
+    payload = {
+        "command": "chowla-selberg",
+        "d": report.d, "D": report.D, "h": report.h, "w": report.w,
+        "L_one": report.L_one.str_digits(25),
+        "L_prime_one": report.L_prime_one.str_digits(25),
+        "L_prime_sign": "+" if report.L_prime_one.val > 0 else "-",
+        "lhs": report.lhs.str_digits(25),
+        "rhs": report.rhs.str_digits(25),
+        "rel_err": report.rel_err.str_digits(6),
+        "class_number": numbers._asdict(),
+    }
     if scan:
-        payload["hypothesis_scan"] = scan.to_dict()
+        payload["hypothesis_scan"] = {
+            "d": scan.d,
+            "window": ["0", scan.window_hi.str_digits(15)],
+            "grid_denominator": scan.denominator,
+            "threshold": scan.threshold,
+            "evaluated": scan.evaluated,
+            "candidates": [[str(x), v.str_digits(6)] for x, v in scan.candidates],
+            "min_abs_f": scan.min_abs.str_digits(10),
+            "argmin": str(scan.argmin),
+            "rational_zero_found": scan.found,
+        }
     return payload
 
 

@@ -615,23 +615,6 @@ class EvalReport(NamedTuple):
     tail: Optional[HReal] = None
     trend: Optional[dict] = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "identity": self.identity,
-            "x": str(self.x),
-            "terms_used": self.terms_used,
-            "lhs": self.lhs.str_digits(30),
-            "rhs": self.rhs.str_digits(30),
-            "residual": self.residual.str_digits(15),
-            "precision_bits": self.bits,
-        }
-        if self.tail is not None:
-            d["tail_estimate"] = self.tail.str_digits(15)
-        if self.trend is not None:
-            d["trend"] = {k: (v.str_digits(15) if isinstance(v, HReal) else v)
-                          for k, v in self.trend.items()}
-        return d
-
 
 def verify_identity(identity: str, x: Rational, table: ZeroTable,
                     spec: SumSpec, ctx: PrecisionContext, *,

@@ -149,31 +149,11 @@ class StieltjesTable(NamedTuple):
     S1: tuple[HReal, ...]
     S2: tuple[HReal, ...]
 
-    def gamma(self, n: int) -> HReal:
-        return self.gammas[n][0]
-
-    def gamma_bound(self, n: int) -> HReal:
-        return self.gammas[n][1]
-
-    def eta(self, n: int) -> HReal:
-        return self.etas[n]
-
     def lam(self, n: int) -> HReal:
         """lambda_n, 1-indexed; refuses n outside 1..order."""
         if not 1 <= n <= self.order:
             raise ValueError(f"n = {n} outside the table's orders [1, {self.order}]")
         return self.lambdas[n - 1]
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "gammas": [v.str_digits(30) for v, _ in self.gammas],
-            "gamma_bounds": [b.str_digits(5) for _, b in self.gammas],
-            "etas": [e.str_digits(30) for e in self.etas],
-            "lambdas": [l.str_digits(30) for l in self.lambdas],
-            "S1": [s.str_digits(30) for s in self.S1],
-            "S2": [s.str_digits(30) for s in self.S2],
-        }
 
 
 def li_lambda_identity(n: int, table: StieltjesTable,
@@ -271,18 +251,6 @@ class RHStatReport(NamedTuple):
     discrepancy: HReal
     within_tolerance: bool
     doubled_inv_rho: HReal
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "sum_inv_rho_sq": self.sum_value.str_digits(20),
-            "tail": self.tail.str_digits(10),
-            "corrected": self.corrected.str_digits(20),
-            "target": self.target.str_digits(20),
-            "discrepancy": self.discrepancy.str_digits(10),
-            "within_tolerance": self.within_tolerance,
-            "doubled_inv_rho": self.doubled_inv_rho.str_digits(20),
-        }
 
 
 def rh_statistic(table: ZeroTable, spec: SumSpec, ctx: PrecisionContext,

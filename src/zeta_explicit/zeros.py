@@ -25,7 +25,7 @@ from bisect import bisect_right
 import os
 import re
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from operator import lt, mul
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -63,7 +63,9 @@ class ZeroTable(_Value):
                "real_parts",         # beta_i, each in (0, 1)
                "source",             # provenance string
                "entry_precision")    # decimal digits of the ordinates
-    __slots__ = _fields + ("__dict__",)   # _parts, once computed
+    # _parts: the distinct real parts the sums visit, reflections included,
+    # and for each entry the indices of those it stands for
+    __slots__ = _fields + ("_parts",)
 
     def __init__(self, label, scale, ordinates, real_parts, source, entry_precision) -> None:
         if len(ordinates) != len(real_parts):
@@ -71,7 +73,8 @@ class ZeroTable(_Value):
         if scale < 1:
             raise ValueError(f"scale must be a positive integer, got {scale}")
         # each distinct real-part object once (a plain table's rows share 1/2)
-        inside = all(0 < b < 1 for b in {id(b): b for b in real_parts}.values())
+        distinct = {id(b): b for b in real_parts}
+        inside = all(0 < b < 1 for b in distinct.values())
         if not (inside and all(map(lt, (0, *ordinates), ordinates))):   # name the entry at fault
             prev = 0
             for i, (b, n) in enumerate(zip(real_parts, ordinates)):
@@ -81,19 +84,15 @@ class ZeroTable(_Value):
                     raise ValueError(f"entry {i}: ordinates not strictly increasing")
                 prev = n
         _Value.__init__(self, label, scale, ordinates, real_parts, source, entry_precision)
+        index: dict = {}
+        rows = {key: tuple(index.setdefault(v, len(index))
+                           for v in ((b,) if b == _HALF else (b, 1 - b)))
+                for key, b in distinct.items()}
+        object.__setattr__(self, "_parts",
+                           (tuple(index), tuple(rows[id(b)] for b in real_parts)))
 
     def __len__(self) -> int:
         return len(self.ordinates)
-
-    @cached_property
-    def _parts(self) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
-        """The distinct real parts the sums visit, reflections included,
-        and for each entry the indices of those it stands for."""
-        index: dict = {}
-        rows = {id(b): tuple(index.setdefault(v, len(index))
-                             for v in ((b,) if b == _HALF else (b, 1 - b)))
-                for b in {id(b): b for b in self.real_parts}.values()}
-        return tuple(index), tuple(rows[id(b)] for b in self.real_parts)
 
 
 class SumSpec(_Value):

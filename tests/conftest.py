@@ -1,12 +1,15 @@
 """Shared fixtures: one 192-bit context, the embedded 100-pair zero
 fixture, the optional 10k-pair desk-scale table, and prebuilt constant
-tables reused across modules.  The acceptance module registers one
+tables reused across modules, and the --json payload of one command-line
+run.  The acceptance module registers one
 PASS/FAIL line per criterion; the terminal-summary hook prints them."""
 
+import json
 from pathlib import Path
 
 import pytest
 
+from zeta_explicit.cli import ENV_ZEROS, main
 from zeta_explicit.liconst import build_stieltjes_table
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import fixture_table, load_zeros
@@ -40,6 +43,18 @@ def consts8(ctx):
 @pytest.fixture(scope="session")
 def consts20(ctx):
     return build_stieltjes_table(20, ctx)
+
+
+@pytest.fixture
+def cli_json(capsys, monkeypatch):
+    """Run the command line with --json (embedded zeros unless --zeros
+    names a file), require exit 0, and return the payload it prints."""
+    monkeypatch.delenv(ENV_ZEROS, raising=False)
+
+    def run(*argv):
+        assert main([*argv, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+    return run
 
 
 CRITERION_LINES: list = []

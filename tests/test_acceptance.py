@@ -325,13 +325,13 @@ def test_c12a_generalized_euler_constants(ctx, consts8, criterion_log):
            - math.log(m) ** 2 / 2 for m in ms]
     gamma1_lim = float(numpy.linalg.solve(numpy.array(rows),
                                           numpy.array(rhs))[0])
-    g0, g1 = consts8.gamma(0), consts8.gamma(1)
+    (g0, _), (g1, _) = consts8.gammas[:2]
     err0 = abs(float(g0.val) - 0.5772156649)
     err1 = abs(float(g1.val) - (-0.0728158454))
     lim0 = abs(float(g0.val) - gamma0_lim)
     lim1 = abs(float(g1.val) - gamma1_lim)
     with ctx.workprec(16):
-        eta0_gap = abs(consts8.eta(0).val + g0.val)
+        eta0_gap = abs(consts8.etas[0].val + g0.val)
     ok = (err0 <= 1e-9 and err1 <= 1e-8 and lim0 <= 1e-9 and lim1 <= 1e-8
           and eta0_gap < mpf(2) ** (-150))
     line = _note(criterion_log, "12a", ok,
@@ -350,9 +350,9 @@ def test_c12b_eta1_quoted_closed_form(ctx, consts8, criterion_log):
     -gamma_1 + gamma_0^2/2 = 0.2394... does not equal it, so this
     check fails and is reported as such instead of being weakened.
     """
-    g0, g1 = consts8.gamma(0).val, consts8.gamma(1).val
+    g0, g1 = consts8.gammas[0][0].val, consts8.gammas[1][0].val
     with ctx.workprec(16):
-        eta1 = consts8.eta(1).val
+        eta1 = consts8.etas[1].val
         quoted = -g1 + g0 * g0 / 2
         gap = abs(eta1 - quoted)
     ok = gap < mpf(2) ** (-140)

@@ -99,9 +99,8 @@ def test_lt1_value_at_jump_is_mean_of_sides(ctx):
             assert abs(at - (lo + hi) / 2) < mpf(2) ** (-40)
 
 
-def test_record_serialization(ctx):
-    records = find_zeros_gt1(F(21, 20), F(2), TOL, ctx)
-    d = records[0].to_dict()
+def test_record_serialization(cli_json):
+    d = cli_json("find-zeros", "--lo", "21/20", "--hi", "2")["records"][0]
     assert set(d) == {"kind", "bracket", "root", "residual"}
     lo, hi = d["bracket"]
     assert "/" in lo and "/" in hi  # exact rational endpoints
@@ -140,7 +139,7 @@ def test_class_number_two_routes(d):
     check = class_number_check(d)
     assert check.match
     assert check.h_forms == check.h_analytic
-    assert set(check.to_dict()) == {"d", "D", "h_forms", "h_analytic", "match"}
+    assert set(check._asdict()) == {"d", "D", "h_forms", "h_analytic", "match"}
     data = class_data(d)
     for bits in (128, 192, 256):
         ctx = PrecisionContext(bits=bits)
@@ -178,10 +177,10 @@ def test_gamma_product_value(ctx):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
-def test_gamma_product_identity(ctx, d):
+def test_gamma_product_identity(ctx, cli_json, d):
     report = chowla_selberg_check(d, ctx)
     assert float(report.rel_err.val) < 1e-6
-    payload = report.to_dict()
+    payload = cli_json("chowla-selberg", "--d", str(d), "--no-scan")
     assert payload["L_prime_sign"] in "+-"
     assert {"d", "D", "h", "w", "lhs", "rhs", "rel_err"} <= set(payload)
 
@@ -195,13 +194,14 @@ def test_gamma_product_identity_precision_stability(ctx):
     assert float(a.lhs.val) == pytest.approx(0.54995046376103, abs=1e-10)
 
 
-def test_hypothesis_scan_shape(ctx):
+def test_hypothesis_scan_shape(ctx, cli_json):
     scan = hypothesis_scan(1, ctx, denominator=500, threshold=1e-6)
     assert scan.d == 1
     assert scan.evaluated >= 100
     assert not scan.found  # nothing on this grid dips below 1e-6
     assert 0 < scan.argmin < 1
-    d = scan.to_dict()
+    d = cli_json("chowla-selberg", "--d", "1", "--grid-denominator", "500",
+                 "--threshold", "1e-6")["hypothesis_scan"]
     assert d["rational_zero_found"] is False
     assert d["grid_denominator"] == 500
     with pytest.raises(ValueError):

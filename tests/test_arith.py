@@ -713,6 +713,7 @@ def test_kronecker_chi_rejects_non_squarefree():
 
 def test_squarefree_and_discriminant():
     assert is_squarefree(1) and is_squarefree(10) and not is_squarefree(18)
+    assert not any(map(is_squarefree, (0, -1, -2)))   # squarefree means d >= 1
     assert discriminant_of(1) == 4
     assert discriminant_of(2) == 8
     assert discriminant_of(3) == 3

@@ -1,6 +1,7 @@
 """Command-line interface: argument parsing, rational/decimal input
 conventions, output formats, exit statuses, and determinism."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -223,9 +224,9 @@ def test_verify_s_reports_its_tail_estimate(capsys, fixture100):
     assert code == EXIT_OK
     payload = json.loads(out)
     report = explicit.verify_identity("s", Fraction(4), fixture100, zeros.SumSpec(K=50),
-                                      PrecisionContext(bits=192)).to_dict()
+                                      PrecisionContext(bits=192))
     assert "trend" not in payload
-    assert payload["tail_estimate"] == report["tail_estimate"]
+    assert payload["tail_estimate"] == report.tail.str_digits(15)
     assert float(payload["residual"]) <= float(payload["tail_estimate"])
 
 
@@ -438,9 +439,9 @@ def test_verify_chi_descriptor_matches_library(capsys, identity, x):
     F = explicit.descriptor_dirichlet(4, arith.kronecker_chi(1), ctx)
     report = explicit.verify_identity(identity, Fraction(x), table,
                                       zeros.SumSpec(K=10), ctx,
-                                      alpha=Fraction(1, 2), F=F).to_dict()
-    for key in ("lhs", "rhs", "residual"):
-        assert payload[key] == report[key], key
+                                      alpha=Fraction(1, 2), F=F)
+    for key, digits in (("lhs", 30), ("rhs", 30), ("residual", 15)):
+        assert payload[key] == getattr(report, key).str_digits(digits), key
 
 
 @pytest.mark.parametrize("descriptor,table", [
@@ -776,6 +777,22 @@ def test_cold_import_leaves_dataclasses_and_inspect_out():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_only_cli_turns_results_into_text():
+    # a payload's keys, their order and each value's digit count are decided
+    # in cli alone: no other package module calls str_digits or has a to_dict
+    found = []
+    for path in sorted(Path(zeros.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "str_digits"):
+                found.append(f"{path.name}:{node.lineno} calls str_digits")
+            if isinstance(node, ast.FunctionDef) and node.name == "to_dict":
+                found.append(f"{path.name}:{node.lineno} defines to_dict")
+    assert not found
 
 
 def test_chowla_selberg_builds_class_data_once(capsys, monkeypatch):

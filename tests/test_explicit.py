@@ -395,6 +395,14 @@ def test_partial_fractions_rejects_repeated_roots():
         partial_fractions([F(1)], [F(1, 2), F(1, 2)])
 
 
+def test_partial_fractions_rejects_a_numerator_of_high_degree():
+    # A(t)/B(t) is proper: deg A = 2 against two roots is refused, and
+    # trailing zero coefficients do not count towards the degree
+    with pytest.raises(ValueError, match="deg A must be < number of roots"):
+        partial_fractions([F(1), F(0), F(1)], [F(1, 2), F(1, 3)])
+    assert partial_fractions([F(1), F(1), F(0)], [F(1, 2), F(1, 3)]).roots == (F(1, 2), F(1, 3))
+
+
 def test_general_gt1_specializes_to_plain_rhs(ctx):
     # Single pole at 0 with residue 1 reproduces the x > 1 right-hand
     # side up to the constant log(2 pi).
@@ -507,6 +515,8 @@ def test_dirichlet_descriptor_rejects_imprimitive(ctx):
     # The principal character mod 4 is induced from modulus 1.
     with pytest.raises(ValueError):
         descriptor_dirichlet(4, (0, 1, 0, 1), ctx)
+    with pytest.raises(ValueError, match="character table length must equal the modulus"):
+        descriptor_dirichlet(4, (0, 1, 0), ctx)
 
 
 def test_dirichlet_descriptor_refuses_the_character_mod_1(ctx):
@@ -678,7 +688,7 @@ def test_identity_ids_frozen():
                             "selberg-gt1", "selberg-lt1")
 
 
-def test_verify_identity_report_shape(ctx, fixture100):
+def test_verify_identity_report_shape(ctx, fixture100, cli_json):
     spec = SumSpec(K=100)
     rep = verify_identity("von-mangoldt", F(21, 2), fixture100, spec, ctx)
     assert rep.identity == "von-mangoldt"
@@ -687,7 +697,7 @@ def test_verify_identity_report_shape(ctx, fixture100):
     assert rep.trend is not None and rep.tail is None
     assert rep.trend["pairs_half"] == 50
     assert abs(float(rep.residual.val)) < 0.02
-    d = rep.to_dict()
+    d = cli_json("verify", "--identity", "von-mangoldt", "--x", "21/2", "--K", "100")
     assert set(d) >= {"identity", "x", "terms_used", "lhs", "rhs",
                       "residual", "precision_bits", "trend"}
 

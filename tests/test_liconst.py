@@ -163,13 +163,13 @@ def test_raw_limit_extrapolation_oracle():
 
 
 def test_eta_closed_form_duals(ctx, consts8):
-    g0 = consts8.gamma(0).val
-    g1 = consts8.gamma(1).val
-    g2 = consts8.gamma(2).val
+    g0 = consts8.gammas[0][0].val
+    g1 = consts8.gammas[1][0].val
+    g2 = consts8.gammas[2][0].val
     with ctx.workprec(16):
-        assert abs(consts8.eta(0).val + g0) < mpf(2) ** (-150)
-        assert abs(consts8.eta(1).val - (g0 * g0 + 2 * g1)) < mpf(2) ** (-150)
-        assert abs(consts8.eta(2).val
+        assert abs(consts8.etas[0].val + g0) < mpf(2) ** (-150)
+        assert abs(consts8.etas[1].val - (g0 * g0 + 2 * g1)) < mpf(2) ** (-150)
+        assert abs(consts8.etas[2].val
                    - (-F(3, 2) * g2 - 3 * g0 * g1 - g0 ** 3)) < mpf(2) ** (-150)
 
 
@@ -177,7 +177,7 @@ def test_eta_from_gamma_truncates_consistently(ctx, consts8):
     # eta_n reads gamma_0..gamma_n only: a shorter input gives the same
     # leading coefficients bit for bit, and the context-precision gammas
     # reproduce the table's wide-precision etas.
-    gammas = [consts8.gamma(n) for n in range(consts8.order + 2)]
+    gammas = [v for v, _ in consts8.gammas]
     full = eta_from_gamma(gammas, ctx)
     assert len(full) == consts8.order + 1
     for G in (1, 3, 6):
@@ -203,15 +203,18 @@ def test_li_lambda_identity_is_table_value(ctx, consts8):
         assert li_lambda_identity(n, consts8, ctx).val == consts8.lam(n).val
 
 
-def test_table_shape(consts8):
+def test_table_shape(ctx, consts8, cli_json):
     assert isinstance(consts8, StieltjesTable)
     assert consts8.order == 8
-    assert consts8.gamma_bound(3).val > 0
-    d = consts8.to_dict()
+    assert consts8.gammas[3][1].val > 0
+    d = cli_json("stieltjes", "--n", "8", "--table")
     assert {"order", "gammas", "etas", "lambdas"} <= set(d)
     for n in (0, -1, 9):   # lambdas[n - 1] would read lambda_8 or lambda_7 below 1
         with pytest.raises(ValueError, match="outside the table's orders"):
             consts8.lam(n)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match=f"table order must be >= 1, got {N}"):
+            build_stieltjes_table(N, ctx)
 
 
 def test_table_rounds_once_at_context_precision():
@@ -275,7 +278,7 @@ def test_lambda_direct_two_routes(ctx, fixture100, consts8):
         lambda_direct(0, fixture100, spec, ctx)
 
 
-def test_rh_statistic_report(ctx, fixture100):
+def test_rh_statistic_report(ctx, fixture100, cli_json):
     report = rh_statistic(fixture100, SumSpec(K=100), ctx)
     assert report.pairs == 100
     assert report.within_tolerance
@@ -284,7 +287,7 @@ def test_rh_statistic_report(ctx, fixture100):
     with ctx.workprec(16):
         assert abs(report.corrected.val - report.target.val) \
             <= abs(report.tail.val)
-    d = report.to_dict()
+    d = cli_json("rh-check", "--K", "100")
     assert {"pairs", "corrected", "target", "discrepancy",
             "within_tolerance"} <= set(d)
 

@@ -3,6 +3,7 @@ truncated power-series division."""
 
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from zeta_explicit.mpcore import (
     HReal,
     PrecisionContext,
     _eps_table,
+    _exact,
     bernoulli,
     em_log_moments,
     hurwitz_zeta,
@@ -47,6 +49,15 @@ def test_value_types_compare_hash_and_refuse_assignment(ctx):
     assert (h.val, h.ctx, ctx.bits) == (third, ctx, 192)
     with pytest.raises(AttributeError):
         h.extra = 1   # nor can a new attribute be set
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_values_refused(ctx, value):
+    v = mpmath.mpf(value)
+    with pytest.raises(ArithmeticError, match="non-finite result escaped an operation"):
+        HReal(v, ctx)
+    with pytest.raises(ValueError, match=re.escape(f"non-finite value {v}")):
+        _exact(v)
 
 
 def test_mpf_exact_for_dyadic_fraction(ctx):
@@ -87,6 +98,8 @@ def test_bernoulli_table():
     assert bernoulli(2) == Fraction(1, 6)
     assert bernoulli(12) == Fraction(-691, 2730)
     assert bernoulli(7) == Fraction(0)
+    with pytest.raises(ValueError, match="Bernoulli index must be >= 0"):
+        bernoulli(-1)
 
 
 def test_bernoulli_matches_mpmath():

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -88,6 +89,10 @@ def test_load_errors_carry_line_numbers(ctx):
         load_zeros("gamma,beta\n0.5,14.1\n", fmt="csv", ctx=ctx)
     with pytest.raises(ValueError, match="line 2"):
         load_zeros("beta,gamma\n1.5,14.1\n", fmt="csv", ctx=ctx)
+    with pytest.raises(ValueError, match="line 2: expected two columns"):
+        load_zeros("beta,gamma\n0.5\n", fmt="csv", ctx=ctx)
+    with pytest.raises(ValueError, match="line 2: ordinate must be positive"):
+        load_zeros("14.1\n0.0\n", fmt="plain", ctx=ctx)
     with pytest.raises(ValueError):
         load_zeros(PLAIN, fmt="xml", ctx=ctx)
 
@@ -128,6 +133,9 @@ def test_table_validation(ctx):
     with pytest.raises(ValueError, match="length mismatch"):
         ZeroTable(label="x", scale=1, ordinates=(14, 20), real_parts=(HALF,),
                   source="t", entry_precision=2)
+    with pytest.raises(ValueError, match="scale must be a positive integer, got 0"):
+        ZeroTable(label="x", scale=0, ordinates=(14,), real_parts=(HALF,),
+                  source="t", entry_precision=2)
 
 
 def test_table_refusal_names_the_first_bad_row():
@@ -139,6 +147,19 @@ def test_table_refusal_names_the_first_bad_row():
     with pytest.raises(ValueError, match="entry 1: ordinates not strictly"):
         ZeroTable(label="x", scale=1, ordinates=(1, 1, 3), real_parts=(HALF, HALF, Fraction(3, 2)),
                   source="t", entry_precision=2)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: xrho_term(0, (0,), (1,)), "x^rho needs x > 0, got 0"),
+    (lambda: xrho_term(Fraction(-1, 2), (0,), (1,)), "x^rho needs x > 0, got -1/2"),
+    (lambda: xrho_term(2, (0, 1), (1,)), "need one weight per pole"),
+    (lambda: xrho_term(2, (), ()), "at least one pole"),
+    (lambda: cosine_term(Fraction(1, 2)), "cosine_sum requires x >= 1, got 1/2"),
+    (lambda: inv_rho_poly_term(()), "empty polynomial"),
+])
+def test_term_constructors_refuse_bad_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_sumspec_validation():
