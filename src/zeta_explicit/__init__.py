@@ -13,69 +13,9 @@ Modules:
   liconst   Stieltjes constants, eta constants, Li coefficients
   analysis  interval-walk zero finder for f, class numbers, Chowla-Selberg
   cli       command-line interface
+
+The package re-exports nothing: import the module you need, so that a
+command-line call compiles only the modules its subcommand runs.
 """
 
-from .analysis import (
-    chowla_selberg_check,
-    class_number_check,
-    find_zeros_gt1,
-    find_zeros_lt1,
-)
-from .explicit import (
-    descriptor_dirichlet,
-    descriptor_zeta,
-    f_rhs_gt1,
-    f_rhs_lt1,
-    partial_fractions,
-    verify_identity,
-)
-from .liconst import (
-    build_stieltjes_table,
-    lambda_direct,
-    li_lambda_identity,
-    rh_statistic,
-    stieltjes,
-)
-from .mpcore import (
-    HReal,
-    PrecisionContext,
-    hurwitz_zeta,
-    series_ops,
-    zeta_int,
-)
-from .zeros import (
-    SumSpec,
-    ZeroTable,
-    fixture_table,
-    load_zeros,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "HReal",
-    "PrecisionContext",
-    "SumSpec",
-    "ZeroTable",
-    "build_stieltjes_table",
-    "chowla_selberg_check",
-    "class_number_check",
-    "descriptor_dirichlet",
-    "descriptor_zeta",
-    "f_rhs_gt1",
-    "f_rhs_lt1",
-    "find_zeros_gt1",
-    "find_zeros_lt1",
-    "fixture_table",
-    "hurwitz_zeta",
-    "lambda_direct",
-    "li_lambda_identity",
-    "load_zeros",
-    "partial_fractions",
-    "rh_statistic",
-    "series_ops",
-    "stieltjes",
-    "verify_identity",
-    "zeta_int",
-    "__version__",
-]

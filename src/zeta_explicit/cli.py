@@ -39,11 +39,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from . import analysis, explicit, liconst
-from .arith import discriminant_of, kronecker_chi, shared_table
 from .mpcore import HReal, PrecisionContext
-from .zeros import (SumSpec, ZeroTable, fixture_table, load_zeros,
-                    sum_inv_rho, sum_inv_rho_sq, xrho_term, zero_sum)
 
 ENV_ZEROS = "ZETA_EXPLICIT_ZEROS"
 
@@ -87,29 +83,31 @@ def _abscissa(args, name: str) -> Fraction:
     # at value = n or 1/n the lookup, past the sieve budget, raises the
     # domain error an exact abscissa meets in the prime sum
     n = value.numerator * value.denominator
-    hit = _decimal(text) and n > 1 and 1 in (value.numerator, value.denominator)
-    if hit and shared_table(n).prime_of(n):
-        value += Fraction(1, 2 ** 96)
-        args.notes.append(f"inexact input {text} nudged off the "
-                          f"prime-power discontinuity by 2^-96")
+    if _decimal(text) and n > 1 and 1 in (value.numerator, value.denominator):
+        from . import arith
+        if arith.shared_table(n).prime_of(n):
+            value += Fraction(1, 2 ** 96)
+            args.notes.append(f"inexact input {text} nudged off the "
+                              f"prime-power discontinuity by 2^-96")
     return value
 
 
-def _selection(args, ctx: PrecisionContext, label: str) -> tuple[ZeroTable, SumSpec]:
+def _selection(args, ctx: PrecisionContext, label: str) -> tuple:
     """The zero table of the function named label, refused when its file
-    names another, and the truncation --T/--K picks."""
+    names another, and the SumSpec of the truncation --T/--K picks."""
+    from . import zeros
     path = args.zeros or os.environ.get(ENV_ZEROS)
     if not path:
         if label != "zeta":
             raise _InputError(f"{label} zeros need a zero file, --zeros or "
                               f"${ENV_ZEROS}: the embedded table holds zeta zeros")
-        table = fixture_table()
+        table = zeros.fixture_table()
     elif not os.path.exists(path):
         raise _InputError(f"zero file not found: {path}")
     else:
         try:
             fmt = "csv" if path.endswith(".csv") else "plain"
-            table = load_zeros(path, fmt, ctx=ctx)
+            table = zeros.load_zeros(path, fmt, ctx=ctx)
         except ValueError as exc:
             raise _InputError(f"cannot parse zero file {path}: {exc}") from None
         if table.label != label:
@@ -118,8 +116,8 @@ def _selection(args, ctx: PrecisionContext, label: str) -> tuple[ZeroTable, SumS
     if args.T is not None and args.K is not None:
         raise _InputError("give at most one of --T and --K")
     if args.T is not None:
-        return table, SumSpec(T=args.T)
-    return table, SumSpec(K=args.K if args.K is not None else len(table))
+        return table, zeros.SumSpec(T=args.T)
+    return table, zeros.SumSpec(K=args.K if args.K is not None else len(table))
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -132,6 +130,7 @@ def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
 def _resolve_descriptor(name: str, ctx: PrecisionContext):
     """'zeta', or 'chi-d' for L(s, chi_{-d}), d >= 1 (chi-1 is chi_{-4});
     a d that is not squarefree is a domain error, as for chowla-selberg."""
+    from . import arith, explicit
     if name == "zeta":
         return explicit.descriptor_zeta()
     match = re.fullmatch(r"chi-([1-9][0-9]*)", name)
@@ -139,15 +138,18 @@ def _resolve_descriptor(name: str, ctx: PrecisionContext):
         raise _InputError(f"unknown descriptor {name!r}: give zeta or chi-d "
                           "with d a squarefree positive integer")
     d = int(match.group(1))
-    return explicit.descriptor_dirichlet(discriminant_of(d), kronecker_chi(d), ctx)
+    return explicit.descriptor_dirichlet(arith.discriminant_of(d), arith.kronecker_chi(d), ctx)
 
 
 # ----------------------------------------------------------------------
 # Subcommand handlers: each returns the payload dict, the one place a
-# result's values become text (keys, their order, digits per value)
+# result's values become text (keys, their order, digits per value).
+# Each imports the modules it calls, so that a fresh process compiles
+# only those (see README, start-up cost)
 # ----------------------------------------------------------------------
 
 def _cmd_eval_f(args, ctx: PrecisionContext) -> dict:
+    from . import explicit
     x = _abscissa(args, "x")
     if x <= 0 or x == 1:
         raise ValueError(f"x must be positive and != 1, got {x}")
@@ -162,6 +164,10 @@ def _cmd_eval_f(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_verify(args, ctx: PrecisionContext) -> dict:
+    from . import explicit
+    if args.identity not in explicit.IDENTITY_IDS:
+        raise _InputError(f"unknown identity {args.identity!r}: choose from "
+                          f"{', '.join(explicit.IDENTITY_IDS)}")
     family = args.identity.split("-")[0]   # selberg, general or another
     ignored = [f"--{name}" for name, owner in (
         ("descriptor", "selberg"), ("alpha", "selberg"),
@@ -204,6 +210,7 @@ def _cmd_verify(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
+    from . import analysis
     lo, hi = _abscissa(args, "lo"), _abscissa(args, "hi")
     tol = _parse_rational(args.tol, args.inexact)
     if lo > 1:
@@ -231,9 +238,12 @@ def _cmd_find_zeros(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_li(args, ctx: PrecisionContext) -> dict:
+    from . import liconst
     n = args.n
     table, spec = _selection(args, ctx, "zeta")
-    consts = liconst.build_stieltjes_table(max(n, 1), ctx)
+    if n < 1:   # before the Stieltjes table, whose orders start at 1
+        raise ValueError(f"lambda_n needs n >= 1, got {n}")
+    consts = liconst.build_stieltjes_table(n, ctx)
     ident = consts.lam(n)
     direct, tail = liconst.lambda_direct(n, table, spec, ctx)
     with ctx.workprec():
@@ -252,6 +262,7 @@ def _cmd_li(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
+    from . import liconst
     if args.table:
         consts = liconst.build_stieltjes_table(args.n, ctx, args.eps)
         return {
@@ -271,6 +282,7 @@ def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_rh_check(args, ctx: PrecisionContext) -> dict:
+    from . import liconst
     table, spec = _selection(args, ctx, "zeta")
     report = liconst.rh_statistic(table, spec, ctx, tolerance=args.tolerance)
     return {
@@ -288,6 +300,7 @@ def _cmd_rh_check(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
+    from . import analysis
     numbers = analysis.class_number_check(args.d)
     scan = args.scan and analysis.hypothesis_scan(
         args.d, ctx, denominator=args.grid_denominator, threshold=args.threshold)
@@ -319,11 +332,12 @@ def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_sum(args, ctx: PrecisionContext) -> dict:
+    from . import zeros
     table, spec = _selection(args, ctx, "zeta")
     payload = {"command": "sum", "term": args.term,
                "pairs": len(spec.select(table)), "zeros": table.source}
     if args.term in ("inv-rho", "inv-rho-sq"):
-        named = sum_inv_rho if args.term == "inv-rho" else sum_inv_rho_sq
+        named = zeros.sum_inv_rho if args.term == "inv-rho" else zeros.sum_inv_rho_sq
         value, tail = named(table, spec, ctx)
         payload["value"] = value.str_digits(args.digits)
         payload["tail"] = tail.str_digits(10)
@@ -335,7 +349,7 @@ def _cmd_sum(args, ctx: PrecisionContext) -> dict:
         x = _abscissa(args, "x")
         if x <= 0 or x == 1:
             raise ValueError(f"x must be positive and != 1, got {x}")
-        value, _ = zero_sum(table, spec, xrho_term(x, (0,), (1,)), ctx)
+        value, _ = zeros.zero_sum(table, spec, zeros.xrho_term(x, (0,), (1,)), ctx)
         payload["x"] = str(x)
         payload["value"] = value.str_digits(args.digits)
     return payload
@@ -452,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", parents=[base, zeros, inexact],
             help="zero sum against closed form for one identity")
     p.add_argument("--identity", required=True,
-                   choices=list(explicit.IDENTITY_IDS))
+                   help="identity to check (an unknown name lists all eight)")
     p.add_argument("--x", required=True, help="abscissa (rational p/q)")
     p.add_argument("--pf-num", default=None,
                    help="numerator coefficients c0,c1,... of A(t)")

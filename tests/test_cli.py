@@ -14,7 +14,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from zeta_explicit import analysis, arith, explicit, zeros
+from zeta_explicit import analysis, arith, explicit, liconst, zeros
 from zeta_explicit.cli import (ENV_ZEROS, EXIT_DOMAIN, EXIT_IO, EXIT_OK,
                                _resolve_descriptor, build_parser, main)
 from zeta_explicit.mpcore import PrecisionContext
@@ -256,8 +256,11 @@ def test_zeta_subcommands_refuse_a_zero_file_of_another_function(capsys, argv):
 
 
 def test_verify_unknown_identity(capsys):
-    assert main(["verify", "--identity", "nonsense", "--x", "4"]) == EXIT_IO
-    capsys.readouterr()
+    code, out, err = run(capsys, "verify", "--identity", "nonsense", "--x", "4")
+    assert (code, out) == (EXIT_IO, "")
+    assert err == ("error: unknown identity 'nonsense': choose from "
+                   "von-mangoldt, ingham, cosine, s, general-gt1, general-lt1, "
+                   "selberg-gt1, selberg-lt1\n")
 
 
 def test_verify_general_requires_pf(capsys):
@@ -533,10 +536,15 @@ def test_stieltjes_plan_past_the_integrand_peak_refused_at_once(capsys, n, bits)
 
 
 @pytest.mark.parametrize("n", ["0", "-1", "-2"])
-def test_li_refuses_orders_below_one(capsys, n):
+def test_li_refuses_orders_below_one(capsys, monkeypatch, n):
+    # refused for the n asked for, before a Stieltjes table is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_stieltjes_table ran for n < 1")
+
+    monkeypatch.setattr(liconst, "build_stieltjes_table", refuse)
     code, out, err = run(capsys, "li", f"--n={n}", "--K", "3")
     assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("error: ") and f"n = {n} outside" in err
+    assert err == f"error: lambda_n needs n >= 1, got {n}\n"
 
 
 def test_li_gap_report(capsys):
@@ -768,15 +776,43 @@ def test_bad_scan_input_is_domain_error(capsys, monkeypatch, option, value):
     assert option.lstrip("-").replace("grid-", "grid ") in err
 
 
-def test_cold_import_leaves_dataclasses_and_inspect_out():
-    # the package's records are slotted classes and NamedTuples, so a fresh
-    # command-line process never imports dataclasses or what it pulls in
-    code = ("import sys, zeta_explicit.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+# the package modules a fresh process loads, besides cli and mpcore: the
+# package re-exports nothing and each handler imports what it calls
+COLD_ROWS = {
+    "import": (None, set()),
+    "li": ("li --n 2 --K 5", {"liconst", "zeros"}),
+    "stieltjes": ("stieltjes --n 2", {"liconst", "zeros"}),
+    "rh-check": ("rh-check --K 5", {"liconst", "zeros"}),
+    "sum": ("sum --term inv-rho --K 5", {"zeros"}),
+    "eval-f": ("eval-f --x 3/2", {"arith", "zeros", "explicit"}),
+    "verify": ("verify --identity von-mangoldt --x 21/2 --K 5",
+               {"arith", "zeros", "explicit"}),
+    "find-zeros": ("find-zeros --lo 21/20 --hi 2",
+                   {"arith", "zeros", "explicit", "analysis"}),
+    "chowla-selberg": ("chowla-selberg --d 7 --no-scan",
+                       {"arith", "zeros", "explicit", "analysis"}),
+}
+
+
+@pytest.mark.parametrize("row", COLD_ROWS)
+def test_cold_import_leaves_dataclasses_and_inspect_out(row):
+    # a fresh command-line process compiles only the modules its subcommand
+    # calls, and, the records being slotted classes and NamedTuples, never
+    # imports dataclasses or what it pulls in
+    argv, extra = COLD_ROWS[row]
+    code = ("import sys, zeta_explicit.cli as cli\n"
+            "if sys.argv[1:]:\n"
+            "    assert cli.main(sys.argv[1:] + ['--json']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('zeta_explicit')"
+            " or m in ('dataclasses', 'inspect')))")
+    env = {k: v for k, v in os.environ.items() if k != ENV_ZEROS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code] + (argv.split() if argv else []),
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = done.stdout.strip().splitlines()[-1]
+    expected = ["zeta_explicit"] + sorted(f"zeta_explicit.{m}"
+                                          for m in {"cli", "mpcore"} | extra)
+    assert loaded == repr(expected)
 
 
 def test_only_cli_turns_results_into_text():
