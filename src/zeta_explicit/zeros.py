@@ -4,14 +4,14 @@ zeros with the symmetric-pairing summation convention.
 A table entry (beta, gamma) stands for the conjugate PAIR rho = beta +
 i gamma and rho-bar, and an entry off the critical line (beta != 1/2)
 also for its reflection 1 - rho-bar, 1 - rho; every sum combines a pair
-first,
-
-    term(rho) + term(rho-bar) = 2 Re term(rho),
-
-before accumulating (the symmetric limit over |Im rho| <= T).  All sums
-run through one fixed-point kernel (zero_sum), one pass per pair, over
-small term constructors; e^(i gamma log x) comes from process-wide tables
-and e^(ir) = (1 - t^2 + 2it)/(1 + t^2), t = tan(r/2) by a short series.
+first, term(rho) + term(rho-bar) = 2 Re term(rho), before accumulating
+(the symmetric limit over |Im rho| <= T).  All sums run through one
+kernel (zero_sum), one pass per pair, over small term constructors, in
+the table's own integers: at one unit M per call, gamma M, (beta - p) M
+for each pole p and |rho - p|^2 M^2 are exact, so a pair is off only by
+its phase e^(i gamma log x) (process-wide tables and a short tan(r/2)
+series), cos and sin each within 1.32 units of 2^-F, and by its floors
+to 2^-F: one per division and per Horner step of a polynomial in 1/rho.
 Conditionally convergent sums (x^rho / rho) carry no claimed tail bound,
 only trend data; absolutely convergent sums (x^rho / (rho (1-rho)), 1/rho,
 1/|rho|^2) get density-integral tail estimates, dN(t) ~ (1/2pi) log(t/2pi) dt.
@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_rational, round_nearest, to_fixed
 
 from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf, _Value
 
@@ -261,7 +261,7 @@ def cosine_term(x) -> Term:
     x^rho x^(-1/2) / (rho (1 - rho)); x >= 1, critical-line tables only."""
     xv = _exact(x)
     if xv < 1:
-        raise ValueError(f"cosine_sum requires x >= 1, got {xv}")
+        raise ValueError(f"the cosine pairing requires x >= 1, got {xv}")
     # 1/rho - 1/(rho - 1) = 1/(rho (1 - rho)) = 1/(1/4 + gamma^2) on the line.
     return Term("cos", x=None if xv == 1 else xv, poles=(Fraction(0), Fraction(1)),
                 weights=(Fraction(1), Fraction(-1)))
@@ -282,10 +282,6 @@ def inv_abs_sq_term() -> Term:
 # ----------------------------------------------------------------------
 # The kernel
 # ----------------------------------------------------------------------
-
-def _fixed(q: Fraction, F: int) -> int:
-    return (q.numerator << F) // q.denominator
-
 
 @cache
 def _turns(W: int) -> tuple:
@@ -353,64 +349,65 @@ def _phase(x: Fraction, table: ZeroTable, F: int):
     return cos_sin
 
 
-def _bind(term: Term, real: tuple, F: int, slot: int):
-    """(f, X, e): f(k, G, GG, E) is Re term(rho) / x^beta in fixed point
-    (scale 2^F) at rho = real[k] + i G 2^-F, GG = G^2, E[slot] the
-    fixed-point (cos, sin) of gamma log x at the term's abscissa x; X[k]
-    2^-e is x^beta, beta = real[k], to 2^-F relative, or 1 without it."""
-    B = [_fixed(b, F) for b in real]
+def _bind(term: Term, table: ZeroTable, M: int, F: int):
+    """(f, S, X, e, V): f(n, N, NN, ks) adds V 2^F Re term(rho) / x^beta,
+    floored, to S[k] for each k in ks, at rho = real[k] + i N / M, real =
+    table._parts[0], N = n M / scale and NN = N^2; X[k] 2^-e is x^beta to
+    2^-F relative, or 1 without it.  V is the lcm of the weights'
+    denominators, 1 for abs2 and poly."""
+    real = table._parts[0]
+    B = [b.numerator * (M // b.denominator) for b in real]
     BB = [b * b for b in B]
-    F2, X, e = 2 * F, [1] * len(B), 0
-    if term.kind == "abs2":
-        one3 = 1 << (3 * F)
-        return (lambda k, G, GG, E: one3 // (BB[k] + GG)), X, e
+    S, X, e, V = [0] * len(B), [1] * len(B), 0, 1
+    if term.kind == "poly":  # Horner at 2^F in 1/rho = M (a - i N) / (a^2 + N^2)
+        MF = M << F
+        top, *rest = [(c.numerator << F) // c.denominator for c in reversed(term.coeffs)]
 
-    if term.kind == "poly":
-        C = [_fixed(c, F) for c in reversed(term.coeffs)]
-        top, rest = C[0], C[1:]
+        def f(n: int, N: int, NN: int, ks) -> None:
+            for k in ks:
+                den = BB[k] + NN
+                ur, ui = MF * B[k] // den, -(MF * N // den)
+                pr, pi = top, 0
+                for c in rest:
+                    pr, pi = ((pr * ur - pi * ui) >> F) + c, (pr * ui + pi * ur) >> F
+                S[k] += pr
+        return f, S, X, e, V
 
-        def f(k: int, G: int, GG: int, E) -> int:
-            b = B[k]
-            den = BB[k] + GG
-            ur = (b << F2) // den
-            ui = -((G << F2) // den)
-            pr, pi = top, 0
-            for c in rest:
-                pr, pi = ((pr * ur - pi * ui) >> F) + c, (pr * ui + pi * ur) >> F
-            return pr
-        return f, X, e
-
-    # xrho and cos: Re e^(i gamma log x) Sum_i w_i / (rho - p_i); a = beta
-    # - p_i for each pole, per entry.
-    if term.kind == "cos" and any(b != _HALF for b in real):
-        raise ValueError("cosine_sum requires a critical-line table (all beta = 1/2)")
-    PW = []
-    for b in B:  # poles with one a^2 share a division: (a^2, Sum w a, Sum w, 2^F Sum w a)
-        g = {}
-        for p, w in zip(term.poles, term.weights):
-            a, w = b - _fixed(p, F), _fixed(w, F)
-            g[a * a] = [u + v for u, v in zip(g.get(a * a, (0, 0)), (w * a, w))]
-        PW.append([(aa, A, S, A << F) for aa, (A, S) in g.items()])
-    if term.x is None:  # each a^2 adds Sum w a / (a^2 + gamma^2)
-        def f(k: int, G: int, GG: int, E) -> int:
-            acc = 0
-            for aa, _, _, wa in PW[k]:
-                acc += wa // (aa + GG)
-            return acc
-        return f, X, e
+    if term.kind == "abs2":  # 2^F / |rho|^2 = M^2 2^F / (a^2 + N^2)
+        PW = [[(bb, 0, 0, M * M << F)] for bb in BB]
+    else:  # Re e^(i gamma log x) Sum_i w_i / (rho - p_i), where w / (rho - p)
+        # = w M (a - i N) / (a^2 + N^2), a = (beta - p) M, for each pole
+        if term.kind == "cos" and any(b != _HALF for b in real):
+            raise ValueError("the cosine pairing requires a critical-line table (all beta = 1/2)")
+        V = math.lcm(*(w.denominator for w in term.weights))
+        P = [(p.numerator * (M // p.denominator), w.numerator * (V // w.denominator) * M)
+             for p, w in zip(term.poles, term.weights)]
+        PW = []
+        for b in B:  # (a^2, A, W, A 2^F), A = V M Sum w a, W = V M Sum w, per a^2
+            g = {}
+            for p, w in P:
+                a = b - p
+                g[a * a] = [u + v for u, v in zip(g.get(a * a, (0, 0)), (w * a, w))]
+            PW.append([(aa, A, W, A << F) for aa, (A, W) in g.items()])
+    if term.x is None:
+        def f(n: int, N: int, NN: int, ks) -> None:
+            for k in ks:
+                for aa, _, _, A in PW[k]:
+                    S[k] += A // (aa + NN)
+        return f, S, X, e, V
     if term.kind == "xrho":  # below 1, x^beta > x: extra bits keep 2^-F relative
         e = F + (math.ceil(1 / term.x).bit_length() if term.x < 1 else 0)
         with mpmath.workprec(e + 16):
             X = [to_fixed(mpmath.power(_to_mpf(term.x), _to_mpf(b))._mpf_, e) for b in real]
+    cos_sin = _phase(term.x, table, F)
 
-    def f(k: int, G: int, GG: int, E) -> int:
-        c, s = E[slot]
-        sG = s * G
-        acc = 0
-        for aa, A, S, _ in PW[k]:  # (c A + s gamma S) / (a^2 + gamma^2) at c + i s
-            acc += (c * A + sG * S) // (aa + GG)
-        return acc
-    return f, X, e
+    def f(n: int, N: int, NN: int, ks) -> None:
+        c, s = cos_sin(n)
+        sN = s * N
+        for k in ks:
+            for aa, A, W, _ in PW[k]:  # (c A + s N W) / (a^2 + N^2) at c + i s
+                S[k] += (c * A + sN * W) // (aa + NN)
+    return f, S, X, e, V
 
 
 def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
@@ -418,15 +415,18 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
     """Paired sum over the selected pairs of 2 Re term(rho), each
     off-line entry adding its reflection 1 - rho-bar, in one pass.
 
-    Each pair is evaluated once in integer fixed point at bits + guard
-    bits (exact ordinates, cos and sin of the phase within 1.32 units, see
-    _phase) and summed exactly per term and real part; x^beta multiplies
-    each real part's sum once at each cut.  So before the final rounding
-    the error is below 2^-bits times the sum of each pair's size with its
-    phase factor taken as 1, and the prefix sum at each k in cuts is
-    bit-identical to a call with K = k.  term is one Term or a sequence of
-    Terms summed together.  Returns (values, pairs): values mirrors term,
-    each entry an HReal, or with cuts a tuple with one per cut.
+    The unit M = lcm(scale, the denominators of the real parts and of
+    every pole) makes N = gamma M, a = (beta - p) M and a^2 + N^2 exact
+    integers, so a pair is off only by the phase's cos and sin, within
+    1.32 units of 2^-F at F = bits + guard bits (see _phase), and by a
+    floor, under one unit of 2^-F, per division and Horner step; no value
+    depends on M.  Each term is summed exactly per real part, and x^beta
+    multiplies each real part's sum once at each cut.  Before the final
+    rounding the error is below 2^-bits times the sum of each pair's size
+    with its phase factor taken as 1, and the prefix sum at each k in
+    cuts is bit-identical to a call with K = k.  term is one Term or a
+    sequence of Terms summed together.  Returns (values, pairs): values
+    mirrors term, each an HReal, or with cuts a tuple with one per cut.
     """
     count = len(spec.select(table))
     if count == 0:
@@ -438,22 +438,21 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
     terms = (term,) if single else tuple(term)
     F = ctx.bits + _GUARD + len(table).bit_length()
     real, parts = table._parts
-    xs = list(dict.fromkeys(t.x for t in terms if t.x))
-    phases = [_phase(x, table, F) for x in xs]
-    bound = [_bind(t, real, F, t.x and xs.index(t.x)) for t in terms]
-    walk = [(f, [0] * len(real)) for f, _, _ in bound]   # per term, per real part
-    nums, D = table.ordinates, table.scale
+    M = math.lcm(table.scale, *(q.denominator for q in real),
+                 *(p.denominator for t in terms for p in t.poles))
+    U = M // table.scale
+    bound = [_bind(t, table, M, F) for t in terms]
+    fs = [f for f, *_ in bound]
     at, start = {}, 0
     for stop in sorted(set(stops)):  # the segments between cuts
-        for n, ks in zip(nums[start:stop], parts[start:stop]):
-            G = (n << F) // D
-            GG = G * G
-            E = phases and [cos_sin(n) for cos_sin in phases]
-            for k in ks:
-                for f, A in walk:
-                    A[k] += f(k, G, GG, E)
-        at[stop] = [ctx.real(mpmath.make_mpf(from_man_exp(2 * sum(map(mul, X, A)), -F - e)))
-                    for (_, X, e), (_, A) in zip(bound, walk)]
+        for n, ks in zip(table.ordinates[start:stop], parts[start:stop]):
+            N = n * U
+            NN = N * N
+            for f in fs:
+                f(n, N, NN, ks)
+        at[stop] = [ctx.real(mpmath.make_mpf(from_rational(
+            2 * sum(map(mul, X, S)), V << F + e, ctx.bits, round_nearest)))
+            for _, S, X, e, V in bound]
         start = stop
     out = [at[count][j] if cuts is None else tuple(at[k][j] for k in stops)
            for j in range(len(terms))]

@@ -154,7 +154,7 @@ def test_table_refusal_names_the_first_bad_row():
     (lambda: xrho_term(Fraction(-1, 2), (0,), (1,)), "x^rho needs x > 0, got -1/2"),
     (lambda: xrho_term(2, (0, 1), (1,)), "need one weight per pole"),
     (lambda: xrho_term(2, (), ()), "at least one pole"),
-    (lambda: cosine_term(Fraction(1, 2)), "cosine_sum requires x >= 1, got 1/2"),
+    (lambda: cosine_term(Fraction(1, 2)), "the cosine pairing requires x >= 1, got 1/2"),
     (lambda: inv_rho_poly_term(()), "empty polynomial"),
 ])
 def test_term_constructors_refuse_bad_input(build, message):
@@ -319,12 +319,18 @@ def test_cosine_sum_requires_critical_line(ctx):
 
 
 def test_li_lambda_direct_collapses_at_one(ctx, fixture100):
-    spec = SumSpec(K=25)
-    direct = lambda_direct(1, fixture100, spec, ctx)[0]
-    via_inv, _ = sum_inv_rho(fixture100, spec, ctx)
-    assert direct.val == via_inv.val
+    # The polynomial route and the x = 1 route take one unit and floor the
+    # same rational, on the three reference tables at 64, 192 and 1024 bits.
+    for name, build in TABLES.items():
+        table = build(PrecisionContext(bits=192))
+        spec = SumSpec(K=len(table))
+        for bits in (64, 192, 1024):
+            wide = PrecisionContext(bits=bits)
+            direct = lambda_direct(1, table, spec, wide)[0]
+            via_inv, _ = sum_inv_rho(table, spec, wide)
+            assert direct.val == via_inv.val, (name, bits)
     with pytest.raises(ValueError):
-        lambda_direct(0, fixture100, spec, ctx)
+        lambda_direct(0, fixture100, SumSpec(K=25), ctx)
 
 
 OFFLINE_CSV = "beta,gamma\n0.75,7\n"
@@ -375,6 +381,9 @@ TERMS = {
     "S_poles_0_1": xrho_term(Fraction(4), (0, 1), (1, -1)),
     "shifted": xrho_term(Fraction(3, 2), (Fraction(1, 3),), (1,)),
     "pf_kernel": xrho_term(Fraction(7, 3), (0, Fraction(1, 2)), (-2, 2)),
+    # poles off the table's unit and weights in fifths: M != scale, V = 5
+    "unit_weights": xrho_term(Fraction(5, 3), (Fraction(-1, 7), Fraction(2, 3)),
+                              (Fraction(3, 5), Fraction(-3, 5))),
     "inv_rho": INV_RHO,
     "cosine": cosine_term(Fraction(4)),
     "lambda_3": inv_rho_poly_term((0, 3, -3, 1)),
