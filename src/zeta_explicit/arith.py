@@ -300,31 +300,36 @@ def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
     """x^alpha primed_sum(y, s) at bits + 32, in the two forms of the
     explicit formulas: y = x, s = alpha for x > 1 (the psi0 form) and
     y = 1/x, s = 1 - alpha for 0 < x < 1 (the T form).  Callers check the
-    domain (x > 0, x != 1)."""
+    domain with require_side."""
     x, alpha = Fraction(x), Fraction(alpha)
     y, s = (x, alpha) if x > 1 else (1 / x, 1 - alpha)
     with ctx.workprec(_GUARD):
         return _to_mpf(x) ** _to_mpf(alpha) * mpf(primed_sum(y, s, ctx, chi))
 
 
+def require_side(fn: str, x, above: bool):
+    """x, refused unless x > 1 (above) or 0 < x < 1: the one side-of-1
+    rule, each closed form and prime sum naming itself as fn."""
+    if not (Fraction(x) > 1 if above else 0 < Fraction(x) < 1):
+        raise ValueError(f"{fn} requires {'x > 1' if above else '0 < x < 1'}, got {x}")
+    return x
+
+
 def psi0(x: Fraction, ctx: PrecisionContext) -> HReal:
     """Sum'_{n<=x} Lambda(n) for x > 1."""
-    if Fraction(x) <= 1:
-        raise ValueError(f"psi0 requires x > 1, got {x}")
+    require_side("psi0", x, True)
     return HReal(weighted_sum(x, Fraction(0), ctx), ctx)
 
 
 def psi0_alpha(x: Fraction, alpha: Fraction, ctx: PrecisionContext) -> HReal:
     """x^alpha Sum'_{n<=x} Lambda(n)/n^alpha for x > 1."""
-    if Fraction(x) <= 1:
-        raise ValueError(f"psi0_alpha requires x > 1, got {x}")
+    require_side("psi0_alpha", x, True)
     return HReal(weighted_sum(x, alpha, ctx), ctx)
 
 
 def T_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext) -> HReal:
     """x^alpha Sum'_{n<=1/x} Lambda(n)/n^(1-alpha) for 0 < x < 1."""
-    if not 0 < Fraction(x) < 1:
-        raise ValueError(f"T_sum requires 0 < x < 1, got {x}")
+    require_side("T_sum", x, False)
     return HReal(weighted_sum(x, alpha, ctx), ctx)
 
 
@@ -415,10 +420,9 @@ def reduced_form_count(D: int) -> int:
 
 @lru_cache(maxsize=1)
 def class_data(d: int) -> ImaginaryQuadraticData:
-    """Full ImaginaryQuadraticData for squarefree d, the last d's kept."""
-    if not is_squarefree(d):
-        raise ValueError(f"d = {d} is not squarefree")
-    D = discriminant_of(d)
+    """Full ImaginaryQuadraticData for squarefree d, the last d's kept;
+    kronecker_chi refuses any other d, and its table's length is D."""
+    chi = kronecker_chi(d)
+    D = len(chi)
     w = 6 if D == 3 else (4 if D == 4 else 2)
-    h = reduced_form_count(D)
-    return ImaginaryQuadraticData(d=d, D=D, h=h, w=w, chi=kronecker_chi(d))
+    return ImaginaryQuadraticData(d=d, D=D, h=reduced_form_count(D), w=w, chi=chi)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -263,9 +264,13 @@ def _cmd_li(args, ctx: PrecisionContext) -> dict:
 
 def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
     from . import liconst
+    eps = args.eps   # refused before any summation, then held against each bound
+    if eps is not None and not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite number > 0, got eps = {eps!r}")
     if args.table:
-        consts = liconst.build_stieltjes_table(args.n, ctx, args.eps)
-        return {
+        consts = liconst.build_stieltjes_table(args.n, ctx)
+        gammas = consts.gammas
+        payload = {
             "command": "stieltjes",
             "order": consts.order,
             "gammas": [v.str_digits(30) for v, _ in consts.gammas],
@@ -275,10 +280,16 @@ def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
             "S1": [s.str_digits(30) for s in consts.S1],
             "S2": [s.str_digits(30) for s in consts.S2],
         }
-    value, bound = liconst.stieltjes(args.n, ctx, args.eps)
-    return {"command": "stieltjes", "n": args.n,
-            "gamma_n": value.str_digits(args.digits),
-            "bound": bound.str_digits(5)}
+    else:
+        gammas = [liconst.stieltjes(args.n, ctx)]
+        payload = {"command": "stieltjes", "n": args.n,
+                   "gamma_n": gammas[0][0].str_digits(args.digits),
+                   "bound": gammas[0][1].str_digits(5)}
+    over = [b for _, b in gammas if eps is not None and b.val > eps]
+    if over:
+        raise ArithmeticError(f"certified bound {over[0].str_digits(5)} exceeds target "
+                              f"{eps}; raise the working precision")
+    return payload
 
 
 def _cmd_rh_check(args, ctx: PrecisionContext) -> dict:
@@ -391,23 +402,20 @@ def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True,
                           ensure_ascii=False) + "\n"
-    if fmt == "csv":
+    if fmt == "csv":   # one row per record when there are records, else one row
+        import csv
+        import io
         records = payload.get("records")
         if isinstance(records, list) and records and isinstance(records[0], dict):
-            shared = [(k, v) for k, v in payload.items() if k != "records"]
-            rows = []
-            header = None
-            for rec in records:
-                pairs = _flatten(dict(shared)) + _flatten(rec)
-                if header is None:
-                    header = [k for k, _ in pairs]
-                rows.append([v for _, v in pairs])
-            lines = [",".join(header)]
-            lines += [",".join(row) for row in rows]
-            return "\n".join(lines) + "\n"
-        pairs = _flatten(payload)
-        return (",".join(k for k, _ in pairs) + "\n"
-                + ",".join(v for _, v in pairs) + "\n")
+            shared = _flatten({k: v for k, v in payload.items() if k != "records"})
+            rows = [shared + _flatten(rec) for rec in records]
+        else:
+            rows = [_flatten(payload)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([k for k, _ in rows[0]])
+        writer.writerows([v for _, v in row] for row in rows)
+        return out.getvalue()
     # human
     pairs = _flatten(payload)
     width = max(len(k) for k, _ in pairs)

@@ -24,7 +24,8 @@ sums through verify_identity):
             m_F (x + log x) + gamma_F in place of the polar term.
     selberg_rhs_gt1/lt1 are this form.  general_rhs_gt1/lt1, the kernels
     (A/B)(rho) = Sum_i lam_i/(rho - alpha_i) with their zeta'/zeta
-    terms, are Sum_i lam_i times it for F = zeta.
+    terms, are Sum_i lam_i times it for F = zeta; _kernel_form sums
+    it over the poles for both.  x alone picks the side of 1.
   The paper's f(x) = Sum_rho x^rho/rho is f_fixed = g + K in units of
     2^-W, W = walk_width, which f_rhs_gt1/lt1 round once (zeta's form at
     alpha = 0, less log 2pi above 1), within g's 2 units plus K's count:
@@ -65,7 +66,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import mpmath
 from mpmath import libmp, mpf
 
-from .arith import primed_sum, walk_width, weighted_sum
+from .arith import primed_sum, require_side, walk_width, weighted_sum
 from .mpcore import (
     _GUARD,
     HReal,
@@ -267,9 +268,7 @@ def f_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted Sum_rho x^rho/rho for rational x > 1, f = g - psi0 - log 2pi
     (psi0 half-corrected at prime powers): f_fixed, within g's 2 units of
     2^-W plus K's count (f_const), rounded once."""
-    x = Fraction(x)
-    if x <= 1:
-        raise ValueError(f"f_rhs_gt1 requires x > 1, got {x}")
+    x = require_side("f_rhs_gt1", Fraction(x), True)
     return ctx.real((f_fixed(x, ctx), -walk_width(ctx)))
 
 
@@ -278,19 +277,15 @@ def f_rhs_lt1(x: Rational, ctx: PrecisionContext) -> HReal:
     Sum'_{n<=1/x} Lambda(n)/n (T_sum at alpha = 0, halved at a prime power
     1/x): f_fixed, within g's 2 units of 2^-W plus K's 1 + Sum (1/n + 1),
     rounded once."""
-    x = Fraction(x)
-    if not (0 < x < 1):
-        raise ValueError(f"f_rhs_lt1 requires 0 < x < 1, got {x}")
+    x = require_side("f_rhs_lt1", Fraction(x), False)
     return ctx.real((f_fixed(x, ctx), -walk_width(ctx)))
 
 
-def _f_reflected(x: Rational, ctx: PrecisionContext, name: str) -> mpf:
-    """Sum_rho x^rho/(rho(1-rho)) = f(x) + x f(1/x), rational x > 1, as the
-    unrounded f_fixed(x) + floor(x f_fixed(1/x)) 2^-W, W = walk_width(ctx),
-    within f(x)'s count, x times f(1/x)'s, and 1 (endpoint halved in both)."""
-    x = Fraction(x)
-    if x <= 1:
-        raise ValueError(f"{name} requires x > 1, got {x}")
+def _f_reflected(x: Fraction, ctx: PrecisionContext) -> mpf:
+    """Sum_rho x^rho/(rho(1-rho)) = f(x) + x f(1/x), rational x > 1 (callers
+    check), as the unrounded f_fixed(x) + floor(x f_fixed(1/x)) 2^-W, W =
+    walk_width(ctx), within f(x)'s count, x times f(1/x)'s, and 1 (endpoint
+    halved in both)."""
     v = f_fixed(x, ctx) + x.numerator * f_fixed(1 / x, ctx) // x.denominator
     return mpmath.make_mpf(libmp.from_man_exp(v, -walk_width(ctx)))
 
@@ -298,17 +293,17 @@ def _f_reflected(x: Rational, ctx: PrecisionContext, name: str) -> mpf:
 def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted critical-line cosine sum Sum_{nu>0} 2cos(nu log x)/(1/4+nu^2)
     for rational x > 1: (f(x) + x f(1/x))/sqrt(x)."""
-    s = _f_reflected(x, ctx, "cosine_rhs")
+    x = require_side("cosine_rhs", Fraction(x), True)
     with ctx.workprec(_GUARD):
-        return ctx.real(s / mpmath.sqrt(_to_mpf(Fraction(x))))
+        return ctx.real(_f_reflected(x, ctx) / mpmath.sqrt(_to_mpf(x)))
 
 
 def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted S(x) = Sum_rho x^rho/(rho(1-rho)) - gamma x + log 2pi
     for rational x > 1: f(x) + x f(1/x) - gamma x + log 2pi."""
-    s = _f_reflected(x, ctx, "S_rhs_gt1")
+    x = require_side("S_rhs_gt1", Fraction(x), True)
     with ctx.workprec(_GUARD):
-        return ctx.real(s - mpmath.euler * _to_mpf(Fraction(x)) + ctx.log_2pi)
+        return ctx.real(_f_reflected(x, ctx) - mpmath.euler * _to_mpf(x) + ctx.log_2pi)
 
 
 # ----------------------------------------------------------------------
@@ -451,8 +446,7 @@ def selberg_psi0(x: Rational, alpha: Rational, F: SelbergDescriptor,
     """psi0(x, F, alpha) = x^alpha Sum_{n<x} Lambda_F(n)/n^alpha plus the
     unweighted Lambda_F(x)/2 when x is a prime power: the plain
     psi0_alpha sum with F's character."""
-    if Fraction(x) <= 1:
-        raise ValueError(f"selberg_psi0 requires x > 1, got {x}")
+    require_side("selberg_psi0", x, True)
     return HReal(weighted_sum(x, alpha, ctx, F.chi), ctx)
 
 
@@ -461,19 +455,19 @@ def selberg_T(x: Rational, alpha: Rational, F: SelbergDescriptor,
     """T(x, F, alpha) = x^alpha Sum_{n<1/x} Lambda_F(n)/n^(1-alpha) plus
     (x/2) Lambda_F(1/x) when 1/x is a prime power: the plain T_sum with
     F's character."""
-    if not 0 < Fraction(x) < 1:
-        raise ValueError(f"selberg_T requires 0 < x < 1, got {x}")
+    require_side("selberg_T", x, False)
     return HReal(weighted_sum(x, alpha, ctx, F.chi), ctx)
 
 
 def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
-                     ctx: PrecisionContext, gt1: bool) -> mpf:
+                     ctx: PrecisionContext) -> mpf:
     """The descriptor form of the module docstring at bits + 32: for
-    x > 1 (gt1) the predicted Sum_rho x^rho/(rho-alpha) + x^alpha (F'/F)(alpha),
+    x > 1 the predicted Sum_rho x^rho/(rho-alpha) + x^alpha (F'/F)(alpha),
     for 0 < x < 1 Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha), or
     Sum_rho x^rho/rho at alpha = 0.  Refuses alpha on the polar term or
     on a trivial zero, u_j an integer <= 0, except u_j = mu_j = 0 above 1,
     whose n = 0 term pairs with the polar term."""
+    gt1 = x > 1
     if alpha == 1 and (gt1 or F.m_F):
         raise ValueError("alpha = 1 sits on the polar term")
     # m_F less the gt1 n = 0 terms 1/alpha: the coefficient of -1/alpha
@@ -511,6 +505,16 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
         return acc
 
 
+def _kernel_form(x: Fraction, poles: Sequence[Fraction], weights: Sequence[Rational],
+                 F: SelbergDescriptor, ctx: PrecisionContext) -> HReal:
+    """Sum_i weights[i] times the descriptor form of F at poles[i], rounded
+    once: the one assembly of every selberg_rhs_* (one pole, weight 1, the
+    form itself: 0 + 1 v is exact) and general_rhs_* (F = zeta)."""
+    forms = [_descriptor_form(x, a, F, ctx) for a in poles]
+    with ctx.workprec(_GUARD):
+        return ctx.real(sum((_to_mpf(w) * v for w, v in zip(weights, forms)), mpf(0)))
+
+
 def selberg_rhs_gt1(x: Rational, alpha: Rational, F: SelbergDescriptor,
                     ctx: PrecisionContext) -> HReal:
     """Predicted value of x^alpha (F'/F)(alpha) + Sum_rho x^rho/(rho-alpha)
@@ -518,12 +522,10 @@ def selberg_rhs_gt1(x: Rational, alpha: Rational, F: SelbergDescriptor,
     sum runs over the non-trivial zeros of F itself.  alpha = 0 is
     refused when m_F > 0: for zeta that case is the von-mangoldt
     identity (f + log 2pi, which general_rhs_gt1 gives)."""
-    x, alpha = Fraction(x), Fraction(alpha)
-    if x <= 1:
-        raise ValueError(f"selberg_rhs_gt1 requires x > 1, got {x}")
+    x, alpha = require_side("selberg_rhs_gt1", Fraction(x), True), Fraction(alpha)
     if F.m_F > 0 and alpha == 0:
         raise ValueError("alpha = 0 is excluded when m_F > 0")
-    return ctx.real(_descriptor_form(x, alpha, F, ctx, True))
+    return _kernel_form(x, (alpha,), (1,), F, ctx)
 
 
 def selberg_rhs_lt1(x: Rational, alpha: Union[Rational, str],
@@ -536,25 +538,14 @@ def selberg_rhs_lt1(x: Rational, alpha: Union[Rational, str],
     Both carry the sign corrections stated in the module docstring and
     reduce exactly to f_rhs_lt1 / general_rhs_lt1 for zeta.
     """
-    x = Fraction(x)
-    if not (0 < x < 1):
-        raise ValueError(f"selberg_rhs_lt1 requires 0 < x < 1, got {x}")
+    x = require_side("selberg_rhs_lt1", Fraction(x), False)
     alpha = Fraction(0) if alpha == "zero" else Fraction(alpha)
-    return ctx.real(_descriptor_form(x, alpha, F, ctx, False))
+    return _kernel_form(x, (alpha,), (1,), F, ctx)
 
 
 # ----------------------------------------------------------------------
 # Rational kernels: Sum_i lam_i times the zeta descriptor form
 # ----------------------------------------------------------------------
-
-def _kernel_form(x: Fraction, pf: RationalFunctionPF, ctx: PrecisionContext,
-                 gt1: bool) -> HReal:
-    zeta = descriptor_zeta()
-    forms = [_descriptor_form(x, a, zeta, ctx, gt1) for a in pf.roots]
-    with ctx.workprec(_GUARD):
-        acc = sum((_to_mpf(lam) * v for lam, v in zip(pf.residues, forms)), mpf(0))
-    return ctx.real(acc)
-
 
 def general_rhs_gt1(x: Rational, pf: RationalFunctionPF,
                     ctx: PrecisionContext) -> HReal:
@@ -565,10 +556,8 @@ def general_rhs_gt1(x: Rational, pf: RationalFunctionPF,
     for rational x > 1, every alpha_i in Q outside {1, -2, -4, ...}:
     Sum_i lam_i times the zeta descriptor form at alpha_i, which is
     finite at alpha_i = 0 (f + log 2pi there)."""
-    x = Fraction(x)
-    if x <= 1:
-        raise ValueError(f"general_rhs_gt1 requires x > 1, got {x}")
-    return _kernel_form(x, pf, ctx, True)
+    x = require_side("general_rhs_gt1", Fraction(x), True)
+    return _kernel_form(x, pf.roots, pf.residues, descriptor_zeta(), ctx)
 
 
 def general_rhs_lt1(x: Rational, pf: RationalFunctionPF,
@@ -580,12 +569,10 @@ def general_rhs_lt1(x: Rational, pf: RationalFunctionPF,
     for rational 0 < x < 1, every alpha_i in Q outside {0, 1, 3, 5, ...}:
     Sum_i lam_i times the zeta descriptor form at alpha_i.  A pole at 0
     is refused: there the f-type identity (ingham) applies."""
-    x = Fraction(x)
-    if not (0 < x < 1):
-        raise ValueError(f"general_rhs_lt1 requires 0 < x < 1, got {x}")
+    x = require_side("general_rhs_lt1", Fraction(x), False)
     if 0 in pf.roots:
         raise ValueError("alpha = 0 is excluded (1/alpha term)")
-    return _kernel_form(x, pf, ctx, False)
+    return _kernel_form(x, pf.roots, pf.residues, descriptor_zeta(), ctx)
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +639,7 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
         rhs = cosine_rhs(x, ctx)
     elif identity == "s":
         term = xrho_term(x, (0, 1), (1, -1))
-        rhs = ctx.real(_f_reflected(x, ctx, "the s identity"))
+        rhs = ctx.real(_f_reflected(require_side("the s identity", x, True), ctx))
     else:  # Sum_i w_i x^rho/(rho - alpha_i) against the descriptor form of F
         gt1 = identity.endswith("gt1")
         if identity.startswith("general"):

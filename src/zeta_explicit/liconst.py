@@ -41,7 +41,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-import mpmath
 from mpmath import mpf
 
 from .mpcore import (
@@ -56,26 +55,12 @@ from .zeros import (SumSpec, ZeroTable, density_tail, inv_abs_sq_term,
                     inv_rho_poly_term, xrho_term, zero_sum)
 
 
-def _refuse_eps(eps: Optional[float]) -> None:
-    """Refuse, before any summation, an eps that is not finite and > 0."""
-    if eps is not None and not 0 < eps < math.inf:
-        raise ValueError(f"eps must be a finite number > 0, got eps = {eps!r}")
-
-
-def _check_eps(bound: HReal, eps: Optional[float]) -> None:
-    if eps is not None and bound.val > eps:
-        raise ArithmeticError(
-            f"certified bound {mpmath.nstr(bound.val, 5)} exceeds target {eps}; "
-            f"raise the working precision")
-
-
-def stieltjes_shifted(n: int, a: Union[Fraction, int], ctx: PrecisionContext,
-                      eps: Optional[float] = None) -> tuple[HReal, HReal]:
+def stieltjes_shifted(n: int, a: Union[Fraction, int],
+                      ctx: PrecisionContext) -> tuple[HReal, HReal]:
     """gamma_n(a) for n >= 0 and rational a > 0, with a certified error
     bound (Euler-Maclaurin remainder plus rounding slop).
 
-    Raises ValueError for an eps not finite and > 0; ArithmeticError when
-    the certified bound exceeds eps or the Euler-Maclaurin plan its budget.
+    Raises ArithmeticError when the Euler-Maclaurin plan exceeds its budget.
     gamma_0(a) = -Gamma'(a)/Gamma(a); the a-shifted orders serve Dirichlet L
     values and derivatives at s = 1.
     """
@@ -84,18 +69,14 @@ def stieltjes_shifted(n: int, a: Union[Fraction, int], ctx: PrecisionContext,
     a = Fraction(a)
     if a <= 0:
         raise ValueError(f"shift a must be positive, got {a}")
-    _refuse_eps(eps)
-    value, bound = em_log_moments(1, a, n, ctx)[n]
-    _check_eps(bound, eps)
-    return value, bound
+    return em_log_moments(1, a, n, ctx)[n]
 
 
-def stieltjes(n: int, ctx: PrecisionContext,
-              eps: Optional[float] = None) -> tuple[HReal, HReal]:
-    """gamma_n with certified error <= eps (when given), by
-    Euler-Maclaurin acceleration of the defining limit
+def stieltjes(n: int, ctx: PrecisionContext) -> tuple[HReal, HReal]:
+    """gamma_n with a certified error bound, by Euler-Maclaurin
+    acceleration of the defining limit
     Sum_{k<=m} log^n(k)/k - log^(n+1)(m)/(n+1)."""
-    return stieltjes_shifted(n, Fraction(1), ctx, eps)
+    return stieltjes_shifted(n, Fraction(1), ctx)
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +152,7 @@ def li_lambda_identity(n: int, table: StieltjesTable,
     return table.lam(n)
 
 
-def build_stieltjes_table(N: int, ctx: PrecisionContext,
-                          eps: Optional[float] = None) -> StieltjesTable:
+def build_stieltjes_table(N: int, ctx: PrecisionContext) -> StieltjesTable:
     """gammas through N+1 from one Euler-Maclaurin pass, etas through N by
     eta_from_gamma, then S1(n), S2(n) and
     lambda_n = 1 - (n/2)(gamma_0 + log 4pi) + S1(n) + S2(n) for n = 1..N
@@ -184,7 +164,6 @@ def build_stieltjes_table(N: int, ctx: PrecisionContext,
     """
     if N < 1:
         raise ValueError(f"table order must be >= 1, got {N}")
-    _refuse_eps(eps)
     wide = PrecisionContext(ctx.bits + _GUARD + N)
     raw = em_log_moments(1, 1, N + 1, wide)
     with wide.workprec(_GUARD):
@@ -192,8 +171,6 @@ def build_stieltjes_table(N: int, ctx: PrecisionContext,
             (ctx.real(v.val),
              ctx.real(b.val + mpf(2) ** (1 - ctx.bits) * (abs(v.val) + 1)))
             for v, b in raw)
-        for _, bound in gammas:
-            _check_eps(bound, eps)
         etas = [e.val for e in eta_from_gamma([v for v, _ in raw], wide)]
         zeta_terms = [(-1) ** j * (1 - mpf(2) ** -j) * zeta_int(j, wide).val
                       for j in range(2, N + 1)]

@@ -4,6 +4,7 @@ conventions, output formats, exit statuses, and determinism."""
 import ast
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -416,6 +417,52 @@ def test_zero_tolerance_is_accepted_and_zero_eps_refused(capsys):
     code, _, err = run(capsys, "stieltjes", "--n", "1", "--eps=0")
     assert code == EXIT_DOMAIN
     assert "eps = 0.0" in err
+
+
+def test_stieltjes_eps_contract(capsys):
+    code, out, _ = run(capsys, "stieltjes", "--n", "2", "--eps", "1e-30", "--json")
+    assert code == EXIT_OK
+    assert float(json.loads(out)["bound"]) < 1e-30
+    code, out, err = run(capsys, "stieltjes", "--n", "2", "--eps", "1e-80")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "exceeds target" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("summation ran before the input check")
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_bad_eps_refused_before_summation(capsys, monkeypatch, eps):
+    monkeypatch.setattr(liconst, "em_log_moments", _refuse)
+    for argv in (["--n", "1"], ["--n", "3", "--table"]):
+        code, out, err = run(capsys, "stieltjes", *argv, f"--eps={eps!r}")
+        assert code == EXIT_DOMAIN and out == ""
+        assert f"eps = {eps!r}" in err
+
+
+@pytest.mark.parametrize("argv", [["--n", "-1"], ["--n", "0", "--table"]])
+def test_eps_is_checked_before_the_order(capsys, argv):
+    # input bad in two ways reports the eps first; each alone is a domain error
+    code, _, err = run(capsys, "stieltjes", *argv, "--eps=nan")
+    assert code == EXIT_DOMAIN and "eps = nan" in err
+    code, _, err = run(capsys, "stieltjes", *argv)
+    assert code == EXIT_DOMAIN and "eps" not in err
+
+
+@pytest.mark.parametrize("name", ["a,b.txt", 'a"b.txt'])
+def test_csv_quotes_fields_that_hold_a_comma_or_quote(capsys, tmp_path, name):
+    import csv
+    path = tmp_path / name
+    path.write_text("".join(f"{t}\n" for t in (14.134725141734694, 21.022039638771555,
+                                                25.010857580145688, 30.424876125859513,
+                                                32.935061587739189)))
+    code, out, _ = run(capsys, "rh-check", "--zeros", str(path), "--K", "5", "--csv")
+    assert code == EXIT_OK
+    header, row = csv.reader(out.splitlines())
+    assert len(header) == len(row) == 10
+    assert dict(zip(header, row))["zeros"] == str(path)
+    assert '"' + str(path).replace('"', '""') + '"' in out   # quoted as RFC 4180 asks
 
 
 def test_descriptor_names_are_the_benchmark_names():

@@ -1,9 +1,11 @@
 """Closed-form right-hand sides, the auxiliary series f_u, rational
 kernels, and the descriptor layer that generalizes both."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 from mpmath import mpc, mpf
@@ -781,3 +783,66 @@ def test_records_compare_by_value(ctx, fixture100):
         if not isinstance(a, EvalReport):   # its trend field is a dict
             assert hash(a) == hash(b)
     assert SumSpec(K=10) != SumSpec(T=10) and report() != report()._replace(x=F(3))
+
+
+# ----------------------------------------------------------------------
+# The one side-of-1 rule
+# ----------------------------------------------------------------------
+
+_PF, _ZETA = partial_fractions([F(1)], [F(1, 2)]), descriptor_zeta()
+SIDED = [   # (the name each refusal carries, whether it needs x > 1, the call at x)
+    ("psi0", True, lambda x, ctx, t: psi0(x, ctx)),
+    ("psi0_alpha", True, lambda x, ctx, t: psi0_alpha(x, F(1, 3), ctx)),
+    ("T_sum", False, lambda x, ctx, t: T_sum(x, F(1, 3), ctx)),
+    ("f_rhs_gt1", True, lambda x, ctx, t: f_rhs_gt1(x, ctx)),
+    ("f_rhs_lt1", False, lambda x, ctx, t: f_rhs_lt1(x, ctx)),
+    ("selberg_psi0", True, lambda x, ctx, t: selberg_psi0(x, F(1, 2), _ZETA, ctx)),
+    ("selberg_T", False, lambda x, ctx, t: selberg_T(x, F(1, 2), _ZETA, ctx)),
+    ("selberg_rhs_gt1", True, lambda x, ctx, t: selberg_rhs_gt1(x, F(1, 2), _ZETA, ctx)),
+    ("selberg_rhs_lt1", False, lambda x, ctx, t: selberg_rhs_lt1(x, F(1, 2), _ZETA, ctx)),
+    ("general_rhs_gt1", True, lambda x, ctx, t: general_rhs_gt1(x, _PF, ctx)),
+    ("general_rhs_lt1", False, lambda x, ctx, t: general_rhs_lt1(x, _PF, ctx)),
+    ("cosine_rhs", True, lambda x, ctx, t: cosine_rhs(x, ctx)),
+    ("S_rhs_gt1", True, lambda x, ctx, t: S_rhs_gt1(x, ctx)),
+    ("the s identity", True, lambda x, ctx, t: verify_identity("s", x, t, SumSpec(K=10), ctx)),
+]
+
+
+@pytest.mark.parametrize("name,above,call", SIDED, ids=[n for n, _, _ in SIDED])
+def test_each_side_of_one_entry_refuses_the_other_side(ctx, fixture100, name, above, call):
+    side = "x > 1" if above else "0 < x < 1"
+    for x in (F(1), F(1, 2)) if above else (F(1), F(2), F(-1, 2)):
+        with pytest.raises(ValueError) as refused:
+            call(x, ctx, fixture100)
+        assert str(refused.value) == f"{name} requires {side}, got {x}"
+
+
+def test_one_owner_of_the_side_rule():
+    # x decides the side: no function takes a gt1 flag, none in arith or
+    # explicit a name to word a refusal with, and one function words it
+    class Owners(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.stack = module, []
+
+        def visit_FunctionDef(self, node):
+            params = {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+            if "gt1" in params or ("name" in params and self.module in ("arith", "explicit")):
+                flags.append(f"{self.module}.{node.name}")
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_JoinedStr(self, node):
+            text = ast.unparse(node)
+            if "requires" in text and ("x > 1" in text or "0 < x < 1" in text):
+                owners.add(f"{self.module}.{'.'.join(self.stack)}")
+
+        def visit_Constant(self, node):
+            if isinstance(node.value, str):
+                self.visit_JoinedStr(node)
+
+    flags, owners = [], set()
+    for path in sorted(Path(explicit.__file__).parent.glob("*.py")):
+        Owners(path.stem).visit(ast.parse(path.read_text(), str(path)))
+    assert not flags
+    assert owners == {"arith.require_side"}
