@@ -9,26 +9,23 @@ sums through verify_identity):
 
   The descriptor form at (alpha, F), _descriptor_form:
     x > 1:  Sum_rho x^rho/(rho-alpha) + x^alpha (F'/F)(alpha)
-              = m_F x/(1-alpha) - psi0(x, F, alpha) + (n_0 - m_F)/alpha
-                + Sum_j lambda_j x^(-mu_j/lambda_j) Sum'_{n>=0} z_j^n/(n+u_j)
-            with z_j = x^(-1/lambda_j), u_j = mu_j + alpha lambda_j and
-            n_0 = #{j : mu_j = 0}.  The primed sum leaves out n = 0 when
-            mu_j = 0: that term is 1/alpha, paired with the polar term
-            -m_F/alpha, so the form is finite at alpha = 0 exactly when
-            n_0 = m_F (zeta).
-    0<x<1:  Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha)
-              = T(x, F, alpha) + m_F (x/(1-alpha) - 1/alpha)
-                - Sum_j lambda_j x^(1+mu_j/lambda_j) Sum_{n>=0} z_j^n/(n+u_j)
-            with z_j = x^(1/lambda_j), u_j = mu_j + (1-alpha) lambda_j; at
-            alpha = 0 it predicts Sum_rho x^rho/rho, with
-            m_F (x + log x) + gamma_F in place of the polar term.
-    selberg_rhs_gt1/lt1 are this form.  general_rhs_gt1/lt1, the kernels
-    (A/B)(rho) = Sum_i lam_i/(rho - alpha_i) with their zeta'/zeta
-    terms, are Sum_i lam_i times it for F = zeta; _kernel_form sums
-    it over the poles for both.  x alone picks the side of 1.
+              = m_F (x/(1-alpha) - 1/alpha) - psi0(x, F, alpha)
+                + Sum_j lambda_j x^(-mu_j/lambda_j) (f_{u_j}(x^(-1/lambda_j)) + 1/u_j)
+            with u_j = mu_j + alpha lambda_j.
+    0<x<1:  rho -> 1 - rho maps the zeros of each descriptor here (a real
+            character, root number 1) onto themselves, so
+            Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha) is -x times
+            the x > 1 form at (1/x, 1-alpha); adding (F'/F)(1) = gamma_F
+            (m_F = 0) at alpha = 0 predicts Sum_rho x^rho/rho.
+    At alpha = 0 with m_F > 0 (zeta) the form is f, plus zeta'/zeta(0) =
+    log 2pi above 1.  selberg_rhs_gt1/lt1 are this form.
+    general_rhs_gt1/lt1, the kernels (A/B)(rho) = Sum_i lam_i/(rho -
+    alpha_i) with their zeta'/zeta terms, are Sum_i lam_i times it for F
+    = zeta; _kernel_form sums it over the poles for both.  x alone picks
+    the side of 1.
   The paper's f(x) = Sum_rho x^rho/rho is f_fixed = g + K in units of
-    2^-W, W = walk_width, which f_rhs_gt1/lt1 round once (zeta's form at
-    alpha = 0, less log 2pi above 1), within g's 2 units plus K's count:
+    2^-W, W = walk_width, which f_rhs_gt1/lt1 round once and zeta's
+    form at alpha = 0 reads, within g's 2 units plus K's count:
     x > 1:  g(x) = x - (1/2) log(1 - x^-2),  K = -psi0(x) - log 2pi
     0<x<1:  g(x) = log x + x - (1/2) log((1+x)/(1-x)),  K = T(x, 0) + gamma
     The finders and the scan walk K from f_const, the same K.
@@ -48,13 +45,6 @@ at bits + 32 too (_to_mpf), so every closed form rounds once, at its end.
 The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u), at real z in [0, 1)
 and rational u, is real fixed point (f_u_closed): the series itself, or
 Lerch's expansion about z = 1.
-
-Two corrections relative to the classical displays these formulas come
-from, both forced by requiring residuals against zero sums to vanish as
-the truncation grows (see tests):
-  * the x < 1 descriptor formula needs -m_F x/(1-alpha), not +;
-  * its alpha = 0 limit needs an additional -m_F x term.
-Both reduce exactly to the plain-zeta formulas above.
 """
 
 from __future__ import annotations
@@ -464,45 +454,40 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
     """The descriptor form of the module docstring at bits + 32: for
     x > 1 the predicted Sum_rho x^rho/(rho-alpha) + x^alpha (F'/F)(alpha),
     for 0 < x < 1 Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha), or
-    Sum_rho x^rho/rho at alpha = 0.  Refuses alpha on the polar term or
-    on a trivial zero, u_j an integer <= 0, except u_j = mu_j = 0 above 1,
-    whose n = 0 term pairs with the polar term."""
-    gt1 = x > 1
-    if alpha == 1 and (gt1 or F.m_F):
+    Sum_rho x^rho/rho at alpha = 0.  The Gamma factors enter only above 1,
+    at (y, beta) = (x, alpha), or (1/x, 1 - alpha) below 1.  Refuses alpha
+    = 1 when m_F > 0 (the polar term), and any u_j = mu_j + beta lambda_j
+    that is an integer <= 0 (a trivial zero; a pole at alpha = 0 above 1)."""
+    above = x > 1
+    if alpha == 1 and F.m_F:
         raise ValueError("alpha = 1 sits on the polar term")
-    # m_F less the gt1 n = 0 terms 1/alpha: the coefficient of -1/alpha
-    polar = F.m_F - (sum(1 for _, mu in F.gamma_factors if mu == 0) if gt1 else 0)
-    if gt1 and alpha == 0 and polar:
-        raise ValueError("alpha = 0 is a pole: the polar term and the "
-                         "trivial zeros at 0 do not cancel")
-    prime = (selberg_psi0 if gt1 else selberg_T)(x, alpha, F, ctx).val
-    with ctx.workprec(_GUARD):
-        xv = _to_mpf(x)
-        acc = -prime if gt1 else prime
-        if not gt1 and alpha == 0:
-            acc += F.m_F * (xv + mpmath.log(xv)) + F.gamma_F(ctx)
-        else:
-            if F.m_F:
-                acc += F.m_F * xv / _to_mpf(1 - alpha)
-            if polar:
-                acc -= polar / _to_mpf(alpha)
+    if alpha == 0 and F.m_F:   # f itself, and zeta'/zeta(0) = log 2pi above 1
+        with ctx.workprec(_GUARD):
+            f = mpf((f_fixed(x, ctx), -walk_width(ctx)))
+            return f + ctx.log_2pi if above else f
+    y, beta = (x, alpha) if above else (1 / x, 1 - alpha)
+    for lam, mu in F.gamma_factors:
+        if (u := mu + lam * beta).denominator == 1 and u <= 0:
+            raise ValueError("alpha = 0 is a pole: the polar term and the trivial "
+                             "zeros at 0 do not cancel" if above and alpha == 0 else
+                             f"alpha = {alpha} hits the trivial-zero chain "
+                             f"(lambda={lam}, mu={mu})")
+    prime = selberg_psi0(y, beta, F, ctx).val
+    spare = max(0, beta.denominator.bit_length() - abs(beta.numerator).bit_length())
+    with ctx.workprec(_GUARD + spare):   # -m_F/beta cancels zeta's n = 0 term 1/beta
+        yv = _to_mpf(y)
+        acc = -prime
+        if F.m_F:
+            acc += F.m_F * (yv / _to_mpf(1 - beta) - 1 / _to_mpf(beta))
         for lam, mu in F.gamma_factors:
-            u = mu + lam * (alpha if gt1 else 1 - alpha)
-            if u.denominator == 1 and u <= 0 and not (gt1 and u == mu == 0):
-                raise ValueError(f"alpha = {alpha} hits the trivial-zero chain "
-                                 f"(lambda={lam}, mu={mu})")
-            lamv, e = _to_mpf(lam), (-1 if gt1 else 1) / lam
-            z, zmu = (x ** int(t) if t.denominator == 1 else _to_mpf(x) ** _to_mpf(t)
-                      for t in (e, e * mu))   # x^e, x^(e mu): exact at lambda = 1/2
-            series = f_u_closed(u, z, ctx).val  # Sum_{n>=1} z^n/(n+u)
-            zmu = _to_mpf(zmu)
-            if gt1:
-                if mu != 0:
-                    series += 1 / _to_mpf(u)
-                acc += lamv * zmu * series
-            else:
-                acc -= lamv * xv * zmu * (series + 1 / _to_mpf(u))
-        return acc
+            u, e = mu + lam * beta, -1 / lam
+            z, zmu = (y ** int(t) if t.denominator == 1 else yv ** _to_mpf(t)
+                      for t in (e, e * mu))   # y^e, y^(e mu): exact at lambda = 1/2
+            acc += _to_mpf(lam) * _to_mpf(zmu) * (f_u_closed(u, z, ctx).val + 1 / _to_mpf(u))
+        if above:
+            return acc
+        acc *= -_to_mpf(x)
+        return acc + F.gamma_F(ctx) if alpha == 0 else acc
 
 
 def _kernel_form(x: Fraction, poles: Sequence[Fraction], weights: Sequence[Rational],
@@ -534,10 +519,9 @@ def selberg_rhs_lt1(x: Rational, alpha: Union[Rational, str],
     the conjugate-coefficient function's table (identical for the real
     -coefficient descriptors shipped here): the descriptor form (module
     docstring).  alpha = 0 (or "zero") predicts Sum_rho x^rho/rho, any
-    other alpha Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha).
-    Both carry the sign corrections stated in the module docstring and
-    reduce exactly to f_rhs_lt1 / general_rhs_lt1 for zeta.
-    """
+    other alpha Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha): -x
+    times the x > 1 form at (1/x, 1 - alpha), f_fixed itself for zeta at
+    alpha = 0."""
     x = require_side("selberg_rhs_lt1", Fraction(x), False)
     alpha = Fraction(0) if alpha == "zero" else Fraction(alpha)
     return _kernel_form(x, (alpha,), (1,), F, ctx)
@@ -554,8 +538,8 @@ def general_rhs_gt1(x: Rational, pf: RationalFunctionPF,
         Sum_rho (A/B)(rho) x^rho + Sum_i lam_i (zeta'/zeta)(alpha_i) x^alpha_i
 
     for rational x > 1, every alpha_i in Q outside {1, -2, -4, ...}:
-    Sum_i lam_i times the zeta descriptor form at alpha_i, which is
-    finite at alpha_i = 0 (f + log 2pi there)."""
+    Sum_i lam_i times the zeta descriptor form at alpha_i, which at
+    alpha_i = 0 is f_fixed + log 2pi, with no f_u series."""
     x = require_side("general_rhs_gt1", Fraction(x), True)
     return _kernel_form(x, pf.roots, pf.residues, descriptor_zeta(), ctx)
 

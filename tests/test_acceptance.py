@@ -261,11 +261,42 @@ def test_c09_descriptor_layer_consistency(ctx, criterion_log):
             fu = f_u_closed(F(1, 2) * (1 + a), ctx.mpf(1 / (x * x)), ctx)
             hand = -acc + 1 / (xv * (1 + av)) + fu.val.real / (2 * xv)
             worst_abs = max(worst_abs, abs(s - hand))
-    ok = worst_rel <= 1e-20 and worst_abs <= 1e-15
+
+    # chi_4 and chi_3 below 1: the raw character-weighted sum T(x, chi,
+    # alpha), less lambda x^(1+mu/lambda) Sum_{n>=0} x^(n/lambda)/(n+u),
+    # u = mu + lambda (1 - alpha), summed term by term, plus gamma_F at 0
+    worst_lt1 = mpf(0)
+    for d in (1, 3):
+        chi = kronecker_chi(d)
+        desc = descriptor_dirichlet(len(chi), chi, ctx)
+        (lam, mu), = desc.gamma_factors
+        for x in (F(1, 8), F(3, 10)):
+            for a in (F(0), F(1, 3), F(-1, 2), F(3, 2)):
+                s = selberg_rhs_lt1(x, a, desc, ctx).val
+                with ctx.workprec(64):
+                    xv, av, lv, e = (mpf(v.numerator) / v.denominator
+                                     for v in (x, a, lam, 1 + mu / lam))
+                    T = mpf(0)
+                    for n in range(2, math.floor(1 / x) + 1):
+                        if p := tab.prime_of(n):
+                            w = mpf(1) / 2 if n == 1 / x else mpf(1)
+                            T += w * chi[n % len(chi)] * mpmath.log(p) * mpmath.power(n, av - 1)
+                    T *= mpmath.power(xv, av)
+                    u, z = mu + lam * (1 - a), mpmath.power(xv, 1 / lv)
+                    series, n, zn = mpf(0), 0, mpf(1)
+                    while zn > mpf(2) ** -300:
+                        series += zn / (n + mpf(u.numerator) / u.denominator)
+                        n, zn = n + 1, zn * z
+                    hand = T - lv * mpmath.power(xv, e) * series
+                    if a == 0:
+                        hand += desc.gamma_F(ctx)
+                    worst_lt1 = max(worst_lt1, abs(s - hand))
+    ok = worst_rel <= 1e-20 and worst_abs <= 1e-15 and worst_lt1 <= 1e-15
     line = _note(criterion_log, "09", ok,
                  f"descriptor vs direct evaluators on 20-point grid: worst "
                  f"rel {_n(worst_rel)} <= 1e-20; chi_4 assembly worst "
-                 f"{_n(worst_abs)} <= 1e-15")
+                 f"{_n(worst_abs)} <= 1e-15; chi_4, chi_3 below 1 worst "
+                 f"{_n(worst_lt1)} <= 1e-15")
     assert ok, line
 
 

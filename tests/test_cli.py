@@ -494,6 +494,19 @@ def test_verify_chi_descriptor_matches_library(capsys, identity, x):
         assert payload[key] == getattr(report, key).str_digits(digits), key
 
 
+def test_verify_chi_descriptor_at_alpha_one_above_one(capsys):
+    # chi_-4 has no pole (m_F = 0), so alpha = 1 above 1 is a value: the
+    # shipped 10-row table gives a residual, as at alpha = 0 and 1/3
+    table_path = Path(zeros.__file__).parent / "data" / "dirichlet4_zeros_10.txt"
+    code, out, err = run(capsys, "verify", "--identity", "selberg-gt1", "--x", "7/2",
+                         "--alpha", "1", "--descriptor", "chi-1",
+                         "--zeros", str(table_path), "--json")
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["terms_used"] == 10
+    assert abs(float(payload["residual"])) < 0.05
+
+
 @pytest.mark.parametrize("descriptor,table", [
     ("chi-1", "data/zeros_10k.txt"), ("zeta", "src/zeta_explicit/data/dirichlet4_zeros_10.txt")])
 def test_verify_refuses_a_zero_file_of_another_function(capsys, monkeypatch,

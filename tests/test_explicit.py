@@ -544,30 +544,99 @@ def test_selberg_matches_plain_evaluators(ctx):
         g = general_rhs_lt1(x, partial_fractions([F(1)], [a]), ctx).val
         with ctx.workprec(16):
             assert abs(s - g) < TINY
+    # both read f_fixed at alpha = 0, so each is checked against T(x, 0) +
+    # log x + gamma - (x/2) f_{1/2}(x^2), f_{1/2} by the roots-of-unity form
     for x in (F(1, 10), F(1, 4)):
-        s = selberg_rhs_lt1(x, 0, zeta, ctx).val
-        f = f_rhs_lt1(x, ctx).val
-        with ctx.workprec(16):
-            assert abs(s - f) < TINY
+        with ctx.workprec(32):
+            xv = ctx.mpf(x)
+            ref = (T_sum(x, F(0), ctx).val + mpmath.log(xv) + mpmath.euler
+                   - xv * f_u_roots_of_unity(F(1, 2), xv * xv, ctx).val.real / 2)
+        for got in (selberg_rhs_lt1(x, 0, zeta, ctx).val, f_rhs_lt1(x, ctx).val):
+            with ctx.workprec(16):
+                assert abs(got - ref) < TINY
 
 
 def test_selberg_domain_guards(ctx):
+    # the alpha refusals, each with its message, are REFUSALS below
     zeta = descriptor_zeta()
-    with pytest.raises(ValueError):
-        selberg_rhs_gt1(F(4), F(1), zeta, ctx)
-    with pytest.raises(ValueError):
-        selberg_rhs_gt1(F(4), F(0), zeta, ctx)  # m_F > 0 excludes 0
-    with pytest.raises(ValueError):
-        selberg_rhs_gt1(F(4), F(-2), zeta, ctx)  # trivial-zero chain
     for fn, x in ((selberg_psi0, F(1)), (selberg_T, F(1)), (selberg_T, F(2)),
                   (selberg_rhs_gt1, F(1)), (selberg_rhs_lt1, F(1))):
         with pytest.raises(ValueError, match="requires"):
             fn(x, F(1, 2), zeta, ctx)
-    # an even character (mod 5): its Gamma factor has mu = 0 but m_F = 0,
-    # so at alpha = 0 nothing cancels the n = 0 term 1/alpha above 1
-    even = descriptor_dirichlet(5, (0, 1, -1, -1, 1), ctx)
-    with pytest.raises(ValueError, match="alpha = 0 is a pole"):
-        selberg_rhs_gt1(F(4), F(0), even, ctx)
+
+
+# an even character (mod 5): its Gamma factor has mu = 0 but m_F = 0, so
+# at alpha = 0 nothing cancels the n = 0 term 1/alpha above 1
+_EVEN5 = descriptor_dirichlet(5, (0, 1, -1, -1, 1), None)
+_CHAIN = "hits the trivial-zero chain (lambda=1/2, mu=0)"
+REFUSALS = [   # (id, the call, its exact message)
+    ("zeta-alpha1-gt1", lambda c: selberg_rhs_gt1(F(4), F(1), descriptor_zeta(), c),
+     "alpha = 1 sits on the polar term"),
+    ("zeta-alpha1-lt1", lambda c: selberg_rhs_lt1(F(1, 4), F(1), descriptor_zeta(), c),
+     "alpha = 1 sits on the polar term"),
+    ("kernel-pole1-gt1", lambda c: general_rhs_gt1(F(4), partial_fractions([1], [1]), c),
+     "alpha = 1 sits on the polar term"),
+    ("even5-alpha0-gt1", lambda c: selberg_rhs_gt1(F(4), F(0), _EVEN5, c),
+     "alpha = 0 is a pole: the polar term and the trivial zeros at 0 do not cancel"),
+    ("even5-alpha1-lt1", lambda c: selberg_rhs_lt1(F(1, 4), F(1), _EVEN5, c),
+     f"alpha = 1 {_CHAIN}"),
+    ("zeta-alpha-2-gt1", lambda c: selberg_rhs_gt1(F(4), F(-2), descriptor_zeta(), c),
+     f"alpha = -2 {_CHAIN}"),
+    ("zeta-alpha3-lt1", lambda c: selberg_rhs_lt1(F(1, 4), F(3), descriptor_zeta(), c),
+     f"alpha = 3 {_CHAIN}"),
+    ("kernel-pole-2-gt1", lambda c: general_rhs_gt1(F(4), partial_fractions([1], [-2]), c),
+     f"alpha = -2 {_CHAIN}"),
+    ("kernel-pole0-lt1", lambda c: general_rhs_lt1(F(1, 4), partial_fractions([1], [0]), c),
+     "alpha = 0 is excluded (1/alpha term)"),
+    ("zeta-alpha0-selberg-gt1", lambda c: selberg_rhs_gt1(F(4), F(0), descriptor_zeta(), c),
+     "alpha = 0 is excluded when m_F > 0"),
+]
+
+
+@pytest.mark.parametrize("call,message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_descriptor_and_kernel_refusals_word_their_cause(ctx, call, message):
+    with pytest.raises(ValueError) as refused:
+        call(ctx)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("D", [descriptor_dirichlet(discriminant_of(d), kronecker_chi(d), None)
+                               for d in (1, 3, 7)] + [_EVEN5], ids=lambda D: D.label)
+def test_alpha_one_above_one_is_the_limit_of_its_neighbours(D):
+    # m_F = 0 leaves no polar term, so alpha = 1 above 1 is a value (the
+    # one alpha = 0 below 1 reflects onto), continuous in alpha: it is the
+    # mean of the forms at 1 +- h to O(h^2)
+    ctx, h = PrecisionContext(bits=192), F(1, 2 ** 100)
+    for x in (F(7, 2), F(11)):
+        at = selberg_rhs_gt1(x, F(1), D, ctx).val
+        up, down = (selberg_rhs_gt1(x, 1 + t, D, ctx).val for t in (h, -h))
+        with ctx.workprec(32):
+            assert abs(at - (up + down) / 2) <= mpf(2) ** -180, (D.label, x)
+
+
+@pytest.mark.parametrize("x,a", [(F(7, 2), F(-1, 10 ** 66)), (F(7, 2), F(1, 10 ** 30)),
+                                 (F(2, 7), 1 - F(1, 10 ** 30))])
+def test_zeta_form_near_its_cancelling_pole_right_to_its_print_cap(x, a):
+    # -m_F/beta cancels zeta's n = 0 term 1/beta (beta = alpha above 1,
+    # 1 - alpha below), so the form carries the bits 1/beta adds: at 128
+    # bits it agrees with 512 to its last bits, with 1/beta up to 2^219
+    rhs = selberg_rhs_gt1 if x > 1 else selberg_rhs_lt1
+    lo, hi = (rhs(x, a, descriptor_zeta(), PrecisionContext(bits=b)).val for b in (128, 512))
+    with mpmath.workprec(600):
+        assert abs(lo - hi) <= mpf(2) ** -124 * abs(hi)
+
+
+def test_zeta_form_at_zero_takes_f_and_no_f_u_series(monkeypatch, ctx):
+    # the pole at 0 of a zeta kernel above 1 and zeta's selberg-lt1 at
+    # alpha = 0 are f itself (f_fixed), with no call of the f_u series
+    calls = []
+    f_u = explicit.f_u_closed
+    monkeypatch.setattr(explicit, "f_u_closed", lambda *a: calls.append(a) or f_u(*a))
+    general_rhs_gt1(F(7, 2), partial_fractions([F(1)], [F(0)]), ctx)
+    selberg_rhs_lt1(F(2, 7), 0, descriptor_zeta(), ctx)
+    assert calls == []
+    general_rhs_gt1(F(7, 2), partial_fractions([F(1)], [F(0), F(1, 2)]), ctx)
+    assert len(calls) == 1
 
 
 # Odd real primitive characters by modulus: kronecker_chi(d) has period
