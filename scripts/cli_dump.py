@@ -143,6 +143,9 @@ LINES = (
     "verify --identity general-gt1 --x 7/2 --pf-roots 0 --K 20",
     "verify --identity general-gt1 --x 7/2 --pf-roots 0,1/2 --pf-num 1,3 --K 20",
     "verify --identity selberg-lt1 --x 2/7 --alpha zero --K 20",
+    # zeta at alpha = 1 below 1, reflected onto beta = 0: -x (f(1/x) + log 2pi)
+    "verify --identity selberg-lt1 --x 2/7 --alpha 1 --K 20",
+    "verify --identity general-lt1 --x 2/7 --pf-roots 1,1/3 --K 20",
 )
 
 

@@ -17,15 +17,15 @@ sums through verify_identity):
             Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha) is -x times
             the x > 1 form at (1/x, 1-alpha); adding (F'/F)(1) = gamma_F
             (m_F = 0) at alpha = 0 predicts Sum_rho x^rho/rho.
-    At alpha = 0 with m_F > 0 (zeta) the form is f, plus zeta'/zeta(0) =
-    log 2pi above 1.  selberg_rhs_gt1/lt1 are this form.
-    general_rhs_gt1/lt1, the kernels (A/B)(rho) = Sum_i lam_i/(rho -
-    alpha_i) with their zeta'/zeta terms, are Sum_i lam_i times it for F
-    = zeta; _kernel_form sums it over the poles for both.  x alone picks
-    the side of 1.
+    With m_F > 0 (zeta) the x > 1 form at alpha = 0 is f + zeta'/zeta(0) =
+    f + log 2pi, so alpha = 1 below 1 is -x (f(1/x) + log 2pi); alpha = 0
+    below 1 is f itself.  selberg_rhs_gt1/lt1 are this form; general_rhs_*,
+    the kernels (A/B)(rho) = Sum_i lam_i/(rho - alpha_i) with their
+    zeta'/zeta terms, are Sum_i lam_i times it for F = zeta (_kernel_form
+    sums it over the poles for both).  x alone picks the side of 1.
   The paper's f(x) = Sum_rho x^rho/rho is f_fixed = g + K in units of
     2^-W, W = walk_width, which f_rhs_gt1/lt1 round once and zeta's
-    form at alpha = 0 reads, within g's 2 units plus K's count:
+    form reads, within g's 2 units plus K's count:
     x > 1:  g(x) = x - (1/2) log(1 - x^-2),  K = -psi0(x) - log 2pi
     0<x<1:  g(x) = log x + x - (1/2) log((1+x)/(1-x)),  K = T(x, 0) + gamma
     The finders and the scan walk K from f_const, the same K.
@@ -451,43 +451,41 @@ def selberg_T(x: Rational, alpha: Rational, F: SelbergDescriptor,
 
 def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
                      ctx: PrecisionContext) -> mpf:
-    """The descriptor form of the module docstring at bits + 32: for
-    x > 1 the predicted Sum_rho x^rho/(rho-alpha) + x^alpha (F'/F)(alpha),
-    for 0 < x < 1 Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha), or
-    Sum_rho x^rho/rho at alpha = 0.  The Gamma factors enter only above 1,
-    at (y, beta) = (x, alpha), or (1/x, 1 - alpha) below 1.  Refuses alpha
-    = 1 when m_F > 0 (the polar term), and any u_j = mu_j + beta lambda_j
-    that is an integer <= 0 (a trivial zero; a pole at alpha = 0 above 1)."""
+    """The descriptor form of the module docstring at bits + 32, in one pass
+    at (y, beta) = (x, alpha) above 1 and (1/x, 1 - alpha) below 1.  With
+    m_F > 0, beta = 0 is f(y) + log 2pi and beta = 1 the polar term (refused
+    above 1, f(x) below 1).  An integer u_j = mu_j + beta lambda_j <= 0 is
+    refused before the prime sum.  The rational terms are one Fraction, so
+    zeta's -1/beta and 1/beta cancel; an irrational y^(-mu_j/lambda_j) is mpf."""
     above = x > 1
-    if alpha == 1 and F.m_F:
-        raise ValueError("alpha = 1 sits on the polar term")
-    if alpha == 0 and F.m_F:   # f itself, and zeta'/zeta(0) = log 2pi above 1
-        with ctx.workprec(_GUARD):
-            f = mpf((f_fixed(x, ctx), -walk_width(ctx)))
-            return f + ctx.log_2pi if above else f
     y, beta = (x, alpha) if above else (1 / x, 1 - alpha)
-    for lam, mu in F.gamma_factors:
-        if (u := mu + lam * beta).denominator == 1 and u <= 0:
-            raise ValueError("alpha = 0 is a pole: the polar term and the trivial "
-                             "zeros at 0 do not cancel" if above and alpha == 0 else
-                             f"alpha = {alpha} hits the trivial-zero chain "
-                             f"(lambda={lam}, mu={mu})")
-    prime = selberg_psi0(y, beta, F, ctx).val
-    spare = max(0, beta.denominator.bit_length() - abs(beta.numerator).bit_length())
-    with ctx.workprec(_GUARD + spare):   # -m_F/beta cancels zeta's n = 0 term 1/beta
-        yv = _to_mpf(y)
-        acc = -prime
-        if F.m_F:
-            acc += F.m_F * (yv / _to_mpf(1 - beta) - 1 / _to_mpf(beta))
+    if F.m_F and beta in (0, 1):
+        if above and beta == 1:
+            raise ValueError("alpha = 1 sits on the polar term")
+        with ctx.workprec(_GUARD):   # f(x) below 1 at alpha = 0, else f(y) + zeta'/zeta(0)
+            f = mpf((f_fixed(x if beta else y, ctx), -walk_width(ctx)))
+            return f if beta else (f + ctx.log_2pi) * (1 if above else -_to_mpf(x))
+    rational = F.m_F * (y / (1 - beta) - 1 / beta) if F.m_F else Fraction(0)
+    with ctx.workprec(_GUARD):
+        acc = mpf(0)
         for lam, mu in F.gamma_factors:
-            u, e = mu + lam * beta, -1 / lam
-            z, zmu = (y ** int(t) if t.denominator == 1 else yv ** _to_mpf(t)
-                      for t in (e, e * mu))   # y^e, y^(e mu): exact at lambda = 1/2
-            acc += _to_mpf(lam) * _to_mpf(zmu) * (f_u_closed(u, z, ctx).val + 1 / _to_mpf(u))
+            if (u := mu + lam * beta).denominator == 1 and u <= 0:
+                raise ValueError("alpha = 0 is a pole: the polar term and the trivial "
+                                 "zeros at 0 do not cancel" if above and alpha == 0 else
+                                 f"alpha = {alpha} hits the trivial-zero chain "
+                                 f"(lambda={lam}, mu={mu})")
+            z, zmu = (y ** int(t) if t.denominator == 1 else _to_mpf(y) ** _to_mpf(t)
+                      for t in (-1 / lam, -mu / lam))   # exact at lambda = 1/2
+            term = f_u_closed(u, z, ctx).val
+            if isinstance(zmu, Fraction):
+                rational += lam * zmu / u
+            else:
+                term += 1 / _to_mpf(u)
+            acc += _to_mpf(lam) * _to_mpf(zmu) * term
+        acc += _to_mpf(rational) - selberg_psi0(y, beta, F, ctx).val
         if above:
             return acc
-        acc *= -_to_mpf(x)
-        return acc + F.gamma_F(ctx) if alpha == 0 else acc
+        return -_to_mpf(x) * acc + (F.gamma_F(ctx) if alpha == 0 else 0)
 
 
 def _kernel_form(x: Fraction, poles: Sequence[Fraction], weights: Sequence[Rational],
@@ -515,13 +513,12 @@ def selberg_rhs_gt1(x: Rational, alpha: Rational, F: SelbergDescriptor,
 
 def selberg_rhs_lt1(x: Rational, alpha: Union[Rational, str],
                     F: SelbergDescriptor, ctx: PrecisionContext) -> HReal:
-    """Predicted zero-sum side for rational 0 < x < 1, zeros taken from
-    the conjugate-coefficient function's table (identical for the real
-    -coefficient descriptors shipped here): the descriptor form (module
-    docstring).  alpha = 0 (or "zero") predicts Sum_rho x^rho/rho, any
-    other alpha Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha): -x
-    times the x > 1 form at (1/x, 1 - alpha), f_fixed itself for zeta at
-    alpha = 0."""
+    """Predicted zero-sum side for rational 0 < x < 1 (zeros of the
+    conjugate-coefficient function, the same for the real descriptors
+    here): the descriptor form.  alpha = 0 (or "zero") predicts
+    Sum_rho x^rho/rho, f_fixed itself for zeta; any other alpha
+    Sum_rho x^rho/(rho-alpha) - x^alpha (F'/F)(1-alpha), -x times the x > 1
+    form at (1/x, 1 - alpha): -x (f(1/x) + log 2pi) for zeta at alpha = 1."""
     x = require_side("selberg_rhs_lt1", Fraction(x), False)
     alpha = Fraction(0) if alpha == "zero" else Fraction(alpha)
     return _kernel_form(x, (alpha,), (1,), F, ctx)
@@ -550,7 +547,7 @@ def general_rhs_lt1(x: Rational, pf: RationalFunctionPF,
 
         Sum_rho (A/B)(rho) x^rho - Sum_i lam_i (zeta'/zeta)(1-alpha_i) x^alpha_i
 
-    for rational 0 < x < 1, every alpha_i in Q outside {0, 1, 3, 5, ...}:
+    for rational 0 < x < 1, every alpha_i in Q outside {0, 3, 5, ...}:
     Sum_i lam_i times the zeta descriptor form at alpha_i.  A pole at 0
     is refused: there the f-type identity (ingham) applies."""
     x = require_side("general_rhs_lt1", Fraction(x), False)

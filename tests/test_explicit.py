@@ -572,8 +572,6 @@ _CHAIN = "hits the trivial-zero chain (lambda=1/2, mu=0)"
 REFUSALS = [   # (id, the call, its exact message)
     ("zeta-alpha1-gt1", lambda c: selberg_rhs_gt1(F(4), F(1), descriptor_zeta(), c),
      "alpha = 1 sits on the polar term"),
-    ("zeta-alpha1-lt1", lambda c: selberg_rhs_lt1(F(1, 4), F(1), descriptor_zeta(), c),
-     "alpha = 1 sits on the polar term"),
     ("kernel-pole1-gt1", lambda c: general_rhs_gt1(F(4), partial_fractions([1], [1]), c),
      "alpha = 1 sits on the polar term"),
     ("even5-alpha0-gt1", lambda c: selberg_rhs_gt1(F(4), F(0), _EVEN5, c),
@@ -618,8 +616,8 @@ def test_alpha_one_above_one_is_the_limit_of_its_neighbours(D):
                                  (F(2, 7), 1 - F(1, 10 ** 30))])
 def test_zeta_form_near_its_cancelling_pole_right_to_its_print_cap(x, a):
     # -m_F/beta cancels zeta's n = 0 term 1/beta (beta = alpha above 1,
-    # 1 - alpha below), so the form carries the bits 1/beta adds: at 128
-    # bits it agrees with 512 to its last bits, with 1/beta up to 2^219
+    # 1 - alpha below) in the exact rational part, so at 128 bits the form
+    # agrees with 512 to its last bits, with 1/beta up to 2^219
     rhs = selberg_rhs_gt1 if x > 1 else selberg_rhs_lt1
     lo, hi = (rhs(x, a, descriptor_zeta(), PrecisionContext(bits=b)).val for b in (128, 512))
     with mpmath.workprec(600):
@@ -627,16 +625,71 @@ def test_zeta_form_near_its_cancelling_pole_right_to_its_print_cap(x, a):
 
 
 def test_zeta_form_at_zero_takes_f_and_no_f_u_series(monkeypatch, ctx):
-    # the pole at 0 of a zeta kernel above 1 and zeta's selberg-lt1 at
-    # alpha = 0 are f itself (f_fixed), with no call of the f_u series
+    # the pole at 0 of a zeta kernel above 1, zeta's selberg-lt1 at
+    # alpha = 0 and, reflected onto beta = 0, at alpha = 1 and a kernel's
+    # pole at 1 below 1 are f (f_fixed), with no call of the f_u series
     calls = []
     f_u = explicit.f_u_closed
     monkeypatch.setattr(explicit, "f_u_closed", lambda *a: calls.append(a) or f_u(*a))
     general_rhs_gt1(F(7, 2), partial_fractions([F(1)], [F(0)]), ctx)
     selberg_rhs_lt1(F(2, 7), 0, descriptor_zeta(), ctx)
+    selberg_rhs_lt1(F(2, 7), 1, descriptor_zeta(), ctx)
+    general_rhs_lt1(F(2, 7), partial_fractions([F(1)], [F(1)]), ctx)
     assert calls == []
     general_rhs_gt1(F(7, 2), partial_fractions([F(1)], [F(0), F(1, 2)]), ctx)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x", [F(1, 4), F(2, 7)])
+@pytest.mark.parametrize("identity,kw", [
+    ("selberg-lt1", {"alpha": F(1), "F": descriptor_zeta()}),
+    ("general-lt1", {"pf": partial_fractions([1], [1])})], ids=["selberg", "general"])
+def test_zeta_alpha_one_below_one_is_von_mangoldt_reflected(fixture100, x, identity, kw):
+    # rho -> 1 - rho maps each pair of the table onto itself and turns
+    # Sum x^rho/(rho - 1) into -x Sum (1/x)^rho/rho, so the residual at
+    # alpha = 1 below 1 (rhs -x (f(1/x) + log 2pi)) is -x times the
+    # von-mangoldt residual at 1/x, pair by pair
+    ctx, spec = PrecisionContext(bits=192), SumSpec(K=100)
+    at_one = verify_identity(identity, x, fixture100, spec, ctx, **kw).residual.val
+    vm = verify_identity("von-mangoldt", 1 / x, fixture100, spec, ctx).residual.val
+    with mpmath.workprec(256):
+        assert abs(at_one + x.numerator * vm / x.denominator) <= mpf(2) ** -150
+
+
+@pytest.mark.parametrize("bits,bound", [(128, 120), (192, 180), (512, 180)])
+def test_zeta_alpha_one_below_one_is_the_limit_of_its_neighbours(bits, bound):
+    # the f route at beta = 0 against the Gamma-factor path at beta =
+    # -+2^-100: the form is continuous there, the mean of its neighbours
+    # to O(h^2)
+    ctx, h, zeta = PrecisionContext(bits=bits), F(1, 2 ** 100), descriptor_zeta()
+    for x in (F(1, 4), F(2, 7)):
+        at = selberg_rhs_lt1(x, 1, zeta, ctx).val
+        up, down = (selberg_rhs_lt1(x, 1 + t, zeta, ctx).val for t in (h, -h))
+        with mpmath.workprec(bits + 64):
+            assert abs(at - (up + down) / 2) <= mpf(2) ** -bound, x
+
+
+# m_F = 0, one Gamma factor (1, 1/2) and chi_-4's table: y^(-mu/lambda) =
+# y^(-1/2) is not rational, so the form takes its mpf term
+_LAMBDA1 = SelbergDescriptor("lambda-1", 0, ((F(1), F(1, 2)),), kronecker_chi(1))
+
+
+@pytest.mark.parametrize("bits", [128, 192, 512])
+def test_descriptor_form_with_an_irrational_gamma_exponent(bits):
+    # form + psi0 is the Gamma-factor sum lambda Sum_{n>=0}
+    # y^(-(n+mu)/lambda)/(n + mu + lambda beta), summed by nsum
+    ctx = PrecisionContext(bits=bits)
+    (lam, mu), = _LAMBDA1.gamma_factors
+    for y in (F(7, 2), F(11)):
+        for beta in (F(1, 3), F(-1, 3), F(3, 2)):
+            form = explicit._descriptor_form(y, beta, _LAMBDA1, ctx)
+            prime = selberg_psi0(y, beta, _LAMBDA1, ctx).val
+            with mpmath.workprec(bits + 64):
+                yv, lv, mv, bv = (mpf(t.numerator) / t.denominator
+                                  for t in (y, lam, mu, beta))
+                ref = lv * mpmath.nsum(lambda n: yv ** (-(n + mv) / lv) / (n + mv + lv * bv),
+                                       [0, mpmath.inf])
+                assert abs(form + prime - ref) <= mpf(2) ** (8 - bits) * (1 + abs(ref)), (y, beta)
 
 
 # Odd real primitive characters by modulus: kronecker_chi(d) has period
