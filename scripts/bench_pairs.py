@@ -3,6 +3,7 @@
 as a BENCH_<n>.json record:
 
     python scripts/bench_pairs.py --out BENCH_<n>.json --seeds FIRST-LAST [--parent REV]
+                                  [--claim WORKLOAD:METRIC]
 
 The parent is a git archive of --parent (default HEAD, the commit an
 uncommitted change sits on) in a temporary directory; the change is this
@@ -21,8 +22,10 @@ metric of BENCHMARK.json the record keeps each side's runs, median and
 quartiles, the relative change of the medians, the pairs the change wins
 and a status by STATUS_RULE with the metric's bound.  The record is
 rewritten after every pair; keys it already holds that this script does
-not write (what, claim, notes) are kept.  perfbench/ and BENCHMARK.json
-are only read.
+not write (what, notes, and claim without --claim) are kept.  With
+--claim, the record's claim block states whether the change's gain on
+that workload's end-to-end metric is shown, by CLAIM_RULE.  perfbench/
+and BENCHMARK.json are only read.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ STATUS_RULE = ("runs failed: a run of the change failed, or no run of the parent
                "than the bound; unresolved: the parent's interquartile range relative to its "
                "median is wider than the bound and not every change run beats every parent "
                "run; else within bound")
+
+CLAIM_PAIRS = (9, 10)  # at least 9 pairs in 10 better
+CLAIM_RULE = ("met: the change is better in at least 9 of every 10 pairs, and its median is "
+              "better than the parent's by more than the parent's interquartile range")
 
 
 def relative_change(p: float, c: float) -> float:
@@ -91,6 +98,24 @@ def metric_record(spec: dict, parent_runs: list, change_runs: list) -> dict:
     else:
         record["status"] = "within bound"
     return record
+
+
+def claim_record(workload: str, metric: str, record: dict) -> dict:
+    """The claim block of one metric_record: both medians, the gap by
+    which the change's median is better, the parent's interquartile
+    range, the pairs the change wins and whether CLAIM_RULE is met."""
+    parent, p, c = record["parent"], record["parent"]["median"], record["change"]["median"]
+    pairs = len(parent["runs"])
+    gap = None if None in (p, c) else (p - c if record["better"] == "lower" else c - p)
+    iqr = None if p is None else parent["q3"] - parent["q1"]
+    need, of = CLAIM_PAIRS
+    met = (record["status"] != "runs failed" and record["pairs_change_better"] * of >= need * pairs
+           and gap is not None and gap > iqr)
+    return {"workload": workload, "metric": metric,
+            "pairs_change_better": record["pairs_change_better"], "pairs": pairs,
+            "parent_median": p, "change_median": c,
+            "median_gap": gap, "median_change_rel": record["median_change_rel"],
+            "parent_iqr": iqr, "met": met, "rule": CLAIM_RULE}
 
 
 def summary(workloads: dict) -> str:
@@ -152,9 +177,15 @@ def main() -> int:
     ap.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--seeds", type=seed_list, required=True, help="first-last, e.g. 1001-1010")
     ap.add_argument("--parent", default="HEAD", help="the parent commit (default HEAD)")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                    help="write the claim block of this end-to-end metric on this workload")
     args = ap.parse_args()
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds, metrics = contract["run_seconds"], [spec["name"] for spec in contract["end_to_end"]]
+    claim = args.claim.partition(":")[::2] if args.claim else None
+    if claim and (claim[0] not in [w["name"] for w in contract["workloads"]]
+                  or claim[1] not in metrics):
+        ap.error(f"--claim {args.claim}: not a BENCHMARK.json workload:metric")
     commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -194,6 +225,8 @@ def main() -> int:
                     spec, *([r and r["metrics"][spec["name"]]["value"] for r in runs[s]]
                             for s in ("parent", "change")))
                     for spec in contract["end_to_end"]}
+                if claim and claim[0] == name:
+                    record["claim"] = claim_record(*claim, w["metrics"][claim[1]])
                 record["summary"] = summary(record["workloads"])
                 args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(record["summary"])

@@ -67,14 +67,8 @@ from .mpcore import (
     em_log_moments,
     log_fixed,
 )
-from .zeros import (
-    SumSpec,
-    ZeroTable,
-    cosine_term,
-    density_tail,
-    xrho_term,
-    zero_sum,
-)
+# ZeroTable and SumSpec in annotations are zeros' classes, unevaluated: zeros is
+# imported inside the functions that sum zeros, so other callers never load it
 
 Rational = Union[int, Fraction]
 _K_CONST: dict[int, list[int]] = {}   # W -> f_const's gamma and -log 2pi, floored to W bits
@@ -599,6 +593,7 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
     tail bound.  The closed form and the F'/F term are evaluated once.
     F is zeta but for selberg-*, and the table must carry F's label.
     """
+    from .zeros import cosine_term, density_tail, xrho_term, zero_sum
     x = Fraction(x)
     if identity not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITY_IDS}")

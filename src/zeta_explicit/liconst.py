@@ -51,8 +51,8 @@ from .mpcore import (
     series_ops,
     zeta_int,
 )
-from .zeros import (SumSpec, ZeroTable, density_tail, inv_abs_sq_term,
-                    inv_rho_poly_term, xrho_term, zero_sum)
+# ZeroTable and SumSpec in annotations are zeros' classes, unevaluated: zeros is
+# imported inside the functions that sum zeros, so other callers never load it
 
 
 def stieltjes_shifted(n: int, a: Union[Fraction, int],
@@ -202,6 +202,7 @@ def lambda_direct(n: int, table: ZeroTable, spec: SumSpec,
     at n = 1 it is 1/rho, bit-identical to sum_inv_rho."""
     if n < 1:
         raise ValueError(f"lambda_n needs n >= 1, got {n}")
+    from .zeros import density_tail, inv_rho_poly_term, zero_sum
     coeffs = [0] + [(-1) ** (k + 1) * math.comb(n, k) for k in range(1, n + 1)]
     value, count = zero_sum(table, spec, inv_rho_poly_term(coeffs), ctx)
     return value, density_tail(table, count, n * n, ctx)
@@ -237,6 +238,7 @@ def rh_statistic(table: ZeroTable, spec: SumSpec, ctx: PrecisionContext,
     itself as the allowance unless a tolerance (finite, >= 0) is given."""
     if tolerance is not None and not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got tolerance = {tolerance!r}")
+    from .zeros import density_tail, inv_abs_sq_term, xrho_term, zero_sum
     (value, inv_rho), pairs = zero_sum(
         table, spec, (inv_abs_sq_term(), xrho_term(1, (0,), (1,))), ctx)
     tail = density_tail(table, pairs, 2, ctx)

@@ -6,12 +6,14 @@ i gamma and rho-bar, and an entry off the critical line (beta != 1/2)
 also for its reflection 1 - rho-bar, 1 - rho; every sum combines a pair
 first, term(rho) + term(rho-bar) = 2 Re term(rho), before accumulating
 (the symmetric limit over |Im rho| <= T).  All sums run through one
-kernel (zero_sum), one pass per pair, over small term constructors, in
-the table's own integers: at one unit M per call, gamma M, (beta - p) M
-for each pole p and |rho - p|^2 M^2 are exact, so a pair is off only by
-its phase e^(i gamma log x) (process-wide tables and a short tan(r/2)
-series), cos and sin each within 1.32 units of 2^-F, and by its floors
-to 2^-F: one per division and per Horner step of a polynomial in 1/rho.
+kernel (zero_sum), one pass per term over its pairs, from small term
+constructors, in the table's own integers: at one unit M per call, gamma
+M, (beta - p) M for each pole p and |rho - p|^2 M^2 are exact, so a pair
+is off only by its phase e^(i gamma log x) (process-wide tables and a
+short tan(r/2) series, left unnormalized for the pair's one division),
+cos and sin each within 0.32 units of 2^-F, and by its floors to 2^-F:
+one per pole group, or per division and Horner step of a polynomial in
+1/rho.
 Conditionally convergent sums (x^rho / rho) carry no claimed tail bound,
 only trend data; absolutely convergent sums (x^rho / (rho (1-rho)), 1/rho,
 1/|rho|^2) get density-integral tail estimates, dN(t) ~ (1/2pi) log(t/2pi) dt.
@@ -42,6 +44,7 @@ _HERE = os.path.dirname(__file__)
 # First zeta ordinates shipped with the package (15 decimals).
 FIXTURE_PATH = os.path.join(_HERE, "data", "zeta_zeros_100.txt")
 _LABEL_LINE = re.compile(r"#\s*label:\s*(\S+)")
+_LABEL_START = re.compile(r"#\s*label\s*:", re.IGNORECASE)   # must then be a _LABEL_LINE
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +161,8 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
     The decimals are kept exactly, as integers over a common power of
     ten.  In either format one comment line "# label: NAME" names the
     L-function the zeros belong to; a file without one holds zeta zeros.
+    Any other comment that starts "label:", in any case and with spaces
+    before the colon allowed, is refused.
     A label that differs from the file's is refused; None takes the
     file's.  ctx is unused, kept for callers that pass one.
     """
@@ -181,7 +186,10 @@ def load_zeros(source: Union[bytes, str, io.IOBase], fmt: str = "plain",
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line[0] == "#":
-            if tag := _LABEL_LINE.fullmatch(line):
+            if _LABEL_START.match(line):
+                if not (tag := _LABEL_LINE.fullmatch(line)):
+                    raise ValueError(f"line {lineno}: malformed label line {line!r}, "
+                                     "expected '# label: NAME'")
                 if named is not None:
                     raise ValueError(f"line {lineno}: a second label line")
                 named = tag.group(1)
@@ -285,77 +293,59 @@ def inv_abs_sq_term() -> Term:
 
 @cache
 def _turns(W: int) -> tuple:
-    """Process-wide phase data at width W: e^(i j/256) for the 1,609 j of
-    one turn; e^(i j/65536) and, when W > 256, e^(i j/2^24) for j < 256,
-    each with the shift to its 8 bits of theta, from the powers of one
-    mpmath value at W + 32 bits; the remainder's mask; the coefficients of
-    tan(r/2) in r^(2k+1), k = K..0, exact then floored at 2^(W - 16 L k), L
-    tables, K the least that leaves a tail below 2^-(W-5) at r < 2^-8L."""
+    """Process-wide phase data at width W: e^(i j/2^8) for the 1,609 j of
+    one turn, e^(i j/2^18) for j < 1,024 and, when W > 256, e^(i j/2^26)
+    for j < 256, each from the powers of one mpmath value at W + 32 bits
+    floored to W, the finer ones with the shift and mask that cut their j
+    from theta; the mask of the remainder r < 2^-lo left by the last table
+    and the shift W - 2 lo of its square; the coefficients of tan(r/2) in
+    r^(2k+1), k = K..0, exact then floored at 2^(W - 2 lo k), K the least
+    that leaves a tail below 2^-(W-5)."""
     V = W + 32
     tables = []
-    for level, size in enumerate((1609, 256, 256)[:2 + (W > 256)], 1):
+    for size, lo in ((1609, 8), (1024, 18), (256, 26))[:2 + (W > 256)]:
         with mpmath.workprec(V + 16):
-            sc, ss = (to_fixed(v._mpf_, V) for v in mpmath.cos_sin(mpf(2) ** (-8 * level)))
+            sc, ss = (to_fixed(v._mpf_, V) for v in mpmath.cos_sin(mpf(2) ** -lo))
         c, s, table = 1 << V, 0, []
         for _ in range(size):
             table.append((c >> 32, s >> 32))
             c, s = (c * sc - s * ss) >> V, (c * ss + s * sc) >> V
-        tables.append(table)
-    lo, tan = 8 * len(tables), [Fraction(1)]   # tan y = Sum t_k y^(2k+1)
+        tables.append((table, W - lo, size - 1))
+    tan = [Fraction(1)]   # tan y = Sum t_k y^(2k+1)
     while True:  # tan' = 1 + tan^2: (2k + 1) t_k = Sum_m t_m t_(k-1-m)
         t = sum(map(mul, tan, reversed(tan))) / (2 * len(tan) + 1)
         if t.numerator << (W - 5) < t.denominator << (lo + 1) * (2 * len(tan) + 1):
             break
         tan.append(t)
-    return (tables[0], [(t, W - 8 * i) for i, t in enumerate(tables[1:], 2)],
-            (1 << (W - lo)) - 1, [(t.numerator << W - 2 * lo * k) // (
-                t.denominator << 2 * k + 1) for k, t in enumerate(tan)][::-1])
-
-
-def _phase(x: Fraction, table: ZeroTable, F: int):
-    """n -> fixed-point (cos, sin) of gamma log x at gamma = n / scale,
-    each within 1 + 80 2^(F-W) < 1.32 units of 2^-F.
-
-    theta = n log x / scale mod 2 pi is reduced in integers at P bits, whose
-    P - W spare bits absorb n times the rounding of log x / scale, then cut
-    to the table width W = 64 ceil((F + 8) / 64).  e^(i theta) is the product
-    of _turns(W) entries and e^(i r): t = tan(r/2) by one Horner loop, sin r
-    = 2t / (1 + t^2), the one division, and cos r = 1 - t sin r.  Before the
-    floor to F, the error is below 80 units of 2^-W: theta 1.07, tables 7.1,
-    t's tail and floors 2 (32 + 1.1), the division and cos r 1.5."""
-    W = 64 * -(-(F + 8) // 64)
-    first, finer, rest, (top, *tan) = _turns(W)
-    logx = abs(math.log(x.numerator) - math.log(x.denominator))
-    P = W + (table.ordinates[-1] * (math.ceil(logx) + 1)).bit_length() + 4
-    with mpmath.workprec(2 * P):
-        LX = to_fixed((mpmath.log(_to_mpf(x)) / table.scale)._mpf_, P)
-        TP = to_fixed((2 * mpmath.pi)._mpf_, P)
-    one, W2, US = 1 << W, 2 * W - F, W - 16 * (1 + len(finer))
-
-    def cos_sin(n: int) -> tuple[int, int]:
-        theta = ((n * LX) % TP) >> (P - W)
-        c, s = first[theta >> (W - 8)]
-        for tab, sh in finer:
-            c2, s2 = tab[(theta >> sh) & 255]
-            c, s = (c * c2 - s * s2) >> W, (c * s2 + s * c2) >> W
-        r = theta & rest
-        u, t = r * r >> W, top
-        for q in tan:
-            t = (t * u >> US) + q
-        t = t * r >> W
-        s2 = (t << W + 1) // (one + (t * t >> W))
-        c2 = one - (t * s2 >> W)
-        return (c * c2 - s * s2) >> W2, (c * s2 + s * c2) >> W2
-    return cos_sin
+    return (tables[0][0], tables[1:], (1 << (W - lo)) - 1, W - 2 * lo,
+            [(t.numerator << W - 2 * lo * k) // (t.denominator << 2 * k + 1)
+             for k, t in enumerate(tan)][::-1])
 
 
 def _bind(term: Term, table: ZeroTable, M: int, F: int):
-    """(f, S, X, e, V): f(n, N, NN, ks) adds V 2^F Re term(rho) / x^beta,
-    floored, to S[k] for each k in ks, at rho = real[k] + i N / M, real =
-    table._parts[0], N = n M / scale and NN = N^2; X[k] 2^-e is x^beta to
-    2^-F relative, or 1 without it.  V is the lcm of the weights'
-    denominators, 1 for abs2 and poly."""
+    """(run, S, X, e, V): run(start, stop) adds V 2^F Re term(rho) / x^beta
+    for the pairs start..stop-1 to S[k], for each k of a pair's real parts,
+    at rho = real[k] + i N / M, real = table._parts[0], N = n M / scale; X[k]
+    2^-e is x^beta to 2^-F relative, or 1 without it.  V is the lcm of the
+    weights' denominators, 1 for abs2 and poly.
+
+    A pole group, the poles p that share one a^2 = ((beta - p) M)^2, adds
+    floor(2^F (A cos theta + N Z sin theta) / (a^2 + N^2)), A = V M Sum w a
+    and Z = V M Sum w over the group, theta = gamma log x (0 without x),
+    reduced mod 2 pi in integers at P bits, whose P - W spare bits absorb
+    n times the rounding of log x / scale, then cut to the table width W =
+    64 ceil((F + 8) / 64).  The product of _turns(W) entries is rotated by
+    (1 + i t)^2, t = tan(r/2) by one Horner loop, to C + i S at W bits and
+    left unnormalized: e^(i theta) = (C + i S) / (1 + t^2), and the group's
+    one division is floor(2^F (C A + S N Z) / ((a^2 + N^2) (1 + t^2))).
+    That phase's parts are each within 80 units of 2^-W of cos theta and
+    sin theta: theta 1.07, tables 7.1, t's tail and floors 2 (32 + 1.1),
+    t^2's floor 2 and the rotation's 1; at W >= F + 8, under 0.32 units of
+    2^-F.  So a group is off by under 0.32 (|A| + |N Z|) / (a^2 + N^2)
+    units of 2^-F and its one floor; a polynomial in 1/rho by one floor per
+    division and Horner step."""
     real = table._parts[0]
+    ords, parts, U = table.ordinates, table._parts[1], M // table.scale
     B = [b.numerator * (M // b.denominator) for b in real]
     BB = [b * b for b in B]
     S, X, e, V = [0] * len(B), [1] * len(B), 0, 1
@@ -363,18 +353,21 @@ def _bind(term: Term, table: ZeroTable, M: int, F: int):
         MF = M << F
         top, *rest = [(c.numerator << F) // c.denominator for c in reversed(term.coeffs)]
 
-        def f(n: int, N: int, NN: int, ks) -> None:
-            for k in ks:
-                den = BB[k] + NN
-                ur, ui = MF * B[k] // den, -(MF * N // den)
-                pr, pi = top, 0
-                for c in rest:
-                    pr, pi = ((pr * ur - pi * ui) >> F) + c, (pr * ui + pi * ur) >> F
-                S[k] += pr
-        return f, S, X, e, V
+        def run(start: int, stop: int) -> None:
+            for n, ks in zip(ords[start:stop], parts[start:stop]):
+                N = n * U
+                NN = N * N
+                for k in ks:
+                    den = BB[k] + NN
+                    ur, ui = MF * B[k] // den, -(MF * N // den)
+                    pr, pi = top, 0
+                    for c in rest:
+                        pr, pi = ((pr * ur - pi * ui) >> F) + c, (pr * ui + pi * ur) >> F
+                    S[k] += pr
+        return run, S, X, e, V
 
     if term.kind == "abs2":  # 2^F / |rho|^2 = M^2 2^F / (a^2 + N^2)
-        PW = [[(bb, 0, 0, M * M << F)] for bb in BB]
+        PW = [[(bb, M * M, 0)] for bb in BB]
     else:  # Re e^(i gamma log x) Sum_i w_i / (rho - p_i), where w / (rho - p)
         # = w M (a - i N) / (a^2 + N^2), a = (beta - p) M, for each pole
         if term.kind == "cos" and any(b != _HALF for b in real):
@@ -383,31 +376,55 @@ def _bind(term: Term, table: ZeroTable, M: int, F: int):
         P = [(p.numerator * (M // p.denominator), w.numerator * (V // w.denominator) * M)
              for p, w in zip(term.poles, term.weights)]
         PW = []
-        for b in B:  # (a^2, A, W, A 2^F), A = V M Sum w a, W = V M Sum w, per a^2
+        for b in B:  # (a^2, A, Z) per a^2
             g = {}
             for p, w in P:
                 a = b - p
                 g[a * a] = [u + v for u, v in zip(g.get(a * a, (0, 0)), (w * a, w))]
-            PW.append([(aa, A, W, A << F) for aa, (A, W) in g.items()])
+            PW.append([(aa, A, Z) for aa, (A, Z) in g.items()])
     if term.x is None:
-        def f(n: int, N: int, NN: int, ks) -> None:
-            for k in ks:
-                for aa, _, _, A in PW[k]:
-                    S[k] += A // (aa + NN)
-        return f, S, X, e, V
+        PW = [[(aa, A << F) for aa, A, _ in g] for g in PW]
+
+        def run(start: int, stop: int) -> None:
+            for n, ks in zip(ords[start:stop], parts[start:stop]):
+                NN = n * U * n * U
+                for k in ks:
+                    for aa, A in PW[k]:
+                        S[k] += A // (aa + NN)
+        return run, S, X, e, V
     if term.kind == "xrho":  # below 1, x^beta > x: extra bits keep 2^-F relative
         e = F + (math.ceil(1 / term.x).bit_length() if term.x < 1 else 0)
         with mpmath.workprec(e + 16):
             X = [to_fixed(mpmath.power(_to_mpf(term.x), _to_mpf(b))._mpf_, e) for b in real]
-    cos_sin = _phase(term.x, table, F)
+    W = 64 * -(-(F + 8) // 64)
+    first, finer, rest, US, (top, *tan) = _turns(W)
+    logx = abs(math.log(term.x.numerator) - math.log(term.x.denominator))
+    P = W + (ords[-1] * (math.ceil(logx) + 1)).bit_length() + 4
+    with mpmath.workprec(2 * P):
+        LX = to_fixed((mpmath.log(_to_mpf(term.x)) / table.scale)._mpf_, P)
+        TP = to_fixed((2 * mpmath.pi)._mpf_, P)
+    one, cut, W8 = 1 << W, P - W, W - 8
 
-    def f(n: int, N: int, NN: int, ks) -> None:
-        c, s = cos_sin(n)
-        sN = s * N
-        for k in ks:
-            for aa, A, W, _ in PW[k]:  # (c A + s N W) / (a^2 + N^2) at c + i s
-                S[k] += (c * A + sN * W) // (aa + NN)
-    return f, S, X, e, V
+    def run(start: int, stop: int) -> None:
+        for n, ks in zip(ords[start:stop], parts[start:stop]):
+            theta = ((n * LX) % TP) >> cut
+            c, s = first[theta >> W8]
+            for tab, sh, mask in finer:
+                c2, s2 = tab[(theta >> sh) & mask]
+                c, s = (c * c2 - s * s2) >> W, (c * s2 + s * c2) >> W
+            r, N = theta & rest, n * U
+            u, t = r * r >> W, top
+            for q in tan:
+                t = (t * u >> US) + q
+            t = t * r >> W
+            tt = t * t >> W
+            c2, s2 = one - tt, t << 1
+            c, s = (c * c2 - s * s2) >> W, (c * s2 + s * c2) >> W
+            D, NN, sN = one + tt, N * N, s * N
+            for k in ks:
+                for aa, A, Z in PW[k]:  # the group's one division
+                    S[k] += ((c * A + sN * Z) << F) // ((aa + NN) * D)
+    return run, S, X, e, V
 
 
 def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
@@ -418,9 +435,10 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
     The unit M = lcm(scale, the denominators of the real parts and of
     every pole) makes N = gamma M, a = (beta - p) M and a^2 + N^2 exact
     integers, so a pair is off only by the phase's cos and sin, within
-    1.32 units of 2^-F at F = bits + guard bits (see _phase), and by a
-    floor, under one unit of 2^-F, per division and Horner step; no value
-    depends on M.  Each term is summed exactly per real part, and x^beta
+    0.32 units of 2^-F at F = bits + guard bits (see _bind), and by a
+    floor, under one unit of 2^-F, per pole group or per division and
+    Horner step; no value depends on M.  Each term is summed exactly per
+    real part, in one pass per segment between cuts, and x^beta
     multiplies each real part's sum once at each cut.  Before the final
     rounding the error is below 2^-bits times the sum of each pair's size
     with its phase factor taken as 1, and the prefix sum at each k in
@@ -437,19 +455,13 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
     single = isinstance(term, Term)
     terms = (term,) if single else tuple(term)
     F = ctx.bits + _GUARD + len(table).bit_length()
-    real, parts = table._parts
-    M = math.lcm(table.scale, *(q.denominator for q in real),
+    M = math.lcm(table.scale, *(q.denominator for q in table._parts[0]),
                  *(p.denominator for t in terms for p in t.poles))
-    U = M // table.scale
     bound = [_bind(t, table, M, F) for t in terms]
-    fs = [f for f, *_ in bound]
     at, start = {}, 0
     for stop in sorted(set(stops)):  # the segments between cuts
-        for n, ks in zip(table.ordinates[start:stop], parts[start:stop]):
-            N = n * U
-            NN = N * N
-            for f in fs:
-                f(n, N, NN, ks)
+        for run, *_ in bound:
+            run(start, stop)
         at[stop] = [ctx.real(mpmath.make_mpf(from_rational(
             2 * sum(map(mul, X, S)), V << F + e, ctx.bits, round_nearest)))
             for _, S, X, e, V in bound]

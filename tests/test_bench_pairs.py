@@ -2,7 +2,8 @@
 subprocess: fed the runs BENCH_41.json records, it gives back every
 median, quartile, relative change, win count and status there, and the
 summary sentence; a failed run, a slower change and a noisy parent get
-their own statuses."""
+their own statuses; fed BENCH_39.json's zero-sums wall_s runs, it gives
+back the claim block recorded there by hand."""
 
 import importlib.util
 import json
@@ -43,3 +44,33 @@ def test_statuses_beyond_within_bound():
     digits = CONTRACT["min_oracle_digits"]            # higher is better, bound 0.05
     assert bp.metric_record(digits, [58.0] * 4, [50.0] * 4)["status"] == "over bound"
     assert bp.metric_record(digits, [58.0] * 4, [58.0] * 4)["status"] == "within bound"
+
+
+def test_claim_block_of_bench_39():
+    # BENCH_39 stores its runs to 6 decimals, its claim block from the
+    # unrounded runs: medians and the interquartile range agree to 2e-6
+    bench, bp = json.loads((ROOT / "BENCH_39.json").read_text()), _script()
+    runs = bench["workloads"]["zero-sums"]["metrics"]["wall_s"]["runs"]
+    got = bp.claim_record("zero-sums", "wall_s", bp.metric_record(
+        CONTRACT["wall_s"], runs["parent"], runs["change"]))
+    want = bench["claim"]
+    assert (got["met"], got["pairs_change_better"], got["pairs"]) == (True, 10, 10)
+    assert (got["workload"], got["metric"], got["median_change_rel"]) == (
+        want["workload"], want["metric"], want["median_change_rel"])
+    for key in ("parent_median", "change_median", "median_gap", "parent_iqr"):
+        assert abs(got[key] - want[key]) <= 2e-6, key
+
+
+def test_claim_needs_nine_pairs_in_ten_and_a_gap_past_the_iqr():
+    bp, wall = _script(), CONTRACT["wall_s"]
+    parent = [1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0]
+    faster = [v - 0.1 for v in parent]
+    assert bp.claim_record("w", "wall_s", bp.metric_record(wall, parent, faster))["met"]
+    eight = faster[:8] + [1.2, 1.2]                 # 8 of 10 pairs better
+    assert not bp.claim_record("w", "wall_s", bp.metric_record(wall, parent, eight))["met"]
+    close = [v - 0.01 for v in parent]              # 10 of 10, gap 0.01 < IQR 0.015
+    got = bp.claim_record("w", "wall_s", bp.metric_record(wall, parent, close))
+    assert got["pairs_change_better"] == 10 and not got["met"]
+    digits = CONTRACT["min_oracle_digits"]          # higher is better
+    got = bp.claim_record("w", "d", bp.metric_record(digits, [58.0] * 10, [59.0] * 10))
+    assert got["met"] and got["median_gap"] == 1.0

@@ -256,6 +256,16 @@ def test_zeta_subcommands_refuse_a_zero_file_of_another_function(capsys, argv):
     assert "does not match descriptor 'zeta'" in err
 
 
+def test_malformed_label_line_is_refused(capsys, tmp_path):
+    # read as a comment, this chi_{-4} file would be summed as zeta zeros
+    table = Path(zeros.__file__).parent / "data" / "dirichlet4_zeros_10.txt"
+    bad = tmp_path / "chi4.txt"
+    bad.write_text(table.read_text().replace("# label: dirichlet-4", "# Label: dirichlet-4"))
+    code, out, err = run(capsys, "rh-check", "--zeros", str(bad), "--K", "10")
+    assert (code, out) == (EXIT_IO, "")
+    assert "line 1: malformed label line '# Label: dirichlet-4'" in err
+
+
 def test_verify_unknown_identity(capsys):
     code, out, err = run(capsys, "verify", "--identity", "nonsense", "--x", "4")
     assert (code, out) == (EXIT_IO, "")
@@ -841,16 +851,16 @@ def test_bad_scan_input_is_domain_error(capsys, monkeypatch, option, value):
 COLD_ROWS = {
     "import": (None, set()),
     "li": ("li --n 2 --K 5", {"liconst", "zeros"}),
-    "stieltjes": ("stieltjes --n 2", {"liconst", "zeros"}),
+    "stieltjes": ("stieltjes --n 2", {"liconst"}),
     "rh-check": ("rh-check --K 5", {"liconst", "zeros"}),
     "sum": ("sum --term inv-rho --K 5", {"zeros"}),
-    "eval-f": ("eval-f --x 3/2", {"arith", "zeros", "explicit"}),
+    "eval-f": ("eval-f --x 3/2", {"arith", "explicit"}),
     "verify": ("verify --identity von-mangoldt --x 21/2 --K 5",
                {"arith", "zeros", "explicit"}),
     "find-zeros": ("find-zeros --lo 21/20 --hi 2",
-                   {"arith", "zeros", "explicit", "analysis"}),
+                   {"arith", "explicit", "analysis"}),
     "chowla-selberg": ("chowla-selberg --d 7 --no-scan",
-                       {"arith", "zeros", "explicit", "analysis"}),
+                       {"arith", "explicit", "analysis"}),
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from zeta_explicit import liconst
+from zeta_explicit import liconst, zeros
 from zeta_explicit.liconst import (
     StieltjesTable,
     build_stieltjes_table,
@@ -79,7 +79,7 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, -1e-300])
 def test_bad_tolerance_refused_before_summation(ctx, fixture100, monkeypatch,
                                                 tolerance):
-    monkeypatch.setattr(liconst, "zero_sum", _refuse)
+    monkeypatch.setattr(zeros, "zero_sum", _refuse)
     with pytest.raises(ValueError, match=re.escape(f"tolerance = {tolerance!r}")):
         rh_statistic(fixture100, SumSpec(K=5), ctx, tolerance=tolerance)
 
@@ -217,7 +217,7 @@ def test_table_rounds_once_at_context_precision():
 
 
 def test_table_takes_each_zeta_value_once(ctx, monkeypatch):
-    from zeta_explicit import liconst
+    from zeta_explicit import liconst, zeros
     original, calls = liconst.zeta_int, []
     monkeypatch.setattr(liconst, "zeta_int",
                         lambda j, c: calls.append(j) or original(j, c))

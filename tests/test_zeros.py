@@ -116,6 +116,16 @@ def test_load_refuses_another_label(ctx):
         load_zeros("# label: a\n# label: a\n" + PLAIN, fmt="plain", ctx=ctx)
 
 
+@pytest.mark.parametrize("line", ("# label: dirichlet-4 (chi_-4)", "# Label: dirichlet-4",
+                                  "# label:", "#label : dirichlet-4"))
+def test_load_refuses_a_malformed_label_line(ctx, line):
+    # a comment that starts like a label line must be one, or a chi_-4
+    # file would load as zeta zeros; other comments stay comments
+    with pytest.raises(ValueError, match=re.escape(f"line 2: malformed label line {line!r}")):
+        load_zeros("# header\n" + line + "\n" + PLAIN, fmt="plain", ctx=ctx)
+    assert load_zeros("# labels differ\n" + PLAIN, fmt="plain", ctx=ctx).label == "zeta"
+
+
 def test_fixture_table(fixture100):
     assert len(fixture100) == 100
     assert fixture100.label == "zeta"
@@ -436,16 +446,16 @@ def _phase_edges(bits, x):
     """27 (30 when W > 256) binary ordinates at which the phase
     gamma log x mod 2 pi lies, in units of 2^-W at the table width W of
     a one-row sum, on and one unit either side of table-step multiples
-    (2^-8 and 2^-16 rad, 2^-24 when W > 256), of quarter turns and of
+    (2^-8 and 2^-18 rad, 2^-26 when W > 256), of quarter turns and of
     0 = 2 pi.  The scale is 2^(W + 48), so each phase sits in the middle
     of its unit, far from the rounding of log x."""
     F = bits + 32 + 1            # zero_sum's width for a one-row table
     W = 64 * -(-(F + 8) // 64)
-    steps = [W - 8, W - 16] + ([W - 24] if W > 256 else [])
+    steps = [W - 8, W - 18] + ([W - 26] if W > 256 else [])
     rows = []
     with mpmath.workprec(2 * W + 64):
         turn = 2 * mpmath.pi * 2 ** W
-        units = [0, 1 << (W - 8), 1608 << (W - 8), (402 << (W - 8)) + (255 << (W - 16))]
+        units = [0, 1 << (W - 8), 1608 << (W - 8), (402 << (W - 8)) + (1023 << (W - 18))]
         units += [(j * 37 + 5) << e for j, e in enumerate(steps)]
         units += [int(mpmath.floor(turn * q / 4)) for q in (1, 2, 3)]
         logx = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
@@ -503,23 +513,34 @@ def test_phase_tables_depend_on_width_alone(fixture100):
 @pytest.mark.parametrize("W", (192, 256, 320, 576, 1088))
 @pytest.mark.parametrize("x", (Fraction(21, 2), Fraction(1, 10)), ids=("21/2", "1/10"))
 def test_phase_within_stated_units(W, x, table10k):
-    # _phase states cos and sin each within 1 + 80 2^(F-W) units of 2^-F;
-    # F = W - 8, the finest F at width W, is where that bound is tightest.
-    # Rows: the table-edge ordinates of _phase_edges (bits = W - 64 gives
-    # width W; at 1/x for x < 1) and 200 seeded ordinates of the 10^4 table.
+    # _bind states that a one-pole group adds V 2^F Re(e^(i theta) w / (rho
+    # - p)) within 80 2^(F-W) V |w| M (|a| + N) / (a^2 + N^2) units of 2^-F
+    # and its one floor, as the phase's cos and sin are each within 80
+    # units of 2^-W; F = W - 8, the finest F at width W, is where that is
+    # tightest.  Besides x^rho/rho, two probes with weight 2^(W + 40) make
+    # the floor 2^-W of the rest and test one part of the phase each: a pole
+    # 2^40 below beta (a >> N, the cos part) and a pole at beta (a = 0, the
+    # sin part).  Rows: the table-edge ordinates of _phase_edges (bits = W -
+    # 64 gives width W; at 1/x for x < 1) and 200 seeded ordinates of the
+    # 10^4 table.
     F = W - 8
+    big = 2 ** (W + 40)
+    probes = ((0, 1), (HALF - 2 ** 40, big), (HALF, big))
     edges = _phase_edges(W - 64, x if x > 1 else 1 / x)
     seeded = (table10k.scale, random.Random(W).sample(table10k.ordinates, 200))
     for scale, rows in (edges, seeded):
         rows = sorted(set(rows))
         table = ZeroTable(label="phase", scale=scale, ordinates=tuple(rows),
                           real_parts=(HALF,) * len(rows), source="phase", entry_precision=0)
-        cos_sin = zeros._phase(x, table, F)
-        with mpmath.workprec(W + 64):
-            bound = 1 + mpmath.mpf(80) / 2 ** (W - F)
-            logx = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
-            for n in rows:
-                theta = mpmath.mpf(n) / scale * logx
-                c, s = cos_sin(n)
-                assert abs(c - mpmath.cos(theta) * 2 ** F) <= bound, n
-                assert abs(s - mpmath.sin(theta) * 2 ** F) <= bound, n
+        for p, w in probes:
+            run, S, *_ = zeros._bind(xrho_term(x, (p,), (w,)), table, scale, F)
+            a = int((HALF - p) * scale)        # a table scale is even
+            with mpmath.workprec(2 * W + 64):
+                logx = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+                for i, n in enumerate(rows):
+                    before = S[0]
+                    run(i, i + 1)
+                    ref = (mpmath.expj(n * logx / scale) * w * scale / mpmath.mpc(a, n)).real
+                    ref *= 2 ** F
+                    bound = 1 + mpmath.mpf(80 * w * scale) * (abs(a) + n) / (a * a + n * n) / 2 ** (W - F)
+                    assert abs(S[0] - before - ref) <= bound, (p, n)
