@@ -82,7 +82,8 @@ def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
                 ctx: PrecisionContext) -> tuple[mpf, mpf]:
     """(L(s, chi), L'(s, chi)) at bits + 32 for a real character table chi
     mod q (zeta: (1,) mod 1), one Euler-Maclaurin pass per residue
-    (em_log_moments, N = 1):
+    (em_log_moments, N = 1), all at one (s, 1, bits + 32), so that they
+    share the plan and tables that em_log_moments keeps per key:
 
         L(s)  = q^(-s) Sum_{a=1}^{q} chi(a) Z_0(s, a/q)
         L'(s) = -log(q) L(s) - q^(-s) Sum_{a=1}^{q} chi(a) Z_1(s, a/q).

@@ -22,9 +22,9 @@ Numeric backend: mpmath mpf supplies correctly rounded base arithmetic
 (round-to-nearest, error <= 2^-bits relative per elementary operation, well
 inside the 2^(8-bits) contract) and the elementary functions.  Hurwitz zeta
 and the Stieltjes constants come from Bernoulli-number expansions with
-computable error terms; their head sum and Bernoulli contraction run in
-Python integers, with logs from log_fixed and powers from mpmath's
-exp_fixed; zeta_int runs wholly in integers and rounds once.  mpmath.loggamma,
+computable error terms, run wholly in Python integers (logs from log_fixed,
+powers from mpmath's exp_fixed, bounds rounded up, the shift-free set-up kept
+for the last 4 (s, N, bits)); they and zeta_int round once.  mpmath.loggamma,
 called by analysis.chowla_selberg_rhs, is the only mpmath special function
 that production code calls; the others serve only as test oracles.
 """
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 import mpmath
@@ -245,10 +246,11 @@ def log_fixed(n: int, d: int, V: int) -> int:
 _EM_BUDGET = 1 << 20  # refuse, before any summation, plans with M (N+1) above this
 
 
+@lru_cache(maxsize=4)   # the last 4 keys: an order-120 table at 1024 bits holds megabytes
 def _eps_table(s: Fraction, N: int, count: int) -> list[list[int]]:
     """C[j][i] = v^j [eps^i] (-1)^j (s-eps)_j for j = 0..count, i = 0..N,
     with s = u/v in lowest terms and (x)_j the rising factorial: integers,
-    by C[j+1][i] = -(u + j v) C[j][i] + v C[j][i-1].
+    by C[j+1][i] = -(u + j v) C[j][i] + v C[j][i-1].  Shared: read only.
 
     d^j/dt^j t^(-(s-eps)) = (-1)^j (s-eps)_j t^(-(s-eps)-j), and the
     eps^n/n! coefficient of t^(-(s-eps)) is f(t) = log^n(t) t^(-s), so
@@ -270,6 +272,22 @@ def _poly_eval(coeffs: Sequence, L):
     return acc
 
 
+@lru_cache(maxsize=4)
+def _em_setup(s: float, N: int, bits: int) -> tuple:
+    """The shift-free part of a plan, kept for the last 4 (s, N, bits): K, the
+    majorant r, c = s + 2K - 1 and the float remainder base of _em_plan, blcm =
+    lcm(denominators of B_2..B_2K) and the list of B_2j blcm, j = 1..K (read only)."""
+    K = max(math.ceil((bits + 20) / 8), math.floor((1 - s) / 2) + 1)
+    r = [0.0] * N + [1.0]
+    for j in range(2 * K):
+        r = [((i + 1) * d + abs(s + j) * c) / (j + 1)
+             for i, (c, d) in enumerate(zip(r, r[1:] + [0.0]))]
+    c, B = s + 2 * K - 1, [bernoulli(2 * j) for j in range(1, K + 1)]
+    blcm = math.lcm(*(b.denominator for b in B))
+    return (K, r, c, 1 + math.log(2.5) - 2 * K * math.log(2 * math.pi) + math.lgamma(2 * K + 1)
+            - math.log(c), blcm, [b.numerator * (blcm // b.denominator) for b in B])
+
+
 def _em_plan(s: float, a: Scalar, N: int, bits: int) -> tuple[int, int]:
     """Shift count M and Bernoulli count K for em_log_moments.
 
@@ -281,17 +299,10 @@ def _em_plan(s: float, a: Scalar, N: int, bits: int) -> tuple[int, int]:
     integrand's peak N/c past it, meets 2^-(bits+20).
     A plan with M (N+1) > 2^20 is refused before any summation.
     """
-    K = max(math.ceil((bits + 20) / 8), math.floor((1 - s) / 2) + 1)
-    p, q = _exact(a).numerator, _exact(a).denominator
-    r = [0.0] * N + [1.0]
-    for j in range(2 * K):
-        r = [((i + 1) * d + abs(s + j) * c) / (j + 1)
-             for i, (c, d) in enumerate(zip(r, r[1:] + [0.0]))]
+    K, r, c, base = _em_setup(float(s), N, bits)[:4]
     if not any(r):
         return 1, K  # f is a polynomial of degree < 2K: the sum is exact
-    c = s + 2 * K - 1
-    base = 1 + math.log(2.5) - 2 * K * math.log(2 * math.pi) \
-        + math.lgamma(2 * K + 1) - math.log(c)
+    p, q = _exact(a).numerator, _exact(a).denominator
     target = -(bits + 20) * math.log(2)
 
     def above_target(M: int) -> bool:
@@ -329,39 +340,46 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
       I_n = R^(1-s) Sum_{j<=n} (n!/(n-j)!) log^(n-j)(R) / (s-1)^(j+1)
             (the continued Integral_R^inf f; -log^(n+1)(R)/(n+1) at s = 1),
 
-      |remainder| <= 2 zeta(2K)/(2 pi)^(2K) Integral_R^inf |f^(2K)(t)| dt,
+      |remainder| <= 2 zeta(2K)/(2 pi)^(2K) Integral_R^inf |f^(2K)(t)| dt
 
-    with zeta(2K) <= 1 + 2^-2K (2K+1)/(2K-1).  The P_j come from one
-    _eps_table per call, so the Bernoulli corrections contract over j
-    once per eps power i and each order costs O(n):
+    and 2 zeta(2K)/(2 pi)^(2K) = |B_2K|/(2K)! exactly.  The P_j come from
+    one _eps_table per (s, N, 2K), so the Bernoulli corrections contract
+    over j once per eps power i and each order costs O(n):
 
       correction_n = Sum_i n!/(n-i)! log^(n-i)(R) D_i,
       D_i = Sum_j B_2j/(2j)! c[2j-1][i] R^(1-s-2j).
 
     s = u/v and a = p/q are exact (_exact), so R = P/q with P = M q + p.
-    The head sum runs in integers at H = W + N log2(lmax) + 4 fractional
-    bits, W = bits + extra: t = (kq + p)/q takes log t = log(kq + p) -
-    log q (log_fixed at H bits), t^(-s) an exact power at integer s, an
-    exact isqrt at half-integer s, else exp_fixed(-u log t / v), and its
-    moments w <- w log t >> H; each truncation, grown by at most lmax^N,
-    stays below 2^-W.  D_i = R^(-s) Num_i/Den is exact over one common
+    The pass runs in integers, in units of 2^-H, H = W + N log2(lmax) + 4
+    and W = bits + extra: t = (kq + p)/q takes log t = log(kq + p) - log q
+    (log_fixed), t^(-s) an exact power at integer s, an exact isqrt at
+    half-integer s, else exp_fixed(-u log t / v), and its moments
+    w <- w log t >> H; each truncation, grown by at most lmax^N, stays
+    below 2^-W.  log R = log_fixed(P, q, H), its powers floored; R^(-s) by
+    the same rule at t = R, floored in units of 2^-(H+G), G = s log2 R, so
+    that it keeps H bits; D_i = R^(-s) Num_i/Den over one common
     denominator, Den = lcm(denominators of B_2..B_2K) (2K)! (vP)^(2K-1),
-    from the integer table C[j] = v^j c[j]; Num_i/Den is rounded once to
-    W bits.  The closing loop (I_n, remainder, bound) is mpf at W bits.
-
-    The remainder integral is Sum_m |[L^m] P_2K| e^(-cL) T_m with
-    c = s + 2K - 1 and T_m = e^(cL) Integral_L^inf u^m e^(-cu) du =
-    L^m/c + (m/c) T_(m-1).  The bound adds the rounding slop of the pass,
-    (M + 2K + 16) (n + 4 + |s| lmax) 2^-W (lmax^n mass + |I_n| + |corr| + 1)
-    with mass = Sum_{k<M} (k+a)^(-s) and |corr| the correction with each
-    D_i as |D_i|, and 2^(1-bits) (|value| + 1) for the rounding to the
-    context.
+    from the integer table C[j] = v^j c[j], floored in units of 2^-(H+X),
+    2^X >= n!/(n-i)! lmax^(n-i); I_n = (P/q) R^(-s) times the exact
+    1/(s-1)^(j+1) = (v/(u-v))^(j+1) over (u-v)^(n+1), f(R)/2 and each
+    correction floored once.  The bound is a ceiling in every part: the
+    remainder integral is Sum_m |[L^m] P_2K| e^(-cL) T_m, c = s + 2K - 1,
+    T_m = e^(cL) Integral_L^inf u^m e^(-cu) du = L^m/c + (m/c) T_(m-1)
+    ceiled from ceiled powers of (log R + 2^-H), times the exact ratio
+    |B_2K|/(2K)! R^(-s) (q/P)^(2K-1) v^-2K, R^(-s) taken as its value
+    (1 + |u| 2^-H) + 8 units (the log's and exp_fixed's errors); the
+    rounding slop of the pass, (M + 2K + 16) (n + 4 + |s| lmax) 2^-W
+    (lmax^n mass + |I_n| + |corr| + 1) with lmax the exact ratio of its
+    float, mass = Sum_{k<M} (k+a)^(-s) and |corr| the correction with each
+    D_i as |D_i|; and 2^(1-bits) (|value| + 1) for the one rounding of the
+    value to the context, as the bound's own.
     """
     s, a = _exact(s), _exact(a)
     sf = float(s)
     if not a > 0:
         raise ValueError(f"Euler-Maclaurin shift must be positive, got {a}")
     M, K = _em_plan(sf, a, N, ctx.bits)
+    blcm, bnum = _em_setup(sf, N, ctx.bits)[4:]
     u, v, p, q = s.numerator, s.denominator, a.numerator, a.denominator
     P, e = M * q + p, abs(u)
     lR = math.log(P) - math.log(q)   # log R in floats, for R beyond their range
@@ -371,66 +389,57 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
                                + N * math.log2(lmax) + math.log2(M))
     W = ctx.bits + extra
     H = W + math.ceil(N * math.log2(lmax)) + 4
-    lq = log_fixed(q, 1, H)
+    G, X = max(0, math.ceil(sf * lR / math.log(2))), math.ceil(N * math.log2(max(N, lmax)))
+
+    def power(n: int, V: int, lt: int) -> int:   # 2^V (n/q)^(-s), lt = 2^V log(n/q)
+        x, y = (q, n) if u > 0 else (n, q)  # (n/q)^(-s) = (x/y)^(e/v)
+        if v == 1:
+            return (x ** e << V) // y ** e
+        if v == 2:
+            return math.isqrt((x ** e << 2 * V) // y ** e)
+        return exp_fixed(-u * lt // v, V)
+
+    lq, lt = log_fixed(q, 1, H), 0
     sums = [0] * (N + 1)
     for k in range(M):
         n = k * q + p
         if N or v > 2:
             lt = log_fixed(n, 1, H) - lq
-        x, y = (q, n) if u > 0 else (n, q)  # t^(-s) = (x/y)^(e/v)
-        if v == 1:
-            w = (x ** e << H) // y ** e
-        elif v == 2:
-            w = math.isqrt((x ** e << 2 * H) // y ** e)
-        else:
-            w = exp_fixed(-u * lt // v, H)
-        sums[0] += w
+        sums[0] += (w := power(n, H, lt))
         for i in range(1, N + 1):
             w = w * lt >> H
             sums[i] += w
     C = _eps_table(s, N, 2 * K)
-    blcm = math.lcm(*(bernoulli(2 * j).denominator for j in range(1, K + 1)))
     num, g = [0] * (N + 1), 1  # g = (2K)!/(2j)! (vP)^(2K-2j)
     for j in range(K, 0, -1):
-        b = bernoulli(2 * j)
-        f = b.numerator * (blcm // b.denominator) * g * q ** (2 * j - 1)
+        f = bnum[j - 1] * g * q ** (2 * j - 1)
         num = [y + f * x for x, y in zip(C[2 * j - 1], num)]
         g *= 2 * j * (2 * j - 1) * (v * P) ** 2
-    den = blcm * math.factorial(2 * K) * (v * P) ** (2 * K - 1)
+    den, F, L = blcm * g // (v * P), 1 << H, log_fixed(P, q, H)
+    wR = power(P, H + G, L << G)
+    Lpow, Lup, T, cu = [F], [F], [0], u + (2 * K - 1) * v   # c = cu/v, T[m + 1] = 2^H T_m
+    for m in range(N + 1):  # log^m R floored, and ceiled from L + 1 > 2^H log R
+        T.append(-(-(Lup[m] + m * T[-1]) * v // cu))
+        Lpow.append(Lpow[-1] * L >> H)
+        Lup.append(-(-Lup[-1] * (L + 1) >> H))
+    D = [(wR * x << X) // (den << G) for x in num]
+    B, ln, ld = bernoulli(2 * K), *lmax.as_integer_ratio()
+    rem_num = abs(B.numerator) * (wR + (e * wR >> H) + 8) * q ** (2 * K - 1)
+    rem_den = den // blcm * B.denominator * v << H + G   # (2K)! v^2K P^(2K-1) B_2K's denominator
     out = []
-    with ctx.workprec(extra):
-        sv, d, R = _to_mpf(s), _to_mpf(s - 1), _to_mpf(Fraction(P, q))
-        L, wR = mpmath.log(R), R ** -sv
-        Lpow = [L ** m for m in range(N + 2)]
-        D = [wR * mpf(from_rational(x, den, W, "n")) for x in num]
-        cr = sv + 2 * K - 1
-        T = [1 / cr]
-        for m in range(1, N + 1):
-            T.append((Lpow[m] + m * T[-1]) / cr)
-        zeta2K = 1 + mpf(2 * K + 1) / ((2 * K - 1) * mpf(4) ** K)
-        rem_scale = 2 * zeta2K / (2 * mpmath.pi * v) ** (2 * K) * mpmath.exp(-cr * L)
-        for n in range(N + 1):
-            if s == 1:
-                I = -Lpow[n + 1] / (n + 1)
-            else:
-                I, fall = mpf(0), 1
-                for j in range(n + 1):
-                    I += fall * Lpow[n - j] / d ** (j + 1)
-                    fall *= n - j
-                I *= R * wR
-            corr = corr_abs = tail = mpf(0)
-            fall = 1  # n!/(n-i)!
-            for i in range(n + 1):
-                corr += fall * Lpow[n - i] * D[i]
-                corr_abs += fall * Lpow[n - i] * abs(D[i])
-                tail += fall * abs(C[2 * K][i]) * T[n - i]
-                fall *= n - i
-            value = mpf((sums[n], -H)) + I + Lpow[n] * wR / 2 - corr
-            rem = rem_scale * tail
-            slop = (M + 2 * K + 16) * (n + 4 + abs(sv) * lmax) * mpf(2) ** -W \
-                * (mpf(lmax) ** n * mpf((sums[0], -H)) + abs(I) + corr_abs + 1)
-            bound = rem + slop + mpf(2) ** (1 - ctx.bits) * (abs(value) + 1)
-            out.append((ctx.real(value), ctx.real(bound)))
+    for n in range(N + 1):
+        I = -Lpow[n + 1] // (n + 1) if s == 1 else P * wR * sum(
+            math.perm(n, j) * Lpow[n - j] * v ** (j + 1) * (u - v) ** (n - j)
+            for j in range(n + 1)) // (q * (u - v) ** (n + 1) << H + G)
+        terms = [math.perm(n, i) * Lpow[n - i] for i in range(n + 1)]
+        corr, corr_abs = sum(t * d for t, d in zip(terms, D)), sum(t * abs(d) for t, d in zip(terms, D))
+        tail = sum(math.perm(n, i) * abs(C[2 * K][i]) * T[n - i + 1] for i in range(n + 1))
+        value = sums[n] + I + (Lpow[n] * wR >> H + G + 1) - (corr >> H + X)
+        slop = (M + 2 * K + 16) * ((n + 4) * v * ld + e * ln) * (
+            ln ** n * sums[0] + ld ** n * (abs(I) + (-(-corr_abs >> H + X)) + F))
+        bound = -(-rem_num * tail // rem_den) - (-slop // (v * ld ** (n + 1) << W)) \
+            - (-(abs(value) + F) >> ctx.bits - 1)
+        out.append((ctx.real((value, -H)), ctx.real((bound, -H))))
     return tuple(out)
 
 

@@ -797,6 +797,20 @@ def test_dirichlet_log_deriv_closed_form(ctx):
         assert abs(v - ref) < mpf(1) / 10 ** 45
 
 
+@pytest.mark.parametrize("bits", [128, 192, 256])
+@pytest.mark.parametrize("s", [F(1, 2), F(4, 3), F(3, 2), F(5, 3), F(2)])
+@pytest.mark.parametrize("d", [3, 1, 7, 2])   # chi_-3, chi_-4, chi_-7, chi_-8
+def test_dirichlet_L_against_mpmath(d, s, bits):
+    # L(s, chi) and L'(s, chi) away from s = 1, one pass per residue over
+    # the shared set-up, against mpmath's dirichlet at bits + 64.
+    chi = kronecker_chi(d)
+    L, Lp = dirichlet_L(s, len(chi), chi, PrecisionContext(bits))
+    with mpmath.workprec(bits + 64):
+        sv = mpf(s.numerator) / s.denominator
+        for got, ref in ((L, mpmath.dirichlet(sv, chi)), (Lp, mpmath.dirichlet(sv, chi, 1))):
+            assert abs(got - ref) <= mpf(2) ** (8 - bits) * (1 + abs(ref)), (d, s, bits)
+
+
 def test_dirichlet_L_rejects_principal_at_one(ctx):
     with pytest.raises(ValueError):
         dirichlet_L(F(1), 4, (0, 1, 0, 1), ctx)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from deriv_polys_reference import _deriv_polys
@@ -267,9 +267,18 @@ ref_a = st.builds(Fraction, st.integers(min_value=1, max_value=30),
 @settings(max_examples=60, deadline=None)
 @given(ref_s, ref_a, st.integers(min_value=0, max_value=9),
        st.sampled_from([64, 128, 192, 320, 512, 1024]))
+# every branch of the closing: integer, half-integer and other s, s = 1,
+# the exact polynomial case (s <= 0, n = 0, M = 1) and u < 0
+@example(Fraction(3), Fraction(1, 3), 2, 192)
+@example(Fraction(5, 2), Fraction(2, 7), 1, 256)
+@example(Fraction(4, 3), Fraction(5, 7), 3, 128)
+@example(Fraction(1), Fraction(7, 2), 4, 320)
+@example(Fraction(-2), Fraction(3, 4), 0, 128)
+@example(Fraction(-7, 5), Fraction(1, 9), 2, 192)
 def test_em_log_moments_against_mpf_reference(s, a, N, bits):
     # The integer pass against the mpf pass it replaced: the values agree
-    # within the two bounds, and no bound grows by more than 1%.
+    # within the two bounds, no bound grows by more than 1%, and each bound
+    # is the reference's formula, to 1e-9 relative.
     ctx = PrecisionContext(bits=bits)
     new = em_log_moments(s, a, N, ctx)
     old = em_log_moments_reference(s, a, N, ctx)
@@ -277,6 +286,34 @@ def test_em_log_moments_against_mpf_reference(s, a, N, bits):
         for n, ((v1, b1), (v0, b0)) in enumerate(zip(new, old)):
             assert abs(v1.val - v0.val) <= b1.val + b0.val, (s, a, N, bits, n)
             assert b1.val <= b0.val * mpmath.mpf(1.01), (s, a, N, bits, n)
+            assert abs(b1.val - b0.val) <= b0.val * mpmath.mpf(1e-9), (s, a, N, bits, n)
+
+
+@pytest.mark.parametrize("s,N,bits,shifts", [
+    (Fraction(4, 3), 1, 192, [Fraction(a, 7) for a in range(1, 7)]),   # chi_-7's residues
+    (Fraction(1), 4, 256, [Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(2, 7)]),
+    (Fraction(-3, 2), 0, 128, [Fraction(1, 5), Fraction(3, 5), Fraction(1), Fraction(9, 4)])])
+def test_em_set_up_does_not_depend_on_history(s, N, bits, shifts):
+    # The set-up shared by the shifts of one (s, N, bits) gives the same
+    # values and bounds whichever order the shifts run in, with calls at
+    # other widths and orders in between (some evicting the key), and
+    # from cleared caches.
+    def run(order):
+        return {a: em_log_moments(s, a, N, PrecisionContext(bits)) for a in order}
+
+    def clear():
+        mpcore._em_setup.cache_clear()
+        mpcore._eps_table.cache_clear()
+
+    clear()
+    first, mixed = run(shifts), {}
+    for k, a in enumerate(reversed(shifts)):
+        for other in range(k % 2 * 5):
+            em_log_moments(s, a, N + 1 + other % 2, PrecisionContext(bits + 64 * (other + 1)))
+        mixed.update(run([a]))
+        em_log_moments(Fraction(5, 2), a, N, PrecisionContext(bits))
+    clear()
+    assert mixed == first and run(shifts[::-1]) == first
 
 
 @settings(max_examples=60, deadline=None)
