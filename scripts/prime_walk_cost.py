@@ -5,16 +5,18 @@ For each precision in BITS and each row of ROWS, times the cold tables
 of prime_power_sum to N = 3 10^4 for the five characters the prime-scan
 benchmark walks (zeta and chi_{-d}, d = 1, 2, 3, 7) at each s of the row,
 one after another, as the benchmark's Selberg ops meet them; the last
-row is one cold zeta table at s = 0 to 3 10^5, psi at the prime-scan
-benchmark's largest abscissa, where the logs of the 12k primes to
-arith.LOG_LIMIT are almost all the cost (the running product takes the
-rest).  "Cold" means the module's checkpoint, ratio, log and
-root tables, its log chain and mpcore.log_fixed's tables (which anchor
-the chain) are emptied before each timed row, so a row pays for every
-log and root it reads once; the two rows before the
-last show what the s of one denominator share.  The sieve these rows
-read is built once, untimed.  Prints the median of REPEAT runs per cell
-in milliseconds, round-robin over the cells.  A second table times a cold
+three rows are one cold zeta table each to 3 10^5, the prime-scan
+benchmark's largest abscissa: at s = 0 (psi), where the logs of the 12k
+primes to arith.LOG_LIMIT are almost all the cost (the running product
+takes the rest), and at s = 1/3 and 2/3, whose walk goes on past
+arith.LOG_LIMIT with a log and an untabled power per prime.  "Cold" means
+the module's checkpoint, ratio, log and root tables, its log chain and
+mpcore.log_fixed's tables (which anchor the chain) are emptied before
+each timed row, so a row pays for every log and root it reads once; the
+rows "1/2,3/2,-1/2" and "1/3,2/3" show what the s of one denominator
+share.  The sieve these rows read is built once, untimed.  Prints the
+median of REPEAT runs per cell in milliseconds, round-robin over the
+cells.  A second table times a cold
 mangoldt_sieve(N) at each N of SIEVE_N, the median of REPEAT, with the
 tracemalloc peak of one more call in bytes per entry.  A third times a
 cold zeta sum at s = 0 to each N of PSI_N at 192 and 1024 bits, psi(N),
@@ -59,9 +61,10 @@ def main() -> int:
     rows = {name: (lambda ctx, row=row: [arith.prime_power_sum(N, s, ctx, chi)
                                          for s in row for chi in CHIS])
             for name, row in ROWS.items()}
-    rows["0, zeta, 3e5"] = lambda ctx: arith.prime_power_sum(ZETA_N, Fraction(0), ctx)
-    print_table(f"ms per row of cold tables (to {N}, five characters per s, but the last), "
-                f"median of {REPEAT}",
+    for s in (Fraction(0),) + S[3:]:
+        rows[f"{s}, zeta, 3e5"] = lambda ctx, s=s: arith.prime_power_sum(ZETA_N, s, ctx)
+    print_table(f"ms per row of cold tables (to {N}, five characters per s; "
+                f"the last three to {ZETA_N}, zeta only), median of {REPEAT}",
                 "s", 16, median_times(rows, REPEAT, warm=False, before=_reset), 1e3, ".1f")
     print(f"cold mangoldt_sieve(N): ms, median of {REPEAT} (host-scaled), "
           f"and tracemalloc peak in bytes per entry")

@@ -17,8 +17,8 @@ mean of the sums to y - 1 and to y, one integer.  Both forms are
 weighted_sum, x^a times primed_sum, which reads prime_power_sum at
 bits + 32: fixed-point integers, each prime's log floored once per width
 by _log, the one log lookup (at s = 0 past LOG_LIMIT one product's log),
-and root p^(-1/b) once per (b, width), b <= ROOT_BOUND, checkpointed
-every BLOCK = 256 per (s, chi, width); no value depends on history.
+and root p^(-1/b) per (b, width), b <= ROOT_BOUND (untabled past LOG_LIMIT),
+checkpointed every BLOCK = 256 per (s, chi, width); none depends on history.
 
 The class data of Q(sqrt(-d)) is exact integers, chi_{-d} a table built
 by complete multiplicativity from its values at the primes.
@@ -215,9 +215,9 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     c L p^q _power(r << e, j, W + e) >> W errs (L under 1 unit low) by less
     than 1 + (1 + (j p^(1/b) + 1) log p) 2^e n^(-s) + 2 j p^q log p units
     of 2^-(W+e).
-    Larger b, and p > LOG_LIMIT at b >= 3 (roots no table keeps, each a
-    Newton root dearer than one exp_fixed), take exp_fixed(-s k log p);
-    ROOT_BOUND = 3 is the largest b a measured workload reads (README).
+    Past LOG_LIMIT no table keeps the root: _root takes it afresh.  Larger
+    b take exp_fixed(-s k log p); ROOT_BOUND = 3 is the largest b a
+    measured workload reads (README).
     At s = 0 the terms past LOG_LIMIT are one log, _log_ratio's: 2 units in all.
     The walk reads the table's prime powers in (lo, hi]; its checkpoints
     every BLOCK per (s, chi, W) grow by whole blocks in increasing n: no
@@ -237,7 +237,7 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
                 L = logs.get(p) or _log(p, W)
                 if b == 1:                       # n^-s as an exact power of n
                     acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
-                elif roots is None or (b > 2 and p > LOG_LIMIT):
+                elif roots is None:
                     k = 1 if p == n else round(math.log(n, p))
                     acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W
                 else:

@@ -63,7 +63,7 @@ from .mpcore import (
     PrecisionContext,
     _exact,
     _to_mpf,
-    bernoulli,
+    bernoulli_table,
     em_log_moments,
     log_fixed,
 )
@@ -150,16 +150,15 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
     B_k(t) + k t^(k-1) taken |m| times and |B_k(t)| <= 2 zeta(k) k!/(2 pi)^k
     <= 4 k!/(2 pi)^k (k >= 2) bound the tail by 4 r^(K+1)/((K+1)(1-r)) +
     c^(K+1)/((K+1)! (1 - c/(K+2))), r = tau/(2 pi), c = (|a| + 1) tau.
-    E_k = D q^k B_k(a) = Sum_j C(k, j) (D B_j) q^j p^(k-j), a = p/q, D the
-    lcm of the denominators of B_0..B_K (mpcore's exact recurrence), are
-    integers, and the sum runs in integers at W: T = floor(2^W tau) and
-    its floored powers T_k are below 2^W tau^k by less than k units, each
-    term E_k T_k // (D q^k k k!) floors once, so it errs by less than
-    K + 1 + Sum_k |B_k(a)|/k! units of 2^-W.  psi(a) = -gamma_0(a) is
-    em_log_moments' at s = 1 and bits + 32, after psi(a) = psi(a + m) -
-    Sum_{j<m} 1/(a + j) for a <= 0; its certified bound, near
-    2^-(bits+31) |psi(a)|, is the largest error.  tau = -log1p(z - 1)
-    and log tau are mpf at W bits."""
+    E_k = D q^k B_k(a) = Sum_j C(k, j) (D B_j) q^j p^(k-j), a = p/q, D and
+    the D B_j from mpcore.bernoulli_table, are integers, and the sum runs in
+    integers at W: T = floor(2^W tau) and its floored powers T_k are below
+    2^W tau^k by less than k units, each term E_k T_k // (D q^k k k!) floors
+    once, so it errs by less than K + 1 + Sum_k |B_k(a)|/k! units of 2^-W.
+    psi(a) = -gamma_0(a) is em_log_moments' at s = 1 and bits + 32, after
+    psi(a) = psi(a + m) - Sum_{j<m} 1/(a + j) for a <= 0; its certified
+    bound, near 2^-(bits+31) |psi(a)|, is the largest error.
+    tau = -log1p(z - 1) and log tau are mpf at W bits."""
     a = 1 + u
     p, q = a.numerator, a.denominator
     W = walk_width(ctx)
@@ -174,10 +173,8 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
                   (K + 1) * math.log(c) - math.lgamma(K + 2) - math.log(1 - c / (K + 2))
                   ) > -(W + 2) * math.log(2):
             K += 1
-        bs = [bernoulli(j) for j in range(K + 1)]
-        D = math.lcm(*(b.denominator for b in bs))
-        bq = [(j, b.numerator * (D // b.denominator) * q ** j) for j, b in enumerate(bs) if b]
-        T, Tk, qf, S = libmp.to_fixed(tau._mpf_, W), 1 << W, D, 0   # qf = D q^k k!
+        (qf, bt), T, Tk, S = bernoulli_table(K), libmp.to_fixed(tau._mpf_, W), 1 << W, 0   # qf = D q^k k!
+        bq = [(j, bt[j] * q ** j) for j in range(K + 1) if bt[j]]
         for k in range(1, K + 1):
             Tk, qf = Tk * T >> W, qf * q * k
             E = sum(math.comb(k, j) * e * p ** (k - j) for j, e in bq if j <= k)

@@ -23,10 +23,11 @@ Numeric backend: mpmath mpf supplies correctly rounded base arithmetic
 inside the 2^(8-bits) contract) and the elementary functions.  Hurwitz zeta
 and the Stieltjes constants come from Bernoulli-number expansions with
 computable error terms, run wholly in Python integers (logs from log_fixed,
-powers from mpmath's exp_fixed, bounds rounded up, the shift-free set-up kept
-for the last 4 (s, N, bits)); they and zeta_int round once.  mpmath.loggamma,
-called by analysis.chowla_selberg_rhs, is the only mpmath special function
-that production code calls; the others serve only as test oracles.
+powers from exp_fixed, Bernoulli numbers from one integer table, bounds
+rounded up, the set-up that plans and bounds a pass kept per exact (s, N,
+bits)); they and zeta_int round once.  mpmath.loggamma, called by
+analysis.chowla_selberg_rhs, is the only mpmath special function that
+production code calls; the others serve only as test oracles.
 """
 
 from __future__ import annotations
@@ -177,22 +178,34 @@ class HReal(_Value):
 # Bernoulli numbers and logs of exact rationals (tables grown on demand)
 # ----------------------------------------------------------------------
 
-_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
+_BERNOULLI = (2, [2, -1])   # bernoulli_table's (D, [D B_0, ..., D B_n])
+
+
+def bernoulli_table(n: int) -> tuple[int, list[int]]:
+    """(D, [D B_0, D B_1, ...]) to index n or past it, integers, shared (read
+    only): D the product of the primes <= the list's length, a multiple of every
+    denominator (von Staudt-Clausen), D B_2k = (-1)^(k-1) D 2k T_k/(4^k (4^k - 1))
+    exactly, T_k the tangent numbers (Brent and Harvey, arXiv:1108.0286).  D grows
+    with the table: each use divides by it in one floored ratio, the same for any D."""
+    global _BERNOULLI
+    if n >= len(_BERNOULLI[1]):
+        m, D = n // 2, math.prod(p for p in range(2, n + 2)
+                                 if all(p % d for d in range(2, math.isqrt(p) + 1)))
+        T = [0] + [math.factorial(k - 1) for k in range(1, m + 1)]   # tan x = Sum T_k x^(2k-1)/(2k-1)!
+        for k in range(2, m + 1):
+            for j in range(k, m + 1):
+                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        even = [(-1) ** (k - 1) * (D * 2 * k * T[k] // (4 ** k * (4 ** k - 1))) for k in range(1, m + 1)]
+        _BERNOULLI = D, ([D, -D // 2] + [x for b2k in even for x in (b2k, 0)])[:n + 1]
+    return _BERNOULLI
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention), by the defining
-    recurrence Sum_{j=0}^{m} C(m+1, j) B_j = 0; odd B_j vanish for j >= 3."""
+    """Exact Bernoulli number B_n (B_1 = -1/2): bernoulli_table's entry over D."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    b = _BERNOULLI
-    for m in range(len(b), n + 1):
-        if m % 2:
-            b.append(Fraction(0))
-            continue
-        acc = (m + 1) * b[1] + sum(math.comb(m + 1, j) * b[j] for j in range(0, m, 2))
-        b.append(-acc / (m + 1))
-    return b[n]
+    D, b = bernoulli_table(n)
+    return Fraction(b[n], D)
 
 
 _LOGS: dict[int, list[list[int]]] = {}   # T -> 2^T log(1 + j/2^B) for B = 8 (j <= 256), 12, 16
@@ -246,11 +259,10 @@ def log_fixed(n: int, d: int, V: int) -> int:
 _EM_BUDGET = 1 << 20  # refuse, before any summation, plans with M (N+1) above this
 
 
-@lru_cache(maxsize=4)   # the last 4 keys: an order-120 table at 1024 bits holds megabytes
 def _eps_table(s: Fraction, N: int, count: int) -> list[list[int]]:
     """C[j][i] = v^j [eps^i] (-1)^j (s-eps)_j for j = 0..count, i = 0..N,
     with s = u/v in lowest terms and (x)_j the rising factorial: integers,
-    by C[j+1][i] = -(u + j v) C[j][i] + v C[j][i-1].  Shared: read only.
+    by C[j+1][i] = -(u + j v) C[j][i] + v C[j][i-1].
 
     d^j/dt^j t^(-(s-eps)) = (-1)^j (s-eps)_j t^(-(s-eps)-j), and the
     eps^n/n! coefficient of t^(-(s-eps)) is f(t) = log^n(t) t^(-s), so
@@ -265,57 +277,48 @@ def _eps_table(s: Fraction, N: int, count: int) -> list[list[int]]:
     return rows
 
 
-def _poly_eval(coeffs: Sequence, L):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * L + c
-    return acc
-
-
-@lru_cache(maxsize=4)
-def _em_setup(s: float, N: int, bits: int) -> tuple:
-    """The shift-free part of a plan, kept for the last 4 (s, N, bits): K, the
-    majorant r, c = s + 2K - 1 and the float remainder base of _em_plan, blcm =
-    lcm(denominators of B_2..B_2K) and the list of B_2j blcm, j = 1..K (read only)."""
+@lru_cache(maxsize=4)   # the last 4 keys: an order-120 table at 1024 bits holds megabytes
+def _em_setup(s: Fraction, N: int, bits: int) -> tuple:
+    """The shift-free part of a pass for the last 4 exact (s, N, bits), shared
+    (read only): K; _em_plan's c = s + 2K - 1, base = log(2.5 e 2^(bits+20)/((2 pi v)^2K c))
+    and pairs (m, x), x = log(N!/(N-i)! |C[2K][i]|) of exact integers, m = N - i:
+    the bound's own row; C = _eps_table(s, N, 2K); bernoulli_table(2K)."""
     K = max(math.ceil((bits + 20) / 8), math.floor((1 - s) / 2) + 1)
-    r = [0.0] * N + [1.0]
-    for j in range(2 * K):
-        r = [((i + 1) * d + abs(s + j) * c) / (j + 1)
-             for i, (c, d) in enumerate(zip(r, r[1:] + [0.0]))]
-    c, B = s + 2 * K - 1, [bernoulli(2 * j) for j in range(1, K + 1)]
-    blcm = math.lcm(*(b.denominator for b in B))
-    return (K, r, c, 1 + math.log(2.5) - 2 * K * math.log(2 * math.pi) + math.lgamma(2 * K + 1)
-            - math.log(c), blcm, [b.numerator * (blcm // b.denominator) for b in B])
+    C, c = _eps_table(s, N, 2 * K), float(s) + 2 * K - 1
+    lc = [(N - i, math.log(math.perm(N, i)) + math.log(abs(x))) for i, x in enumerate(C[2 * K]) if x]
+    base = (bits + 20) * math.log(2) + 1 + math.log(2.5) - 2 * K * math.log(2 * math.pi * s.denominator)
+    return K, c, base - math.log(c), lc, C, bernoulli_table(2 * K)
 
 
-def _em_plan(s: float, a: Scalar, N: int, bits: int) -> tuple[int, int]:
-    """Shift count M and Bernoulli count K for em_log_moments.
+def _em_plan(s: Fraction, a: Scalar, N: int, bits: int) -> tuple[int, int]:
+    """Shift count M and Bernoulli count K for em_log_moments at exact s.
 
     Near R = M + a = 2K each Bernoulli term gains about 2 log2(2 pi e) =
     8.2 bits, so K = (bits + 20)/8, raised if needed so that s + 2K > 1
     (the remainder integral converges).  M is then the least shift whose
-    remainder bound for order N, estimated in floats from a
-    coefficient-wise majorant r of |P_2K|/(2K)! at log R, or at the
-    integrand's peak N/c past it, meets 2^-(bits+20).
+    remainder bound for order N, estimated from the set-up's logs of |P_2K|
+    (the certified bound's own row), finite at any order, at log R or at
+    the integrand's peak N/c past it, meets 2^-(bits+20).
     A plan with M (N+1) > 2^20 is refused before any summation.
     """
-    K, r, c, base = _em_setup(float(s), N, bits)[:4]
-    if not any(r):
+    K, c, base, lc = _em_setup(s, N, bits)[:4]
+    if not lc:
         return 1, K  # f is a polynomial of degree < 2K: the sum is exact
     p, q = _exact(a).numerator, _exact(a).denominator
-    target = -(bits + 20) * math.log(2)
 
     def above_target(M: int) -> bool:
         # log(M + a) for a = p/q of any size, or the integrand's peak past it
         L = max(math.log(M * q + p) - math.log(q), N / c)
-        return base + math.log(_poly_eval(r, L)) - c * L > target
+        lL = math.log(L or 1)   # L = 0 only at N = 0, where m = 0
+        top = max(x + m * lL for m, x in lc)   # a log-sum-exp: no overflow
+        return base + top + math.log(sum(math.exp(x + m * lL - top) for m, x in lc)) - c * L > 0
 
     cap = _EM_BUDGET // (N + 1)  # the largest admissible shift count
     lo, hi = 0, 1
     while above_target(hi):
         if hi >= cap:
             raise ArithmeticError(
-                f"Euler-Maclaurin plan for s = {s:g}, N = {N} at {bits} bits "
+                f"Euler-Maclaurin plan for s = {float(s):g}, N = {N} at {bits} bits "
                 f"needs M (N+1) > {_EM_BUDGET}")
         lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
@@ -343,8 +346,8 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
       |remainder| <= 2 zeta(2K)/(2 pi)^(2K) Integral_R^inf |f^(2K)(t)| dt
 
     and 2 zeta(2K)/(2 pi)^(2K) = |B_2K|/(2K)! exactly.  The P_j come from
-    one _eps_table per (s, N, 2K), so the Bernoulli corrections contract
-    over j once per eps power i and each order costs O(n):
+    the set-up's _eps_table, so the Bernoulli corrections contract over j
+    once per eps power i and each order costs O(n):
 
       correction_n = Sum_i n!/(n-i)! log^(n-i)(R) D_i,
       D_i = Sum_j B_2j/(2j)! c[2j-1][i] R^(1-s-2j).
@@ -358,8 +361,8 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
     below 2^-W.  log R = log_fixed(P, q, H), its powers floored; R^(-s) by
     the same rule at t = R, floored in units of 2^-(H+G), G = s log2 R, so
     that it keeps H bits; D_i = R^(-s) Num_i/Den over one common
-    denominator, Den = lcm(denominators of B_2..B_2K) (2K)! (vP)^(2K-1),
-    from the integer table C[j] = v^j c[j], floored in units of 2^-(H+X),
+    denominator, Den = bd (2K)! (vP)^(2K-1), bd bernoulli_table's D, from
+    the integer table C[j] = v^j c[j], floored in units of 2^-(H+X),
     2^X >= n!/(n-i)! lmax^(n-i); I_n = (P/q) R^(-s) times the exact
     1/(s-1)^(j+1) = (v/(u-v))^(j+1) over (u-v)^(n+1), f(R)/2 and each
     correction floored once.  The bound is a ceiling in every part: the
@@ -378,8 +381,8 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
     sf = float(s)
     if not a > 0:
         raise ValueError(f"Euler-Maclaurin shift must be positive, got {a}")
-    M, K = _em_plan(sf, a, N, ctx.bits)
-    blcm, bnum = _em_setup(sf, N, ctx.bits)[4:]
+    M, K = _em_plan(s, a, N, ctx.bits)
+    C, (bd, bt) = _em_setup(s, N, ctx.bits)[4:]
     u, v, p, q = s.numerator, s.denominator, a.numerator, a.denominator
     P, e = M * q + p, abs(u)
     lR = math.log(P) - math.log(q)   # log R in floats, for R beyond their range
@@ -409,13 +412,12 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
         for i in range(1, N + 1):
             w = w * lt >> H
             sums[i] += w
-    C = _eps_table(s, N, 2 * K)
     num, g = [0] * (N + 1), 1  # g = (2K)!/(2j)! (vP)^(2K-2j)
     for j in range(K, 0, -1):
-        f = bnum[j - 1] * g * q ** (2 * j - 1)
+        f = bt[2 * j] * g * q ** (2 * j - 1)
         num = [y + f * x for x, y in zip(C[2 * j - 1], num)]
         g *= 2 * j * (2 * j - 1) * (v * P) ** 2
-    den, F, L = blcm * g // (v * P), 1 << H, log_fixed(P, q, H)
+    den, F, L = bd * g // (v * P), 1 << H, log_fixed(P, q, H)
     wR = power(P, H + G, L << G)
     Lpow, Lup, T, cu = [F], [F], [0], u + (2 * K - 1) * v   # c = cu/v, T[m + 1] = 2^H T_m
     for m in range(N + 1):  # log^m R floored, and ceiled from L + 1 > 2^H log R
@@ -423,9 +425,9 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
         Lpow.append(Lpow[-1] * L >> H)
         Lup.append(-(-Lup[-1] * (L + 1) >> H))
     D = [(wR * x << X) // (den << G) for x in num]
-    B, ln, ld = bernoulli(2 * K), *lmax.as_integer_ratio()
-    rem_num = abs(B.numerator) * (wR + (e * wR >> H) + 8) * q ** (2 * K - 1)
-    rem_den = den // blcm * B.denominator * v << H + G   # (2K)! v^2K P^(2K-1) B_2K's denominator
+    ln, ld = lmax.as_integer_ratio()
+    rem_num = abs(bt[2 * K]) * (wR + (e * wR >> H) + 8) * q ** (2 * K - 1)
+    rem_den = den * v << H + G   # bd (2K)! v^2K P^(2K-1)
     out = []
     for n in range(N + 1):
         I = -Lpow[n + 1] // (n + 1) if s == 1 else P * wR * sum(

@@ -1,9 +1,15 @@
-"""Reference route for the Euler-Maclaurin core: the mpf pass the
-package used before its integer fixed-point pass, kept as an independent
-oracle.  It shares only the plan (_em_plan) and the Bernoulli numbers with
-the package; its coefficient table is the unscaled one, in whatever type
-s has (mpf here), and every loop runs on mpf at the pass's working
-precision.
+"""Reference routes for the Euler-Maclaurin core, kept as independent
+oracles.
+
+em_log_moments is the mpf pass the package used before its integer
+fixed-point pass.  It shares only the plan (_em_plan) and the Bernoulli
+numbers with the package; its coefficient table is the unscaled one, in
+whatever type s has (mpf here), and every loop runs on mpf at the pass's
+working precision.
+
+em_plan is the plan the package used before it read its exact
+coefficient table in logs: the same K, and M from a float
+coefficient-wise majorant of |P_2K|/(2K)!.
 """
 
 from __future__ import annotations
@@ -13,8 +19,49 @@ import math
 import mpmath
 from mpmath import mpf
 
-from zeta_explicit.mpcore import (_GUARD, HReal, PrecisionContext, Scalar,
-                                  _em_plan, _to_mpf, bernoulli)
+from zeta_explicit.mpcore import (_EM_BUDGET, _GUARD, HReal, PrecisionContext, Scalar,
+                                  _em_plan, _exact, _to_mpf, bernoulli)
+
+
+def em_plan(s: float, a: Scalar, N: int, bits: int) -> tuple[int, int]:
+    """(M, K) with K = (bits + 20)/8, raised if needed so that s + 2K > 1,
+    and M the least shift whose remainder bound for order N, estimated in
+    floats from a coefficient-wise majorant r of |P_2K|/(2K)! at log R, or
+    at the integrand's peak N/c past it, meets 2^-(bits+20).  Refused, as
+    the package's plan is, when M (N+1) > 2^20.  r equals the exact row
+    for s > 0 and bounds it for s <= 0; its polynomial overflows to inf
+    at large N."""
+    K = max(math.ceil((bits + 20) / 8), math.floor((1 - s) / 2) + 1)
+    r = [0.0] * N + [1.0]
+    for j in range(2 * K):
+        r = [((i + 1) * d + abs(s + j) * c) / (j + 1)
+             for i, (c, d) in enumerate(zip(r, r[1:] + [0.0]))]
+    if not any(r):
+        return 1, K  # f is a polynomial of degree < 2K: the sum is exact
+    c = s + 2 * K - 1
+    base = 1 + math.log(2.5) - 2 * K * math.log(2 * math.pi) + math.lgamma(2 * K + 1) - math.log(c)
+    p, q = _exact(a).numerator, _exact(a).denominator
+    target = -(bits + 20) * math.log(2)
+
+    def above_target(M: int) -> bool:
+        L = max(math.log(M * q + p) - math.log(q), N / c)
+        poly = 0.0
+        for x in reversed(r):
+            poly = poly * L + x
+        return base + math.log(poly) - c * L > target
+
+    cap = _EM_BUDGET // (N + 1)
+    lo, hi = 0, 1
+    while above_target(hi):
+        if hi >= cap:
+            raise ArithmeticError(
+                f"Euler-Maclaurin plan for s = {s:g}, N = {N} at {bits} bits "
+                f"needs M (N+1) > {_EM_BUDGET}")
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above_target(mid) else (lo, mid)
+    return hi, K
 
 
 def _eps_table(s, N: int, count: int) -> list[list]:
@@ -67,7 +114,7 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
     sf, af = float(s), float(a)
     if not af > 0:
         raise ValueError(f"Euler-Maclaurin shift must be positive, got {a}")
-    M, K = _em_plan(sf, af, N, ctx.bits)
+    M, K = _em_plan(_exact(s), _exact(a), N, ctx.bits)
     lmax = max(2.0, math.log(M + af), abs(math.log(af)))  # bounds |log t| on [a, R]
     # bits that cancel between the partial sum and I_n
     extra = _GUARD + math.ceil(max(0.0, 1 - sf) * math.log2(M + af)

@@ -416,12 +416,14 @@ def test_root_is_exact_floor_near_the_sieve_budget(monkeypatch, bits):
 
 @pytest.mark.parametrize("bits", [128, 192])
 @pytest.mark.parametrize("s,d", [(Fraction(1, 2), None), (Fraction(1, 3), None),
-                                 (Fraction(-2, 3), 3), (Fraction(5, 3), 7)])
+                                 (Fraction(-2, 3), 3), (Fraction(5, 3), 7),
+                                 (Fraction(1, arith.ROOT_BOUND + 1), None)])
 def test_primes_past_log_limit_take_exp_fixed_at_b_above_2(monkeypatch, bits, s, d):
-    # Past LOG_LIMIT no table keeps a root, so at b >= 3 each such prime
-    # takes one exp_fixed and no Newton root; b = 2 keeps math.isqrt.  The
-    # terms in (N1, N2] agree with a per-n sum to a few units of 2^-(W+e)
-    # per unit of their size.
+    # Past LOG_LIMIT no table keeps a root: up to ROOT_BOUND = 3 each such
+    # prime takes its root afresh (math.isqrt at b = 2, a Newton root at
+    # b = 3), never an exp_fixed; only b above the bound takes exp_fixed.
+    # The terms in (N1, N2] agree with a per-n sum to a few units of
+    # 2^-(W+e) per unit of their size.
     calls, exp_fixed = [], arith.exp_fixed
     monkeypatch.setattr(arith, "_prefix", {})
     monkeypatch.setattr(arith, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
@@ -432,8 +434,8 @@ def test_primes_past_log_limit_take_exp_fixed_at_b_above_2(monkeypatch, bits, s,
     terms = [(n, _prime_power_base(n)) for n in range(N1 + 1, N2 + 1)]
     terms = [(n, p, 1 if chi is None else chi[n % len(chi)]) for n, p in terms
              if p and (chi is None or chi[n % len(chi)])]
-    past = sum(1 for n, p, _ in terms if p > arith.LOG_LIMIT)
-    assert past > 0 and len(calls) == (past if s.denominator > 2 else 0)
+    assert any(p > arith.LOG_LIMIT for _, p, _ in terms)
+    assert bool(calls) == (s.denominator > arith.ROOT_BOUND)
     assert not any(p > arith.LOG_LIMIT for roots in arith._roots.values() for p in roots)
     e = -e1 - walk_width(ctx)
     with mpmath.workprec(-e1 + 64):
@@ -512,7 +514,7 @@ def _per_integer_sum(N: int, s: Fraction, ctx: PrecisionContext, chi) -> tuple[i
             L, k = arith._log(p, W), round(math.log(n, p))
             if b == 1:
                 acc += c * (L << e) // n ** a if a > 0 else c * L * n ** -a
-            elif b == 2 or p <= arith.LOG_LIMIT:
+            elif b <= arith.ROOT_BOUND:
                 acc += c * L * arith._power(arith._root(p, b, W) << e, a * k, W + e) >> W
             else:
                 acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W
@@ -523,7 +525,7 @@ def _per_integer_sum(N: int, s: Fraction, ctx: PrecisionContext, chi) -> tuple[i
 @pytest.mark.parametrize("d", [None, 1])
 def test_prime_power_walk_matches_per_integer_sum(s, d):
     # bit-identical at the block edges 255, 256, 257 and around LOG_LIMIT,
-    # past which s = 1/3 takes exp_fixed instead of a tabled root
+    # past which s = 1/3 takes an untabled root instead of a tabled one
     ctx = PrecisionContext(bits=192)
     chi = (1,) if d is None else kronecker_chi(d)
     for N in (255, 256, 257, arith.LOG_LIMIT - 1, arith.LOG_LIMIT + 1):

@@ -14,14 +14,18 @@ import hypothesis.strategies as st
 
 from deriv_polys_reference import _deriv_polys
 from em_reference import em_log_moments as em_log_moments_reference
+from em_reference import em_plan as em_plan_reference
 from zeta_explicit import mpcore
+from zeta_explicit.explicit import f_u_closed
 from zeta_explicit.liconst import build_stieltjes_table, stieltjes_shifted
 from zeta_explicit.mpcore import (
     HReal,
     PrecisionContext,
+    _em_plan,
     _eps_table,
     _exact,
     bernoulli,
+    bernoulli_table,
     em_log_moments,
     hurwitz_zeta,
     hurwitz_zeta_ds,
@@ -105,6 +109,13 @@ def test_bernoulli_table():
 def test_bernoulli_matches_mpmath():
     for n in range(301):
         assert bernoulli(n) == Fraction(*mpmath.bernfrac(n)), n
+
+
+def test_bernoulli_table_is_integers_over_one_denominator():
+    # D B_j is an integer for every j <= 300, the table's own entry
+    D, table = bernoulli_table(300)
+    for j in range(301):
+        assert D * Fraction(*mpmath.bernfrac(j)) == table[j], j
 
 
 def test_zeta_int_even_closed_forms(ctx):
@@ -301,19 +312,77 @@ def test_em_set_up_does_not_depend_on_history(s, N, bits, shifts):
     def run(order):
         return {a: em_log_moments(s, a, N, PrecisionContext(bits)) for a in order}
 
-    def clear():
-        mpcore._em_setup.cache_clear()
-        mpcore._eps_table.cache_clear()
-
-    clear()
+    mpcore._em_setup.cache_clear()
     first, mixed = run(shifts), {}
     for k, a in enumerate(reversed(shifts)):
         for other in range(k % 2 * 5):
             em_log_moments(s, a, N + 1 + other % 2, PrecisionContext(bits + 64 * (other + 1)))
         mixed.update(run([a]))
         em_log_moments(Fraction(5, 2), a, N, PrecisionContext(bits))
-    clear()
+    mpcore._em_setup.cache_clear()
     assert mixed == first and run(shifts[::-1]) == first
+
+
+def test_values_do_not_depend_on_the_bernoulli_table_size(monkeypatch):
+    # The common denominator D grows with the Bernoulli table; each use
+    # divides by it in one floored ratio, so the Euler-Maclaurin values
+    # and bounds (2K <= 40 at 64 and 128 bits, 54 at 192) and f_u's
+    # Lerch branch come out the same from a table first grown to 40 or 300.
+    def run(size):
+        monkeypatch.setattr(mpcore, "_BERNOULLI", (2, [2, -1]))
+        mpcore._em_setup.cache_clear()
+        bernoulli_table(size)
+        em = [em_log_moments(s, a, N, PrecisionContext(bits))
+              for s, a, N, bits in ((Fraction(4, 3), Fraction(2, 7), 2, 64),
+                                    (Fraction(1), Fraction(1, 3), 3, 128),
+                                    (Fraction(-7, 5), Fraction(1), 1, 128),
+                                    (Fraction(5, 2), Fraction(3, 4), 1, 192))]
+        z = 1 - Fraction(1, 2 ** 20)
+        return em, [f_u_closed(u, z, PrecisionContext(bits)) for u in (Fraction(1, 3), Fraction(1, 1009))
+                    for bits in (128, 192)]
+
+    assert run(40) == run(300)
+    mpcore._em_setup.cache_clear()
+
+
+PLAN_S = (Fraction(1), Fraction(4, 3), Fraction(5, 3), Fraction(3, 2), Fraction(9, 2),
+          Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 5), Fraction(-2))
+
+
+def _plan_or_refusal(plan, *args):
+    try:
+        return plan(*args)
+    except ArithmeticError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("s", PLAN_S)
+def test_em_plan_matches_float_majorant_plan(s):
+    # The plan reads the exact coefficient row of the certified bound; the
+    # float majorant it replaced equals that row for s > 0 and bounds it
+    # for s <= 0.  So (M, K) is the same for s > 0, and for s <= 0 K is the
+    # same and M never larger (a refusal counts as larger than any M).
+    for bits in (64, 128, 192, 256, 320, 1024):
+        for N in (0, 1, 4, 9, 100):
+            for a in (Fraction(1), Fraction(1, 3), Fraction(2, 7)):
+                new = _plan_or_refusal(_em_plan, s, a, N, bits)
+                old = _plan_or_refusal(em_plan_reference, float(s), a, N, bits)
+                if s > 0:
+                    assert new == old, (s, a, N, bits)
+                elif not isinstance(old, str):
+                    assert new[1] == old[1] and new[0] <= old[0], (s, a, N, bits, new, old)
+
+
+def test_em_plan_refusal_where_the_float_estimate_overflows():
+    # gamma_400 at 1024 bits: the float majorant's polynomial is inf at
+    # the budget's cap, the log-sum-exp finite; both refuse, in one text.
+    s, a, N, bits = Fraction(1), Fraction(1), 400, 1024
+    with pytest.raises(ArithmeticError) as old:
+        em_plan_reference(float(s), a, N, bits)
+    with pytest.raises(ArithmeticError) as new:
+        _em_plan(s, a, N, bits)
+    assert str(new.value) == str(old.value)
+    assert "Euler-Maclaurin plan" in str(new.value) and "1048576" in str(new.value)
 
 
 @settings(max_examples=60, deadline=None)
