@@ -7,9 +7,11 @@ arguments of tests/test_cli.py's cold-import rows, run as
 `python -m zeta_explicit.cli ... --json`.  Every round runs each row once,
 in turn, so that a slow spell of the host falls on every row alike; after
 ROUNDS rounds the script prints the least and the median wall-clock
-milliseconds of each row.  Times are raw, not host-scaled.  The package
-is this checkout's src/, and ZETA_EXPLICIT_ZEROS is unset, so the
-subcommands read the embedded zero table:
+milliseconds of each row.  Times are raw, not host-scaled.  One more
+untimed run of each row under `python -X importtime` tells whether its
+process loaded mpmath, the last column.  The package is this checkout's
+src/, and ZETA_EXPLICIT_ZEROS is unset, so the subcommands read the
+embedded zero table:
 
     python scripts/cold_cost.py [--rounds N]
 """
@@ -38,6 +40,14 @@ SUBCOMMANDS = {
 }
 
 
+def loads_mpmath(cmd: list, env: dict) -> bool:
+    """True when the process of cmd imports mpmath: its -X importtime log,
+    one line per module imported, names it."""
+    done = subprocess.run([cmd[0], "-X", "importtime"] + cmd[1:], env=env, check=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    return any(line.rsplit("|", 1)[-1].strip() == "mpmath" for line in done.stderr.splitlines())
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rounds", type=int, default=10)
@@ -59,9 +69,10 @@ def main() -> int:
             times[name].append((time.perf_counter() - start) * 1e3)
     width = max(map(len, rows))
     print(f"cold processes, {rounds} rounds (raw wall-clock ms)")
-    print(f"{'row':<{width}}{'min':>9}{'median':>9}")
+    print(f"{'row':<{width}}{'min':>9}{'median':>9}{'mpmath':>8}")
     for name, ms in times.items():
-        print(f"{name:<{width}}{min(ms):>9.1f}{statistics.median(ms):>9.1f}")
+        loaded = "yes" if loads_mpmath(rows[name], env) else "no"
+        print(f"{name:<{width}}{min(ms):>9.1f}{statistics.median(ms):>9.1f}{loaded:>8}")
     return 0
 
 

@@ -45,9 +45,6 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-import mpmath
-from mpmath import libmp, mpf
-
 from .arith import MAX_SIEVE, _log, class_data, shared_table, walk_width
 from .explicit import Rational, dirichlet_L, f_const, f_rhs_gt1, f_rhs_lt1, g
 from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf
@@ -113,6 +110,19 @@ def _dg(p: int, q: int, W: int) -> int:
     return (n << W) // d
 
 
+def _plastic(V: int) -> Fraction:
+    """The plastic number, the real root of x^3 = x + 1, floored to 2^-V:
+    integer Newton steps on F(X) = X^3 - X 4^V - 8^V from 2^(V+1), above the
+    root where F is convex, stay above it; unit steps then reach the floor."""
+    U, X = 1 << V, 2 << V
+    F = lambda X: X ** 3 - X * U * U - U ** 3
+    while (step := F(X) // (3 * X * X - U * U)) > 0:
+        X -= step
+    while F(X) > 0:
+        X -= 1
+    return Fraction(X, U)
+
+
 def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
             ) -> Iterator[tuple[Fraction, Fraction, int, int]]:
     """The pieces [a, b] of [lo, hi] (one side of 1) on which f = g + K is
@@ -135,10 +145,7 @@ def _pieces(lo: Fraction, hi: Fraction, ctx: PrecisionContext
             for n, p in zip(*table.between(math.floor(n_lo), math.ceil(n_hi) - 1))]
     if not above:
         ends.reverse()
-    with ctx.workprec(_GUARD):
-        r = mpmath.sqrt(69)
-        turn = mpmath.cbrt((9 + r) / 18) + mpmath.cbrt((9 - r) / 18)
-        turn = _exact(turn if above else 1 / turn)
+    turn = _plastic(ctx.bits + _GUARD) ** (1 if above else -1)
     if lo < turn < hi:
         ends.insert(0 if above else len(ends), (turn, 0, 0))
     p = table.prime_of(n_end.numerator) if n_end.denominator == 1 else 0
@@ -170,15 +177,14 @@ def _walk(lo: Fraction, hi: Fraction, tol: Fraction,
     for a, b, K, drop in _pieces(lo, hi, ctx):
         gb = g(b.numerator, b.denominator, W)
         fa, fb = ga + K, gb + K
-        with ctx.workprec(_GUARD):
-            if fa * fb < 0:
-                v, w, X = _refine(a, b, fa, k, lambda X: g(X, 1 << W, W) + K, W, ctx.bits)
-                root = ctx.real((X, -W))   # X 2^-W rounded once
-                res = f_rhs(_exact(root.val), ctx).val
-                records.append(RootRecord(v, w, root, ctx.real(abs(res)), GENUINE))
-            if fb * (fb - drop) < 0:
-                res = f_rhs(b, ctx).val
-                records.append(RootRecord(b, b, ctx.real(b), ctx.real(abs(res)), JUMP))
+        if fa * fb < 0:
+            v, w, X = _refine(a, b, fa, k, lambda X: g(X, 1 << W, W) + K, W, ctx.bits)
+            root = ctx.real((X, -W))   # X 2^-W rounded once
+            res = f_rhs(_exact(root), ctx)
+            records.append(RootRecord(v, w, root, ctx.real((abs(res.man), res.exp)), GENUINE))
+        if fb * (fb - drop) < 0:
+            res = f_rhs(b, ctx)
+            records.append(RootRecord(b, b, ctx.real(b), ctx.real((abs(res.man), res.exp)), JUMP))
         ga = gb
     return records
 
@@ -253,14 +259,15 @@ def chowla_selberg_rhs(d: int, ctx: PrecisionContext) -> HReal:
     """2 pi Prod_{a=1}^{D} Gamma(a/D)^(-chi(a) w / (2h)), assembled in
     log space (the 2 pi is the exact simplification of 2D/A^2 with
     A = sqrt(D/pi))."""
+    import mpmath
     data = class_data(d)
     with ctx.workprec(_GUARD):
-        acc = mpf(0)
+        acc = mpmath.mpf(0)
         for a in range(1, data.D):
             c = data.chi[a % data.D]
             if c:
                 acc += c * mpmath.loggamma(_to_mpf(Fraction(a, data.D)))
-        expo = -mpf(data.w) / (2 * data.h)
+        expo = -mpmath.mpf(data.w) / (2 * data.h)
         return ctx.real(2 * ctx.pi * mpmath.exp(expo * acc))
 
 
@@ -280,6 +287,7 @@ def chowla_selberg_check(d: int, ctx: PrecisionContext) -> ChowlaSelbergReport:
     """exp(L'/L(1, chi_{-d}) - gamma) against the Gamma product, with
     the relative discrepancy |lhs/rhs - 1|; L(1) and L'(1) come from one
     dirichlet_L call and both sides are good to working precision."""
+    import mpmath
     data = class_data(d)
     L1, Ld = dirichlet_L(1, data.D, data.chi, ctx)
     rhs = chowla_selberg_rhs(d, ctx)
@@ -330,6 +338,8 @@ def hypothesis_scan(d: int, ctx: PrecisionContext, *,
         raise ValueError(f"grid denominator must be an integer >= 2, got {denominator!r}")
     if not (isinstance(threshold, (int, float)) and 0 < threshold < math.inf):
         raise ValueError(f"threshold must be a finite positive float, got {threshold!r}")
+    import mpmath
+    from mpmath import libmp
     W = walk_width(ctx)
     with ctx.workprec(_GUARD):
         window_hi = 1 / (ctx.pi * mpmath.sqrt(d))

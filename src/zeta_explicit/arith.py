@@ -36,9 +36,6 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from mpmath import mpf
-from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
-
 from .mpcore import _GUARD, HReal, PrecisionContext, _atanh2, _to_mpf, _Value, log_fixed
 
 # Sieve memory budget (tracemalloc): the table keeps 8 pi(N)/N bytes per entry, 0.64
@@ -200,10 +197,12 @@ def _root(p: int, b: int, W: int) -> int:
 
 
 def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
-                    chi: Sequence[int] = (1,)) -> tuple[int, int]:
+                    chi: Sequence[int] = (1,), half: bool = False) -> tuple[int, int]:
     """Sum_{p^k <= N} chi(p)^k log(p) p^(-ks), chi(n) = chi[n % len(chi)]
     (zeta: (1,), the default), as (man, exp), man 2^exp, at bits + 32: the
-    one loop behind every prime-power sum.
+    one loop behind every prime-power sum.  With half (N a prime power, and
+    not s = 0 past LOG_LIMIT), N's own term is halved: 2 S(N - 1) + t(N) at
+    exp - 1, the sum walked once to N - 1 and N's term added.
 
     Integers at width W + e, unrounded: W = walk_width(ctx), and
     e = s log2 p0 keeps the first term p0^(-s) (p0 the least prime chi
@@ -216,8 +215,8 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     than 1 + (1 + (j p^(1/b) + 1) log p) 2^e n^(-s) + 2 j p^q log p units
     of 2^-(W+e).
     Past LOG_LIMIT no table keeps the root: _root takes it afresh.  Larger
-    b take exp_fixed(-s k log p); ROOT_BOUND = 3 is the largest b a
-    measured workload reads (README).
+    b take mpmath's exp_fixed(-s k log p), imported there; ROOT_BOUND = 3
+    is the largest b a measured workload reads (README).
     At s = 0 the terms past LOG_LIMIT are one log, _log_ratio's: 2 units in all.
     The walk reads the table's prime powers in (lo, hi]; its checkpoints
     every BLOCK per (s, chi, W) grow by whole blocks in increasing n: no
@@ -230,6 +229,8 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     roots = _roots.setdefault((b, W), {}) if 1 < b <= ROOT_BOUND else None
     p0 = next((n for n in range(2, 3 + q) if chi[n % q]), 2)
     e = max(0, math.ceil(s * math.log2(p0)))   # e = 0 for s <= 0
+    if b > ROOT_BOUND:
+        from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
     def walk(acc: int, lo: int, hi: int) -> int:
         for n, p in zip(*table.between(lo, hi)):
@@ -249,10 +250,12 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
                         acc += c * L * p ** -(m // b) * _power(r, m % b, W) >> W
         return acc
 
-    top = N if s or N <= LOG_LIMIT else LOG_LIMIT
+    top = (N if s or N <= LOG_LIMIT else LOG_LIMIT) - half
     for j in range(len(sums), top // BLOCK + 1):
         sums.append(walk(sums[-1], (j - 1) * BLOCK, j * BLOCK))
     acc = walk(sums[top // BLOCK], top // BLOCK * BLOCK, top)
+    if half:
+        return 2 * acc + walk(0, top, N), -W - e - 1
     return acc + (_log_ratio(N, tuple(chi), W) if top < N else 0), -W - e
 
 
@@ -286,13 +289,16 @@ def primed_sum(y: Fraction, s: Fraction, ctx: PrecisionContext,
                chi: Sequence[int] = (1,)) -> tuple[int, int]:
     """Sum'_{n<=y} chi(n) Lambda(n) n^(-s), y >= 1 rational, as (man, exp)
     at bits + 32: prime_power_sum to floor(y), and when y is an integer
-    prime power the mean of the sums to y - 1 and to y, its own term
-    halved exactly.  The one endpoint rule of every primed sum."""
+    prime power its own term halved exactly, by half; at s = 0 past
+    LOG_LIMIT, where the tail is one log, the mean of the sums to y - 1 and
+    to y.  The one endpoint rule of every primed sum."""
     n = y.numerator // y.denominator
+    if y.denominator > 1 or not shared_table(n).prime_of(n):
+        return prime_power_sum(n, s, ctx, chi)
+    if s or n <= LOG_LIMIT:
+        return prime_power_sum(n, s, ctx, chi, half=True)
     S, e = prime_power_sum(n, s, ctx, chi)
-    if y.denominator == 1 and shared_table(n).prime_of(n):
-        S, e = S + prime_power_sum(n - 1, s, ctx, chi)[0], e - 1
-    return S, e
+    return S + prime_power_sum(n - 1, s, ctx, chi)[0], e - 1
 
 
 def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
@@ -301,6 +307,7 @@ def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
     explicit formulas: y = x, s = alpha for x > 1 (the psi0 form) and
     y = 1/x, s = 1 - alpha for 0 < x < 1 (the T form).  Callers check the
     domain with require_side."""
+    from mpmath import mpf
     x, alpha = Fraction(x), Fraction(alpha)
     y, s = (x, alpha) if x > 1 else (1 / x, 1 - alpha)
     with ctx.workprec(_GUARD):

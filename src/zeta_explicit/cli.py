@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .mpcore import HReal, PrecisionContext
+from .mpcore import HReal, PrecisionContext, _exact
 
 ENV_ZEROS = "ZETA_EXPLICIT_ZEROS"
 
@@ -285,7 +285,7 @@ def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
         payload = {"command": "stieltjes", "n": args.n,
                    "gamma_n": gammas[0][0].str_digits(args.digits),
                    "bound": gammas[0][1].str_digits(5)}
-    over = [b for _, b in gammas if eps is not None and b.val > eps]
+    over = [b for _, b in gammas if eps is not None and _exact(b) > eps]
     if over:
         raise ArithmeticError(f"certified bound {over[0].str_digits(5)} exceeds target "
                               f"{eps}; raise the working precision")
@@ -321,7 +321,7 @@ def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
         "d": report.d, "D": report.D, "h": report.h, "w": report.w,
         "L_one": report.L_one.str_digits(25),
         "L_prime_one": report.L_prime_one.str_digits(25),
-        "L_prime_sign": "+" if report.L_prime_one.val > 0 else "-",
+        "L_prime_sign": "+" if report.L_prime_one.man > 0 else "-",
         "lhs": report.lhs.str_digits(25),
         "rhs": report.rhs.str_digits(25),
         "rel_err": report.rel_err.str_digits(6),

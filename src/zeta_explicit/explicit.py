@@ -53,20 +53,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-import mpmath
-from mpmath import libmp, mpf
-
 from .arith import primed_sum, require_side, walk_width, weighted_sum
-from .mpcore import (
-    _GUARD,
-    HReal,
-    PrecisionContext,
-    _exact,
-    _to_mpf,
-    bernoulli_table,
-    em_log_moments,
-    log_fixed,
-)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _gamma_fixed, _log_pi,
+                     _mpf, _round, _to_mpf, bernoulli_table, em_log_moments, log_fixed)
 # ZeroTable and SumSpec in annotations are zeros' classes, unevaluated: zeros is
 # imported inside the functions that sum zeros, so other callers never load it
 
@@ -92,6 +81,7 @@ def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
     their poles cancel in the character sum (Sum chi(a) = 0), so the
     same formulas hold there for non-principal chi.
     """
+    import mpmath
     s = Fraction(s)
     if s == 1 and sum(chi[a % q] for a in range(1, q + 1)) != 0:
         raise ValueError("L(s, chi) has a pole at s = 1 for a principal character")
@@ -99,8 +89,7 @@ def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
     # q = 7), so the Z_n are taken to the guard bits of the sums.
     wide = PrecisionContext(ctx.bits + _GUARD)
     with ctx.workprec(_GUARD):
-        S0 = mpf(0)
-        S1 = mpf(0)
+        S0 = S1 = mpmath.mpf(0)
         for a in range(1, q + 1):
             c = chi[a % q]
             if c == 0:
@@ -159,6 +148,8 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
     psi(a) = psi(a + m) - Sum_{j<m} 1/(a + j) for a <= 0; its certified
     bound, near 2^-(bits+31) |psi(a)|, is the largest error.
     tau = -log1p(z - 1) and log tau are mpf at W bits."""
+    import mpmath
+    from mpmath import libmp
     a = 1 + u
     p, q = a.numerator, a.denominator
     W = walk_width(ctx)
@@ -180,7 +171,7 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
             E = sum(math.comb(k, j) * e * p ** (k - j) for j, e in bq if j <= k)
             S += (E * Tk if k % 2 == 0 else -E * Tk) // (qf * k)
         psi = -g0.val - _to_mpf(sum((Fraction(1) / (a + j) for j in range(m)), Fraction(0)))
-        bracket = -mpmath.euler - mpmath.log(tau) - psi - mpf((S, -W))
+        bracket = -mpmath.euler - mpmath.log(tau) - psi - mpmath.mpf((S, -W))
     with ctx.workprec(_GUARD):
         return mpmath.exp(_to_mpf(u) * tau) * bracket
 
@@ -208,8 +199,8 @@ def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HReal:
     if z > Fraction(1, 2) and -math.log1p(float(z - 1)) < TAU0:
         return HReal(_f_u_lerch(u, z, ctx), ctx)
     W = walk_width(ctx)
-    return HReal(mpmath.make_mpf(libmp.from_rational(
-        _f_u_series(u, z, W) * z.numerator, z.denominator << W, ctx.bits + _GUARD, "n")), ctx)
+    return HReal(_round(Fraction(_f_u_series(u, z, W) * z.numerator, z.denominator << W),
+                        ctx.bits + _GUARD), ctx)
 
 
 # ----------------------------------------------------------------------
@@ -234,9 +225,9 @@ def f_const(x: Fraction, ctx: PrecisionContext) -> int:
     in all for the terms past LOG_LIMIT above 1."""
     W, above = walk_width(ctx), x > 1
     S, e = primed_sum(x if above else 1 / x, Fraction(0 if above else 1), ctx)
-    if W not in _K_CONST:
-        with mpmath.workprec(W + 8):
-            _K_CONST[W] = [libmp.to_fixed(c._mpf_, W) for c in (+mpmath.euler, -mpmath.log(2 * mpmath.pi))]
+    if W not in _K_CONST:   # mpmath's gamma and log 2pi at W + 8 bits, each floored to W
+        (gm, ge), (lm, le) = _constant(_gamma_fixed, W + 8), _log_pi(1, W + 8)
+        _K_CONST[W] = [gm >> -ge - W, -lm >> -le - W]
     return _K_CONST[W][above] + ((-S if above else S) >> -e - W)
 
 
@@ -269,12 +260,13 @@ def _f_reflected(x: Fraction, ctx: PrecisionContext) -> mpf:
     walk_width(ctx), within f(x)'s count, x times f(1/x)'s, and 1 (endpoint
     halved in both)."""
     v = f_fixed(x, ctx) + x.numerator * f_fixed(1 / x, ctx) // x.denominator
-    return mpmath.make_mpf(libmp.from_man_exp(v, -walk_width(ctx)))
+    return _mpf(v, -walk_width(ctx))
 
 
 def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted critical-line cosine sum Sum_{nu>0} 2cos(nu log x)/(1/4+nu^2)
     for rational x > 1: (f(x) + x f(1/x))/sqrt(x)."""
+    import mpmath
     x = require_side("cosine_rhs", Fraction(x), True)
     with ctx.workprec(_GUARD):
         return ctx.real(_f_reflected(x, ctx) / mpmath.sqrt(_to_mpf(x)))
@@ -285,7 +277,7 @@ def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     for rational x > 1: f(x) + x f(1/x) - gamma x + log 2pi."""
     x = require_side("S_rhs_gt1", Fraction(x), True)
     with ctx.workprec(_GUARD):
-        return ctx.real(_f_reflected(x, ctx) - mpmath.euler * _to_mpf(x) + ctx.log_2pi)
+        return ctx.real(_f_reflected(x, ctx) - ctx.euler_gamma * _to_mpf(x) + ctx.log_2pi)
 
 
 # ----------------------------------------------------------------------
@@ -449,6 +441,7 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
     above 1, f(x) below 1).  An integer u_j = mu_j + beta lambda_j <= 0 is
     refused before the prime sum.  The rational terms are one Fraction, so
     zeta's -1/beta and 1/beta cancel; an irrational y^(-mu_j/lambda_j) is mpf."""
+    from mpmath import mpf
     above = x > 1
     y, beta = (x, alpha) if above else (1 / x, 1 - alpha)
     if F.m_F and beta in (0, 1):
@@ -487,7 +480,7 @@ def _kernel_form(x: Fraction, poles: Sequence[Fraction], weights: Sequence[Ratio
     form itself: 0 + 1 v is exact) and general_rhs_* (F = zeta)."""
     forms = [_descriptor_form(x, a, F, ctx) for a in poles]
     with ctx.workprec(_GUARD):
-        return ctx.real(sum((_to_mpf(w) * v for w, v in zip(weights, forms)), mpf(0)))
+        return ctx.real(sum((_to_mpf(w) * v for w, v in zip(weights, forms)), _to_mpf(0)))
 
 
 def selberg_rhs_gt1(x: Rational, alpha: Rational, F: SelbergDescriptor,
@@ -591,6 +584,7 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
     tail bound.  The closed form and the F'/F term are evaluated once.
     F is zeta but for selberg-*, and the table must carry F's label.
     """
+    import mpmath
     from .zeros import cosine_term, density_tail, xrho_term, zero_sum
     x = Fraction(x)
     if identity not in IDENTITY_IDS:
@@ -632,7 +626,7 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
                 xv = _to_mpf(x)
                 extra = sum((_to_mpf(w) * xv ** _to_mpf(p)
                              * F.log_deriv(p if gt1 else 1 - p, ctx)
-                             for p, w in zip(poles, weights)), mpf(0))
+                             for p, w in zip(poles, weights)), mpmath.mpf(0))
                 extra = extra if gt1 else -extra
 
     def residual_at(zs: HReal) -> tuple[HReal, HReal]:

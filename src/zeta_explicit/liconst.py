@@ -41,8 +41,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from mpmath import mpf
-
 from .mpcore import (
     _GUARD,
     HReal,
@@ -99,6 +97,7 @@ def eta_from_gamma(gammas: Sequence[HReal], ctx: PrecisionContext
     if len(gammas) < 2:
         raise ValueError("need gamma through order >= 1")
     G = len(gammas) - 1
+    from mpmath import mpf
     with ctx.workprec(_GUARD):
         num = [mpf(1), mpf(0)]
         den = [mpf(1)]
@@ -164,6 +163,7 @@ def build_stieltjes_table(N: int, ctx: PrecisionContext) -> StieltjesTable:
     """
     if N < 1:
         raise ValueError(f"table order must be >= 1, got {N}")
+    from mpmath import mpf
     wide = PrecisionContext(ctx.bits + _GUARD + N)
     raw = em_log_moments(1, 1, N + 1, wide)
     with wide.workprec(_GUARD):

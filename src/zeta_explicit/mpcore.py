@@ -18,16 +18,15 @@ pipelines) consumes the types and functions defined here:
                      coefficient lists (mpf, degree 0 up)
   log_fixed(n,d,V)   2^V log(n/d) in integers: the head's, g's and the prime logs
 
-Numeric backend: mpmath mpf supplies correctly rounded base arithmetic
-(round-to-nearest, error <= 2^-bits relative per elementary operation, well
-inside the 2^(8-bits) contract) and the elementary functions.  Hurwitz zeta
-and the Stieltjes constants come from Bernoulli-number expansions with
-computable error terms, run wholly in Python integers (logs from log_fixed,
-powers from exp_fixed, Bernoulli numbers from one integer table, bounds
-rounded up, the set-up that plans and bounds a pass kept per exact (s, N,
-bits)); they and zeta_int round once.  mpmath.loggamma, called by
-analysis.chowla_selberg_rhs, is the only mpmath special function that
-production code calls; the others serve only as test oracles.
+Numeric backend: Python integers.  HReal is an exact dyadic that prints
+itself as mpmath.nstr would; ctx.real rounds half to even as mpmath does;
+pi and gamma are integer series rounded as mpmath rounds its constants.
+Hurwitz zeta and the Stieltjes constants are Bernoulli-number expansions
+with computable error terms, in integers (logs from log_fixed, one integer
+Bernoulli table, bounds rounded up, the set-up kept per exact (s, N,
+bits)); they and zeta_int round once.  mpmath is imported only where it is
+read: exp_fixed (denominators of s >= 3), loggamma (the one special function
+production code calls), the zero kernel's set-up and .val (an HReal's mpf).
 """
 
 from __future__ import annotations
@@ -37,12 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import from_rational, prec_to_dps, to_rational
-from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
-
-Scalar = Union[int, float, Fraction, "HReal", mpf]
+Scalar = Union[int, float, Fraction, "HReal", "mpf"]
 
 # Guard bits added on top of the context for internal evaluations so that
 # accumulated rounding stays below the reported bounds.
@@ -96,82 +90,208 @@ class PrecisionContext(_Value):
 
     def workprec(self, extra: int = 0):
         """Context manager running mpmath at bits + extra binary digits."""
+        import mpmath
         return mpmath.workprec(self.bits + extra)
 
     def mpf(self, x: Scalar) -> mpf:
-        """Convert to a raw mpf at this context's precision (exact for
-        int/Fraction inputs up to one rounding)."""
-        with self.workprec():
-            return _to_mpf(x)
+        """x rounded to this context's precision, as a raw mpf."""
+        return self.real(x).val
 
     def real(self, x: Scalar) -> "HReal":
-        return HReal(self.mpf(x), self)
+        """x rounded to nearest at bits, ties to even as mpmath's round_nearest,
+        in integers: an int, a Fraction or float (one rounding of the exact
+        value), a (man, exp) pair for man 2^exp, an mpf or an HReal."""
+        return HReal(_round(x, self.bits), self)
 
-    # Shared constants.  Computed at context precision plus guard bits so
-    # they can be consumed inside guarded evaluations without re-rounding.
+    # Shared constants at bits + _GUARD, for guarded evaluations: mpmath's
+    # +pi, +euler, log(2 pi) and log(4 pi) there, from the integer pi and gamma.
     @property
     def pi(self) -> mpf:
-        with self.workprec(_GUARD):
-            return +mpmath.pi
+        return _mpf(*_constant(_pi_fixed, self.bits + _GUARD))
 
     @property
     def euler_gamma(self) -> mpf:
-        with self.workprec(_GUARD):
-            return +mpmath.euler
+        return _mpf(*_constant(_gamma_fixed, self.bits + _GUARD))
 
     @property
     def log_2pi(self) -> mpf:
-        with self.workprec(_GUARD):
-            return mpmath.log(2 * mpmath.pi)
+        return _mpf(*_log_pi(1, self.bits + _GUARD))
 
     @property
     def log_4pi(self) -> mpf:
-        with self.workprec(_GUARD):
-            return mpmath.log(4 * mpmath.pi)
+        return _mpf(*_log_pi(2, self.bits + _GUARD))
+
+
+def _mpf(man: int, exp: int) -> mpf:
+    """man 2^exp as an mpf, exactly (the one place mpf values are built)."""
+    from mpmath import make_mpf
+    from mpmath.libmp import from_man_exp
+    return make_mpf(from_man_exp(man, exp))
 
 
 def _to_mpf(x: Scalar) -> mpf:
-    """x as an mpf at the current mpmath precision (at most one rounding;
-    an HReal from a wider context is rounded too)."""
-    if isinstance(x, HReal):
-        return +x.val
+    """x, an int, Fraction, float or mpf, as an mpf at the current mpmath
+    precision (at most one rounding)."""
+    from mpmath import mpf
     if isinstance(x, Fraction):
         return mpf(x.numerator) / mpf(x.denominator)
     return mpf(x)
 
 
+def _round(x, bits: int = 0) -> tuple[int, int]:
+    """(man, exp), man 2^exp: an HReal, a (man, exp) pair, an int or a finite
+    mpf, exactly, or rounded to nearest at bits > 0, ties to even as
+    libmpf.normalize's round_nearest; a Fraction or float (bits > 0) from its
+    quotient to bits + 2 bits or more and a sticky bit, as mpf_div rounds."""
+    if isinstance(x, (Fraction, float)) and bits:
+        p, q = x.as_integer_ratio()
+        s = max(0, bits + 2 + q.bit_length() - abs(p).bit_length())
+        m, r = divmod(abs(p) << s, q)
+        man, exp = (2 * m + (r > 0)) * (-1 if p < 0 else 1), -s - 1
+    elif isinstance(x, HReal):
+        man, exp = x.man, x.exp
+    elif isinstance(x, (tuple, int)):
+        man, exp = x if isinstance(x, tuple) else (x, 0)
+    else:   # an mpf; a Fraction at bits = 0 has no _mpf_, and is refused
+        sign, man, exp, _ = x._mpf_
+        if not man and exp:
+            raise ArithmeticError(f"non-finite result escaped an operation: {x!r}")
+        man = -man if sign else man
+    a, n = abs(man), abs(man).bit_length() - bits
+    if bits and n > 0:
+        t = a >> n - 1   # the kept bits and the half bit
+        a, exp = (t >> 1) + (t & 1 and bool(t & 2 or a & (1 << n - 1) - 1)), exp + n
+    return (-a if man < 0 else a), exp
+
+
 def _exact(v) -> Fraction:
     """The exact rational value of an int, Fraction, float, mpf or HReal."""
-    v = v.val if isinstance(v, HReal) else v
-    if isinstance(v, mpf):
-        if not mpmath.isfinite(v):
-            raise ValueError(f"non-finite value {v}")
-        return Fraction(*to_rational(v._mpf_))
-    return Fraction(v)
+    if isinstance(v, (int, float, Fraction)):
+        return Fraction(v)
+    if not isinstance(v, HReal) and not v._mpf_[1] and v._mpf_[2]:
+        raise ValueError(f"non-finite value {v}")
+    man, exp = _round(v)
+    return man * Fraction(2) ** exp
 
 
 class HReal(_Value):
-    """A finite high-precision real bound to a PrecisionContext: a
-    record, with arithmetic done on .val inside workprec blocks."""
+    """A finite high-precision real bound to a PrecisionContext: the exact
+    dyadic man 2^exp, man odd (or 0 with exp 0), and the context that
+    produced it.  .val is that value as an mpf."""
 
-    __slots__ = _fields = ("val",      # underlying mpf, always finite
-                           "ctx")      # precision the value was produced under
+    __slots__ = _fields = ("man", "exp",   # the value, normalized
+                           "ctx")          # precision the value was produced under
 
-    def __init__(self, val: mpf, ctx: PrecisionContext) -> None:
-        if not mpmath.isfinite(val):
-            raise ArithmeticError(f"non-finite result escaped an operation: {val!r}")
-        object.__setattr__(self, "val", val)   # as _Value.__init__, without its loop: one per value
+    def __init__(self, val, ctx: PrecisionContext) -> None:   # val kept exactly, as _round reads it
+        man, exp = _round(val)
+        z = (man & -man).bit_length() - 1   # trailing zero bits
+        object.__setattr__(self, "man", man >> z if man else 0)   # as _Value.__init__, without its loop
+        object.__setattr__(self, "exp", exp + z if man else 0)
         object.__setattr__(self, "ctx", ctx)
 
+    @property
+    def val(self) -> mpf:
+        """The value as an mpf (imports mpmath on first read)."""
+        return _mpf(self.man, self.exp)
+
     def __repr__(self) -> str:
-        return f"HReal({mpmath.nstr(self.val, 25)})"
+        return f"HReal({_nstr(self.man, self.exp, 25)})"
 
     def str_digits(self, digits: int = 25) -> str:
         """The value to digits significant digits, capped at one digit
-        fewer than the context holds so that the last-bit error does not
-        reach the last printed digit."""
-        cap = prec_to_dps(self.ctx.bits) - 1
-        return mpmath.nstr(self.val, min(digits, cap))
+        fewer than the context holds (libmpf.prec_to_dps) so that the
+        last-bit error does not reach the last printed digit."""
+        cap = max(1, int(round(self.ctx.bits / 3.3219280948873626) - 1)) - 1
+        return _nstr(self.man, self.exp, min(digits, cap))
+
+
+def _nstr(man: int, exp: int, n: int) -> str:
+    """mpmath.nstr(man 2^exp, n) in integers, libmpf.to_str's default path:
+    to_digits_exp's n + 3 digits or more, floored, rounded half up to n,
+    printed in fixed point at decimal exponents in (min(-(n//3), -5), n)."""
+    bc = abs(man).bit_length()
+    if n < 1 or abs(exp + bc) > 3500:   # mpmath's other paths, never taken by the package
+        return __import__("mpmath").nstr(_mpf(man, exp), n)
+    if not man:
+        return "0.0"
+    bitprec = int((n + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    digits = str((abs(man) << exp + fixprec) * 10 ** fixdps >> fixprec if exp + fixprec >= 0
+                 else (abs(man) >> -exp - fixprec) * 10 ** fixdps >> fixprec)
+    expo = len(digits) - fixdps - 1
+    if len(digits) > n and digits[n] in "56789":
+        digits = str(int(digits[:n]) + 1)
+        expo += len(digits) > n   # 99..9 rounded up to 10..0
+    digits = digits[:n]
+    if min(-(n // 3), -5) < expo < n:
+        digits, split, expo = "0" * -expo + digits if expo < 0 else digits, max(expo, 0) + 1, 0
+    else:
+        split = 1
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    out = ("-" if man < 0 else "") + digits + ("0" if digits[-1] == "." else "")
+    return out if expo == 0 else f"{out}e{expo:+d}"
+
+
+# ----------------------------------------------------------------------
+# pi and Euler's gamma in integers, rounded as mpmath rounds its constants
+# ----------------------------------------------------------------------
+
+def _floor_exact(approx, V: int, g: int = 32) -> int:
+    """floor(c 2^V) from approx(G) = (A, err), A within err units of c 2^G,
+    G = V + g, g widened by 64 until A - err and A + err floor alike."""
+    A, err = approx(V + g)
+    return A >> g if (A - err) >> g == (A + err) >> g else _floor_exact(approx, V, g + 64)
+
+
+@lru_cache(maxsize=None)
+def _pi_fixed(V: int) -> int:
+    """floor(pi 2^V) by Machin's pi = 16 atan(1/5) - 4 atan(1/239), each
+    atan's series floored term by term, under a unit off a term and its tail."""
+    def approx(G: int) -> tuple[int, int]:
+        A, err = 0, 20
+        for c, x in ((16, 5), (-4, 239)):
+            t, k = (1 << G) // x, 1
+            while t:
+                A, err = A + c * (t // k if k % 4 == 1 else -(t // k)), err + abs(c)
+                t, k = t // (x * x), k + 2
+        return A, err
+    return _floor_exact(approx, V)
+
+
+@lru_cache(maxsize=None)
+def _gamma_fixed(V: int) -> int:
+    """floor(gamma 2^V) by Brent and McMillan (Math. Comp. 34, 1980, B1):
+    gamma = U/S - log n within pi e^(-4n), U = Sum_k (n^k/k!)^2 H_k and
+    S = Sum_k (n^k/k!)^2, n = 2^p >= (G + 2) log(2)/4, log n = p log 2 from
+    _atanh2, each term floored at G bits; log n's k + 1 units per p lead."""
+    def approx(G: int) -> tuple[int, int]:
+        p = math.ceil(math.log2((G + 2) * math.log(2) / 4))
+        (L, k), j = _atanh2(1, 3, G), 0
+        A = U = -p * L
+        B = S = 1 << G
+        while B:
+            j += 1
+            B = B * 4 ** p // (j * j)
+            A = (A * 4 ** p // j + B) // j
+            U, S = U + A, S + B
+        return (U << G) // S, p * (k + 1) + 4
+    return _floor_exact(approx, V)
+
+
+def _constant(fixed, prec: int) -> tuple[int, int]:
+    """A constant c in [1/2, 4) as mpmath gives it at prec bits:
+    floor(c 2^(prec+20)) rounded to nearest (libelefun.def_mpf_constant)."""
+    return _round((fixed(prec + 20), -prec - 20), prec)
+
+
+@lru_cache(maxsize=None)
+def _log_pi(k: int, prec: int) -> tuple[int, int]:
+    """mpmath.log(2^k * mpmath.pi) at prec bits, 1 <= k: the log of mpmath's
+    pi at prec times 2^k, by log_fixed at prec + 24, rounded to nearest."""
+    m, e = _constant(_pi_fixed, prec)
+    V = prec + 24
+    return _round((log_fixed(m << max(0, e + k), 1 << max(0, -e - k), V), -V), prec)
 
 
 # ----------------------------------------------------------------------
@@ -198,14 +318,6 @@ def bernoulli_table(n: int) -> tuple[int, list[int]]:
         even = [(-1) ** (k - 1) * (D * 2 * k * T[k] // (4 ** k * (4 ** k - 1))) for k in range(1, m + 1)]
         _BERNOULLI = D, ([D, -D // 2] + [x for b2k in even for x in (b2k, 0)])[:n + 1]
     return _BERNOULLI
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2): bernoulli_table's entry over D."""
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    D, b = bernoulli_table(n)
-    return Fraction(b[n], D)
 
 
 _LOGS: dict[int, list[list[int]]] = {}   # T -> 2^T log(1 + j/2^B) for B = 8 (j <= 256), 12, 16
@@ -400,6 +512,7 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
             return (x ** e << V) // y ** e
         if v == 2:
             return math.isqrt((x ** e << 2 * V) // y ** e)
+        from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
         return exp_fixed(-u * lt // v, V)
 
     lq, lt = log_fixed(q, 1, H), 0
@@ -464,8 +577,7 @@ def hurwitz_zeta_ds(s: Scalar, a: Scalar, ctx: PrecisionContext) -> tuple[HReal,
     a in (0, 1].  Returns (value, bound)."""
     _hurwitz_domain(s, a, "hurwitz_zeta_ds")
     value, bound = em_log_moments(s, a, 1, ctx)[1]
-    with ctx.workprec():
-        return HReal(-value.val, ctx), bound
+    return HReal((-value.man, value.exp), ctx), bound
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +610,7 @@ def zeta_int(j: int, ctx: PrecisionContext) -> HReal:
         acc += c * ((1 << W) // (k + 1) ** j)
         b = 2 * b * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
     h = 1 << (j - 1)   # zeta = eta 2^(j-1) / (2^(j-1) - 1)
-    return HReal(mpmath.make_mpf(from_rational(acc * h, d * (h - 1) << W, ctx.bits, "n")), ctx)
+    return ctx.real(Fraction(acc * h, d * (h - 1) << W))
 
 
 # ----------------------------------------------------------------------
@@ -511,6 +623,7 @@ def series_ops(num: Sequence[mpf], den: Sequence[mpf]) -> list[mpf]:
     mpmath precision.  Raises ZeroDivisionError when den[0] = 0."""
     if not den or den[0] == 0:
         raise ZeroDivisionError("series divisor has a zero constant term")
+    from mpmath import mpf
     q = []
     for k in range(min(len(num), len(den))):
         acc = num[k] - sum((q[i] * den[k - i] for i in range(k)), mpf(0))

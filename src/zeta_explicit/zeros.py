@@ -31,10 +31,6 @@ from functools import cache
 from operator import lt, mul
 from typing import NamedTuple, Optional, Sequence, Union
 
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import from_rational, round_nearest, to_fixed
-
 from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf, _Value
 
 _HALF = Fraction(1, 2)
@@ -52,12 +48,9 @@ _LABEL_START = re.compile(r"#\s*label\s*:", re.IGNORECASE)   # must then be a _L
 # ----------------------------------------------------------------------
 
 class ZeroTable(_Value):
-    """Ordered upper-half-strip zeros of one L-function, kept exactly.
-
-    Entry i stands for the conjugate pair rho, rho-bar with ordinate
-    gamma_i = ordinates[i] / scale and real part beta_i = real_parts[i];
-    an entry with beta != 1/2 also stands for 1 - rho, 1 - rho-bar.
-    load_zeros keeps the decimal text this way, with scale a power of ten.
+    """Ordered upper-half-strip zeros of one L-function, kept exactly:
+    load_zeros keeps the decimal text of each ordinate over scale, a power
+    of ten.
     """
 
     _fields = ("label",              # identifier of the L-function
@@ -301,11 +294,13 @@ def _turns(W: int) -> tuple:
     and the shift W - 2 lo of its square; the coefficients of tan(r/2) in
     r^(2k+1), k = K..0, exact then floored at 2^(W - 2 lo k), K the least
     that leaves a tail below 2^-(W-5)."""
+    import mpmath
+    from mpmath.libmp import to_fixed
     V = W + 32
     tables = []
     for size, lo in ((1609, 8), (1024, 18), (256, 26))[:2 + (W > 256)]:
         with mpmath.workprec(V + 16):
-            sc, ss = (to_fixed(v._mpf_, V) for v in mpmath.cos_sin(mpf(2) ** -lo))
+            sc, ss = (to_fixed(v._mpf_, V) for v in mpmath.cos_sin(mpmath.mpf(2) ** -lo))
         c, s, table = 1 << V, 0, []
         for _ in range(size):
             table.append((c >> 32, s >> 32))
@@ -392,6 +387,8 @@ def _bind(term: Term, table: ZeroTable, M: int, F: int):
                     for aa, A in PW[k]:
                         S[k] += A // (aa + NN)
         return run, S, X, e, V
+    import mpmath
+    from mpmath.libmp import to_fixed
     if term.kind == "xrho":  # below 1, x^beta > x: extra bits keep 2^-F relative
         e = F + (math.ceil(1 / term.x).bit_length() if term.x < 1 else 0)
         with mpmath.workprec(e + 16):
@@ -462,9 +459,8 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
     for stop in sorted(set(stops)):  # the segments between cuts
         for run, *_ in bound:
             run(start, stop)
-        at[stop] = [ctx.real(mpmath.make_mpf(from_rational(
-            2 * sum(map(mul, X, S)), V << F + e, ctx.bits, round_nearest)))
-            for _, S, X, e, V in bound]
+        at[stop] = [ctx.real(Fraction(2 * sum(map(mul, X, S)), V << F + e))
+                    for _, S, X, e, V in bound]
         start = stop
     out = [at[count][j] if cuts is None else tuple(at[k][j] for k in stops)
            for j in range(len(terms))]
@@ -482,8 +478,9 @@ def density_tail(table: ZeroTable, count: int, weight: Union[int, mpf],
     estimate of what pairs of size weight/gamma^2 above the first count
     pairs add.  A correction, not a bound.  Refuses T <= 2pi, where the
     density (1/2pi) log(t/2pi) is not yet positive."""
+    import mpmath
     with ctx.workprec(_GUARD):
-        T, twopi = mpf(table.ordinates[count - 1]) / table.scale, 2 * mpmath.pi
+        T, twopi = mpmath.mpf(table.ordinates[count - 1]) / table.scale, 2 * mpmath.pi
         if T <= twopi:
             raise ValueError(f"density tail needs T > 2 pi, got T = {mpmath.nstr(T, 6)}")
         return ctx.real(weight * ((mpmath.log(T / twopi) / T + 1 / T) / twopi))

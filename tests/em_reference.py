@@ -1,5 +1,6 @@
 """Reference routes for the Euler-Maclaurin core, kept as independent
-oracles.
+oracles, and bernoulli, the Fraction view of the package's integer
+Bernoulli table that only tests read.
 
 em_log_moments is the mpf pass the package used before its integer
 fixed-point pass.  It shares only the plan (_em_plan) and the Bernoulli
@@ -15,12 +16,21 @@ coefficient-wise majorant of |P_2K|/(2K)!.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
 
 from zeta_explicit.mpcore import (_EM_BUDGET, _GUARD, HReal, PrecisionContext, Scalar,
-                                  _em_plan, _exact, _to_mpf, bernoulli)
+                                  _em_plan, _exact, _to_mpf, bernoulli_table)
+
+
+def bernoulli(n: int) -> Fraction:
+    """Exact Bernoulli number B_n (B_1 = -1/2): bernoulli_table's entry over D."""
+    if n < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    D, b = bernoulli_table(n)
+    return Fraction(b[n], D)
 
 
 def em_plan(s: float, a: Scalar, N: int, bits: int) -> tuple[int, int]:

@@ -2,6 +2,7 @@
 the class-number cross-check, and the Gamma-product identity."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -155,7 +156,7 @@ def test_class_numbers_from_integers_only(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("class_number_check left the integers")
 
-    monkeypatch.setattr(analysis, "mpmath", None)
+    monkeypatch.setitem(sys.modules, "mpmath", None)   # any import of it fails
     monkeypatch.setattr(analysis, "dirichlet_L", refuse)
     monkeypatch.setattr(analysis, "L_one_chi", refuse)
     squarefree = [d for d in range(1, 1001) if is_squarefree(d)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp.libelefun import exp_fixed
+from mpmath.libmp import libelefun
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -259,7 +259,7 @@ def test_half_integer_s_takes_exact_square_roots(monkeypatch, bits, d):
         raise AssertionError("exp_fixed called at a denominator within the bound")
 
     monkeypatch.setattr(arith, "_prefix", {})
-    monkeypatch.setattr(arith, "exp_fixed", refuse)
+    monkeypatch.setattr(libelefun, "exp_fixed", refuse)   # read where it is called
     ctx = PrecisionContext(bits=bits)
     chi = (1,) if d is None else kronecker_chi(d)
     S = [Fraction(401, 2)] + [Fraction(a, b) for b in range(2, arith.ROOT_BOUND + 1)
@@ -424,9 +424,9 @@ def test_primes_past_log_limit_take_exp_fixed_at_b_above_2(monkeypatch, bits, s,
     # b = 3), never an exp_fixed; only b above the bound takes exp_fixed.
     # The terms in (N1, N2] agree with a per-n sum to a few units of
     # 2^-(W+e) per unit of their size.
-    calls, exp_fixed = [], arith.exp_fixed
+    calls, exp_fixed = [], libelefun.exp_fixed
     monkeypatch.setattr(arith, "_prefix", {})
-    monkeypatch.setattr(arith, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
+    monkeypatch.setattr(libelefun, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
     ctx, N1, N2 = PrecisionContext(bits=bits), arith.LOG_LIMIT - 200, arith.LOG_LIMIT + 400
     chi = (1,) if d is None else kronecker_chi(d)
     m1, e1 = prime_power_sum(N1, s, ctx, chi)
@@ -449,9 +449,9 @@ def test_primes_past_log_limit_take_exp_fixed_at_b_above_2(monkeypatch, bits, s,
 def test_huge_denominator_takes_exp_fixed(monkeypatch):
     # s = 1 + 2^-300 would need a 2^300-th root; above ROOT_BOUND the walk
     # takes exp_fixed, once per term, and stores no roots.
-    calls, exp_fixed = [], arith.exp_fixed
+    calls, exp_fixed = [], libelefun.exp_fixed
     monkeypatch.setattr(arith, "_prefix", {})
-    monkeypatch.setattr(arith, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
+    monkeypatch.setattr(libelefun, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
     ctx, x, alpha = PrecisionContext(bits=128), Fraction(1001, 2), 1 + Fraction(1, 2 ** 300)
     start = time.perf_counter()
     got = psi0_alpha(x, alpha, ctx).val
@@ -517,7 +517,7 @@ def _per_integer_sum(N: int, s: Fraction, ctx: PrecisionContext, chi) -> tuple[i
             elif b <= arith.ROOT_BOUND:
                 acc += c * L * arith._power(arith._root(p, b, W) << e, a * k, W + e) >> W
             else:
-                acc += c * L * exp_fixed(-a * k * (L << e) // b, W + e) >> W
+                acc += c * L * libelefun.exp_fixed(-a * k * (L << e) // b, W + e) >> W
     return acc, -W - e
 
 
@@ -530,6 +530,29 @@ def test_prime_power_walk_matches_per_integer_sum(s, d):
     chi = (1,) if d is None else kronecker_chi(d)
     for N in (255, 256, 257, arith.LOG_LIMIT - 1, arith.LOG_LIMIT + 1):
         assert prime_power_sum(N, s, ctx, chi) == _per_integer_sum(N, s, ctx, chi), N
+
+
+@pytest.mark.parametrize("s", [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1),
+                               Fraction(-1, 2)])
+@pytest.mark.parametrize("d", [None, 7])
+def test_primed_sum_halves_the_endpoint_in_one_walk(monkeypatch, s, d):
+    # at a prime power y, primed_sum walks once to y - 1 and adds y's own
+    # term: the same (man, exp) as the mean of the sums to y - 1 and to y,
+    # on both sides of the checkpoints at BLOCK and 2 BLOCK (256 and 512 are
+    # prime powers on them) and past LOG_LIMIT, where s = 0 keeps the two reads
+    ctx = PrecisionContext(bits=192)
+    chi = (1,) if d is None else kronecker_chi(d)
+    calls = []
+    walked = arith.prime_power_sum
+    monkeypatch.setattr(arith, "prime_power_sum", lambda *a, **k: calls.append(a[0]) or walked(*a, **k))
+    for y in (251, 256, 257, 509, 512, 521, arith.LOG_LIMIT + 29):   # 131101 is prime
+        assert shared_table(y).prime_of(y)
+        calls.clear()
+        got = arith.primed_sum(Fraction(y), s, ctx, chi)
+        S, e = walked(y, s, ctx, chi)
+        assert got == (S + walked(y - 1, s, ctx, chi)[0], e - 1), y
+        assert calls == ([y, y - 1] if s == 0 and y > arith.LOG_LIMIT else [y]), y
+    assert arith.primed_sum(Fraction(513, 2), s, ctx, chi) == walked(256, s, ctx, chi)
 
 
 def _exact_log_ratio(lo: int, hi: int, chi, W: int) -> mpmath.mpf:

@@ -859,29 +859,35 @@ COLD_ROWS = {
                {"arith", "zeros", "explicit"}),
     "find-zeros": ("find-zeros --lo 21/20 --hi 2",
                    {"arith", "explicit", "analysis"}),
+    "stieltjes-table": ("stieltjes --n 2 --table", {"liconst"}),
     "chowla-selberg": ("chowla-selberg --d 7 --no-scan",
                        {"arith", "explicit", "analysis"}),
 }
+
+
+# rows whose process runs in integers to its printed digits, without mpmath
+NO_MPMATH = {"import", "stieltjes", "eval-f", "find-zeros"}
 
 
 @pytest.mark.parametrize("row", COLD_ROWS)
 def test_cold_import_leaves_dataclasses_and_inspect_out(row):
     # a fresh command-line process compiles only the modules its subcommand
     # calls, and, the records being slotted classes and NamedTuples, never
-    # imports dataclasses or what it pulls in
+    # imports dataclasses or what it pulls in; a bare import, eval-f, and
+    # find-zeros and stieltjes without --table never import mpmath
     argv, extra = COLD_ROWS[row]
     code = ("import sys, zeta_explicit.cli as cli\n"
             "if sys.argv[1:]:\n"
             "    assert cli.main(sys.argv[1:] + ['--json']) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('zeta_explicit')"
-            " or m in ('dataclasses', 'inspect')))")
+            " or m in ('dataclasses', 'inspect', 'mpmath')))")
     env = {k: v for k, v in os.environ.items() if k != ENV_ZEROS}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", code] + (argv.split() if argv else []),
                           env=env, capture_output=True, text=True, check=True)
     loaded = done.stdout.strip().splitlines()[-1]
-    expected = ["zeta_explicit"] + sorted(f"zeta_explicit.{m}"
-                                          for m in {"cli", "mpcore"} | extra)
+    expected = ([] if row in NO_MPMATH else ["mpmath"]) + ["zeta_explicit"] + sorted(
+        f"zeta_explicit.{m}" for m in {"cli", "mpcore"} | extra)
     assert loaded == repr(expected)
 
 

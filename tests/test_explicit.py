@@ -4,6 +4,7 @@ kernels, and the descriptor layer that generalizes both."""
 import ast
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -506,7 +507,7 @@ def test_descriptor_fixed_by_its_character(ctx, monkeypatch):
     for d in squarefree:
         q, chi = discriminant_of(d), kronecker_chi(d)
         with monkeypatch.context() as m:
-            m.setattr(explicit, "mpmath", None)
+            m.setitem(sys.modules, "mpmath", None)   # any import of it fails
             desc = descriptor_dirichlet(q, chi, ctx)
         assert desc == SelbergDescriptor(label=f"dirichlet-{q}", m_F=0,
                                          gamma_factors=((F(1, 2), F(1, 2)),),

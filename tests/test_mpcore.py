@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from deriv_polys_reference import _deriv_polys
+from em_reference import bernoulli
 from em_reference import em_log_moments as em_log_moments_reference
 from em_reference import em_plan as em_plan_reference
 from zeta_explicit import mpcore
@@ -24,7 +25,6 @@ from zeta_explicit.mpcore import (
     _em_plan,
     _eps_table,
     _exact,
-    bernoulli,
     bernoulli_table,
     em_log_moments,
     hurwitz_zeta,
@@ -94,6 +94,94 @@ def test_real_rounds_a_wider_value_to_the_context():
     narrow = PrecisionContext(64).real(wide)
     assert narrow.val._mpf_[3] <= 64
     assert narrow.val == PrecisionContext(64).real(Fraction(1, 3)).val
+
+
+def _printer_cases(rng: random.Random, bits: int, n: int) -> list:
+    """(man, exp) dyadics for nstr at n digits: random mantissas of up to
+    bits bits at magnitudes 1e-300..1e300, exact decimal ties at digit n + 1
+    ((2A+1) 2^-m has m decimals, the last a 5), and runs of 9s (1 - 2^-k,
+    10^j - 1, and 99..9.5, a tie that carries into a new leading digit)."""
+    out = []
+    for _ in range(3):
+        man = rng.getrandbits(rng.randint(1, bits)) | 1
+        exp = round(rng.uniform(-300, 300) * 3.3219280948873626) - man.bit_length()
+        out.append((man, exp))
+    m = rng.randint(1, n)
+    lo, hi = 10 ** n // 5 ** m + 1, 10 ** (n + 1) // 5 ** m
+    if lo < hi:
+        man = rng.randrange(lo, hi) | 1
+        if len(str(man * 5 ** m)) == n + 1:
+            out.append((man, -m))
+    k = rng.randint(4, bits)
+    out += [((1 << k) - 1, -k), (10 ** n - 1, 0), (2 * 10 ** n - 1, -1)]
+    return [(s * man, exp) for man, exp in out if man.bit_length() <= bits for s in (1, -1)]
+
+
+def test_printer_matches_mpmath_nstr():
+    # str_digits and repr print in integers exactly what mpmath.nstr prints,
+    # at every width 64..1024 in steps of 64 and every digit count 1..60
+    rng = random.Random(46)
+    for bits in range(64, 1025, 64):
+        ctx = PrecisionContext(bits)
+        for n in range(1, 61):
+            for value in _printer_cases(rng, bits, n):
+                h = ctx.real(value)
+                assert h.val == mpmath.make_mpf(mpmath.libmp.from_man_exp(*value))
+                want = mpmath.nstr(h.val, min(n, mpmath.libmp.prec_to_dps(bits) - 1))
+                assert h.str_digits(n) == want, (bits, n, value)
+                assert repr(h) == f"HReal({mpmath.nstr(h.val, 25)})", (bits, value)
+    assert repr(ctx.real(0)) == "HReal(0.0)"
+    for value in ((3, 4000), (-5, -4100), (1, -3600)):   # past 2^+-3500: mpmath's own path
+        h = ctx.real(value)
+        assert (h.str_digits(12), repr(h)) == (mpmath.nstr(h.val, 12), f"HReal({mpmath.nstr(h.val, 25)})")
+    assert ctx.real(Fraction(2, 3)).str_digits(0) == mpmath.nstr(mpmath.mpf(2) / 3, 0)
+
+
+def test_real_rounds_as_mpmath_does():
+    # ints, Fractions and dyadics rounded to nearest, ties to even, each with
+    # one rounding: mpf_div's for p/q, normalize's for the others
+    rng = random.Random(4646)
+    for _ in range(3000):
+        bits = rng.choice((64, 65, 128, 192, 320, 1024))
+        p = rng.getrandbits(rng.randint(1, 2 * bits)) * rng.choice((1, -1))
+        q = rng.getrandbits(rng.randint(1, 2 * bits)) or 1
+        e = rng.randint(-2000, 2000)
+        ctx = PrecisionContext(bits)
+        for x, raw in ((Fraction(p, q), mpmath.libmp.from_rational(p, q, bits, "n")),
+                       ((p, e), mpmath.libmp.from_man_exp(p, e, bits, "n")),
+                       (p, mpmath.libmp.from_int(p, bits, "n"))):
+            assert ctx.real(x).val == mpmath.make_mpf(raw), (x, bits)
+    half = PrecisionContext(64).real((1 << 65) + 2)   # a tie, kept even
+    assert (half.man, half.exp) == (1, 65)
+
+
+def test_integer_constants_match_mpmath():
+    # floor(pi 2^W) and floor(gamma 2^W) are floor-exact against mpmath at
+    # W + 64; pi, gamma, log 2pi and log 4pi at W bits are mpmath's values
+    # there, bit for bit, as are f_const's gamma and -log 2pi at each walk
+    # width W = bits + 48 (_K_CONST, to_fixed of mpmath at W + 8)
+    from zeta_explicit import explicit
+    for bits in range(64, 1101):
+        for W in (bits + 32, bits + 48):
+            with mpmath.workprec(W + 64):
+                assert mpcore._pi_fixed(W) == mpmath.libmp.to_fixed(mpmath.pi._mpf_, W), W
+                assert mpcore._gamma_fixed(W) == mpmath.libmp.to_fixed(mpmath.euler._mpf_, W), W
+            with mpmath.workprec(W):
+                for got, want in ((mpcore._constant(mpcore._pi_fixed, W), +mpmath.pi),
+                                  (mpcore._constant(mpcore._gamma_fixed, W), +mpmath.euler),
+                                  (mpcore._log_pi(1, W), mpmath.log(2 * mpmath.pi)),
+                                  (mpcore._log_pi(2, W), mpmath.log(4 * mpmath.pi))):
+                    assert mpcore._mpf(*got) == want, W
+        W = bits + 48
+        explicit.f_const(Fraction(3, 2), PrecisionContext(bits))
+        with mpmath.workprec(W + 8):
+            parent = [mpmath.libmp.to_fixed(c._mpf_, W)
+                      for c in (+mpmath.euler, -mpmath.log(2 * mpmath.pi))]
+        assert explicit._K_CONST[W] == parent, W
+    ctx = PrecisionContext(1024)
+    with mpmath.workprec(1024 + 32):
+        assert (ctx.pi, ctx.euler_gamma, ctx.log_2pi, ctx.log_4pi) == (
+            +mpmath.pi, +mpmath.euler, mpmath.log(2 * mpmath.pi), mpmath.log(4 * mpmath.pi))
 
 
 def test_bernoulli_table():
