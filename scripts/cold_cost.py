@@ -3,7 +3,8 @@
 
 Three reference rows, `python -c pass`, `import mpmath` and
 `import zeta_explicit.cli`, and one row per subcommand with the fixed
-arguments of tests/test_cli.py's cold-import rows, run as
+arguments of tests/test_cli.py's cold-import rows (two for stieltjes and
+sum, one with and one without mpmath), run as
 `python -m zeta_explicit.cli ... --json`.  Every round runs each row once,
 in turn, so that a slow spell of the host falls on every row alike; after
 ROUNDS rounds the script prints the least and the median wall-clock
@@ -31,8 +32,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SUBCOMMANDS = {
     "li": "li --n 2 --K 5",
     "stieltjes": "stieltjes --n 2",
+    "stieltjes --table": "stieltjes --n 2 --table",
     "rh-check": "rh-check --K 5",
     "sum": "sum --term inv-rho --K 5",
+    "sum xrho-over-rho": "sum --term xrho-over-rho --x 21/2 --K 5",
     "eval-f": "eval-f --x 3/2",
     "verify": "verify --identity von-mangoldt --x 21/2 --K 5",
     "find-zeros": "find-zeros --lo 21/20 --hi 2",

@@ -121,6 +121,13 @@ def _selection(args, ctx: PrecisionContext, label: str) -> tuple:
     return table, zeros.SumSpec(K=args.K if args.K is not None else len(table))
 
 
+def _refuse_unread(args, mode: str, options: Sequence[str]) -> None:
+    """Refuse each of options that the command line gave, as a usage error:
+    mode does not read it ("inv-rho takes no --x")."""
+    if given := [o for o in options if o in args.given]:
+        raise _InputError(f"{mode} takes no {', '.join(given)}")
+
+
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
     """Comma-separated exact rationals (p/q or integers); empty pieces
     are skipped."""
@@ -170,12 +177,9 @@ def _cmd_verify(args, ctx: PrecisionContext) -> dict:
         raise _InputError(f"unknown identity {args.identity!r}: choose from "
                           f"{', '.join(explicit.IDENTITY_IDS)}")
     family = args.identity.split("-")[0]   # selberg, general or another
-    ignored = [f"--{name}" for name, owner in (
+    _refuse_unread(args, args.identity, [f"--{name}" for name, owner in (
         ("descriptor", "selberg"), ("alpha", "selberg"),
-        ("pf-num", "general"), ("pf-roots", "general"))
-        if getattr(args, name.replace("-", "_")) is not None and owner != family]
-    if ignored:
-        raise _InputError(f"{args.identity} takes no {', '.join(ignored)}")
+        ("pf-num", "general"), ("pf-roots", "general")) if owner != family])
     x = _abscissa(args, "x")
     pf = alpha = F = None
     if family == "general":
@@ -247,9 +251,7 @@ def _cmd_li(args, ctx: PrecisionContext) -> dict:
     consts = liconst.build_stieltjes_table(n, ctx)
     ident = consts.lam(n)
     direct, tail = liconst.lambda_direct(n, table, spec, ctx)
-    with ctx.workprec():
-        corrected = direct.val + tail.val
-        gap = abs(corrected - ident.val)
+    corrected = _exact(direct) + _exact(tail)
     return {
         "command": "li",
         "n": n,
@@ -258,7 +260,7 @@ def _cmd_li(args, ctx: PrecisionContext) -> dict:
         "lambda_direct": direct.str_digits(args.digits),
         "tail": tail.str_digits(10),
         "lambda_direct_corrected": ctx.real(corrected).str_digits(args.digits),
-        "gap": ctx.real(gap).str_digits(6),
+        "gap": ctx.real(abs(corrected - _exact(ident))).str_digits(6),
     }
 
 
@@ -268,6 +270,7 @@ def _cmd_stieltjes(args, ctx: PrecisionContext) -> dict:
     if eps is not None and not 0 < eps < math.inf:
         raise ValueError(f"eps must be a finite number > 0, got eps = {eps!r}")
     if args.table:
+        _refuse_unread(args, "--table", ["--digits"])
         consts = liconst.build_stieltjes_table(args.n, ctx)
         gammas = consts.gammas
         payload = {
@@ -312,6 +315,7 @@ def _cmd_rh_check(args, ctx: PrecisionContext) -> dict:
 
 def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
     from . import analysis
+    _refuse_unread(args, "--no-scan", [] if args.scan else ["--grid-denominator", "--threshold"])
     numbers = analysis.class_number_check(args.d)
     scan = args.scan and analysis.hypothesis_scan(
         args.d, ctx, denominator=args.grid_denominator, threshold=args.threshold)
@@ -344,6 +348,7 @@ def _cmd_chowla_selberg(args, ctx: PrecisionContext) -> dict:
 
 def _cmd_sum(args, ctx: PrecisionContext) -> dict:
     from . import zeros
+    _refuse_unread(args, args.term, [] if args.term == "xrho-over-rho" else ["--x", "--inexact"])
     table, spec = _selection(args, ctx, "zeta")
     payload = {"command": "sum", "term": args.term,
                "pairs": len(spec.select(table)), "zeros": table.source}
@@ -352,8 +357,7 @@ def _cmd_sum(args, ctx: PrecisionContext) -> dict:
         value, tail = named(table, spec, ctx)
         payload["value"] = value.str_digits(args.digits)
         payload["tail"] = tail.str_digits(10)
-        with ctx.workprec():
-            payload["corrected"] = ctx.real(value.val + tail.val).str_digits(args.digits)
+        payload["corrected"] = ctx.real(_exact(value) + _exact(tail)).str_digits(args.digits)
     else:  # xrho-over-rho
         if args.x is None:
             raise _InputError("--term xrho-over-rho requires --x")
@@ -541,6 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_IO if exc.code not in (0, None) else EXIT_OK
 
     args.notes = []   # filled by _abscissa
+    args.given = {a.split("=")[0] for a in argv if a.startswith("--")}   # read by _refuse_unread
     try:
         ctx = PrecisionContext(bits=args.bits)
         payload = _HANDLERS[args.command](args, ctx)

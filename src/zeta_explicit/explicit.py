@@ -39,8 +39,11 @@ sums through verify_identity):
 Every prime side is one integer, arith.primed_sum, with one endpoint rule:
 f_const reads it, and psi0, psi0_alpha, T_sum, selberg_psi0 and selberg_T
 read x^alpha times it (arith.weighted_sum, the descriptor ones with F's
-character table) at bits + 32, unrounded.  Exact inputs enter each form
-at bits + 32 too (_to_mpf), so every closed form rounds once, at its end.
+character table) at bits + 32, unrounded.  Each closed form adds its
+parts exactly, as one Fraction (f's integers, the integer gamma and
+log 2pi, and the values of f_u, weighted_sum and F'/F at bits + 32 as they
+are), and rounds once, at its end; mpf arithmetic is left only where an
+mpmath function is called (a square root, an irrational power, L'/L).
 
 The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u), at real z in [0, 1)
 and rational u, is real fixed point (f_u_closed): the series itself, or
@@ -147,7 +150,8 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
     psi(a) = -gamma_0(a) is em_log_moments' at s = 1 and bits + 32, after
     psi(a) = psi(a + m) - Sum_{j<m} 1/(a + j) for a <= 0; its certified
     bound, near 2^-(bits+31) |psi(a)|, is the largest error.
-    tau = -log1p(z - 1) and log tau are mpf at W bits."""
+    tau = -log1p(z - 1) and log tau are mpf at W bits; gamma is f_const's
+    integer one at W + 8 bits."""
     import mpmath
     from mpmath import libmp
     a = 1 + u
@@ -171,7 +175,8 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
             E = sum(math.comb(k, j) * e * p ** (k - j) for j, e in bq if j <= k)
             S += (E * Tk if k % 2 == 0 else -E * Tk) // (qf * k)
         psi = -g0.val - _to_mpf(sum((Fraction(1) / (a + j) for j in range(m)), Fraction(0)))
-        bracket = -mpmath.euler - mpmath.log(tau) - psi - mpmath.mpf((S, -W))
+        gamma = mpmath.mpf(_constant(_gamma_fixed, W + 8))   # f_const's: one gamma per W
+        bracket = -gamma - mpmath.log(tau) - psi - mpmath.mpf((S, -W))
     with ctx.workprec(_GUARD):
         return mpmath.exp(_to_mpf(u) * tau) * bracket
 
@@ -254,13 +259,12 @@ def f_rhs_lt1(x: Rational, ctx: PrecisionContext) -> HReal:
     return ctx.real((f_fixed(x, ctx), -walk_width(ctx)))
 
 
-def _f_reflected(x: Fraction, ctx: PrecisionContext) -> mpf:
+def _f_reflected(x: Fraction, ctx: PrecisionContext) -> int:
     """Sum_rho x^rho/(rho(1-rho)) = f(x) + x f(1/x), rational x > 1 (callers
-    check), as the unrounded f_fixed(x) + floor(x f_fixed(1/x)) 2^-W, W =
-    walk_width(ctx), within f(x)'s count, x times f(1/x)'s, and 1 (endpoint
+    check), in units of 2^-W, W = walk_width(ctx): f_fixed(x) + floor(x
+    f_fixed(1/x)), within f(x)'s count, x times f(1/x)'s, and 1 (endpoint
     halved in both)."""
-    v = f_fixed(x, ctx) + x.numerator * f_fixed(1 / x, ctx) // x.denominator
-    return _mpf(v, -walk_width(ctx))
+    return f_fixed(x, ctx) + x.numerator * f_fixed(1 / x, ctx) // x.denominator
 
 
 def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
@@ -269,15 +273,17 @@ def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
     import mpmath
     x = require_side("cosine_rhs", Fraction(x), True)
     with ctx.workprec(_GUARD):
-        return ctx.real(_f_reflected(x, ctx) / mpmath.sqrt(_to_mpf(x)))
+        return ctx.real(_mpf(_f_reflected(x, ctx), -walk_width(ctx)) / mpmath.sqrt(_to_mpf(x)))
 
 
 def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted S(x) = Sum_rho x^rho/(rho(1-rho)) - gamma x + log 2pi
-    for rational x > 1: f(x) + x f(1/x) - gamma x + log 2pi."""
+    for rational x > 1: f(x) + x f(1/x) - gamma x + log 2pi, gamma and
+    log 2pi at bits + 32, summed exactly and rounded once."""
     x = require_side("S_rhs_gt1", Fraction(x), True)
-    with ctx.workprec(_GUARD):
-        return ctx.real(_f_reflected(x, ctx) - ctx.euler_gamma * _to_mpf(x) + ctx.log_2pi)
+    W = ctx.bits + _GUARD
+    return ctx.real(Fraction(_f_reflected(x, ctx), 1 << walk_width(ctx))
+                    - _exact(_constant(_gamma_fixed, W)) * x + _exact(_log_pi(1, W)))
 
 
 # ----------------------------------------------------------------------
@@ -434,53 +440,51 @@ def selberg_T(x: Rational, alpha: Rational, F: SelbergDescriptor,
 
 
 def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
-                     ctx: PrecisionContext) -> mpf:
-    """The descriptor form of the module docstring at bits + 32, in one pass
-    at (y, beta) = (x, alpha) above 1 and (1/x, 1 - alpha) below 1.  With
-    m_F > 0, beta = 0 is f(y) + log 2pi and beta = 1 the polar term (refused
-    above 1, f(x) below 1).  An integer u_j = mu_j + beta lambda_j <= 0 is
-    refused before the prime sum.  The rational terms are one Fraction, so
-    zeta's -1/beta and 1/beta cancel; an irrational y^(-mu_j/lambda_j) is mpf."""
-    from mpmath import mpf
+                     ctx: PrecisionContext) -> Fraction:
+    """The descriptor form of the module docstring, exactly, from values at
+    bits + 32, in one pass at (y, beta) = (x, alpha) above 1 and (1/x,
+    1 - alpha) below 1.  With m_F > 0, beta = 0 is f(y) + log 2pi and
+    beta = 1 the polar term (refused above 1, f(x) below 1).  An integer
+    u_j = mu_j + beta lambda_j <= 0 is refused before the prime sum.  The
+    sum is one Fraction, so zeta's -1/beta and 1/beta cancel; an irrational
+    y^(-mu_j/lambda_j) enters as mpmath's power at bits + 32 (_power)."""
     above = x > 1
     y, beta = (x, alpha) if above else (1 / x, 1 - alpha)
     if F.m_F and beta in (0, 1):
         if above and beta == 1:
             raise ValueError("alpha = 1 sits on the polar term")
-        with ctx.workprec(_GUARD):   # f(x) below 1 at alpha = 0, else f(y) + zeta'/zeta(0)
-            f = mpf((f_fixed(x if beta else y, ctx), -walk_width(ctx)))
-            return f if beta else (f + ctx.log_2pi) * (1 if above else -_to_mpf(x))
-    rational = F.m_F * (y / (1 - beta) - 1 / beta) if F.m_F else Fraction(0)
+        # f(x) below 1 at alpha = 0, else f(y) + zeta'/zeta(0)
+        f = Fraction(f_fixed(x if beta else y, ctx), 1 << walk_width(ctx))
+        return f if beta else (f + _exact(_log_pi(1, ctx.bits + _GUARD))) * (1 if above else -x)
+    acc = F.m_F * (y / (1 - beta) - 1 / beta) if F.m_F else Fraction(0)
+    for lam, mu in F.gamma_factors:
+        if (u := mu + lam * beta).denominator == 1 and u <= 0:
+            raise ValueError("alpha = 0 is a pole: the polar term and the trivial "
+                             "zeros at 0 do not cancel" if above and alpha == 0 else
+                             f"alpha = {alpha} hits the trivial-zero chain "
+                             f"(lambda={lam}, mu={mu})")
+        z, zmu = (_power(y, t, ctx) for t in (-1 / lam, -mu / lam))   # exact at lambda = 1/2
+        acc += lam * zmu * (_exact(f_u_closed(u, z, ctx)) + 1 / u)
+    acc -= _exact(selberg_psi0(y, beta, F, ctx))
+    if above:
+        return acc
+    return -x * acc + (_exact(F.gamma_F(ctx)) if alpha == 0 else 0)
+
+
+def _power(y: Fraction, t: Fraction, ctx: PrecisionContext) -> Fraction:
+    """y^t: exact at an integer t, else mpmath's y^t at bits + 32."""
+    if t.denominator == 1:
+        return y ** int(t)
     with ctx.workprec(_GUARD):
-        acc = mpf(0)
-        for lam, mu in F.gamma_factors:
-            if (u := mu + lam * beta).denominator == 1 and u <= 0:
-                raise ValueError("alpha = 0 is a pole: the polar term and the trivial "
-                                 "zeros at 0 do not cancel" if above and alpha == 0 else
-                                 f"alpha = {alpha} hits the trivial-zero chain "
-                                 f"(lambda={lam}, mu={mu})")
-            z, zmu = (y ** int(t) if t.denominator == 1 else _to_mpf(y) ** _to_mpf(t)
-                      for t in (-1 / lam, -mu / lam))   # exact at lambda = 1/2
-            term = f_u_closed(u, z, ctx).val
-            if isinstance(zmu, Fraction):
-                rational += lam * zmu / u
-            else:
-                term += 1 / _to_mpf(u)
-            acc += _to_mpf(lam) * _to_mpf(zmu) * term
-        acc += _to_mpf(rational) - selberg_psi0(y, beta, F, ctx).val
-        if above:
-            return acc
-        return -_to_mpf(x) * acc + (F.gamma_F(ctx) if alpha == 0 else 0)
+        return _exact(_to_mpf(y) ** _to_mpf(t))
 
 
 def _kernel_form(x: Fraction, poles: Sequence[Fraction], weights: Sequence[Rational],
                  F: SelbergDescriptor, ctx: PrecisionContext) -> HReal:
-    """Sum_i weights[i] times the descriptor form of F at poles[i], rounded
-    once: the one assembly of every selberg_rhs_* (one pole, weight 1, the
-    form itself: 0 + 1 v is exact) and general_rhs_* (F = zeta)."""
-    forms = [_descriptor_form(x, a, F, ctx) for a in poles]
-    with ctx.workprec(_GUARD):
-        return ctx.real(sum((_to_mpf(w) * v for w, v in zip(weights, forms)), _to_mpf(0)))
+    """Sum_i weights[i] times the descriptor form of F at poles[i], exactly,
+    rounded once: the one assembly of every selberg_rhs_* (one pole, weight
+    1) and general_rhs_* (F = zeta)."""
+    return ctx.real(sum(w * _descriptor_form(x, a, F, ctx) for a, w in zip(poles, weights)))
 
 
 def selberg_rhs_gt1(x: Rational, alpha: Rational, F: SelbergDescriptor,
@@ -584,7 +588,6 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
     tail bound.  The closed form and the F'/F term are evaluated once.
     F is zeta but for selberg-*, and the table must carry F's label.
     """
-    import mpmath
     from .zeros import cosine_term, density_tail, xrho_term, zero_sum
     x = Fraction(x)
     if identity not in IDENTITY_IDS:
@@ -597,8 +600,8 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
         raise ValueError(f"table label {table.label!r} does not match "
                          f"descriptor {F.label!r}")
 
-    # term: the zero-sum kernel; extra: the F'/F term added to it.
-    extra: Optional[mpf] = None
+    # term: the zero-sum kernel; extra: the F'/F term added to it, exactly.
+    extra: Optional[Fraction] = None
     if identity in ("von-mangoldt", "ingham"):
         term = xrho_term(x, (0,), (1,))
         rhs = (f_rhs_gt1 if identity == "von-mangoldt" else f_rhs_lt1)(x, ctx)
@@ -607,7 +610,8 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
         rhs = cosine_rhs(x, ctx)
     elif identity == "s":
         term = xrho_term(x, (0, 1), (1, -1))
-        rhs = ctx.real(_f_reflected(require_side("the s identity", x, True), ctx))
+        rhs = ctx.real((_f_reflected(require_side("the s identity", x, True), ctx),
+                        -walk_width(ctx)))
     else:  # Sum_i w_i x^rho/(rho - alpha_i) against the descriptor form of F
         gt1 = identity.endswith("gt1")
         if identity.startswith("general"):
@@ -622,17 +626,12 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
             rhs = rhs_fn(x, a, F, ctx)
         term = xrho_term(x, poles, weights)
         if gt1 or poles != (0,):  # selberg-lt1 at alpha = 0 predicts f itself
-            with ctx.workprec(_GUARD):
-                xv = _to_mpf(x)
-                extra = sum((_to_mpf(w) * xv ** _to_mpf(p)
-                             * F.log_deriv(p if gt1 else 1 - p, ctx)
-                             for p, w in zip(poles, weights)), mpmath.mpf(0))
-                extra = extra if gt1 else -extra
+            extra = (1 if gt1 else -1) * sum(w * _power(x, p, ctx) * _exact(
+                F.log_deriv(p if gt1 else 1 - p, ctx)) for p, w in zip(poles, weights))
 
     def residual_at(zs: HReal) -> tuple[HReal, HReal]:
-        with ctx.workprec(_GUARD):
-            lhs = zs if extra is None else ctx.real(zs.val + extra)
-            return lhs, ctx.real(lhs.val - rhs.val)
+        lhs = zs if extra is None else ctx.real(_exact(zs) + extra)
+        return lhs, ctx.real(_exact(lhs) - _exact(rhs))
 
     count = len(spec.select(table))
     half = max(1, count // 2)
@@ -641,8 +640,7 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
     tail: Optional[HReal] = None
     trend: Optional[dict] = None
     if identity == "s":  # a pair adds at most 2 sqrt(x)/gamma^2; safety factor 2
-        with ctx.workprec(_GUARD):
-            tail = density_tail(table, terms, 4 * mpmath.sqrt(_to_mpf(x)), ctx)
+        tail = density_tail(table, terms, 4 * _power(x, Fraction(1, 2), ctx), ctx)
     else:
         trend = {
             "pairs_half": half,

@@ -30,9 +30,11 @@ pass returns gamma_0(a)..gamma_N(a), each with a certified bound
 (Euler-Maclaurin remainder, rounding slop, final rounding), with the
 shift count M and Bernoulli count K chosen from the precision.  Any
 order n >= 0 is served while the plan stays within M (n+1) <= 2^20.
-build_stieltjes_table runs the core, the division and the binomial
-sums in one pass at bits + 32 + N, because those sums cancel by up to
-2^N, and rounds each entry once.
+build_stieltjes_table runs the core at bits + 32 + N, because the
+binomial sums cancel by up to 2^N, then the division and the sums in
+integers 32 bits wider, and rounds each entry once.  The reports combine
+exact values (HReal dyadics, the integer gamma and log 4pi) as Fractions
+and round each once: no mpf arithmetic is left in this module.
 """
 
 from __future__ import annotations
@@ -41,14 +43,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .mpcore import (
-    _GUARD,
-    HReal,
-    PrecisionContext,
-    em_log_moments,
-    series_ops,
-    zeta_int,
-)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _fixed, _gamma_fixed,
+                     _log_pi, em_log_moments, series_ops, zeta_int)
 # ZeroTable and SumSpec in annotations are zeros' classes, unevaluated: zeros is
 # imported inside the functions that sum zeros, so other callers never load it
 
@@ -92,22 +88,20 @@ def eta_from_gamma(gammas: Sequence[HReal], ctx: PrecisionContext
 
     and their quotient (series_ops) is (s-1)(-zeta'/zeta) =
     1 + Sum_n eta_n (s-1)^(n+1).  Both series are cut after (s-1)^G, so
-    eta_n reads gamma_0..gamma_n only.
+    eta_n reads gamma_0..gamma_n only.  In integers in units of 2^-V,
+    V = bits + 32, each gamma_k/(k-1)! floored there, each eta rounded once.
     """
     if len(gammas) < 2:
         raise ValueError("need gamma through order >= 1")
-    G = len(gammas) - 1
-    from mpmath import mpf
-    with ctx.workprec(_GUARD):
-        num = [mpf(1), mpf(0)]
-        den = [mpf(1)]
-        for k in range(1, G + 1):
-            scale = (-1) ** (k - 1) / mpf(math.factorial(k - 1))
-            if k < G:
-                num.append(scale * gammas[k].val)
-            den.append(scale * gammas[k - 1].val)
-        q = series_ops(num, den)
-        return tuple(ctx.real(e) for e in q[1:])
+    V = ctx.bits + _GUARD
+    G, g = len(gammas) - 1, [_fixed(v, V) for v in gammas]
+    num, den = [1 << V, 0], [1 << V]
+    for k in range(1, G + 1):
+        f = (-1) ** (k - 1) * math.factorial(k - 1)
+        if k < G:
+            num.append(g[k] // f)
+        den.append(g[k - 1] // f)
+    return tuple(ctx.real((e, -V)) for e in series_ops(num, den, V)[1:])
 
 
 # ----------------------------------------------------------------------
@@ -153,40 +147,38 @@ def li_lambda_identity(n: int, table: StieltjesTable,
 
 def build_stieltjes_table(N: int, ctx: PrecisionContext) -> StieltjesTable:
     """gammas through N+1 from one Euler-Maclaurin pass, etas through N by
-    eta_from_gamma, then S1(n), S2(n) and
+    eta_from_gamma's division, then S1(n), S2(n) and
     lambda_n = 1 - (n/2)(gamma_0 + log 4pi) + S1(n) + S2(n) for n = 1..N
     in one loop, with zeta(j) taken once per j.
 
     The binomial sums cancel by up to 2^N, so the pass runs at
-    bits + 32 + N and every entry is rounded once to the context; each
-    gamma bound adds 2^(1-bits) (|gamma| + 1) for that rounding.
+    bits + 32 + N, the division's etas are rounded there, and
+    (1 - 2^-j) zeta(j) and the sums run in integers in units of 2^-V,
+    V = that width + 32, each eta, zeta(j) and log 4pi floored there; every
+    entry is rounded once to the context.  Each gamma bound adds
+    2^(1-bits) (|gamma| + 1) for that rounding, exactly.
     """
     if N < 1:
         raise ValueError(f"table order must be >= 1, got {N}")
-    from mpmath import mpf
     wide = PrecisionContext(ctx.bits + _GUARD + N)
+    V = wide.bits + _GUARD
     raw = em_log_moments(1, 1, N + 1, wide)
-    with wide.workprec(_GUARD):
-        gammas = tuple(
-            (ctx.real(v.val),
-             ctx.real(b.val + mpf(2) ** (1 - ctx.bits) * (abs(v.val) + 1)))
-            for v, b in raw)
-        etas = [e.val for e in eta_from_gamma([v for v, _ in raw], wide)]
-        zeta_terms = [(-1) ** j * (1 - mpf(2) ** -j) * zeta_int(j, wide).val
-                      for j in range(2, N + 1)]
-        half = (raw[0][0].val + wide.log_4pi) / 2
-        lambdas, s1s, s2s = [], [], []
-        for n in range(1, N + 1):
-            s1 = sum((math.comb(n, j) * zeta_terms[j - 2]
-                      for j in range(2, n + 1)), mpf(0))
-            s2 = -sum((math.comb(n, j) * etas[j - 1] for j in range(1, n + 1)),
-                      mpf(0))
-            lambdas.append(ctx.real(1 - n * half + s1 + s2))
-            s1s.append(ctx.real(s1))
-            s2s.append(ctx.real(s2))
-        return StieltjesTable(order=N, gammas=gammas,
-                              etas=tuple(ctx.real(e) for e in etas),
-                              lambdas=tuple(lambdas), S1=tuple(s1s), S2=tuple(s2s))
+    gammas = tuple((ctx.real(v), ctx.real(_exact(b) + (abs(_exact(v)) + 1) / 2 ** (ctx.bits - 1)))
+                   for v, b in raw)
+    etas = [_fixed(e, V) for e in eta_from_gamma([v for v, _ in raw], wide)]
+    zetas = [_fixed(zeta_int(j, wide), V) for j in range(2, N + 1)]
+    zeta_terms = [(-1) ** j * (z - (z >> j)) for j, z in enumerate(zetas, 2)]
+    gamma_log_4pi = _fixed(raw[0][0], V) + _fixed(_log_pi(2, V), V)
+    lambdas, s1s, s2s = [], [], []
+    for n in range(1, N + 1):
+        s1 = sum(math.comb(n, j) * zeta_terms[j - 2] for j in range(2, n + 1))
+        s2 = -sum(math.comb(n, j) * etas[j - 1] for j in range(1, n + 1))
+        lambdas.append(ctx.real((2 * ((1 << V) + s1 + s2) - n * gamma_log_4pi, -V - 1)))
+        s1s.append(ctx.real((s1, -V)))
+        s2s.append(ctx.real((s2, -V)))
+    return StieltjesTable(order=N, gammas=gammas,
+                          etas=tuple(ctx.real((e, -V)) for e in etas),
+                          lambdas=tuple(lambdas), S1=tuple(s1s), S2=tuple(s2s))
 
 
 def lambda_direct(n: int, table: ZeroTable, spec: SumSpec,
@@ -242,19 +234,17 @@ def rh_statistic(table: ZeroTable, spec: SumSpec, ctx: PrecisionContext,
     (value, inv_rho), pairs = zero_sum(
         table, spec, (inv_abs_sq_term(), xrho_term(1, (0,), (1,))), ctx)
     tail = density_tail(table, pairs, 2, ctx)
-    with ctx.workprec(_GUARD):
-        target = 2 + ctx.euler_gamma - ctx.log_4pi
-        corrected = value.val + tail.val
-        disc = corrected - target
-        allowance = ctx.mpf(tolerance) if tolerance is not None else tail.val
-        within = bool(abs(disc) <= allowance)
-        return RHStatReport(
-            pairs=pairs,
-            sum_value=value,
-            tail=tail,
-            corrected=ctx.real(corrected),
-            target=ctx.real(target),
-            discrepancy=ctx.real(disc),
-            within_tolerance=within,
-            doubled_inv_rho=ctx.real(2 * inv_rho.val),
-        )
+    W = ctx.bits + _GUARD   # gamma and log 4pi as mpmath gives them there
+    target = 2 + _exact(_constant(_gamma_fixed, W)) - _exact(_log_pi(2, W))
+    corrected = _exact(value) + _exact(tail)
+    disc = corrected - target
+    return RHStatReport(
+        pairs=pairs,
+        sum_value=value,
+        tail=tail,
+        corrected=ctx.real(corrected),
+        target=ctx.real(target),
+        discrepancy=ctx.real(disc),
+        within_tolerance=abs(disc) <= _exact(tail if tolerance is None else tolerance),
+        doubled_inv_rho=ctx.real(2 * _exact(inv_rho)),
+    )

@@ -15,7 +15,7 @@ pipelines) consumes the types and functions defined here:
   zeta_int(j)        zeta(j), integer j >= 2, from an accelerated alternating
                      series in exact integers (not the Euler-Maclaurin core)
   series_ops         the truncated quotient of two power series given as
-                     coefficient lists (mpf, degree 0 up)
+                     coefficient lists (fixed-point integers, degree 0 up)
   log_fixed(n,d,V)   2^V log(n/d) in integers: the head's, g's and the prime logs
 
 Numeric backend: Python integers.  HReal is an exact dyadic that prints
@@ -26,7 +26,9 @@ with computable error terms, in integers (logs from log_fixed, one integer
 Bernoulli table, bounds rounded up, the set-up kept per exact (s, N,
 bits)); they and zeta_int round once.  mpmath is imported only where it is
 read: exp_fixed (denominators of s >= 3), loggamma (the one special function
-production code calls), the zero kernel's set-up and .val (an HReal's mpf).
+production code calls), the zero kernel's set-up and .val (an HReal's mpf),
+read only in a statement that calls an mpmath function; every other
+combination is exact (_exact) or fixed point, rounded once by ctx.real.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence, Union
 
 Scalar = Union[int, float, Fraction, "HReal", "mpf"]
@@ -93,18 +96,15 @@ class PrecisionContext(_Value):
         import mpmath
         return mpmath.workprec(self.bits + extra)
 
-    def mpf(self, x: Scalar) -> mpf:
-        """x rounded to this context's precision, as a raw mpf."""
-        return self.real(x).val
-
     def real(self, x: Scalar) -> "HReal":
         """x rounded to nearest at bits, ties to even as mpmath's round_nearest,
         in integers: an int, a Fraction or float (one rounding of the exact
         value), a (man, exp) pair for man 2^exp, an mpf or an HReal."""
         return HReal(_round(x, self.bits), self)
 
-    # Shared constants at bits + _GUARD, for guarded evaluations: mpmath's
-    # +pi, +euler, log(2 pi) and log(4 pi) there, from the integer pi and gamma.
+    # Shared constants at bits + _GUARD, for guarded mpf evaluations: mpmath's
+    # +pi and +euler there, from the integer pi and gamma.  Exact sums read
+    # _constant and _log_pi (log 2pi, log 4pi) as (man, exp) pairs instead.
     @property
     def pi(self) -> mpf:
         return _mpf(*_constant(_pi_fixed, self.bits + _GUARD))
@@ -112,14 +112,6 @@ class PrecisionContext(_Value):
     @property
     def euler_gamma(self) -> mpf:
         return _mpf(*_constant(_gamma_fixed, self.bits + _GUARD))
-
-    @property
-    def log_2pi(self) -> mpf:
-        return _mpf(*_log_pi(1, self.bits + _GUARD))
-
-    @property
-    def log_4pi(self) -> mpf:
-        return _mpf(*_log_pi(2, self.bits + _GUARD))
 
 
 def _mpf(man: int, exp: int) -> mpf:
@@ -165,13 +157,20 @@ def _round(x, bits: int = 0) -> tuple[int, int]:
 
 
 def _exact(v) -> Fraction:
-    """The exact rational value of an int, Fraction, float, mpf or HReal."""
+    """The exact rational value of an int, Fraction, float, mpf, HReal or
+    (man, exp) pair."""
     if isinstance(v, (int, float, Fraction)):
         return Fraction(v)
-    if not isinstance(v, HReal) and not v._mpf_[1] and v._mpf_[2]:
+    if not isinstance(v, (HReal, tuple)) and not v._mpf_[1] and v._mpf_[2]:
         raise ValueError(f"non-finite value {v}")
     man, exp = _round(v)
     return man * Fraction(2) ** exp
+
+
+def _fixed(v, V: int) -> int:
+    """floor(v 2^V) of an HReal or (man, exp) pair, exactly."""
+    man, exp = _round(v)
+    return man << exp + V if exp + V >= 0 else man >> -exp - V
 
 
 class HReal(_Value):
@@ -617,15 +616,15 @@ def zeta_int(j: int, ctx: PrecisionContext) -> HReal:
 # Truncated power series
 # ----------------------------------------------------------------------
 
-def series_ops(num: Sequence[mpf], den: Sequence[mpf]) -> list[mpf]:
+def series_ops(num: Sequence[int], den: Sequence[int], V: int) -> list[int]:
     """The quotient num/den of power series given by their coefficients
-    from degree 0 up, truncated to the shorter operand, at the current
-    mpmath precision.  Raises ZeroDivisionError when den[0] = 0."""
+    from degree 0 up, each an integer in units of 2^-V, truncated to the
+    shorter operand, in units of 2^-V: q_k = floor((2^V num_k - Sum_{i<k}
+    q_i den_(k-i)) / den_0), one floor a coefficient.  Raises
+    ZeroDivisionError when den[0] = 0."""
     if not den or den[0] == 0:
         raise ZeroDivisionError("series divisor has a zero constant term")
-    from mpmath import mpf
-    q = []
+    q: list[int] = []
     for k in range(min(len(num), len(den))):
-        acc = num[k] - sum((q[i] * den[k - i] for i in range(k)), mpf(0))
-        q.append(acc / den[0])
+        q.append(((num[k] << V) - sum(map(mul, q, den[k:0:-1]))) // den[0])
     return q

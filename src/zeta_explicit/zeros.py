@@ -31,7 +31,8 @@ from functools import cache
 from operator import lt, mul
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf, _Value
+from .mpcore import (_GUARD, HReal, PrecisionContext, _exact, _nstr, _pi_fixed, _round, _to_mpf,
+                     _Value, log_fixed)
 
 _HALF = Fraction(1, 2)
 
@@ -476,14 +477,19 @@ def density_tail(table: ZeroTable, count: int, weight: Union[int, mpf],
     """weight (1/2pi) Integral_T^inf t^(-2) log(t/2pi) dt, T the count-th
     ordinate, equal to weight (log(T/2pi) + 1) / (2pi T): the density
     estimate of what pairs of size weight/gamma^2 above the first count
-    pairs add.  A correction, not a bound.  Refuses T <= 2pi, where the
-    density (1/2pi) log(t/2pi) is not yet positive."""
-    import mpmath
-    with ctx.workprec(_GUARD):
-        T, twopi = mpmath.mpf(table.ordinates[count - 1]) / table.scale, 2 * mpmath.pi
-        if T <= twopi:
-            raise ValueError(f"density tail needs T > 2 pi, got T = {mpmath.nstr(T, 6)}")
-        return ctx.real(weight * ((mpmath.log(T / twopi) / T + 1 / T) / twopi))
+    pairs add.  A correction, not a bound.  In integers at V = bits + 32,
+    widened by 64 while floor(2^V T/2) = P = floor(2^V pi), so that T <= 2pi,
+    where the density is not yet positive, is refused exactly: the weight
+    (exact) times (L + 2^V)/(2P T), L = log_fixed(T 2^V/2P), within
+    2^-(bits+30) of the tail, relative, rounded once."""
+    n, s = table.ordinates[count - 1], table.scale   # T = n/s
+    V = ctx.bits + _GUARD
+    while (A := (n << V) // (2 * s)) == (P := _pi_fixed(V)):
+        V += 64
+    if A < P:
+        T = _nstr(*_round(Fraction(n, s), ctx.bits + _GUARD), 6)
+        raise ValueError(f"density tail needs T > 2 pi, got T = {T}")
+    return ctx.real(_exact(weight) * (log_fixed(n << V, 2 * s * P, V) + (1 << V)) * s / (2 * P * n))
 
 
 # ----------------------------------------------------------------------

@@ -224,12 +224,12 @@ def general_rhs_gt1_expanded(x: Rational, pf: RationalFunctionPF,
     for a in pf.roots:
         _check_gt1_alpha(a)
     with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
+        xv = ctx.real(x).val
         z = 1 / (xv * xv)
         acc = mpf(0)
         for lam, a in zip(pf.residues, pf.roots):
-            lamv = ctx.mpf(lam)
-            acc += xv * lamv / ctx.mpf(1 - a)
+            lamv = ctx.real(lam).val
+            acc += xv * lamv / ctx.real(1 - a).val
             acc -= lamv * psi0_alpha(x, a, ctx).val
             acc += lamv * f_u_roots_of_unity(a / 2, z, ctx).val.real / 2
     return ctx.real(acc)
@@ -261,13 +261,13 @@ def general_rhs_lt1_expanded(x: Rational, pf: RationalFunctionPF,
     for a in pf.roots:
         _check_lt1_alpha(a)
     with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
+        xv = ctx.real(x).val
         z = xv * xv
         acc = mpf(0)
         for lam, a in zip(pf.residues, pf.roots):
-            lamv = ctx.mpf(lam)
+            lamv = ctx.real(lam).val
             acc += lamv * T_sum(x, a, ctx).val
-            acc -= lamv / ctx.mpf(a)
+            acc -= lamv / ctx.real(a).val
             acc -= lamv * xv * f_u_roots_of_unity((1 - a) / 2, z, ctx).val.real / 2
     return ctx.real(acc)
 
@@ -278,7 +278,7 @@ def _L_weighted(x: Rational, ctx: PrecisionContext) -> HReal:
     exactly, including the branch behavior."""
     x = Fraction(x)
     with ctx.workprec(_GUARD):
-        return ctx.real(psi0_alpha(x, Fraction(1), ctx).val / ctx.mpf(x))
+        return ctx.real(psi0_alpha(x, Fraction(1), ctx).val / ctx.real(x).val)
 
 
 def cosine_rhs_expanded(x: Rational, ctx: PrecisionContext) -> HReal:
@@ -294,7 +294,7 @@ def cosine_rhs_expanded(x: Rational, ctx: PrecisionContext) -> HReal:
     psi = psi0(x, ctx)
     Lx = _L_weighted(x, ctx)
     with ctx.workprec(_GUARD):
-        xv = ctx.mpf(x)
+        xv = ctx.real(x).val
         rx = mpmath.sqrt(xv)
         v = ((xv - psi.val) / rx
              - mpmath.log(2 * mpmath.pi) / rx

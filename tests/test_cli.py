@@ -584,6 +584,31 @@ def test_verify_names_every_ignored_option(capsys):
     assert "von-mangoldt takes no --descriptor, --alpha, --pf-roots" in err
 
 
+@pytest.mark.parametrize("term", ["inv-rho", "inv-rho-sq"])
+@pytest.mark.parametrize("option", [["--x", "4"], ["--inexact"]])
+def test_sum_refuses_options_its_term_ignores(capsys, term, option):
+    code, out, err = run(capsys, "sum", "--term", term, "--K", "5", *option)
+    assert (code, out) == (EXIT_IO, "")
+    assert f"{term} takes no {option[0]}" in err
+
+
+@pytest.mark.parametrize("option", [["--grid-denominator", "200"], ["--threshold=0.05"]])
+def test_chowla_selberg_no_scan_refuses_the_scan_options(capsys, option):
+    code, out, err = run(capsys, "chowla-selberg", "--d", "7", "--no-scan", *option)
+    assert (code, out) == (EXIT_IO, "")
+    assert f"--no-scan takes no {option[0].split('=')[0]}" in err
+
+
+def test_stieltjes_table_refuses_digits(capsys):
+    code, out, err = run(capsys, "stieltjes", "--n", "3", "--table", "--digits", "10")
+    assert (code, out) == (EXIT_IO, "")
+    assert "--table takes no --digits" in err
+    # the same options where their handler reads them
+    for argv in (["sum", "--term", "xrho-over-rho", "--x", "4.5", "--inexact", "--K", "5"],
+                 ["stieltjes", "--n", "3", "--digits", "10"]):
+        assert run(capsys, *argv)[0] == EXIT_OK
+
+
 def test_stieltjes_plan_over_budget_refused_at_once(capsys):
     # M (N+1) is about 2.7e6 > 2^20: a domain error before any summation.
     start = time.perf_counter()
@@ -860,21 +885,24 @@ COLD_ROWS = {
     "find-zeros": ("find-zeros --lo 21/20 --hi 2",
                    {"arith", "explicit", "analysis"}),
     "stieltjes-table": ("stieltjes --n 2 --table", {"liconst"}),
+    "sum-xrho": ("sum --term xrho-over-rho --x 21/2 --K 5", {"zeros"}),
     "chowla-selberg": ("chowla-selberg --d 7 --no-scan",
                        {"arith", "explicit", "analysis"}),
 }
 
 
 # rows whose process runs in integers to its printed digits, without mpmath
-NO_MPMATH = {"import", "stieltjes", "eval-f", "find-zeros"}
+NO_MPMATH = {"import", "li", "stieltjes", "rh-check", "sum", "eval-f", "find-zeros",
+             "stieltjes-table"}
 
 
 @pytest.mark.parametrize("row", COLD_ROWS)
 def test_cold_import_leaves_dataclasses_and_inspect_out(row):
     # a fresh command-line process compiles only the modules its subcommand
     # calls, and, the records being slotted classes and NamedTuples, never
-    # imports dataclasses or what it pulls in; a bare import, eval-f, and
-    # find-zeros and stieltjes without --table never import mpmath
+    # imports dataclasses or what it pulls in; a bare import, li, stieltjes
+    # (with and without --table), rh-check, sum over 1/rho, eval-f and
+    # find-zeros never import mpmath
     argv, extra = COLD_ROWS[row]
     code = ("import sys, zeta_explicit.cli as cli\n"
             "if sys.argv[1:]:\n"

@@ -141,11 +141,11 @@ def test_f_rhs_domains(ctx):
     for s in (F(1), F(-2)):   # the pole, and a trivial zero
         with pytest.raises(ValueError, match="pole"):
             descriptor_zeta().log_deriv(s, ctx)
-    for z in (ctx.mpf(1), F(-1, 2)):
+    for z in (ctx.real(1).val, F(-1, 2)):
         with pytest.raises(ValueError, match="0 <= z < 1"):
             f_u_closed(F(1, 2), z, ctx)
     with pytest.raises(ValueError, match="negative integer"):
-        f_u_closed(F(-1), ctx.mpf(F(1, 2)), ctx)
+        f_u_closed(F(-1), ctx.real(F(1, 2)).val, ctx)
     assert f_u_closed(F(1, 2), 0, ctx).val == 0
 
 
@@ -171,7 +171,7 @@ def test_weighted_prime_sum_routes_agree(ctx):
     for x in (F(10), F(21, 2), F(8)):
         c = T_sum(1 / x, F(0), ctx).val
         with ctx.workprec(16):
-            b = psi0_alpha(x, F(1), ctx).val / ctx.mpf(x)
+            b = psi0_alpha(x, F(1), ctx).val / ctx.real(x).val
             assert abs(b - c) < TINY
 
 
@@ -266,7 +266,7 @@ def test_f_u_roots_of_unity_matches_series(u, r, t):
 
 
 def test_f_u_frozen_oracle(ctx):
-    z = ctx.mpf(F(1, 4))
+    z = ctx.real(F(1, 4)).val
     series = f_u_series(F(1, 2), ctx.real(z), ctx).real
     closed = f_u_closed(F(1, 2), ctx.real(z), ctx)
     assert series.str_digits(20) == "0.19722457733621938279"
@@ -277,7 +277,7 @@ def test_f_u_frozen_oracle(ctx):
 def test_f_u_uncorrected_variant_fails_oracle(ctx):
     # The variant without the -q/p correction reproduces a known wrong
     # value; it is kept as a regression witness.
-    z = ctx.mpf(F(1, 4))
+    z = ctx.real(F(1, 4)).val
     wrong = f_u_closed_uncorrected(F(1, 2), ctx.real(z), ctx).real
     assert wrong.str_digits(19) == "0.5493061443340548457"
     series = f_u_series(F(1, 2), ctx.real(z), ctx).real
@@ -290,14 +290,14 @@ def test_f_u_closed_at_zero_and_at_tiny_z(ctx):
     assert f_u_closed(F(1, 3), 0, ctx).val == 0
     z = F(1, 2 ** (ctx.bits // 2 + 3))
     v = f_u_closed(F(1, 3), z, ctx).val
-    ref = f_u_series(F(1, 3), HComplex(mpc(ctx.mpf(z)), ctx), ctx).val.real
+    ref = f_u_series(F(1, 3), HComplex(mpc(ctx.real(z).val), ctx), ctx).val.real
     with ctx.workprec(16):
         assert abs(v - ref) < abs(ref) * mpf(2) ** -(ctx.bits + 16)
 
 
 def test_f_u_integer_u_reduces_to_log(ctx):
     # u = 0: f_0(z) = -log(1 - z).
-    z = ctx.mpf(F(1, 3))
+    z = ctx.real(F(1, 3)).val
     v = f_u_closed(F(0), ctx.real(z), ctx).val
     with ctx.workprec(16):
         assert abs(v + mpmath.log(1 - z)) < TINY
@@ -354,6 +354,30 @@ def test_f_u_lerch_stopping_rule_witness():
         assert _f_u_gap(F(1, 2), FU_XS[2], bits) < 1
 
 
+def test_lerch_branch_and_f_read_one_integer_gamma(monkeypatch):
+    # f_u's Lerch branch reads f_const's integer gamma, so a process that
+    # takes the branch and then evaluates f never runs mpmath's euler_fixed
+    # and computes gamma at one width
+    from mpmath.libmp import gammazeta
+    from zeta_explicit import mpcore
+
+    def refuse(prec):
+        raise AssertionError(f"mpmath's euler_fixed ran at {prec} bits")
+
+    monkeypatch.setattr(gammazeta, "euler_fixed", refuse)
+    cell, = mpmath.euler.func.__closure__   # the routine mpmath.euler reads
+    monkeypatch.setattr(cell, "cell_contents", refuse)
+    mpcore._gamma_fixed.cache_clear()
+    monkeypatch.setattr(explicit, "_K_CONST", {})
+    ctx, z = PrecisionContext(bits=192), 1 - F(1, 2 ** 20)
+    assert -math.log1p(float(z - 1)) < explicit.TAU0   # the Lerch branch
+    lerch = explicit.f_u_closed(F(1, 3), z, ctx)
+    f = f_rhs_lt1(F(1, 3), ctx)
+    assert mpcore._gamma_fixed.cache_info().currsize == 1
+    monkeypatch.undo()
+    assert lerch == explicit.f_u_closed(F(1, 3), z, ctx) and f == f_rhs_lt1(F(1, 3), ctx)
+
+
 def test_f_u_small_z_regression_witness():
     # x = 30001, u = 5/6 at 192 bits: the roots-of-unity form loses 56 of
     # its 224 bits to cancellation (2^-168 relative); the series keeps them
@@ -361,7 +385,7 @@ def test_f_u_small_z_regression_witness():
     z = 1 / (x * x)
     ctx = PrecisionContext(bits=bits)
     ref = f_u_reference(u, z, bits)
-    old = f_u_roots_of_unity(u, HComplex(mpc(ctx.mpf(z)), ctx), ctx).val.real
+    old = f_u_roots_of_unity(u, HComplex(mpc(ctx.real(z).val), ctx), ctx).val.real
     with mpmath.workprec(bits + 64):
         assert abs(old - ref) / ref > mpf(2) ** -(bits - 16)
     assert _f_u_gap(u, x, bits) < 1
@@ -414,7 +438,7 @@ def test_general_gt1_specializes_to_plain_rhs(ctx):
         g = general_rhs_gt1(x, pf, ctx).val
         f = f_rhs_gt1(x, ctx).val
         with ctx.workprec(16):
-            assert abs(g - f - ctx.log_2pi) < TINY
+            assert abs(g - f - mpmath.log(2 * mpmath.pi)) < TINY
 
 
 def test_general_domain_guards(ctx):
@@ -549,7 +573,7 @@ def test_selberg_matches_plain_evaluators(ctx):
     # log x + gamma - (x/2) f_{1/2}(x^2), f_{1/2} by the roots-of-unity form
     for x in (F(1, 10), F(1, 4)):
         with ctx.workprec(32):
-            xv = ctx.mpf(x)
+            xv = ctx.real(x).val
             ref = (T_sum(x, F(0), ctx).val + mpmath.log(xv) + mpmath.euler
                    - xv * f_u_roots_of_unity(F(1, 2), xv * xv, ctx).val.real / 2)
         for got in (selberg_rhs_lt1(x, 0, zeta, ctx).val, f_rhs_lt1(x, ctx).val):

@@ -52,7 +52,7 @@ def _agrees_with_grid_scan(lo, hi, ctx, walk, scan, f, sides):
         if a.kind != GENUINE:
             continue
         with ctx.workprec():
-            assert abs(a.root.val - b.root.val) <= ctx.mpf(TOL)
+            assert abs(a.root.val - b.root.val) <= ctx.real(TOL).val
         assert 0 <= a.bracket_hi - a.bracket_lo <= TOL
         assert lo <= a.bracket_lo and a.bracket_hi <= hi
         assert not any(a.bracket_lo < j < a.bracket_hi for j in JUMPS)
@@ -137,7 +137,7 @@ def test_pieces_tile_the_window_with_the_walked_K(lo, hi, bits):
         p = _prime_of(n.numerator) if n.denominator == 1 else 0
         mid = (a + b) / 2
         with wide.workprec():
-            assert not wide.mpf(a) + eps < turn < wide.mpf(b) - eps
+            assert not wide.real(a).val + eps < turn < wide.real(b).val - eps
             gap = f_rhs(mid, wide).val \
                 - mpmath.ldexp(g(mid.numerator, mid.denominator, W + 64), -W - 64) - K
             assert abs(gap) <= mpmath.ldexp(1 + abs(K), 8 - bits)

@@ -25,7 +25,7 @@ from zeta_explicit.liconst import (
 )
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import SumSpec
-from liconst_helpers import coffey_decomposition
+from liconst_helpers import build_stieltjes_table_mpf, coffey_decomposition
 
 F = Fraction
 
@@ -201,6 +201,19 @@ def test_table_shape(ctx, consts8, cli_json):
             build_stieltjes_table(N, ctx)
 
 
+@pytest.mark.parametrize("bits", [64, 128, 192, 512, 1024])
+@pytest.mark.parametrize("N", [1, 2, 8, 20])
+def test_table_matches_the_mpf_assembly(bits, N):
+    # the integer division, sums and bounds round every entry to the value
+    # the earlier mpf assembly at bits + 64 + N gave: each gamma, bound, eta,
+    # S1, S2 and lambda
+    ctx = PrecisionContext(bits=bits)
+    table, oracle = build_stieltjes_table(N, ctx), build_stieltjes_table_mpf(N, ctx)
+    for name in ("gammas", "etas", "S1", "S2", "lambdas"):
+        assert getattr(table, name) == getattr(oracle, name), name
+    assert len(table.etas) == N + 1 and len(table.lambdas) == N
+
+
 def test_table_rounds_once_at_context_precision():
     # The division and the binomial sums run with guard bits, so every
     # eta_n and lambda_n of a 128-bit table is within 2^(2-bits) of the
@@ -236,7 +249,7 @@ def test_coffey_reassembly_and_bounds(ctx, consts20):
     with ctx.workprec(16):
         for n in range(1, 21):
             S1, S2, bounds_ok = coffey_decomposition(n, consts20, ctx)
-            rebuilt = 1 - F(n, 2) * ctx.real(ctx.log_4pi + ctx.euler_gamma).val \
+            rebuilt = 1 - F(n, 2) * ctx.real(mpmath.log(4 * mpmath.pi) + ctx.euler_gamma).val \
                 + S1.val + S2.val
             assert abs(rebuilt - consts20.lam(n).val) < mpf(2) ** (-140), n
             assert bounds_ok, n

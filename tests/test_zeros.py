@@ -324,6 +324,38 @@ def test_density_tail_value_and_refusal(ctx):
         density_tail(_single(HALF, 6), 1, 1, ctx)
 
 
+with mpmath.workdps(60):
+    _TWO_PI_40 = int(mpmath.floor(2 * mpmath.pi * 10 ** 40))   # floor(2 pi 10^40)
+
+
+@pytest.mark.parametrize("bits", range(64, 1025, 64))
+def test_density_tail_against_mpmath(bits):
+    # the integer tail, rounded once, within half a unit of the context of
+    # mpmath's at bits + 64, at the weights the package passes (4 sqrt(21/2)
+    # as the s identity's mpf) and at ordinates just above 2 pi, the last
+    # 10^-40 above it (T/2 and pi agree to 133 bits: the comparison widens);
+    # just below 2 pi and the last 10^-40 below it, refused
+    ctx = PrecisionContext(bits=bits)
+    with mpmath.workprec(bits + _GUARD):
+        root = 4 * mpmath.sqrt(mpmath.mpf(21) / 2)
+    for n, scale in ((1000, 1), (7, 1), (6283185307179587, 10 ** 15),
+                     (_TWO_PI_40 + 1, 10 ** 40), (14134725141734693790, 10 ** 18)):
+        table = ZeroTable(label="synthetic", scale=scale, ordinates=(n,),
+                          real_parts=(HALF,), source="synthetic", entry_precision=15)
+        for weight in (1, 2, 9, root):
+            value = density_tail(table, 1, weight, ctx)
+            with mpmath.workprec(bits + 64):
+                T = mpmath.mpf(n) / scale
+                ref = (mpmath.mpf(weight) * (mpmath.log(T / (2 * mpmath.pi)) + 1)
+                       / (2 * mpmath.pi * T))
+                assert abs(value.val - ref) <= 2 ** -bits * (1 + 2 ** -20) * ref, (n, weight)
+    for n, scale in ((6283185307179586, 10 ** 15), (_TWO_PI_40, 10 ** 40)):
+        table = ZeroTable(label="synthetic", scale=scale, ordinates=(n,),
+                          real_parts=(HALF,), source="synthetic", entry_precision=15)
+        with pytest.raises(ValueError, match=r"T > 2 pi, got T = 6\.28319"):
+            density_tail(table, 1, 1, ctx)
+
+
 def test_cosine_sum_requires_critical_line(ctx):
     t = _single(Fraction(3, 4), 7)
     with pytest.raises(ValueError):
