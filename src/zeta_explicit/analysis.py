@@ -47,7 +47,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .arith import MAX_SIEVE, _log, class_data, shared_table, walk_width
 from .explicit import Rational, dirichlet_L, f_const, f_rhs_gt1, f_rhs_lt1, g
-from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _to_mpf
+from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _fixed, _to_mpf
 
 GENUINE = "genuine-zero"
 JUMP = "jump-crossing"
@@ -293,11 +293,10 @@ def chowla_selberg_check(d: int, ctx: PrecisionContext) -> ChowlaSelbergReport:
     rhs = chowla_selberg_rhs(d, ctx)
     with ctx.workprec(_GUARD):
         lhs = mpmath.exp(Ld / L1 - ctx.euler_gamma)
-        rel = abs(lhs / rhs.val - 1)
     return ChowlaSelbergReport(d=d, D=data.D, h=data.h, w=data.w,
                                L_one=ctx.real(L1), L_prime_one=ctx.real(Ld),
                                lhs=ctx.real(lhs), rhs=rhs,
-                               rel_err=ctx.real(rel))
+                               rel_err=ctx.real(abs(_exact(lhs) / _exact(rhs) - 1)))
 
 
 # ----------------------------------------------------------------------
@@ -339,13 +338,12 @@ def hypothesis_scan(d: int, ctx: PrecisionContext, *,
     if not (isinstance(threshold, (int, float)) and 0 < threshold < math.inf):
         raise ValueError(f"threshold must be a finite positive float, got {threshold!r}")
     import mpmath
-    from mpmath import libmp
     W = walk_width(ctx)
     with ctx.workprec(_GUARD):
         window_hi = 1 / (ctx.pi * mpmath.sqrt(d))
         kmax = int(mpmath.floor(denominator * window_hi))
     with mpmath.workprec(W + 8):
-        u, S = 1 << W, libmp.to_fixed((mpmath.pi * mpmath.sqrt(d))._mpf_, W)
+        u, S = 1 << W, _fixed(mpmath.pi * mpmath.sqrt(d), W)
     window = f"window (0, {mpmath.nstr(window_hi, 8)})"
     if kmax < 1 or S < denominator:   # S < denominator: X_1 = 0
         raise ValueError(f"{window} holds no grid point above 2^-{W} "

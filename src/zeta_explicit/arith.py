@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from .mpcore import _GUARD, HReal, PrecisionContext, _atanh2, _to_mpf, _Value, log_fixed
+from .mpcore import _GUARD, HReal, PrecisionContext, _atanh2, _mpf, _to_mpf, _Value, log_fixed
 
 # Sieve memory budget (tracemalloc): the table keeps 8 pi(N)/N bytes per entry, 0.64
 # at N = 10^6; a sieve peaks near 1.65 (1 flag byte, N/2 marking bytes, the arrays).
@@ -303,15 +303,14 @@ def primed_sum(y: Fraction, s: Fraction, ctx: PrecisionContext,
 
 def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
                  chi: Sequence[int] = (1,)) -> mpf:
-    """x^alpha primed_sum(y, s) at bits + 32, in the two forms of the
-    explicit formulas: y = x, s = alpha for x > 1 (the psi0 form) and
-    y = 1/x, s = 1 - alpha for 0 < x < 1 (the T form).  Callers check the
-    domain with require_side."""
-    from mpmath import mpf
+    """x^alpha times the exact primed_sum(y, s) at bits + 32, in the two
+    forms of the explicit formulas: y = x, s = alpha for x > 1 (the psi0
+    form) and y = 1/x, s = 1 - alpha for 0 < x < 1 (the T form).  Callers
+    check the domain with require_side."""
     x, alpha = Fraction(x), Fraction(alpha)
     y, s = (x, alpha) if x > 1 else (1 / x, 1 - alpha)
     with ctx.workprec(_GUARD):
-        return _to_mpf(x) ** _to_mpf(alpha) * mpf(primed_sum(y, s, ctx, chi))
+        return _to_mpf(x) ** _to_mpf(alpha) * _mpf(*primed_sum(y, s, ctx, chi))
 
 
 def require_side(fn: str, x, above: bool):

@@ -57,8 +57,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .arith import primed_sum, require_side, walk_width, weighted_sum
-from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _gamma_fixed, _log_pi,
-                     _mpf, _round, _to_mpf, bernoulli_table, em_log_moments, log_fixed)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _fixed, _gamma_fixed,
+                     _log_pi, _mpf, _round, _to_mpf, bernoulli_table, em_log_moments, log_fixed)
 # ZeroTable and SumSpec in annotations are zeros' classes, unevaluated: zeros is
 # imported inside the functions that sum zeros, so other callers never load it
 
@@ -153,22 +153,20 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
     tau = -log1p(z - 1) and log tau are mpf at W bits; gamma is f_const's
     integer one at W + 8 bits."""
     import mpmath
-    from mpmath import libmp
     a = 1 + u
     p, q = a.numerator, a.denominator
     W = walk_width(ctx)
     m = max(0, math.floor(-a) + 1)
     (g0, _), = em_log_moments(1, a + m, 0, PrecisionContext(ctx.bits + _GUARD))
     with mpmath.workprec(W):
-        tau = -mpmath.log1p(mpmath.make_mpf(libmp.from_rational(
-            z.numerator - z.denominator, z.denominator, W, "n")))
+        tau = -mpmath.log1p(_mpf(*_round(z - 1, W)))
         r, c = float(tau) / (2 * math.pi), (abs(float(a)) + 1) * float(tau)
         K = max(1, math.ceil(c))
         while max(math.log(4 / ((K + 1) * (1 - r))) + (K + 1) * math.log(r),
                   (K + 1) * math.log(c) - math.lgamma(K + 2) - math.log(1 - c / (K + 2))
                   ) > -(W + 2) * math.log(2):
             K += 1
-        (qf, bt), T, Tk, S = bernoulli_table(K), libmp.to_fixed(tau._mpf_, W), 1 << W, 0   # qf = D q^k k!
+        (qf, bt), T, Tk, S = bernoulli_table(K), _fixed(tau, W), 1 << W, 0   # qf = D q^k k!
         bq = [(j, bt[j] * q ** j) for j in range(K + 1) if bt[j]]
         for k in range(1, K + 1):
             Tk, qf = Tk * T >> W, qf * q * k
@@ -231,8 +229,8 @@ def f_const(x: Fraction, ctx: PrecisionContext) -> int:
     W, above = walk_width(ctx), x > 1
     S, e = primed_sum(x if above else 1 / x, Fraction(0 if above else 1), ctx)
     if W not in _K_CONST:   # mpmath's gamma and log 2pi at W + 8 bits, each floored to W
-        (gm, ge), (lm, le) = _constant(_gamma_fixed, W + 8), _log_pi(1, W + 8)
-        _K_CONST[W] = [gm >> -ge - W, -lm >> -le - W]
+        lm, le = _log_pi(1, W + 8)
+        _K_CONST[W] = [_fixed(_constant(_gamma_fixed, W + 8), W), _fixed((-lm, le), W)]
     return _K_CONST[W][above] + ((-S if above else S) >> -e - W)
 
 
@@ -269,11 +267,10 @@ def _f_reflected(x: Fraction, ctx: PrecisionContext) -> int:
 
 def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted critical-line cosine sum Sum_{nu>0} 2cos(nu log x)/(1/4+nu^2)
-    for rational x > 1: (f(x) + x f(1/x))/sqrt(x)."""
-    import mpmath
+    for rational x > 1: (f(x) + x f(1/x))/sqrt(x), sqrt at bits + 32, rounded once."""
     x = require_side("cosine_rhs", Fraction(x), True)
-    with ctx.workprec(_GUARD):
-        return ctx.real(_mpf(_f_reflected(x, ctx), -walk_width(ctx)) / mpmath.sqrt(_to_mpf(x)))
+    return ctx.real(Fraction(_f_reflected(x, ctx), 1 << walk_width(ctx))
+                    / _power(x, Fraction(1, 2), ctx))
 
 
 def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:

@@ -168,7 +168,7 @@ def _exact(v) -> Fraction:
 
 
 def _fixed(v, V: int) -> int:
-    """floor(v 2^V) of an HReal or (man, exp) pair, exactly."""
+    """floor(v 2^V) of an HReal, an mpf or a (man, exp) pair, exactly."""
     man, exp = _round(v)
     return man << exp + V if exp + V >= 0 else man >> -exp - V
 

@@ -31,8 +31,8 @@ from functools import cache
 from operator import lt, mul
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .mpcore import (_GUARD, HReal, PrecisionContext, _exact, _nstr, _pi_fixed, _round, _to_mpf,
-                     _Value, log_fixed)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _exact, _fixed, _nstr, _pi_fixed, _round,
+                     _to_mpf, _Value, log_fixed)
 
 _HALF = Fraction(1, 2)
 
@@ -296,12 +296,11 @@ def _turns(W: int) -> tuple:
     r^(2k+1), k = K..0, exact then floored at 2^(W - 2 lo k), K the least
     that leaves a tail below 2^-(W-5)."""
     import mpmath
-    from mpmath.libmp import to_fixed
     V = W + 32
     tables = []
     for size, lo in ((1609, 8), (1024, 18), (256, 26))[:2 + (W > 256)]:
         with mpmath.workprec(V + 16):
-            sc, ss = (to_fixed(v._mpf_, V) for v in mpmath.cos_sin(mpmath.mpf(2) ** -lo))
+            sc, ss = (_fixed(v, V) for v in mpmath.cos_sin(mpmath.mpf(2) ** -lo))
         c, s, table = 1 << V, 0, []
         for _ in range(size):
             table.append((c >> 32, s >> 32))
@@ -389,18 +388,17 @@ def _bind(term: Term, table: ZeroTable, M: int, F: int):
                         S[k] += A // (aa + NN)
         return run, S, X, e, V
     import mpmath
-    from mpmath.libmp import to_fixed
     if term.kind == "xrho":  # below 1, x^beta > x: extra bits keep 2^-F relative
         e = F + (math.ceil(1 / term.x).bit_length() if term.x < 1 else 0)
         with mpmath.workprec(e + 16):
-            X = [to_fixed(mpmath.power(_to_mpf(term.x), _to_mpf(b))._mpf_, e) for b in real]
+            X = [_fixed(mpmath.power(_to_mpf(term.x), _to_mpf(b)), e) for b in real]
     W = 64 * -(-(F + 8) // 64)
     first, finer, rest, US, (top, *tan) = _turns(W)
     logx = abs(math.log(term.x.numerator) - math.log(term.x.denominator))
     P = W + (ords[-1] * (math.ceil(logx) + 1)).bit_length() + 4
     with mpmath.workprec(2 * P):
-        LX = to_fixed((mpmath.log(_to_mpf(term.x)) / table.scale)._mpf_, P)
-        TP = to_fixed((2 * mpmath.pi)._mpf_, P)
+        LX = _fixed(mpmath.log(_to_mpf(term.x)) / table.scale, P)
+        TP = _fixed(2 * mpmath.pi, P)
     one, cut, W8 = 1 << W, P - W, W - 8
 
     def run(start: int, stop: int) -> None:
@@ -472,7 +470,7 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
 # Tail estimates
 # ----------------------------------------------------------------------
 
-def density_tail(table: ZeroTable, count: int, weight: Union[int, mpf],
+def density_tail(table: ZeroTable, count: int, weight: Union[int, Fraction, mpf],
                  ctx: PrecisionContext) -> HReal:
     """weight (1/2pi) Integral_T^inf t^(-2) log(t/2pi) dt, T the count-th
     ordinate, equal to weight (log(T/2pi) + 1) / (2pi T): the density
@@ -480,7 +478,7 @@ def density_tail(table: ZeroTable, count: int, weight: Union[int, mpf],
     pairs add.  A correction, not a bound.  In integers at V = bits + 32,
     widened by 64 while floor(2^V T/2) = P = floor(2^V pi), so that T <= 2pi,
     where the density is not yet positive, is refused exactly: the weight
-    (exact) times (L + 2^V)/(2P T), L = log_fixed(T 2^V/2P), within
+    (read by _exact) times (L + 2^V)/(2P T), L = log_fixed(T 2^V/2P), within
     2^-(bits+30) of the tail, relative, rounded once."""
     n, s = table.ordinates[count - 1], table.scale   # T = n/s
     V = ctx.bits + _GUARD

@@ -155,6 +155,20 @@ def test_real_rounds_as_mpmath_does():
     assert (half.man, half.exp) == (1, 65)
 
 
+def test_fixed_floors_as_mpmath_to_fixed():
+    # _fixed(v, V) = floor(v 2^V) of an mpf, its (man, exp) pair or its HReal
+    # equals libmp.to_fixed, both signs, shifts left and right
+    rng = random.Random(4747)
+    ctx = PrecisionContext(64)
+    for _ in range(3000):
+        p = rng.getrandbits(rng.randint(1, 300)) * rng.choice((1, -1))
+        e, V = rng.randint(-400, 100), rng.randint(0, 500)
+        v = mpmath.make_mpf(mpmath.libmp.from_man_exp(p, e))
+        want = mpmath.libmp.to_fixed(v._mpf_, V)
+        assert mpcore._fixed(v, V) == mpcore._fixed((p, e), V) == want, (p, e, V)
+        assert mpcore._fixed(HReal(v, ctx), V) == want, (p, e, V)
+
+
 def test_integer_constants_match_mpmath():
     # floor(pi 2^W) and floor(gamma 2^W) are floor-exact against mpmath at
     # W + 64; pi, gamma, log 2pi and log 4pi at W bits are mpmath's values
