@@ -47,7 +47,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from .arith import MAX_SIEVE, _log, class_data, shared_table, walk_width
 from .explicit import Rational, dirichlet_L, f_const, f_rhs_gt1, f_rhs_lt1, g
-from .mpcore import _GUARD, HReal, PrecisionContext, _exact, _fixed, _to_mpf
+from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _fixed, _gamma_fixed,
+                     exp_fixed)
 
 GENUINE = "genuine-zero"
 JUMP = "jump-crossing"
@@ -266,7 +267,7 @@ def chowla_selberg_rhs(d: int, ctx: PrecisionContext) -> HReal:
         for a in range(1, data.D):
             c = data.chi[a % data.D]
             if c:
-                acc += c * mpmath.loggamma(_to_mpf(Fraction(a, data.D)))
+                acc += c * mpmath.loggamma(mpmath.mpf(a) / data.D)
         expo = -mpmath.mpf(data.w) / (2 * data.h)
         return ctx.real(2 * ctx.pi * mpmath.exp(expo * acc))
 
@@ -286,13 +287,13 @@ class ChowlaSelbergReport(NamedTuple):
 def chowla_selberg_check(d: int, ctx: PrecisionContext) -> ChowlaSelbergReport:
     """exp(L'/L(1, chi_{-d}) - gamma) against the Gamma product, with
     the relative discrepancy |lhs/rhs - 1|; L(1) and L'(1) come from one
-    dirichlet_L call and both sides are good to working precision."""
-    import mpmath
-    data = class_data(d)
+    dirichlet_L call and both sides are good to working precision: L'/L -
+    gamma exact, its exp exp_fixed's at bits + 32."""
+    data, V = class_data(d), ctx.bits + _GUARD
     L1, Ld = dirichlet_L(1, data.D, data.chi, ctx)
     rhs = chowla_selberg_rhs(d, ctx)
-    with ctx.workprec(_GUARD):
-        lhs = mpmath.exp(Ld / L1 - ctx.euler_gamma)
+    y = _exact(Ld) / _exact(L1) - _exact(_constant(_gamma_fixed, V))
+    lhs = exp_fixed((y.numerator << V) // y.denominator, V), -V
     return ChowlaSelbergReport(d=d, D=data.D, h=data.h, w=data.w,
                                L_one=ctx.real(L1), L_prime_one=ctx.real(Ld),
                                lhs=ctx.real(lhs), rhs=rhs,

@@ -14,16 +14,16 @@ where Sum' halves the boundary term when the endpoint is a prime power.
 Inputs x are exact rationals so the "is the endpoint a prime power"
 branch is decidable: primed_sum decides it for every sum, f's too, as the
 mean of the sums to y - 1 and to y, one integer.  Both forms are
-weighted_sum, x^a times primed_sum, which reads prime_power_sum at
-bits + 32: fixed-point integers, each prime's log floored once per width
-by _log, the one log lookup (at s = 0 past LOG_LIMIT one product's log),
-and root p^(-1/b) per (b, width), b <= ROOT_BOUND (untabled past LOG_LIMIT),
-checkpointed every BLOCK = 256 per (s, chi, width); none depends on history.
+weighted_sum, x^a (mpcore.power) times primed_sum, which reads
+prime_power_sum at bits + 32: fixed-point integers, each prime's log
+floored once per width by _log, the one log lookup (at s = 0 past
+LOG_LIMIT one product's log), and root p^(-1/b) per (b, width), b <=
+ROOT_BOUND (untabled past LOG_LIMIT), checkpointed every BLOCK = 256 per
+(s, chi, width); none depends on history.
 
 The class data of Q(sqrt(-d)) is exact integers, chi_{-d} a table built
-by complete multiplicativity from its values at the primes.
-mpmath.loggamma, in analysis, is the only mpmath special function
-production code calls.
+by complete multiplicativity from its values at the primes.  No
+module here imports mpmath: every log and exp is mpcore's, in integers.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from .mpcore import _GUARD, HReal, PrecisionContext, _atanh2, _mpf, _to_mpf, _Value, log_fixed
+from .mpcore import (_GUARD, HReal, PrecisionContext, _atanh2, _exact, _round, _Value, exp_fixed,
+                     log_fixed, power)
 
 # Sieve memory budget (tracemalloc): the table keeps 8 pi(N)/N bytes per entry, 0.64
 # at N = 10^6; a sieve peaks near 1.65 (1 flag byte, N/2 marking bytes, the arrays).
@@ -215,12 +216,12 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     than 1 + (1 + (j p^(1/b) + 1) log p) 2^e n^(-s) + 2 j p^q log p units
     of 2^-(W+e).
     Past LOG_LIMIT no table keeps the root: _root takes it afresh.  Larger
-    b take mpmath's exp_fixed(-s k log p), imported there; ROOT_BOUND = 3
+    b take mpcore.exp_fixed(-s k log p) (within 2 units); ROOT_BOUND = 3
     is the largest b a measured workload reads (README).
     At s = 0 the terms past LOG_LIMIT are one log, _log_ratio's: 2 units in all.
     The walk reads the table's prime powers in (lo, hi]; its checkpoints
     every BLOCK per (s, chi, W) grow by whole blocks in increasing n: no
-    value depends on history, nor on mpmath's precision.
+    value depends on history.
     """
     W, a, b, q = walk_width(ctx), s.numerator, s.denominator, len(chi)
     sums = _prefix.setdefault((s, tuple(chi), W), [0])
@@ -229,8 +230,6 @@ def prime_power_sum(N: int, s: Fraction, ctx: PrecisionContext,
     roots = _roots.setdefault((b, W), {}) if 1 < b <= ROOT_BOUND else None
     p0 = next((n for n in range(2, 3 + q) if chi[n % q]), 2)
     e = max(0, math.ceil(s * math.log2(p0)))   # e = 0 for s <= 0
-    if b > ROOT_BOUND:
-        from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
 
     def walk(acc: int, lo: int, hi: int) -> int:
         for n, p in zip(*table.between(lo, hi)):
@@ -302,15 +301,14 @@ def primed_sum(y: Fraction, s: Fraction, ctx: PrecisionContext,
 
 
 def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
-                 chi: Sequence[int] = (1,)) -> mpf:
-    """x^alpha times the exact primed_sum(y, s) at bits + 32, in the two
-    forms of the explicit formulas: y = x, s = alpha for x > 1 (the psi0
-    form) and y = 1/x, s = 1 - alpha for 0 < x < 1 (the T form).  Callers
-    check the domain with require_side."""
+                 chi: Sequence[int] = (1,)) -> tuple[int, int]:
+    """x^alpha (mpcore.power) times the exact primed_sum(y, s), as (man, exp)
+    rounded once at bits + 32, in the two forms of the explicit formulas:
+    y = x, s = alpha for x > 1 (the psi0 form) and y = 1/x, s = 1 - alpha
+    for 0 < x < 1 (the T form).  Callers check the domain with require_side."""
     x, alpha = Fraction(x), Fraction(alpha)
     y, s = (x, alpha) if x > 1 else (1 / x, 1 - alpha)
-    with ctx.workprec(_GUARD):
-        return _to_mpf(x) ** _to_mpf(alpha) * _mpf(*primed_sum(y, s, ctx, chi))
+    return _round(power(x, alpha, ctx) * _exact(primed_sum(y, s, ctx, chi)), ctx.bits + _GUARD)
 
 
 def require_side(fn: str, x, above: bool):
@@ -344,14 +342,7 @@ def T_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext) -> HReal:
 # ----------------------------------------------------------------------
 
 def is_squarefree(d: int) -> bool:
-    if d < 1:
-        return False
-    f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        f += 1
-    return True
+    return d >= 1 and all(d % (f * f) for f in range(2, math.isqrt(d) + 1))
 
 
 def discriminant_of(d: int) -> int:
@@ -404,23 +395,14 @@ class ImaginaryQuadraticData(NamedTuple):
 
 
 def reduced_form_count(D: int) -> int:
-    """Number of reduced forms (a, b, c), b^2 - 4ac = -D."""
+    """Number of reduced forms (a, b, c), b^2 - 4ac = -D: b = D mod 2 (b^2 =
+    D mod 4) up to sqrt(D/3), a | m = (b^2 + D)/4 from max(b, 1) to sqrt(m),
+    c = m/a, and (a, -b, c) a second form unless b = 0, a = b or a = c."""
     h = 0
-    b = D % 2  # need b^2 = D mod 4, squares are 0 or 1 mod 4
-    while b * b <= D // 3:
-        m4 = b * b + D
-        if m4 % 4 == 0:
-            m = m4 // 4
-            a = max(b, 1)
-            while a * a <= m:
-                if m % a == 0:
-                    c = m // a
-                    if b == 0 or a == b or a == c:
-                        h += 1
-                    else:
-                        h += 2  # (a, b, c) and (a, -b, c)
-                a += 1
-        b += 2
+    for b in range(D % 2, math.isqrt(D // 3) + 1, 2):
+        m, r = divmod(b * b + D, 4)
+        h += 0 if r else sum(1 if b == 0 or a == b or a * a == m else 2
+                             for a in range(max(b, 1), math.isqrt(m) + 1) if m % a == 0)
     return h
 
 

@@ -39,11 +39,12 @@ sums through verify_identity):
 Every prime side is one integer, arith.primed_sum, with one endpoint rule:
 f_const reads it, and psi0, psi0_alpha, T_sum, selberg_psi0 and selberg_T
 read x^alpha times it (arith.weighted_sum, the descriptor ones with F's
-character table) at bits + 32, unrounded.  Each closed form adds its
-parts exactly, as one Fraction (f's integers, the integer gamma and
-log 2pi, and the values of f_u, weighted_sum and F'/F at bits + 32 as they
-are), and rounds once, at its end; mpf arithmetic is left only where an
-mpmath function is called (a square root, an irrational power, L'/L).
+character table) at bits + 32.  Each closed form adds its parts exactly,
+as one Fraction (f's integers, the integer gamma and log 2pi, the values
+of f_u, weighted_sum and dirichlet_L at bits + 32 and F'/F, their exact
+quotient), and rounds once, at its end.  A square root or an irrational
+power is mpcore.power's (exp_fixed of a log_fixed): no module here
+imports mpmath.
 
 The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u), at real z in [0, 1)
 and rational u, is real fixed point (f_u_closed): the series itself, or
@@ -58,7 +59,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .arith import primed_sum, require_side, walk_width, weighted_sum
 from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _fixed, _gamma_fixed,
-                     _log_pi, _mpf, _round, _to_mpf, bernoulli_table, em_log_moments, log_fixed)
+                     _log_pi, _round, bernoulli_table, em_log_moments, exp_fixed, log_fixed, power)
 # ZeroTable and SumSpec in annotations are zeros' classes, unevaluated: zeros is
 # imported inside the functions that sum zeros, so other callers never load it
 
@@ -71,9 +72,9 @@ _K_CONST: dict[int, list[int]] = {}   # W -> f_const's gamma and -log 2pi, floor
 # ----------------------------------------------------------------------
 
 def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
-                ctx: PrecisionContext) -> tuple[mpf, mpf]:
-    """(L(s, chi), L'(s, chi)) at bits + 32 for a real character table chi
-    mod q (zeta: (1,) mod 1), one Euler-Maclaurin pass per residue
+                ctx: PrecisionContext) -> tuple[HReal, HReal]:
+    """(L(s, chi), L'(s, chi)) as HReals at bits + 32 for a real character
+    table chi mod q (zeta: (1,) mod 1), one Euler-Maclaurin pass per residue
     (em_log_moments, N = 1), all at one (s, 1, bits + 32), so that they
     share the plan and tables that em_log_moments keeps per key:
 
@@ -82,28 +83,23 @@ def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
 
     At s = 1 the Z_n are the shifted Stieltjes constants gamma_n(a/q);
     their poles cancel in the character sum (Sum chi(a) = 0), so the
-    same formulas hold there for non-principal chi.
+    same formulas hold there for non-principal chi.  The sums of the
+    Z_n's exact values are exact, q^(-s) is mpcore.power's and log q
+    log_fixed's at bits + 32; each result is rounded once.
     """
-    import mpmath
     s = Fraction(s)
     if s == 1 and sum(chi[a % q] for a in range(1, q + 1)) != 0:
         raise ValueError("L(s, chi) has a pole at s = 1 for a principal character")
     # The character sums cancel (by a factor of about 170 for L'(1) at
     # q = 7), so the Z_n are taken to the guard bits of the sums.
     wide = PrecisionContext(ctx.bits + _GUARD)
-    with ctx.workprec(_GUARD):
-        S0 = S1 = mpmath.mpf(0)
-        for a in range(1, q + 1):
-            c = chi[a % q]
-            if c == 0:
-                continue
+    S0 = S1 = Fraction(0)
+    for a in range(1, q + 1):
+        if c := chi[a % q]:
             (z0, _), (z1, _) = em_log_moments(s, Fraction(a, q), 1, wide)
-            S0 += c * z0.val
-            S1 += c * z1.val
-        qs = _to_mpf(q) ** -_to_mpf(s)
-        value = qs * S0
-        deriv = -mpmath.log(q) * value - qs * S1
-        return value, deriv
+            S0, S1 = S0 + c * _exact(z0), S1 + c * _exact(z1)
+    qs, lq = power(q, -s, ctx), Fraction(log_fixed(q, 1, wide.bits), 1 << wide.bits)
+    return wide.real(qs * S0), wide.real(-qs * (lq * S0 + S1))
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +126,7 @@ def _f_u_series(u: Fraction, z: Fraction, W: int) -> int:
     return S
 
 
-def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
+def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> tuple[int, int]:
     """f_u(z) = e^(u tau) [-gamma - log tau - psi(a) - Sum_{k>=1} B_k(a)(-tau)^k/(k k!)],
     tau = -log z < 2 pi, a = 1 + u: the s -> 1 limit of Lerch's
     Phi(z, s, a) = z^(-a) [Gamma(1-s) tau^(s-1) + Sum_k zeta(s-k, a)(-tau)^k/k!]
@@ -141,42 +137,45 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> mpf:
     walk_width(ctx): with a = t + m, t in [0, 1), m an integer, B_k(1+t) =
     B_k(t) + k t^(k-1) taken |m| times and |B_k(t)| <= 2 zeta(k) k!/(2 pi)^k
     <= 4 k!/(2 pi)^k (k >= 2) bound the tail by 4 r^(K+1)/((K+1)(1-r)) +
-    c^(K+1)/((K+1)! (1 - c/(K+2))), r = tau/(2 pi), c = (|a| + 1) tau.
+    c^(K+1)/((K+1)! (1 - c/(K+2))), r = tau/(2 pi), c = (|a| + 1) tau,
+    taken in logs, so that no float of tau underflows near z = 1.
     E_k = D q^k B_k(a) = Sum_j C(k, j) (D B_j) q^j p^(k-j), a = p/q, D and
     the D B_j from mpcore.bernoulli_table, are integers, and the sum runs in
-    integers at W: T = floor(2^W tau) and its floored powers T_k are below
-    2^W tau^k by less than k units, each term E_k T_k // (D q^k k k!) floors
-    once, so it errs by less than K + 1 + Sum_k |B_k(a)|/k! units of 2^-W.
-    psi(a) = -gamma_0(a) is em_log_moments' at s = 1 and bits + 32, after
-    psi(a) = psi(a + m) - Sum_{j<m} 1/(a + j) for a <= 0; its certified
-    bound, near 2^-(bits+31) |psi(a)|, is the largest error.
-    tau = -log1p(z - 1) and log tau are mpf at W bits; gamma is f_const's
-    integer one at W + 8 bits."""
-    import mpmath
-    a = 1 + u
+    integers at W: T = log_fixed(1/z) at W + bits of 1/(1 - z), within 1
+    unit, keeps W bits of tau however near z is to 1; it floored to W is in
+    (2^W tau - 2, 2^W tau + 1), its floored powers T_k within 3k units of
+    2^W tau^k, each term E_k T_k // (D q^k k k!) floors once, so the sum errs
+    by less than K + 1 + 3 Sum_k |B_k(a)|/k! units of 2^-W.  psi(a) =
+    -gamma_0(a) is em_log_moments' at s = 1 and bits + 32, after psi(a) =
+    psi(a + m) - Sum_{j<m} 1/(a + j) for a <= 0; its certified bound, near
+    2^-(bits+31) |psi(a)|, is the largest error.  log tau is log_fixed's
+    within 3 units, gamma f_const's integer one at W + 8 bits, e^(u tau)
+    exp_fixed's at W; the bracket is exact, the product rounded once at
+    bits + 32, as (man, exp)."""
+    a, W, (zn, zd) = 1 + u, walk_width(ctx), z.as_integer_ratio()
     p, q = a.numerator, a.denominator
-    W = walk_width(ctx)
     m = max(0, math.floor(-a) + 1)
     (g0, _), = em_log_moments(1, a + m, 0, PrecisionContext(ctx.bits + _GUARD))
-    with mpmath.workprec(W):
-        tau = -mpmath.log1p(_mpf(*_round(z - 1, W)))
-        r, c = float(tau) / (2 * math.pi), (abs(float(a)) + 1) * float(tau)
-        K = max(1, math.ceil(c))
-        while max(math.log(4 / ((K + 1) * (1 - r))) + (K + 1) * math.log(r),
-                  (K + 1) * math.log(c) - math.lgamma(K + 2) - math.log(1 - c / (K + 2))
-                  ) > -(W + 2) * math.log(2):
-            K += 1
-        (qf, bt), T, Tk, S = bernoulli_table(K), _fixed(tau, W), 1 << W, 0   # qf = D q^k k!
-        bq = [(j, bt[j] * q ** j) for j in range(K + 1) if bt[j]]
-        for k in range(1, K + 1):
-            Tk, qf = Tk * T >> W, qf * q * k
-            E = sum(math.comb(k, j) * e * p ** (k - j) for j, e in bq if j <= k)
-            S += (E * Tk if k % 2 == 0 else -E * Tk) // (qf * k)
-        psi = -g0.val - _to_mpf(sum((Fraction(1) / (a + j) for j in range(m)), Fraction(0)))
-        gamma = mpmath.mpf(_constant(_gamma_fixed, W + 8))   # f_const's: one gamma per W
-        bracket = -gamma - mpmath.log(tau) - psi - mpmath.mpf((S, -W))
-    with ctx.workprec(_GUARD):
-        return mpmath.exp(_to_mpf(u) * tau) * bracket
+    Wt = W + (zd // (zd - zn)).bit_length()
+    T = log_fixed(zd, zn, Wt)
+    lr = math.log(T) - Wt * math.log(2) - math.log(2 * math.pi)   # log r
+    lc = lr + math.log(2 * math.pi * (abs(float(a)) + 1))          # log c
+    r, c = math.exp(lr), math.exp(lc)
+    K = max(1, math.ceil(c))
+    while max(math.log(4 / ((K + 1) * (1 - r))) + (K + 1) * lr,
+              (K + 1) * lc - math.lgamma(K + 2) - math.log(1 - c / (K + 2))) > -(W + 2) * math.log(2):
+        K += 1
+    (qf, bt), Tw, Tk, S = bernoulli_table(K), T >> Wt - W, 1 << W, 0   # qf = D q^k k!
+    bq = [(j, bt[j] * q ** j) for j in range(K + 1) if bt[j]]
+    for k in range(1, K + 1):
+        Tk, qf = Tk * Tw >> W, qf * q * k
+        E = sum(math.comb(k, j) * e * p ** (k - j) for j, e in bq if j <= k)
+        S += (E * Tk if k % 2 == 0 else -E * Tk) // (qf * k)
+    psi = -_exact(g0) - sum((Fraction(1) / (a + j) for j in range(m)), Fraction(0))
+    gamma = _exact(_constant(_gamma_fixed, W + 8))   # f_const's: one gamma per W
+    bracket = -gamma - psi - Fraction(log_fixed(T, 1 << Wt, W) + S, 1 << W)
+    E = exp_fixed(u.numerator * T // (u.denominator << Wt - W), W)
+    return _round(E * bracket / (1 << W), ctx.bits + _GUARD)
 
 
 def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HReal:
@@ -270,7 +269,7 @@ def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
     for rational x > 1: (f(x) + x f(1/x))/sqrt(x), sqrt at bits + 32, rounded once."""
     x = require_side("cosine_rhs", Fraction(x), True)
     return ctx.real(Fraction(_f_reflected(x, ctx), 1 << walk_width(ctx))
-                    / _power(x, Fraction(1, 2), ctx))
+                    / power(x, Fraction(1, 2), ctx))
 
 
 def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
@@ -309,24 +308,16 @@ def partial_fractions(A: Sequence[Rational],
         coeffs = coeffs[:-1]
     if len(coeffs) - 1 >= len(roots):
         raise ValueError("deg A must be < number of roots")
-    residues = []
-    for i, ai in enumerate(roots):
-        bprime = Fraction(1)
-        for j, aj in enumerate(roots):
-            if j != i:
-                bprime *= ai - aj
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * ai + c
-        residues.append(acc / bprime)
-    return RationalFunctionPF(roots=roots, residues=tuple(residues))
+    return RationalFunctionPF(roots=roots, residues=tuple(
+        sum((c * ai ** k for k, c in enumerate(coeffs)), Fraction(0))
+        / math.prod(ai - aj for aj in roots if aj != ai) for ai in roots))
 
 
 # ----------------------------------------------------------------------
 # Selberg-class descriptors
 # ----------------------------------------------------------------------
 
-_log_deriv: dict[tuple, mpf] = {}   # (chi, s, bits) -> (L'/L)(s, chi)
+_log_deriv: dict[tuple, Fraction] = {}   # (chi, s, bits) -> (L'/L)(s, chi)
 
 
 class SelbergDescriptor(NamedTuple):
@@ -345,23 +336,22 @@ class SelbergDescriptor(NamedTuple):
     gamma_factors: tuple[tuple[Fraction, Fraction], ...]  # (lambda_j, mu_j)
     chi: tuple[int, ...]                       # chi(n) = chi[n % len(chi)]
 
-    def log_deriv(self, s: Rational, ctx: PrecisionContext) -> mpf:
-        """(F'/F)(s) = (L'/L)(s, chi) at bits + 32 from dirichlet_L, zeta'/zeta
-        at chi = (1,), taken once per (chi, s, bits); a zero of L (zeta's
-        trivial zeros are exact zeros of the sum) is a pole."""
+    def log_deriv(self, s: Rational, ctx: PrecisionContext) -> Fraction:
+        """(F'/F)(s) = (L'/L)(s, chi), the exact quotient of dirichlet_L's pair
+        at bits + 32, zeta'/zeta at chi = (1,), taken once per (chi, s, bits);
+        a zero of L (zeta's trivial zeros are exact zeros of the sum) is a pole."""
         key = (self.chi, Fraction(s), ctx.bits)
         if key not in _log_deriv:
-            L, Lp = dirichlet_L(s, len(self.chi), self.chi, ctx)
-            if L == 0:
+            L, Lp = map(_exact, dirichlet_L(s, len(self.chi), self.chi, ctx))
+            if not L:
                 raise ValueError(f"L({s}, chi mod {len(self.chi)}) vanishes; log-derivative pole")
-            with ctx.workprec(_GUARD):
-                _log_deriv[key] = Lp / L
+            _log_deriv[key] = Lp / L
         return _log_deriv[key]
 
-    def gamma_F(self, ctx: PrecisionContext) -> mpf:
-        """The constant term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1): Euler's
-        constant at zeta's pole, else (L'/L)(1, chi)."""
-        return +ctx.euler_gamma if self.m_F else self.log_deriv(1, ctx)
+    def gamma_F(self, ctx: PrecisionContext) -> Fraction:
+        """The constant term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1), exactly:
+        Euler's constant at bits + 32 at zeta's pole, else (L'/L)(1, chi)."""
+        return _exact(_constant(_gamma_fixed, ctx.bits + _GUARD)) if self.m_F else self.log_deriv(1, ctx)
 
 
 def descriptor_zeta() -> SelbergDescriptor:
@@ -379,17 +369,9 @@ def _is_primitive_real(q: int, chi: Sequence[int]) -> bool:
     """True when the real character table chi mod q is primitive: no
     proper divisor f < q induces it, i.e. for every proper f | q some
     n = 1 mod f with gcd(n, q) = 1 has chi(n) != 1."""
-    for f in range(1, q):
-        if q % f != 0:
-            continue
-        induced = True
-        for n in range(1, q + 1):
-            if n % f == 1 % f and math.gcd(n, q) == 1 and chi[n % q] != 1:
-                induced = False
-                break
-        if induced:
-            return False
-    return True
+    return not any(all(chi[n % q] == 1 for n in range(1, q + 1)
+                       if n % f == 1 % f and math.gcd(n, q) == 1)
+                   for f in range(1, q) if q % f == 0)
 
 
 def descriptor_dirichlet(q: int, chi: Sequence[int],
@@ -444,7 +426,7 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
     beta = 1 the polar term (refused above 1, f(x) below 1).  An integer
     u_j = mu_j + beta lambda_j <= 0 is refused before the prime sum.  The
     sum is one Fraction, so zeta's -1/beta and 1/beta cancel; an irrational
-    y^(-mu_j/lambda_j) enters as mpmath's power at bits + 32 (_power)."""
+    y^(-mu_j/lambda_j) enters as mpcore.power's at bits + 32."""
     above = x > 1
     y, beta = (x, alpha) if above else (1 / x, 1 - alpha)
     if F.m_F and beta in (0, 1):
@@ -460,20 +442,12 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
                              "zeros at 0 do not cancel" if above and alpha == 0 else
                              f"alpha = {alpha} hits the trivial-zero chain "
                              f"(lambda={lam}, mu={mu})")
-        z, zmu = (_power(y, t, ctx) for t in (-1 / lam, -mu / lam))   # exact at lambda = 1/2
+        z, zmu = (power(y, t, ctx) for t in (-1 / lam, -mu / lam))   # exact at lambda = 1/2
         acc += lam * zmu * (_exact(f_u_closed(u, z, ctx)) + 1 / u)
     acc -= _exact(selberg_psi0(y, beta, F, ctx))
     if above:
         return acc
-    return -x * acc + (_exact(F.gamma_F(ctx)) if alpha == 0 else 0)
-
-
-def _power(y: Fraction, t: Fraction, ctx: PrecisionContext) -> Fraction:
-    """y^t: exact at an integer t, else mpmath's y^t at bits + 32."""
-    if t.denominator == 1:
-        return y ** int(t)
-    with ctx.workprec(_GUARD):
-        return _exact(_to_mpf(y) ** _to_mpf(t))
+    return -x * acc + (F.gamma_F(ctx) if alpha == 0 else 0)
 
 
 def _kernel_form(x: Fraction, poles: Sequence[Fraction], weights: Sequence[Rational],
@@ -623,8 +597,8 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
             rhs = rhs_fn(x, a, F, ctx)
         term = xrho_term(x, poles, weights)
         if gt1 or poles != (0,):  # selberg-lt1 at alpha = 0 predicts f itself
-            extra = (1 if gt1 else -1) * sum(w * _power(x, p, ctx) * _exact(
-                F.log_deriv(p if gt1 else 1 - p, ctx)) for p, w in zip(poles, weights))
+            extra = (1 if gt1 else -1) * sum(w * power(x, p, ctx) * F.log_deriv(
+                p if gt1 else 1 - p, ctx) for p, w in zip(poles, weights))
 
     def residual_at(zs: HReal) -> tuple[HReal, HReal]:
         lhs = zs if extra is None else ctx.real(_exact(zs) + extra)
@@ -637,7 +611,7 @@ def verify_identity(identity: str, x: Rational, table: ZeroTable,
     tail: Optional[HReal] = None
     trend: Optional[dict] = None
     if identity == "s":  # a pair adds at most 2 sqrt(x)/gamma^2; safety factor 2
-        tail = density_tail(table, terms, 4 * _power(x, Fraction(1, 2), ctx), ctx)
+        tail = density_tail(table, terms, 4 * power(x, Fraction(1, 2), ctx), ctx)
     else:
         trend = {
             "pairs_half": half,

@@ -16,7 +16,9 @@ pipelines) consumes the types and functions defined here:
                      series in exact integers (not the Euler-Maclaurin core)
   series_ops         the truncated quotient of two power series given as
                      coefficient lists (fixed-point integers, degree 0 up)
-  log_fixed(n,d,V)   2^V log(n/d) in integers: the head's, g's and the prime logs
+  log_fixed(n,d,V)   2^V log(n/d) in integers: the package's one log
+  exp_fixed(x,V)     2^V e^(x 2^-V) in integers: its one exp; power(y,t) is
+                     y^t, exact at integer t, else exp_fixed of a log_fixed
 
 Numeric backend: Python integers.  HReal is an exact dyadic that prints
 itself as mpmath.nstr would; ctx.real rounds half to even as mpmath does;
@@ -24,11 +26,11 @@ pi and gamma are integer series rounded as mpmath rounds its constants.
 Hurwitz zeta and the Stieltjes constants are Bernoulli-number expansions
 with computable error terms, in integers (logs from log_fixed, one integer
 Bernoulli table, bounds rounded up, the set-up kept per exact (s, N,
-bits)); they and zeta_int round once.  mpmath is imported only where it is
-read: exp_fixed (denominators of s >= 3), loggamma (the one special function
-production code calls), the zero kernel's set-up and .val (an HReal's mpf),
-read only in a statement that calls an mpmath function; every other
-combination is exact (_exact) or fixed point, rounded once by ctx.real.
+bits)); they and zeta_int round once.  No module imports an mpmath
+internal.  mpmath is imported only where it is read: .val (an HReal's mpf),
+workprec and _nstr's fallback here, and analysis's loggamma (the
+Chowla-Selberg Gamma product) and scan; every other combination is exact
+(_exact) or fixed point, rounded once by ctx.real.
 """
 
 from __future__ import annotations
@@ -119,15 +121,6 @@ def _mpf(man: int, exp: int) -> mpf:
     from mpmath import make_mpf
     from mpmath.libmp import from_man_exp
     return make_mpf(from_man_exp(man, exp))
-
-
-def _to_mpf(x: Scalar) -> mpf:
-    """x, an int, Fraction, float or mpf, as an mpf at the current mpmath
-    precision (at most one rounding)."""
-    from mpmath import mpf
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    return mpf(x)
 
 
 def _round(x, bits: int = 0) -> tuple[int, int]:
@@ -280,7 +273,7 @@ def _gamma_fixed(V: int) -> int:
 
 def _constant(fixed, prec: int) -> tuple[int, int]:
     """A constant c in [1/2, 4) as mpmath gives it at prec bits:
-    floor(c 2^(prec+20)) rounded to nearest (libelefun.def_mpf_constant)."""
+    floor(c 2^(prec+20)) rounded to nearest (mpmath's def_mpf_constant)."""
     return _round((fixed(prec + 20), -prec - 20), prec)
 
 
@@ -320,6 +313,7 @@ def bernoulli_table(n: int) -> tuple[int, list[int]]:
 
 
 _LOGS: dict[int, list[list[int]]] = {}   # T -> 2^T log(1 + j/2^B) for B = 8 (j <= 256), 12, 16
+_LN2: dict[int, int] = {}   # G -> log_fixed(2, 1, G), exp_fixed's
 
 
 def _atanh2(d: int, s: int, V: int) -> tuple[int, int]:
@@ -361,6 +355,43 @@ def log_fixed(n: int, d: int, V: int) -> int:
         a, b, acc = a << B, b * ((1 << B) + j), acc + grid[j]
     A = _atanh2(a - b, a + b, U)[0] if a > b else 0
     return ((acc >> T - U) + A + (1 << 39)) >> 40
+
+
+def exp_fixed(x: int, V: int) -> int:
+    """2^V e^(x 2^-V) within 2 units, x an integer (Brent and Zimmermann,
+    Modern Computer Arithmetic, 4.3-4.4): x 2^-V = n log 2 + y, n nearest,
+    y in units of 2^-G, G = V + max(n, 0) + g, within |n| (log 2 log_fixed's,
+    kept per G); e^z, z = y 2^-k, k = sqrt(V)/2, is C + z S, the even and odd
+    Taylor sums in z^2, m <= G/2 terms floored: within |n| 2^-k + 2m + 7 units;
+    k squarings (values in (0.7, 1.42)) scale that by 1.1 2^k, and g = k +
+    bits of 2(V + |n|) + 2 leaves it under 1 unit of 2^-V before the floor."""
+    n, k = round(x / (1 << V) / 0.6931471805599453), math.isqrt(V) // 2
+    g = k + (2 * (V + abs(n))).bit_length() + 2
+    G = V + max(n, 0) + g
+    z = ((x << G - V) - n * (_LN2.get(G) or _LN2.setdefault(G, log_fixed(2, 1, G)))) >> k
+    zz, C, S, j = z * z >> G, 1 << G, 1 << G, 2
+    a = zz
+    while a:
+        a //= j
+        C, j = C + a, j + 1
+        a //= j
+        S, j, a = S + a, j + 1, a * zz >> G
+    E = C + (z * S >> G)
+    for _ in range(k):
+        E = E * E >> G
+    return E >> G - V - n
+
+
+def power(y: Fraction, t: Fraction, ctx: PrecisionContext) -> Fraction:
+    """y^t, y > 0 and t rational: exact at an integer t, else
+    exp_fixed(floor(t log y 2^V)) 2^-V, V = bits + 32 + max(0, -t log2 y), so
+    that 2^V y^t >= 2^(bits+32): the log's unit times |t|, the floor and
+    exp_fixed's 2 units leave it within (|t| + 3) 2^-(bits+32), relative."""
+    (n, d), (u, v) = Fraction(y).as_integer_ratio(), Fraction(t).as_integer_ratio()
+    if v == 1:
+        return Fraction(n, d) ** u
+    V = ctx.bits + _GUARD + max(0, math.ceil(u * (math.log2(d) - math.log2(n)) / v))
+    return Fraction(exp_fixed(u * log_fixed(n, d, V) // v, V), 1 << V)
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +542,6 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
             return (x ** e << V) // y ** e
         if v == 2:
             return math.isqrt((x ** e << 2 * V) // y ** e)
-        from mpmath.libmp.libelefun import exp_fixed   # an mpmath 1.3 internal
         return exp_fixed(-u * lt // v, V)
 
     lq, lt = log_fixed(q, 1, H), 0

@@ -31,8 +31,8 @@ from functools import cache
 from operator import lt, mul
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .mpcore import (_GUARD, HReal, PrecisionContext, _exact, _fixed, _nstr, _pi_fixed, _round,
-                     _to_mpf, _Value, log_fixed)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _exact, _floor_exact, _nstr, _pi_fixed,
+                     _round, _Value, exp_fixed, log_fixed)
 
 _HALF = Fraction(1, 2)
 
@@ -285,22 +285,32 @@ def inv_abs_sq_term() -> Term:
 # The kernel
 # ----------------------------------------------------------------------
 
+def _cos_sin(h: int, G: int) -> list:
+    """((C, err), (S, err)): cos and sin of 2^-h, h >= 8, in units of 2^-G
+    by their Taylor series, each term floored from the last (under 2 units
+    low), to the first zero term: each within err = 2k + 4 units, k terms."""
+    cs, t, k = [0, 0], 1 << G, 0
+    while t:
+        cs[k & 1] += -t if k & 2 else t
+        k, t = k + 1, (t >> h) // (k + 1)
+    return [(v, 2 * k + 4) for v in cs]
+
+
 @cache
 def _turns(W: int) -> tuple:
     """Process-wide phase data at width W: e^(i j/2^8) for the 1,609 j of
     one turn, e^(i j/2^18) for j < 1,024 and, when W > 256, e^(i j/2^26)
-    for j < 256, each from the powers of one mpmath value at W + 32 bits
-    floored to W, the finer ones with the shift and mask that cut their j
-    from theta; the mask of the remainder r < 2^-lo left by the last table
-    and the shift W - 2 lo of its square; the coefficients of tan(r/2) in
-    r^(2k+1), k = K..0, exact then floored at 2^(W - 2 lo k), K the least
-    that leaves a tail below 2^-(W-5)."""
-    import mpmath
+    for j < 256, each from the powers of one step (cos, sin)(2^-lo),
+    floored exactly at W + 32 bits (_cos_sin, _floor_exact), each power
+    floored there, then floored to W; the finer tables with the shift and
+    mask that cut their j from theta; the mask of the remainder r < 2^-lo
+    left by the last table and the shift W - 2 lo of its square; the
+    coefficients of tan(r/2) in r^(2k+1), k = K..0, exact then floored at
+    2^(W - 2 lo k), K the least that leaves a tail below 2^-(W-5)."""
     V = W + 32
     tables = []
     for size, lo in ((1609, 8), (1024, 18), (256, 26))[:2 + (W > 256)]:
-        with mpmath.workprec(V + 16):
-            sc, ss = (_fixed(v, V) for v in mpmath.cos_sin(mpmath.mpf(2) ** -lo))
+        sc, ss = (_floor_exact(lambda G, i=i: _cos_sin(lo, G)[i], V) for i in (0, 1))
         c, s, table = 1 << V, 0, []
         for _ in range(size):
             table.append((c >> 32, s >> 32))
@@ -321,24 +331,29 @@ def _bind(term: Term, table: ZeroTable, M: int, F: int):
     """(run, S, X, e, V): run(start, stop) adds V 2^F Re term(rho) / x^beta
     for the pairs start..stop-1 to S[k], for each k of a pair's real parts,
     at rho = real[k] + i N / M, real = table._parts[0], N = n M / scale; X[k]
-    2^-e is x^beta to 2^-F relative, or 1 without it.  V is the lcm of the
-    weights' denominators, 1 for abs2 and poly.
+    = floor(2^e x^beta + d), 0 <= d < 2^-15, 2^-F relative (exp_fixed of
+    log_fixed at e + g bits, its error bound added before the cut, so exact
+    at an exact power), or 1 without it.  V is the lcm of the weights'
+    denominators, 1 for abs2 and poly.
 
     A pole group, the poles p that share one a^2 = ((beta - p) M)^2, adds
     floor(2^F (A cos theta + N Z sin theta) / (a^2 + N^2)), A = V M Sum w a
     and Z = V M Sum w over the group, theta = gamma log x (0 without x),
-    reduced mod 2 pi in integers at P bits, whose P - W spare bits absorb
-    n times the rounding of log x / scale, then cut to the table width W =
-    64 ceil((F + 8) / 64).  The product of _turns(W) entries is rotated by
-    (1 + i t)^2, t = tan(r/2) by one Horner loop, to C + i S at W bits and
-    left unnormalized: e^(i theta) = (C + i S) / (1 + t^2), and the group's
-    one division is floor(2^F (C A + S N Z) / ((a^2 + N^2) (1 + t^2))).
-    That phase's parts are each within 80 units of 2^-W of cos theta and
-    sin theta: theta 1.07, tables 7.1, t's tail and floors 2 (32 + 1.1),
-    t^2's floor 2 and the rotation's 1; at W >= F + 8, under 0.32 units of
-    2^-F.  So a group is off by under 0.32 (|A| + |N Z|) / (a^2 + N^2)
-    units of 2^-F and its one floor; a polynomial in 1/rho by one floor per
-    division and Horner step."""
+    reduced mod 2 pi in integers at P bits (log x / scale and 2 pi each an
+    exact floor: log_fixed, _pi_fixed), whose P - W spare bits absorb n
+    times those floors, then cut to the table width W = 64 ceil((F + 8) /
+    64).  The product of _turns(W) entries is rotated by (1 + i t)^2, t =
+    tan(r/2) by one Horner loop, to C + i S at W bits and left unnormalized:
+    e^(i theta) = (C + i S) / (1 + t^2), and the group's one division is
+    floor(2^F (C A + S N Z) / ((a^2 + N^2) (1 + t^2))).  That phase's parts
+    are each within 80 units of 2^-W of cos theta and sin theta: theta 1.07
+    (the cut's 1 and 2^-4 for the floors); tables 7.1 = 5 sqrt 2, three
+    entries (each step an exact floor at W + 32, whose 1,608 rotations add
+    under 2^-20 units of 2^-W before the floor to W) and two products'
+    floors; t's tail and floors 2 (32 + 1.1), t^2's floor 2 and the
+    rotation's 1; at W >= F + 8, under 0.32 units of 2^-F.  So a group is
+    off by under 0.32 (|A| + |N Z|) / (a^2 + N^2) units of 2^-F and its one
+    floor; a polynomial in 1/rho by one floor per division and Horner step."""
     real = table._parts[0]
     ords, parts, U = table.ordinates, table._parts[1], M // table.scale
     B = [b.numerator * (M // b.denominator) for b in real]
@@ -387,19 +402,17 @@ def _bind(term: Term, table: ZeroTable, M: int, F: int):
                     for aa, A in PW[k]:
                         S[k] += A // (aa + NN)
         return run, S, X, e, V
-    import mpmath
+    xn, xd = term.x.numerator, term.x.denominator
     if term.kind == "xrho":  # below 1, x^beta > x: extra bits keep 2^-F relative
         e = F + (math.ceil(1 / term.x).bit_length() if term.x < 1 else 0)
-        with mpmath.workprec(e + 16):
-            X = [_fixed(mpmath.power(_to_mpf(term.x), _to_mpf(b)), e) for b in real]
+        g, err = 20 + (xn // xd).bit_length(), 2 * (xn // xd) + 5   # units of 2^-(e+g)
+        L = log_fixed(xn, xd, e + g)
+        X = [(exp_fixed(b.numerator * L // b.denominator, e + g) + err) >> g for b in real]
     W = 64 * -(-(F + 8) // 64)
     first, finer, rest, US, (top, *tan) = _turns(W)
-    logx = abs(math.log(term.x.numerator) - math.log(term.x.denominator))
-    P = W + (ords[-1] * (math.ceil(logx) + 1)).bit_length() + 4
-    with mpmath.workprec(2 * P):
-        LX = _fixed(mpmath.log(_to_mpf(term.x)) / table.scale, P)
-        TP = _fixed(2 * mpmath.pi, P)
-    one, cut, W8 = 1 << W, P - W, W - 8
+    P = W + (ords[-1] * (math.ceil(abs(math.log(xn) - math.log(xd))) + 1)).bit_length() + 4
+    LX = _floor_exact(lambda G: (log_fixed(xn, xd, G) // table.scale, 2), P)
+    one, cut, W8, TP = 1 << W, P - W, W - 8, _pi_fixed(P + 1)
 
     def run(start: int, stop: int) -> None:
         for n, ks in zip(ords[start:stop], parts[start:stop]):

@@ -22,7 +22,7 @@ import mpmath
 from mpmath import mpf
 
 from zeta_explicit.mpcore import (_EM_BUDGET, _GUARD, HReal, PrecisionContext, Scalar,
-                                  _em_plan, _exact, _to_mpf, bernoulli_table)
+                                  _em_plan, _exact, bernoulli_table)
 
 
 def bernoulli(n: int) -> Fraction:
@@ -131,7 +131,8 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
                                + N * math.log2(lmax) + math.log2(M))
     out = []
     with ctx.workprec(extra):
-        sv, av = _to_mpf(s), _to_mpf(a)
+        sv, av = (mpf(x.numerator) / mpf(x.denominator) if isinstance(x, Fraction) else mpf(x)
+                  for x in (s, a))
         integer_s = sv == int(sv)
         sums = [mpf(0)] * (N + 1)
         mass = mpf(0)  # Sum_{k<M} (k+a)^(-s)

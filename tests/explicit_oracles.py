@@ -329,7 +329,7 @@ def f_u_reference(u: Fraction, z: Fraction, bits: int) -> mpf:
         if tau < mpf(1) / 4:
             a, y = 1 + uv, -tau
             c = a * y
-            J = int((bits + 80) / math.log2(2 * math.pi / float(tau))) + 8
+            J = int((bits + 80) / float(mpmath.log(2 * mpmath.pi / tau, 2))) + 8   # no float tau
 
             def series(f):   # Sum_{i>=0} c^i/i! f(i), to 2^-(bits+80)
                 acc, t, i = mpf(0), mpf(1), 0

@@ -289,7 +289,8 @@ def test_c09_descriptor_layer_consistency(ctx, criterion_log):
                         n, zn = n + 1, zn * z
                     hand = T - lv * mpmath.power(xv, e) * series
                     if a == 0:
-                        hand += desc.gamma_F(ctx)
+                        gF = desc.gamma_F(ctx)   # an exact quotient
+                        hand += mpf(gF.numerator) / gF.denominator
                     worst_lt1 = max(worst_lt1, abs(s - hand))
     ok = worst_rel <= 1e-20 and worst_abs <= 1e-15 and worst_lt1 <= 1e-15
     line = _note(criterion_log, "09", ok,

@@ -28,7 +28,7 @@ from zeta_explicit.arith import (
     walk_width,
     weighted_sum,
 )
-from zeta_explicit.mpcore import PrecisionContext
+from zeta_explicit.mpcore import PrecisionContext, _mpf
 from explicit_oracles import prime_sum_reference
 from kronecker_reference import kronecker_symbol
 
@@ -229,7 +229,7 @@ def test_checkpointed_sums_match_per_n_reference(bits, d):
     chi = (1,) if d is None else kronecker_chi(d)
     for s in TABLE_S:
         for x in EDGE_X:
-            got = weighted_sum(x, s, ctx, chi)
+            got = _mpf(*weighted_sum(x, s, ctx, chi))
             ref, size = prime_sum_reference(x, s, chi, bits)
             with mpmath.workprec(bits + 64):
                 assert abs(got - ref) <= mpmath.mpf(2) ** (8 - bits) * size, (x, s, d)
@@ -253,13 +253,13 @@ def test_large_s_sums_keep_relative_precision(x, alpha):
 @pytest.mark.parametrize("d", [None, 1, 7])
 def test_half_integer_s_takes_exact_square_roots(monkeypatch, bits, d):
     # n^-s at s = a/b, 2 <= b <= ROOT_BOUND, is read from the integer root
-    # table (math.isqrt at b = 2), so exp_fixed is never called; both
-    # forms, x > 1 (s = alpha) and x < 1 (s = 1 - alpha).
+    # table (math.isqrt at b = 2), so the walk's exp_fixed is never called;
+    # both forms, x > 1 (s = alpha) and x < 1 (s = 1 - alpha).
     def refuse(*args):
         raise AssertionError("exp_fixed called at a denominator within the bound")
 
     monkeypatch.setattr(arith, "_prefix", {})
-    monkeypatch.setattr(libelefun, "exp_fixed", refuse)   # read where it is called
+    monkeypatch.setattr(arith, "exp_fixed", refuse)   # the name the walk reads
     ctx = PrecisionContext(bits=bits)
     chi = (1,) if d is None else kronecker_chi(d)
     S = [Fraction(401, 2)] + [Fraction(a, b) for b in range(2, arith.ROOT_BOUND + 1)
@@ -267,7 +267,7 @@ def test_half_integer_s_takes_exact_square_roots(monkeypatch, bits, d):
     for s in S:
         for x, alpha in ((Fraction(1001, 2), s), (Fraction(2, 1001), 1 - s),
                          (Fraction(509), s)):
-            got = weighted_sum(x, alpha, ctx, chi)
+            got = _mpf(*weighted_sum(x, alpha, ctx, chi))
             ref, size = prime_sum_reference(x, alpha, chi, bits)
             with mpmath.workprec(bits + 64):
                 assert abs(got - ref) <= mpmath.mpf(2) ** (8 - bits) * size, (x, s)
@@ -424,9 +424,9 @@ def test_primes_past_log_limit_take_exp_fixed_at_b_above_2(monkeypatch, bits, s,
     # b = 3), never an exp_fixed; only b above the bound takes exp_fixed.
     # The terms in (N1, N2] agree with a per-n sum to a few units of
     # 2^-(W+e) per unit of their size.
-    calls, exp_fixed = [], libelefun.exp_fixed
+    calls, exp_fixed = [], arith.exp_fixed
     monkeypatch.setattr(arith, "_prefix", {})
-    monkeypatch.setattr(libelefun, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
+    monkeypatch.setattr(arith, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
     ctx, N1, N2 = PrecisionContext(bits=bits), arith.LOG_LIMIT - 200, arith.LOG_LIMIT + 400
     chi = (1,) if d is None else kronecker_chi(d)
     m1, e1 = prime_power_sum(N1, s, ctx, chi)
@@ -449,9 +449,9 @@ def test_primes_past_log_limit_take_exp_fixed_at_b_above_2(monkeypatch, bits, s,
 def test_huge_denominator_takes_exp_fixed(monkeypatch):
     # s = 1 + 2^-300 would need a 2^300-th root; above ROOT_BOUND the walk
     # takes exp_fixed, once per term, and stores no roots.
-    calls, exp_fixed = [], libelefun.exp_fixed
+    calls, exp_fixed = [], arith.exp_fixed
     monkeypatch.setattr(arith, "_prefix", {})
-    monkeypatch.setattr(libelefun, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
+    monkeypatch.setattr(arith, "exp_fixed", lambda *a: calls.append(a) or exp_fixed(*a))
     ctx, x, alpha = PrecisionContext(bits=128), Fraction(1001, 2), 1 + Fraction(1, 2 ** 300)
     start = time.perf_counter()
     got = psi0_alpha(x, alpha, ctx).val
@@ -651,7 +651,7 @@ def test_log_table_stops_at_its_limit(monkeypatch, s):
         assert got == kept
     ref, size = prime_sum_reference(x, s, None, 192)
     with mpmath.workprec(256):
-        assert abs(got - ref) <= mpmath.mpf(2) ** (8 - 192) * size
+        assert abs(_mpf(*got) - ref) <= mpmath.mpf(2) ** (8 - 192) * size
 
 
 @pytest.mark.parametrize("N", [1, BLOCK - 1, BLOCK, BLOCK + 1, 10_000])

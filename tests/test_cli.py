@@ -886,23 +886,30 @@ COLD_ROWS = {
                    {"arith", "explicit", "analysis"}),
     "stieltjes-table": ("stieltjes --n 2 --table", {"liconst"}),
     "sum-xrho": ("sum --term xrho-over-rho --x 21/2 --K 5", {"zeros"}),
+    # dirichlet_L and the Euler-Maclaurin head's exp (s = 1/3, v = 3), f_u,
+    # x^alpha and x^beta, and the square roots of cosine and s
+    "verify-selberg-gt1": ("verify --identity selberg-gt1 --x 9/2 --alpha 1/3 --K 5",
+                           {"arith", "zeros", "explicit"}),
+    "verify-general-lt1": ("verify --identity general-lt1 --x 2/5 --pf-roots 1/3 --K 5",
+                           {"arith", "zeros", "explicit"}),
+    "verify-cosine": ("verify --identity cosine --x 5/2 --K 5", {"arith", "zeros", "explicit"}),
+    "verify-s": ("verify --identity s --x 7/2 --K 5", {"arith", "zeros", "explicit"}),
     "chowla-selberg": ("chowla-selberg --d 7 --no-scan",
                        {"arith", "explicit", "analysis"}),
 }
 
 
-# rows whose process runs in integers to its printed digits, without mpmath
-NO_MPMATH = {"import", "li", "stieltjes", "rh-check", "sum", "eval-f", "find-zeros",
-             "stieltjes-table"}
+# rows whose process runs in integers to its printed digits, without
+# mpmath: every row but chowla-selberg, whose Gamma product is mpmath's
+NO_MPMATH = set(COLD_ROWS) - {"chowla-selberg"}
 
 
 @pytest.mark.parametrize("row", COLD_ROWS)
 def test_cold_import_leaves_dataclasses_and_inspect_out(row):
     # a fresh command-line process compiles only the modules its subcommand
     # calls, and, the records being slotted classes and NamedTuples, never
-    # imports dataclasses or what it pulls in; a bare import, li, stieltjes
-    # (with and without --table), rh-check, sum over 1/rho, eval-f and
-    # find-zeros never import mpmath
+    # imports dataclasses or what it pulls in; only chowla-selberg imports
+    # mpmath: no verify identity, no sum term and no other subcommand does
     argv, extra = COLD_ROWS[row]
     code = ("import sys, zeta_explicit.cli as cli\n"
             "if sys.argv[1:]:\n"

@@ -41,7 +41,7 @@ from zeta_explicit.explicit import (
     selberg_rhs_lt1,
     verify_identity,
 )
-from zeta_explicit.mpcore import PrecisionContext, _exact
+from zeta_explicit.mpcore import HReal, PrecisionContext, _exact
 from explicit_oracles import (HComplex, cosine_rhs_expanded, f_u_closed_uncorrected,
                               f_u_reference, f_u_roots_of_unity, f_u_series,
                               general_rhs_gt1_expanded, general_rhs_lt1_expanded,
@@ -225,8 +225,9 @@ def test_zeta_log_deriv_closed_forms():
                       F(1, 2): (mpmath.euler / 2 + mpmath.pi / 4 + 3 * mpmath.log(2) / 2
                                 + mpmath.log(mpmath.pi) / 2)}
         for s, ref in closed.items():
-            got = zeta.log_deriv(s, ctx)
+            got = zeta.log_deriv(s, ctx)   # an exact quotient
             with mpmath.workprec(bits + 32):
+                got = mpf(got.numerator) / got.denominator
                 assert abs(got - ref) <= mpf(2) ** (8 - bits) * abs(ref), (bits, s)
         if bits == 192:
             assert ctx.real(zeta.log_deriv(F(1, 2), ctx)).str_digits(25) == \
@@ -462,15 +463,13 @@ def test_general_domain_guards(ctx):
 
 def test_zeta_descriptor_invariants(ctx):
     zeta = descriptor_zeta()
-    with ctx.workprec(16):
-        assert abs(zeta.gamma_F(ctx) - ctx.euler_gamma) < TINY
+    assert zeta.gamma_F(ctx) == _exact(ctx.euler_gamma)
 
 
 def _L_log_deriv(s, q, chi, ctx):
-    """(L'/L)(s, chi) from explicit.dirichlet_L, divided at bits + 32."""
+    """(L'/L)(s, chi), the exact quotient of explicit.dirichlet_L's pair."""
     L, Lp = explicit.dirichlet_L(s, q, chi, ctx)
-    with ctx.workprec(32):
-        return Lp / L
+    return _exact(Lp) / _exact(L)
 
 
 def test_dirichlet_descriptor_invariants(ctx):
@@ -803,9 +802,9 @@ def test_general_forms_match_expanded_reference(bits, y, below_one, with_zero,
 
 def test_dirichlet_L_closed_forms(ctx):
     chi4 = kronecker_chi(1)
-    v4, _ = dirichlet_L(F(1), 4, chi4, ctx)
+    v4 = dirichlet_L(F(1), 4, chi4, ctx)[0].val
     chi3 = kronecker_chi(3)
-    v3, _ = dirichlet_L(F(1), 3, chi3, ctx)
+    v3 = dirichlet_L(F(1), 3, chi3, ctx)[0].val
     with ctx.workprec(16):
         assert abs(v4 - ctx.pi / 4) < mpf(1) / 10 ** 45
         assert abs(v3 - ctx.pi / (3 * mpmath.sqrt(3))) < mpf(1) / 10 ** 45
@@ -817,6 +816,7 @@ def test_dirichlet_log_deriv_closed_form(ctx):
     chi4 = kronecker_chi(1)
     v = _L_log_deriv(F(1), 4, chi4, ctx)
     with ctx.workprec(32):
+        v = mpf(v.numerator) / v.denominator
         ref = mpmath.euler + 2 * mpmath.log(2) + 3 * mpmath.log(mpmath.pi) \
             - 4 * mpmath.loggamma(mpf(1) / 4)
         assert abs(v - ref) < mpf(1) / 10 ** 45
@@ -832,8 +832,64 @@ def test_dirichlet_L_against_mpmath(d, s, bits):
     L, Lp = dirichlet_L(s, len(chi), chi, PrecisionContext(bits))
     with mpmath.workprec(bits + 64):
         sv = mpf(s.numerator) / s.denominator
-        for got, ref in ((L, mpmath.dirichlet(sv, chi)), (Lp, mpmath.dirichlet(sv, chi, 1))):
+        for got, ref in ((L.val, mpmath.dirichlet(sv, chi)), (Lp.val, mpmath.dirichlet(sv, chi, 1))):
             assert abs(got - ref) <= mpf(2) ** (8 - bits) * (1 + abs(ref)), (d, s, bits)
+
+
+def _L_at_one(chi, prec):
+    """(L(1, chi), L'(1, chi)) for an odd real primitive chi mod q at prec
+    bits, by Gamma-function closed forms, not mpmath.dirichlet (whose pole
+    at s = 1 makes it slow): L(1) = -(1/q) Sum chi(a) psi(a/q), and the
+    functional equation of the odd character, with L(0) = -(1/q) Sum a
+    chi(a) and L'(0) = Sum chi(a) log Gamma(a/q) + (log q/q) Sum a chi(a)
+    (Lerch), gives L'/L(1) = gamma + log 2 - log(q/pi) - L'(0)/L(0)."""
+    q = len(chi)
+    with mpmath.workprec(prec):
+        B = mpmath.fsum(a * chi[a] for a in range(1, q))
+        L1 = -mpmath.fsum(chi[a] * mpmath.psi(0, mpf(a) / q) for a in range(1, q)) / q
+        dL0 = mpmath.fsum(chi[a] * mpmath.loggamma(mpf(a) / q) for a in range(1, q) if chi[a]) \
+            + mpmath.log(q) * B / q
+        return L1, L1 * (mpmath.euler + mpmath.log(2) - mpmath.log(q / mpmath.pi) + dL0 * q / B)
+
+
+@pytest.mark.parametrize("bits", [64, 192, 1024])
+@pytest.mark.parametrize("d", [1, 2, 3, 7])   # chi_-4, chi_-8, chi_-3, chi_-7, all odd
+def test_dirichlet_L_pair_at_bits_plus_32(d, bits):
+    # The HReal pair at bits + 32 against mpmath's dirichlet at bits + 64
+    # (at s = 1 against _L_at_one): within 2^-(bits+24) (1 + |ref|), the
+    # residues' certified 2^-(bits+31) |Z_n| summed over at most 8 of them.
+    chi = kronecker_chi(d)
+    for s in (F(1, 3), F(1, 2), F(1), F(4, 3), F(2)):
+        got = dirichlet_L(s, len(chi), chi, PrecisionContext(bits))
+        assert all(isinstance(v, HReal) and v.ctx.bits == bits + 32 for v in got)
+        with mpmath.workprec(bits + 64):
+            sv = mpf(s.numerator) / s.denominator
+            refs = _L_at_one(chi, bits + 64) if s == 1 else \
+                (mpmath.dirichlet(sv, chi), mpmath.dirichlet(sv, chi, 1))
+            for v, ref in zip(got, refs):
+                assert abs(v.val - ref) <= mpf(2) ** -(bits + 24) * (1 + abs(ref)), (d, s)
+
+
+@pytest.mark.parametrize("k", [1000, 1073, 2000])
+def test_f_u_lerch_branch_near_one(k):
+    # z = 1 - 2^-k: tau is below any float's range from k = 1073 on, where a
+    # float tau gave log(0); the integer tau keeps W bits, and f_u is within
+    # its stated 2^-(bits+16) (|f_u| + z) at 64, 192 and 1024 bits.
+    z = 1 - F(1, 2 ** k)
+    for bits in (64, 192, 1024):
+        for u in (F(1, 3), F(-5, 4)):
+            v = f_u_closed(u, z, PrecisionContext(bits)).val
+            ref = f_u_reference(u, z, bits)
+            with mpmath.workprec(bits + 64):
+                assert abs(v - ref) / (abs(ref) + 1) < mpf(2) ** -(bits + 16), (k, bits, u)
+
+
+def test_selberg_gt1_just_above_one(cli_json):
+    # x = 1 + 2^-1100: f_u's argument x^-2 takes the Lerch branch past the
+    # float range of tau, and the identity answers instead of a domain error
+    x = f"{2 ** 1100 + 1}/{2 ** 1100}"
+    out = cli_json("verify", "--identity", "selberg-gt1", "--x", x, "--alpha", "1/3", "--K", "5")
+    assert out["identity"] == "selberg-gt1"
 
 
 def test_dirichlet_L_rejects_principal_at_one(ctx):

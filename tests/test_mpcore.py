@@ -27,9 +27,11 @@ from zeta_explicit.mpcore import (
     _exact,
     bernoulli_table,
     em_log_moments,
+    exp_fixed,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     log_fixed,
+    power,
     series_ops,
     zeta_int,
 )
@@ -574,7 +576,49 @@ def test_log_fixed_does_not_depend_on_history(monkeypatch):
 
 
 def test_no_module_names_mpf_log():
-    # Every log of an exact argument is log_fixed's: no package module
-    # reaches for mpmath's mpf_log.
+    # Every log of an exact argument is log_fixed's and every exp
+    # exp_fixed's: no package module reaches for mpmath's mpf_log or for
+    # anything in its libelefun.
     package = Path(mpcore.__file__).parent
-    assert [p.name for p in package.rglob("*.py") if "mpf_log" in p.read_text()] == []
+    assert [p.name for p in package.rglob("*.py")
+            if "mpf_log" in p.read_text() or "libelefun" in p.read_text()] == []
+
+
+def _exp_arguments(V: int, rng: random.Random) -> list[int]:
+    """x in units of 2^-V: 0, floor(k log 2 2^V) for k = +-1, +-7, +-1000
+    and the ties (k + 1/2) log 2 of the reduction, and random values of
+    both signs below 1, 20 and 2^12 in size."""
+    with mpmath.workprec(V + 64):
+        ln2 = mpmath.ldexp(mpmath.log(2), V)
+        args = [int(mpmath.floor(k * ln2)) for k in (1, 7, 1000, 1.5, 7.5)]
+    args += [rng.randrange(1 << V), rng.randrange(20 << V), rng.randrange(1 << V + 12)]
+    return [0] + args + [-x for x in args]
+
+
+@pytest.mark.parametrize("bits", range(64, 1089, 64))
+def test_exp_fixed_within_two_units(bits):
+    # Against mpmath's exp at V + 64 bits past the value's own size, for V
+    # = bits + 32 and bits + 48: every value within its stated 2 units.
+    rng = random.Random(bits)
+    for V in (bits + 32, bits + 48):
+        for x in _exp_arguments(V, rng):
+            with mpmath.workprec(V + 64 + max(0, 2 * (x >> V))):
+                ref = mpmath.ldexp(mpmath.exp(mpmath.ldexp(x, -V)), V)
+                assert abs(exp_fixed(x, V) - ref) < 2, (x, V)
+
+
+@pytest.mark.parametrize("bits", [64, 192, 1024])
+def test_power_exact_at_integers_else_within_its_units(bits):
+    # y^t: the exact power at an integer t; else within (|t| + 3)
+    # 2^-(bits+32) of mpmath's power at bits + 96, relative, also where
+    # y^t is far below 1.
+    ctx = PrecisionContext(bits)
+    assert power(Fraction(2, 3), Fraction(-5), ctx) == Fraction(243, 32)
+    for y in (Fraction(2), Fraction(1, 1000), Fraction(10 ** 30 + 1, 7), Fraction(4)):
+        for t in (Fraction(1, 2), Fraction(-1, 3), Fraction(7, 3), Fraction(-40, 7)):
+            got = power(y, t, ctx)
+            with mpmath.workprec(bits + 96):
+                ref = mpmath.power(mpmath.mpf(y.numerator) / y.denominator,
+                                   mpmath.mpf(t.numerator) / t.denominator)
+                gap = abs(mpmath.mpf(got.numerator) / got.denominator - ref) / ref
+                assert gap < (abs(t) + 3) * mpmath.mpf(2) ** -(bits + 32), (y, t)

@@ -542,6 +542,22 @@ def test_phase_tables_depend_on_width_alone(fixture100):
     assert zeros._turns.cache_info().misses == filled
 
 
+@pytest.mark.parametrize("W", (128, 256, 320, 1088))
+def test_turns_entries_within_their_budget(W):
+    # Each table entry, e^(i j 2^-lo) built from its integer step, against
+    # mpmath's cos_sin at W + 64 bits: each part within the 1 + 2^-20 units
+    # of 2^-W that _bind's budget gives a table entry (tables 7.1 = 5 sqrt 2).
+    first, finer = zeros._turns(W)[:2]
+    tables = [(first, 8)] + [(table, W - shift) for table, shift, _ in finer]
+    assert [lo for _, lo in tables] == [8, 18] + ([26] if W > 256 else [])
+    with mpmath.workprec(W + 64):
+        for table, lo in tables:
+            for j, (c, s) in enumerate(table):
+                ref = mpmath.cos_sin(mpmath.ldexp(j, -lo))
+                for got, r in zip((c, s), ref):
+                    assert abs(got - mpmath.ldexp(r, W)) < 1 + mpmath.mpf(2) ** -20, (W, lo, j)
+
+
 @pytest.mark.parametrize("W", (192, 256, 320, 576, 1088))
 @pytest.mark.parametrize("x", (Fraction(21, 2), Fraction(1, 10)), ids=("21/2", "1/10"))
 def test_phase_within_stated_units(W, x, table10k):
