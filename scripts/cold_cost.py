@@ -3,8 +3,8 @@
 
 Three reference rows, `python -c pass`, `import mpmath` and
 `import zeta_explicit.cli`, and one row per subcommand with the fixed
-arguments of tests/test_cli.py's cold-import rows (two for stieltjes and
-sum, one with and one without mpmath), run as
+arguments of tests/test_cli.py's cold-import rows (two for stieltjes, sum
+and chowla-selberg), run as
 `python -m zeta_explicit.cli ... --json`.  Every round runs each row once,
 in turn, so that a slow spell of the host falls on every row alike; after
 ROUNDS rounds the script prints the least and the median wall-clock
@@ -40,6 +40,7 @@ SUBCOMMANDS = {
     "verify": "verify --identity von-mangoldt --x 21/2 --K 5",
     "find-zeros": "find-zeros --lo 21/20 --hi 2",
     "chowla-selberg": "chowla-selberg --d 7 --no-scan",
+    "chowla-selberg scan": "chowla-selberg --d 7",
 }
 
 

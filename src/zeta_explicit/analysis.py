@@ -18,10 +18,10 @@ safeguarded by bisection, bracket it by the cell of the grid 2^-k Z
 (2^-k <= tol) that holds the root, cut to the piece, and report a sign
 change of the one-sided limits at a discontinuity as a jump-crossing
 record; every residual is |f_rhs| itself, which checks the walked K.
-The grid scan reads f at floor(S k/N) 2^-W, S = floor(pi sqrt(d) 2^W),
-on each piece, where |f| is monotone or V-shaped in k: its ends, a
-bisection to a sign change and steps while |f| < threshold (exact) give
-its minimum and candidates.
+The grid scan reads f at floor(S k/N) 2^-W, S = floor(pi sqrt(d) 2^W)
+exactly (_floor_exact), on each piece, where |f| is monotone or V-shaped
+in k: its ends, a bisection to a sign change and steps while |f| <
+threshold (exact) give its minimum and candidates.
 
 The quadratic-field block works with chi = chi_{-d} mod D for
 squarefree d (class_data supplies D, h, w, chi):
@@ -34,21 +34,20 @@ squarefree d (class_data supplies D, h, w, chi):
              of the shifted Stieltjes constants gamma_0(a/D),
              gamma_1(a/D), exact to working precision.
   exp(L'/L(1, chi) - gamma) against
-             2 pi Prod_{a=1}^{D} Gamma(a/D)^(-chi(a) w / (2h)), the one
-             place production code calls an mpmath special function
-             (mpmath.loggamma).
+             2 pi Prod_{a=1}^{D} Gamma(a/D)^(-chi(a) w / (2h)), its
+             Sum chi(a) log Gamma(a/D) by Stirling's series in integers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .arith import MAX_SIEVE, _log, class_data, shared_table, walk_width
 from .explicit import Rational, dirichlet_L, f_const, f_rhs_gt1, f_rhs_lt1, g
-from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _fixed, _gamma_fixed,
-                     exp_fixed)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _floor_exact, _gamma_fixed,
+                     _nstr, _pi_fixed, bernoulli_table, exp_fixed, log_fixed)
 
 GENUINE = "genuine-zero"
 JUMP = "jump-crossing"
@@ -256,20 +255,41 @@ def class_number_check(d: int) -> ClassNumberCheck:
                             match=rem == 0 and data.h == h)
 
 
+def _log_gamma_sum(D: int, chi: Sequence[int], V: int) -> int:
+    """2^V Sum_{a<D} chi(a) log Gamma(a/D) within 2 units, chi a character mod
+    D, at G = V + bits of 6n, n the a with chi(a) != 0: Stirling's series
+    (y - 1/2) log y - y + log(2 pi)/2 + Sum_{k<=K} B_2k/(2k(2k-1) y^(2k-1)),
+    K = G/8 + 2, at y = q/D, q = a + ND, less log Prod_{j<N} (a/D + j), N
+    the shift past which the first omitted term, over the remainder at y > 0
+    (DLMF 5.11.ii), is below 2^-(G+1) by |B_2m| <= 4 (2m)!/(2 pi)^2m.  Sum
+    chi(a) = 0 cancels the log(2 pi)/2 and the product's D^N.  Per term 6
+    units of 2^-G: the head from log y at G + t, 2^t > y, 2; the Horner sum
+    in 1/y^2 of floored coefficients, over y, 2; the remainder 1; log Prod
+    (a + jD) 1."""
+    G = V + (6 * sum(map(bool, chi))).bit_length()
+    K = G // 8 + 2
+    N = 1 + math.ceil(math.exp((math.lgamma(2 * K + 1) + (G + 3) * math.log(2)
+                                - (2 * K + 2) * math.log(2 * math.pi)) / (2 * K + 1)))
+    (bd, bt), t, acc = bernoulli_table(2 * K), (N + 1).bit_length(), 0
+    coef = [(bt[2 * k] << G) // (bd * 2 * k * (2 * k - 1)) for k in range(K, 0, -1)]
+    for a, q in ((a, a + N * D) for a in range(1, D) if chi[a]):
+        z, h = (D * D << G) // (q * q), 0
+        for c in coef:
+            h = c + (h * z >> G)
+        acc += chi[a] * (((2 * q - D) * log_fixed(q, D, G + t) - (q << G + t + 1)) // (D << t + 1)
+                         + h * D // q - log_fixed(math.prod(range(a, q, D)), 1, G))
+    return acc >> G - V
+
+
 def chowla_selberg_rhs(d: int, ctx: PrecisionContext) -> HReal:
-    """2 pi Prod_{a=1}^{D} Gamma(a/D)^(-chi(a) w / (2h)), assembled in
-    log space (the 2 pi is the exact simplification of 2D/A^2 with
-    A = sqrt(D/pi))."""
-    import mpmath
-    data = class_data(d)
-    with ctx.workprec(_GUARD):
-        acc = mpmath.mpf(0)
-        for a in range(1, data.D):
-            c = data.chi[a % data.D]
-            if c:
-                acc += c * mpmath.loggamma(mpmath.mpf(a) / data.D)
-        expo = -mpmath.mpf(data.w) / (2 * data.h)
-        return ctx.real(2 * ctx.pi * mpmath.exp(expo * acc))
+    """2 pi Prod_{a=1}^{D} Gamma(a/D)^(-chi(a) w / (2h)) (2 pi is 2D/A^2, A =
+    sqrt(D/pi)) as 2 pi e^E, E = -wS/(2h) within 7 units of 2^-V, S from
+    _log_gamma_sum at V = bits + 32, e^E >= 2^-n exp_fixed's at V + n and pi
+    floored at V: within 10 units of 2^-V, relative, before one rounding."""
+    data, V = class_data(d), ctx.bits + _GUARD
+    E = -data.w * _log_gamma_sum(data.D, data.chi, V) // (2 * data.h)
+    n = max(0, 3 * (-E >> V) // 2 + 2)
+    return ctx.real((2 * _pi_fixed(V) * exp_fixed(E << n, V + n), -2 * V - n))
 
 
 class ChowlaSelbergReport(NamedTuple):
@@ -338,14 +358,12 @@ def hypothesis_scan(d: int, ctx: PrecisionContext, *,
         raise ValueError(f"grid denominator must be an integer >= 2, got {denominator!r}")
     if not (isinstance(threshold, (int, float)) and 0 < threshold < math.inf):
         raise ValueError(f"threshold must be a finite positive float, got {threshold!r}")
-    import mpmath
-    W = walk_width(ctx)
-    with ctx.workprec(_GUARD):
-        window_hi = 1 / (ctx.pi * mpmath.sqrt(d))
-        kmax = int(mpmath.floor(denominator * window_hi))
-    with mpmath.workprec(W + 8):
-        u, S = 1 << W, _fixed(mpmath.pi * mpmath.sqrt(d), W)
-    window = f"window (0, {mpmath.nstr(window_hi, 8)})"
+    W, V = walk_width(ctx), ctx.bits + _GUARD
+    R = lambda G: _pi_fixed(G) * math.isqrt(d << 2 * G)   # pi sqrt(d) 4^G, < (pi + sqrt d) 2^G low
+    S = _floor_exact(lambda G: (R(G) >> G, math.isqrt(d) + 6), W)
+    window_hi = (_floor_exact(lambda G: ((1 << 3 * G) // R(G), 2), V), -V)
+    kmax = _floor_exact(lambda G: ((denominator << 3 * G) // R(G), 2 * denominator + 2), 0)
+    u, window = 1 << W, f"window (0, {_nstr(*window_hi, 8)})"
     if kmax < 1 or S < denominator:   # S < denominator: X_1 = 0
         raise ValueError(f"{window} holds no grid point above 2^-{W} "
                          f"with denominator {denominator}")

@@ -22,8 +22,7 @@ ROOT_BOUND (untabled past LOG_LIMIT), checkpointed every BLOCK = 256 per
 (s, chi, width); none depends on history.
 
 The class data of Q(sqrt(-d)) is exact integers, chi_{-d} a table built
-by complete multiplicativity from its values at the primes.  No
-module here imports mpmath: every log and exp is mpcore's, in integers.
+by complete multiplicativity from its values at the primes.
 """
 
 from __future__ import annotations

@@ -43,8 +43,7 @@ character table) at bits + 32.  Each closed form adds its parts exactly,
 as one Fraction (f's integers, the integer gamma and log 2pi, the values
 of f_u, weighted_sum and dirichlet_L at bits + 32 and F'/F, their exact
 quotient), and rounds once, at its end.  A square root or an irrational
-power is mpcore.power's (exp_fixed of a log_fixed): no module here
-imports mpmath.
+power is mpcore.power's (exp_fixed of a log_fixed).
 
 The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u), at real z in [0, 1)
 and rational u, is real fixed point (f_u_closed): the series itself, or

@@ -26,11 +26,10 @@ pi and gamma are integer series rounded as mpmath rounds its constants.
 Hurwitz zeta and the Stieltjes constants are Bernoulli-number expansions
 with computable error terms, in integers (logs from log_fixed, one integer
 Bernoulli table, bounds rounded up, the set-up kept per exact (s, N,
-bits)); they and zeta_int round once.  No module imports an mpmath
-internal.  mpmath is imported only where it is read: .val (an HReal's mpf),
-workprec and _nstr's fallback here, and analysis's loggamma (the
-Chowla-Selberg Gamma product) and scan; every other combination is exact
-(_exact) or fixed point, rounded once by ctx.real.
+bits)); they and zeta_int round once.  The package has one number
+system: mpmath is imported only by _mpf, for .val (an HReal as an mpf,
+which tests and benchmarks read), and by _nstr's fallback past 3,500-bit
+exponents; every combination is exact or fixed point, rounded once.
 """
 
 from __future__ import annotations
@@ -81,9 +80,7 @@ class PrecisionContext(_Value):
     All arithmetic routed through this context is rounded to nearest at
     `bits` binary digits, so each elementary operation carries a relative
     error of at most 2^-bits, comfortably within the 2^(8-bits) budget
-    that callers may assume.  Instances are immutable, but workprec sets
-    mpmath's process-wide precision: evaluations in one process must not
-    run in concurrent threads.
+    that callers may assume.  Instances are immutable: no precision is global.
     """
 
     __slots__ = _fields = ("bits",)    # binary working precision, >= 64
@@ -93,27 +90,11 @@ class PrecisionContext(_Value):
             raise ValueError(f"precision must be >= 64 bits, got {bits}")
         _Value.__init__(self, bits)
 
-    def workprec(self, extra: int = 0):
-        """Context manager running mpmath at bits + extra binary digits."""
-        import mpmath
-        return mpmath.workprec(self.bits + extra)
-
     def real(self, x: Scalar) -> "HReal":
         """x rounded to nearest at bits, ties to even as mpmath's round_nearest,
         in integers: an int, a Fraction or float (one rounding of the exact
         value), a (man, exp) pair for man 2^exp, an mpf or an HReal."""
         return HReal(_round(x, self.bits), self)
-
-    # Shared constants at bits + _GUARD, for guarded mpf evaluations: mpmath's
-    # +pi and +euler there, from the integer pi and gamma.  Exact sums read
-    # _constant and _log_pi (log 2pi, log 4pi) as (man, exp) pairs instead.
-    @property
-    def pi(self) -> mpf:
-        return _mpf(*_constant(_pi_fixed, self.bits + _GUARD))
-
-    @property
-    def euler_gamma(self) -> mpf:
-        return _mpf(*_constant(_gamma_fixed, self.bits + _GUARD))
 
 
 def _mpf(man: int, exp: int) -> mpf:
@@ -229,11 +210,14 @@ def _nstr(man: int, exp: int, n: int) -> str:
 # pi and Euler's gamma in integers, rounded as mpmath rounds its constants
 # ----------------------------------------------------------------------
 
-def _floor_exact(approx, V: int, g: int = 32) -> int:
-    """floor(c 2^V) from approx(G) = (A, err), A within err units of c 2^G,
-    G = V + g, g widened by 64 until A - err and A + err floor alike."""
-    A, err = approx(V + g)
-    return A >> g if (A - err) >> g == (A + err) >> g else _floor_exact(approx, V, g + 64)
+def _floor_exact(approx, V: int) -> int:
+    """floor(c 2^V) from approx(G) = (A, err), A within err of c 2^G, G = V + g, g = 32 widened
+    by 64 until A - err and A + err floor alike, or ArithmeticError past g = 1,056 (exact c)."""
+    for g in range(32, 1057, 64):
+        A, err = approx(V + g)
+        if (A - err) >> g == (A + err) >> g:
+            return A >> g
+    raise ArithmeticError(f"floor of c 2^{V} undecided at 2^-{V + 1056}: c 2^{V} may be an integer")
 
 
 @lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ from mpmath import mpf
 
 from zeta_explicit.mpcore import (_EM_BUDGET, _GUARD, HReal, PrecisionContext, Scalar,
                                   _em_plan, _exact, bernoulli_table)
+from mp_views import workprec
 
 
 def bernoulli(n: int) -> Fraction:
@@ -130,7 +131,7 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
     extra = _GUARD + math.ceil(max(0.0, 1 - sf) * math.log2(M + af)
                                + N * math.log2(lmax) + math.log2(M))
     out = []
-    with ctx.workprec(extra):
+    with workprec(ctx, extra):
         sv, av = (mpf(x.numerator) / mpf(x.denominator) if isinstance(x, Fraction) else mpf(x)
                   for x in (s, a))
         integer_s = sv == int(sv)

@@ -17,6 +17,7 @@ from mpmath import mpc, mpf
 from zeta_explicit.arith import psi0, psi0_alpha, shared_table, T_sum
 from zeta_explicit.explicit import RationalFunctionPF
 from zeta_explicit.mpcore import HReal, PrecisionContext
+from mp_views import workprec
 
 _GUARD = 32
 
@@ -114,7 +115,7 @@ def f_u_series(u: Rational, z, ctx: PrecisionContext) -> HComplex:
     """Direct summation of f_u(z) = Sum_{n>=1} z^n/(n+u) for complex
     |z| < 1 at bits + 32: the oracle the closed forms are validated
     against."""
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         uv = mpf(Fraction(u).numerator) / Fraction(u).denominator
         zv = _complex_z(z)
         az = abs(zv)
@@ -159,7 +160,7 @@ def f_u_roots_of_unity(u: Rational, z, ctx: PrecisionContext) -> HComplex:
     u = Fraction(u)
     if u.denominator == 1 and u <= -1:
         raise ValueError(f"f_u undefined at negative integer u = {u}")
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         zv = _complex_z(z)
         if not 0 < abs(zv) < 1:
             raise ValueError(f"roots-of-unity form requires 0 < |z| < 1, got {zv}")
@@ -191,7 +192,7 @@ def f_u_closed_uncorrected(u: Rational, z, ctx: PrecisionContext) -> HComplex:
     p, q = u.numerator, u.denominator
     if not (0 <= p < q):
         raise ValueError("uncorrected variant only defined for 0 <= u < 1")
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         zv = _complex_z(z)
         if abs(zv) >= 1:
             raise ValueError("requires |z| < 1")
@@ -223,7 +224,7 @@ def general_rhs_gt1_expanded(x: Rational, pf: RationalFunctionPF,
         raise ValueError(f"general_rhs_gt1 requires x > 1, got {x}")
     for a in pf.roots:
         _check_gt1_alpha(a)
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         xv = ctx.real(x).val
         z = 1 / (xv * xv)
         acc = mpf(0)
@@ -260,7 +261,7 @@ def general_rhs_lt1_expanded(x: Rational, pf: RationalFunctionPF,
         raise ValueError(f"general_rhs_lt1 requires 0 < x < 1, got {x}")
     for a in pf.roots:
         _check_lt1_alpha(a)
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         xv = ctx.real(x).val
         z = xv * xv
         acc = mpf(0)
@@ -277,7 +278,7 @@ def _L_weighted(x: Rational, ctx: PrecisionContext) -> HReal:
     boundary term halved at a prime power; equals psi0_alpha(x, 1)/x
     exactly, including the branch behavior."""
     x = Fraction(x)
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         return ctx.real(psi0_alpha(x, Fraction(1), ctx).val / ctx.real(x).val)
 
 
@@ -293,7 +294,7 @@ def cosine_rhs_expanded(x: Rational, ctx: PrecisionContext) -> HReal:
         raise ValueError(f"cosine_rhs requires x > 1, got {x}")
     psi = psi0(x, ctx)
     Lx = _L_weighted(x, ctx)
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         xv = ctx.real(x).val
         rx = mpmath.sqrt(xv)
         v = ((xv - psi.val) / rx

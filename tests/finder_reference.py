@@ -21,6 +21,7 @@ from zeta_explicit.analysis import GENUINE, JUMP, RootRecord
 from zeta_explicit.arith import shared_table
 from zeta_explicit.explicit import Rational, f_rhs_gt1, f_rhs_lt1
 from zeta_explicit.mpcore import HReal, PrecisionContext
+from mp_views import workprec
 
 _GUARD = 32
 
@@ -35,7 +36,7 @@ def _gt1_sides(j: Fraction, ctx: PrecisionContext) -> tuple[mpf, mpf, mpf]:
     at = f_rhs_gt1(j, ctx).val
     n = int(j)
     p = shared_table(n).prime_of(n)
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         half = mpmath.log(p) / 2
         return at + half, at, at - half
 
@@ -46,7 +47,7 @@ def _lt1_sides(j: Fraction, ctx: PrecisionContext) -> tuple[mpf, mpf, mpf]:
     at = f_rhs_lt1(j, ctx).val
     n = j.denominator
     p = shared_table(n).prime_of(n)
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         half = mpmath.log(p) / (2 * n)
         return at + half, at, at - half
 

@@ -10,6 +10,7 @@ from mpmath import mpf
 
 from zeta_explicit.liconst import StieltjesTable
 from zeta_explicit.mpcore import _GUARD, HReal, PrecisionContext, em_log_moments, zeta_int
+from mp_views import mp_euler, workprec
 
 
 def series_div_mpf(num, den):
@@ -29,7 +30,7 @@ def build_stieltjes_table_mpf(N: int, ctx: PrecisionContext) -> StieltjesTable:
     then rounded to the context."""
     wide = PrecisionContext(ctx.bits + _GUARD + N)
     raw = em_log_moments(1, 1, N + 1, wide)
-    with wide.workprec(_GUARD):
+    with workprec(wide, _GUARD):
         gammas = tuple(
             (ctx.real(v.val),
              ctx.real(b.val + mpf(2) ** (1 - ctx.bits) * (abs(v.val) + 1)))
@@ -73,8 +74,8 @@ def coffey_decomposition(n: int, table: StieltjesTable,
     ok = True
     if n >= 2:
         ctx = ctx or s1.ctx
-        with ctx.workprec(_GUARD):
-            g = ctx.euler_gamma
+        with workprec(ctx, _GUARD):
+            g = mp_euler(ctx)
             logn = mpmath.log(n)
             lower = (n * (logn + g - 1) + 1) / 2
             upper = (n * (logn + g + 1) - 1) / 2

@@ -26,6 +26,7 @@ from zeta_explicit.arith import _log, prime_power_sum, shared_table
 from zeta_explicit.explicit import f_rhs_lt1, g
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.mpcore import _exact
+from mp_views import mp_pi, workprec
 
 _GUARD = 32
 
@@ -40,8 +41,8 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
     ctx = ctx or PrecisionContext()
     if denominator < 2:
         raise ValueError("grid denominator must be >= 2")
-    with ctx.workprec(_GUARD):
-        scale = ctx.pi * mpmath.sqrt(d)
+    with workprec(ctx, _GUARD):
+        scale = mp_pi(ctx) * mpmath.sqrt(d)
         window_hi = 1 / scale
         kmax = int(mpmath.floor(denominator * window_hi))
         if kmax < 1:
@@ -82,8 +83,8 @@ def walked_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         raise ValueError(f"d must be a positive integer, got d = {d}")
     if denominator < 2:
         raise ValueError("grid denominator must be >= 2")
-    with ctx.workprec(_GUARD):
-        window_hi = 1 / (ctx.pi * mpmath.sqrt(d))
+    with workprec(ctx, _GUARD):
+        window_hi = 1 / (mp_pi(ctx) * mpmath.sqrt(d))
         kmax = int(mpmath.floor(denominator * window_hi))
         if kmax < 1:
             raise ValueError(f"window (0, {mpmath.nstr(window_hi, 8)}) holds "

@@ -47,6 +47,7 @@ from zeta_explicit.liconst import (
 from zeta_explicit.zeros import SumSpec, sum_inv_rho
 from explicit_oracles import f_u_closed_uncorrected, f_u_roots_of_unity, f_u_series
 from liconst_helpers import coffey_decomposition
+from mp_views import mp_euler, workprec
 
 F = Fraction
 
@@ -84,7 +85,7 @@ def test_c01_reciprocal_zero_sum_constant(ctx, table10k, fixture100,
                                           criterion_log):
     v, tail = sum_inv_rho(table10k, SumSpec(K=10000), ctx)
     w, wtail = sum_inv_rho(fixture100, SumSpec(K=100), ctx)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         err_desk = abs(v.val + tail.val - SUM_RECIP_RHO)
         err_smoke = abs(w.val + wtail.val - SUM_RECIP_RHO)
     ok = err_desk <= 5e-4 and err_smoke <= 5e-3
@@ -130,7 +131,7 @@ def test_c05_absolutely_convergent_identity(ctx, table10k, criterion_log):
     for x in (F(5, 2), F(4)):
         for T in (1000.0, 10000.0):
             rep = verify_identity("s", x, table10k, SumSpec(T=T), ctx)
-            with ctx.workprec(16):
+            with workprec(ctx, 16):
                 worst_ratio = max(worst_ratio,
                                   abs(rep.residual.val) / rep.tail.val)
     ok = worst_ratio <= 1
@@ -160,12 +161,12 @@ def test_c07_auxiliary_series_closed_form(ctx, criterion_log):
                 break  # keep the series free of zero denominators n + u
         r = rng.uniform(0.05, 0.9)
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        with ctx.workprec(32):
+        with workprec(ctx, 32):
             z = mpmath.mpc(r * mpmath.cos(theta), r * mpmath.sin(theta))
             gap = abs(mpmath.mpc(f_u_roots_of_unity(u, z, ctx).val)
                       - mpmath.mpc(f_u_series(u, z, ctx).val))
         worst = max(worst, gap)
-    with ctx.workprec(32):
+    with workprec(ctx, 32):
         z4 = ctx.real(F(1, 4)).val
         series = f_u_series(F(1, 2), z4, ctx)
         witness = abs(mpmath.mpc(f_u_closed_uncorrected(F(1, 2), z4, ctx).val)
@@ -197,7 +198,7 @@ def test_c08_rational_kernel_identities(ctx, table10k, criterion_log):
     pf_zero = partial_fractions((F(1),), (F(0),))
     worst_rel = mpf(0)
     for x in (F(4), F(3, 2)):
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             g = general_rhs_gt1(x, pf_zero, ctx).val - mpmath.log(2 * mpmath.pi)
             f = f_rhs_gt1(x, ctx).val
             worst_rel = max(worst_rel, abs(g - f) / abs(f))
@@ -231,12 +232,12 @@ def test_c09_descriptor_layer_consistency(ctx, criterion_log):
     for x, a in gt1_grid:
         s = selberg_rhs_gt1(x, a, zeta, ctx).val.real
         g = general_rhs_gt1(x, partial_fractions([F(1)], [a]), ctx).val
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             worst_rel = max(worst_rel, abs(s - g) / abs(g))
     for x, a in lt1_grid:
         s = selberg_rhs_lt1(x, a, zeta, ctx).val.real
         g = general_rhs_lt1(x, partial_fractions([F(1)], [a]), ctx).val
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             worst_rel = max(worst_rel, abs(s - g) / abs(g))
 
     # chi_4 assembly against a raw character-weighted prime-power sum
@@ -248,7 +249,7 @@ def test_c09_descriptor_layer_consistency(ctx, criterion_log):
     for x, a in ((F(3, 2), F(1, 3)), (F(5, 2), F(1, 4)), (F(4), F(1, 2)),
                  (F(7, 2), F(2, 3)), (F(6), F(1, 5))):
         s = selberg_rhs_gt1(x, a, d4, ctx).val.real
-        with ctx.workprec(64):
+        with workprec(ctx, 64):
             xv, av = ctx.real(x).val, ctx.real(a).val
             acc = mpf(0)
             n = 2
@@ -273,7 +274,7 @@ def test_c09_descriptor_layer_consistency(ctx, criterion_log):
         for x in (F(1, 8), F(3, 10)):
             for a in (F(0), F(1, 3), F(-1, 2), F(3, 2)):
                 s = selberg_rhs_lt1(x, a, desc, ctx).val
-                with ctx.workprec(64):
+                with workprec(ctx, 64):
                     xv, av, lv, e = (mpf(v.numerator) / v.denominator
                                      for v in (x, a, lam, 1 + mu / lam))
                     T = mpf(0)
@@ -308,7 +309,7 @@ def test_c10_li_coefficients_two_routes(ctx, table10k, consts8,
     for n in range(1, 9):
         direct, tail = lambda_direct(n, table10k, SumSpec(K=10000), ctx)
         ident = li_lambda_identity(n, consts8, ctx)
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             corrected = direct.val + tail.val
             worst = max(worst, abs(corrected - ident.val))
             if n == 1:
@@ -328,9 +329,9 @@ def test_c11_binomial_stieltjes_decomposition(ctx, consts20, criterion_log):
     s1_nonneg = True
     for n in range(1, 21):
         S1, S2, bounds_ok = coffey_decomposition(n, consts20, ctx)
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             rebuilt = (1 - F(n, 2) * ctx.real(mpmath.log(4 * mpmath.pi)
-                                              + ctx.euler_gamma).val
+                                              + mp_euler(ctx)).val
                        + S1.val + S2.val)
             worst = max(worst, abs(rebuilt - consts20.lam(n).val))
         bounds_all = bounds_all and bounds_ok
@@ -362,7 +363,7 @@ def test_c12a_generalized_euler_constants(ctx, consts8, criterion_log):
     err1 = abs(float(g1.val) - (-0.0728158454))
     lim0 = abs(float(g0.val) - gamma0_lim)
     lim1 = abs(float(g1.val) - gamma1_lim)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         eta0_gap = abs(consts8.etas[0].val + g0.val)
     ok = (err0 <= 1e-9 and err1 <= 1e-8 and lim0 <= 1e-9 and lim1 <= 1e-8
           and eta0_gap < mpf(2) ** (-150))
@@ -383,7 +384,7 @@ def test_c12b_eta1_quoted_closed_form(ctx, consts8, criterion_log):
     check fails and is reported as such instead of being weakened.
     """
     g0, g1 = consts8.gammas[0][0].val, consts8.gammas[1][0].val
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         eta1 = consts8.etas[1].val
         quoted = -g1 + g0 * g0 / 2
         gap = abs(eta1 - quoted)
@@ -420,7 +421,7 @@ def test_c14_gamma_product_identity(ctx, criterion_log):
         worst = max(worst, abs(rep.rel_err.val))
         if d == 1:
             rhs1 = rep.rhs
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         g14 = mpmath.gamma(mpf(1) / 4)
         g34 = mpmath.gamma(mpf(3) / 4)
         rhs_gap = abs(rhs1.val - 2 * mpmath.pi * (g34 / g14) ** 2)

@@ -29,6 +29,7 @@ from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.mpcore import _exact
 import scan_reference as ref
+from mp_views import mp_pi, workprec
 
 F = Fraction
 TOL = F(1, 10 ** 12)
@@ -96,7 +97,7 @@ def test_lt1_value_at_jump_is_mean_of_sides(ctx):
         at = f_rhs_lt1(j, ctx).val
         lo = f_rhs_lt1(j - d, ctx).val
         hi = f_rhs_lt1(j + d, ctx).val
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             assert abs(at - (lo + hi) / 2) < mpf(2) ** (-40)
 
 
@@ -118,15 +119,15 @@ def test_finder_window_validation(ctx):
 
 def test_L_one_chi_closed_forms(ctx):
     tol = mpf(2) ** (16 - ctx.bits)
-    with ctx.workprec(16):
-        assert abs(L_one_chi(1, ctx).val - ctx.pi / 4) < tol
-        assert abs(L_one_chi(3, ctx).val - ctx.pi / (3 * mpmath.sqrt(3))) < tol
+    with workprec(ctx, 16):
+        assert abs(L_one_chi(1, ctx).val - mp_pi(ctx) / 4) < tol
+        assert abs(L_one_chi(3, ctx).val - mp_pi(ctx) / (3 * mpmath.sqrt(3))) < tol
 
 
 def test_L_prime_one_chi_closed_form(ctx):
     # (pi/4)(gamma + 2 log 2 + 3 log pi - 4 log Gamma(1/4)).
     v = L_prime_one_chi(1, ctx).val
-    with ctx.workprec(32):
+    with workprec(ctx, 32):
         ref = mpmath.pi / 4 * (mpmath.euler + 2 * mpmath.log(2)
                                + 3 * mpmath.log(mpmath.pi)
                                - 4 * mpmath.loggamma(mpf(1) / 4))
@@ -145,8 +146,8 @@ def test_class_number_two_routes(d):
     for bits in (128, 192, 256):
         ctx = PrecisionContext(bits=bits)
         L1 = L_one_chi(d, ctx).val
-        with ctx.workprec(32):
-            value = data.w * mpmath.sqrt(data.D) * L1 / (2 * ctx.pi)
+        with workprec(ctx, 32):
+            value = data.w * mpmath.sqrt(data.D) * L1 / (2 * mp_pi(ctx))
             assert abs(value - check.h_analytic) < mpf(2) ** (16 - bits)
 
 
@@ -170,7 +171,7 @@ def test_gamma_product_value(ctx):
     # evaluation; also Gamma(1/4) Gamma(3/4) = pi sqrt 2 (reflection).
     rhs = chowla_selberg_rhs(1, ctx)
     assert rhs.str_digits(20) == "0.71777001104612999782"
-    with ctx.workprec(32):
+    with workprec(ctx, 32):
         g14 = mpmath.gamma(mpf(1) / 4)
         g34 = mpmath.gamma(mpf(3) / 4)
         assert abs(rhs.val - 2 * mpmath.pi * (g34 / g14) ** 2) < mpf(1) / 10 ** 18
@@ -193,6 +194,31 @@ def test_gamma_product_identity_precision_stability(ctx):
     b = chowla_selberg_check(2, wide)
     assert abs(float(a.lhs.val) - float(b.lhs.val)) < 1e-8
     assert float(a.lhs.val) == pytest.approx(0.54995046376103, abs=1e-10)
+
+
+def _gamma_sum_reference(d: int, prec: int) -> mpf:
+    """Sum_a chi(a) log Gamma(a/D) from mpmath.loggamma at prec bits."""
+    data = class_data(d)
+    with mpmath.workprec(prec):
+        return mpmath.fsum(c * mpmath.loggamma(mpf(a) / data.D)
+                           for a, c in enumerate(data.chi) if c)
+
+
+@pytest.mark.parametrize("d,bits", [(d, bits) for d in (1, 2, 3, 5, 7, 11, 23)
+                                    for bits in (64, 128, 192, 256, 512, 1024)]
+                         + [(3001, 64)])
+def test_log_gamma_sum_within_two_units(d, bits):
+    # Stirling's series in integers against mpmath's loggamma at bits + 64,
+    # at chowla_selberg_rhs's width V = bits + 32: within its 2 units; and
+    # the product 2 pi e^(-wS/2h) within 1 unit of 2^-bits, relative
+    data, V = class_data(d), bits + 32
+    S = analysis._log_gamma_sum(data.D, data.chi, V)
+    ref = _gamma_sum_reference(d, bits + 64)
+    with mpmath.workprec(V + 64):
+        assert abs(S - mpmath.ldexp(ref, V)) <= 2
+        rhs = 2 * mpmath.pi * mpmath.exp(-data.w * ref / (2 * data.h))
+        got = chowla_selberg_rhs(d, PrecisionContext(bits)).val
+        assert abs(got / rhs - 1) <= mpmath.ldexp(1, -bits)
 
 
 def test_hypothesis_scan_shape(ctx, cli_json):
@@ -236,8 +262,8 @@ def test_walked_scan_matches_per_point_reference(d, points, bits, threshold):
     assert [x for x, _ in new.candidates] == [x for x, _ in old.candidates]
     # K = f - g is largest at the first grid point, where 1/x is largest
     wide, W = PrecisionContext(bits + 32), bits + 80
-    with wide.workprec():
-        x1 = _exact(wide.pi * mpmath.sqrt(d) / den)
+    with workprec(wide):
+        x1 = _exact(mp_pi(wide) * mpmath.sqrt(d) / den)
         K = abs(f_rhs_lt1(x1, wide).val
                 - mpmath.ldexp(g(x1.numerator, x1.denominator, W), -W))
         tol = mpf(2) ** (8 - bits) * (1 + K)

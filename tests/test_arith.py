@@ -31,6 +31,7 @@ from zeta_explicit.arith import (
 from zeta_explicit.mpcore import PrecisionContext, _mpf
 from explicit_oracles import prime_sum_reference
 from kronecker_reference import kronecker_symbol
+from mp_views import workprec
 
 
 def chi_fn(d: int):
@@ -89,7 +90,7 @@ def test_sieve_queries(ctx):
     assert t.prime_of(9) == 3
     assert t.prime_of(1) == 0
     W = walk_width(ctx)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         L = mpmath.mpf((arith._log(t.prime_of(49), W), -W))
         assert abs(L - mpmath.log(7)) < mpmath.mpf(2) ** (-180)
     assert t.prime_of(10) == 0
@@ -147,7 +148,7 @@ def test_psi0_plain_value(ctx):
 
 def test_psi0_halves_boundary_weight(ctx):
     v = psi0(Fraction(8), ctx)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         full = 3 * mpmath.log(2) + mpmath.log(3) + mpmath.log(5) + mpmath.log(7)
         assert abs(v.val - (full - mpmath.log(2) / 2)) < mpmath.mpf(2) ** (-180)
 
@@ -163,14 +164,14 @@ def test_psi0_alpha_reduces_to_psi0(ctx):
     for x in (Fraction(10), Fraction(8), Fraction(21, 2)):
         v0 = psi0(x, ctx)
         va = psi0_alpha(x, Fraction(0), ctx)
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             assert abs(v0.val - va.val) < mpmath.mpf(2) ** (-180)
 
 
 def test_psi0_alpha_hand_sum(ctx):
     # x = 5, alpha = 1/2: x^a (log2/2^a + log3/3^a + log2/4^a) + log5/2.
     v = psi0_alpha(Fraction(5), Fraction(1, 2), ctx)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         a = mpmath.mpf(1) / 2
         hand = mpmath.mpf(5) ** a * (
             mpmath.log(2) * mpmath.mpf(2) ** -a
@@ -187,7 +188,7 @@ def test_t_sum_frozen_value(ctx):
 def test_t_sum_hand_sum(ctx):
     # x = 1/5, alpha = 1/3; boundary 1/x = 5 carries weight x/2.
     v = T_sum(Fraction(1, 5), Fraction(1, 3), ctx)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         a = mpmath.mpf(1) / 3
         x = mpmath.mpf(1) / 5
         hand = x ** a * (mpmath.log(2) * mpmath.mpf(2) ** (a - 1)
@@ -639,7 +640,7 @@ def test_log_table_stops_at_its_limit(monkeypatch, s):
     for name in ("_prefix", "_ratios", "_logs"):
         monkeypatch.setattr(arith, name, {})
     got = weighted_sum(x, s, ctx)
-    with ctx.workprec(32):
+    with workprec(ctx, 32):
         L = mpmath.mpf((arith._log(shared_table(503 ** 2).prime_of(503 ** 2), W), -W))
         assert abs(L - mpmath.log(503)) < mpmath.mpf(2) ** (-216)
     logs, = arith._logs.values()

@@ -896,20 +896,17 @@ COLD_ROWS = {
     "verify-s": ("verify --identity s --x 7/2 --K 5", {"arith", "zeros", "explicit"}),
     "chowla-selberg": ("chowla-selberg --d 7 --no-scan",
                        {"arith", "explicit", "analysis"}),
+    # the Gamma product and the grid scan's pi sqrt(d), window and count
+    "chowla-selberg-scan": ("chowla-selberg --d 7", {"arith", "explicit", "analysis"}),
 }
-
-
-# rows whose process runs in integers to its printed digits, without
-# mpmath: every row but chowla-selberg, whose Gamma product is mpmath's
-NO_MPMATH = set(COLD_ROWS) - {"chowla-selberg"}
 
 
 @pytest.mark.parametrize("row", COLD_ROWS)
 def test_cold_import_leaves_dataclasses_and_inspect_out(row):
     # a fresh command-line process compiles only the modules its subcommand
     # calls, and, the records being slotted classes and NamedTuples, never
-    # imports dataclasses or what it pulls in; only chowla-selberg imports
-    # mpmath: no verify identity, no sum term and no other subcommand does
+    # imports dataclasses or what it pulls in, and no row imports mpmath:
+    # every subcommand runs in integers to its printed digits
     argv, extra = COLD_ROWS[row]
     code = ("import sys, zeta_explicit.cli as cli\n"
             "if sys.argv[1:]:\n"
@@ -921,7 +918,7 @@ def test_cold_import_leaves_dataclasses_and_inspect_out(row):
     done = subprocess.run([sys.executable, "-c", code] + (argv.split() if argv else []),
                           env=env, capture_output=True, text=True, check=True)
     loaded = done.stdout.strip().splitlines()[-1]
-    expected = ([] if row in NO_MPMATH else ["mpmath"]) + ["zeta_explicit"] + sorted(
+    expected = ["zeta_explicit"] + sorted(
         f"zeta_explicit.{m}" for m in {"cli", "mpcore"} | extra)
     assert loaded == repr(expected)
 

@@ -47,6 +47,7 @@ from explicit_oracles import (HComplex, cosine_rhs_expanded, f_u_closed_uncorrec
                               general_rhs_gt1_expanded, general_rhs_lt1_expanded,
                               prime_sum_reference, zeta_log_deriv_dirichlet)
 from zeta_explicit.zeros import SumSpec, ZeroTable, fixture_table
+from mp_views import mp_euler, mp_pi, workprec
 
 F = Fraction
 TINY = mpf(2) ** (-170)
@@ -170,7 +171,7 @@ def test_weighted_prime_sum_routes_agree(ctx):
     # Two routes to Sum'_{n<=x} Lambda(n)/n must collapse.
     for x in (F(10), F(21, 2), F(8)):
         c = T_sum(1 / x, F(0), ctx).val
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             b = psi0_alpha(x, F(1), ctx).val / ctx.real(x).val
             assert abs(b - c) < TINY
 
@@ -180,7 +181,7 @@ def test_cosine_regrouping_is_identity(ctx):
     for x in (F(4), F(9, 2), F(7), F(3, 2)):
         a = cosine_rhs(x, ctx).val
         b = cosine_rhs_expanded(x, ctx).val
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             assert abs(a - b) < TINY
 
 
@@ -258,11 +259,11 @@ angles = st.floats(min_value=0.0, max_value=2 * math.pi)
 def test_f_u_roots_of_unity_matches_series(u, r, t):
     # the paper's closed form against the direct sum, both complex oracles
     ctx = PrecisionContext(bits=192)
-    with ctx.workprec():
+    with workprec(ctx):
         z = mpc(r * math.cos(t), r * math.sin(t))
     a = f_u_roots_of_unity(u, HComplex(z, ctx), ctx).val
     b = f_u_series(u, HComplex(z, ctx), ctx).val
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(a - b) < mpf(1) / 10 ** 20
 
 
@@ -271,7 +272,7 @@ def test_f_u_frozen_oracle(ctx):
     series = f_u_series(F(1, 2), ctx.real(z), ctx).real
     closed = f_u_closed(F(1, 2), ctx.real(z), ctx)
     assert series.str_digits(20) == "0.19722457733621938279"
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(series.val - closed.val) < TINY
 
 
@@ -282,7 +283,7 @@ def test_f_u_uncorrected_variant_fails_oracle(ctx):
     wrong = f_u_closed_uncorrected(F(1, 2), ctx.real(z), ctx).real
     assert wrong.str_digits(19) == "0.5493061443340548457"
     series = f_u_series(F(1, 2), ctx.real(z), ctx).real
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(wrong.val - series.val) > mpf("0.35")
 
 
@@ -292,7 +293,7 @@ def test_f_u_closed_at_zero_and_at_tiny_z(ctx):
     z = F(1, 2 ** (ctx.bits // 2 + 3))
     v = f_u_closed(F(1, 3), z, ctx).val
     ref = f_u_series(F(1, 3), HComplex(mpc(ctx.real(z).val), ctx), ctx).val.real
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(v - ref) < abs(ref) * mpf(2) ** -(ctx.bits + 16)
 
 
@@ -300,7 +301,7 @@ def test_f_u_integer_u_reduces_to_log(ctx):
     # u = 0: f_0(z) = -log(1 - z).
     z = ctx.real(F(1, 3)).val
     v = f_u_closed(F(0), ctx.real(z), ctx).val
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(v + mpmath.log(1 - z)) < TINY
 
 
@@ -438,7 +439,7 @@ def test_general_gt1_specializes_to_plain_rhs(ctx):
     for x in (F(4), F(3, 2), F(21, 2)):
         g = general_rhs_gt1(x, pf, ctx).val
         f = f_rhs_gt1(x, ctx).val
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             assert abs(g - f - mpmath.log(2 * mpmath.pi)) < TINY
 
 
@@ -463,7 +464,7 @@ def test_general_domain_guards(ctx):
 
 def test_zeta_descriptor_invariants(ctx):
     zeta = descriptor_zeta()
-    assert zeta.gamma_F(ctx) == _exact(ctx.euler_gamma)
+    assert zeta.gamma_F(ctx) == _exact(mp_euler(ctx))
 
 
 def _L_log_deriv(s, q, chi, ctx):
@@ -561,22 +562,22 @@ def test_selberg_matches_plain_evaluators(ctx):
     for x, a in ((F(3, 2), F(1, 3)), (F(4), F(1, 2)), (F(6), F(2, 3))):
         s = selberg_rhs_gt1(x, a, zeta, ctx).val
         g = general_rhs_gt1(x, partial_fractions([F(1)], [a]), ctx).val
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             assert abs(s - g) < TINY
     for x, a in ((F(1, 10), F(1, 3)), (F(2, 5), F(1, 2))):
         s = selberg_rhs_lt1(x, a, zeta, ctx).val
         g = general_rhs_lt1(x, partial_fractions([F(1)], [a]), ctx).val
-        with ctx.workprec(16):
+        with workprec(ctx, 16):
             assert abs(s - g) < TINY
     # both read f_fixed at alpha = 0, so each is checked against T(x, 0) +
     # log x + gamma - (x/2) f_{1/2}(x^2), f_{1/2} by the roots-of-unity form
     for x in (F(1, 10), F(1, 4)):
-        with ctx.workprec(32):
+        with workprec(ctx, 32):
             xv = ctx.real(x).val
             ref = (T_sum(x, F(0), ctx).val + mpmath.log(xv) + mpmath.euler
                    - xv * f_u_roots_of_unity(F(1, 2), xv * xv, ctx).val.real / 2)
         for got in (selberg_rhs_lt1(x, 0, zeta, ctx).val, f_rhs_lt1(x, ctx).val):
-            with ctx.workprec(16):
+            with workprec(ctx, 16):
                 assert abs(got - ref) < TINY
 
 
@@ -632,7 +633,7 @@ def test_alpha_one_above_one_is_the_limit_of_its_neighbours(D):
     for x in (F(7, 2), F(11)):
         at = selberg_rhs_gt1(x, F(1), D, ctx).val
         up, down = (selberg_rhs_gt1(x, 1 + t, D, ctx).val for t in (h, -h))
-        with ctx.workprec(32):
+        with workprec(ctx, 32):
             assert abs(at - (up + down) / 2) <= mpf(2) ** -180, (D.label, x)
 
 
@@ -805,9 +806,9 @@ def test_dirichlet_L_closed_forms(ctx):
     v4 = dirichlet_L(F(1), 4, chi4, ctx)[0].val
     chi3 = kronecker_chi(3)
     v3 = dirichlet_L(F(1), 3, chi3, ctx)[0].val
-    with ctx.workprec(16):
-        assert abs(v4 - ctx.pi / 4) < mpf(1) / 10 ** 45
-        assert abs(v3 - ctx.pi / (3 * mpmath.sqrt(3))) < mpf(1) / 10 ** 45
+    with workprec(ctx, 16):
+        assert abs(v4 - mp_pi(ctx) / 4) < mpf(1) / 10 ** 45
+        assert abs(v3 - mp_pi(ctx) / (3 * mpmath.sqrt(3))) < mpf(1) / 10 ** 45
 
 
 def test_dirichlet_log_deriv_closed_form(ctx):
@@ -815,7 +816,7 @@ def test_dirichlet_log_deriv_closed_form(ctx):
     # gamma + 2 log 2 + 3 log pi - 4 log Gamma(1/4).
     chi4 = kronecker_chi(1)
     v = _L_log_deriv(F(1), 4, chi4, ctx)
-    with ctx.workprec(32):
+    with workprec(ctx, 32):
         v = mpf(v.numerator) / v.denominator
         ref = mpmath.euler + 2 * mpmath.log(2) + 3 * mpmath.log(mpmath.pi) \
             - 4 * mpmath.loggamma(mpf(1) / 4)

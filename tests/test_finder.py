@@ -16,6 +16,7 @@ from zeta_explicit.arith import shared_table
 from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g
 from zeta_explicit.mpcore import PrecisionContext
 import finder_reference as ref
+from mp_views import workprec
 
 F = Fraction
 TOL = F(1, 10 ** 12)
@@ -51,7 +52,7 @@ def _agrees_with_grid_scan(lo, hi, ctx, walk, scan, f, sides):
     for a, b in zip(new, old):
         if a.kind != GENUINE:
             continue
-        with ctx.workprec():
+        with workprec(ctx):
             assert abs(a.root.val - b.root.val) <= ctx.real(TOL).val
         assert 0 <= a.bracket_hi - a.bracket_lo <= TOL
         assert lo <= a.bracket_lo and a.bracket_hi <= hi
@@ -117,7 +118,7 @@ def test_pieces_tile_the_window_with_the_walked_K(lo, hi, bits):
     ctx, wide = PrecisionContext(bits=bits), PrecisionContext(bits=bits + 64)
     above = lo > 1
     f_rhs = f_rhs_gt1 if above else f_rhs_lt1
-    with wide.workprec():
+    with workprec(wide):
         turn = mpmath.findroot(lambda x: x ** 3 - x - 1, 1.3)
         turn, eps = (turn if above else 1 / turn), mpmath.ldexp(1, -bits)
     pieces = list(_pieces(lo, hi, ctx))
@@ -136,7 +137,7 @@ def test_pieces_tile_the_window_with_the_walked_K(lo, hi, bits):
         n = b if above else 1 / b
         p = _prime_of(n.numerator) if n.denominator == 1 else 0
         mid = (a + b) / 2
-        with wide.workprec():
+        with workprec(wide):
             assert not wide.real(a).val + eps < turn < wide.real(b).val - eps
             gap = f_rhs(mid, wide).val \
                 - mpmath.ldexp(g(mid.numerator, mid.denominator, W + 64), -W - 64) - K

@@ -26,6 +26,7 @@ from zeta_explicit.liconst import (
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import SumSpec
 from liconst_helpers import build_stieltjes_table_mpf, coffey_decomposition
+from mp_views import mp_euler, workprec
 
 F = Fraction
 
@@ -55,7 +56,7 @@ def test_stieltjes_bound_is_honest(ctx):
     for n in (1, 3, 7):
         v1, b1 = stieltjes(n, ctx=ctx)
         v2, _ = stieltjes(n, ctx=wide)
-        with wide.workprec(16):
+        with workprec(wide, 16):
             assert abs(v1.val - v2.val) <= b1.val
 
 
@@ -150,7 +151,7 @@ def test_eta_closed_form_duals(ctx, consts8):
     g0 = consts8.gammas[0][0].val
     g1 = consts8.gammas[1][0].val
     g2 = consts8.gammas[2][0].val
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(consts8.etas[0].val + g0) < mpf(2) ** (-150)
         assert abs(consts8.etas[1].val - (g0 * g0 + 2 * g1)) < mpf(2) ** (-150)
         assert abs(consts8.etas[2].val
@@ -167,7 +168,7 @@ def test_eta_from_gamma_truncates_consistently(ctx, consts8):
     for G in (1, 3, 6):
         short = eta_from_gamma(gammas[:G + 1], ctx)
         assert [e.val for e in short] == [e.val for e in full[:G]]
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         for e, ref in zip(full, consts8.etas):
             assert abs(e.val - ref.val) < mpf(2) ** (-180)
 
@@ -246,10 +247,10 @@ def test_table_takes_each_zeta_value_once(ctx, monkeypatch):
 
 
 def test_coffey_reassembly_and_bounds(ctx, consts20):
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         for n in range(1, 21):
             S1, S2, bounds_ok = coffey_decomposition(n, consts20, ctx)
-            rebuilt = 1 - F(n, 2) * ctx.real(mpmath.log(4 * mpmath.pi) + ctx.euler_gamma).val \
+            rebuilt = 1 - F(n, 2) * ctx.real(mpmath.log(4 * mpmath.pi) + mp_euler(ctx)).val \
                 + S1.val + S2.val
             assert abs(rebuilt - consts20.lam(n).val) < mpf(2) ** (-140), n
             assert bounds_ok, n
@@ -259,7 +260,7 @@ def test_coffey_reassembly_and_bounds(ctx, consts20):
 
 def test_coffey_anchor_values(ctx, consts8):
     S1, S2, _ = coffey_decomposition(2, consts8, ctx)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(S1.val - mpmath.pi ** 2 / 8) < mpf(2) ** (-150)
     assert float(S2.val) == pytest.approx(0.9668850969627005, abs=1e-15)
 
@@ -267,7 +268,7 @@ def test_coffey_anchor_values(ctx, consts8):
 def test_lambda_direct_two_routes(ctx, fixture100, consts8):
     spec = SumSpec(K=100)
     direct, tail = lambda_direct(1, fixture100, spec, ctx)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         corrected = direct.val + tail.val
         gap = abs(corrected - consts8.lam(1).val)
         assert gap < mpf(1) / 10 ** 4  # frozen fixture gap is 3.4e-6
@@ -281,7 +282,7 @@ def test_rh_statistic_report(ctx, fixture100, cli_json):
     assert report.within_tolerance
     assert float(report.target.val) == pytest.approx(0.046191417932242068,
                                                      abs=1e-15)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(report.corrected.val - report.target.val) \
             <= abs(report.tail.val)
     d = cli_json("rh-check", "--K", "100")
@@ -299,6 +300,6 @@ def test_lambda_identity_direct_consistency(n):
     table = fixture_table()
     consts = build_stieltjes_table(8, ctx)
     direct, tail = lambda_direct(n, table, SumSpec(K=100), ctx)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         corrected = direct.val + tail.val
         assert abs(corrected - consts.lam(n).val) < mpf(1) / 10 ** 3

@@ -1,6 +1,7 @@
 """Precision-context arithmetic, special-function evaluators, and
 truncated power-series division."""
 
+import ast
 import math
 import random
 import re
@@ -35,6 +36,7 @@ from zeta_explicit.mpcore import (
     series_ops,
     zeta_int,
 )
+from mp_views import mp_euler, mp_pi, workprec
 
 def test_context_rejects_low_precision():
     with pytest.raises(ValueError):
@@ -72,7 +74,7 @@ def test_mpf_exact_for_dyadic_fraction(ctx):
 
 def test_shared_constants_agree_with_mpmath(ctx):
     with mpmath.workprec(ctx.bits + 64):
-        assert abs(ctx.pi - mpmath.pi) < mpmath.mpf(2) ** (-ctx.bits)
+        assert abs(mp_pi(ctx) - mpmath.pi) < mpmath.mpf(2) ** (-ctx.bits)
         log_2pi = mpcore._mpf(*mpcore._log_pi(1, ctx.bits + mpcore._GUARD))
         assert abs(log_2pi - mpmath.log(2 * mpmath.pi)) < mpmath.mpf(2) ** (-ctx.bits + 4)
 
@@ -196,7 +198,7 @@ def test_integer_constants_match_mpmath():
         assert explicit._K_CONST[W] == parent, W
     ctx = PrecisionContext(1024)
     with mpmath.workprec(1024 + 32):
-        assert (ctx.pi, ctx.euler_gamma) == (+mpmath.pi, +mpmath.euler)
+        assert (mp_pi(ctx), mp_euler(ctx)) == (+mpmath.pi, +mpmath.euler)
 
 
 def test_bernoulli_table():
@@ -222,7 +224,7 @@ def test_bernoulli_table_is_integers_over_one_denominator():
 
 
 def test_zeta_int_even_closed_forms(ctx):
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(zeta_int(2, ctx).val - mpmath.pi ** 2 / 6) < mpmath.mpf(2) ** (-180)
         assert abs(zeta_int(4, ctx).val - mpmath.pi ** 4 / 90) < mpmath.mpf(2) ** (-180)
 
@@ -340,7 +342,7 @@ def test_hurwitz_zeta_at_nonpositive_integers(ctx, m, a):
                       x ** 3 - 3 * x * x / 2 + x / 2][m]
     exact = -bernoulli_poly / (m + 1)
     value, bound = hurwitz_zeta(-m, a, ctx)
-    with ctx.workprec(64):
+    with workprec(ctx, 64):
         err = abs(value.val - mpmath.mpf(exact.numerator) / exact.denominator)
     assert bound.val < mpmath.mpf(2) ** (4 - ctx.bits)
     assert err <= bound.val
@@ -582,6 +584,36 @@ def test_no_module_names_mpf_log():
     package = Path(mpcore.__file__).parent
     assert [p.name for p in package.rglob("*.py")
             if "mpf_log" in p.read_text() or "libelefun" in p.read_text()] == []
+
+
+def test_only_the_mpf_views_import_mpmath():
+    # One number system: mpmath is imported only where an HReal becomes an
+    # mpf (_mpf, for .val) and by _nstr's fallback past 3,500-bit exponents
+    found = set()
+
+    def visit(node, where, name):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Import) and any(a.name.split(".")[0] == "mpmath" for a in child.names)
+                    or isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "mpmath"
+                    or isinstance(child, ast.Constant) and child.value == "mpmath"):
+                found.add((name, where))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where, name)
+    for path in sorted(Path(mpcore.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path.name)
+    assert found == {("mpcore.py", "_mpf"), ("mpcore.py", "_nstr")}
+
+
+def test_precision_context_holds_only_its_bits():
+    # no mpmath view and no process-wide precision: bits and real alone
+    assert [n for n in dir(PrecisionContext(64)) if not n.startswith("_")] == ["bits", "real"]
+
+
+def test_floor_exact_refuses_an_exact_value():
+    # c = 2 is exact: A - 1 and A + 1 floor apart at every width, and the
+    # widening stops at its cap instead of recursing without end
+    with pytest.raises(ArithmeticError, match="may be an integer"):
+        mpcore._floor_exact(lambda G: (2 << G, 1), 64)
+    assert mpcore._floor_exact(lambda G: ((5 << G) // 2, 1), 0) == 2
 
 
 def _exp_arguments(V: int, rng: random.Random) -> list[int]:

@@ -31,6 +31,7 @@ from zeta_explicit.zeros import (
     zero_sum,
 )
 from zero_sum_reference import reference_sum
+from mp_views import workprec
 
 HALF = Fraction(1, 2)
 INV_RHO = xrho_term(1, (0,), (1,))
@@ -254,7 +255,7 @@ def test_zero_sum_prefix_consistency(k, cuts):
     full, _ = zero_sum(table, SumSpec(K=k), INV_RHO, ctx)
     head = _prefix(table, k)
     part, _ = zero_sum(head, SumSpec(K=k), INV_RHO, ctx)
-    with ctx.workprec(16):
+    with workprec(ctx, 16):
         assert abs(full.val - part.val) < mpmath.mpf(2) ** (-170)
     # Prefix sums at cut points equal separate calls exactly.
     cuts = [min(c, k) for c in cuts]
@@ -299,7 +300,7 @@ def test_every_tail_is_the_one_density_tail(ctx, fixture100):
     # 4 sqrt(x) for the s identity, at the last pair the sum took
     spec = SumSpec(T=50.0)
     count = len(spec.select(fixture100))
-    with ctx.workprec(_GUARD):
+    with workprec(ctx, _GUARD):
         s_weight = 4 * mpmath.sqrt(mpmath.mpf(21) / 2)
     assert sum_inv_rho(fixture100, spec, ctx)[1] == density_tail(fixture100, count, 1, ctx)
     assert sum_inv_rho_sq(fixture100, spec, ctx)[1] == density_tail(fixture100, count, 2, ctx)
