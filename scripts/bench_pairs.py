@@ -6,9 +6,12 @@ as a BENCH_<n>.json record:
                                   [--claim WORKLOAD:METRIC]
 
 The parent is a git archive of --parent (default HEAD, the commit an
-uncommitted change sits on) in a temporary directory; the change is this
-checkout's working tree.  For each workload BENCHMARK.json declares and
-each seed S in turn, both sides run
+uncommitted change sits on) in a temporary directory; the change is an
+export of this checkout's working tree into another, the files git tracks
+or would track (git ls-files --cached --others --exclude-standard), so
+that neither side holds an ignored file such as a __pycache__, whose
+bytecode would spare one side its compiles.  For each workload
+BENCHMARK.json declares and each seed S in turn, both sides run
 
     python3 perfbench/run.py --workload W --seed S --seconds 12 --trace 0
 
@@ -35,6 +38,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -156,6 +160,24 @@ def run_one(root: Path, workload: str, seed: int, seconds: int, metrics: list[st
     return None, "malformed last line: " + done.stdout.strip()[-300:]
 
 
+def make_roots(commit: str, tmp: Path) -> dict[str, Path]:
+    """The two roots the runs start from, under tmp: parent, a git archive of
+    commit, and change, a copy of the working tree's files that git tracks or
+    would track, as they stand (a tracked file deleted from the tree is left
+    out)."""
+    roots = {"parent": tmp / "parent", "change": tmp / "change"}
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    tarfile.open(fileobj=io.BytesIO(archive)).extractall(roots["parent"])
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, check=True, capture_output=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if (ROOT / name).is_file():
+            (roots["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, roots["change"] / name)
+    return roots
+
+
 def machine() -> dict:
     import mpmath
     cpu = platform.processor()
@@ -191,19 +213,18 @@ def main() -> int:
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.update({
         "parent_commit": commit,
-        "change_tree": "the working tree of the change",
+        "change_tree": "the working tree of the change, exported as the parent is: the files of "
+                       "git ls-files --cached --others --exclude-standard copied into a temporary "
+                       "root, so that neither side starts with cached bytecode",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
-                   "--trace 0 (run from each checkout's root, the parent a git archive of its "
-                   "commit)",
+                   "--trace 0 (run from each side's temporary root: the parent a git archive of "
+                   "its commit, the change an export of the working tree)",
         "order": "for each workload the seeds run in turn, each as a parent/change pair; the "
                  "parent runs first on odd seeds, the change first on even seeds",
         "quartiles": QUARTILES, "status_rule": STATUS_RULE, "machine": machine(),
         "workloads": {}})
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp)
-        roots = {"parent": Path(tmp), "change": ROOT}
+        roots = make_roots(commit, Path(tmp))
         for name in (w["name"] for w in contract["workloads"]):
             runs = {side: [] for side in roots}
             w = record["workloads"][name] = {"seeds": args.seeds, "pairs": 0, "first": [],

@@ -35,8 +35,8 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from .mpcore import (_GUARD, HReal, PrecisionContext, _atanh2, _exact, _round, _Value, exp_fixed,
-                     log_fixed, power)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _atanh2, _power_ratio, _round, _Value,
+                     exp_fixed, log_fixed)
 
 # Sieve memory budget (tracemalloc): the table keeps 8 pi(N)/N bytes per entry, 0.64
 # at N = 10^6; a sieve peaks near 1.65 (1 flag byte, N/2 marking bytes, the arrays).
@@ -301,13 +301,13 @@ def primed_sum(y: Fraction, s: Fraction, ctx: PrecisionContext,
 
 def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
                  chi: Sequence[int] = (1,)) -> tuple[int, int]:
-    """x^alpha (mpcore.power) times the exact primed_sum(y, s), as (man, exp)
-    rounded once at bits + 32, in the two forms of the explicit formulas:
-    y = x, s = alpha for x > 1 (the psi0 form) and y = 1/x, s = 1 - alpha
-    for 0 < x < 1 (the T form).  Callers check the domain with require_side."""
+    """x^alpha = n/d (mpcore.power's integers) times primed_sum(y, s) = S 2^e, as (man, exp):
+    n S 2^e over d rounded once at bits + 32, y = x, s = alpha above 1 (the psi0 form) and
+    y = 1/x, s = 1 - alpha below 1 (the T form); callers check the side (require_side)."""
     x, alpha = Fraction(x), Fraction(alpha)
     y, s = (x, alpha) if x > 1 else (1 / x, 1 - alpha)
-    return _round(power(x, alpha, ctx) * _exact(primed_sum(y, s, ctx, chi)), ctx.bits + _GUARD)
+    (n, d), (S, e) = _power_ratio(x, alpha, ctx.bits), primed_sum(y, s, ctx, chi)
+    return _round((n * S, e), ctx.bits + _GUARD, d)
 
 
 def require_side(fn: str, x, above: bool):

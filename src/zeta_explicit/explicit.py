@@ -39,11 +39,11 @@ sums through verify_identity):
 Every prime side is one integer, arith.primed_sum, with one endpoint rule:
 f_const reads it, and psi0, psi0_alpha, T_sum, selberg_psi0 and selberg_T
 read x^alpha times it (arith.weighted_sum, the descriptor ones with F's
-character table) at bits + 32.  Each closed form adds its parts exactly,
-as one Fraction (f's integers, the integer gamma and log 2pi, the values
-of f_u, weighted_sum and dirichlet_L at bits + 32 and F'/F, their exact
-quotient), and rounds once, at its end.  A square root or an irrational
-power is mpcore.power's (exp_fixed of a log_fixed).
+character table) at bits + 32.  Each closed form sums its parts as one
+exact integer over one denominator (_add), and rounds it once, with no gcd:
+the dyadic parts (f's integers, gamma, log 2pi, f_u, weighted_sum and
+mpcore.power's exp_fixed of a log_fixed) aligned, the rational ones and
+F'/F, an exact quotient, over their denominators.
 
 The auxiliary series f_u(z) = Sum_{n>=1} z^n/(n+u), at real z in [0, 1)
 and rational u, is real fixed point (f_u_closed): the series itself, or
@@ -54,11 +54,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .arith import primed_sum, require_side, walk_width, weighted_sum
-from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _fixed, _gamma_fixed,
-                     _log_pi, _round, bernoulli_table, em_log_moments, exp_fixed, log_fixed, power)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _fixed, _gamma_fixed, _log_pi,
+                     _power_ratio, _round, bernoulli_table, em_log_moments, exp_fixed, log_fixed, power)
 # ZeroTable and SumSpec in annotations are zeros' classes, unevaluated: zeros is
 # imported inside the functions that sum zeros, so other callers never load it
 
@@ -80,25 +81,31 @@ def dirichlet_L(s: Rational, q: int, chi: Sequence[int],
         L(s)  = q^(-s) Sum_{a=1}^{q} chi(a) Z_0(s, a/q)
         L'(s) = -log(q) L(s) - q^(-s) Sum_{a=1}^{q} chi(a) Z_1(s, a/q).
 
-    At s = 1 the Z_n are the shifted Stieltjes constants gamma_n(a/q);
-    their poles cancel in the character sum (Sum chi(a) = 0), so the
-    same formulas hold there for non-principal chi.  The sums of the
-    Z_n's exact values are exact, q^(-s) is mpcore.power's and log q
-    log_fixed's at bits + 32; each result is rounded once.
+    At s = 1 the Z_n are the shifted Stieltjes constants gamma_n(a/q); their poles
+    cancel in the character sum (Sum chi(a) = 0), so the same formulas hold there for
+    non-principal chi.  The Z_n add as aligned integers (_add), q^(-s) = n/d is
+    mpcore.power's, log q log_fixed's at bits + 32; each result is rounded once, over d.
     """
     s = Fraction(s)
     if s == 1 and sum(chi[a % q] for a in range(1, q + 1)) != 0:
         raise ValueError("L(s, chi) has a pole at s = 1 for a principal character")
     # The character sums cancel (by a factor of about 170 for L'(1) at
     # q = 7), so the Z_n are taken to the guard bits of the sums.
-    wide = PrecisionContext(ctx.bits + _GUARD)
-    S0 = S1 = Fraction(0)
+    wide, S0, S1 = PrecisionContext(ctx.bits + _GUARD), (0, 0, 1), (0, 0, 1)
     for a in range(1, q + 1):
         if c := chi[a % q]:
             (z0, _), (z1, _) = em_log_moments(s, Fraction(a, q), 1, wide)
-            S0, S1 = S0 + c * _exact(z0), S1 + c * _exact(z1)
-    qs, lq = power(q, -s, ctx), Fraction(log_fixed(q, 1, wide.bits), 1 << wide.bits)
-    return wide.real(qs * S0), wide.real(-qs * (lq * S0 + S1))
+            S0, S1 = _add(S0, (c * z0.man, z0.exp, 1)), _add(S1, (c * z1.man, z1.exp, 1))
+    (n, d), V = _power_ratio(q, -s, ctx.bits), wide.bits
+    m, e, _ = _add((log_fixed(q, 1, V) * S0[0], S0[1] - V, 1), S1)
+    return HReal(_round((n * S0[0], S0[1]), V, d), wide), HReal(_round((-n * m, e), V, d), wide)
+
+
+def _add(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """a + b of exact (n, e, d) = n 2^e/d, d != 0, no gcd: 2^e aligned, d multiplied if unequal."""
+    (n, e, d), (m, f, c) = a, b
+    n, m, d = (n, m, d) if d == c else (n * c, m * d, d * c)
+    return ((n << e - f) + m, f, d) if e > f else (n + (m << f - e), e, d)
 
 
 # ----------------------------------------------------------------------
@@ -181,10 +188,10 @@ def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HReal:
     """f_u(z) = Sum_{n>=1} z^n/(n+u) for real z in [0, 1) (a Fraction, or an
     mpf or HReal at its exact value) and rational u, not an integer <= -1,
     at bits + 32 (not rounded to ctx), within 2^-(bits+16) (|f_u(z)| + z).
-    Both routes run in integers at W = walk_width(ctx), at a cost that does
-    not depend on the denominator of u: where tau = -log z >= TAU0 the
-    series, z S 2^-W with S from _f_u_series, scaled by z once so that its
-    error stays relative to the value; below TAU0, where the series needs
+    Both routes run in integers at W = walk_width(ctx), at a cost that does not
+    depend on the denominator of u: where tau = -log z >= TAU0 the series, z S 2^-W
+    with S from _f_u_series, the integer S p 2^-W over q (z = p/q) rounded once with
+    no gcd, so that its error stays relative to the value; below TAU0, where the series needs
     W/(tau log2 e) terms, the Lerch expansion of _f_u_lerch.  TAU0 = 1/20
     is where the two cost about the same: on a 2-core Xeon (medians of 5,
     u = 1/3 and 1/1009, ms, series/Lerch at 128, 192, 512 and 1024 bits)
@@ -194,14 +201,12 @@ def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HReal:
     u = Fraction(u)
     if u.denominator == 1 and u <= -1:
         raise ValueError(f"f_u undefined at negative integer u = {u}")
-    z = _exact(z)
-    if not 0 <= z < 1:
-        raise ValueError(f"f_u_closed requires 0 <= z < 1, got z = {float(z)}")
-    if z > Fraction(1, 2) and -math.log1p(float(z - 1)) < TAU0:
+    (zn, zd), W = (z := _exact(z)).as_integer_ratio(), walk_width(ctx)
+    if not 0 <= zn < zd:
+        raise ValueError(f"f_u_closed requires 0 <= z < 1, got z = {zn / zd}")
+    if 2 * zn > zd and -math.log1p((zn - zd) / zd) < TAU0:
         return HReal(_f_u_lerch(u, z, ctx), ctx)
-    W = walk_width(ctx)
-    return HReal(_round(Fraction(_f_u_series(u, z, W) * z.numerator, z.denominator << W),
-                        ctx.bits + _GUARD), ctx)
+    return HReal(_round((_f_u_series(u, z, W) * zn, -W), ctx.bits + _GUARD, zd), ctx)
 
 
 # ----------------------------------------------------------------------
@@ -418,43 +423,45 @@ def selberg_T(x: Rational, alpha: Rational, F: SelbergDescriptor,
 
 
 def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
-                     ctx: PrecisionContext) -> Fraction:
-    """The descriptor form of the module docstring, exactly, from values at
-    bits + 32, in one pass at (y, beta) = (x, alpha) above 1 and (1/x,
-    1 - alpha) below 1.  With m_F > 0, beta = 0 is f(y) + log 2pi and
-    beta = 1 the polar term (refused above 1, f(x) below 1).  An integer
-    u_j = mu_j + beta lambda_j <= 0 is refused before the prime sum.  The
-    sum is one Fraction, so zeta's -1/beta and 1/beta cancel; an irrational
-    y^(-mu_j/lambda_j) enters as mpcore.power's at bits + 32."""
+                     ctx: PrecisionContext) -> tuple[int, int, int]:
+    """The descriptor form of the module docstring, exactly, as (n, e, d) = n 2^e/d (_add), from
+    values at bits + 32, in one pass at (y, beta) = (x, alpha) above 1 and (1/x, 1 - alpha) below 1.
+    With m_F > 0, beta = 0 is f(y) + log 2pi and beta = 1 the polar term (refused above 1, f(x)
+    below 1).  An integer u_j = mu_j + beta lambda_j <= 0 is refused before the prime sum.  The
+    dyadic parts (f, log 2pi, f_u, psi0, power's) enter as integers, the rational ones over d."""
     above = x > 1
     y, beta = (x, alpha) if above else (1 / x, 1 - alpha)
     if F.m_F and beta in (0, 1):
         if above and beta == 1:
             raise ValueError("alpha = 1 sits on the polar term")
         # f(x) below 1 at alpha = 0, else f(y) + zeta'/zeta(0)
-        f = Fraction(f_fixed(x if beta else y, ctx), 1 << walk_width(ctx))
-        return f if beta else (f + _exact(_log_pi(1, ctx.bits + _GUARD))) * (1 if above else -x)
-    acc = F.m_F * (y / (1 - beta) - 1 / beta) if F.m_F else Fraction(0)
+        f = (f_fixed(x if beta else y, ctx), -walk_width(ctx), 1)
+        n, e, _ = f if beta else _add(f, (*_log_pi(1, ctx.bits + _GUARD), 1))
+        return (n, e, 1) if above or beta else (-x.numerator * n, e, x.denominator)
+    (yn, yd), (bn, bd) = y.as_integer_ratio(), beta.as_integer_ratio()
+    acc = (F.m_F * bd * (yn * bn - yd * (bd - bn)), 0, yd * (bd - bn) * bn) if F.m_F else (0, 0, 1)
     for lam, mu in F.gamma_factors:
         if (u := mu + lam * beta).denominator == 1 and u <= 0:
             raise ValueError("alpha = 0 is a pole: the polar term and the trivial "
                              "zeros at 0 do not cancel" if above and alpha == 0 else
                              f"alpha = {alpha} hits the trivial-zero chain "
                              f"(lambda={lam}, mu={mu})")
-        z, zmu = (power(y, t, ctx) for t in (-1 / lam, -mu / lam))   # exact at lambda = 1/2
-        acc += lam * zmu * (_exact(f_u_closed(u, z, ctx)) + 1 / u)
-    acc -= _exact(selberg_psi0(y, beta, F, ctx))
-    if above:
-        return acc
-    return -x * acc + (F.gamma_F(ctx) if alpha == 0 else 0)
+        (zn, zd), fu = _power_ratio(y, -mu / lam, ctx.bits), f_u_closed(u, power(y, -1 / lam, ctx), ctx)
+        n, e, d = _add((fu.man, fu.exp, 1), (u.denominator, 0, u.numerator))   # z = y^-2 at lambda = 1/2
+        acc = _add(acc, (lam.numerator * zn * n, e, lam.denominator * zd * d))
+    n, e, d = _add(acc, (-(psi := selberg_psi0(y, beta, F, ctx)).man, psi.exp, 1))
+    g = F.gamma_F(ctx).as_integer_ratio() if alpha == 0 and not above else (0, 1)
+    return (n, e, d) if above else _add((-x.numerator * n, e, x.denominator * d), (g[0], 0, g[1]))
 
 
 def _kernel_form(x: Fraction, poles: Sequence[Fraction], weights: Sequence[Rational],
                  F: SelbergDescriptor, ctx: PrecisionContext) -> HReal:
-    """Sum_i weights[i] times the descriptor form of F at poles[i], exactly,
-    rounded once: the one assembly of every selberg_rhs_* (one pole, weight
-    1) and general_rhs_* (F = zeta)."""
-    return ctx.real(sum(w * _descriptor_form(x, a, F, ctx) for a, w in zip(poles, weights)))
+    """Sum_i weights[i] times the descriptor form of F at poles[i]: one exact
+    integer over one denominator (_add), rounded once with no gcd, the one
+    assembly of every selberg_rhs_* (one pole, weight 1) and general_rhs_*."""
+    n, e, d = reduce(_add, ((w.numerator * n, e, w.denominator * d) for w, (n, e, d) in zip(
+        weights, (_descriptor_form(x, a, F, ctx) for a in poles))), (0, 0, 1))
+    return HReal(_round((n, e), ctx.bits, d), ctx)
 
 
 def selberg_rhs_gt1(x: Rational, alpha: Rational, F: SelbergDescriptor,

@@ -104,25 +104,24 @@ def _mpf(man: int, exp: int) -> mpf:
     return make_mpf(from_man_exp(man, exp))
 
 
-def _round(x, bits: int = 0) -> tuple[int, int]:
+def _round(x, bits: int = 0, q: int = 1) -> tuple[int, int]:
     """(man, exp), man 2^exp: an HReal, a (man, exp) pair, an int or a finite
     mpf, exactly, or rounded to nearest at bits > 0, ties to even as
-    libmpf.normalize's round_nearest; a Fraction or float (bits > 0) from its
-    quotient to bits + 2 bits or more and a sticky bit, as mpf_div rounds."""
-    if isinstance(x, (Fraction, float)) and bits:
-        p, q = x.as_integer_ratio()
-        s = max(0, bits + 2 + q.bit_length() - abs(p).bit_length())
-        m, r = divmod(abs(p) << s, q)
-        man, exp = (2 * m + (r > 0)) * (-1 if p < 0 else 1), -s - 1
-    elif isinstance(x, HReal):
-        man, exp = x.man, x.exp
-    elif isinstance(x, (tuple, int)):
-        man, exp = x if isinstance(x, tuple) else (x, 0)
+    libmpf.normalize's round_nearest; a Fraction, a float or x over q != 1 (bits > 0)
+    from its quotient, unreduced, to bits + 2 bits or more and a sticky bit, as mpf_div."""
+    if isinstance(x, (HReal, tuple, int)):
+        man, exp = (x.man, x.exp) if isinstance(x, HReal) else x if isinstance(x, tuple) else (x, 0)
+    elif isinstance(x, (Fraction, float)) and bits:
+        (man, q), exp = x.as_integer_ratio(), 0
     else:   # an mpf; a Fraction at bits = 0 has no _mpf_, and is refused
         sign, man, exp, _ = x._mpf_
         if not man and exp:
             raise ArithmeticError(f"non-finite result escaped an operation: {x!r}")
         man = -man if sign else man
+    if q != 1:
+        s = max(0, bits + 2 + q.bit_length() - abs(man).bit_length())
+        m, r = divmod(abs(man) << s, abs(q))
+        man, exp = (2 * m + (r > 0)) * (-1 if (man < 0) != (q < 0) else 1), exp - s - 1
     a, n = abs(man), abs(man).bit_length() - bits
     if bits and n > 0:
         t = a >> n - 1   # the kept bits and the half bit
@@ -131,14 +130,13 @@ def _round(x, bits: int = 0) -> tuple[int, int]:
 
 
 def _exact(v) -> Fraction:
-    """The exact rational value of an int, Fraction, float, mpf, HReal or
-    (man, exp) pair."""
-    if isinstance(v, (int, float, Fraction)):
+    """The exact rational value of an int, Fraction, float, mpf, HReal or (man, exp) pair."""
+    if not isinstance(v, (HReal, tuple, int)) and isinstance(v, (float, Fraction)):
         return Fraction(v)
-    if not isinstance(v, (HReal, tuple)) and not v._mpf_[1] and v._mpf_[2]:
+    if not isinstance(v, (HReal, tuple, int)) and not v._mpf_[1] and v._mpf_[2]:
         raise ValueError(f"non-finite value {v}")
     man, exp = _round(v)
-    return man * Fraction(2) ** exp
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _fixed(v, V: int) -> int:
@@ -371,11 +369,16 @@ def power(y: Fraction, t: Fraction, ctx: PrecisionContext) -> Fraction:
     exp_fixed(floor(t log y 2^V)) 2^-V, V = bits + 32 + max(0, -t log2 y), so
     that 2^V y^t >= 2^(bits+32): the log's unit times |t|, the floor and
     exp_fixed's 2 units leave it within (|t| + 3) 2^-(bits+32), relative."""
-    (n, d), (u, v) = Fraction(y).as_integer_ratio(), Fraction(t).as_integer_ratio()
+    return Fraction(*_power_ratio(y, t, ctx.bits))
+
+
+def _power_ratio(y: Fraction, t: Fraction, bits: int) -> tuple[int, int]:
+    """power's y^t at bits as integers (n, d), d > 0, unreduced: d = 2^V at a fractional t."""
+    (n, d), (u, v) = y.as_integer_ratio(), t.as_integer_ratio()
     if v == 1:
-        return Fraction(n, d) ** u
-    V = ctx.bits + _GUARD + max(0, math.ceil(u * (math.log2(d) - math.log2(n)) / v))
-    return Fraction(exp_fixed(u * log_fixed(n, d, V) // v, V), 1 << V)
+        return (n ** u, d ** u) if u >= 0 else (d ** -u, n ** -u)
+    V = bits + _GUARD + max(0, math.ceil(u * (math.log2(d) - math.log2(n)) / v))
+    return exp_fixed(u * log_fixed(n, d, V) // v, V), 1 << V
 
 
 # ----------------------------------------------------------------------

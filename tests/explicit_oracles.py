@@ -3,9 +3,11 @@ use, kept out of the package: the prime-power Dirichlet series for
 zeta'/zeta, the weighted prime sums term by term over n, a plausible but
 the auxiliary series f_u at complex z (its direct sum, the paper's
 roots-of-unity closed form and a plausible but wrong assembly of it),
-and the hand-expanded zeta forms of the rational kernels and of the
+the hand-expanded zeta forms of the rational kernels and of the
 cosine pairing, which the package now assembles from the descriptor
-form and from f reflected."""
+form and from f reflected, and that assembly itself as a sum of exact
+Fractions (descriptor_form_fraction, kernel_form_fraction), which the
+package now sums as one integer over one denominator."""
 
 import math
 from dataclasses import dataclass
@@ -14,9 +16,10 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpc, mpf
 
-from zeta_explicit.arith import psi0, psi0_alpha, shared_table, T_sum
-from zeta_explicit.explicit import RationalFunctionPF
-from zeta_explicit.mpcore import HReal, PrecisionContext
+from zeta_explicit.arith import psi0, psi0_alpha, shared_table, T_sum, walk_width
+from zeta_explicit.explicit import (RationalFunctionPF, SelbergDescriptor, f_fixed, f_u_closed,
+                                    selberg_psi0)
+from zeta_explicit.mpcore import HReal, PrecisionContext, _exact, _log_pi, power
 from mp_views import workprec
 
 _GUARD = 32
@@ -356,3 +359,36 @@ def f_u_reference(u: Fraction, z: Fraction, bits: int) -> mpf:
             zn *= zv
             acc += zn / (n + uv)
         return acc
+
+
+def descriptor_form_fraction(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
+                             ctx: PrecisionContext) -> Fraction:
+    """The descriptor form (explicit._descriptor_form) as one exact Fraction
+    sum of the same parts, each Fraction normalized as it is added: the
+    assembly the package used before it summed one integer numerator over
+    one denominator.  Both hold the same exact value, so both round alike."""
+    above = x > 1
+    y, beta = (x, alpha) if above else (1 / x, 1 - alpha)
+    if F.m_F and beta in (0, 1):
+        if above and beta == 1:
+            raise ValueError("alpha = 1 sits on the polar term")
+        f = Fraction(f_fixed(x if beta else y, ctx), 1 << walk_width(ctx))
+        return f if beta else (f + _exact(_log_pi(1, ctx.bits + _GUARD))) * (1 if above else -x)
+    acc = F.m_F * (y / (1 - beta) - 1 / beta) if F.m_F else Fraction(0)
+    for lam, mu in F.gamma_factors:
+        if (u := mu + lam * beta).denominator == 1 and u <= 0:
+            raise ValueError(f"alpha = {alpha} hits the trivial-zero chain")
+        z, zmu = (power(y, t, ctx) for t in (-1 / lam, -mu / lam))
+        acc += lam * zmu * (_exact(f_u_closed(u, z, ctx)) + 1 / u)
+    acc -= _exact(selberg_psi0(y, beta, F, ctx))
+    if above:
+        return acc
+    return -x * acc + (F.gamma_F(ctx) if alpha == 0 else 0)
+
+
+def kernel_form_fraction(x: Fraction, poles, weights, F: SelbergDescriptor,
+                         ctx: PrecisionContext) -> HReal:
+    """Sum_i weights[i] descriptor_form_fraction(x, poles[i]) as one
+    Fraction, rounded once by ctx.real: explicit._kernel_form's reference."""
+    return ctx.real(sum((w * descriptor_form_fraction(x, a, F, ctx)
+                         for a, w in zip(poles, weights)), Fraction(0)))

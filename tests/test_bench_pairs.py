@@ -3,10 +3,12 @@ subprocess: fed the runs BENCH_41.json records, it gives back every
 median, quartile, relative change, win count and status there, and the
 summary sentence; a failed run, a slower change and a noisy parent get
 their own statuses; fed BENCH_39.json's zero-sums wall_s runs, it gives
-back the claim block recorded there by hand."""
+back the claim block recorded there by hand.  make_roots exports both
+sides, so neither starts with the working tree's cached bytecode."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,3 +76,22 @@ def test_claim_needs_nine_pairs_in_ten_and_a_gap_past_the_iqr():
     digits = CONTRACT["min_oracle_digits"]          # higher is better
     got = bp.claim_record("w", "d", bp.metric_record(digits, [58.0] * 10, [59.0] * 10))
     assert got["met"] and got["median_gap"] == 1.0
+
+
+def test_both_roots_are_exports_without_bytecode(tmp_path):
+    # the change side is an export of the working tree, as the parent is an
+    # archive of its commit: neither holds a __pycache__ (cached bytecode
+    # would spare one side the compiles its runs time), and the change root
+    # holds exactly the working tree's files that git tracks or would track
+    bp = _script()
+    (ROOT / "src" / "zeta_explicit" / "__pycache__").mkdir(exist_ok=True)   # as any test run leaves
+    roots = bp.make_roots("HEAD", tmp_path)
+    for root in roots.values():
+        assert (root / "perfbench" / "run.py").is_file()
+        assert not list(root.rglob("__pycache__")), root
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, check=True, capture_output=True).stdout.decode()
+    tree = {n for n in listed.split("\0") if n and (ROOT / n).is_file()}
+    copied = {str(p.relative_to(roots["change"])) for p in roots["change"].rglob("*") if p.is_file()}
+    assert copied == tree
+    assert all((roots["change"] / n).read_bytes() == (ROOT / n).read_bytes() for n in tree)

@@ -42,10 +42,11 @@ from zeta_explicit.explicit import (
     verify_identity,
 )
 from zeta_explicit.mpcore import HReal, PrecisionContext, _exact
-from explicit_oracles import (HComplex, cosine_rhs_expanded, f_u_closed_uncorrected,
-                              f_u_reference, f_u_roots_of_unity, f_u_series,
+from explicit_oracles import (HComplex, cosine_rhs_expanded, descriptor_form_fraction,
+                              f_u_closed_uncorrected, f_u_reference, f_u_roots_of_unity, f_u_series,
                               general_rhs_gt1_expanded, general_rhs_lt1_expanded,
-                              prime_sum_reference, zeta_log_deriv_dirichlet)
+                              kernel_form_fraction, prime_sum_reference,
+                              zeta_log_deriv_dirichlet)
 from zeta_explicit.zeros import SumSpec, ZeroTable, fixture_table
 from mp_views import mp_euler, mp_pi, workprec
 
@@ -707,7 +708,8 @@ def test_descriptor_form_with_an_irrational_gamma_exponent(bits):
     (lam, mu), = _LAMBDA1.gamma_factors
     for y in (F(7, 2), F(11)):
         for beta in (F(1, 3), F(-1, 3), F(3, 2)):
-            form = explicit._descriptor_form(y, beta, _LAMBDA1, ctx)
+            n, e, d = explicit._descriptor_form(y, beta, _LAMBDA1, ctx)   # n 2^e/d
+            form = F(n, d) * F(2) ** e
             prime = selberg_psi0(y, beta, _LAMBDA1, ctx).val
             with mpmath.workprec(bits + 64):
                 yv, lv, mv, bv = (mpf(t.numerator) / t.denominator
@@ -715,6 +717,61 @@ def test_descriptor_form_with_an_irrational_gamma_exponent(bits):
                 ref = lv * mpmath.nsum(lambda n: yv ** (-(n + mv) / lv) / (n + mv + lv * bv),
                                        [0, mpmath.inf])
                 assert abs(form + prime - ref) <= mpf(2) ** (8 - bits) * (1 + abs(ref)), (y, beta)
+
+
+# The descriptors of the assembly checks: zeta, chi_-4, chi_-3, chi_-8 and _LAMBDA1
+_ASSEMBLY_F = (descriptor_zeta(),) + tuple(
+    descriptor_dirichlet(q, kronecker_chi(d), PrecisionContext()) for q, d in ((4, 1), (3, 3), (8, 2)))
+_ASSEMBLY_ALPHAS = (0, "zero", 1, F(1, 2), F(-1, 2), F(1, 3), F(3, 2), F(5, 7))
+
+
+@pytest.mark.parametrize("bits", [64, 192, 512, 1024])
+def test_closed_forms_round_as_the_fraction_assembly(bits):
+    # _descriptor_form's (n, e, d) holds exactly the value of the Fraction
+    # sum of the same parts, so every selberg_rhs_* and general_rhs_*
+    # rounds to the same (man, exp); a refusal is the package's
+    ctx, compared = PrecisionContext(bits), 0
+    for Fd in _ASSEMBLY_F + (_LAMBDA1,):
+        for x in (F(299, 2), F(11), F(2, 7), F(3, 5123)):
+            for alpha in _ASSEMBLY_ALPHAS:
+                rhs = selberg_rhs_gt1 if x > 1 else selberg_rhs_lt1
+                try:
+                    got = rhs(x, alpha, Fd, ctx)
+                except ValueError:
+                    continue
+                a = F(0) if alpha == "zero" else F(alpha)
+                n, e, d = explicit._descriptor_form(x, a, Fd, ctx)
+                assert F(n, d) * F(2) ** e == descriptor_form_fraction(x, a, Fd, ctx)
+                want = kernel_form_fraction(x, (a,), (1,), Fd, ctx)
+                assert (got.man, got.exp) == (want.man, want.exp), (Fd.label, x, alpha)
+                compared += 1
+    for roots in ((F(1, 2), F(-1, 3)), (F(0), F(2)), (F(3, 2), F(1, 3), F(-1, 2)), (F(5, 7),)):
+        pf = partial_fractions([1], roots)
+        for x in (F(299, 2), F(11), F(2, 7), F(3, 5123)):
+            try:
+                got = (general_rhs_gt1 if x > 1 else general_rhs_lt1)(x, pf, ctx)
+            except ValueError:
+                continue
+            want = kernel_form_fraction(x, pf.roots, pf.residues, descriptor_zeta(), ctx)
+            assert (got.man, got.exp) == (want.man, want.exp), (roots, x)
+            compared += 1
+    assert compared == 156
+
+
+def test_warm_selberg_rhs_builds_few_fractions(ctx):
+    # the closed form sums integers: a warm selberg_rhs_gt1 call constructs
+    # 14 Fractions (49 when each part was a Fraction), counted by profiling
+    # Fraction.__new__
+    x, alpha, zeta, new = F(299, 2), F(1, 3), descriptor_zeta(), F.__new__.__code__
+    selberg_rhs_gt1(x, alpha, zeta, ctx)
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(1) if (
+        event == "call" and frame.f_code is new) else None)
+    try:
+        selberg_rhs_gt1(x, alpha, zeta, ctx)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 14
 
 
 # Odd real primitive characters by modulus: kronecker_chi(d) has period
