@@ -303,8 +303,8 @@ def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
                  chi: Sequence[int] = (1,)) -> tuple[int, int]:
     """x^alpha = n/d (mpcore.power's integers) times primed_sum(y, s) = S 2^e, as (man, exp):
     n S 2^e over d rounded once at bits + 32, y = x, s = alpha above 1 (the psi0 form) and
-    y = 1/x, s = 1 - alpha below 1 (the T form); callers check the side (require_side)."""
-    x, alpha = Fraction(x), Fraction(alpha)
+    y = 1/x, s = 1 - alpha below 1 (the T form); x and alpha as given, each an int or a
+    Fraction; callers check the side (require_side)."""
     y, s = (x, alpha) if x > 1 else (1 / x, 1 - alpha)
     (n, d), (S, e) = _power_ratio(x, alpha, ctx.bits), primed_sum(y, s, ctx, chi)
     return _round((n * S, e), ctx.bits + _GUARD, d)
@@ -312,8 +312,8 @@ def weighted_sum(x: Fraction, alpha: Fraction, ctx: PrecisionContext,
 
 def require_side(fn: str, x, above: bool):
     """x, refused unless x > 1 (above) or 0 < x < 1: the one side-of-1
-    rule, each closed form and prime sum naming itself as fn."""
-    if not (Fraction(x) > 1 if above else 0 < Fraction(x) < 1):
+    rule, each closed form and prime sum naming itself as fn; x compared as given."""
+    if not (x > 1 if above else 0 < x < 1):
         raise ValueError(f"{fn} requires {'x > 1' if above else '0 < x < 1'}, got {x}")
     return x
 

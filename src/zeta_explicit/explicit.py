@@ -185,8 +185,8 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> tuple[int, in
 
 
 def f_u_closed(u: Rational, z, ctx: PrecisionContext) -> HReal:
-    """f_u(z) = Sum_{n>=1} z^n/(n+u) for real z in [0, 1) (a Fraction, or an
-    mpf or HReal at its exact value) and rational u, not an integer <= -1,
+    """f_u(z) = Sum_{n>=1} z^n/(n+u) for real z in [0, 1) (a Fraction, or a
+    (man, exp) pair or HReal at its exact value) and rational u, not an integer <= -1,
     at bits + 32 (not rounded to ctx), within 2^-(bits+16) (|f_u(z)| + z).
     Both routes run in integers at W = walk_width(ctx), at a cost that does not
     depend on the denominator of u: where tau = -log z >= TAU0 the series, z S 2^-W

@@ -27,9 +27,10 @@ Hurwitz zeta and the Stieltjes constants are Bernoulli-number expansions
 with computable error terms, in integers (logs from log_fixed, one integer
 Bernoulli table, bounds rounded up, the set-up kept per exact (s, N,
 bits)); they and zeta_int round once.  The package has one number
-system: mpmath is imported only by _mpf, for .val (an HReal as an mpf,
-which tests and benchmarks read), and by _nstr's fallback past 3,500-bit
-exponents; every combination is exact or fixed point, rounded once.
+system and no runtime dependency: it takes exact values only (an int, a
+Fraction, a float, a (man, exp) pair or an HReal), every combination is
+exact or fixed point, rounded once, and mpmath is imported only by
+HReal.val, which tests and benchmarks read.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence, Union
 
-Scalar = Union[int, float, Fraction, "HReal", "mpf"]
+Scalar = Union[int, float, Fraction, "HReal", tuple[int, int]]
 
 # Guard bits added on top of the context for internal evaluations so that
 # accumulated rounding stays below the reported bounds.
@@ -93,31 +94,23 @@ class PrecisionContext(_Value):
     def real(self, x: Scalar) -> "HReal":
         """x rounded to nearest at bits, ties to even as mpmath's round_nearest,
         in integers: an int, a Fraction or float (one rounding of the exact
-        value), a (man, exp) pair for man 2^exp, an mpf or an HReal."""
+        value), a (man, exp) pair for man 2^exp or an HReal."""
         return HReal(_round(x, self.bits), self)
 
 
-def _mpf(man: int, exp: int) -> mpf:
-    """man 2^exp as an mpf, exactly (the one place mpf values are built)."""
-    from mpmath import make_mpf
-    from mpmath.libmp import from_man_exp
-    return make_mpf(from_man_exp(man, exp))
-
-
 def _round(x, bits: int = 0, q: int = 1) -> tuple[int, int]:
-    """(man, exp), man 2^exp: an HReal, a (man, exp) pair, an int or a finite
-    mpf, exactly, or rounded to nearest at bits > 0, ties to even as
-    libmpf.normalize's round_nearest; a Fraction, a float or x over q != 1 (bits > 0)
-    from its quotient, unreduced, to bits + 2 bits or more and a sticky bit, as mpf_div."""
+    """(man, exp), man 2^exp: an HReal, a (man, exp) pair or an int, exactly,
+    or rounded to nearest at bits > 0, ties to even as libmpf.normalize's
+    round_nearest; a Fraction, a float or x over q != 1 (bits > 0) from its
+    quotient, unreduced, to bits + 2 bits or more and a sticky bit, as mpf_div.
+    Any other value, a Fraction at bits = 0 too, is refused."""
     if isinstance(x, (HReal, tuple, int)):
         man, exp = (x.man, x.exp) if isinstance(x, HReal) else x if isinstance(x, tuple) else (x, 0)
     elif isinstance(x, (Fraction, float)) and bits:
         (man, q), exp = x.as_integer_ratio(), 0
-    else:   # an mpf; a Fraction at bits = 0 has no _mpf_, and is refused
-        sign, man, exp, _ = x._mpf_
-        if not man and exp:
-            raise ArithmeticError(f"non-finite result escaped an operation: {x!r}")
-        man = -man if sign else man
+    else:
+        raise TypeError(f"expected an int, a (man, exp) pair, an HReal{', a Fraction or a float' if bits else ''},"
+                        f" got {type(x).__name__}")
     if q != 1:
         s = max(0, bits + 2 + q.bit_length() - abs(man).bit_length())
         m, r = divmod(abs(man) << s, abs(q))
@@ -130,17 +123,15 @@ def _round(x, bits: int = 0, q: int = 1) -> tuple[int, int]:
 
 
 def _exact(v) -> Fraction:
-    """The exact rational value of an int, Fraction, float, mpf, HReal or (man, exp) pair."""
+    """The exact rational value of an int, Fraction, float, HReal or (man, exp) pair."""
     if not isinstance(v, (HReal, tuple, int)) and isinstance(v, (float, Fraction)):
         return Fraction(v)
-    if not isinstance(v, (HReal, tuple, int)) and not v._mpf_[1] and v._mpf_[2]:
-        raise ValueError(f"non-finite value {v}")
     man, exp = _round(v)
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _fixed(v, V: int) -> int:
-    """floor(v 2^V) of an HReal, an mpf or a (man, exp) pair, exactly."""
+    """floor(v 2^V) of an HReal, an int or a (man, exp) pair, exactly."""
     man, exp = _round(v)
     return man << exp + V if exp + V >= 0 else man >> -exp - V
 
@@ -148,7 +139,7 @@ def _fixed(v, V: int) -> int:
 class HReal(_Value):
     """A finite high-precision real bound to a PrecisionContext: the exact
     dyadic man 2^exp, man odd (or 0 with exp 0), and the context that
-    produced it.  .val is that value as an mpf."""
+    produced it.  .val is that value as an mpmath mpf."""
 
     __slots__ = _fields = ("man", "exp",   # the value, normalized
                            "ctx")          # precision the value was produced under
@@ -162,8 +153,11 @@ class HReal(_Value):
 
     @property
     def val(self) -> mpf:
-        """The value as an mpf (imports mpmath on first read)."""
-        return _mpf(self.man, self.exp)
+        """The value as an mpf, exactly: the one place the package names
+        mpmath, imported on first read, for tests and benchmarks."""
+        from mpmath import make_mpf
+        from mpmath.libmp import from_man_exp
+        return make_mpf(from_man_exp(self.man, self.exp))
 
     def __repr__(self) -> str:
         return f"HReal({_nstr(self.man, self.exp, 25)})"
@@ -177,19 +171,21 @@ class HReal(_Value):
 
 
 def _nstr(man: int, exp: int, n: int) -> str:
-    """mpmath.nstr(man 2^exp, n) in integers, libmpf.to_str's default path:
+    """mpmath.nstr(man 2^exp, n), n >= 1, in integers, libmpf.to_str's path:
     to_digits_exp's n + 3 digits or more, floored, rounded half up to n,
-    printed in fixed point at decimal exponents in (min(-(n//3), -5), n)."""
-    bc = abs(man).bit_length()
-    if n < 1 or abs(exp + bc) > 3500:   # mpmath's other paths, never taken by the package
-        return __import__("mpmath").nstr(_mpf(man, exp), n)
+    printed in fixed point at decimal exponents in (min(-(n//3), -5), n);
+    above 2^bitprec floored over a power of 10 that leaves n + 3 digits or
+    more, exactly, so that every exponent prints in integers."""
+    if n < 1:
+        raise ValueError(f"need at least 1 significant digit, got {n}")
     if not man:
         return "0.0"
+    bc = abs(man).bit_length()
     bitprec = int((n + 3) * math.log(10, 2)) + 10
     fixprec = max(bitprec - exp - bc, 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    digits = str((abs(man) << exp + fixprec) * 10 ** fixdps >> fixprec if exp + fixprec >= 0
-                 else (abs(man) >> -exp - fixprec) * 10 ** fixdps >> fixprec)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5) if fixprec else int((bitprec - exp - bc) / math.log(10, 2))
+    a = abs(man) << exp + fixprec if exp + fixprec >= 0 else abs(man) >> -exp - fixprec
+    digits = str(a * 10 ** fixdps >> fixprec if fixdps >= 0 else a // 10 ** -fixdps)
     expo = len(digits) - fixdps - 1
     if len(digits) > n and digits[n] in "56789":
         digits = str(int(digits[:n]) + 1)

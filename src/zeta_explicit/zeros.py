@@ -483,7 +483,7 @@ def zero_sum(table: ZeroTable, spec: SumSpec, term: Union[Term, Sequence[Term]],
 # Tail estimates
 # ----------------------------------------------------------------------
 
-def density_tail(table: ZeroTable, count: int, weight: Union[int, Fraction, mpf],
+def density_tail(table: ZeroTable, count: int, weight: Union[int, Fraction],
                  ctx: PrecisionContext) -> HReal:
     """weight (1/2pi) Integral_T^inf t^(-2) log(t/2pi) dt, T the count-th
     ordinate, equal to weight (log(T/2pi) + 1) / (2pi T): the density

@@ -23,7 +23,7 @@ from mpmath import mpf
 
 from zeta_explicit.mpcore import (_EM_BUDGET, _GUARD, HReal, PrecisionContext, Scalar,
                                   _em_plan, _exact, bernoulli_table)
-from mp_views import workprec
+from mp_views import as_pair, workprec
 
 
 def bernoulli(n: int) -> Fraction:
@@ -189,5 +189,5 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
             slop = (M + 2 * K + 16) * (n + 4 + abs(sv) * lmax) \
                 * mpf(2) ** -(ctx.bits + extra) * (lmax ** n * mass + abs(I) + corr_abs + 1)
             bound = rem + slop + mpf(2) ** (1 - ctx.bits) * (abs(value) + 1)
-            out.append((ctx.real(value), ctx.real(bound)))
+            out.append((ctx.real(as_pair(value)), ctx.real(as_pair(bound))))
     return tuple(out)

@@ -20,7 +20,7 @@ from zeta_explicit.arith import psi0, psi0_alpha, shared_table, T_sum, walk_widt
 from zeta_explicit.explicit import (RationalFunctionPF, SelbergDescriptor, f_fixed, f_u_closed,
                                     selberg_psi0)
 from zeta_explicit.mpcore import HReal, PrecisionContext, _exact, _log_pi, power
-from mp_views import workprec
+from mp_views import as_pair, workprec
 
 _GUARD = 32
 
@@ -107,7 +107,7 @@ class HComplex:
 
     @property
     def real(self) -> HReal:
-        return HReal(self.val.real, self.ctx)
+        return HReal(as_pair(self.val.real), self.ctx)
 
 
 def _complex_z(z) -> mpc:
@@ -236,7 +236,7 @@ def general_rhs_gt1_expanded(x: Rational, pf: RationalFunctionPF,
             acc += xv * lamv / ctx.real(1 - a).val
             acc -= lamv * psi0_alpha(x, a, ctx).val
             acc += lamv * f_u_roots_of_unity(a / 2, z, ctx).val.real / 2
-    return ctx.real(acc)
+    return ctx.real(as_pair(acc))
 
 
 def _check_lt1_alpha(alpha: Fraction) -> None:
@@ -273,7 +273,7 @@ def general_rhs_lt1_expanded(x: Rational, pf: RationalFunctionPF,
             acc += lamv * T_sum(x, a, ctx).val
             acc -= lamv / ctx.real(a).val
             acc -= lamv * xv * f_u_roots_of_unity((1 - a) / 2, z, ctx).val.real / 2
-    return ctx.real(acc)
+    return ctx.real(as_pair(acc))
 
 
 def _L_weighted(x: Rational, ctx: PrecisionContext) -> HReal:
@@ -282,7 +282,7 @@ def _L_weighted(x: Rational, ctx: PrecisionContext) -> HReal:
     exactly, including the branch behavior."""
     x = Fraction(x)
     with workprec(ctx, _GUARD):
-        return ctx.real(psi0_alpha(x, Fraction(1), ctx).val / ctx.real(x).val)
+        return ctx.real(as_pair(psi0_alpha(x, Fraction(1), ctx).val / ctx.real(x).val))
 
 
 def cosine_rhs_expanded(x: Rational, ctx: PrecisionContext) -> HReal:
@@ -307,7 +307,7 @@ def cosine_rhs_expanded(x: Rational, ctx: PrecisionContext) -> HReal:
              + mpmath.euler * rx
              - rx * mpmath.log((xv + 1) / (xv - 1)) / 2
              + 1 / rx)
-    return ctx.real(v)
+    return ctx.real(as_pair(v))
 
 
 def f_u_reference(u: Fraction, z: Fraction, bits: int) -> mpf:

@@ -21,7 +21,7 @@ from zeta_explicit.analysis import GENUINE, JUMP, RootRecord
 from zeta_explicit.arith import shared_table
 from zeta_explicit.explicit import Rational, f_rhs_gt1, f_rhs_lt1
 from zeta_explicit.mpcore import HReal, PrecisionContext
-from mp_views import workprec
+from mp_views import as_pair, workprec
 
 _GUARD = 32
 
@@ -69,7 +69,7 @@ def _bisect(a: Fraction, b: Fraction, fa: mpf, fb: mpf, tol: Fraction,
     root = (a + b) / 2
     res = abs(f(root, ctx).val)
     return RootRecord(bracket_lo=a, bracket_hi=b, root=ctx.real(root),
-                      residual=ctx.real(res), kind=GENUINE)
+                      residual=ctx.real(as_pair(res)), kind=GENUINE)
 
 
 def _scan(lo: Fraction, hi: Fraction, tol: Fraction, ctx: PrecisionContext,
@@ -117,7 +117,7 @@ def _scan(lo: Fraction, hi: Fraction, tol: Fraction, ctx: PrecisionContext,
     for j, (left, at, right) in side_cache.items():
         if j > lo and left * right < 0:
             records.append(RootRecord(j, j, ctx.real(j),
-                                      ctx.real(abs(at)), JUMP))
+                                      ctx.real(as_pair(abs(at))), JUMP))
     records.sort(key=lambda r: (r.bracket_lo, r.bracket_hi))
     return records
 

@@ -10,7 +10,7 @@ from mpmath import mpf
 
 from zeta_explicit.liconst import StieltjesTable
 from zeta_explicit.mpcore import _GUARD, HReal, PrecisionContext, em_log_moments, zeta_int
-from mp_views import mp_euler, workprec
+from mp_views import as_pair, mp_euler, workprec
 
 
 def series_div_mpf(num, den):
@@ -32,8 +32,8 @@ def build_stieltjes_table_mpf(N: int, ctx: PrecisionContext) -> StieltjesTable:
     raw = em_log_moments(1, 1, N + 1, wide)
     with workprec(wide, _GUARD):
         gammas = tuple(
-            (ctx.real(v.val),
-             ctx.real(b.val + mpf(2) ** (1 - ctx.bits) * (abs(v.val) + 1)))
+            (ctx.real(v),
+             ctx.real(as_pair(b.val + mpf(2) ** (1 - ctx.bits) * (abs(v.val) + 1))))
             for v, b in raw)
         num, den = [mpf(1), mpf(0)], [mpf(1)]
         for k in range(1, N + 2):
@@ -41,7 +41,7 @@ def build_stieltjes_table_mpf(N: int, ctx: PrecisionContext) -> StieltjesTable:
             if k < N + 1:
                 num.append(scale * raw[k][0].val)
             den.append(scale * raw[k - 1][0].val)
-        etas = [wide.real(e).val for e in series_div_mpf(num, den)[1:]]
+        etas = [wide.real(as_pair(e)).val for e in series_div_mpf(num, den)[1:]]
         zeta_terms = [(-1) ** j * (1 - mpf(2) ** -j) * zeta_int(j, wide).val
                       for j in range(2, N + 1)]
         half = (raw[0][0].val + mpmath.log(4 * mpmath.pi)) / 2
@@ -49,10 +49,10 @@ def build_stieltjes_table_mpf(N: int, ctx: PrecisionContext) -> StieltjesTable:
         for n in range(1, N + 1):
             s1 = sum((math.comb(n, j) * zeta_terms[j - 2] for j in range(2, n + 1)), mpf(0))
             s2 = -sum((math.comb(n, j) * etas[j - 1] for j in range(1, n + 1)), mpf(0))
-            lambdas.append(ctx.real(1 - n * half + s1 + s2))
-            s1s.append(ctx.real(s1))
-            s2s.append(ctx.real(s2))
-        return StieltjesTable(order=N, gammas=gammas, etas=tuple(ctx.real(e) for e in etas),
+            lambdas.append(ctx.real(as_pair(1 - n * half + s1 + s2)))
+            s1s.append(ctx.real(as_pair(s1)))
+            s2s.append(ctx.real(as_pair(s2)))
+        return StieltjesTable(order=N, gammas=gammas, etas=tuple(ctx.real(as_pair(e)) for e in etas),
                               lambdas=tuple(lambdas), S1=tuple(s1s), S2=tuple(s2s))
 
 

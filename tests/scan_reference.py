@@ -26,7 +26,7 @@ from zeta_explicit.arith import _log, prime_power_sum, shared_table
 from zeta_explicit.explicit import f_rhs_lt1, g
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.mpcore import _exact
-from mp_views import mp_pi, workprec
+from mp_views import as_pair, mp_pi, workprec
 
 _GUARD = 32
 
@@ -51,7 +51,7 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         candidates = []
         best = None
         for k in range(1, kmax + 1):
-            arg = _exact(scale * k / denominator)
+            arg = _exact(as_pair(scale * k / denominator))
             if not 0 < arg < 1:
                 continue
             v = abs(f_rhs_lt1(arg, ctx).val)
@@ -59,11 +59,11 @@ def hypothesis_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
             if best is None or v < best[1]:
                 best = (x, v)
             if v < threshold:
-                candidates.append((x, ctx.real(v)))
+                candidates.append((x, ctx.real(as_pair(v))))
     return HypothesisScan(
-        d=d, window_hi=ctx.real(window_hi), denominator=denominator,
+        d=d, window_hi=ctx.real(as_pair(window_hi)), denominator=denominator,
         threshold=threshold, evaluated=kmax,
-        candidates=tuple(candidates), min_abs=ctx.real(best[1]),
+        candidates=tuple(candidates), min_abs=ctx.real(as_pair(best[1])),
         argmin=best[0], found=bool(candidates))
 
 
@@ -117,7 +117,7 @@ def walked_scan(d: int, ctx: Optional[PrecisionContext] = None, *,
         if v * t.denominator < t.numerator << W:
             candidates.append((x, ctx.real((v, -W))))
     return HypothesisScan(
-        d=d, window_hi=ctx.real(window_hi), denominator=denominator,
+        d=d, window_hi=ctx.real(as_pair(window_hi)), denominator=denominator,
         threshold=threshold, evaluated=kmax,
         candidates=tuple(candidates), min_abs=ctx.real((best[1], -W)),
         argmin=best[0], found=bool(candidates))

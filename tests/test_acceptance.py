@@ -47,7 +47,7 @@ from zeta_explicit.liconst import (
 from zeta_explicit.zeros import SumSpec, sum_inv_rho
 from explicit_oracles import f_u_closed_uncorrected, f_u_roots_of_unity, f_u_series
 from liconst_helpers import coffey_decomposition
-from mp_views import mp_euler, workprec
+from mp_views import as_pair, mp_euler, workprec
 
 F = Fraction
 
@@ -259,7 +259,7 @@ def test_c09_descriptor_layer_consistency(ctx, criterion_log):
                     acc += (w * chi[n % 4] * mpmath.log(p)
                             * mpmath.power(xv / n, av))
                 n += 1
-            fu = f_u_closed(F(1, 2) * (1 + a), ctx.real(1 / (x * x)).val, ctx)
+            fu = f_u_closed(F(1, 2) * (1 + a), ctx.real(1 / (x * x)), ctx)
             hand = -acc + 1 / (xv * (1 + av)) + fu.val.real / (2 * xv)
             worst_abs = max(worst_abs, abs(s - hand))
 
@@ -330,8 +330,8 @@ def test_c11_binomial_stieltjes_decomposition(ctx, consts20, criterion_log):
     for n in range(1, 21):
         S1, S2, bounds_ok = coffey_decomposition(n, consts20, ctx)
         with workprec(ctx, 16):
-            rebuilt = (1 - F(n, 2) * ctx.real(mpmath.log(4 * mpmath.pi)
-                                              + mp_euler(ctx)).val
+            rebuilt = (1 - F(n, 2) * ctx.real(as_pair(mpmath.log(4 * mpmath.pi)
+                                                      + mp_euler(ctx))).val
                        + S1.val + S2.val)
             worst = max(worst, abs(rebuilt - consts20.lam(n).val))
         bounds_all = bounds_all and bounds_ok

@@ -29,7 +29,7 @@ from zeta_explicit.explicit import f_rhs_gt1, f_rhs_lt1, g
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.mpcore import _exact
 import scan_reference as ref
-from mp_views import mp_pi, workprec
+from mp_views import as_pair, mp_pi, workprec
 
 F = Fraction
 TOL = F(1, 10 ** 12)
@@ -263,7 +263,7 @@ def test_walked_scan_matches_per_point_reference(d, points, bits, threshold):
     # K = f - g is largest at the first grid point, where 1/x is largest
     wide, W = PrecisionContext(bits + 32), bits + 80
     with workprec(wide):
-        x1 = _exact(mp_pi(wide) * mpmath.sqrt(d) / den)
+        x1 = _exact(as_pair(mp_pi(wide) * mpmath.sqrt(d) / den))
         K = abs(f_rhs_lt1(x1, wide).val
                 - mpmath.ldexp(g(x1.numerator, x1.denominator, W), -W))
         tol = mpf(2) ** (8 - bits) * (1 + K)

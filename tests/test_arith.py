@@ -28,10 +28,10 @@ from zeta_explicit.arith import (
     walk_width,
     weighted_sum,
 )
-from zeta_explicit.mpcore import PrecisionContext, _mpf
+from zeta_explicit.mpcore import PrecisionContext
 from explicit_oracles import prime_sum_reference
 from kronecker_reference import kronecker_symbol
-from mp_views import workprec
+from mp_views import as_mpf, workprec
 
 
 def chi_fn(d: int):
@@ -230,7 +230,7 @@ def test_checkpointed_sums_match_per_n_reference(bits, d):
     chi = (1,) if d is None else kronecker_chi(d)
     for s in TABLE_S:
         for x in EDGE_X:
-            got = _mpf(*weighted_sum(x, s, ctx, chi))
+            got = as_mpf(*weighted_sum(x, s, ctx, chi))
             ref, size = prime_sum_reference(x, s, chi, bits)
             with mpmath.workprec(bits + 64):
                 assert abs(got - ref) <= mpmath.mpf(2) ** (8 - bits) * size, (x, s, d)
@@ -268,7 +268,7 @@ def test_half_integer_s_takes_exact_square_roots(monkeypatch, bits, d):
     for s in S:
         for x, alpha in ((Fraction(1001, 2), s), (Fraction(2, 1001), 1 - s),
                          (Fraction(509), s)):
-            got = _mpf(*weighted_sum(x, alpha, ctx, chi))
+            got = as_mpf(*weighted_sum(x, alpha, ctx, chi))
             ref, size = prime_sum_reference(x, alpha, chi, bits)
             with mpmath.workprec(bits + 64):
                 assert abs(got - ref) <= mpmath.mpf(2) ** (8 - bits) * size, (x, s)
@@ -652,7 +652,7 @@ def test_log_table_stops_at_its_limit(monkeypatch, s):
         assert got == kept
     ref, size = prime_sum_reference(x, s, None, 192)
     with mpmath.workprec(256):
-        assert abs(_mpf(*got) - ref) <= mpmath.mpf(2) ** (8 - 192) * size
+        assert abs(as_mpf(*got) - ref) <= mpmath.mpf(2) ** (8 - 192) * size
 
 
 @pytest.mark.parametrize("N", [1, BLOCK - 1, BLOCK, BLOCK + 1, 10_000])

@@ -438,6 +438,16 @@ def test_stieltjes_eps_contract(capsys):
     assert "exceeds target" in err
 
 
+def test_bound_past_two_to_the_3500_prints_without_mpmath(capsys, monkeypatch):
+    # a bound of 2^-4000 prints in integers like every other value: with
+    # any import of mpmath failing, the line is the one mpmath.nstr gave
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    code, out, _ = run(capsys, "stieltjes", "--n", "2", "--bits", "4000", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"bound": "1.5319e-1204", "command": "stieltjes",
+                               "gamma_n": "-0.009690363192872318484530386", "n": 2}
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("summation ran before the input check")
 

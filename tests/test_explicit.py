@@ -48,7 +48,7 @@ from explicit_oracles import (HComplex, cosine_rhs_expanded, descriptor_form_fra
                               kernel_form_fraction, prime_sum_reference,
                               zeta_log_deriv_dirichlet)
 from zeta_explicit.zeros import SumSpec, ZeroTable, fixture_table
-from mp_views import mp_euler, mp_pi, workprec
+from mp_views import as_pair, mp_euler, mp_pi, workprec
 
 F = Fraction
 TINY = mpf(2) ** (-170)
@@ -143,11 +143,11 @@ def test_f_rhs_domains(ctx):
     for s in (F(1), F(-2)):   # the pole, and a trivial zero
         with pytest.raises(ValueError, match="pole"):
             descriptor_zeta().log_deriv(s, ctx)
-    for z in (ctx.real(1).val, F(-1, 2)):
+    for z in (ctx.real(1), F(-1, 2)):
         with pytest.raises(ValueError, match="0 <= z < 1"):
             f_u_closed(F(1, 2), z, ctx)
     with pytest.raises(ValueError, match="negative integer"):
-        f_u_closed(F(-1), ctx.real(F(1, 2)).val, ctx)
+        f_u_closed(F(-1), ctx.real(F(1, 2)), ctx)
     assert f_u_closed(F(1, 2), 0, ctx).val == 0
 
 
@@ -160,7 +160,7 @@ def test_g_lt1_one_log_matches_two_log_form(bits):
     with mpmath.workprec(bits):
         turn = 1 / mpmath.findroot(lambda t: t ** 3 - t - 1, mpf(4) / 3)
         for x in (mpf(2) ** -100, mpf(10) ** -30, turn, 1 - mpf(2) ** -100):
-            r, same_bits = _exact(x), two_logs(x)
+            r, same_bits = _exact(as_pair(x)), two_logs(x)
             got = mpmath.ldexp(g(r.numerator, r.denominator, W), -W)
             with mpmath.workprec(bits + 64):
                 ref = two_logs(x)
@@ -269,9 +269,9 @@ def test_f_u_roots_of_unity_matches_series(u, r, t):
 
 
 def test_f_u_frozen_oracle(ctx):
-    z = ctx.real(F(1, 4)).val
-    series = f_u_series(F(1, 2), ctx.real(z), ctx).real
-    closed = f_u_closed(F(1, 2), ctx.real(z), ctx)
+    z = ctx.real(F(1, 4))
+    series = f_u_series(F(1, 2), z, ctx).real
+    closed = f_u_closed(F(1, 2), z, ctx)
     assert series.str_digits(20) == "0.19722457733621938279"
     with workprec(ctx, 16):
         assert abs(series.val - closed.val) < TINY
@@ -280,10 +280,10 @@ def test_f_u_frozen_oracle(ctx):
 def test_f_u_uncorrected_variant_fails_oracle(ctx):
     # The variant without the -q/p correction reproduces a known wrong
     # value; it is kept as a regression witness.
-    z = ctx.real(F(1, 4)).val
-    wrong = f_u_closed_uncorrected(F(1, 2), ctx.real(z), ctx).real
+    z = ctx.real(F(1, 4))
+    wrong = f_u_closed_uncorrected(F(1, 2), z, ctx).real
     assert wrong.str_digits(19) == "0.5493061443340548457"
-    series = f_u_series(F(1, 2), ctx.real(z), ctx).real
+    series = f_u_series(F(1, 2), z, ctx).real
     with workprec(ctx, 16):
         assert abs(wrong.val - series.val) > mpf("0.35")
 
@@ -301,7 +301,7 @@ def test_f_u_closed_at_zero_and_at_tiny_z(ctx):
 def test_f_u_integer_u_reduces_to_log(ctx):
     # u = 0: f_0(z) = -log(1 - z).
     z = ctx.real(F(1, 3)).val
-    v = f_u_closed(F(0), ctx.real(z), ctx).val
+    v = f_u_closed(F(0), ctx.real(as_pair(z)), ctx).val
     with workprec(ctx, 16):
         assert abs(v + mpmath.log(1 - z)) < TINY
 
@@ -465,7 +465,7 @@ def test_general_domain_guards(ctx):
 
 def test_zeta_descriptor_invariants(ctx):
     zeta = descriptor_zeta()
-    assert zeta.gamma_F(ctx) == _exact(mp_euler(ctx))
+    assert zeta.gamma_F(ctx) == _exact(as_pair(mp_euler(ctx)))
 
 
 def _L_log_deriv(s, q, chi, ctx):
@@ -760,8 +760,8 @@ def test_closed_forms_round_as_the_fraction_assembly(bits):
 
 def test_warm_selberg_rhs_builds_few_fractions(ctx):
     # the closed form sums integers: a warm selberg_rhs_gt1 call constructs
-    # 14 Fractions (49 when each part was a Fraction), counted by profiling
-    # Fraction.__new__
+    # 10 Fractions (49 when each part was a Fraction, 14 when the side check
+    # and the prime sum each copied x), counted by profiling Fraction.__new__
     x, alpha, zeta, new = F(299, 2), F(1, 3), descriptor_zeta(), F.__new__.__code__
     selberg_rhs_gt1(x, alpha, zeta, ctx)
     calls = []
@@ -771,7 +771,7 @@ def test_warm_selberg_rhs_builds_few_fractions(ctx):
         selberg_rhs_gt1(x, alpha, zeta, ctx)
     finally:
         sys.setprofile(None)
-    assert len(calls) == 14
+    assert len(calls) == 10
 
 
 # Odd real primitive characters by modulus: kronecker_chi(d) has period

@@ -26,7 +26,7 @@ from zeta_explicit.liconst import (
 from zeta_explicit.mpcore import PrecisionContext
 from zeta_explicit.zeros import SumSpec
 from liconst_helpers import build_stieltjes_table_mpf, coffey_decomposition
-from mp_views import mp_euler, workprec
+from mp_views import as_pair, mp_euler, workprec
 
 F = Fraction
 
@@ -250,7 +250,7 @@ def test_coffey_reassembly_and_bounds(ctx, consts20):
     with workprec(ctx, 16):
         for n in range(1, 21):
             S1, S2, bounds_ok = coffey_decomposition(n, consts20, ctx)
-            rebuilt = 1 - F(n, 2) * ctx.real(mpmath.log(4 * mpmath.pi) + mp_euler(ctx)).val \
+            rebuilt = 1 - F(n, 2) * ctx.real(as_pair(mpmath.log(4 * mpmath.pi) + mp_euler(ctx))).val \
                 + S1.val + S2.val
             assert abs(rebuilt - consts20.lam(n).val) < mpf(2) ** (-140), n
             assert bounds_ok, n

@@ -36,7 +36,7 @@ from zeta_explicit.mpcore import (
     series_ops,
     zeta_int,
 )
-from mp_views import mp_euler, mp_pi, workprec
+from mp_views import as_mpf, as_pair, mp_euler, mp_pi, workprec
 
 def test_context_rejects_low_precision():
     with pytest.raises(ValueError):
@@ -45,9 +45,9 @@ def test_context_rejects_low_precision():
 
 def test_value_types_compare_hash_and_refuse_assignment(ctx):
     third = mpmath.mpf(1) / 3
-    h = HReal(third, ctx)
-    assert h == HReal(third, PrecisionContext(192)) and hash(h) == hash(HReal(third, ctx))
-    assert h != HReal(third, PrecisionContext(256)) and h != third
+    h = HReal(as_pair(third), ctx)
+    assert h == HReal(as_pair(third), PrecisionContext(192)) and hash(h) == hash(HReal(as_pair(third), ctx))
+    assert h != HReal(as_pair(third), PrecisionContext(256)) and h != third
     assert PrecisionContext() == ctx and len({ctx, PrecisionContext(bits=192)}) == 1
     for value, field in ((h, "val"), (h, "ctx"), (ctx, "bits")):
         with pytest.raises(AttributeError):
@@ -61,11 +61,30 @@ def test_value_types_compare_hash_and_refuse_assignment(ctx):
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_non_finite_values_refused(ctx, value):
+    # an mpf is refused as a type, finite or not; a float has no exact
+    # value to take at inf or nan
     v = mpmath.mpf(value)
-    with pytest.raises(ArithmeticError, match="non-finite result escaped an operation"):
+    with pytest.raises(TypeError, match="got mpf"):
         HReal(v, ctx)
-    with pytest.raises(ValueError, match=re.escape(f"non-finite value {v}")):
+    with pytest.raises(TypeError, match="got mpf"):
         _exact(v)
+    for refuse in (ctx.real, _exact):
+        with pytest.raises((OverflowError, ValueError), match="cannot convert"):
+            refuse(float(value))
+
+
+def test_only_exact_values_are_taken(ctx):
+    # int, Fraction, float, (man, exp) pair and HReal: an mpf is refused
+    # by every converter, and a Fraction or float wherever no rounding
+    # width is given, since a (man, exp) pair is read exactly
+    v = mpmath.mpf(1) / 3
+    for refuse in (lambda: HReal(v, ctx), lambda: ctx.real(v), lambda: _exact(v),
+                   lambda: mpcore._fixed(v, 64)):
+        with pytest.raises(TypeError, match="got mpf"):
+            refuse()
+    for x in (Fraction(1, 3), 0.5):
+        with pytest.raises(TypeError, match=f"an HReal, got {type(x).__name__}"):
+            HReal(x, ctx)
 
 
 def test_mpf_exact_for_dyadic_fraction(ctx):
@@ -75,7 +94,7 @@ def test_mpf_exact_for_dyadic_fraction(ctx):
 def test_shared_constants_agree_with_mpmath(ctx):
     with mpmath.workprec(ctx.bits + 64):
         assert abs(mp_pi(ctx) - mpmath.pi) < mpmath.mpf(2) ** (-ctx.bits)
-        log_2pi = mpcore._mpf(*mpcore._log_pi(1, ctx.bits + mpcore._GUARD))
+        log_2pi = as_mpf(*mpcore._log_pi(1, ctx.bits + mpcore._GUARD))
         assert abs(log_2pi - mpmath.log(2 * mpmath.pi)) < mpmath.mpf(2) ** (-ctx.bits + 4)
 
 
@@ -135,10 +154,11 @@ def test_printer_matches_mpmath_nstr():
                 assert h.str_digits(n) == want, (bits, n, value)
                 assert repr(h) == f"HReal({mpmath.nstr(h.val, 25)})", (bits, value)
     assert repr(ctx.real(0)) == "HReal(0.0)"
-    for value in ((3, 4000), (-5, -4100), (1, -3600)):   # past 2^+-3500: mpmath's own path
+    for value in ((3, 4000), (-5, -4100), (1, -3600)):   # past 2^+-3500, in integers too
         h = ctx.real(value)
         assert (h.str_digits(12), repr(h)) == (mpmath.nstr(h.val, 12), f"HReal({mpmath.nstr(h.val, 25)})")
-    assert ctx.real(Fraction(2, 3)).str_digits(0) == mpmath.nstr(mpmath.mpf(2) / 3, 0)
+    with pytest.raises(ValueError, match="at least 1 significant digit, got 0"):
+        ctx.real(Fraction(2, 3)).str_digits(0)
 
 
 def test_real_rounds_as_mpmath_does():
@@ -160,17 +180,16 @@ def test_real_rounds_as_mpmath_does():
 
 
 def test_fixed_floors_as_mpmath_to_fixed():
-    # _fixed(v, V) = floor(v 2^V) of an mpf, its (man, exp) pair or its HReal
+    # _fixed(v, V) = floor(v 2^V) of a (man, exp) pair or its HReal
     # equals libmp.to_fixed, both signs, shifts left and right
     rng = random.Random(4747)
     ctx = PrecisionContext(64)
     for _ in range(3000):
         p = rng.getrandbits(rng.randint(1, 300)) * rng.choice((1, -1))
         e, V = rng.randint(-400, 100), rng.randint(0, 500)
-        v = mpmath.make_mpf(mpmath.libmp.from_man_exp(p, e))
-        want = mpmath.libmp.to_fixed(v._mpf_, V)
-        assert mpcore._fixed(v, V) == mpcore._fixed((p, e), V) == want, (p, e, V)
-        assert mpcore._fixed(HReal(v, ctx), V) == want, (p, e, V)
+        want = mpmath.libmp.to_fixed(mpmath.libmp.from_man_exp(p, e), V)
+        assert mpcore._fixed((p, e), V) == want, (p, e, V)
+        assert mpcore._fixed(HReal((p, e), ctx), V) == want, (p, e, V)
 
 
 def test_integer_constants_match_mpmath():
@@ -189,7 +208,7 @@ def test_integer_constants_match_mpmath():
                                   (mpcore._constant(mpcore._gamma_fixed, W), +mpmath.euler),
                                   (mpcore._log_pi(1, W), mpmath.log(2 * mpmath.pi)),
                                   (mpcore._log_pi(2, W), mpmath.log(4 * mpmath.pi))):
-                    assert mpcore._mpf(*got) == want, W
+                    assert as_mpf(*got) == want, W
         W = bits + 48
         explicit.f_const(Fraction(3, 2), PrecisionContext(bits))
         with mpmath.workprec(W + 8):
@@ -587,8 +606,8 @@ def test_no_module_names_mpf_log():
 
 
 def test_only_the_mpf_views_import_mpmath():
-    # One number system: mpmath is imported only where an HReal becomes an
-    # mpf (_mpf, for .val) and by _nstr's fallback past 3,500-bit exponents
+    # One number system and no runtime dependency: mpmath is imported only
+    # where an HReal becomes an mpf, HReal.val, which tests and benchmarks read
     found = set()
 
     def visit(node, where, name):
@@ -600,7 +619,7 @@ def test_only_the_mpf_views_import_mpmath():
             visit(child, child.name if isinstance(child, ast.FunctionDef) else where, name)
     for path in sorted(Path(mpcore.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), None, path.name)
-    assert found == {("mpcore.py", "_mpf"), ("mpcore.py", "_nstr")}
+    assert found == {("mpcore.py", "val")}
 
 
 def test_precision_context_holds_only_its_bits():

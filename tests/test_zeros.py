@@ -31,7 +31,7 @@ from zeta_explicit.zeros import (
     zero_sum,
 )
 from zero_sum_reference import reference_sum
-from mp_views import workprec
+from mp_views import as_pair, workprec
 
 HALF = Fraction(1, 2)
 INV_RHO = xrho_term(1, (0,), (1,))
@@ -307,7 +307,7 @@ def test_every_tail_is_the_one_density_tail(ctx, fixture100):
     assert rh_statistic(fixture100, spec, ctx).tail == density_tail(fixture100, count, 2, ctx)
     assert lambda_direct(3, fixture100, spec, ctx)[1] == density_tail(fixture100, count, 9, ctx)
     assert verify_identity("s", Fraction(21, 2), fixture100, spec, ctx).tail \
-        == density_tail(fixture100, count, s_weight, ctx)
+        == density_tail(fixture100, count, as_pair(s_weight), ctx)
 
 
 def test_density_tail_value_and_refusal(ctx):
@@ -344,7 +344,7 @@ def test_density_tail_against_mpmath(bits):
         table = ZeroTable(label="synthetic", scale=scale, ordinates=(n,),
                           real_parts=(HALF,), source="synthetic", entry_precision=15)
         for weight in (1, 2, 9, root):
-            value = density_tail(table, 1, weight, ctx)
+            value = density_tail(table, 1, weight if isinstance(weight, int) else as_pair(weight), ctx)
             with mpmath.workprec(bits + 64):
                 T = mpmath.mpf(n) / scale
                 ref = (mpmath.mpf(weight) * (mpmath.log(T / (2 * mpmath.pi)) + 1)
