@@ -46,8 +46,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .arith import MAX_SIEVE, _log, class_data, shared_table, walk_width
 from .explicit import Rational, dirichlet_L, f_const, f_rhs_gt1, f_rhs_lt1, g
-from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _floor_exact, _gamma_fixed,
-                     _nstr, _pi_fixed, bernoulli_table, exp_fixed, log_fixed)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _exact, _floor_exact, _gamma_fixed, _nstr, _pi_fixed,
+                     bernoulli_table, exp_fixed, log_fixed)
 
 GENUINE = "genuine-zero"
 JUMP = "jump-crossing"
@@ -312,7 +312,7 @@ def chowla_selberg_check(d: int, ctx: PrecisionContext) -> ChowlaSelbergReport:
     data, V = class_data(d), ctx.bits + _GUARD
     L1, Ld = dirichlet_L(1, data.D, data.chi, ctx)
     rhs = chowla_selberg_rhs(d, ctx)
-    y = _exact(Ld) / _exact(L1) - _exact(_constant(_gamma_fixed, V))
+    y = _exact(Ld) / _exact(L1) - Fraction(_gamma_fixed(V), 1 << V)
     lhs = exp_fixed((y.numerator << V) // y.denominator, V), -V
     return ChowlaSelbergReport(d=d, D=data.D, h=data.h, w=data.w,
                                L_one=ctx.real(L1), L_prime_one=ctx.real(Ld),

@@ -35,8 +35,8 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from .mpcore import (_GUARD, HReal, PrecisionContext, _atanh2, _power_ratio, _round, _Value,
-                     exp_fixed, log_fixed)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _atanh2, _ln2_fixed, _power_ratio, _round,
+                     _Value, exp_fixed, log_fixed)
 
 # Sieve memory budget (tracemalloc): the table keeps 8 pi(N)/N bytes per entry, 0.64
 # at N = 10^6; a sieve peaks near 1.65 (1 flag byte, N/2 marking bytes, the arrays).
@@ -261,7 +261,7 @@ def _log_ratio(N: int, chi: tuple, W: int) -> int:
     """floor(log(P+/P-) 2^W), N > LOG_LIMIT, chi real: P+- the products of the
     p of the n = p^k in (LOG_LIMIT, N] with chi(n) = +-1, their ratio m 2^E,
     2^(V-1) <= m < 2^(V+1), V = W + 64, floored once a block and checkpointed
-    per (chi, W), m in w bytes, E in an array.  log_fixed(m T+, T-, V) + E log 2,
+    per (chi, W), m in w bytes, E in an array.  log_fixed(m T+, T-, V) + E _ln2_fixed(V),
     T+- the tail's products, errs by 2^18 + 1 + |E| < 2^26 units of 2^-V."""
     V, w, q, table = W + 64, (W + 64) // 8 + 1, len(chi), shared_table(N)
     mants, exps = _ratios.setdefault((chi, W), (bytearray((1).to_bytes(w, "big")), array("i", [0])))
@@ -280,7 +280,7 @@ def _log_ratio(N: int, chi: tuple, W: int) -> int:
     j = (N - LOG_LIMIT) // BLOCK
     up, down = split(LOG_LIMIT + j * BLOCK, N)
     m = int.from_bytes(mants[j * w:j * w + w], "big")
-    return log_fixed(m * up, down, V) + exps[j] * log_fixed(2, 1, V) >> 64
+    return log_fixed(m * up, down, V) + exps[j] * _ln2_fixed(V) >> 64
 
 
 def primed_sum(y: Fraction, s: Fraction, ctx: PrecisionContext,

@@ -58,13 +58,12 @@ from functools import reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .arith import primed_sum, require_side, walk_width, weighted_sum
-from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _fixed, _gamma_fixed, _log_pi,
-                     _power_ratio, _round, bernoulli_table, em_log_moments, exp_fixed, log_fixed, power)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _exact, _gamma_fixed, _log_pi_fixed, _power_ratio,
+                     _round, bernoulli_table, em_log_moments, exp_fixed, log_fixed, power)
 # ZeroTable and SumSpec in annotations are zeros' classes, unevaluated: zeros is
 # imported inside the functions that sum zeros, so other callers never load it
 
 Rational = Union[int, Fraction]
-_K_CONST: dict[int, list[int]] = {}   # W -> f_const's gamma and -log 2pi, floored to W bits
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +154,7 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> tuple[int, in
     -gamma_0(a) is em_log_moments' at s = 1 and bits + 32, after psi(a) =
     psi(a + m) - Sum_{j<m} 1/(a + j) for a <= 0; its certified bound, near
     2^-(bits+31) |psi(a)|, is the largest error.  log tau is log_fixed's
-    within 3 units, gamma f_const's integer one at W + 8 bits, e^(u tau)
+    within 3 units, gamma f_const's floor at W within 1, e^(u tau)
     exp_fixed's at W; the bracket is exact, the product rounded once at
     bits + 32, as (man, exp)."""
     a, W, (zn, zd) = 1 + u, walk_width(ctx), z.as_integer_ratio()
@@ -178,8 +177,7 @@ def _f_u_lerch(u: Fraction, z: Fraction, ctx: PrecisionContext) -> tuple[int, in
         E = sum(math.comb(k, j) * e * p ** (k - j) for j, e in bq if j <= k)
         S += (E * Tk if k % 2 == 0 else -E * Tk) // (qf * k)
     psi = -_exact(g0) - sum((Fraction(1) / (a + j) for j in range(m)), Fraction(0))
-    gamma = _exact(_constant(_gamma_fixed, W + 8))   # f_const's: one gamma per W
-    bracket = -gamma - psi - Fraction(log_fixed(T, 1 << Wt, W) + S, 1 << W)
+    bracket = -psi - Fraction(_gamma_fixed(W) + log_fixed(T, 1 << Wt, W) + S, 1 << W)
     E = exp_fixed(u.numerator * T // (u.denominator << Wt - W), W)
     return _round(E * bracket / (1 << W), ctx.bits + _GUARD)
 
@@ -231,10 +229,8 @@ def f_const(x: Fraction, ctx: PrecisionContext) -> int:
     in all for the terms past LOG_LIMIT above 1."""
     W, above = walk_width(ctx), x > 1
     S, e = primed_sum(x if above else 1 / x, Fraction(0 if above else 1), ctx)
-    if W not in _K_CONST:   # mpmath's gamma and log 2pi at W + 8 bits, each floored to W
-        lm, le = _log_pi(1, W + 8)
-        _K_CONST[W] = [_fixed(_constant(_gamma_fixed, W + 8), W), _fixed((-lm, le), W)]
-    return _K_CONST[W][above] + ((-S if above else S) >> -e - W)
+    K = -_log_pi_fixed(1, W) - 1 if above else _gamma_fixed(W)   # floor(c 2^W), c = -log 2pi or gamma
+    return K + ((-S if above else S) >> -e - W)
 
 
 def f_fixed(x: Fraction, ctx: PrecisionContext) -> int:
@@ -279,11 +275,11 @@ def cosine_rhs(x: Rational, ctx: PrecisionContext) -> HReal:
 def S_rhs_gt1(x: Rational, ctx: PrecisionContext) -> HReal:
     """Predicted S(x) = Sum_rho x^rho/(rho(1-rho)) - gamma x + log 2pi
     for rational x > 1: f(x) + x f(1/x) - gamma x + log 2pi, gamma and
-    log 2pi at bits + 32, summed exactly and rounded once."""
+    log 2pi floored at bits + 32, summed exactly and rounded once."""
     x = require_side("S_rhs_gt1", Fraction(x), True)
     W = ctx.bits + _GUARD
     return ctx.real(Fraction(_f_reflected(x, ctx), 1 << walk_width(ctx))
-                    - _exact(_constant(_gamma_fixed, W)) * x + _exact(_log_pi(1, W)))
+                    + (_log_pi_fixed(1, W) - _gamma_fixed(W) * x) / (1 << W))
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +351,8 @@ class SelbergDescriptor(NamedTuple):
     def gamma_F(self, ctx: PrecisionContext) -> Fraction:
         """The constant term in -F'/F(s) = m_F/(s-1) - gamma_F + O(s-1), exactly:
         Euler's constant at bits + 32 at zeta's pole, else (L'/L)(1, chi)."""
-        return _exact(_constant(_gamma_fixed, ctx.bits + _GUARD)) if self.m_F else self.log_deriv(1, ctx)
+        V = ctx.bits + _GUARD
+        return Fraction(_gamma_fixed(V), 1 << V) if self.m_F else self.log_deriv(1, ctx)
 
 
 def descriptor_zeta() -> SelbergDescriptor:
@@ -426,18 +423,19 @@ def _descriptor_form(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
                      ctx: PrecisionContext) -> tuple[int, int, int]:
     """The descriptor form of the module docstring, exactly, as (n, e, d) = n 2^e/d (_add), from
     values at bits + 32, in one pass at (y, beta) = (x, alpha) above 1 and (1/x, 1 - alpha) below 1.
-    With m_F > 0, beta = 0 is f(y) + log 2pi and beta = 1 the polar term (refused above 1, f(x)
-    below 1).  An integer u_j = mu_j + beta lambda_j <= 0 is refused before the prime sum.  The
-    dyadic parts (f, log 2pi, f_u, psi0, power's) enter as integers, the rational ones over d."""
+    With m_F > 0, beta = 0 is f(y) + log 2pi, both at f's width, and beta = 1 the polar term
+    (refused above 1, f(x) below 1).  An integer u_j = mu_j + beta lambda_j <= 0 is refused before
+    the prime sum.  The dyadic parts (f, log 2pi, f_u, psi0, power's) enter as integers, the
+    rational ones over d."""
     above = x > 1
     y, beta = (x, alpha) if above else (1 / x, 1 - alpha)
     if F.m_F and beta in (0, 1):
         if above and beta == 1:
             raise ValueError("alpha = 1 sits on the polar term")
         # f(x) below 1 at alpha = 0, else f(y) + zeta'/zeta(0)
-        f = (f_fixed(x if beta else y, ctx), -walk_width(ctx), 1)
-        n, e, _ = f if beta else _add(f, (*_log_pi(1, ctx.bits + _GUARD), 1))
-        return (n, e, 1) if above or beta else (-x.numerator * n, e, x.denominator)
+        W = walk_width(ctx)
+        n = f_fixed(x if beta else y, ctx) + (0 if beta else _log_pi_fixed(1, W))
+        return (n, -W, 1) if above or beta else (-x.numerator * n, -W, x.denominator)
     (yn, yd), (bn, bd) = y.as_integer_ratio(), beta.as_integer_ratio()
     acc = (F.m_F * bd * (yn * bn - yd * (bd - bn)), 0, yd * (bd - bn) * bn) if F.m_F else (0, 0, 1)
     for lam, mu in F.gamma_factors:

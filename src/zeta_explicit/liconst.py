@@ -43,8 +43,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .mpcore import (_GUARD, HReal, PrecisionContext, _constant, _exact, _fixed, _gamma_fixed,
-                     _log_pi, em_log_moments, series_ops, zeta_int)
+from .mpcore import (_GUARD, HReal, PrecisionContext, _exact, _fixed, _gamma_fixed, _log_pi_fixed,
+                     em_log_moments, series_ops, zeta_int)
 # ZeroTable and SumSpec in annotations are zeros' classes, unevaluated: zeros is
 # imported inside the functions that sum zeros, so other callers never load it
 
@@ -168,7 +168,7 @@ def build_stieltjes_table(N: int, ctx: PrecisionContext) -> StieltjesTable:
     etas = [_fixed(e, V) for e in eta_from_gamma([v for v, _ in raw], wide)]
     zetas = [_fixed(zeta_int(j, wide), V) for j in range(2, N + 1)]
     zeta_terms = [(-1) ** j * (z - (z >> j)) for j, z in enumerate(zetas, 2)]
-    gamma_log_4pi = _fixed(raw[0][0], V) + _fixed(_log_pi(2, V), V)
+    gamma_log_4pi = _fixed(raw[0][0], V) + _log_pi_fixed(2, V)
     lambdas, s1s, s2s = [], [], []
     for n in range(1, N + 1):
         s1 = sum(math.comb(n, j) * zeta_terms[j - 2] for j in range(2, n + 1))
@@ -234,8 +234,8 @@ def rh_statistic(table: ZeroTable, spec: SumSpec, ctx: PrecisionContext,
     (value, inv_rho), pairs = zero_sum(
         table, spec, (inv_abs_sq_term(), xrho_term(1, (0,), (1,))), ctx)
     tail = density_tail(table, pairs, 2, ctx)
-    W = ctx.bits + _GUARD   # gamma and log 4pi as mpmath gives them there
-    target = 2 + _exact(_constant(_gamma_fixed, W)) - _exact(_log_pi(2, W))
+    W = ctx.bits + _GUARD   # gamma and log 4pi floored there
+    target = 2 + Fraction(_gamma_fixed(W) - _log_pi_fixed(2, W), 1 << W)
     corrected = _exact(value) + _exact(tail)
     disc = corrected - target
     return RHStatReport(

@@ -22,7 +22,8 @@ pipelines) consumes the types and functions defined here:
 
 Numeric backend: Python integers.  HReal is an exact dyadic that prints
 itself as mpmath.nstr would; ctx.real rounds half to even as mpmath does;
-pi and gamma are integer series rounded as mpmath rounds its constants.
+pi, gamma, log 2 and log(2^k pi) are exact floors of integer series at
+the width each caller asks for.
 Hurwitz zeta and the Stieltjes constants are Bernoulli-number expansions
 with computable error terms, in integers (logs from log_fixed, one integer
 Bernoulli table, bounds rounded up, the set-up kept per exact (s, N,
@@ -201,7 +202,7 @@ def _nstr(man: int, exp: int, n: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# pi and Euler's gamma in integers, rounded as mpmath rounds its constants
+# pi, Euler's gamma, log 2 and log(2^k pi) as exact floors, in integers
 # ----------------------------------------------------------------------
 
 def _floor_exact(approx, V: int) -> int:
@@ -234,34 +235,34 @@ def _gamma_fixed(V: int) -> int:
     """floor(gamma 2^V) by Brent and McMillan (Math. Comp. 34, 1980, B1):
     gamma = U/S - log n within pi e^(-4n), U = Sum_k (n^k/k!)^2 H_k and
     S = Sum_k (n^k/k!)^2, n = 2^p >= (G + 2) log(2)/4, log n = p log 2 from
-    _atanh2, each term floored at G bits; log n's k + 1 units per p lead."""
+    _ln2_fixed, each term floored at G bits; log n's p units lead."""
     def approx(G: int) -> tuple[int, int]:
-        p = math.ceil(math.log2((G + 2) * math.log(2) / 4))
-        (L, k), j = _atanh2(1, 3, G), 0
-        A = U = -p * L
+        p, j = math.ceil(math.log2((G + 2) * math.log(2) / 4)), 0
+        A = U = -p * _ln2_fixed(G)
         B = S = 1 << G
         while B:
             j += 1
             B = B * 4 ** p // (j * j)
             A = (A * 4 ** p // j + B) // j
             U, S = U + A, S + B
-        return (U << G) // S, p * (k + 1) + 4
+        return (U << G) // S, p + 4
     return _floor_exact(approx, V)
 
 
-def _constant(fixed, prec: int) -> tuple[int, int]:
-    """A constant c in [1/2, 4) as mpmath gives it at prec bits:
-    floor(c 2^(prec+20)) rounded to nearest (mpmath's def_mpf_constant)."""
-    return _round((fixed(prec + 20), -prec - 20), prec)
+@lru_cache(maxsize=None)
+def _ln2_fixed(V: int) -> int:
+    """floor(log(2) 2^V): log 2 = 2 atanh(1/3), _atanh2's series, under k + 1 units low."""
+    def approx(G: int) -> tuple[int, int]:
+        A, k = _atanh2(1, 3, G)
+        return A, k + 1
+    return _floor_exact(approx, V)
 
 
 @lru_cache(maxsize=None)
-def _log_pi(k: int, prec: int) -> tuple[int, int]:
-    """mpmath.log(2^k * mpmath.pi) at prec bits, 1 <= k: the log of mpmath's
-    pi at prec times 2^k, by log_fixed at prec + 24, rounded to nearest."""
-    m, e = _constant(_pi_fixed, prec)
-    V = prec + 24
-    return _round((log_fixed(m << max(0, e + k), 1 << max(0, -e - k), V), -V), prec)
+def _log_pi_fixed(k: int, V: int) -> int:
+    """floor(log(2^k pi) 2^V), k >= 0: log_fixed of 2^k floor(pi 2^G) 2^-G,
+    within its 1 unit and the under 1/pi unit that pi's floor takes off."""
+    return _floor_exact(lambda G: (log_fixed(_pi_fixed(G) << k, 1 << G, G), 2), V)
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +292,6 @@ def bernoulli_table(n: int) -> tuple[int, list[int]]:
 
 
 _LOGS: dict[int, list[list[int]]] = {}   # T -> 2^T log(1 + j/2^B) for B = 8 (j <= 256), 12, 16
-_LN2: dict[int, int] = {}   # G -> log_fixed(2, 1, G), exp_fixed's
 
 
 def _atanh2(d: int, s: int, V: int) -> tuple[int, int]:
@@ -338,15 +338,15 @@ def log_fixed(n: int, d: int, V: int) -> int:
 def exp_fixed(x: int, V: int) -> int:
     """2^V e^(x 2^-V) within 2 units, x an integer (Brent and Zimmermann,
     Modern Computer Arithmetic, 4.3-4.4): x 2^-V = n log 2 + y, n nearest,
-    y in units of 2^-G, G = V + max(n, 0) + g, within |n| (log 2 log_fixed's,
-    kept per G); e^z, z = y 2^-k, k = sqrt(V)/2, is C + z S, the even and odd
+    y in units of 2^-G, G = V + max(n, 0) + g, within |n| (log 2 _ln2_fixed's
+    floor); e^z, z = y 2^-k, k = sqrt(V)/2, is C + z S, the even and odd
     Taylor sums in z^2, m <= G/2 terms floored: within |n| 2^-k + 2m + 7 units;
     k squarings (values in (0.7, 1.42)) scale that by 1.1 2^k, and g = k +
     bits of 2(V + |n|) + 2 leaves it under 1 unit of 2^-V before the floor."""
     n, k = round(x / (1 << V) / 0.6931471805599453), math.isqrt(V) // 2
     g = k + (2 * (V + abs(n))).bit_length() + 2
     G = V + max(n, 0) + g
-    z = ((x << G - V) - n * (_LN2.get(G) or _LN2.setdefault(G, log_fixed(2, 1, G)))) >> k
+    z = ((x << G - V) - n * _ln2_fixed(G)) >> k
     zz, C, S, j = z * z >> G, 1 << G, 1 << G, 2
     a = zz
     while a:

@@ -91,9 +91,10 @@ def _eps_table(s, N: int, count: int) -> list[list]:
 
 
 def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
-                   ) -> tuple[tuple[HReal, HReal], ...]:
-    """(value, certified bound) of Z_n(s, a) = Sum_{k>=0} log^n(k+a) (k+a)^(-s)
-    = (-1)^n d^n/ds^n zeta(s, a) for n = 0..N, real s, a > 0.  At s = 1
+                   ) -> tuple[tuple[HReal, HReal, HReal], ...]:
+    """(value, certified bound, documented bound) of
+    Z_n(s, a) = Sum_{k>=0} log^n(k+a) (k+a)^(-s) = (-1)^n d^n/ds^n zeta(s, a)
+    for n = 0..N, real s, a > 0.  At s = 1
     the values are the regularized constants
     gamma_n(a) = lim_R [Sum_{k+a<=R} log^n(k+a)/(k+a) - log^(n+1)(R)/(n+1)].
 
@@ -120,7 +121,13 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
     L^m/c + (m/c) T_(m-1).  The bound adds the rounding slop of the pass
     at its working precision (with the coefficient-wise majorant of the
     correction) and 2^(1-bits) (|value| + 1) for the rounding to the
-    context.
+    context.  Each order gives (value, bound, documented): documented is
+    the bound the package's docstring states, the same sum with |corr|
+    the correction with each D_i as |D_i|.  That fits the integer pass,
+    where D_i is one floored quotient of exact integers times R^(-s) and
+    errs in proportion to |D_i|; here D_i sums mpf terms, each rounded in
+    proportion to its own size, so the bound keeps the majorant.  The two
+    differ where the D_i cancel, as in the exact polynomial case.
     """
     sf, af = float(s), float(a)
     if not af > 0:
@@ -177,17 +184,19 @@ def em_log_moments(s: Scalar, a: Scalar, N: int, ctx: PrecisionContext
                     I += fall * Lpow[n - j] / (sv - 1) ** (j + 1)
                     fall *= n - j
                 I *= R * wR
-            corr = corr_abs = tail = mpf(0)
+            corr = corr_abs = corr_doc = tail = mpf(0)
             fall = 1  # n!/(n-i)!
             for i in range(n + 1):
                 corr += fall * Lpow[n - i] * D[i]
                 corr_abs += fall * Lpow[n - i] * A[i]
+                corr_doc += fall * Lpow[n - i] * abs(D[i])
                 tail += fall * abs(c[2 * K][i]) * T[n - i]
                 fall *= n - i
             value = sums[n] + I + Lpow[n] * wR / 2 - corr
             rem = rem_scale * tail
-            slop = (M + 2 * K + 16) * (n + 4 + abs(sv) * lmax) \
-                * mpf(2) ** -(ctx.bits + extra) * (lmax ** n * mass + abs(I) + corr_abs + 1)
-            bound = rem + slop + mpf(2) ** (1 - ctx.bits) * (abs(value) + 1)
-            out.append((ctx.real(as_pair(value)), ctx.real(as_pair(bound))))
+            unit = (M + 2 * K + 16) * (n + 4 + abs(sv) * lmax) * mpf(2) ** -(ctx.bits + extra)
+            rounding = mpf(2) ** (1 - ctx.bits) * (abs(value) + 1)
+            bound, documented = (rem + unit * (lmax ** n * mass + abs(I) + x + 1) + rounding
+                                 for x in (corr_abs, corr_doc))
+            out.append(tuple(ctx.real(as_pair(v)) for v in (value, bound, documented)))
     return tuple(out)

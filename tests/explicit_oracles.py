@@ -19,7 +19,7 @@ from mpmath import mpc, mpf
 from zeta_explicit.arith import psi0, psi0_alpha, shared_table, T_sum, walk_width
 from zeta_explicit.explicit import (RationalFunctionPF, SelbergDescriptor, f_fixed, f_u_closed,
                                     selberg_psi0)
-from zeta_explicit.mpcore import HReal, PrecisionContext, _exact, _log_pi, power
+from zeta_explicit.mpcore import HReal, PrecisionContext, _exact, _log_pi_fixed, power
 from mp_views import as_pair, workprec
 
 _GUARD = 32
@@ -372,8 +372,9 @@ def descriptor_form_fraction(x: Fraction, alpha: Fraction, F: SelbergDescriptor,
     if F.m_F and beta in (0, 1):
         if above and beta == 1:
             raise ValueError("alpha = 1 sits on the polar term")
-        f = Fraction(f_fixed(x if beta else y, ctx), 1 << walk_width(ctx))
-        return f if beta else (f + _exact(_log_pi(1, ctx.bits + _GUARD))) * (1 if above else -x)
+        W = walk_width(ctx)
+        f = Fraction(f_fixed(x if beta else y, ctx), 1 << W)
+        return f if beta else (f + Fraction(_log_pi_fixed(1, W), 1 << W)) * (1 if above else -x)
     acc = F.m_F * (y / (1 - beta) - 1 / beta) if F.m_F else Fraction(0)
     for lam, mu in F.gamma_factors:
         if (u := mu + lam * beta).denominator == 1 and u <= 0:

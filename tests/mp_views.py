@@ -2,14 +2,13 @@
 with mpmath.  The package keeps no mpmath state and takes no mpf: as_pair
 gives a finite mpf to it as its exact (man, exp) pair and as_mpf gives a
 pair back as an mpf; the others set mpmath's precision relative to a
-context and give the integer pi and gamma as the mpf constants mpmath
-would return at bits + 32."""
+context and give mpmath's own pi and gamma at bits + 32."""
 
 from __future__ import annotations
 
 import mpmath
 
-from zeta_explicit.mpcore import _GUARD, PrecisionContext, _constant, _gamma_fixed, _pi_fixed
+from zeta_explicit.mpcore import _GUARD, PrecisionContext
 
 
 def as_mpf(man: int, exp: int) -> mpmath.mpf:
@@ -31,10 +30,12 @@ def workprec(ctx: PrecisionContext, extra: int = 0):
 
 
 def mp_pi(ctx: PrecisionContext) -> mpmath.mpf:
-    """mpmath's +pi at ctx.bits + 32, from the package's integer pi."""
-    return as_mpf(*_constant(_pi_fixed, ctx.bits + _GUARD))
+    """mpmath's +pi at ctx.bits + 32."""
+    with mpmath.workprec(ctx.bits + _GUARD):
+        return +mpmath.pi
 
 
 def mp_euler(ctx: PrecisionContext) -> mpmath.mpf:
-    """mpmath's +euler at ctx.bits + 32, from the package's integer gamma."""
-    return as_mpf(*_constant(_gamma_fixed, ctx.bits + _GUARD))
+    """mpmath's +euler at ctx.bits + 32."""
+    with mpmath.workprec(ctx.bits + _GUARD):
+        return +mpmath.euler

@@ -78,20 +78,40 @@ def test_claim_needs_nine_pairs_in_ten_and_a_gap_past_the_iqr():
     assert got["met"] and got["median_gap"] == 1.0
 
 
-def test_both_roots_are_exports_without_bytecode(tmp_path):
+def test_both_roots_are_exports_without_bytecode(tmp_path, monkeypatch):
     # the change side is an export of the working tree, as the parent is an
     # archive of its commit: neither holds a __pycache__ (cached bytecode
     # would spare one side the compiles its runs time), and the change root
-    # holds exactly the working tree's files that git tracks or would track
-    bp = _script()
-    (ROOT / "src" / "zeta_explicit" / "__pycache__").mkdir(exist_ok=True)   # as any test run leaves
-    roots = bp.make_roots("HEAD", tmp_path)
+    # holds exactly the working tree's files that git tracks or would track.
+    # The checkout is a throwaway repository, so the test runs in a clone
+    # and in a plain export alike.
+    repo, bp = tmp_path / "repo", _script()
+
+    def git(*args):
+        config = ("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false")
+        return subprocess.run(["git", *config, *args], cwd=repo, check=True,
+                              capture_output=True).stdout.decode()
+
+    for name, text in (("perfbench/run.py", "print(1)\n"), ("src/pkg/mod.py", "X = 1\n"),
+                       (".gitignore", "__pycache__/\n")):
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    (repo / "src" / "pkg" / "mod.py").write_text("X = 2\n")       # a tracked file, edited
+    (repo / "notes.txt").write_text("untracked, not ignored\n")
+    (repo / "src" / "pkg" / "__pycache__").mkdir()                # as any test run leaves
+    (repo / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    monkeypatch.setattr(bp, "ROOT", repo)
+    roots = bp.make_roots("HEAD", tmp_path / "roots")
     for root in roots.values():
         assert (root / "perfbench" / "run.py").is_file()
         assert not list(root.rglob("__pycache__")), root
-    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-                            cwd=ROOT, check=True, capture_output=True).stdout.decode()
-    tree = {n for n in listed.split("\0") if n and (ROOT / n).is_file()}
+    assert (roots["parent"] / "src" / "pkg" / "mod.py").read_text() == "X = 1\n"
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    tree = {n for n in listed.split("\0") if n and (repo / n).is_file()}
+    assert "notes.txt" in tree
     copied = {str(p.relative_to(roots["change"])) for p in roots["change"].rglob("*") if p.is_file()}
     assert copied == tree
-    assert all((roots["change"] / n).read_bytes() == (ROOT / n).read_bytes() for n in tree)
+    assert all((roots["change"] / n).read_bytes() == (repo / n).read_bytes() for n in tree)

@@ -358,9 +358,9 @@ def test_f_u_lerch_stopping_rule_witness():
 
 
 def test_lerch_branch_and_f_read_one_integer_gamma(monkeypatch):
-    # f_u's Lerch branch reads f_const's integer gamma, so a process that
-    # takes the branch and then evaluates f never runs mpmath's euler_fixed
-    # and computes gamma at one width
+    # f_u's Lerch branch and f_const read one floor of gamma at the walk
+    # width, so a process that takes the branch and then evaluates f never
+    # runs mpmath's euler_fixed and computes gamma at one width
     from mpmath.libmp import gammazeta
     from zeta_explicit import mpcore
 
@@ -371,7 +371,6 @@ def test_lerch_branch_and_f_read_one_integer_gamma(monkeypatch):
     cell, = mpmath.euler.func.__closure__   # the routine mpmath.euler reads
     monkeypatch.setattr(cell, "cell_contents", refuse)
     mpcore._gamma_fixed.cache_clear()
-    monkeypatch.setattr(explicit, "_K_CONST", {})
     ctx, z = PrecisionContext(bits=192), 1 - F(1, 2 ** 20)
     assert -math.log1p(float(z - 1)) < explicit.TAU0   # the Lerch branch
     lerch = explicit.f_u_closed(F(1, 3), z, ctx)
